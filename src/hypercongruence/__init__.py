@@ -14,16 +14,13 @@ from .geom import (
     Constants,
     DegenerateRotationError,
     DuplicatePointsError,
-    LockstepDivergence,
     ParallelPlanesError,
     PlaneSpan,
     PointSet4,
-    Rotation4,
     RotationDecomposition,
     Verdict,
     angle_between_planes,
     block_rotation,
-    centroid_normalize,
     chirality,
     decompose_rotation,
     hopf_circle_image,

@@ -20,11 +20,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geom import (EPS_EQ, CONSTANTS, PlaneSpan, Rotation4,
-                   DegenerateRotationError, decompose_rotation)
-from .condense import tolerance_cluster
-from .iterprune import (TWO_PI, THETA_TOL, DirectedGraph, ps_figures,
-                        _complete_basis, _gs_rows)
+from .geom import (EPS_EQ, CONSTANTS, PlaneSpan, DegenerateRotationError,
+                   complete_basis, decompose_rotation, gram_schmidt)
+from .condense import TWO_PI, component_ids, members_by_id
+from .iterprune import THETA_TOL, DirectedGraph, ps_figures
 
 
 @dataclass
@@ -50,7 +49,7 @@ class OrbitCycle:
     """
 
     vertices: tuple
-    rotation: Rotation4
+    rotation: np.ndarray
     circle: PlaneSpan
 
 
@@ -59,24 +58,9 @@ class OrbitCycle:
 
 
 def _components(n: int, undirected_edges) -> list:
-    parent = list(range(n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for i, j in undirected_edges:
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[ri] = rj
-    groups: dict = {}
-    for v in range(n):
-        groups.setdefault(find(v), []).append(v)
-    # only vertices that touch an edge belong to the graph
-    touched = {v for e in undirected_edges for v in e}
-    return sorted(vs for vs in groups.values() if set(vs) & touched)
+    # only vertices on an edge belong to the graph
+    groups = members_by_id(component_ids(n, list(undirected_edges)))
+    return [g.tolist() for g in groups if len(g) > 1]
 
 
 def _trace_cycle(adj: dict, comp) -> list:
@@ -96,7 +80,7 @@ def _trace_cycle(adj: dict, comp) -> list:
     return order
 
 
-def _cycle_rotation(pts: np.ndarray, order: list, eps: float) -> Rotation4:
+def _cycle_rotation(pts: np.ndarray, order: list, eps: float) -> np.ndarray:
     """The rotation advancing a cycle one step, fitted from spread triples."""
     ell = len(order)
     m = max(1, ell // 3)
@@ -108,7 +92,7 @@ def _cycle_rotation(pts: np.ndarray, order: list, eps: float) -> Rotation4:
             rot = fit_rotation(pts[tmpl], pts[targ], eps)
         except ValueError:
             continue
-        err = np.max(np.abs(orbit @ rot.matrix.T - np.roll(orbit, -1, axis=0)))
+        err = np.max(np.abs(orbit @ rot.T - np.roll(orbit, -1, axis=0)))
         if err <= 1e-7:
             return rot
     raise AssertionError("no step rotation advances the mirror cycle")
@@ -140,7 +124,7 @@ def mirror_reduce(points, graph: DirectedGraph, eps: float = EPS_EQ):
         s = np.linalg.svd(pts[c], compute_uv=False)
         vt = np.linalg.svd(pts[c], full_matrices=False)[2]
         if vt.shape[0] < 4:
-            vt = _complete_basis(vt)
+            vt = complete_basis(vt)
         ranks.append(int(np.sum(s > 1e-7 * s[0])))
         svds.append(vt)
     if len(set(ranks)) != 1:
@@ -185,7 +169,7 @@ def mirror_reduce(points, graph: DirectedGraph, eps: float = EPS_EQ):
         for c in comps:
             order = _trace_cycle(adj, c)
             rot = _cycle_rotation(pts, order, eps)
-            dec = decompose_rotation(rot.matrix, eps)
+            dec = decompose_rotation(rot, eps)
             if dec.isoclinic:
                 raise AssertionError("isoclinic mirror cycle should have "
                                      "been planar")
@@ -232,7 +216,7 @@ def mirror_reduce(points, graph: DirectedGraph, eps: float = EPS_EQ):
 # orbit-cycle case
 
 
-def fit_rotation(template, target, eps: float = EPS_EQ) -> Rotation4:
+def fit_rotation(template, target, eps: float = EPS_EQ) -> np.ndarray:
     """The unique rotation mapping one 3-point frame onto another.
 
     Both triples must span a 3-dimensional subspace together with the
@@ -243,16 +227,14 @@ def fit_rotation(template, target, eps: float = EPS_EQ) -> Rotation4:
     b = np.asarray(target, dtype=float)
     if a.shape != (3, 4) or b.shape != (3, 4):
         raise ValueError("expected two 3x4 point triples")
-    rows_a = _gs_rows(a, eps=1e-9)
-    rows_b = _gs_rows(b, eps=1e-9)
+    rows_a = gram_schmidt(a, eps=1e-9)
+    rows_b = gram_schmidt(b, eps=1e-9)
     if rows_a is None or rows_b is None:
         raise ValueError("triple lies on a great circle, rotation not unique")
-    fa = _complete_basis(rows_a)
-    fb = _complete_basis(rows_b)
-    r = fb.T @ fa
+    r = complete_basis(rows_b).T @ complete_basis(rows_a)
     if np.max(np.abs(a @ r.T - b)) > max(eps, 1e-9) * 10:
         raise ValueError("target triple is not congruent to the template")
-    return Rotation4(r)
+    return r
 
 
 def orbit_circles(points, graph: DirectedGraph, delta: float, alpha: float,
@@ -321,12 +303,12 @@ def orbit_circles(points, graph: DirectedGraph, delta: float, alpha: float,
             rot = fit_rotation(pts[list(verts[:3])],
                                pts[[verts[1], verts[2], verts[3 % ell]]], eps)
             orbit = pts[list(verts)]
-            err = np.max(np.abs(orbit @ rot.matrix.T - np.roll(orbit, -1, axis=0)))
+            err = np.max(np.abs(orbit @ rot.T - np.roll(orbit, -1, axis=0)))
             if err > 1e-7:
                 raise AssertionError("fitted rotation does not advance the "
                                      f"cycle (error {err:.2g})")
             try:
-                dec = decompose_rotation(rot.matrix, eps)
+                dec = decompose_rotation(rot, eps)
             except DegenerateRotationError as exc:
                 raise AssertionError("orbit rotation is degenerate") from exc
             if dec.isoclinic:

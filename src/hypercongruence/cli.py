@@ -41,8 +41,7 @@ def cmd_test(args) -> int:
     except (OSError, PointFileError) as e:
         return _fail(str(e))
     opts = PipelineOptions(eps_eq=args.tolerance,
-                           allow_reflection=args.reflect,
-                           trace=args.trace)
+                           allow_reflection=args.reflect)
     sink: list = []
     try:
         v = congruence_test_4d(a, b, opts, sink if args.trace else None,

@@ -1,10 +1,12 @@
 """Order-independent condensation helpers.
 
-Three primitives recur throughout the pipeline: grouping nearly-equal reals
-into classes (single-linkage at the comparison tolerance), keeping only the
-smallest class under a canonical key, and computing the canonical axes of a
-labeled configuration on a circle.  All of them are deterministic functions
-of the input multiset, never of input order.
+The primitives every stage of the pipeline shares: grouping nearly-equal
+reals into classes (single linkage at the comparison tolerance) on a line
+or on a circle, wrapping angles into one period, numbering the connected
+components of a graph and averaging points per component, keeping only
+the smallest class under a canonical key, and computing the canonical axes
+of a labeled configuration on a circle.  The value groupings are
+deterministic functions of the input multiset, never of input order.
 """
 
 from __future__ import annotations
@@ -14,10 +16,19 @@ from dataclasses import dataclass
 from typing import Hashable, Optional, Sequence
 
 import numpy as np
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
 
 from .geom import EPS_EQ
 
 TWO_PI = 2.0 * math.pi
+
+
+def wrap_angle(x, period: float = TWO_PI) -> np.ndarray:
+    """Values reduced into [0, period), as a float array."""
+    w = np.mod(np.asarray(x, dtype=float), period)
+    # x mod period rounds up to period for tiny negative x
+    return np.where(w >= period, 0.0, w)
 
 
 @dataclass(frozen=True)
@@ -59,6 +70,50 @@ def tolerance_cluster(values: Sequence[float], eps: float = EPS_EQ) -> ClusterRe
     ids[order] = ids_sorted
     starts = np.concatenate([[0], breaks + 1])
     return ClusterResult(ids, sv[starts])
+
+
+def circular_cluster(values: Sequence[float], eps: float = EPS_EQ,
+                     period: float = TWO_PI) -> ClusterResult:
+    """tolerance_cluster of values on a circle of the given period.
+
+    Values are wrapped into [0, period) first.  When the gap across the
+    0/period seam is at most eps, the classes on both sides of it merge
+    into class 0; ids stay dense and ordered by class minimum.
+    """
+    vals = wrap_angle(values, period)
+    res = tolerance_cluster(vals, eps)
+    if res.count > 1 and vals.min() + period - vals.max() <= eps:
+        last = res.count - 1
+        return ClusterResult(np.where(res.ids == last, 0, res.ids), res.reps[:last])
+    return res
+
+
+def component_ids(n: int, edges) -> np.ndarray:
+    """Connected-component id of each of n vertices under undirected edges.
+
+    An isolated vertex is a component of its own; ids are dense and
+    numbered in order of each component's smallest vertex.
+    """
+    e = np.asarray(edges, dtype=int).reshape(-1, 2)
+    graph = coo_matrix((np.ones(len(e)), (e[:, 0], e[:, 1])), shape=(n, n))
+    _, labels = connected_components(graph, directed=False)
+    _, first = np.unique(labels, return_index=True)
+    rank = np.empty(len(first), dtype=int)
+    rank[np.argsort(first)] = np.arange(len(first))
+    return rank[labels]
+
+
+def members_by_id(ids: np.ndarray) -> list:
+    """Ascending member indices of every id class, in id order."""
+    order = np.argsort(ids, kind="stable")
+    return np.split(order, np.cumsum(np.bincount(ids))[:-1])
+
+
+def group_means(points: np.ndarray, ids: np.ndarray) -> tuple:
+    """(mean point, member count) of every id class, in id order."""
+    counts = np.bincount(ids)
+    sums = np.column_stack([np.bincount(ids, weights=col) for col in points.T])
+    return sums / counts[:, None], counts
 
 
 def joint_cluster(a: Sequence[float], b: Sequence[float],
@@ -170,8 +225,7 @@ def canonical_axes(angles: Sequence[float], labels: Optional[Sequence[Hashable]]
     The rotations of the cyclic sequence are ranked starting at label
     positions only; the minimal starts are the axis points.
     """
-    ang = np.mod(np.asarray(angles, dtype=float), TWO_PI)
-    ang[ang >= TWO_PI] = 0.0    # x % 2pi rounds up to 2pi for tiny negative x
+    ang = wrap_angle(angles)
     n = len(ang)
     if n == 0:
         raise ValueError("empty configuration")
@@ -200,8 +254,3 @@ def canonical_axes(angles: Sequence[float], labels: Optional[Sequence[Hashable]]
     base = float(sorted_ang[starts[0]])
     return AxesSet(count, base, code, order, sorted_ang, tuple(starts))
 
-
-def axis_offsets(axes: AxesSet, angles: Sequence[float]) -> np.ndarray:
-    """Offset of each angle to the nearest smaller canonical axis, in [0, spacing)."""
-    ang = np.mod(np.asarray(angles, dtype=float), TWO_PI)
-    return np.mod(ang - axes.base_angle, axes.spacing)

@@ -2,9 +2,10 @@
 
 Everything downstream works with plain float64 numpy arrays: points are rows
 of an (n, 4) array, planes through the origin are row-pairs of orthonormal
-basis vectors.  A single comparison tolerance ``EPS_EQ`` governs every
-equality decision; callers may override it per operation but there is no
-hidden second tolerance.
+basis vectors.  ``EPS_EQ`` is the default comparison tolerance for
+coordinates; callers may override it per operation.  It is not the only
+tolerance: several stages still compare angles, frames and fits against
+fixed literals (1e-7 and others) of their own.
 """
 
 from __future__ import annotations
@@ -40,16 +41,11 @@ class Constants:
     kissing_2: int = 5          # max successors of an arc (kissing number on the circle band)
     kissing_3: int = 12         # max degree in a closest-pair graph on the 3-sphere
     kissing_5_upper: int = 44   # upper bound for max degree on the 5-sphere
-    polygon_min: int = 12000    # min regular-polygon size in the mirror case at delta < delta0
-    grid_p_min: int = 8886      # min toroidal grid side in the mirror case at delta < delta0
     circle_factor: int = 200    # orbit-cycle count is at most n / circle_factor
-    class_cap: int = 12         # max size of a condensed parallel class of circles
     pair_fanout: int = 25       # marked-pair count is at most pair_fanout * |circles|
     marks_per_pair: int = 4
-    alpha_min: float = ALPHA_MIN
     delta_min: float = DELTA_MIN
     few_circles_cap: int = int(15.0 * math.pi / (8.0 * (DELTA_MIN / 2.0) ** 5))  # 829
-    anchor_cap: int = int(2.0 * math.pi ** 2 / ((4.0 / 3.0) * math.pi * (5e-4 / 2.0) ** 3))
 
 
 CONSTANTS = Constants()
@@ -65,14 +61,6 @@ class DegenerateRotationError(ValueError):
 
 class ParallelPlanesError(ValueError):
     """Planes are equal or Clifford parallel; closest points are not unique."""
-
-
-class LockstepDivergence(Exception):
-    """The two runs of a lockstep stage produced different summaries."""
-
-    def __init__(self, stage: str):
-        super().__init__(stage)
-        self.stage = stage
 
 
 def worker_count() -> int:
@@ -101,16 +89,10 @@ class AnglePair(NamedTuple):
 
 @dataclass(frozen=True)
 class PointSet4:
-    """A finite labeled multiset of points in 4-space.
-
-    ``origin_count`` records how many points coincide with the origin after
-    centroid normalization; those points carry no rotational information and
-    are compared by count alone.
-    """
+    """A finite labeled multiset of points in 4-space."""
 
     points: np.ndarray
     labels: Optional[tuple] = None
-    origin_count: int = 0
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float)
@@ -162,26 +144,6 @@ class PlaneSpan:
 
 
 @dataclass(frozen=True)
-class Rotation4:
-    """A proper rotation of 4-space (orthogonal, determinant +1)."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=float)
-        if m.shape != (4, 4):
-            raise ValueError("rotation matrix must be 4x4")
-        if np.max(np.abs(m.T @ m - np.eye(4))) > 1e-7:
-            raise ValueError("matrix is not orthogonal")
-        if np.linalg.det(m) < 0:
-            raise ValueError("matrix is orientation reversing")
-        object.__setattr__(self, "matrix", m)
-
-    def apply(self, points: np.ndarray) -> np.ndarray:
-        return np.asarray(points, dtype=float) @ self.matrix.T
-
-
-@dataclass(frozen=True)
 class Verdict:
     """Outcome of a congruence test.
 
@@ -219,24 +181,37 @@ def block_rotation(phi: float, psi: float) -> np.ndarray:
                      [0.0, 0.0, s2, c2]])
 
 
-def centroid_normalize(points: np.ndarray, labels: Optional[Sequence] = None,
-                       eps: float = EPS_EQ) -> tuple[PointSet4, np.ndarray]:
-    """Translate a raw point set so its centroid is the origin.
+def gram_schmidt(vectors, eps: float = 1e-9) -> Optional[np.ndarray]:
+    """Orthonormal rows spanning the vectors in order; None if they are
+    (nearly) dependent."""
+    rows: list = []
+    for v in vectors:
+        w = np.array(v, dtype=float)
+        for r in rows:
+            w -= (w @ r) * r
+        nw = np.linalg.norm(w)
+        if nw < eps:
+            return None
+        rows.append(w / nw)
+    return np.array(rows)
 
-    Returns the normalized set together with the centroid that was
-    subtracted.  Points landing exactly on the origin (within ``eps``) are
-    counted in ``origin_count``.
-    """
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim != 2 or pts.shape[1] != 4:
-        raise ValueError(f"expected an (n, 4) array, got {pts.shape}")
-    if len(pts) == 0:
-        raise ValueError("empty point set")
-    centroid = pts.mean(axis=0)
-    shifted = pts - centroid
-    origin_count = int(np.sum(np.linalg.norm(shifted, axis=1) <= eps))
-    lab = tuple(labels) if labels is not None else None
-    return PointSet4(shifted, lab, origin_count), centroid
+
+def complete_basis(rows) -> np.ndarray:
+    """Extend orthonormal rows to a positively oriented basis of R^4."""
+    out = [np.asarray(r, dtype=float) for r in rows]
+    for k in range(4):
+        if len(out) == 4:
+            break
+        w = np.eye(4)[k]
+        for r in out:
+            w = w - (w @ r) * r
+        nw = np.linalg.norm(w)
+        if nw > 1e-6:
+            out.append(w / nw)
+    frame = np.array(out)
+    if np.linalg.det(frame) < 0:
+        frame[-1] = -frame[-1]
+    return frame
 
 
 def angle_between_planes(p: PlaneSpan, q: PlaneSpan) -> AnglePair:

@@ -16,8 +16,9 @@ from typing import Optional
 
 import numpy as np
 
-from .geom import PlaneSpan, Verdict, hopf_fiber, hopf_frame, match_multisets
-from .iterprune import TWO_PI, _gs_rows, _complete_basis
+from .condense import TWO_PI
+from .geom import (PlaneSpan, Verdict, complete_basis, gram_schmidt, hopf_fiber,
+                   hopf_frame, match_multisets)
 
 ORACLE_MAX = 10
 
@@ -91,7 +92,7 @@ def oracle_congruent(a_raw, b_raw, allow_reflection: bool = False,
         if np.linalg.norm(bn, axis=1).max() <= eps:
             return finish(np.eye(4))
         return Verdict.no("rank")
-    fa = _complete_basis(_gs_rows(an[tup], eps))
+    fa = complete_basis(gram_schmidt(an[tup], eps))
     gram_a = an[tup] @ an[tup].T
 
     candidates = []
@@ -99,10 +100,10 @@ def oracle_congruent(a_raw, b_raw, allow_reflection: bool = False,
         pts = bn[list(img)]
         if np.max(np.abs(pts @ pts.T - gram_a)) > 100 * eps:
             continue
-        rows = _gs_rows(pts, eps)
+        rows = gram_schmidt(pts, eps)
         if rows is None:
             continue
-        fb = _complete_basis(rows)
+        fb = complete_basis(rows)
         candidates.append(fb.T @ fa)
         if allow_reflection and rank >= 3:
             fb_m = np.vstack([rows, -fb[rank:]])

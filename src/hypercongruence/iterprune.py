@@ -24,20 +24,17 @@ from typing import Optional
 
 import numpy as np
 
-from .geom import EPS_EQ, CONSTANTS, match_multisets
-from .condense import canonical_axes, prune_by_key, tolerance_cluster
+from .geom import (EPS_EQ, CONSTANTS, complete_basis, gram_schmidt,
+                   match_multisets)
+from .condense import (TWO_PI, canonical_axes, circular_cluster, prune_by_key,
+                       tolerance_cluster, wrap_angle)
 from .cpgraph import closest_pair_graph
 
-TWO_PI = 2.0 * math.pi
 THETA_TOL = 1e-7            # angular tolerance for positions on mark circles
 
 ROLE_SUCC = 0
 ROLE_PRED = 1
 ROLE_BOTH = 2
-
-TAG_OUT = 1
-TAG_IN = -1
-TAG_BIDIRECTED = 0
 
 
 @dataclass(frozen=True)
@@ -104,38 +101,6 @@ class EdgeTransitive:
 
 def _unit(v: np.ndarray) -> np.ndarray:
     return v / np.linalg.norm(v)
-
-
-def _gs_rows(vectors, eps: float = 1e-9) -> Optional[np.ndarray]:
-    """Gram-Schmidt; None if the vectors are (nearly) dependent."""
-    rows: list = []
-    for v in vectors:
-        w = np.array(v, dtype=float)
-        for r in rows:
-            w -= (w @ r) * r
-        nw = np.linalg.norm(w)
-        if nw < eps:
-            return None
-        rows.append(w / nw)
-    return np.array(rows)
-
-
-def _complete_basis(rows) -> np.ndarray:
-    """Extend orthonormal rows to a positively oriented basis of R^4."""
-    out = [np.asarray(r, dtype=float) for r in rows]
-    for k in range(4):
-        if len(out) == 4:
-            break
-        w = np.eye(4)[k]
-        for r in out:
-            w = w - (w @ r) * r
-        nw = np.linalg.norm(w)
-        if nw > 1e-6:
-            out.append(w / nw)
-    frame = np.array(out)
-    if np.linalg.det(frame) < 0:
-        frame[-1] = -frame[-1]
-    return frame
 
 
 def _reflect_across_bisector(x, u, v):
@@ -221,24 +186,23 @@ def _edge_figure_codes(points, graph: DirectedGraph, eps: float) -> dict:
         for a in graph.out_arcs(v):
             if a[1] == u:
                 continue
-            rows = _gs_rows([-points[v], points[u] - points[v],
-                             points[a[1]] - points[v]])
+            rows = gram_schmidt([-points[v], points[u] - points[v],
+                                 points[a[1]] - points[v]])
             if rows is None:
                 continue
-            frame = _complete_basis(rows)
+            frame = complete_basis(rows)
             coords = rel @ frame.T
             variants.append(("f", len(coord_pop), len(idxs)))
             coord_pop.extend(coords.ravel())
         if not variants:
-            rows = _gs_rows([-points[v], points[u] - points[v]])
+            rows = gram_schmidt([-points[v], points[u] - points[v]])
             if rows is None:
                 raise AssertionError("arc endpoints collapse onto one ray")
-            frame = _complete_basis(rows)
+            frame = complete_basis(rows)
             c12 = rel @ rows.T
             perp = rel - c12 @ rows
             rho = np.linalg.norm(perp, axis=1)
-            theta = np.mod(np.arctan2(perp @ frame[3], perp @ frame[2]), TWO_PI)
-            theta[theta >= TWO_PI] = 0.0
+            theta = wrap_angle(np.arctan2(perp @ frame[3], perp @ frame[2]))
             on = rho > 1e-9
             start = len(coord_pop)
             coord_pop.extend(c12.ravel())
@@ -288,66 +252,6 @@ def edge_figure_code(arc, graph: DirectedGraph, points, eps: float = EPS_EQ):
     congruent figures within tolerance.
     """
     return _edge_figure_codes(np.asarray(points, dtype=float), graph, eps)[arc]
-
-
-def vertex_figure_code(v, graph: DirectedGraph, points, eps: float = EPS_EQ):
-    """Congruence-type code of the directed vertex figure at v.
-
-    Degrees 0 and 1 each have a single congruence type; degree 2 is
-    classified by the angle between its legs; beyond that, the minimum over
-    ordered base pairs of the sorted frame-coordinate string, with
-    direction tags +1 out, -1 in, 0 both ways.
-    """
-    p = np.asarray(points, dtype=float)
-    tags: dict = {}
-    for a in graph.out_arcs(v):
-        tags[a[1]] = TAG_OUT
-    for a in graph.in_arcs(v):
-        tags[a[0]] = TAG_BIDIRECTED if a[0] in tags else TAG_IN
-    idxs = sorted(tags)
-    c = len(idxs)
-    if c == 0:
-        return ("deg0",)
-    if c == 1:
-        return ("deg1", tags[idxs[0]])
-    legs = p[idxs] - p[v]
-    if c == 2:
-        # quantize against every vertex angle of the graph so that codes
-        # from two congruent graphs agree
-        pop = []
-        for w in range(graph.n):
-            nbr = sorted({a[1] for a in graph.out_arcs(w)}
-                         | {a[0] for a in graph.in_arcs(w)})
-            for i in range(len(nbr)):
-                for j in range(i + 1, len(nbr)):
-                    pop.append(_angle(p[nbr[i]] - p[w], p[nbr[j]] - p[w]))
-        ids = tolerance_cluster(pop, eps).ids
-        mine = _angle(legs[0], legs[1])
-        at = int(np.argmin(np.abs(np.asarray(pop) - mine)))
-        return ("deg2", int(ids[at]), tuple(sorted(tags[i] for i in idxs)))
-    coord_pop: list = []
-    variants = []
-    for i in range(c):
-        for j in range(c):
-            if i == j:
-                continue
-            rows = _gs_rows([-p[v], legs[i], legs[j]])
-            if rows is None:
-                continue
-            frame = _complete_basis(rows)
-            variants.append(len(coord_pop))
-            coord_pop.extend((legs @ frame.T).ravel())
-    if not variants:
-        raise AssertionError("all base pairs of a high-degree vertex degenerate")
-    cids = tolerance_cluster(coord_pop, eps).ids
-    best = None
-    for start in variants:
-        entries = [tuple(int(x) for x in cids[start + 4 * i: start + 4 * i + 4])
-                   + (tags[idxs[i]],) for i in range(c)]
-        cand = tuple(sorted(entries))
-        if best is None or cand < best:
-            best = cand
-    return ("deg3+", c, best)
 
 
 # ---------------------------------------------------------------------------
@@ -415,48 +319,25 @@ def ps_figure(points, arc, succ_arcs, pred_arcs, delta: float,
     radius = math.sqrt(max(1.0 - float(center @ center), 0.0))
     if radius < 1e-9:
         raise ValueError("mark circle degenerates to a point")
-    frame = _complete_basis([r1, r2])
+    frame = complete_basis([r1, r2])
     f1, f2 = frame[2], frame[3]
     marks = [(points[a[1]], ROLE_SUCC, a) for a in succ_arcs]
     marks += [(_reflect_across_bisector(points[a[0]], pu, pv), ROLE_PRED, a)
               for a in pred_arcs]
     if not marks:
         raise ValueError("empty mark figure")
-    th = np.array([math.atan2(float((x - center) @ f2),
-                              float((x - center) @ f1)) % TWO_PI
-                   for x, _, _ in marks])
-    th[th >= TWO_PI] = 0.0      # x % 2pi rounds up to 2pi for tiny negative x
-    order = np.argsort(th, kind="stable")
-    pos_t: list = []
-    pos_role: list = []
-    pos_s: list = []
-    pos_p: list = []
-
-    def _absorb(k, role, a):
-        pos_role[k] = role if pos_role[k] == role else ROLE_BOTH
-        if role == ROLE_SUCC:
-            pos_s[k] = a
-        else:
-            pos_p[k] = a
-
-    for i in order:
-        t, role, a = float(th[i]), marks[i][1], marks[i][2]
-        if pos_t and t - pos_t[-1] <= THETA_TOL:
-            _absorb(len(pos_t) - 1, role, a)
-        else:
-            pos_t.append(t)
-            pos_role.append(role)
-            pos_s.append(a if role == ROLE_SUCC else None)
-            pos_p.append(a if role == ROLE_PRED else None)
-    if len(pos_t) > 1 and pos_t[0] + TWO_PI - pos_t[-1] <= THETA_TOL:
-        if pos_s[-1] is not None:
-            _absorb(0, ROLE_SUCC, pos_s[-1])
-        if pos_p[-1] is not None:
-            _absorb(0, ROLE_PRED, pos_p[-1])
-        pos_t.pop(), pos_role.pop(), pos_s.pop(), pos_p.pop()
-    return PSFigure(arc, center, np.vstack([f1, f2]), radius,
-                    np.array(pos_t), np.array(pos_role),
-                    tuple(pos_s), tuple(pos_p))
+    th = wrap_angle([math.atan2(float((x - center) @ f2),
+                                float((x - center) @ f1)) for x, _, _ in marks])
+    # a position sits at its smallest angle; a role mix makes it ROLE_BOTH
+    pos = circular_cluster(th, THETA_TOL)
+    roles: list = [None] * pos.count
+    at = {ROLE_SUCC: [None] * pos.count, ROLE_PRED: [None] * pos.count}
+    for i in np.argsort(th, kind="stable"):
+        k, (_, role, a) = pos.ids[i], marks[i]
+        roles[k] = role if roles[k] in (None, role) else ROLE_BOTH
+        at[role][k] = a
+    return PSFigure(arc, center, np.vstack([f1, f2]), radius, pos.reps,
+                    np.array(roles), tuple(at[ROLE_SUCC]), tuple(at[ROLE_PRED]))
 
 
 def ps_figures(points, graph: DirectedGraph, delta: float, alpha: float) -> dict:
@@ -471,34 +352,28 @@ def ps_figures(points, graph: DirectedGraph, delta: float, alpha: float) -> dict
 
 
 class _Run:
-    def __init__(self, points, eps, delta0, trace):
+    def __init__(self, points, eps, delta0):
         self.all_points = np.asarray(points, dtype=float)
         self.eps = eps
         self.delta0 = delta0
         self.keys: list = []
-        self.trace = trace
 
-    def emit(self, stage, key, note=""):
+    def emit(self, stage, key):
         self.keys.append((stage, key))
-        if self.trace is not None:
-            self.trace.append(f"{stage}: {note or key}")
 
     def run(self):
         alive = np.arange(len(self.all_points))
         while True:
             n = len(alive)
-            if n == 1:
-                self.emit("C1", (n, "separated"), f"single point, |A|={n}")
+            g = closest_pair_graph(self.all_points[alive], eps=self.eps) \
+                if n > 1 else None
+            if g is None or g.delta > self.delta0:
+                self.emit("C1", (n, "separated"))
                 return WellSeparated(self.all_points[alive])
-            g = closest_pair_graph(self.all_points[alive], eps=self.eps)
-            if g.delta > self.delta0:
-                self.emit("C1", (n, "separated"),
-                          f"delta {g.delta:.4g} > {self.delta0:.4g}, |A|={n}")
-                return WellSeparated(self.all_points[alive])
-            self.emit("C1", (n, "dense"), f"delta {g.delta:.4g}, |A|={n}")
+            self.emit("C1", (n, "dense"))
             arcs = frozenset((i, j) for i, j in g.edges) | \
                 frozenset((j, i) for i, j in g.edges)
-            self.emit("C2", len(arcs), f"|D|={len(arcs)}")
+            self.emit("C2", len(arcs))
             outcome = self._arc_rounds(self.all_points[alive], arcs, g.delta)
             if isinstance(outcome, np.ndarray):
                 if not len(outcome) < n:
@@ -516,30 +391,29 @@ class _Run:
             graph = DirectedGraph(len(points), arcs)
             degs = [graph.degrees(v) for v in range(len(points))]
             res = prune_by_key(degs)
-            self.emit("C3", res.histogram, f"degree classes {res.histogram}")
+            self.emit("C3", res.histogram)
             if res.progressed:
                 return np.array(res.indices, dtype=int)
             codes = _edge_figure_codes(points, graph, self.eps)
             arclist = sorted(arcs)
             rank = {c: i for i, c in enumerate(sorted(set(codes.values())))}
             res = prune_by_key([rank[codes[a]] for a in arclist])
-            self.emit("C4", res.histogram, f"edge figure classes {res.histogram}")
+            self.emit("C4", res.histogram)
             if res.progressed:
                 arcs = frozenset(arclist[i] for i in res.indices)
                 continue
             rep = arclist[0]
             if self._mirror_symmetric(points, graph, rep):
-                self.emit("C5", "mirror", "edge figure is mirror symmetric")
+                self.emit("C5", "mirror")
                 return MirrorSymmetric(points, graph)
-            self.emit("C5", "chiral", "edge figure breaks mirror symmetry")
+            self.emit("C5", "chiral")
             angle_ids, angle_reps = _graph_angle_ids(points, graph, self.eps)
             alpha_id, alpha = self._choose_alpha(points, graph, rep,
                                                  angle_ids, angle_reps, delta)
-            self.emit("C6", alpha_id, f"alpha class {alpha_id} ({alpha:.5f})")
+            self.emit("C6", alpha_id)
             succ = {a: tuple(x for x, aid, _ in angle_ids[a] if aid == alpha_id)
                     for a in arclist}
-            self.emit("C7", tuple(sorted({len(s) for s in succ.values()})),
-                      "successor sets assigned")
+            self.emit("C7", tuple(sorted({len(s) for s in succ.values()})))
             step = self._successor_rounds(points, arcs, succ, delta, alpha)
             if step[0] == "arcs":
                 arcs = step[1]
@@ -596,7 +470,7 @@ class _Run:
                 codes[a] = ax.code
             rank = {c: i for i, c in enumerate(sorted(set(codes.values())))}
             res = prune_by_key([rank[codes[a]] for a in arclist])
-            self.emit("C9", res.histogram, f"mark figure classes {res.histogram}")
+            self.emit("C9", res.histogram)
             if res.progressed:
                 return "arcs", frozenset(arclist[i] for i in res.indices)
             fig = figures[arclist[0]]
@@ -606,12 +480,11 @@ class _Run:
             k_p = sum(1 for p in fig.pred_at if p is not None)
             if k_s == k_p and self._regular_kgons(fig):
                 tau0 = min(t for t, _, _ in fig.torsions() if t > THETA_TOL)
-                self.emit("C10", ("transitive", k_s), f"two regular {k_s}-gons")
+                self.emit("C10", ("transitive", k_s))
                 return "exit", EdgeTransitive(points, graph, delta, alpha, tau0)
-            self.emit("C10", ("mixed", k_s, k_p), "polygons not both regular")
+            self.emit("C10", ("mixed", k_s, k_p))
             succ = self._axes_prune(figures, arclist, succ)
-            self.emit("C11", tuple(sorted({len(s) for s in succ.values()})),
-                      "successors per arc after axes pruning")
+            self.emit("C11", tuple(sorted({len(s) for s in succ.values()})))
         raise AssertionError("successor pruning failed to terminate")
 
     @staticmethod
@@ -654,8 +527,7 @@ class _Run:
 
 
 def iterative_prune(points, eps: float = EPS_EQ,
-                    delta0: float = CONSTANTS.delta0,
-                    trace: Optional[list] = None):
+                    delta0: float = CONSTANTS.delta0):
     """Prune a set on the unit sphere down to one of the three exits.
 
     Returns (exit, stage_keys) where exit is WellSeparated, MirrorSymmetric
@@ -665,5 +537,5 @@ def iterative_prune(points, eps: float = EPS_EQ,
     pts = np.asarray(points, dtype=float)
     if len(pts) < 2:
         raise ValueError("need at least two points")
-    run = _Run(pts, eps, delta0, trace)
+    run = _Run(pts, eps, delta0)
     return run.run(), run.keys

@@ -16,34 +16,11 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .condense import canonical_axes, joint_cluster, tolerance_cluster
-from .geom import EPS_EQ, PointSet4, Verdict, match_multisets, verify_rotation
-from .iterprune import TWO_PI, _complete_basis
+from .condense import (TWO_PI, canonical_axes, circular_cluster,
+                       joint_cluster, wrap_angle)
+from .geom import (EPS_EQ, PointSet4, Verdict, complete_basis,
+                   match_multisets, verify_rotation)
 from .sphere import condense_sphere
-
-
-def _mod_circle(angles: np.ndarray) -> np.ndarray:
-    ang = np.mod(np.asarray(angles, dtype=float), TWO_PI)
-    ang[ang >= TWO_PI] = 0.0  # x % 2pi can return exactly 2pi for tiny x < 0
-    return ang
-
-
-def _circular_clusters(values: np.ndarray, eps: float) -> list:
-    """Group sorted indices of circle values, merging across the 0/2pi seam."""
-    order = np.argsort(values, kind="stable")
-    sv = values[order]
-    groups: list = []
-    cur = [int(order[0])]
-    for k in range(1, len(order)):
-        if sv[k] - sv[k - 1] <= eps:
-            cur.append(int(order[k]))
-        else:
-            groups.append(cur)
-            cur = [int(order[k])]
-    groups.append(cur)
-    if len(groups) > 1 and (sv[0] + TWO_PI) - sv[-1] <= eps:
-        groups[0] = groups.pop() + groups[0]
-    return groups
 
 
 def collapse_circle(angles: np.ndarray, labels: Sequence,
@@ -55,19 +32,20 @@ def collapse_circle(angles: np.ndarray, labels: Sequence,
     is then noise, so they must enter any canonical code as one position
     carrying the label multiset.
     """
-    ang = _mod_circle(np.atleast_1d(np.asarray(angles, dtype=float)))
+    ang = wrap_angle(np.atleast_1d(angles))
     if len(ang) == 0:
         return ang, []
     labs = list(labels)
-    reps, toks = [], []
-    for idxs in _circular_clusters(ang, eps):
-        c = float(np.cos(ang[idxs]).sum())
-        s = float(np.sin(ang[idxs]).sum())
-        reps.append(math.atan2(s, c) % TWO_PI)
-        toks.append(tuple(sorted(Counter(labs[i] for i in idxs).items())))
-    reps = np.asarray(reps)
-    reps[reps >= TWO_PI] = 0.0
-    return reps, toks
+    ids = circular_cluster(ang, eps).ids
+    members: list = [[] for _ in range(ids.max() + 1)]
+    order = np.argsort(ang, kind="stable")
+    for i, k in zip(order.tolist(), ids[order].tolist()):
+        members[k].append(labs[i])
+    # a position is the mean direction of its members, summed in angle order
+    c = np.bincount(ids[order], weights=np.cos(ang[order]))
+    s = np.bincount(ids[order], weights=np.sin(ang[order]))
+    reps = wrap_angle([math.atan2(y, x) for y, x in zip(s.tolist(), c.tolist())])
+    return reps, [tuple(sorted(Counter(m).items())) for m in members]
 
 
 def sorted_circle_gaps(ang: np.ndarray) -> np.ndarray:
@@ -87,8 +65,8 @@ def congruence_2d_labeled(angles_a: np.ndarray, labels_a: Sequence,
     canonical necklace code; equality of codes pins the shift up to the
     common symmetry, and one representative shift is verified directly.
     """
-    a = _mod_circle(np.atleast_1d(np.asarray(angles_a, dtype=float)))
-    b = _mod_circle(np.atleast_1d(np.asarray(angles_b, dtype=float)))
+    a = wrap_angle(np.atleast_1d(angles_a))
+    b = wrap_angle(np.atleast_1d(angles_b))
     if len(a) != len(b):
         return None
     if len(a) == 0:
@@ -111,13 +89,11 @@ def congruence_2d_labeled(angles_a: np.ndarray, labels_a: Sequence,
         return None
     t = float(np.mod(ax_b.base_angle - ax_a.base_angle, TWO_PI))
 
-    shifted = _mod_circle(a + t)
-    merged = np.concatenate([shifted, b])
-    for grp in _circular_clusters(merged, max(eps, 1e-12)):
-        ca = Counter(la[i] for i in grp if i < len(a))
-        cb = Counter(lb[i - len(a)] for i in grp if i >= len(a))
-        if ca != cb:
-            return None
+    # every merged position must hold equal label multisets from both sides
+    ids = circular_cluster(np.concatenate([a + t, b]), max(eps, 1e-12)).ids
+    pos_a, pos_b = ids[:len(a)].tolist(), ids[len(a):].tolist()
+    if Counter(zip(pos_a, la)) != Counter(zip(pos_b, lb)):
+        return None
     return t
 
 
@@ -271,14 +247,14 @@ def one_plus_three_reduce(set_a: PointSet4, set_b: PointSet4,
     if len(aa) != len(ab) or len(aa) == 0:
         return Verdict.no("anchor count")
     a0 = aa[np.lexsort(aa.T[::-1])[0]]
-    fa = _complete_basis([a0 / np.linalg.norm(a0)])
+    fa = complete_basis([a0 / np.linalg.norm(a0)])
     h_a = set_a.points @ fa[0]
     proj_a = set_a.points @ fa[1:].T
     base_a = set_a.labels if set_a.labels is not None else [0] * len(set_a)
     base_b = set_b.labels if set_b.labels is not None else [0] * len(set_b)
 
     for b in ab[np.lexsort(ab.T[::-1])]:
-        fb = _complete_basis([b / np.linalg.norm(b)])
+        fb = complete_basis([b / np.linalg.norm(b)])
         h_b = set_b.points @ fb[0]
         hids_a, hids_b = joint_cluster(h_a, h_b, eps)
         la = [(l, int(h)) for l, h in zip(base_a, hids_a)]

@@ -21,10 +21,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .geom import (EPS_EQ, CONSTANTS, Chirality, PlaneSpan, chirality,
-                   hopf_frame, hopf_circle_image, hopf_fiber, mark_pair,
-                   pluecker, pluecker_distance)
-from .condense import prune_by_key
+from .geom import (EPS_EQ, CONSTANTS, Chirality, chirality, hopf_frame,
+                   hopf_circle_image, hopf_fiber, mark_pair, pluecker)
+from .condense import component_ids, group_means, members_by_id, prune_by_key
 from .cpgraph import closest_pair_graph
 from .sphere import condense_sphere
 
@@ -51,20 +50,8 @@ def _dedupe_points(points: np.ndarray, eps: float) -> np.ndarray:
     pts = np.asarray(points, dtype=float)
     if len(pts) < 2:
         return pts
-    parent = list(range(len(pts)))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for i, j in cKDTree(pts).query_pairs(r=eps):
-        parent[find(i)] = find(j)
-    groups: dict = {}
-    for i in range(len(pts)):
-        groups.setdefault(find(i), []).append(i)
-    reps = np.array([pts[g].mean(axis=0) for g in groups.values()])
+    pairs = cKDTree(pts).query_pairs(r=eps, output_type="ndarray")
+    reps = group_means(pts, component_ids(len(pts), pairs))[0]
     reps /= np.linalg.norm(reps, axis=1, keepdims=True)
     return reps[np.lexsort(reps.T[::-1])]
 
@@ -185,29 +172,13 @@ def mark_circles(circles, eps: float = EPS_EQ,
         side, edges = ("left", e_l) if e_l else ("right", e_r)
         if not edges:
             raise AssertionError("closest-pair graph has no usable edges")
-        parent = list(range(len(classes)))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        cls_idx = {}
-        for ci, c in enumerate(classes):
-            for i in c:
-                cls_idx[i] = ci
-        for i, j in edges:
-            ri, rj = find(cls_idx[i]), find(cls_idx[j])
-            if ri != rj:
-                parent[ri] = rj
-        merged: dict = {}
-        for ci, c in enumerate(classes):
-            merged.setdefault(find(ci), []).append(ci)
+        cls_idx = {i: ci for ci, c in enumerate(classes) for i in c}
+        merged = component_ids(len(classes),
+                               [(cls_idx[i], cls_idx[j]) for i, j in edges])
         before = (len(classes), len(circles))
         new_circles: list = []
         new_classes: list = []
-        for group in merged.values():
+        for group in members_by_id(merged):
             members = sorted(i for ci in group for i in classes[ci])
             c0 = min((circles[i] for i in members),
                      key=lambda c: tuple(pluecker(c)))

@@ -1,7 +1,8 @@
 """Top-level congruence decision for finite point sets in 4-space.
 
-congruence_test_4d ties the stages together: centroid normalization,
-radius pruning, iterative pruning on the 3-sphere, the mirror and orbit
+congruence_test_4d ties the stages together: centering both sets on
+their centroids, merging coincident points into multiplicities, radius
+pruning, iterative pruning on the 3-sphere, the mirror and orbit
 condensing steps, circle marking, and the two dimension reductions.  Both
 inputs are processed in lockstep; every stage emits comparison keys built
 from counts and cluster ranks only, and the first key divergence decides
@@ -19,16 +20,16 @@ from typing import Optional
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .circles import CondensedPoints, GreatCircles, mirror_reduce, orbit_circles
-from .condense import joint_cluster, prune_by_key
+from .circles import CondensedPoints, mirror_reduce, orbit_circles
+from .condense import component_ids, group_means, joint_cluster, prune_by_key
 from .geom import CONSTANTS, EPS_EQ, PointSet4, Verdict, verify_rotation
-from .iterprune import (EdgeTransitive, MirrorSymmetric, WellSeparated,
-                        iterative_prune)
+from .iterprune import MirrorSymmetric, WellSeparated, iterative_prune
 from .lowdim import one_plus_three_reduce
-from .marking import FewCircles, Markers, mark_circles
+from .marking import FewCircles, mark_circles
 from .torus import two_plus_two_reduce
 
 MIRROR_X1 = np.diag([-1.0, 1.0, 1.0, 1.0])
+MAX_RESTARTS = 64           # condensing rounds before giving up
 
 
 @dataclass
@@ -42,8 +43,6 @@ class PipelineOptions:
 
     eps_eq: float = EPS_EQ
     allow_reflection: bool = False
-    trace: bool = False
-    max_restarts: int = 64
     verify_eps: float = 1e-6
     delta0: Optional[float] = None
     few_cap: Optional[int] = None
@@ -59,32 +58,15 @@ def _dedupe(points: np.ndarray, eps: float, labels=None) -> tuple:
     Returns (unique points, tokens) where a token is the multiplicity, or
     (multiplicity, label) when input labels are given.
     """
-    n = len(points)
     pairs = cKDTree(points).query_pairs(r=eps, output_type="ndarray")
-    parent = list(range(n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for i, j in pairs:
-        if labels is not None and labels[int(i)] != labels[int(j)]:
-            continue
-        ri, rj = find(int(i)), find(int(j))
-        if ri != rj:
-            parent[max(ri, rj)] = min(ri, rj)
-    groups: dict = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(i)
-    reps = sorted(groups)
-    out = np.array([points[groups[r]].mean(axis=0) for r in reps])
+    if labels is not None:
+        pairs = [(i, j) for i, j in pairs if labels[i] == labels[j]]
+    ids = component_ids(len(points), pairs)
+    out, counts = group_means(points, ids)
     if labels is None:
-        toks = [len(groups[r]) for r in reps]
-    else:
-        toks = [(len(groups[r]), labels[r]) for r in reps]
-    return out, toks
+        return out, counts.tolist()
+    _, first = np.unique(ids, return_index=True)
+    return out, [(int(c), labels[i]) for c, i in zip(counts, first)]
 
 
 def _unique_circles(circles: list, eps: float) -> list:
@@ -132,13 +114,11 @@ def congruence_test_4d(a_raw, b_raw, opts: Optional[PipelineOptions] = None,
         raise ValueError("either both sets are labeled or neither is")
     ca, cb = a.mean(axis=0), b.mean(axis=0)
     an, bn = a - ca, b - cb
-    sink = trace_sink if trace_sink is not None else ([] if opts.trace else None)
-
-    v = _attempt(an, bn, opts, sink, labels_a, labels_b)
+    v = _attempt(an, bn, opts, trace_sink, labels_a, labels_b)
     if v.congruent:
         return Verdict.yes(v.rotation, cb - ca @ v.rotation.T)
     if opts.allow_reflection:
-        v2 = _attempt(an, bn @ MIRROR_X1, opts, sink, labels_a, labels_b)
+        v2 = _attempt(an, bn @ MIRROR_X1, opts, trace_sink, labels_a, labels_b)
         if v2.congruent:
             s = MIRROR_X1 @ v2.rotation
             return Verdict.yes(s, cb - ca @ s.T, reflected=True)
@@ -164,7 +144,7 @@ def _attempt(an: np.ndarray, bn: np.ndarray, opts: PipelineOptions,
     few_cap = opts.few_cap if opts.few_cap is not None else \
         CONSTANTS.few_circles_cap
 
-    for _ in range(opts.max_restarts):
+    for _ in range(MAX_RESTARTS):
         norm_a = np.linalg.norm(wa, axis=1)
         norm_b = np.linalg.norm(wb, axis=1)
         org_a, org_b = norm_a <= eps, norm_b <= eps
@@ -198,7 +178,7 @@ def _attempt(an: np.ndarray, bn: np.ndarray, opts: PipelineOptions,
             return one_plus_three_reduce(full_a, full_b, sa, sb, eps,
                                          opts.verify_eps)
 
-        ex_a, keys_a = iterative_prune(sa, eps, delta0, sink)
+        ex_a, keys_a = iterative_prune(sa, eps, delta0)
         ex_b, keys_b = iterative_prune(sb, eps, delta0)
         if not step.check("sphere", (type(ex_a).__name__, tuple(keys_a)),
                           (type(ex_b).__name__, tuple(keys_b))):

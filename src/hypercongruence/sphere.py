@@ -12,8 +12,9 @@ from __future__ import annotations
 import numpy as np
 from scipy.spatial import ConvexHull, cKDTree
 
-from .geom import EPS_EQ, worker_count
-from .condense import prune_by_key, tolerance_cluster
+from .geom import EPS_EQ
+from .condense import (component_ids, group_means, members_by_id, prune_by_key,
+                       tolerance_cluster)
 
 _MAX_ROUNDS = 64
 
@@ -25,52 +26,20 @@ def _dedupe(points: np.ndarray, eps: float) -> np.ndarray:
     pairs = tree.query_pairs(r=eps, output_type="ndarray")
     if len(pairs) == 0:
         return points
-    parent = list(range(len(points)))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for i, j in pairs:
-        ri, rj = find(int(i)), find(int(j))
-        if ri != rj:
-            parent[max(ri, rj)] = min(ri, rj)
-    groups: dict = {}
-    for i in range(len(points)):
-        groups.setdefault(find(i), []).append(i)
-    reps = np.array([points[idx].mean(axis=0) for idx in groups.values()])
+    reps = group_means(points, component_ids(len(points), pairs))[0]
     return reps / np.linalg.norm(reps, axis=1, keepdims=True)
 
 
 def _merged_faces(hull: ConvexHull, points: np.ndarray) -> list:
     """Union coplanar hull simplices into true faces (vertex index lists)."""
     m = len(hull.simplices)
-    parent = list(range(m))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
     eq = hull.equations
-    for f in range(m):
-        for g in hull.neighbors[f]:
-            if g < 0:
-                continue
-            if eq[f, :3] @ eq[g, :3] >= 1.0 - 1e-9:
-                rf, rg = find(f), find(int(g))
-                if rf != rg:
-                    parent[max(rf, rg)] = min(rf, rg)
-    buckets: dict = {}
-    for f in range(m):
-        buckets.setdefault(find(f), set()).update(int(v) for v in hull.simplices[f])
+    coplanar = [(f, g) for f in range(m) for g in hull.neighbors[f]
+                if g >= 0 and eq[f, :3] @ eq[g, :3] >= 1.0 - 1e-9]
     faces = []
-    for root, verts in sorted(buckets.items()):
-        verts = sorted(verts)
-        normal = eq[root, :3]
+    for members in members_by_id(component_ids(m, coplanar)):
+        verts = sorted(set(hull.simplices[members].ravel().tolist()))
+        normal = eq[members[0], :3]
         center = points[verts].mean(axis=0)
         # order the face cycle by angle around its normal
         t1 = points[verts[0]] - center

@@ -16,10 +16,10 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy.spatial import Voronoi, cKDTree
 
-from .condense import canonical_axes, joint_cluster, prune_by_key, tolerance_cluster
+from .condense import (TWO_PI, canonical_axes, circular_cluster, joint_cluster,
+                       prune_by_key, tolerance_cluster, wrap_angle)
 from .geom import (EPS_EQ, PlaneSpan, PointSet4, Verdict, block_rotation,
-                   match_multisets, verify_rotation)
-from .iterprune import TWO_PI, _complete_basis
+                   complete_basis, match_multisets, verify_rotation)
 from .lowdim import collapse_circle, congruence_2d_labeled, sorted_circle_gaps
 
 _NINE_OFFSETS = np.array([[0.0, 0.0]] + [[dx, dy]
@@ -33,37 +33,8 @@ SWAP_PLANES = np.array([[0.0, 1.0, 0.0, 0.0],
                         [0.0, 0.0, 1.0, 0.0]])
 
 
-def _mod_torus(pos: np.ndarray) -> np.ndarray:
-    p = np.mod(np.asarray(pos, dtype=float), TWO_PI)
-    p[p >= TWO_PI] = 0.0
-    return p
-
-
 def _replicate(sites: np.ndarray) -> np.ndarray:
     return np.concatenate([sites + off for off in _NINE_OFFSETS])
-
-
-def _circular_ids(values: np.ndarray, eps: float,
-                  period: float = TWO_PI) -> np.ndarray:
-    """Tolerance-cluster ids for values on a circle of the given period."""
-    v = np.mod(np.asarray(values, dtype=float), period)
-    v[v >= period] = 0.0
-    n = len(v)
-    ids = np.zeros(n, dtype=int)
-    if n == 0:
-        return ids
-    order = np.argsort(v, kind="stable")
-    sv = v[order]
-    gid = np.zeros(n, dtype=int)
-    for k in range(1, n):
-        gid[k] = gid[k - 1] + (1 if sv[k] - sv[k - 1] > eps else 0)
-    if gid[-1] > 0 and (sv[0] + period) - sv[-1] <= eps:
-        gid[gid == gid[-1]] = 0
-        # renumber to keep ids dense and ordered by group minimum
-        uniq = {g: r for r, g in enumerate(sorted(set(gid.tolist())))}
-        gid = np.array([uniq[g] for g in gid])
-    ids[order] = gid
-    return ids
 
 
 def _cell_shapes(vor: Voronoi, sites: np.ndarray, eps: float) -> list:
@@ -101,7 +72,7 @@ def canonical_set_torus(positions: np.ndarray, labels: Sequence,
     symmetry group: the difference of any member with any member of a
     congruent run's result is a valid candidate translation.
     """
-    pos = _mod_torus(np.asarray(positions, dtype=float).reshape(-1, 2))
+    pos = wrap_angle(np.asarray(positions, dtype=float).reshape(-1, 2))
     labs = list(labels)
     if len(pos) != len(labs):
         raise ValueError("label count does not match point count")
@@ -145,8 +116,8 @@ def canonical_set_torus(positions: np.ndarray, labels: Sequence,
                 contents[h].append((pi, w[0] if w[0] <= np.pi else w[0] - TWO_PI,
                                     w[1] if w[1] <= np.pi else w[1] - TWO_PI))
         flat = [c for cc in contents for c in cc]
-        phi_ids = _circular_ids(np.array([c[1] for c in flat]), eps)
-        psi_ids = _circular_ids(np.array([c[2] for c in flat]), eps)
+        phi_ids = circular_cluster([c[1] for c in flat], eps).ids
+        psi_ids = circular_cluster([c[2] for c in flat], eps).ids
         lab_rank = {l: r for r, l in enumerate(sorted(set(cur_labs)))}
         words = []
         at = 0
@@ -179,7 +150,7 @@ def torus_translation_congruent(pos_a: np.ndarray, labels_a: Sequence,
     difference of any two canonical representatives is the only candidate
     that needs checking, and it is verified as a labeled multiset match.
     """
-    pa, pb = _mod_torus(pos_a), _mod_torus(pos_b)
+    pa, pb = wrap_angle(pos_a), wrap_angle(pos_b)
     if len(pa) != len(pb):
         return None
     if len(pa) == 0:
@@ -191,7 +162,7 @@ def torus_translation_congruent(pos_a: np.ndarray, labels_a: Sequence,
     p = pa[ca][np.lexsort(pa[ca].T[::-1])[0]]
     q = pb[cb][np.lexsort(pb[cb].T[::-1])[0]]
     t = np.mod(q - p, TWO_PI)
-    shifted = _mod_torus(pa + t)
+    shifted = wrap_angle(pa + t)
     vtol = max(eps, 1e-9) * 10.0
     if match_multisets(_embed_torus(shifted), _embed_torus(pb), vtol,
                        tuple(labels_a), tuple(labels_b)):
@@ -232,7 +203,7 @@ def _axes_offsets(ang_a, labs_a, ang_b, labs_b, tor_a, tor_b, eps):
         # a single position fixes no residual symmetry: offsets vs it
         off_a = np.mod(tor_a - ra[0], TWO_PI)
         off_b = np.mod(tor_b - rb[0], TWO_PI)
-        ids = _circular_ids(np.concatenate([off_a, off_b]), eps)
+        ids = circular_cluster(np.concatenate([off_a, off_b]), eps).ids
         return ids[:n_t_a], ids[n_t_a:]
 
     ga, gb = sorted_circle_gaps(ra), sorted_circle_gaps(rb)
@@ -244,7 +215,7 @@ def _axes_offsets(ang_a, labs_a, ang_b, labs_b, tor_a, tor_b, eps):
     spacing = TWO_PI / ax_a.count
     off_a = np.mod(tor_a - ax_a.base_angle, spacing)
     off_b = np.mod(tor_b - ax_b.base_angle, spacing)
-    ids = _circular_ids(np.concatenate([off_a, off_b]), eps, period=spacing)
+    ids = circular_cluster(np.concatenate([off_a, off_b]), eps, spacing).ids
     return ids[:n_t_a], ids[n_t_a:]
 
 
@@ -330,8 +301,8 @@ def two_plus_two_reduce(set_a: PointSet4, set_b: PointSet4,
     blocks orthogonal and determinant +1 overall: either two rotations, or
     two reflections, which a fixed plane swap turns back into rotations.
     """
-    fa = _complete_basis(plane_a.basis)
-    fb = _complete_basis(plane_b.basis)
+    fa = complete_basis(plane_a.basis)
+    fb = complete_basis(plane_b.basis)
     ac0 = set_a.points @ fa.T
     bc = set_b.points @ fb.T
     la = list(set_a.labels) if set_a.labels is not None else [0] * len(set_a)

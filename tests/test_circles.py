@@ -82,13 +82,13 @@ class TestFitRotation:
             tri = self.frame(rng)
             r = random_rotation(rng)
             rot = fit_rotation(tri, tri @ r.T)
-            assert np.max(np.abs(rot.matrix - r)) < 1e-9
-            assert np.linalg.det(rot.matrix) == pytest.approx(1.0)
+            assert np.max(np.abs(rot - r)) < 1e-9
+            assert np.linalg.det(rot) == pytest.approx(1.0)
 
     def test_identity(self, rng):
         tri = self.frame(rng)
         rot = fit_rotation(tri, tri)
-        assert np.allclose(rot.matrix, np.eye(4), atol=1e-9)
+        assert np.allclose(rot, np.eye(4), atol=1e-9)
 
     def test_concyclic_template_rejected(self):
         cc = np.array([[1, 0, 0, 0], [0, 1, 0, 0],
@@ -206,7 +206,7 @@ class TestOrbitCircles:
         assert cycles
         want = {round(2 * np.pi / 40, 9), round(4 * np.pi / 40, 9)}
         for c in cycles:
-            dec = decompose_rotation(c.rotation.matrix)
+            dec = decompose_rotation(c.rotation)
             assert {round(a, 9) for a in dec.angles} == want
             assert len(c.vertices) == 40
 

@@ -87,6 +87,22 @@ class TestTest:
         for entry in doc["stage_trace"]:
             assert set(entry) == {"stage", "key_a", "key_b"}
 
+    def test_trace_after_iterative_pruning(self, tmp_path, capsys):
+        # 300 points on a great circle keep a radius class of 300 points,
+        # so iterative pruning runs and its keys reach the trace
+        th = np.arange(300) * 2 * np.pi / 300
+        circle = np.c_[np.cos(th), np.sin(th), np.zeros(300), np.zeros(300)]
+        pa, pb = tmp_path / "c.txt", tmp_path / "c2.txt"
+        write_points(pa, circle)
+        write_points(pb, circle[::-1] + 1.0)
+        rc = main(["test", "--json", "--trace", str(pa), str(pb)])
+        assert rc == 0
+        doc = json.loads(capsys.readouterr().out)
+        stages = [e["stage"] for e in doc["stage_trace"]]
+        assert "sphere" in stages
+        assert main(["test", "--trace", str(pa), str(pb)]) == 0
+        assert "trace sphere:" in capsys.readouterr().err
+
     def test_reflection_flag(self, tmp_path, capsys, rng):
         ch = np.array([[0.0, 0, 0, 0], [1, 0, 0, 0], [0, 2, 0, 0],
                        [0, 0, 3, 0], [0, 0, 0, 4]])

@@ -1,4 +1,5 @@
-"""Pruning by key, tolerance clustering, canonical axes."""
+"""Pruning by key, tolerance and circular clustering, graph components,
+canonical axes."""
 
 import math
 
@@ -7,8 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hypercongruence.condense import (AxesSet, canonical_axes, joint_cluster,
-                                      prune_by_key, tolerance_cluster)
+from hypercongruence.condense import (AxesSet, canonical_axes,
+                                      circular_cluster, component_ids,
+                                      group_means, joint_cluster,
+                                      members_by_id, prune_by_key,
+                                      tolerance_cluster, wrap_angle)
 
 TWO_PI = 2 * math.pi
 
@@ -137,3 +141,64 @@ class TestCanonicalAxes:
         assert isinstance(ax, AxesSet)
         assert ax.count == 1
         assert ax.base_angle == pytest.approx(1.25)
+
+
+class TestComponentIds:
+    def test_empty_edge_list(self):
+        assert component_ids(4, []).tolist() == [0, 1, 2, 3]
+
+    def test_isolated_vertices_are_own_components(self):
+        ids = component_ids(5, [(1, 3)])
+        assert ids.tolist() == [0, 1, 2, 1, 3]
+
+    def test_ids_follow_smallest_vertex(self):
+        # the component {4, 0} holds vertex 0, so it is numbered first even
+        # though its edge is listed last
+        ids = component_ids(6, [(5, 2), (3, 1), (4, 0)])
+        assert ids.tolist() == [0, 1, 2, 1, 0, 2]
+
+    def test_means_equal_loop_reference(self, rng):
+        pts = rng.normal(size=(300, 4))
+        edges = rng.integers(0, 300, size=(250, 2))
+        ids = component_ids(300, edges)
+        means, counts = group_means(pts, ids)
+        for k, members in enumerate(members_by_id(ids)):
+            assert counts[k] == len(members)
+            assert means[k].tobytes() == pts[members].mean(axis=0).tobytes()
+
+    def test_members_and_means(self):
+        ids = component_ids(4, [(2, 0)])
+        assert [m.tolist() for m in members_by_id(ids)] == [[0, 2], [1], [3]]
+        pts = np.array([[1.0, 0.0], [5.0, 5.0], [3.0, 2.0], [0.0, -1.0]])
+        means, counts = group_means(pts, ids)
+        assert counts.tolist() == [2, 1, 1]
+        assert means.tolist() == [[2.0, 1.0], [5.0, 5.0], [0.0, -1.0]]
+
+
+class TestCircularCluster:
+    def test_seam_classes_merge_into_class_zero(self):
+        res = circular_cluster([TWO_PI - 1e-12, 1.0, 1e-12, 3.0], 1e-9)
+        assert res.ids.tolist() == [0, 1, 0, 2]
+        assert res.reps.tolist() == [1e-12, 1.0, 3.0]
+
+    def test_no_seam_merge_beyond_eps(self):
+        res = circular_cluster([TWO_PI - 1e-3, 1e-3], 1e-9)
+        assert res.count == 2
+
+    def test_other_period(self):
+        res = circular_cluster([0.1, 0.99999, 1.6, 2.0], 1e-3, period=1.0)
+        # 1.6 -> 0.6, 2.0 -> 0.0 joins 0.99999 across the seam
+        assert res.ids.tolist() == [1, 0, 2, 0]
+        assert res.reps.tolist() == pytest.approx([0.0, 0.1, 0.6])
+
+    def test_empty(self):
+        res = circular_cluster([], 1e-9)
+        assert res.count == 0 and len(res.ids) == 0
+
+    def test_value_wrapping_to_period(self):
+        # -1e-20 mod 2pi rounds to exactly 2pi and must land on 0
+        assert float(np.mod(-1e-20, TWO_PI)) == TWO_PI
+        assert wrap_angle([-1e-20]).tolist() == [0.0]
+        res = circular_cluster([-1e-20, 0.0, 2.0], 1e-9)
+        assert res.ids.tolist() == [0, 0, 1]
+        assert res.reps.tolist() == [0.0, 2.0]

@@ -1,4 +1,4 @@
-"""Core geometry: normalization, plane angles, Pluecker coordinates,
+"""Core geometry: plane angles, Pluecker coordinates,
 chirality, Hopf maps, rotation decomposition, marks, verification."""
 
 import math
@@ -10,7 +10,7 @@ from hypercongruence.geom import (CONSTANTS, AnglePair, Chirality,
                                   DegenerateRotationError,
                                   ParallelPlanesError, PlaneSpan, PointSet4,
                                   angle_between_planes, block_rotation,
-                                  centroid_normalize, chirality,
+                                  chirality,
                                   decompose_rotation, hopf_fiber, hopf_frame,
                                   hopf_image, mark_pair, pluecker,
                                   pluecker_distance, verify_rotation)
@@ -32,27 +32,6 @@ def clifford_pair(basis_rows, alpha, delta, kind):
     else:
         u2 = v2 * ca + (v3 * sd - v4 * cd) * sa
     return PlaneSpan(np.vstack([u1, u2]))
-
-
-class TestCentroidNormalize:
-    def test_already_centered(self):
-        pts = np.array([[1.0, 0, 0, 0], [-1.0, 0, 0, 0]])
-        ps, t = centroid_normalize(pts)
-        assert np.allclose(ps.points, pts)
-        assert np.allclose(t, 0)
-
-    def test_shift_by_centroid(self):
-        ps, t = centroid_normalize(np.array([[2.0, 0, 0, 0], [0.0, 0, 0, 0]]))
-        assert np.allclose(sorted(ps.points[:, 0]), [-1, 1])
-        assert np.allclose(t, [1, 0, 0, 0])
-
-    def test_random_centroid_small(self, rng):
-        ps, _ = centroid_normalize(rng.normal(size=(10, 4)))
-        assert np.linalg.norm(ps.points.mean(axis=0)) < 1e-12
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            centroid_normalize(np.empty((0, 4)))
 
 
 class TestPlaneAngles:

@@ -20,7 +20,6 @@ from hypercongruence.iterprune import (
     WellSeparated,
     edge_figure_code,
     iterative_prune,
-    vertex_figure_code,
 )
 
 
@@ -41,43 +40,12 @@ def graph_of(points):
 
 
 class TestFigureCodes:
-    def test_isolated_vertex(self):
-        pts = unit_rows([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]])
-        g = DirectedGraph(3, frozenset({(0, 1), (1, 0)}))
-        assert vertex_figure_code(2, g, pts) == ("deg0",)
-
-    def test_degree_one_distinguishes_direction(self):
-        pts = unit_rows([[1, 0, 0, 0], [0, 1, 0, 0]])
-        g = DirectedGraph(2, frozenset({(0, 1)}))
-        out_code = vertex_figure_code(0, g, pts)
-        in_code = vertex_figure_code(1, g, pts)
-        assert out_code[0] == in_code[0] == "deg1"
-        assert out_code != in_code
-
-    def test_degree_two_angle_token(self):
-        # two corner vertices with equal leg angles share a code, a third
-        # with a different angle does not
-        a = unit_rows([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0],
-                       [0, 0, 0, 1],
-                       [math.cos(0.5), math.sin(0.5), 0, 0]])
-        g = DirectedGraph(5, frozenset({(0, 1), (1, 0), (0, 2), (2, 0),
-                                        (3, 2), (2, 3), (3, 1), (1, 3),
-                                        (4, 0), (0, 4)}))
-        c0 = vertex_figure_code(0, g, a)
-        c3 = vertex_figure_code(3, g, a)
-        assert c0[0] == "deg2" or c0[0] == "deg3+"
-        assert vertex_figure_code(1, g, a) == vertex_figure_code(2, g, a)
-        assert c0 != c3 or c0[0] != "deg2"  # 0 has three neighbours here
-
     def test_codes_equal_under_rotation(self, rng):
         cube = unit_rows(gen_regular_polytope("4-cube"))
         r = random_rotation(rng)
         g = graph_of(cube)
         gr = graph_of(cube @ r.T)
         assert undirected(g) == undirected(gr)
-        for v in range(len(cube)):
-            assert (vertex_figure_code(v, g, cube)
-                    == vertex_figure_code(v, gr, cube @ r.T))
         for arc in sorted(g.arcs)[:6]:
             assert (edge_figure_code(arc, g, cube)
                     == edge_figure_code(arc, gr, cube @ r.T))
@@ -88,8 +56,6 @@ class TestFigureCodes:
         assert len(g.arcs) == 64
         codes = {edge_figure_code(a, g, cube) for a in g.arcs}
         assert len(codes) == 1
-        vcodes = {vertex_figure_code(v, g, cube) for v in range(16)}
-        assert len(vcodes) == 1
 
     def test_arc_orientation_matters(self):
         # path 0-1-2 with unequal leg lengths at the middle vertex

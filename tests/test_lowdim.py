@@ -1,14 +1,16 @@
 """Labeled congruence in reduced dimensions and the 1+3 anchor reduction."""
 
 import math
+from collections import Counter
 
 import numpy as np
 
 from conftest import rot3
+from hypercongruence.condense import TWO_PI, circular_cluster
 from hypercongruence.geom import PointSet4, match_multisets
 from hypercongruence.harness import random_rotation
-from hypercongruence.iterprune import TWO_PI
 from hypercongruence.lowdim import (
+    collapse_circle,
     congruence_2d_labeled,
     congruence_3d_labeled,
     one_plus_three_reduce,
@@ -62,6 +64,41 @@ class TestCircle:
         assert t is not None and abs(t - 2.2) < 1e-9
         assert congruence_2d_labeled(ang, lab, np.mod(ang + 2.2, TWO_PI),
                                      ["a", "b", "a", "c", "c"], 1e-9) is None
+
+
+def collapse_reference(ang, labels, eps):
+    """collapse_circle as one loop per position, summing with np.sum."""
+    ang = np.mod(ang, TWO_PI)
+    ids = circular_cluster(ang, eps).ids
+    reps, toks = [], []
+    for k in range(ids.max() + 1):
+        idx = np.flatnonzero(ids == k)
+        reps.append(math.atan2(np.sin(ang[idx]).sum(), np.cos(ang[idx]).sum())
+                    % TWO_PI)
+        toks.append(tuple(sorted(Counter(labels[i] for i in idx).items())))
+    return np.array(reps), toks
+
+
+class TestCollapseCircle:
+    def test_matches_loop_reference(self, rng):
+        # stacks of up to 11 near-equal angles, some straddling the seam;
+        # the summation order differs from the loop, so positions agree to
+        # within 100 float64 ulps of 2pi and tokens agree exactly
+        tol = 100 * np.finfo(float).eps * TWO_PI
+        for _ in range(20):
+            base = np.r_[rng.uniform(0, TWO_PI, 4), 0.0]
+            ang = np.repeat(base, rng.integers(1, 12, 5))
+            ang = ang + rng.normal(scale=1e-11, size=len(ang))
+            labels = [int(x) for x in rng.integers(0, 3, len(ang))]
+            reps, toks = collapse_circle(ang, labels, 1e-9)
+            ref_reps, ref_toks = collapse_reference(ang, labels, 1e-9)
+            assert toks == ref_toks
+            diff = np.abs(reps - ref_reps)
+            assert np.minimum(diff, TWO_PI - diff).max() <= tol
+
+    def test_empty(self):
+        reps, toks = collapse_circle([], [], 1e-9)
+        assert len(reps) == 0 and toks == []
 
 
 class TestSphere3D:

@@ -6,13 +6,13 @@ import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
+from hypercongruence.condense import TWO_PI
 from hypercongruence.geom import PlaneSpan, hopf_fiber, hopf_frame
 from hypercongruence.harness import (
     gen_regular_polytope,
     gen_torus_grid,
     random_rotation,
 )
-from hypercongruence.iterprune import TWO_PI
 from hypercongruence.pipeline import PipelineOptions, congruence_test_4d
 
 
@@ -75,12 +75,12 @@ class TestStructuredFamilies:
     def test_four_cube_deep_path_passes_mirror_stage(self, rng):
         v4 = np.array(list(itertools.product([-0.5, 0.5], repeat=4)))
         trace = []
-        opts = PipelineOptions(delta0=1.5, few_cap=8, trace=True)
+        opts = PipelineOptions(delta0=1.5, few_cap=8)
         b = v4 @ random_rotation(rng).T + 1.0
         v = congruence_test_4d(v4, b, opts, trace_sink=trace)
         assert v.congruent
-        stages = [s[0] for s in trace if isinstance(s, tuple)]
-        assert any(str(s).startswith("mirror") for s in stages)
+        assert all(isinstance(e, tuple) and len(e) == 3 for e in trace)
+        assert any(stage.startswith("mirror") for stage, _, _ in trace)
 
     def test_24_cell(self, rng):
         assert_roundtrip(gen_regular_polytope("24-cell"), rng)
@@ -186,13 +186,11 @@ class TestTrace:
     def test_lockstep_keys_equal_for_congruent_pair(self, rng):
         a = gen_torus_grid(6, 5, 0.7)
         trace = []
-        v = congruence_test_4d(a, transformed(a, rng),
-                               PipelineOptions(trace=True),
-                               trace_sink=trace)
+        v = congruence_test_4d(a, transformed(a, rng), trace_sink=trace)
         assert v.congruent
-        keyed = [e for e in trace if isinstance(e, tuple)]
-        assert keyed
-        for stage, key_a, key_b in keyed:
+        assert trace
+        assert all(isinstance(e, tuple) and len(e) == 3 for e in trace)
+        for stage, key_a, key_b in trace:
             assert key_a == key_b
 
     def test_negative_trace_ends_with_mismatch(self, rng):
@@ -200,10 +198,9 @@ class TestTrace:
         b = a @ random_rotation(rng).T
         b[5] += 0.01
         trace = []
-        v = congruence_test_4d(a, b, PipelineOptions(trace=True),
-                               trace_sink=trace)
+        v = congruence_test_4d(a, b, trace_sink=trace)
         assert not v.congruent
-        keyed = [e for e in trace if isinstance(e, tuple)]
-        stage, key_a, key_b = keyed[-1]
+        assert all(isinstance(e, tuple) and len(e) == 3 for e in trace)
+        stage, key_a, key_b = trace[-1]
         assert key_a != key_b
         assert v.stage

@@ -1,0 +1,74 @@
+"""Golden verdicts and stage-key streams for one small instance per exit.
+
+``stage_streams.json`` holds, for every case below, the verdict and the
+full ``trace_sink`` stream of ``(stage, key_a, key_b)`` tuples that
+``congruence_test_4d`` produced when the file was recorded.  A refactor
+that keeps behaviour keeps both; any change to a decision or to a key
+shows up here as a diff against the recorded stream.
+"""
+
+import ast
+import itertools
+import json
+import math
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from hypercongruence.harness import (gen_orbit_helix, gen_regular_polytope,
+                                     gen_torus_grid, random_rotation)
+from hypercongruence.pipeline import PipelineOptions, congruence_test_4d
+
+GOLDEN = Path(__file__).with_name("stage_streams.json")
+MIRROR_X1 = np.diag([-1.0, 1.0, 1.0, 1.0])
+
+
+def _chiral_helix() -> np.ndarray:
+    t = 2 * np.pi * np.arange(40) / 40
+    return np.stack([np.cos(t), np.sin(t),
+                     np.cos(2 * t), np.sin(2 * t)], axis=1) / math.sqrt(2)
+
+
+# name -> (points, pipeline options, compare against the mirror image)
+CASES = {
+    "well_separated": (gen_regular_polytope("24-cell"), None, False),
+    "mirror": (np.array(list(itertools.product([-0.5, 0.5], repeat=4))),
+               PipelineOptions(delta0=1.5, few_cap=8), False),
+    "orbit": (_chiral_helix(), PipelineOptions(delta0=1.0, few_cap=8), False),
+    "orbit_mirror_negative": (_chiral_helix(),
+                              PipelineOptions(delta0=1.0, few_cap=8), True),
+    "two_plus_two": (gen_orbit_helix(40, 9, 0.8),
+                     PipelineOptions(delta0=1.0, few_cap=3), False),
+    "torus_grid": (gen_torus_grid(7, 6, 0.7),
+                   PipelineOptions(delta0=1.0, few_cap=8), False),
+}
+
+
+def run_case(name: str) -> tuple:
+    """(verdict summary, stream) of one case on a seeded placement."""
+    a, opts, mirrored = CASES[name]
+    rng = np.random.default_rng(7)
+    b = a @ random_rotation(rng).T + rng.normal(size=4)
+    if mirrored:
+        b = b @ MIRROR_X1
+    b = b[rng.permutation(len(b))]
+    sink: list = []
+    v = congruence_test_4d(a, b, opts, trace_sink=sink)
+    return [bool(v.congruent), v.stage], sink
+
+
+@pytest.fixture(scope="module")
+def golden():
+    return json.loads(GOLDEN.read_text())
+
+
+def test_golden_covers_every_case(golden):
+    assert set(golden) == set(CASES)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_verdict_and_stream_match_golden(name, golden):
+    verdict, stream = run_case(name)
+    assert verdict == golden[name]["verdict"]
+    assert stream == ast.literal_eval(golden[name]["stream"])

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from hypercongruence.condense import TWO_PI
 from hypercongruence.geom import (
     PlaneSpan,
     PointSet4,
@@ -10,7 +11,6 @@ from hypercongruence.geom import (
     match_multisets,
 )
 from hypercongruence.harness import random_rotation
-from hypercongruence.iterprune import TWO_PI
 from hypercongruence.torus import (
     SWAP_PLANES,
     canonical_set_torus,
