@@ -15,14 +15,13 @@ a rotation of the input rotates the output.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .geom import (EPS_EQ, CONSTANTS, PlaneSpan, DegenerateRotationError,
                    complete_basis, decompose_rotation, gram_schmidt)
-from .condense import TWO_PI, component_ids, members_by_id
+from .condense import TWO_PI, component_ids, is_regular_polygon, members_by_id
 from .iterprune import THETA_TOL, DirectedGraph, ps_figures
 
 
@@ -138,9 +137,7 @@ def mirror_reduce(points, graph: DirectedGraph, eps: float = EPS_EQ):
         ks = set()
         for c, vt in zip(comps, svds):
             e1, e2 = vt[0], vt[1]
-            ang = np.sort(np.mod(np.arctan2(pts[c] @ e2, pts[c] @ e1), TWO_PI))
-            gaps = np.diff(np.concatenate([ang, [ang[0] + TWO_PI]]))
-            if np.max(np.abs(gaps - TWO_PI / len(c))) > 1e-7:
+            if not is_regular_polygon(np.arctan2(pts[c] @ e2, pts[c] @ e1), 1e-7):
                 raise AssertionError("planar component is not a regular polygon")
             ks.add(len(c))
             circles.append(PlaneSpan.from_vectors(e1, e2))
@@ -323,100 +320,3 @@ def orbit_circles(points, graph: DirectedGraph, delta: float, alpha: float,
     if delta <= CONSTANTS.delta0 and len(cycles) > len(pts) / CONSTANTS.circle_factor:
         raise AssertionError("more orbit cycles than the packing bound allows")
     return cycles, keys
-
-
-# ---------------------------------------------------------------------------
-# reflection groups with bounded fundamental regions
-
-_S5 = math.sqrt(5.0)
-
-COXETER_NORMALS = {
-    "A4": (np.array([
-        [1.0, 0.0, 0.0, 0.0],
-        [-0.5, math.sqrt(3.0) / 2.0, 0.0, 0.0],
-        [0.0, -1.0 / math.sqrt(3.0), math.sqrt(2.0 / 3.0), 0.0],
-        [0.0, 0.0, -math.sqrt(3.0) / (2.0 * math.sqrt(2.0)),
-         math.sqrt(5.0) / (2.0 * math.sqrt(2.0))],
-    ]), 0.2236067977),
-    "C4": (np.array([
-        [1.0, 0.0, 0.0, 0.0],
-        [-1.0 / math.sqrt(2.0), 1.0 / math.sqrt(2.0), 0.0, 0.0],
-        [0.0, -1.0 / math.sqrt(2.0), 1.0 / math.sqrt(2.0), 0.0],
-        [0.0, 0.0, -1.0 / math.sqrt(2.0), 1.0 / math.sqrt(2.0)],
-    ]), 0.1429000737),
-    "B4": (np.array([
-        [1.0, 0.0, 0.0, 0.0],
-        [-0.5, math.sqrt(3.0) / 2.0, 0.0, 0.0],
-        [0.0, -1.0 / math.sqrt(3.0), math.sqrt(2.0 / 3.0), 0.0],
-        [0.0, -1.0 / math.sqrt(3.0), -1.0 / math.sqrt(6.0),
-         1.0 / math.sqrt(2.0)],
-    ]), 0.1889822365),
-    "F4": (np.array([
-        [1.0, 0.0, 0.0, 0.0],
-        [-0.5, math.sqrt(3.0) / 2.0, 0.0, 0.0],
-        [0.0, -math.sqrt(2.0 / 3.0), 1.0 / math.sqrt(3.0), 0.0],
-        [0.0, 0.0, -math.sqrt(3.0) / 2.0, 0.5],
-    ]), 0.009671356812),
-    "G4": (np.array([
-        [1.0, 0.0, 0.0, 0.0],
-        [-(1.0 + _S5) / 4.0, math.sqrt(10.0 - 2.0 * _S5) / 4.0, 0.0, 0.0],
-        [0.0, -2.0 / math.sqrt(10.0 - 2.0 * _S5),
-         math.sqrt(6.0 - 2.0 * _S5) / math.sqrt(10.0 - 2.0 * _S5), 0.0],
-        [0.0, 0.0,
-         -math.sqrt(10.0 - 2.0 * _S5) / (2.0 * math.sqrt(6.0 - 2.0 * _S5)),
-         math.sqrt(14.0 - 6.0 * _S5) / (2.0 * math.sqrt(6.0 - 2.0 * _S5))],
-    ]), 0.03910328003),
-    "A3xA1": (np.array([
-        [1.0, 0.0, 0.0, 0.0],
-        [-0.5, math.sqrt(3.0) / 2.0, 0.0, 0.0],
-        [0.0, -1.0 / math.sqrt(3.0), math.sqrt(2.0 / 3.0), 0.0],
-        [0.0, 0.0, 0.0, 1.0],
-    ]), 0.3015113445),
-    "C3xA1": (np.array([
-        [1.0, 0.0, 0.0, 0.0],
-        [-1.0 / math.sqrt(2.0), 1.0 / math.sqrt(2.0), 0.0, 0.0],
-        [0.0, -1.0 / math.sqrt(2.0), 1.0 / math.sqrt(2.0), 0.0],
-        [0.0, 0.0, 0.0, 1.0],
-    ]), 0.2108874992),
-    "G3xA1": (np.array([
-        [1.0, 0.0, 0.0, 0.0],
-        [-(1.0 + _S5) / 4.0, math.sqrt(10.0 - 2.0 * _S5) / 4.0, 0.0, 0.0],
-        [0.0, -2.0 / math.sqrt(10.0 - 2.0 * _S5),
-         math.sqrt(6.0 - 2.0 * _S5) / math.sqrt(10.0 - 2.0 * _S5), 0.0],
-        [0.0, 0.0, 0.0, 1.0],
-    ]), 0.1303737577),
-}
-
-
-@dataclass(frozen=True)
-class CoxeterGroupSpec:
-    """A rank-4 reflection group given by the outward normals of the walls
-    of its fundamental region, with the tabulated inradius for reference."""
-
-    name: str
-    normals: np.ndarray
-    tabulated_inradius: float
-
-
-COXETER_GROUPS = tuple(CoxeterGroupSpec(name, normals, r0)
-                       for name, (normals, r0) in COXETER_NORMALS.items())
-
-
-def coxeter_inradius(spec: CoxeterGroupSpec) -> float:
-    """Inscribed radius of the fundamental region on the unit sphere.
-
-    Shift every wall hyperplane inward (against its outward normal) by one
-    unit; the walls then meet in a single point p equidistant from all of
-    them, and scaling p back to the sphere scales that distance to 1/|p|.
-    """
-    n = np.asarray(spec.normals, dtype=float)
-    if n.shape != (4, 4):
-        raise ValueError("need exactly four wall normals")
-    p = np.linalg.solve(n, -np.ones(4))
-    return 1.0 / float(np.linalg.norm(p))
-
-
-def separation_floor() -> float:
-    """Smallest closest-pair distance any of the bounded reflection groups
-    allows for its orbits: twice the smallest recomputed inradius."""
-    return 2.0 * min(coxeter_inradius(g) for g in COXETER_GROUPS)

@@ -2,18 +2,21 @@
 
 The primitives every stage of the pipeline shares: grouping nearly-equal
 reals into classes (single linkage at the comparison tolerance) on a line
-or on a circle, wrapping angles into one period, numbering the connected
+or on a circle, wrapping angles into one period, the gaps between sorted
+angles and the regular-polygon test built on them, numbering the connected
 components of a graph and averaging points per component, keeping only
 the smallest class under a canonical key, and computing the canonical axes
-of a labeled configuration on a circle.  The value groupings are
-deterministic functions of the input multiset, never of input order.
+of labeled configurations on a circle.  Canonical axes quantize the gaps
+of every configuration passed in one call together, which is what makes
+their codes comparable.  The value groupings are deterministic functions
+of the input multiset, never of input order.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Hashable, Optional, Sequence
+from typing import Hashable, Sequence
 
 import numpy as np
 from scipy.sparse import coo_matrix
@@ -29,6 +32,20 @@ def wrap_angle(x, period: float = TWO_PI) -> np.ndarray:
     w = np.mod(np.asarray(x, dtype=float), period)
     # x mod period rounds up to period for tiny negative x
     return np.where(w >= period, 0.0, w)
+
+
+def circle_gaps(sorted_angles: np.ndarray) -> np.ndarray:
+    """Counterclockwise gaps between consecutive sorted angles, the last one
+    closing the circle back to the first angle."""
+    return np.diff(np.concatenate([sorted_angles, [sorted_angles[0] + TWO_PI]]))
+
+
+def is_regular_polygon(angles, tol: float) -> bool:
+    """True when the angles are the vertices of a regular polygon: every gap
+    is within tol of 2*pi/n.  Fewer than two angles always qualify."""
+    th = np.sort(wrap_angle(angles))
+    return len(th) < 2 or \
+        bool(np.max(np.abs(circle_gaps(th) - TWO_PI / len(th))) <= tol)
 
 
 @dataclass(frozen=True)
@@ -145,7 +162,7 @@ def prune_by_key(keys: Sequence[Hashable]) -> PruneResult:
     return PruneResult(tuple(buckets[best]), best, len(buckets) > 1, hist)
 
 
-def _least_rotation(tokens: list) -> int:
+def least_rotation(tokens: list) -> int:
     """Booth's algorithm: start index of the lexicographically least rotation."""
     s = tokens + tokens
     n = len(s)
@@ -197,60 +214,50 @@ class AxesSet:
 
     ``count`` equally spaced rays, the first at ``base_angle``; every axis
     passes through a configuration point.  ``code`` is the canonical cyclic
-    string (the least rotation of the alternating label/gap sequence), equal
-    for congruent configurations with identical label tokens.  ``order``
-    sorts the input by angle and ``starts`` indexes into that sorted order.
+    string (the least rotation of the alternating label/gap sequence).
     """
 
     count: int
     base_angle: float
     code: tuple
-    order: np.ndarray
-    sorted_angles: np.ndarray
-    starts: tuple
 
     @property
     def spacing(self) -> float:
         return TWO_PI / self.count
 
 
-def canonical_axes(angles: Sequence[float], labels: Optional[Sequence[Hashable]] = None,
-                   eps: float = EPS_EQ,
-                   gap_ids: Optional[Sequence[int]] = None) -> AxesSet:
-    """Canonical axes of points on a circle, given as angles plus label tokens.
+def canonical_axes(configs: Sequence[tuple], eps: float = EPS_EQ) -> list:
+    """Canonical axes of each (angles, labels) configuration on the circle.
 
     Labels must be mutually comparable, canonical tokens (ints or int
-    tuples); they are used verbatim in the code string.  Gap lengths are
-    quantized by tolerance clustering unless precomputed ids are supplied.
-    The rotations of the cyclic sequence are ranked starting at label
-    positions only; the minimal starts are the axis points.
+    tuples); they are used verbatim in the code strings.  The gap lengths
+    of all configurations are quantized by one tolerance clustering, so the
+    codes of one call are comparable: equal codes mean congruent labeled
+    configurations.  The rotations of each cyclic sequence are ranked
+    starting at label positions only; the minimal starts are the axis points.
     """
-    ang = wrap_angle(angles)
-    n = len(ang)
-    if n == 0:
-        raise ValueError("empty configuration")
-    if labels is None:
-        labels = [0] * n
-    order = np.lexsort((np.arange(n), ang))
-    sorted_ang = ang[order]
-    gaps = np.diff(np.concatenate([sorted_ang, [sorted_ang[0] + TWO_PI]]))
-    if gap_ids is None:
-        gap_ids = tolerance_cluster(gaps, eps).ids
-    else:
-        gap_ids = np.asarray(gap_ids, dtype=int)
-        if len(gap_ids) != n:
-            raise ValueError("gap id count mismatch")
-    tokens: list = []
-    for pos in range(n):
-        tokens.append((0, labels[order[pos]]))
-        tokens.append((1, int(gap_ids[pos])))
-    k = _least_rotation(tokens)
-    # label tokens sort before gap tokens, so the least rotation begins at a label
-    assert k % 2 == 0
-    code = tuple(tokens[k:] + tokens[:k])
-    starts_tok = _all_occurrences(list(code), tokens + tokens[:-1])
-    starts = sorted({(s // 2) % n for s in starts_tok})
-    count = len(starts)
-    base = float(sorted_ang[starts[0]])
-    return AxesSet(count, base, code, order, sorted_ang, tuple(starts))
-
+    sorted_configs = []
+    for angles, labels in configs:
+        ang = wrap_angle(angles)
+        if len(ang) == 0:
+            raise ValueError("empty configuration")
+        order = np.lexsort((np.arange(len(ang)), ang)).tolist()
+        sorted_configs.append((ang[order], [labels[i] for i in order]))
+    gaps = [circle_gaps(sa) for sa, _ in sorted_configs]
+    gids = tolerance_cluster(np.concatenate(gaps) if gaps else [], eps).ids.tolist()
+    out = []
+    at = 0
+    for sa, labels in sorted_configs:
+        n = len(sa)
+        tokens: list = []
+        for lab, gid in zip(labels, gids[at:at + n]):
+            tokens += [(0, lab), (1, gid)]
+        at += n
+        k = least_rotation(tokens)
+        # label tokens sort before gap tokens, so the least rotation begins at a label
+        assert k % 2 == 0
+        code = tuple(tokens[k:] + tokens[:k])
+        hits = _all_occurrences(list(code), tokens + tokens[:-1])
+        starts = sorted({(s // 2) % n for s in hits})
+        out.append(AxesSet(len(starts), float(sa[starts[0]]), code))
+    return out

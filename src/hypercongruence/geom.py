@@ -21,6 +21,7 @@ import scipy.linalg
 from scipy.spatial import cKDTree
 
 EPS_EQ = 1e-9
+VERIFY_EPS = 1e-6           # matching tolerance of the final rotation check
 
 # Bound constants used by the pruning pipeline.  The icosahedral quantities
 # derive from the edge length of the unit icosahedron; the circle-family cap
@@ -35,16 +36,13 @@ DELTA_MIN = math.sqrt(2.0) * math.sin(ALPHA_MIN)  # 0.7434960689...
 class Constants:
     """Fixed numeric bounds shared by the whole pipeline."""
 
-    eps_eq: float = EPS_EQ
     delta0: float = 5e-4        # closest-pair distance above which sets are well separated
-    delta1: float = 0.07        # mirror-case threshold excluding sporadic reflection groups
     kissing_2: int = 5          # max successors of an arc (kissing number on the circle band)
     kissing_3: int = 12         # max degree in a closest-pair graph on the 3-sphere
     kissing_5_upper: int = 44   # upper bound for max degree on the 5-sphere
     circle_factor: int = 200    # orbit-cycle count is at most n / circle_factor
     pair_fanout: int = 25       # marked-pair count is at most pair_fanout * |circles|
     marks_per_pair: int = 4
-    delta_min: float = DELTA_MIN
     few_circles_cap: int = int(15.0 * math.pi / (8.0 * (DELTA_MIN / 2.0) ** 5))  # 829
 
 
@@ -470,7 +468,7 @@ def match_multisets(x: np.ndarray, y: np.ndarray, eps: float = EPS_EQ,
 
 
 def verify_rotation(a: PointSet4, b: PointSet4, r: np.ndarray,
-                    eps: float = EPS_EQ) -> bool:
+                    eps: float = VERIFY_EPS) -> bool:
     """Check that r maps normalized set a onto normalized set b exactly."""
     ra = a.points @ np.asarray(r, dtype=float).T
     return match_multisets(ra, b.points, eps, a.labels, b.labels)

@@ -26,8 +26,9 @@ import numpy as np
 
 from .geom import (EPS_EQ, CONSTANTS, complete_basis, gram_schmidt,
                    match_multisets)
-from .condense import (TWO_PI, canonical_axes, circular_cluster, prune_by_key,
-                       tolerance_cluster, wrap_angle)
+from .condense import (TWO_PI, canonical_axes, circular_cluster,
+                       is_regular_polygon, prune_by_key, tolerance_cluster,
+                       wrap_angle)
 from .cpgraph import closest_pair_graph
 
 THETA_TOL = 1e-7            # angular tolerance for positions on mark circles
@@ -176,7 +177,6 @@ def _edge_figure_codes(points, graph: DirectedGraph, eps: float) -> dict:
     code for the angular part.
     """
     coord_pop: list = []
-    gap_pop: list = []
     prepared: dict = {}
     for arc in sorted(graph.arcs):
         u, v = arc
@@ -207,41 +207,31 @@ def _edge_figure_codes(points, graph: DirectedGraph, eps: float) -> dict:
             start = len(coord_pop)
             coord_pop.extend(c12.ravel())
             coord_pop.extend(rho)
-            th = np.sort(theta[on])
-            gaps = (np.diff(np.concatenate([th, [th[0] + TWO_PI]]))
-                    if on.any() else np.zeros(0))
-            variants.append(("p", start, len(idxs), on, theta, len(gap_pop)))
-            gap_pop.extend(gaps)
+            variants.append(("p", start, len(idxs), on, theta))
         prepared[arc] = (masks, variants)
     cids = tolerance_cluster(coord_pop, eps).ids if coord_pop else np.zeros(0, int)
-    gids = tolerance_cluster(gap_pop, THETA_TOL).ids if gap_pop else np.zeros(0, int)
     codes: dict = {}
+    planar: list = []       # (arc, axial part, angular configuration)
     for arc in sorted(graph.arcs):
         masks, variants = prepared[arc]
-        best = None
-        for var in variants:
-            if var[0] == "f":
-                _, start, m = var
-                entries = [tuple(int(c) for c in cids[start + 4 * i: start + 4 * i + 4])
-                           + (masks[i],) for i in range(m)]
-                cand = ("f", tuple(sorted(entries)))
-            else:
-                _, start, m, on, theta, gstart = var
-                flat = [(int(cids[start + 2 * i]), int(cids[start + 2 * i + 1]),
-                         int(cids[start + 2 * m + i]), masks[i]) for i in range(m)]
-                axial = tuple(sorted(f for f, o in zip(flat, on) if not o))
-                k = int(on.sum())
-                if k:
-                    labels = [f for f, o in zip(flat, on) if o]
-                    ax = canonical_axes(theta[on], labels,
-                                        gap_ids=gids[gstart:gstart + k])
-                    angular = ax.code
-                else:
-                    angular = ()
-                cand = ("p", axial, angular)
-            if best is None or cand < best:
-                best = cand
-        codes[arc] = best
+        if variants[0][0] == "p":
+            _, start, m, on, theta = variants[0]
+            flat = [(int(cids[start + 2 * i]), int(cids[start + 2 * i + 1]),
+                     int(cids[start + 2 * m + i]), masks[i]) for i in range(m)]
+            axial = tuple(sorted(f for f, o in zip(flat, on) if not o))
+            planar.append((arc, axial,
+                           (theta[on], [f for f, o in zip(flat, on) if o])))
+            continue
+        frame_codes = []
+        for _, start, m in variants:
+            entries = [tuple(int(c) for c in cids[start + 4 * i: start + 4 * i + 4])
+                       + (masks[i],) for i in range(m)]
+            frame_codes.append(("f", tuple(sorted(entries))))
+        codes[arc] = min(frame_codes)
+    # the angular parts of all planar figures share one gap quantization
+    axes = iter(canonical_axes([c for _, _, c in planar if c[1]], THETA_TOL))
+    for arc, axial, (_, labels) in planar:
+        codes[arc] = ("p", axial, next(axes).code if labels else ())
     return codes
 
 
@@ -453,23 +443,11 @@ class _Run:
         for _ in range(CONSTANTS.kissing_2 + 2):
             graph = DirectedGraph(len(points), arcs, succ)
             figures = ps_figures(points, graph, delta, alpha)
-            gap_pop: list = []
-            spans: dict = {}
-            for a in arclist:
-                th = figures[a].thetas
-                gaps = np.diff(np.concatenate([th, [th[0] + TWO_PI]]))
-                spans[a] = (len(gap_pop), len(gaps))
-                gap_pop.extend(gaps)
-            gids = tolerance_cluster(gap_pop, THETA_TOL).ids
-            codes = {}
-            for a in arclist:
-                start, m = spans[a]
-                fig = figures[a]
-                ax = canonical_axes(fig.thetas, [int(r) for r in fig.roles],
-                                    gap_ids=gids[start:start + m])
-                codes[a] = ax.code
-            rank = {c: i for i, c in enumerate(sorted(set(codes.values())))}
-            res = prune_by_key([rank[codes[a]] for a in arclist])
+            axes = canonical_axes([(figures[a].thetas, figures[a].roles.tolist())
+                                   for a in arclist], THETA_TOL)
+            codes = [ax.code for ax in axes]
+            rank = {c: i for i, c in enumerate(sorted(set(codes)))}
+            res = prune_by_key([rank[c] for c in codes])
             self.emit("C9", res.histogram)
             if res.progressed:
                 return "arcs", frozenset(arclist[i] for i in res.indices)
@@ -489,15 +467,9 @@ class _Run:
 
     @staticmethod
     def _regular_kgons(fig: PSFigure) -> bool:
-        for occupied in (fig.succ_at, fig.pred_at):
-            th = np.sort([fig.thetas[i] for i in range(len(fig.thetas))
-                          if occupied[i] is not None])
-            if len(th) <= 1:
-                continue
-            gaps = np.diff(np.concatenate([th, [th[0] + TWO_PI]]))
-            if np.max(np.abs(gaps - TWO_PI / len(th))) > THETA_TOL:
-                return False
-        return True
+        return all(is_regular_polygon([t for t, o in zip(fig.thetas, occupied)
+                                       if o is not None], THETA_TOL)
+                   for occupied in (fig.succ_at, fig.pred_at))
 
     @staticmethod
     def _axes_prune(figures, arclist, succ) -> dict:
@@ -507,7 +479,7 @@ class _Run:
         before = sum(len(succ[a]) for a in arclist)
         for a in arclist:
             fig = figures[a]
-            ax = canonical_axes(fig.thetas, [int(r) for r in fig.roles], THETA_TOL)
+            ax = canonical_axes([(fig.thetas, fig.roles.tolist())], THETA_TOL)[0]
             free = [(fig.thetas[i] - ax.base_angle) % ax.spacing
                     for i in range(len(fig.thetas))
                     if fig.succ_at[i] is not None and fig.pred_at[i] is None]

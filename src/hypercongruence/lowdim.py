@@ -48,10 +48,20 @@ def collapse_circle(angles: np.ndarray, labels: Sequence,
     return reps, [tuple(sorted(Counter(m).items())) for m in members]
 
 
-def sorted_circle_gaps(ang: np.ndarray) -> np.ndarray:
-    order = np.lexsort((np.arange(len(ang)), ang))
-    sa = ang[order]
-    return np.diff(np.concatenate([sa, [sa[0] + TWO_PI]]))
+def circle_axes(a: np.ndarray, la: Sequence, b: np.ndarray, lb: Sequence,
+                eps: float) -> Optional[tuple]:
+    """Canonical axes (ax_a, ax_b) of two labeled circle sets, computed
+    jointly after merging coincident positions, or None when the position
+    counts or the codes differ, so that no rotation maps one onto the other.
+    """
+    ra, ta = collapse_circle(a, la, eps)
+    rb, tb = collapse_circle(b, lb, eps)
+    if len(ra) != len(rb):
+        return None
+    ax_a, ax_b = canonical_axes([(ra, ta), (rb, tb)], eps)
+    if ax_a.code != ax_b.code:
+        return None
+    return ax_a, ax_b
 
 
 def congruence_2d_labeled(angles_a: np.ndarray, labels_a: Sequence,
@@ -72,22 +82,10 @@ def congruence_2d_labeled(angles_a: np.ndarray, labels_a: Sequence,
     if len(a) == 0:
         return 0.0
     la, lb = list(labels_a), list(labels_b)
-    ra, ta = collapse_circle(a, la, eps)
-    rb, tb = collapse_circle(b, lb, eps)
-    if len(ra) != len(rb):
+    axes = circle_axes(a, la, b, lb, eps)
+    if axes is None:
         return None
-    if len(ra) == 1:
-        if ta[0] != tb[0]:
-            return None
-        return float(np.mod(rb[0] - ra[0], TWO_PI))
-
-    ga, gb = sorted_circle_gaps(ra), sorted_circle_gaps(rb)
-    gids_a, gids_b = joint_cluster(ga, gb, eps)
-    ax_a = canonical_axes(ra, labels=ta, eps=eps, gap_ids=gids_a)
-    ax_b = canonical_axes(rb, labels=tb, eps=eps, gap_ids=gids_b)
-    if ax_a.code != ax_b.code:
-        return None
-    t = float(np.mod(ax_b.base_angle - ax_a.base_angle, TWO_PI))
+    t = float(np.mod(axes[1].base_angle - axes[0].base_angle, TWO_PI))
 
     # every merged position must hold equal label multisets from both sides
     ids = circular_cluster(np.concatenate([a + t, b]), max(eps, 1e-12)).ids
@@ -232,8 +230,7 @@ def congruence_3d_labeled(points_a: np.ndarray, labels_a: Sequence,
 
 def one_plus_three_reduce(set_a: PointSet4, set_b: PointSet4,
                           anchors_a: np.ndarray, anchors_b: np.ndarray,
-                          eps: float = EPS_EQ,
-                          verify_eps: float = 1e-6) -> Verdict:
+                          eps: float = EPS_EQ) -> Verdict:
     """Decide congruence of two normalized 4D sets from well-separated anchors.
 
     Any congruence must map the anchor family of ``set_a`` onto that of
@@ -266,6 +263,6 @@ def one_plus_three_reduce(set_a: PointSet4, set_b: PointSet4,
         lift[0, 0] = 1.0
         lift[1:, 1:] = s
         r = fb.T @ lift @ fa
-        if verify_rotation(set_a, set_b, r, verify_eps):
+        if verify_rotation(set_a, set_b, r):
             return Verdict.yes(r, np.zeros(4))
     return Verdict.no("anchor alignment")

@@ -43,7 +43,6 @@ class PipelineOptions:
 
     eps_eq: float = EPS_EQ
     allow_reflection: bool = False
-    verify_eps: float = 1e-6
     delta0: Optional[float] = None
     few_cap: Optional[int] = None
 
@@ -156,7 +155,7 @@ def _attempt(an: np.ndarray, bn: np.ndarray, opts: PipelineOptions,
             return Verdict.no("origin class")
         if org_a.all():
             # no direction information anywhere in the working set
-            if verify_rotation(full_a, full_b, np.eye(4), opts.verify_eps):
+            if verify_rotation(full_a, full_b, np.eye(4)):
                 return Verdict.yes(np.eye(4), np.zeros(4))
             return Verdict.no("coincident")
         wa, norm_a = wa[~org_a], norm_a[~org_a]
@@ -175,8 +174,7 @@ def _attempt(an: np.ndarray, bn: np.ndarray, opts: PipelineOptions,
         sb = wb[kb] / norm_b[kb, None]
 
         if len(sa) == 1:
-            return one_plus_three_reduce(full_a, full_b, sa, sb, eps,
-                                         opts.verify_eps)
+            return one_plus_three_reduce(full_a, full_b, sa, sb, eps)
 
         ex_a, keys_a = iterative_prune(sa, eps, delta0)
         ex_b, keys_b = iterative_prune(sb, eps, delta0)
@@ -186,7 +184,7 @@ def _attempt(an: np.ndarray, bn: np.ndarray, opts: PipelineOptions,
 
         if isinstance(ex_a, WellSeparated):
             return one_plus_three_reduce(full_a, full_b, ex_a.points,
-                                         ex_b.points, eps, opts.verify_eps)
+                                         ex_b.points, eps)
 
         if isinstance(ex_a, MirrorSymmetric):
             res_a, rk_a = mirror_reduce(ex_a.points, ex_a.graph, eps)
@@ -225,8 +223,7 @@ def _attempt(an: np.ndarray, bn: np.ndarray, opts: PipelineOptions,
         if isinstance(mres_a, FewCircles):
             p = mres_a.circles[0]
             for q in mres_b.circles:
-                v = two_plus_two_reduce(full_a, full_b, p, q, eps,
-                                        opts.verify_eps)
+                v = two_plus_two_reduce(full_a, full_b, p, q, eps)
                 if v.congruent:
                     return v
             return Verdict.no("plane pair alignment")

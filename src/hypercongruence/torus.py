@@ -16,11 +16,11 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy.spatial import Voronoi, cKDTree
 
-from .condense import (TWO_PI, canonical_axes, circular_cluster, joint_cluster,
+from .condense import (TWO_PI, circular_cluster, joint_cluster, least_rotation,
                        prune_by_key, tolerance_cluster, wrap_angle)
 from .geom import (EPS_EQ, PlaneSpan, PointSet4, Verdict, block_rotation,
                    complete_basis, match_multisets, verify_rotation)
-from .lowdim import collapse_circle, congruence_2d_labeled, sorted_circle_gaps
+from .lowdim import circle_axes, congruence_2d_labeled
 
 _NINE_OFFSETS = np.array([[0.0, 0.0]] + [[dx, dy]
                          for dx in (-TWO_PI, 0.0, TWO_PI)
@@ -56,7 +56,7 @@ def _cell_shapes(vor: Voronoi, sites: np.ndarray, eps: float) -> list:
         at += k
         ang = np.arctan2(rel[:, 1], rel[:, 0])
         ccw = [pairs[j] for j in np.argsort(ang, kind="stable")]
-        start = min(range(k), key=lambda s: ccw[s:] + ccw[:s])
+        start = least_rotation(ccw)
         shapes.append(tuple(ccw[start:] + ccw[:start]))
     return shapes
 
@@ -193,26 +193,11 @@ def _axes_offsets(ang_a, labs_a, ang_b, labs_b, tor_a, tor_b, eps):
     if len(ang_a) == 0:
         return np.zeros(n_t_a, dtype=int), np.zeros(n_t_b, dtype=int)
 
-    ra, ta = collapse_circle(ang_a, labs_a, eps)
-    rb, tb = collapse_circle(ang_b, labs_b, eps)
-    if len(ra) != len(rb):
+    axes = circle_axes(ang_a, labs_a, ang_b, labs_b, eps)
+    if axes is None:
         return None
-    if len(ra) == 1:
-        if ta[0] != tb[0]:
-            return None
-        # a single position fixes no residual symmetry: offsets vs it
-        off_a = np.mod(tor_a - ra[0], TWO_PI)
-        off_b = np.mod(tor_b - rb[0], TWO_PI)
-        ids = circular_cluster(np.concatenate([off_a, off_b]), eps).ids
-        return ids[:n_t_a], ids[n_t_a:]
-
-    ga, gb = sorted_circle_gaps(ra), sorted_circle_gaps(rb)
-    gids_a, gids_b = joint_cluster(ga, gb, eps)
-    ax_a = canonical_axes(ra, labels=ta, eps=eps, gap_ids=gids_a)
-    ax_b = canonical_axes(rb, labels=tb, eps=eps, gap_ids=gids_b)
-    if ax_a.code != ax_b.code:
-        return None
-    spacing = TWO_PI / ax_a.count
+    ax_a, ax_b = axes
+    spacing = ax_a.spacing
     off_a = np.mod(tor_a - ax_a.base_angle, spacing)
     off_b = np.mod(tor_b - ax_b.base_angle, spacing)
     ids = circular_cluster(np.concatenate([off_a, off_b]), eps, spacing).ids
@@ -244,7 +229,7 @@ def _block_match(ac: np.ndarray, la: Sequence, bc: np.ndarray, lb: Sequence,
     def circle_data(coords, mask, labs, rids, cols):
         ang = np.arctan2(coords[mask, cols[1]], coords[mask, cols[0]])
         toks = [(l, int(r)) for l, r, m in zip(labs, rids, mask) if m]
-        return np.mod(ang, TWO_PI), toks
+        return wrap_angle(ang), toks
 
     ang1_a, l1a = circle_data(ac, in1_a, la, r1ids_a, (0, 1))
     ang1_b, l1b = circle_data(bc, in1_b, lb, r1ids_b, (0, 1))
@@ -264,10 +249,10 @@ def _block_match(ac: np.ndarray, la: Sequence, bc: np.ndarray, lb: Sequence,
                 return None
         return float(phi), float(psi)
 
-    phi_t_a = np.mod(np.arctan2(ac[tor_a, 1], ac[tor_a, 0]), TWO_PI)
-    psi_t_a = np.mod(np.arctan2(ac[tor_a, 3], ac[tor_a, 2]), TWO_PI)
-    phi_t_b = np.mod(np.arctan2(bc[tor_b, 1], bc[tor_b, 0]), TWO_PI)
-    psi_t_b = np.mod(np.arctan2(bc[tor_b, 3], bc[tor_b, 2]), TWO_PI)
+    phi_t_a = wrap_angle(np.arctan2(ac[tor_a, 1], ac[tor_a, 0]))
+    psi_t_a = wrap_angle(np.arctan2(ac[tor_a, 3], ac[tor_a, 2]))
+    phi_t_b = wrap_angle(np.arctan2(bc[tor_b, 1], bc[tor_b, 0]))
+    psi_t_b = wrap_angle(np.arctan2(bc[tor_b, 3], bc[tor_b, 2]))
 
     off1 = _axes_offsets(ang1_a, l1a, ang1_b, l1b, phi_t_a, phi_t_b, tol)
     if off1 is None:
@@ -292,8 +277,7 @@ def _block_match(ac: np.ndarray, la: Sequence, bc: np.ndarray, lb: Sequence,
 
 def two_plus_two_reduce(set_a: PointSet4, set_b: PointSet4,
                         plane_a: PlaneSpan, plane_b: PlaneSpan,
-                        eps: float = EPS_EQ,
-                        verify_eps: float = 1e-6) -> Verdict:
+                        eps: float = EPS_EQ) -> Verdict:
     """Decide congruence of two normalized 4D sets given that any congruence
     maps plane_a onto plane_b (and so the orthocomplements onto each other).
 
@@ -317,6 +301,6 @@ def two_plus_two_reduce(set_a: PointSet4, set_b: PointSet4,
         if swapped:
             m = m @ SWAP_PLANES
         r = fb.T @ m @ fa
-        if verify_rotation(set_a, set_b, r, verify_eps):
+        if verify_rotation(set_a, set_b, r):
             return Verdict.yes(r, np.zeros(4))
     return Verdict.no("plane pair alignment")

@@ -1,4 +1,4 @@
-"""Circle extraction: reflection-group floor, mirror reduction, orbit cycles."""
+"""Circle extraction: mirror reduction, orbit cycles."""
 
 import math
 
@@ -6,14 +6,11 @@ import numpy as np
 import pytest
 
 from hypercongruence.circles import (
-    COXETER_GROUPS,
     CondensedPoints,
     GreatCircles,
-    coxeter_inradius,
     fit_rotation,
     mirror_reduce,
     orbit_circles,
-    separation_floor,
 )
 from hypercongruence.cpgraph import closest_pair_graph
 from hypercongruence.geom import decompose_rotation
@@ -37,39 +34,6 @@ def torus_grid(p, q, r1, r2):
     return np.array([[r1 * math.cos(a), r1 * math.sin(a),
                       r2 * math.cos(b), r2 * math.sin(b)]
                      for a in th for b in ph])
-
-
-class TestReflectionGroups:
-    def test_names(self):
-        assert {g.name for g in COXETER_GROUPS} == {
-            "A4", "C4", "B4", "F4", "G4", "A3xA1", "C3xA1", "G3xA1"}
-
-    def test_inradii_match_table_except_f4(self):
-        for g in COXETER_GROUPS:
-            r = coxeter_inradius(g)
-            if g.name == "F4":
-                continue
-            assert r == pytest.approx(g.tabulated_inradius, rel=1e-8), g.name
-
-    def test_f4_reference_value_off_by_factor_ten(self):
-        # the recomputed inradius is self-consistent with the wall normals;
-        # the carried reference number is exactly ten times smaller
-        f4 = next(g for g in COXETER_GROUPS if g.name == "F4")
-        r = coxeter_inradius(f4)
-        assert r == pytest.approx(0.0967135681, abs=1e-9)
-        assert r / f4.tabulated_inradius == pytest.approx(10.0, rel=1e-7)
-
-    def test_separation_floor(self):
-        fl = separation_floor()
-        assert fl >= 0.07
-        # floor comes from the smallest recomputed inradius (G4)
-        g4 = next(g for g in COXETER_GROUPS if g.name == "G4")
-        assert fl == pytest.approx(2 * coxeter_inradius(g4))
-
-    def test_normals_shape(self):
-        for g in COXETER_GROUPS:
-            assert g.normals.shape == (4, 4)
-            assert np.allclose(np.linalg.norm(g.normals, axis=1), 1, atol=1e-12)
 
 
 class TestFitRotation:

@@ -1,5 +1,5 @@
 """Pruning by key, tolerance and circular clustering, graph components,
-canonical axes."""
+circle gaps and canonical axes."""
 
 import math
 
@@ -8,9 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hypercongruence.condense import (AxesSet, canonical_axes,
+from hypercongruence.condense import (AxesSet, canonical_axes, circle_gaps,
                                       circular_cluster, component_ids,
-                                      group_means, joint_cluster,
+                                      group_means, is_regular_polygon,
+                                      joint_cluster, least_rotation,
                                       members_by_id, prune_by_key,
                                       tolerance_cluster, wrap_angle)
 
@@ -90,25 +91,31 @@ class TestToleranceCluster:
         assert list(ib) == [1, 0]
 
 
+def axes_of(angles, labels=None):
+    """Canonical axes of one configuration, unlabeled by default."""
+    if labels is None:
+        labels = [0] * len(angles)
+    return canonical_axes([(angles, labels)])[0]
+
+
 class TestCanonicalAxes:
     def test_regular_pentagon_full_symmetry(self):
         ang = np.arange(5) * TWO_PI / 5
-        ax = canonical_axes(ang)
+        ax = axes_of(ang)
         assert ax.count == 5
 
     def test_unique_label_pins_axis(self):
         ang = np.arange(5) * TWO_PI / 5 + 0.3
-        ax = canonical_axes(ang, labels=["p", "p", "q", "p", "p"])
+        ax = axes_of(ang, ["p", "p", "q", "p", "p"])
         assert ax.count == 1
         # the single axis sits on one of the input points, stably
         assert min(abs(ax.base_angle - a % TWO_PI) for a in ang) < 1e-12
-        shifted = canonical_axes((ang + 1.0) % TWO_PI,
-                                 labels=["p", "p", "q", "p", "p"])
+        shifted = axes_of((ang + 1.0) % TWO_PI, ["p", "p", "q", "p", "p"])
         assert (shifted.base_angle - ax.base_angle) % TWO_PI == pytest.approx(1.0)
 
     def test_square_alternating_labels(self):
         ang = np.arange(4) * TWO_PI / 4
-        ax = canonical_axes(ang, labels=["A", "B", "A", "B"])
+        ax = axes_of(ang, ["A", "B", "A", "B"])
         assert ax.count == 2
 
     def test_symmetry_order_exact(self):
@@ -116,7 +123,7 @@ class TestCanonicalAxes:
         # fractions do not
         ang = np.arange(6) * TWO_PI / 6
         labels = ["x", "y", "x", "y", "x", "y"]
-        ax = canonical_axes(ang, labels=labels)
+        ax = axes_of(ang, labels)
         assert ax.count == 3
         shift = ax.spacing
         rotated = sorted((a + shift) % TWO_PI for a in ang)
@@ -125,22 +132,62 @@ class TestCanonicalAxes:
     def test_rotation_equivariance(self, rng):
         ang = np.sort(rng.uniform(0, TWO_PI, 9))
         labels = [i % 3 for i in range(9)]
-        ax = canonical_axes(ang, labels=labels)
         th = rng.uniform(0, TWO_PI)
-        ax2 = canonical_axes((ang + th) % TWO_PI, labels=labels)
+        ax, ax2 = canonical_axes([(ang, labels), ((ang + th) % TWO_PI, labels)])
+        assert ax2.code == ax.code
         assert ax2.count == ax.count
         d = (ax2.base_angle - ax.base_angle - th) % TWO_PI
         assert min(d % ax.spacing, ax.spacing - d % ax.spacing) < 1e-9
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            canonical_axes([])
+            canonical_axes([([], [])])
+
+    def test_no_configurations(self):
+        assert canonical_axes([]) == []
 
     def test_single_point(self):
-        ax = canonical_axes([1.25], labels=["z"])
+        ax = axes_of([1.25], ["z"])
         assert isinstance(ax, AxesSet)
         assert ax.count == 1
         assert ax.base_angle == pytest.approx(1.25)
+
+    def test_one_call_quantizes_all_gaps_jointly(self):
+        # alone, each configuration has gap classes {2, 2} and {2pi - 4}
+        # and the same code; clustered together, the gaps 3e-9 and 6e-9
+        # apart exceed eps = 1e-9 and fall into different classes
+        eps = 1e-9
+        a = np.array([0.0, 2.0, 4.0])
+        b = np.array([0.0, 2.0 + 3e-9, 4.0 + 6e-9])
+        labels = [0, 0, 0]
+        alone_a = canonical_axes([(a, labels)], eps)[0]
+        alone_b = canonical_axes([(b, labels)], eps)[0]
+        assert alone_a.code == alone_b.code
+        joint_a, joint_b = canonical_axes([(a, labels), (b, labels)], eps)
+        assert joint_a.code != joint_b.code
+        assert (joint_a.count, joint_b.count) == (1, 1)
+
+
+class TestCircleGaps:
+    def test_gaps_close_the_circle(self):
+        gaps = circle_gaps(np.array([0.5, 2.0, 5.0]))
+        assert np.allclose(gaps, [1.5, 3.0, TWO_PI - 4.5])
+        assert gaps.sum() == pytest.approx(TWO_PI)
+
+    def test_regular_polygon(self):
+        ang = np.arange(5) * TWO_PI / 5 + 6.0     # wraps past 2*pi
+        assert is_regular_polygon(ang, 1e-9)
+        assert is_regular_polygon(ang[::-1], 1e-9)
+        assert not is_regular_polygon(ang + [0, 0, 1e-6, 0, 0], 1e-7)
+        assert is_regular_polygon([4.0], 1e-9)
+        assert is_regular_polygon([], 1e-9)
+
+    def test_least_rotation(self, rng):
+        for _ in range(50):
+            seq = rng.integers(0, 3, int(rng.integers(1, 10))).tolist()
+            k = least_rotation(seq)
+            assert seq[k:] + seq[:k] == min(seq[s:] + seq[:s]
+                                            for s in range(len(seq)))
 
 
 class TestComponentIds:

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from hypercongruence.geom import (CONSTANTS, AnglePair, Chirality,
+from hypercongruence.geom import (CONSTANTS, DELTA_MIN, AnglePair, Chirality,
                                   DegenerateRotationError,
                                   ParallelPlanesError, PlaneSpan, PointSet4,
                                   angle_between_planes, block_rotation,
@@ -285,10 +285,9 @@ class TestVerifyRotation:
 
 
 def test_constants_sane():
-    assert CONSTANTS.delta0 < CONSTANTS.delta1
-    assert CONSTANTS.delta0 == 5e-4 and CONSTANTS.delta1 == 0.07
+    assert CONSTANTS.delta0 == 5e-4
     assert CONSTANTS.kissing_3 == 12 and CONSTANTS.kissing_2 == 5
     # circle budget from the packing bound on the Grassmannian 5-sphere
-    dmin = CONSTANTS.delta_min
+    dmin = DELTA_MIN
     bound = (2 * math.pi ** 3) / ((8 / 15) * math.pi ** 2 * (dmin / 2) ** 5) / 2
     assert CONSTANTS.few_circles_cap == int(bound) == 829

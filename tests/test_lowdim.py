@@ -56,6 +56,17 @@ class TestCircle:
         assert congruence_2d_labeled([0.0, 1.0], [0, 0], [0.0], [0],
                                      1e-9) is None
 
+    def test_single_position_any_shift(self):
+        # every point at one angle merges into a single position
+        t = congruence_2d_labeled([6.0] * 3, [0, 1, 1], [0.5] * 3, [1, 0, 1],
+                                  1e-9)
+        assert t is not None
+        assert abs(t - np.mod(0.5 - 6.0, TWO_PI)) < 1e-12
+
+    def test_single_position_label_mismatch(self):
+        assert congruence_2d_labeled([6.0] * 3, [0, 1, 1], [0.5] * 3,
+                                     [0, 0, 1], 1e-9) is None
+
     def test_irregular_gaps(self):
         ang = np.array([0.0, 0.5, 1.7, 3.0, 4.9])
         lab = ["a", "b", "a", "c", "b"]

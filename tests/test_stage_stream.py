@@ -24,6 +24,14 @@ GOLDEN = Path(__file__).with_name("stage_streams.json")
 MIRROR_X1 = np.diag([-1.0, 1.0, 1.0, 1.0])
 
 
+def _grid_with_hexagon() -> np.ndarray:
+    """A torus grid plus a regular hexagon in its first coordinate plane, so
+    the 2+2 reduction offsets the torus angles against a plane circle."""
+    th = 2 * np.pi * np.arange(6) / 6
+    hexagon = 0.9 * np.c_[np.cos(th), np.sin(th), np.zeros(6), np.zeros(6)]
+    return np.concatenate([gen_torus_grid(6, 5, 0.6), hexagon])
+
+
 def _chiral_helix() -> np.ndarray:
     t = 2 * np.pi * np.arange(40) / 40
     return np.stack([np.cos(t), np.sin(t),
@@ -40,6 +48,8 @@ CASES = {
                               PipelineOptions(delta0=1.0, few_cap=8), True),
     "two_plus_two": (gen_orbit_helix(40, 9, 0.8),
                      PipelineOptions(delta0=1.0, few_cap=3), False),
+    "two_plus_two_plane_circle": (_grid_with_hexagon(),
+                                  PipelineOptions(delta0=1.5, few_cap=8), False),
     "torus_grid": (gen_torus_grid(7, 6, 0.7),
                    PipelineOptions(delta0=1.0, few_cap=8), False),
 }

@@ -221,6 +221,23 @@ class TestTwoPlusTwo:
         assert v.congruent
         assert match_multisets(a @ v.rotation.T, b, 1e-6)
 
+    def test_single_plane_position(self, rng):
+        # one point on a plane circle fixes no residual symmetry there; the
+        # torus angles are offset against that point alone
+        tor = embed(rng.uniform(0, TWO_PI, 20), rng.uniform(0, TWO_PI, 20),
+                    0.8, 0.6)
+        a = np.r_[tor, embed([0.4], [0.0], 1.0, 0.0)]
+        b = a @ block_rotation(0.7, 1.3).T
+        v = two_plus_two_reduce(PointSet4(a),
+                                PointSet4(b[rng.permutation(len(b))]),
+                                E12, E12)
+        assert v.congruent
+        assert match_multisets(a @ v.rotation.T, b, 1e-6)
+        # the plane point turned by another angle than the torus points
+        moved = np.r_[b[:20], embed([1.3], [0.0], 1.0, 0.0)]
+        assert not two_plus_two_reduce(PointSet4(a), PointSet4(moved),
+                                       E12, E12).congruent
+
     def test_radius_scaled_rejected(self, rng):
         a = self.mixed(rng)
         b = a @ block_rotation(0.7, 1.3).T
