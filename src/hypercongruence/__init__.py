@@ -23,7 +23,6 @@ from .geom import (
     block_rotation,
     chirality,
     decompose_rotation,
-    hopf_circle_image,
     hopf_fiber,
     hopf_frame,
     hopf_image,

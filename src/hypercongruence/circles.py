@@ -4,7 +4,8 @@ The pruning loop ends in one of two structured situations besides plain
 separation.  A mirror-symmetric graph is an orbit of a reflection group;
 its components are either eccentric (condense to their centroids), regular
 polygons (their circumcircles), three-dimensional (two antipodal normal
-points), or toroidal grids (two orthogonal great circles each).  An
+points), toroidal grids (two orthogonal great circles each), or other
+full-dimensional sets (the anchors of a 1+3 reduction).  An
 edge-transitive graph decomposes into orbit cycles of a single rotation
 each; every cycle yields the invariant great circle in which the rotation
 turns by its smaller angle.
@@ -30,6 +31,11 @@ class CondensedPoints:
     """Replacement point set produced by the mirror reduction."""
 
     points: np.ndarray
+
+
+class Anchors:
+    """Marks that mirror_reduce's input points are to be the anchors of a
+    1+3 reduction; the class name is what the 'mirror' trace key records."""
 
 
 @dataclass
@@ -79,6 +85,11 @@ def _trace_cycle(adj: dict, comp) -> list:
     return order
 
 
+def _step_error(orbit: np.ndarray, rot: np.ndarray) -> float:
+    """Largest coordinate error of rot as the map to the next orbit point."""
+    return float(np.max(np.abs(orbit @ rot.T - np.roll(orbit, -1, axis=0))))
+
+
 def _cycle_rotation(pts: np.ndarray, order: list, eps: float) -> np.ndarray:
     """The rotation advancing a cycle one step, fitted from spread triples."""
     ell = len(order)
@@ -91,10 +102,33 @@ def _cycle_rotation(pts: np.ndarray, order: list, eps: float) -> np.ndarray:
             rot = fit_rotation(pts[tmpl], pts[targ], eps)
         except ValueError:
             continue
-        err = np.max(np.abs(orbit @ rot.T - np.roll(orbit, -1, axis=0)))
-        if err <= 1e-7:
+        if _step_error(orbit, rot) <= 1e-7:
             return rot
     raise AssertionError("no step rotation advances the mirror cycle")
+
+
+def _grid_leg_pairs(legs: np.ndarray):
+    """The pairs of the four legs at a toroidal grid vertex that span its two
+    grid circles, or None when the legs do not split two against two by
+    orthogonality."""
+    unit = legs / np.linalg.norm(legs, axis=1, keepdims=True)
+    dots = np.abs(unit @ unit.T)
+    np.fill_diagonal(dots, 0.0)
+    mates = [[j for j in range(4) if dots[i, j] > 1e-7] for i in range(4)]
+    counts = sorted(len(m) for m in mates)
+    if counts == [1, 1, 1, 1]:
+        return {tuple(sorted((i, mates[i][0]))) for i in range(4)}
+    if counts == [0, 0, 1, 1]:
+        # one grid circle is a square, its legs look orthogonal too;
+        # pair the non-square legs directly, the rest by elimination
+        i, j = (k for k in range(4) if mates[k])
+        return {(i, j), tuple(k for k in range(4) if k not in (i, j))}
+    if counts == [0, 0, 0, 0]:
+        # both grid circles are squares of equal radius (a 4-cube orbit):
+        # the splitting is genuinely ambiguous, and the three candidate
+        # splittings form one symmetry orbit, so emit them all
+        return {(0, 1), (2, 3), (0, 2), (1, 3), (0, 3), (1, 2)}
+    return None
 
 
 def mirror_reduce(points, graph: DirectedGraph, eps: float = EPS_EQ):
@@ -102,7 +136,8 @@ def mirror_reduce(points, graph: DirectedGraph, eps: float = EPS_EQ):
 
     The result is CondensedPoints (components had eccentric centroids, or
     were three-dimensional and got replaced by their antipodal hyperplane
-    normals) or GreatCircles (regular polygons or toroidal grids).
+    normals), GreatCircles (regular polygons, toroidal grids or fine orbit
+    cycles) or Anchors (full-dimensional components of any other kind).
     """
     pts = np.asarray(points, dtype=float)
     keys: list = []
@@ -120,8 +155,7 @@ def mirror_reduce(points, graph: DirectedGraph, eps: float = EPS_EQ):
     ranks = []
     svds = []
     for c in comps:
-        s = np.linalg.svd(pts[c], compute_uv=False)
-        vt = np.linalg.svd(pts[c], full_matrices=False)[2]
+        _, s, vt = np.linalg.svd(pts[c], full_matrices=False)
         if vt.shape[0] < 4:
             vt = complete_basis(vt)
         ranks.append(int(np.sum(s > 1e-7 * s[0])))
@@ -175,36 +209,18 @@ def mirror_reduce(points, graph: DirectedGraph, eps: float = EPS_EQ):
         keys.append(("R5", ("cycles", tuple(sorted(lens)))))
         return GreatCircles(sorted(circles, key=lambda p: p.key())), keys
     for c in comps:
-        u = min(v for v in c if v in adj)
+        u = min(c)
         nbrs = sorted(adj[u])
-        if len(nbrs) != 4:
-            raise AssertionError("full-dimensional mirror component is not "
-                                 "a toroidal grid")
         legs = pts[nbrs] - pts[u]
-        unit = legs / np.linalg.norm(legs, axis=1, keepdims=True)
-        dots = np.abs(unit @ unit.T)
-        np.fill_diagonal(dots, 0.0)
-        mates = [[j for j in range(4) if dots[i, j] > 1e-7] for i in range(4)]
-        counts = sorted(len(m) for m in mates)
-        if counts == [1, 1, 1, 1]:
-            pairs = {tuple(sorted((i, mates[i][0]))) for i in range(4)}
-        elif counts == [0, 0, 1, 1]:
-            # one grid circle is a square, its legs look orthogonal too;
-            # pair the non-square legs directly, the rest by elimination
-            i, j = (k for k in range(4) if mates[k])
-            pairs = {(i, j), tuple(k for k in range(4) if k not in (i, j))}
-        elif counts == [0, 0, 0, 0]:
-            # both grid circles are squares of equal radius (a 4-cube orbit):
-            # the splitting is genuinely ambiguous, and the three candidate
-            # splittings form one symmetry orbit, so emit them all
-            pairs = {(0, 1), (2, 3), (0, 2), (1, 3), (0, 3), (1, 2)}
-        else:
-            raise AssertionError("edge classes do not split two against two "
-                                 "by orthogonality")
-        if len({k for p in pairs for k in p}) != 4:
-            raise AssertionError("edge pairing does not cover all four legs")
-        for i, j in sorted(pairs):
-            circles.append(PlaneSpan.from_vectors(legs[i], legs[j]))
+        pairs = _grid_leg_pairs(legs) if len(nbrs) == 4 else None
+        if pairs is None:
+            # not a toroidal grid (the vertex figure of a regular polytope,
+            # say): any congruence maps these points onto the other side's,
+            # so they serve as the anchors of a 1+3 reduction
+            keys.append(("R5", ("anchors", len(pts))))
+            return Anchors(), keys
+        circles.extend(PlaneSpan.from_vectors(legs[i], legs[j])
+                       for i, j in sorted(pairs))
     keys.append(("R5", len(circles)))
     return GreatCircles(sorted(circles, key=lambda p: p.key())), keys
 
@@ -299,8 +315,7 @@ def orbit_circles(points, graph: DirectedGraph, delta: float, alpha: float,
             ell = len(verts)
             rot = fit_rotation(pts[list(verts[:3])],
                                pts[[verts[1], verts[2], verts[3 % ell]]], eps)
-            orbit = pts[list(verts)]
-            err = np.max(np.abs(orbit @ rot.T - np.roll(orbit, -1, axis=0)))
+            err = _step_error(pts[list(verts)], rot)
             if err > 1e-7:
                 raise AssertionError("fitted rotation does not advance the "
                                      f"cycle (error {err:.2g})")

@@ -4,8 +4,9 @@ The primitives every stage of the pipeline shares: grouping nearly-equal
 reals into classes (single linkage at the comparison tolerance) on a line
 or on a circle, wrapping angles into one period, the gaps between sorted
 angles and the regular-polygon test built on them, numbering the connected
-components of a graph and averaging points per component, keeping only
-the smallest class under a canonical key, and computing the canonical axes
+components of a graph, merging points within a tolerance and averaging
+points per component, ranking keys densely, keeping only the smallest
+class under a canonical key, and computing the canonical axes
 of labeled configurations on a circle.  Canonical axes quantize the gaps
 of every configuration passed in one call together, which is what makes
 their codes comparable.  The value groupings are deterministic functions
@@ -21,6 +22,7 @@ from typing import Hashable, Sequence
 import numpy as np
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
+from scipy.spatial import cKDTree
 
 from .geom import EPS_EQ
 
@@ -112,12 +114,34 @@ def component_ids(n: int, edges) -> np.ndarray:
     numbered in order of each component's smallest vertex.
     """
     e = np.asarray(edges, dtype=int).reshape(-1, 2)
+    if len(e) == 0:
+        return np.arange(n)
     graph = coo_matrix((np.ones(len(e)), (e[:, 0], e[:, 1])), shape=(n, n))
     _, labels = connected_components(graph, directed=False)
     _, first = np.unique(labels, return_index=True)
     rank = np.empty(len(first), dtype=int)
     rank[np.argsort(first)] = np.arange(len(first))
     return rank[labels]
+
+
+def merge_close(points, eps: float, labels=None) -> np.ndarray:
+    """component_ids of the points under the pairs at most eps apart (single
+    linkage); with labels, only pairs with equal labels link."""
+    pts = np.asarray(points, dtype=float)
+    if len(pts) < 2:
+        return np.arange(len(pts))
+    pairs = cKDTree(pts).query_pairs(r=eps, output_type="ndarray")
+    if labels is not None:
+        ranks = np.asarray(dense_ranks(labels))
+        pairs = pairs[ranks[pairs[:, 0]] == ranks[pairs[:, 1]]]
+    return component_ids(len(pts), pairs)
+
+
+def dense_ranks(keys) -> list:
+    """Rank of each key among the distinct keys in sorted order."""
+    distinct = sorted(set(keys))
+    rank = dict(zip(distinct, range(len(distinct))))
+    return [rank[k] for k in keys]
 
 
 def members_by_id(ids: np.ndarray) -> list:
@@ -163,7 +187,8 @@ def prune_by_key(keys: Sequence[Hashable]) -> PruneResult:
 
 
 def least_rotation(tokens: list) -> int:
-    """Booth's algorithm: start index of the lexicographically least rotation."""
+    """Booth's algorithm: the first start index of the lexicographically
+    least rotation."""
     s = tokens + tokens
     n = len(s)
     f = [-1] * n
@@ -182,30 +207,6 @@ def least_rotation(tokens: list) -> int:
         else:
             f[j - k] = i + 1
     return k
-
-
-def _all_occurrences(pattern: list, text: list) -> list[int]:
-    """KMP search returning every start of pattern in text."""
-    m = len(pattern)
-    fail = [0] * m
-    k = 0
-    for i in range(1, m):
-        while k and pattern[i] != pattern[k]:
-            k = fail[k - 1]
-        if pattern[i] == pattern[k]:
-            k += 1
-        fail[i] = k
-    hits = []
-    k = 0
-    for i, c in enumerate(text):
-        while k and c != pattern[k]:
-            k = fail[k - 1]
-        if c == pattern[k]:
-            k += 1
-        if k == m:
-            hits.append(i - m + 1)
-            k = fail[k - 1]
-    return hits
 
 
 @dataclass(frozen=True)
@@ -233,8 +234,8 @@ def canonical_axes(configs: Sequence[tuple], eps: float = EPS_EQ) -> list:
     tuples); they are used verbatim in the code strings.  The gap lengths
     of all configurations are quantized by one tolerance clustering, so the
     codes of one call are comparable: equal codes mean congruent labeled
-    configurations.  The rotations of each cyclic sequence are ranked
-    starting at label positions only; the minimal starts are the axis points.
+    configurations.  The least rotations of each cyclic sequence start at
+    label positions; those starts are the axis points.
     """
     sorted_configs = []
     for angles, labels in configs:
@@ -256,8 +257,10 @@ def canonical_axes(configs: Sequence[tuple], eps: float = EPS_EQ) -> list:
         k = least_rotation(tokens)
         # label tokens sort before gap tokens, so the least rotation begins at a label
         assert k % 2 == 0
-        code = tuple(tokens[k:] + tokens[:k])
-        hits = _all_occurrences(list(code), tokens + tokens[:-1])
-        starts = sorted({(s // 2) % n for s in hits})
-        out.append(AxesSet(len(starts), float(sa[starts[0]]), code))
+        # k is the first least rotation; the others follow every p tokens,
+        # p the smallest period (even: odd shifts swap labels and gaps)
+        p = next(p for p in range(2, 2 * n + 1, 2)
+                 if 2 * n % p == 0 and tokens[p:] == tokens[:-p])
+        out.append(AxesSet(2 * n // p, float(sa[k // 2]),
+                           tuple(tokens[k:] + tokens[:k])))
     return out

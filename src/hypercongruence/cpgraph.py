@@ -25,24 +25,9 @@ class ClosestPairGraph:
     edges: tuple            # sorted (i, j) pairs with i < j
     antipodal: bool = False
 
-    def adjacency(self) -> list:
-        adj: list = [[] for _ in range(self.n)]
-        for i, j in self.edges:
-            adj[i].append(j)
-            adj[j].append(i)
-        return [sorted(a) for a in adj]
-
     def max_degree(self) -> int:
-        deg = np.zeros(self.n, dtype=int)
-        for i, j in self.edges:
-            deg[i] += 1
-            deg[j] += 1
-        return int(deg.max()) if self.n else 0
-
-
-def _finish(n: int, delta: float, pairs: set, antipodal: bool) -> ClosestPairGraph:
-    edges = tuple(sorted(pairs))
-    return ClosestPairGraph(n, float(delta), edges, antipodal)
+        return int(np.bincount(np.asarray(self.edges, dtype=int).ravel(),
+                               minlength=self.n).max())
 
 
 def closest_pair_graph(points: np.ndarray, antipodal: bool = False,
@@ -56,40 +41,18 @@ def closest_pair_graph(points: np.ndarray, antipodal: bool = False,
     n = len(pts)
     if n < 2:
         raise ValueError("need at least two points")
-    w = worker_count()
-    if not antipodal:
-        tree = cKDTree(pts)
-        dists, _ = tree.query(pts, k=2, workers=w)
-        delta = float(dists[:, 1].min())
-        if delta <= eps:
-            raise DuplicatePointsError(f"two points at distance {delta:.3e}")
-        raw = tree.query_pairs(r=delta + eps, output_type="ndarray")
-        pairs = {(int(i), int(j)) if i < j else (int(j), int(i)) for i, j in raw}
-        return _finish(n, delta, pairs, False)
-
-    work = np.vstack([pts, -pts])
+    work = np.vstack([pts, -pts]) if antipodal else pts
     tree = cKDTree(work)
-    k = min(3, len(work))
-    dists, idxs = tree.query(work, k=k, workers=w)
-    delta = np.inf
-    for row in range(len(work)):
-        partner = (row + n) % (2 * n)
-        for col in range(k):
-            j = int(idxs[row, col])
-            if j == row or j == partner:
-                continue
-            delta = min(delta, float(dists[row, col]))
-            break
+    dists, idxs = tree.query(work, k=3 if antipodal else 2, workers=worker_count())
+    # row i of work stands for point i % n; its own rows are not neighbors
+    rows = np.arange(len(work))[:, None] % n
+    delta = float(dists[idxs % n != rows].min())
     if delta <= eps:
-        raise DuplicatePointsError(f"two sign classes at distance {delta:.3e}")
-    raw = tree.query_pairs(r=delta + eps, output_type="ndarray")
-    pairs = set()
-    for i, j in raw:
-        a, b = int(i) % n, int(j) % n
-        if a == b:
-            continue
-        pairs.add((a, b) if a < b else (b, a))
-    return _finish(n, delta, pairs, True)
+        what = "sign classes" if antipodal else "points"
+        raise DuplicatePointsError(f"two {what} at distance {delta:.3e}")
+    raw = np.sort(tree.query_pairs(r=delta + eps, output_type="ndarray") % n, axis=1)
+    edges = np.unique(raw[raw[:, 0] != raw[:, 1]], axis=0)
+    return ClosestPairGraph(n, delta, tuple(map(tuple, edges.tolist())), antipodal)
 
 
 def brute_graph(points: np.ndarray, antipodal: bool = False,
@@ -111,5 +74,5 @@ def brute_graph(points: np.ndarray, antipodal: bool = False,
     if delta <= eps:
         raise DuplicatePointsError(f"two points at distance {delta:.3e}")
     close = d[iu] <= delta + eps
-    pairs = {(int(a), int(b)) for a, b in zip(iu[0][close], iu[1][close])}
-    return _finish(n, delta, pairs, antipodal)
+    edges = tuple(zip(iu[0][close].tolist(), iu[1][close].tolist()))
+    return ClosestPairGraph(n, delta, edges, antipodal)

@@ -239,12 +239,8 @@ def pluecker(p: PlaneSpan) -> np.ndarray:
         u[2] * v[3] - u[3] * v[2],
     ])
     coords /= np.linalg.norm(coords)
-    for c in coords:
-        if abs(c) > EPS_EQ:
-            if c < 0:
-                coords = -coords
-            break
-    return coords
+    first = coords[np.argmax(np.abs(coords) > EPS_EQ)]
+    return -coords if first < 0 else coords
 
 
 def pluecker_distance(p: PlaneSpan, q: PlaneSpan) -> float:
@@ -309,17 +305,11 @@ def hopf_image(c0, p: np.ndarray, kind: str = "right") -> np.ndarray:
     raise ValueError(f"unknown bundle kind {kind!r}")
 
 
-def hopf_circle_image(c0, circle: PlaneSpan, kind: str = "right") -> np.ndarray:
-    """Image point of a whole bundle circle (both basis points map there)."""
-    frame = c0 if isinstance(c0, np.ndarray) else hopf_frame(c0)
-    return hopf_image(frame, circle.basis[0], kind)
-
-
 def hopf_fiber(c0, s: np.ndarray, kind: str = "right") -> PlaneSpan:
     """The circle of the bundle through c0 lying over base point s.
 
-    Inverse of :func:`hopf_circle_image` for the same frame: the returned
-    plane is parallel (in the given sense) to c0 and its image is s.
+    Inverse of :func:`hopf_image` for the same frame: the returned plane is
+    parallel (in the given sense) to c0 and its points map to s.
     """
     frame = c0 if isinstance(c0, np.ndarray) else hopf_frame(c0)
     s = np.asarray(s, dtype=float)
@@ -328,20 +318,17 @@ def hopf_fiber(c0, s: np.ndarray, kind: str = "right") -> PlaneSpan:
     cg, sg = math.cos(gamma), math.sin(gamma)
     v1, v2, v3, v4 = frame
     if kind == "right":
-        if sg * 2.0 < 1e-15:
-            return PlaneSpan(np.vstack([v1, v2]))
         delta = math.atan2(s[0], s[1])
-        u1 = cg * v1 + sg * (math.cos(delta) * v3 + math.sin(delta) * v4)
-        u2 = cg * v2 + sg * (math.cos(delta) * v4 - math.sin(delta) * v3)
+        w2 = math.cos(delta) * v4 - math.sin(delta) * v3
     elif kind == "left":
-        if sg * 2.0 < 1e-15:
-            return PlaneSpan(np.vstack([v1, v2]))
         delta = math.atan2(s[0], -s[1])
-        u1 = cg * v1 + sg * (math.cos(delta) * v3 + math.sin(delta) * v4)
-        u2 = cg * v2 + sg * (math.sin(delta) * v3 - math.cos(delta) * v4)
+        w2 = math.sin(delta) * v3 - math.cos(delta) * v4
     else:
         raise ValueError(f"unknown bundle kind {kind!r}")
-    return PlaneSpan(np.vstack([u1, u2]))
+    if sg * 2.0 < 1e-15:
+        return PlaneSpan(np.vstack([v1, v2]))
+    w1 = math.cos(delta) * v3 + math.sin(delta) * v4
+    return PlaneSpan(np.vstack([cg * v1 + sg * w1, cg * v2 + sg * w2]))
 
 
 @dataclass(frozen=True)

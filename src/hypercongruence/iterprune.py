@@ -26,7 +26,7 @@ import numpy as np
 
 from .geom import (EPS_EQ, CONSTANTS, complete_basis, gram_schmidt,
                    match_multisets)
-from .condense import (TWO_PI, canonical_axes, circular_cluster,
+from .condense import (TWO_PI, canonical_axes, circular_cluster, dense_ranks,
                        is_regular_polygon, prune_by_key, tolerance_cluster,
                        wrap_angle)
 from .cpgraph import closest_pair_graph
@@ -386,8 +386,7 @@ class _Run:
                 return np.array(res.indices, dtype=int)
             codes = _edge_figure_codes(points, graph, self.eps)
             arclist = sorted(arcs)
-            rank = {c: i for i, c in enumerate(sorted(set(codes.values())))}
-            res = prune_by_key([rank[codes[a]] for a in arclist])
+            res = prune_by_key(dense_ranks([codes[a] for a in arclist]))
             self.emit("C4", res.histogram)
             if res.progressed:
                 arcs = frozenset(arclist[i] for i in res.indices)
@@ -445,9 +444,7 @@ class _Run:
             figures = ps_figures(points, graph, delta, alpha)
             axes = canonical_axes([(figures[a].thetas, figures[a].roles.tolist())
                                    for a in arclist], THETA_TOL)
-            codes = [ax.code for ax in axes]
-            rank = {c: i for i, c in enumerate(sorted(set(codes)))}
-            res = prune_by_key([rank[c] for c in codes])
+            res = prune_by_key(dense_ranks([ax.code for ax in axes]))
             self.emit("C9", res.histogram)
             if res.progressed:
                 return "arcs", frozenset(arclist[i] for i in res.indices)

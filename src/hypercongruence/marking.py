@@ -19,11 +19,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .geom import (EPS_EQ, CONSTANTS, Chirality, chirality, hopf_frame,
-                   hopf_circle_image, hopf_fiber, mark_pair, pluecker)
-from .condense import component_ids, group_means, members_by_id, prune_by_key
+                   hopf_fiber, hopf_image, mark_pair, pluecker)
+from .condense import (component_ids, group_means, members_by_id, merge_close,
+                       prune_by_key)
 from .cpgraph import closest_pair_graph
 from .sphere import condense_sphere
 
@@ -47,11 +47,7 @@ def _plueckers(circles) -> np.ndarray:
 
 
 def _dedupe_points(points: np.ndarray, eps: float) -> np.ndarray:
-    pts = np.asarray(points, dtype=float)
-    if len(pts) < 2:
-        return pts
-    pairs = cKDTree(pts).query_pairs(r=eps, output_type="ndarray")
-    reps = group_means(pts, component_ids(len(pts), pairs))[0]
+    reps = group_means(points, merge_close(points, eps))[0]
     reps /= np.linalg.norm(reps, axis=1, keepdims=True)
     return reps[np.lexsort(reps.T[::-1])]
 
@@ -183,7 +179,7 @@ def mark_circles(circles, eps: float = EPS_EQ,
             c0 = min((circles[i] for i in members),
                      key=lambda c: tuple(pluecker(c)))
             frame = hopf_frame(c0)
-            images = np.array([hopf_circle_image(frame, circles[i], side)
+            images = np.array([hopf_image(frame, circles[i].basis[0], side)
                                for i in members])
             reps = condense_sphere(images, eps=1e-7)
             fibers = [hopf_fiber(frame, s, side) for s in reps]

@@ -18,10 +18,9 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.spatial import cKDTree
 
-from .circles import CondensedPoints, mirror_reduce, orbit_circles
-from .condense import component_ids, group_means, joint_cluster, prune_by_key
+from .circles import Anchors, CondensedPoints, mirror_reduce, orbit_circles
+from .condense import group_means, joint_cluster, merge_close, prune_by_key
 from .geom import CONSTANTS, EPS_EQ, PointSet4, Verdict, verify_rotation
 from .iterprune import MirrorSymmetric, WellSeparated, iterative_prune
 from .lowdim import one_plus_three_reduce
@@ -57,10 +56,7 @@ def _dedupe(points: np.ndarray, eps: float, labels=None) -> tuple:
     Returns (unique points, tokens) where a token is the multiplicity, or
     (multiplicity, label) when input labels are given.
     """
-    pairs = cKDTree(points).query_pairs(r=eps, output_type="ndarray")
-    if labels is not None:
-        pairs = [(i, j) for i, j in pairs if labels[i] == labels[j]]
-    ids = component_ids(len(points), pairs)
+    ids = merge_close(points, eps, labels)
     out, counts = group_means(points, ids)
     if labels is None:
         return out, counts.tolist()
@@ -69,24 +65,12 @@ def _dedupe(points: np.ndarray, eps: float, labels=None) -> tuple:
 
 
 def _unique_circles(circles: list, eps: float) -> list:
-    seen: list = []
-    for c in sorted(circles, key=lambda p: p.key()):
-        if not any(np.linalg.norm(np.asarray(c.key()) - np.asarray(s.key()))
-                   <= 10 * eps for s in seen):
-            seen.append(c)
-    return seen
-
-
-class _Lockstep:
-    """Paired stage-key streams; records divergence for the verdict."""
-
-    def __init__(self, sink: Optional[list]):
-        self.sink = sink
-
-    def check(self, stage: str, key_a, key_b) -> bool:
-        if self.sink is not None:
-            self.sink.append((stage, key_a, key_b))
-        return key_a == key_b
+    """The circles sorted by key, keeping the first of every class of keys
+    at most 10 * eps apart."""
+    circles = sorted(circles, key=lambda p: p.key())
+    _, first = np.unique(merge_close([c.key() for c in circles], 10 * eps),
+                         return_index=True)
+    return [circles[i] for i in first]
 
 
 def congruence_test_4d(a_raw, b_raw, opts: Optional[PipelineOptions] = None,
@@ -127,12 +111,18 @@ def congruence_test_4d(a_raw, b_raw, opts: Optional[PipelineOptions] = None,
 def _attempt(an: np.ndarray, bn: np.ndarray, opts: PipelineOptions,
              sink: Optional[list], labels_a=None, labels_b=None) -> Verdict:
     eps = opts.eps_eq
-    step = _Lockstep(sink)
+
+    def check(stage: str, key_a, key_b) -> bool:
+        """Record a stage's key pair; True when the two sides agree."""
+        if sink is not None:
+            sink.append((stage, key_a, key_b))
+        return key_a == key_b
+
     ua, mult_a = _dedupe(an, eps, labels_a)
     ub, mult_b = _dedupe(bn, eps, labels_b)
-    if not step.check("multiplicity",
-                      (len(ua), tuple(sorted(Counter(mult_a).items()))),
-                      (len(ub), tuple(sorted(Counter(mult_b).items())))):
+    if not check("multiplicity",
+                 (len(ua), tuple(sorted(Counter(mult_a).items()))),
+                 (len(ub), tuple(sorted(Counter(mult_b).items())))):
         return Verdict.no("multiplicity")
     full_a = PointSet4(ua, tuple(mult_a))
     full_b = PointSet4(ub, tuple(mult_b))
@@ -147,11 +137,11 @@ def _attempt(an: np.ndarray, bn: np.ndarray, opts: PipelineOptions,
         norm_a = np.linalg.norm(wa, axis=1)
         norm_b = np.linalg.norm(wb, axis=1)
         org_a, org_b = norm_a <= eps, norm_b <= eps
-        if not step.check("origin",
-                          (int(org_a.sum()),
-                           tuple(sorted(l for l, o in zip(lab_a, org_a) if o))),
-                          (int(org_b.sum()),
-                           tuple(sorted(l for l, o in zip(lab_b, org_b) if o)))):
+        if not check("origin",
+                     (int(org_a.sum()),
+                      tuple(sorted(l for l, o in zip(lab_a, org_a) if o))),
+                     (int(org_b.sum()),
+                      tuple(sorted(l for l, o in zip(lab_b, org_b) if o)))):
             return Verdict.no("origin class")
         if org_a.all():
             # no direction information anywhere in the working set
@@ -166,7 +156,7 @@ def _attempt(an: np.ndarray, bn: np.ndarray, opts: PipelineOptions,
         rid_a, rid_b = joint_cluster(norm_a, norm_b, eps)
         pr_a = prune_by_key(list(zip(lab_a, (int(r) for r in rid_a))))
         pr_b = prune_by_key(list(zip(lab_b, (int(r) for r in rid_b))))
-        if not step.check("radius", pr_a.histogram, pr_b.histogram):
+        if not check("radius", pr_a.histogram, pr_b.histogram):
             return Verdict.no("radius class")
         ka = np.array(pr_a.indices, dtype=int)
         kb = np.array(pr_b.indices, dtype=int)
@@ -178,8 +168,8 @@ def _attempt(an: np.ndarray, bn: np.ndarray, opts: PipelineOptions,
 
         ex_a, keys_a = iterative_prune(sa, eps, delta0)
         ex_b, keys_b = iterative_prune(sb, eps, delta0)
-        if not step.check("sphere", (type(ex_a).__name__, tuple(keys_a)),
-                          (type(ex_b).__name__, tuple(keys_b))):
+        if not check("sphere", (type(ex_a).__name__, tuple(keys_a)),
+                     (type(ex_b).__name__, tuple(keys_b))):
             return Verdict.no("sphere structure")
 
         if isinstance(ex_a, WellSeparated):
@@ -189,9 +179,12 @@ def _attempt(an: np.ndarray, bn: np.ndarray, opts: PipelineOptions,
         if isinstance(ex_a, MirrorSymmetric):
             res_a, rk_a = mirror_reduce(ex_a.points, ex_a.graph, eps)
             res_b, rk_b = mirror_reduce(ex_b.points, ex_b.graph, eps)
-            if not step.check("mirror", (type(res_a).__name__, tuple(rk_a)),
-                              (type(res_b).__name__, tuple(rk_b))):
+            if not check("mirror", (type(res_a).__name__, tuple(rk_a)),
+                         (type(res_b).__name__, tuple(rk_b))):
                 return Verdict.no("mirror structure")
+            if isinstance(res_a, Anchors):
+                return one_plus_three_reduce(full_a, full_b, ex_a.points,
+                                             ex_b.points, eps)
             if isinstance(res_a, CondensedPoints):
                 if len(res_a.points) >= len(wa):
                     raise AssertionError("mirror condensing made no progress")
@@ -204,20 +197,20 @@ def _attempt(an: np.ndarray, bn: np.ndarray, opts: PipelineOptions,
                                         ex_a.alpha, ex_a.tau0, eps)
             cyc_b, ok_b = orbit_circles(ex_b.points, ex_b.graph, ex_b.delta,
                                         ex_b.alpha, ex_b.tau0, eps)
-            if not step.check("orbit", tuple(ok_a), tuple(ok_b)):
+            if not check("orbit", tuple(ok_a), tuple(ok_b)):
                 return Verdict.no("orbit structure")
             circ_a = [c.circle for c in cyc_a]
             circ_b = [c.circle for c in cyc_b]
 
         circ_a = _unique_circles(circ_a, eps)
         circ_b = _unique_circles(circ_b, eps)
-        if not step.check("circles", len(circ_a), len(circ_b)):
+        if not check("circles", len(circ_a), len(circ_b)):
             return Verdict.no("circle count")
 
         mres_a, mk_a = mark_circles(circ_a, eps, few_cap)
         mres_b, mk_b = mark_circles(circ_b, eps, few_cap)
-        if not step.check("marking", (type(mres_a).__name__, tuple(mk_a)),
-                          (type(mres_b).__name__, tuple(mk_b))):
+        if not check("marking", (type(mres_a).__name__, tuple(mk_a)),
+                     (type(mres_b).__name__, tuple(mk_b))):
             return Verdict.no("circle structure")
 
         if isinstance(mres_a, FewCircles):

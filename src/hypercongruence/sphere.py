@@ -10,23 +10,20 @@ Every step commutes with rotations and reflections of the sphere.
 from __future__ import annotations
 
 import numpy as np
-from scipy.spatial import ConvexHull, cKDTree
+from scipy.spatial import ConvexHull
 
 from .geom import EPS_EQ
-from .condense import (component_ids, group_means, members_by_id, prune_by_key,
-                       tolerance_cluster)
+from .condense import (component_ids, group_means, members_by_id, merge_close,
+                       prune_by_key, tolerance_cluster)
 
 _MAX_ROUNDS = 64
 
 
 def _dedupe(points: np.ndarray, eps: float) -> np.ndarray:
-    if len(points) < 2:
-        return points
-    tree = cKDTree(points)
-    pairs = tree.query_pairs(r=eps, output_type="ndarray")
-    if len(pairs) == 0:
-        return points
-    reps = group_means(points, component_ids(len(points), pairs))[0]
+    ids = merge_close(points, eps)
+    if ids.max() + 1 == len(points):
+        return points       # nothing merged
+    reps = group_means(points, ids)[0]
     return reps / np.linalg.norm(reps, axis=1, keepdims=True)
 
 
@@ -101,10 +98,7 @@ def condense_sphere(points: np.ndarray, eps: float = EPS_EQ) -> np.ndarray:
                                  "outside its hull")
         faces = _merged_faces(hull, f)
         edges = _face_edges(faces)
-        deg = np.zeros(n, dtype=int)
-        for a, b in edges:
-            deg[a] += 1
-            deg[b] += 1
+        deg = np.bincount(np.ravel(list(edges)), minlength=n)
         res = prune_by_key([int(d) for d in deg])
         if res.progressed:
             f = f[list(res.indices)]

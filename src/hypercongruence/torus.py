@@ -16,8 +16,9 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy.spatial import Voronoi, cKDTree
 
-from .condense import (TWO_PI, circular_cluster, joint_cluster, least_rotation,
-                       prune_by_key, tolerance_cluster, wrap_angle)
+from .condense import (TWO_PI, circular_cluster, dense_ranks, joint_cluster,
+                       least_rotation, prune_by_key, tolerance_cluster,
+                       wrap_angle)
 from .geom import (EPS_EQ, PlaneSpan, PointSet4, Verdict, block_rotation,
                    complete_basis, match_multisets, verify_rotation)
 from .lowdim import circle_axes, congruence_2d_labeled
@@ -56,6 +57,8 @@ def _cell_shapes(vor: Voronoi, sites: np.ndarray, eps: float) -> list:
         at += k
         ang = np.arctan2(rel[:, 1], rel[:, 0])
         ccw = [pairs[j] for j in np.argsort(ang, kind="stable")]
+        # qhull may split a vertex shared by four cocircular sites in two
+        ccw = [t for i, t in enumerate(ccw) if t != ccw[i - 1]]
         start = least_rotation(ccw)
         shapes.append(tuple(ccw[start:] + ccw[:start]))
     return shapes
@@ -83,8 +86,8 @@ def canonical_set_torus(positions: np.ndarray, labels: Sequence,
     cur_pos, cur_labs = pos, labs
 
     while True:
-        rank_of = {l: r for r, l in enumerate(sorted(set(cur_labs)))}
-        pr = prune_by_key([rank_of[l] for l in cur_labs])
+        lab_rank = dense_ranks(cur_labs)
+        pr = prune_by_key(lab_rank)
         keys.append(("T1", pr.histogram))
         cand = np.array(pr.indices, dtype=int)
         if len(cand) == 1:
@@ -93,7 +96,8 @@ def canonical_set_torus(positions: np.ndarray, labels: Sequence,
 
         while True:
             sites = cur_pos[cand]
-            vor = Voronoi(_replicate(sites))
+            # Q12: a wide merge of nearly cocircular sites is no error
+            vor = Voronoi(_replicate(sites), qhull_options="Qbb Qc Qz Q12")
             shapes = _cell_shapes(vor, sites, eps)
             spr = prune_by_key(shapes)
             keys.append(("T3", spr.histogram))
@@ -118,19 +122,17 @@ def canonical_set_torus(positions: np.ndarray, labels: Sequence,
         flat = [c for cc in contents for c in cc]
         phi_ids = circular_cluster([c[1] for c in flat], eps).ids
         psi_ids = circular_cluster([c[2] for c in flat], eps).ids
-        lab_rank = {l: r for r, l in enumerate(sorted(set(cur_labs)))}
         words = []
         at = 0
         for cc in contents:
             k = len(cc)
             words.append(tuple(sorted(
                 (int(phi_ids[at + j]), int(psi_ids[at + j]),
-                 lab_rank[cur_labs[cc[j][0]]]) for j in range(k))))
+                 lab_rank[cc[j][0]]) for j in range(k))))
             at += k
-        word_rank = {w: r for r, w in enumerate(sorted(set(words)))}
-        ranks = [word_rank[w] for w in words]
+        ranks = dense_ranks(words)
         keys.append(("T5", tuple(sorted(Counter(ranks).items()))))
-        if len(word_rank) == 1:
+        if max(ranks) == 0:
             keys.append(("T", len(cand)))
             return orig[cand], keys
         orig = orig[cand]

@@ -1,5 +1,5 @@
 """Pruning by key, tolerance and circular clustering, graph components,
-circle gaps and canonical axes."""
+merging of close points, dense ranks, circle gaps and canonical axes."""
 
 import math
 
@@ -10,9 +10,10 @@ from hypothesis import strategies as st
 
 from hypercongruence.condense import (AxesSet, canonical_axes, circle_gaps,
                                       circular_cluster, component_ids,
-                                      group_means, is_regular_polygon,
-                                      joint_cluster, least_rotation,
-                                      members_by_id, prune_by_key,
+                                      dense_ranks, group_means,
+                                      is_regular_polygon, joint_cluster,
+                                      least_rotation, members_by_id,
+                                      merge_close, prune_by_key,
                                       tolerance_cluster, wrap_angle)
 
 TWO_PI = 2 * math.pi
@@ -168,6 +169,28 @@ class TestCanonicalAxes:
         assert (joint_a.count, joint_b.count) == (1, 1)
 
 
+    def test_count_and_base_match_brute_force(self, rng):
+        # the axes are the rotations of the token string equal to the code:
+        # their number is the count, the smallest start gives the base
+        for _ in range(300):
+            period = int(rng.integers(1, 5))
+            reps = int(rng.integers(1, 6))
+            ang0 = np.sort(rng.uniform(0, TWO_PI / reps, period))
+            lab0 = rng.integers(0, 2, period).tolist()
+            ang = np.concatenate([ang0 + j * TWO_PI / reps for j in range(reps)])
+            labels = lab0 * reps
+            ax = axes_of(ang, labels)
+            n = len(ang)
+            order = np.argsort(ang)
+            gids = tolerance_cluster(circle_gaps(ang[order])).ids.tolist()
+            tokens = [t for i, g in zip(order, gids)
+                      for t in ((0, labels[i]), (1, g))]
+            starts = [s for s in range(n)
+                      if tuple(tokens[2 * s:] + tokens[:2 * s]) == ax.code]
+            assert ax.count == len(starts)
+            assert ax.base_angle == ang[order][starts[0]]
+
+
 class TestCircleGaps:
     def test_gaps_close_the_circle(self):
         gaps = circle_gaps(np.array([0.5, 2.0, 5.0]))
@@ -184,10 +207,12 @@ class TestCircleGaps:
 
     def test_least_rotation(self, rng):
         for _ in range(50):
+            # a base of any length 1-9, repeated 1-3 times
             seq = rng.integers(0, 3, int(rng.integers(1, 10))).tolist()
+            seq *= int(rng.integers(1, 4))
             k = least_rotation(seq)
-            assert seq[k:] + seq[:k] == min(seq[s:] + seq[:s]
-                                            for s in range(len(seq)))
+            rotations = [seq[s:] + seq[:s] for s in range(len(seq))]
+            assert k == rotations.index(min(rotations))
 
 
 class TestComponentIds:
@@ -220,6 +245,48 @@ class TestComponentIds:
         means, counts = group_means(pts, ids)
         assert counts.tolist() == [2, 1, 1]
         assert means.tolist() == [[2.0, 1.0], [5.0, 5.0], [0.0, -1.0]]
+
+
+class TestMergeClose:
+    def test_pairs_closer_than_eps_merge(self):
+        pts = np.array([[0.0, 0.0], [5.0, 0.0], [0.0, 1e-10], [5.0, 1e-3]])
+        assert merge_close(pts, 1e-9).tolist() == [0, 1, 0, 2]
+
+    def test_single_linkage_chains(self):
+        # neighbors 0.6 apart link, so the chain merges although its ends
+        # are 1.8 apart
+        pts = np.c_[[0.0, 0.6, 1.2, 1.8, 5.0], np.zeros(5)]
+        assert merge_close(pts, 0.7).tolist() == [0, 0, 0, 0, 1]
+
+    def test_ids_follow_smallest_member(self):
+        pts = np.c_[[9.0, 1.0, 9.0, 4.0, 1.0], np.zeros(5)]
+        assert merge_close(pts, 1e-9).tolist() == [0, 1, 0, 2, 1]
+
+    def test_labels_restrict_links(self):
+        pts = np.zeros((4, 3))
+        ids = merge_close(pts, 1e-9, labels=["b", "a", "b", "c"])
+        assert ids.tolist() == [0, 1, 0, 2]
+        # a chain cannot pass through a point of another label
+        pts = np.c_[[0.0, 0.5, 1.0], np.zeros(3)]
+        assert merge_close(pts, 0.6, labels=[1, 2, 1]).tolist() == [0, 1, 2]
+
+    def test_fewer_than_two_points(self):
+        assert merge_close(np.zeros((0, 4)), 1e-9).tolist() == []
+        assert merge_close(np.ones((1, 4)), 1e-9).tolist() == [0]
+
+
+class TestDenseRanks:
+    def test_ranks_in_sorted_order(self):
+        assert dense_ranks(["c", "a", "c", "b"]) == [2, 0, 2, 1]
+
+    def test_tuples_and_empty(self):
+        assert dense_ranks([(1, 2), (0, 5), (1, 2)]) == [1, 0, 1]
+        assert dense_ranks([]) == []
+
+    def test_plain_ints(self):
+        ranks = dense_ranks([7, 3, 7])
+        assert ranks == [1, 0, 1]
+        assert all(type(r) is int for r in ranks)
 
 
 class TestCircularCluster:

@@ -97,6 +97,38 @@ class TestStructuredFamilies:
                   np.cos(9 * th), np.sin(9 * th)] * [0.8, 0.8, 0.6, 0.6]
         assert_roundtrip(h, rng, PipelineOptions(delta0=1.0, few_cap=3))
 
+    def test_helix_with_cocircular_voronoi_sites(self):
+        # qhull splits Voronoi vertices shared by four cocircular torus
+        # sites on one side only; the cell shapes must not count them twice
+        t = TWO_PI * np.arange(40) / 40
+        r1, r2 = 0.8, np.sqrt(1 - 0.8 ** 2)
+        a = np.c_[r1 * np.cos(t), r1 * np.sin(t),
+                  r2 * np.cos(3 * t), r2 * np.sin(3 * t)]
+        rng = np.random.default_rng(3)
+        b = a @ random_rotation(rng).T + 1
+        b = b[rng.permutation(len(b))]
+        v = congruence_test_4d(a, b, PipelineOptions(delta0=1.0))
+        assert v.congruent
+        assert cKDTree(b).query(a @ v.rotation.T + v.translation)[0].max() < 1e-6
+
+    @pytest.mark.parametrize("name, delta0", [("5-cell", 2.0), ("16-cell", 1.5),
+                                              ("24-cell", 1.5)])
+    @pytest.mark.parametrize("mirrored", [False, True])
+    def test_polytope_mirror_components_anchor(self, name, delta0, mirrored, rng):
+        # full-dimensional mirror components that are no toroidal grid hand
+        # their points to the 1+3 reduction instead of raising
+        a = gen_regular_polytope(name)
+        b = transformed(a, rng)
+        if mirrored:
+            b = b @ np.diag([-1.0, 1, 1, 1])
+        trace = []
+        v = congruence_test_4d(a, b[rng.permutation(len(b))],
+                               PipelineOptions(delta0=delta0), trace_sink=trace)
+        assert v.congruent
+        assert cKDTree(b).query(a @ v.rotation.T + v.translation)[0].max() < 1e-6
+        mirror_keys = [k for stage, k, _ in trace if stage == "mirror"]
+        assert mirror_keys[-1][0] == "Anchors"
+
     def test_hopf_fiber_samples(self, rng):
         f0 = hopf_frame(PlaneSpan(np.array([[1.0, 0, 0, 0],
                                             [0, 1.0, 0, 0]])))

@@ -32,6 +32,16 @@ def _grid_with_hexagon() -> np.ndarray:
     return np.concatenate([gen_torus_grid(6, 5, 0.6), hexagon])
 
 
+def _two_helices() -> np.ndarray:
+    """Two 20-point orbit helices of one rotation, the second a half turn
+    along in the second plane: the orbit exit finds two cycles on the same
+    invariant circle, which merge into one."""
+    t = 2 * np.pi * np.arange(20) / 20
+    return np.concatenate([np.c_[0.6 * np.cos(t), 0.6 * np.sin(t),
+                                 0.8 * np.cos(3 * t + ph), 0.8 * np.sin(3 * t + ph)]
+                           for ph in (0.0, np.pi)])
+
+
 def _chiral_helix() -> np.ndarray:
     t = 2 * np.pi * np.arange(40) / 40
     return np.stack([np.cos(t), np.sin(t),
@@ -41,9 +51,13 @@ def _chiral_helix() -> np.ndarray:
 # name -> (points, pipeline options, compare against the mirror image)
 CASES = {
     "well_separated": (gen_regular_polytope("24-cell"), None, False),
+    "mirror_anchors": (gen_regular_polytope("16-cell"),
+                       PipelineOptions(delta0=1.5), False),
     "mirror": (np.array(list(itertools.product([-0.5, 0.5], repeat=4))),
                PipelineOptions(delta0=1.5, few_cap=8), False),
     "orbit": (_chiral_helix(), PipelineOptions(delta0=1.0, few_cap=8), False),
+    "orbit_merged_circles": (_two_helices(),
+                             PipelineOptions(delta0=1.0, few_cap=8), False),
     "orbit_mirror_negative": (_chiral_helix(),
                               PipelineOptions(delta0=1.0, few_cap=8), True),
     "two_plus_two": (gen_orbit_helix(40, 9, 0.8),
