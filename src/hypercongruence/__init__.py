@@ -23,8 +23,8 @@ from .geom import (
     block_rotation,
     chirality,
     decompose_rotation,
+    frame,
     hopf_fiber,
-    hopf_frame,
     hopf_image,
     mark_pair,
     pluecker,

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geom import (EPS_EQ, CONSTANTS, PlaneSpan, DegenerateRotationError,
-                   complete_basis, decompose_rotation, gram_schmidt)
+                   decompose_rotation, frame)
 from .condense import TWO_PI, component_ids, is_regular_polygon, members_by_id
 from .iterprune import THETA_TOL, DirectedGraph, ps_figures
 
@@ -157,7 +157,7 @@ def mirror_reduce(points, graph: DirectedGraph, eps: float = EPS_EQ):
     for c in comps:
         _, s, vt = np.linalg.svd(pts[c], full_matrices=False)
         if vt.shape[0] < 4:
-            vt = complete_basis(vt)
+            vt = frame(vt)
         ranks.append(int(np.sum(s > 1e-7 * s[0])))
         svds.append(vt)
     if len(set(ranks)) != 1:
@@ -240,11 +240,10 @@ def fit_rotation(template, target, eps: float = EPS_EQ) -> np.ndarray:
     b = np.asarray(target, dtype=float)
     if a.shape != (3, 4) or b.shape != (3, 4):
         raise ValueError("expected two 3x4 point triples")
-    rows_a = gram_schmidt(a, eps=1e-9)
-    rows_b = gram_schmidt(b, eps=1e-9)
-    if rows_a is None or rows_b is None:
+    fa, fb = frame(a), frame(b)
+    if fa is None or fb is None:
         raise ValueError("triple lies on a great circle, rotation not unique")
-    r = complete_basis(rows_b).T @ complete_basis(rows_a)
+    r = fb.T @ fa
     if np.max(np.abs(a @ r.T - b)) > max(eps, 1e-9) * 10:
         raise ValueError("target triple is not congruent to the template")
     return r

@@ -2,10 +2,12 @@
 
 Everything downstream works with plain float64 numpy arrays: points are rows
 of an (n, 4) array, planes through the origin are row-pairs of orthonormal
-basis vectors.  ``EPS_EQ`` is the default comparison tolerance for
-coordinates; callers may override it per operation.  It is not the only
-tolerance: several stages still compare angles, frames and fits against
-fixed literals (1e-7 and others) of their own.
+basis vectors, and every adapted orthonormal frame (anchor axis, plane
+pair, Hopf bundle, edge figure) comes from :func:`frame`.  ``EPS_EQ`` is
+the default comparison tolerance for coordinates; callers may override it
+per operation.  It is not the only tolerance: several stages still
+compare angles, frames and fits against fixed literals (1e-7 and others)
+of their own.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.lapack import dgeqrf, dorgqr
 from scipy.spatial import cKDTree
 
 EPS_EQ = 1e-9
@@ -121,17 +124,10 @@ class PlaneSpan:
     @classmethod
     def from_vectors(cls, u: np.ndarray, v: np.ndarray) -> "PlaneSpan":
         """Orthonormalize two independent vectors into a plane span."""
-        u = np.asarray(u, dtype=float)
-        v = np.asarray(v, dtype=float)
-        nu = np.linalg.norm(u)
-        if nu < 1e-12:
-            raise ValueError("first spanning vector is zero")
-        e1 = u / nu
-        w = v - (v @ e1) * e1
-        nw = np.linalg.norm(w)
-        if nw < 1e-12:
-            raise ValueError("spanning vectors are collinear")
-        return cls(np.vstack([e1, w / nw]))
+        f = frame([u, v], 1e-12)
+        if f is None:
+            raise ValueError("spanning vectors are dependent")
+        return cls(f[:2])
 
     def key(self) -> tuple:
         """Deterministic ordering key: the canonical Pluecker coordinates."""
@@ -179,37 +175,24 @@ def block_rotation(phi: float, psi: float) -> np.ndarray:
                      [0.0, 0.0, s2, c2]])
 
 
-def gram_schmidt(vectors, eps: float = 1e-9) -> Optional[np.ndarray]:
-    """Orthonormal rows spanning the vectors in order; None if they are
-    (nearly) dependent."""
-    rows: list = []
-    for v in vectors:
-        w = np.array(v, dtype=float)
-        for r in rows:
-            w -= (w @ r) * r
-        nw = np.linalg.norm(w)
-        if nw < eps:
-            return None
-        rows.append(w / nw)
-    return np.array(rows)
-
-
-def complete_basis(rows) -> np.ndarray:
-    """Extend orthonormal rows to a positively oriented basis of R^4."""
-    out = [np.asarray(r, dtype=float) for r in rows]
-    for k in range(4):
-        if len(out) == 4:
-            break
-        w = np.eye(4)[k]
-        for r in out:
-            w = w - (w @ r) * r
-        nw = np.linalg.norm(w)
-        if nw > 1e-6:
-            out.append(w / nw)
-    frame = np.array(out)
-    if np.linalg.det(frame) < 0:
-        frame[-1] = -frame[-1]
-    return frame
+def frame(vectors, eps: float = 1e-9) -> Optional[np.ndarray]:
+    """Positively oriented orthonormal basis (rows) of R^d adapted to k < d
+    vectors: row i lies in the span of vectors 0..i, on the side of vector
+    i.  None if some vector is within eps of the span of those before it.
+    """
+    a = np.asarray(vectors, dtype=float)
+    k, dim = a.shape
+    # the LAPACK calls of np.linalg.qr(a.T, mode="complete") minus its
+    # wrapper, which triples the cost here; zero columns make Q complete
+    qr, tau = dgeqrf(a.T)[:2]
+    d = qr.diagonal()
+    if np.abs(d).min() < eps:
+        return None
+    f = dorgqr(np.concatenate([qr, np.zeros((dim, dim - k))], 1), tau)[0].T
+    f[:k] *= np.copysign(1.0, d)[:, None]
+    if np.linalg.det(f) < 0:
+        f[-1] = -f[-1]
+    return f
 
 
 def angle_between_planes(p: PlaneSpan, q: PlaneSpan) -> AnglePair:
@@ -277,25 +260,17 @@ def chirality(p: PlaneSpan, q: PlaneSpan, eps: float = EPS_EQ) -> Chirality:
     return Chirality.RIGHT if d > 0 else Chirality.LEFT
 
 
-def hopf_frame(c0: PlaneSpan) -> np.ndarray:
-    """Positively oriented orthonormal frame (rows) whose first two rows span c0."""
-    _, _, vt = np.linalg.svd(c0.basis)
-    frame = np.vstack([c0.basis, vt[2], vt[3]])
-    if np.linalg.det(frame) < 0:
-        frame[3] = -frame[3]
-    return frame
-
-
 def hopf_image(c0, p: np.ndarray, kind: str = "right") -> np.ndarray:
     """Map a unit 4-vector to the base 2-sphere of the circle bundle through c0.
 
-    ``c0`` may be a PlaneSpan or a precomputed frame from :func:`hopf_frame`.
+    ``c0`` may be a PlaneSpan or a precomputed ``frame(c0.basis)``; the
+    base-sphere coordinates depend on which completion of c0 is used.
     Points of c0 itself map to (0, 0, 1); the completely orthogonal circle
     maps to (0, 0, -1).  Two circles of the bundle at angle pair (a, a) have
     image points at geodesic distance 2a.
     """
-    frame = c0 if isinstance(c0, np.ndarray) else hopf_frame(c0)
-    x, y, z, w = frame @ np.asarray(p, dtype=float)
+    f = c0 if isinstance(c0, np.ndarray) else frame(c0.basis)
+    x, y, z, w = f @ np.asarray(p, dtype=float)
     if kind == "right":
         return np.array([2.0 * (x * w - y * z), 2.0 * (y * w + x * z),
                          1.0 - 2.0 * (z * z + w * w)])
@@ -311,12 +286,12 @@ def hopf_fiber(c0, s: np.ndarray, kind: str = "right") -> PlaneSpan:
     Inverse of :func:`hopf_image` for the same frame: the returned plane is
     parallel (in the given sense) to c0 and its points map to s.
     """
-    frame = c0 if isinstance(c0, np.ndarray) else hopf_frame(c0)
+    f = c0 if isinstance(c0, np.ndarray) else frame(c0.basis)
     s = np.asarray(s, dtype=float)
     s = s / np.linalg.norm(s)
     gamma = math.acos(min(1.0, max(-1.0, s[2]))) / 2.0
     cg, sg = math.cos(gamma), math.sin(gamma)
-    v1, v2, v3, v4 = frame
+    v1, v2, v3, v4 = f
     if kind == "right":
         delta = math.atan2(s[0], s[1])
         w2 = math.cos(delta) * v4 - math.sin(delta) * v3

@@ -17,8 +17,7 @@ from typing import Optional
 import numpy as np
 
 from .condense import TWO_PI
-from .geom import (PlaneSpan, Verdict, complete_basis, gram_schmidt, hopf_fiber,
-                   hopf_frame, match_multisets)
+from .geom import PlaneSpan, Verdict, frame, hopf_fiber, match_multisets
 
 ORACLE_MAX = 10
 
@@ -92,7 +91,7 @@ def oracle_congruent(a_raw, b_raw, allow_reflection: bool = False,
         if np.linalg.norm(bn, axis=1).max() <= eps:
             return finish(np.eye(4))
         return Verdict.no("rank")
-    fa = complete_basis(gram_schmidt(an[tup], eps))
+    fa = frame(an[tup], eps)
     gram_a = an[tup] @ an[tup].T
 
     candidates = []
@@ -100,13 +99,12 @@ def oracle_congruent(a_raw, b_raw, allow_reflection: bool = False,
         pts = bn[list(img)]
         if np.max(np.abs(pts @ pts.T - gram_a)) > 100 * eps:
             continue
-        rows = gram_schmidt(pts, eps)
-        if rows is None:
+        fb = frame(pts, eps)
+        if fb is None:
             continue
-        fb = complete_basis(rows)
         candidates.append(fb.T @ fa)
         if allow_reflection and rank >= 3:
-            fb_m = np.vstack([rows, -fb[rank:]])
+            fb_m = np.vstack([fb[:rank], -fb[rank:]])
             candidates.append(fb_m.T @ fa)
     for r in candidates:
         if match_multisets(an @ r.T, bn, 100 * eps):
@@ -177,12 +175,12 @@ def gen_hopf_circles(m: int, samples: int, seed: int) -> tuple:
         raise ValueError("need m >= 1 and samples >= 3")
     rng = np.random.default_rng(seed)
     c0 = PlaneSpan(random_rotation(rng)[:2])
-    frame = hopf_frame(c0)
+    f0 = frame(c0.basis)
     base = rng.normal(size=(m, 3))
     base /= np.linalg.norm(base, axis=1, keepdims=True)
     circles, pts = [], []
     for s in base:
-        fib = hopf_fiber(frame, s, "right")
+        fib = hopf_fiber(f0, s, "right")
         circles.append(fib)
         th = rng.uniform(0.0, TWO_PI) + np.arange(samples) * TWO_PI / samples
         pts.append(np.cos(th)[:, None] * fib.basis[0]

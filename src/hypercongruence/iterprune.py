@@ -24,8 +24,7 @@ from typing import Optional
 
 import numpy as np
 
-from .geom import (EPS_EQ, CONSTANTS, complete_basis, gram_schmidt,
-                   match_multisets)
+from .geom import EPS_EQ, CONSTANTS, frame, match_multisets
 from .condense import (TWO_PI, canonical_axes, circular_cluster, dense_ranks,
                        is_regular_polygon, prune_by_key, tolerance_cluster,
                        wrap_angle)
@@ -100,10 +99,6 @@ class EdgeTransitive:
     tau0: float
 
 
-def _unit(v: np.ndarray) -> np.ndarray:
-    return v / np.linalg.norm(v)
-
-
 def _reflect_across_bisector(x, u, v):
     """Reflect x across the hyperplane of points equidistant from u and v."""
     d = v - u
@@ -167,7 +162,7 @@ def _edge_figure_entries(points, graph: DirectedGraph, arc):
     return idxs, [masks[i] for i in idxs]
 
 
-def _edge_figure_codes(points, graph: DirectedGraph, eps: float) -> dict:
+def edge_figure_codes(points, graph: DirectedGraph, eps: float = EPS_EQ) -> dict:
     """Canonical code per arc, quantized jointly over the whole graph.
 
     The code is the minimum, over base vectors b from the out-neighbors of
@@ -186,23 +181,20 @@ def _edge_figure_codes(points, graph: DirectedGraph, eps: float) -> dict:
         for a in graph.out_arcs(v):
             if a[1] == u:
                 continue
-            rows = gram_schmidt([-points[v], points[u] - points[v],
-                                 points[a[1]] - points[v]])
-            if rows is None:
+            f = frame([-points[v], points[u] - points[v],
+                       points[a[1]] - points[v]])
+            if f is None:
                 continue
-            frame = complete_basis(rows)
-            coords = rel @ frame.T
+            coords = rel @ f.T
             variants.append(("f", len(coord_pop), len(idxs)))
             coord_pop.extend(coords.ravel())
         if not variants:
-            rows = gram_schmidt([-points[v], points[u] - points[v]])
-            if rows is None:
+            f = frame([-points[v], points[u] - points[v]])
+            if f is None:
                 raise AssertionError("arc endpoints collapse onto one ray")
-            frame = complete_basis(rows)
-            c12 = rel @ rows.T
-            perp = rel - c12 @ rows
-            rho = np.linalg.norm(perp, axis=1)
-            theta = wrap_angle(np.arctan2(perp @ frame[3], perp @ frame[2]))
+            c12, c34 = rel @ f[:2].T, rel @ f[2:].T
+            rho = np.hypot(c34[:, 0], c34[:, 1])
+            theta = wrap_angle(np.arctan2(c34[:, 1], c34[:, 0]))
             on = rho > 1e-9
             start = len(coord_pop)
             coord_pop.extend(c12.ravel())
@@ -233,15 +225,6 @@ def _edge_figure_codes(points, graph: DirectedGraph, eps: float) -> dict:
     for arc, axial, (_, labels) in planar:
         codes[arc] = ("p", axial, next(axes).code if labels else ())
     return codes
-
-
-def edge_figure_code(arc, graph: DirectedGraph, points, eps: float = EPS_EQ):
-    """Congruence-type code of one directed edge figure.
-
-    Codes computed against the same graph are comparable; equal codes mean
-    congruent figures within tolerance.
-    """
-    return _edge_figure_codes(np.asarray(points, dtype=float), graph, eps)[arc]
 
 
 # ---------------------------------------------------------------------------
@@ -291,14 +274,12 @@ class PSFigure:
 def ps_figure(points, arc, succ_arcs, pred_arcs, delta: float,
               alpha: float) -> PSFigure:
     pu, pv = points[arc[0]], points[arc[1]]
-    r1 = _unit(pv)
     q = pu - pv
-    qr1 = float(q @ r1)
-    w = q - qr1 * r1
-    nw = np.linalg.norm(w)
-    if nw < 1e-12:
+    f = frame([pv, q], 1e-12)
+    if f is None:
         raise ValueError("arc through the origin has no mark circle")
-    r2 = w / nw
+    r1, r2, f1, f2 = f
+    qr1, nw = float(q @ r1), float(q @ r2)
     # center solves v.x = 1 - d^2/2 (x on the sphere at distance d from v)
     # and (u-v).x = (u-v).v + d^2 cos(alpha) (successor angle condition)
     b1 = 1.0 - delta * delta / 2.0
@@ -309,8 +290,6 @@ def ps_figure(points, arc, succ_arcs, pred_arcs, delta: float,
     radius = math.sqrt(max(1.0 - float(center @ center), 0.0))
     if radius < 1e-9:
         raise ValueError("mark circle degenerates to a point")
-    frame = complete_basis([r1, r2])
-    f1, f2 = frame[2], frame[3]
     marks = [(points[a[1]], ROLE_SUCC, a) for a in succ_arcs]
     marks += [(_reflect_across_bisector(points[a[0]], pu, pv), ROLE_PRED, a)
               for a in pred_arcs]
@@ -384,7 +363,7 @@ class _Run:
             self.emit("C3", res.histogram)
             if res.progressed:
                 return np.array(res.indices, dtype=int)
-            codes = _edge_figure_codes(points, graph, self.eps)
+            codes = edge_figure_codes(points, graph, self.eps)
             arclist = sorted(arcs)
             res = prune_by_key(dense_ranks([codes[a] for a in arclist]))
             self.emit("C4", res.histogram)

@@ -18,8 +18,8 @@ import numpy as np
 
 from .condense import (TWO_PI, canonical_axes, circular_cluster,
                        joint_cluster, wrap_angle)
-from .geom import (EPS_EQ, PointSet4, Verdict, complete_basis,
-                   match_multisets, verify_rotation)
+from .geom import (EPS_EQ, PointSet4, Verdict, frame, match_multisets,
+                   verify_rotation)
 from .sphere import condense_sphere
 
 
@@ -100,28 +100,6 @@ def _rot_z(t: float) -> np.ndarray:
     return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
 
 
-def _frame3(axis: np.ndarray) -> np.ndarray:
-    """Right-handed orthonormal rows (e1, e2, axis)."""
-    u = np.asarray(axis, dtype=float)
-    u = u / np.linalg.norm(u)
-    k = int(np.argmin(np.abs(u)))
-    e1 = np.eye(3)[k] - u[k] * u
-    e1 /= np.linalg.norm(e1)
-    e2 = np.cross(u, e1)
-    return np.array([e1, e2, u])
-
-
-def _pair_frame3(p1: np.ndarray, p2: np.ndarray) -> Optional[np.ndarray]:
-    """Rows (p1, component of p2 perp to p1, cross); None if (anti)parallel."""
-    r1 = p1 / np.linalg.norm(p1)
-    w = p2 - (p2 @ r1) * r1
-    nw = np.linalg.norm(w)
-    if nw < 1e-9:
-        return None
-    r2 = w / nw
-    return np.array([r1, r2, np.cross(r1, r2)])
-
-
 def congruence_3d_labeled(points_a: np.ndarray, labels_a: Sequence,
                           points_b: np.ndarray, labels_b: Sequence,
                           eps: float = EPS_EQ) -> Optional[np.ndarray]:
@@ -169,10 +147,11 @@ def congruence_3d_labeled(points_a: np.ndarray, labels_a: Sequence,
     vtol = max(eps, 1e-9) * 10.0
 
     if len(fa) <= 2:
-        # an invariant axis: try u -> v, and u -> -v for the antipodal pair
-        cands = [(fa[0], fb[k]) for k in range(len(fb))]
-        for u, v in cands:
-            ma, mb = _frame3(u), _frame3(v)
+        # an invariant axis: try u -> v, and u -> -v for the antipodal pair;
+        # frame rows (e1, e2, axis), a cyclic shift keeps the orientation
+        ma = frame(fa[:1])[[1, 2, 0]]
+        for v in fb:
+            mb = frame([v])[[1, 2, 0]]
             ca3, cb3 = pa @ ma.T, pb @ mb.T
             hids_a, hids_b = joint_cluster(ca3[:, 2], cb3[:, 2], eps)
             rho_a = np.hypot(ca3[:, 0], ca3[:, 1])
@@ -212,12 +191,12 @@ def congruence_3d_labeled(points_a: np.ndarray, labels_a: Sequence,
         raise AssertionError("condensed frame of >2 points is collinear")
     p2 = fa[int(np.argmin(dist))]
     d12 = float(p1 @ p2)
-    ma = _pair_frame3(p1, p2)
+    ma = frame([p1, p2])
     for i in range(len(fb)):
         for j in range(len(fb)):
             if i == j or abs(float(fb[i] @ fb[j]) - d12) > vtol:
                 continue
-            mb = _pair_frame3(fb[i], fb[j])
+            mb = frame([fb[i], fb[j]])
             if mb is None:
                 continue
             s = mb.T @ ma
@@ -244,14 +223,14 @@ def one_plus_three_reduce(set_a: PointSet4, set_b: PointSet4,
     if len(aa) != len(ab) or len(aa) == 0:
         return Verdict.no("anchor count")
     a0 = aa[np.lexsort(aa.T[::-1])[0]]
-    fa = complete_basis([a0 / np.linalg.norm(a0)])
+    fa = frame([a0])
     h_a = set_a.points @ fa[0]
     proj_a = set_a.points @ fa[1:].T
     base_a = set_a.labels if set_a.labels is not None else [0] * len(set_a)
     base_b = set_b.labels if set_b.labels is not None else [0] * len(set_b)
 
     for b in ab[np.lexsort(ab.T[::-1])]:
-        fb = complete_basis([b / np.linalg.norm(b)])
+        fb = frame([b])
         h_b = set_b.points @ fb[0]
         hids_a, hids_b = joint_cluster(h_a, h_b, eps)
         la = [(l, int(h)) for l, h in zip(base_a, hids_a)]

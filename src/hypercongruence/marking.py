@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geom import (EPS_EQ, CONSTANTS, Chirality, chirality, hopf_frame,
+from .geom import (EPS_EQ, CONSTANTS, Chirality, chirality, frame,
                    hopf_fiber, hopf_image, mark_pair, pluecker)
 from .condense import (component_ids, group_means, members_by_id, merge_close,
                        prune_by_key)
@@ -178,11 +178,11 @@ def mark_circles(circles, eps: float = EPS_EQ,
             members = sorted(i for ci in group for i in classes[ci])
             c0 = min((circles[i] for i in members),
                      key=lambda c: tuple(pluecker(c)))
-            frame = hopf_frame(c0)
-            images = np.array([hopf_image(frame, circles[i].basis[0], side)
+            f0 = frame(c0.basis)
+            images = np.array([hopf_image(f0, circles[i].basis[0], side)
                                for i in members])
             reps = condense_sphere(images, eps=1e-7)
-            fibers = [hopf_fiber(frame, s, side) for s in reps]
+            fibers = [hopf_fiber(f0, s, side) for s in reps]
             new_classes.append(list(range(len(new_circles),
                                           len(new_circles) + len(fibers))))
             new_circles.extend(fibers)

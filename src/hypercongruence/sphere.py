@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.spatial import ConvexHull
 
-from .geom import EPS_EQ
+from .geom import EPS_EQ, frame
 from .condense import (component_ids, group_means, members_by_id, merge_close,
                        prune_by_key, tolerance_cluster)
 
@@ -39,10 +39,7 @@ def _merged_faces(hull: ConvexHull, points: np.ndarray) -> list:
         normal = eq[members[0], :3]
         center = points[verts].mean(axis=0)
         # order the face cycle by angle around its normal
-        t1 = points[verts[0]] - center
-        t1 -= (t1 @ normal) * normal
-        t1 /= np.linalg.norm(t1)
-        t2 = np.cross(normal, t1)
+        _, t1, t2 = frame([normal, points[verts[0]] - center], 0.0)
         rel = points[verts] - center
         theta = np.arctan2(rel @ t2, rel @ t1)
         faces.append([verts[i] for i in np.argsort(theta, kind="stable")])

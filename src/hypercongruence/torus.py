@@ -20,7 +20,7 @@ from .condense import (TWO_PI, circular_cluster, dense_ranks, joint_cluster,
                        least_rotation, prune_by_key, tolerance_cluster,
                        wrap_angle)
 from .geom import (EPS_EQ, PlaneSpan, PointSet4, Verdict, block_rotation,
-                   complete_basis, match_multisets, verify_rotation)
+                   frame, match_multisets, verify_rotation)
 from .lowdim import circle_axes, congruence_2d_labeled
 
 _NINE_OFFSETS = np.array([[0.0, 0.0]] + [[dx, dy]
@@ -113,23 +113,18 @@ def canonical_set_torus(positions: np.ndarray, labels: Sequence,
         tree = cKDTree(_replicate(sites))
         d, _ = tree.query(cur_pos)
         balls = tree.query_ball_point(cur_pos, d + eps)
-        contents: list = [[] for _ in range(m)]
-        for pi, hits in enumerate(balls):
-            for h in set(int(j) % m for j in hits):
-                w = np.mod(cur_pos[pi] - sites[h], TWO_PI)
-                contents[h].append((pi, w[0] if w[0] <= np.pi else w[0] - TWO_PI,
-                                    w[1] if w[1] <= np.pi else w[1] - TWO_PI))
-        flat = [c for cc in contents for c in cc]
-        phi_ids = circular_cluster([c[1] for c in flat], eps).ids
-        psi_ids = circular_cluster([c[2] for c in flat], eps).ids
-        words = []
-        at = 0
-        for cc in contents:
-            k = len(cc)
-            words.append(tuple(sorted(
-                (int(phi_ids[at + j]), int(psi_ids[at + j]),
-                 lab_rank[cc[j][0]]) for j in range(k))))
-            at += k
+        # one (site, point) row per point in the nearest-site ball of a site
+        lens = np.fromiter(map(len, balls), int, len(balls))
+        site, pt = np.unique(np.c_[np.concatenate(balls) % m,
+                                   np.repeat(np.arange(len(cur_pos)), lens)],
+                             axis=0).T
+        w = cur_pos[pt] - sites[site]
+        rows = np.c_[circular_cluster(w[:, 0], eps).ids,
+                     circular_cluster(w[:, 1], eps).ids,
+                     np.asarray(lab_rank)[pt]]
+        split = np.cumsum(np.bincount(site, minlength=m))[:-1]
+        words = [tuple(sorted(map(tuple, g.tolist())))
+                 for g in np.split(rows, split)]
         ranks = dense_ranks(words)
         keys.append(("T5", tuple(sorted(Counter(ranks).items()))))
         if max(ranks) == 0:
@@ -287,8 +282,7 @@ def two_plus_two_reduce(set_a: PointSet4, set_b: PointSet4,
     blocks orthogonal and determinant +1 overall: either two rotations, or
     two reflections, which a fixed plane swap turns back into rotations.
     """
-    fa = complete_basis(plane_a.basis)
-    fb = complete_basis(plane_b.basis)
+    fa, fb = frame(plane_a.basis), frame(plane_b.basis)
     ac0 = set_a.points @ fa.T
     bc = set_b.points @ fb.T
     la = list(set_a.labels) if set_a.labels is not None else [0] * len(set_a)

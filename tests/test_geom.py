@@ -11,7 +11,7 @@ from hypercongruence.geom import (CONSTANTS, DELTA_MIN, AnglePair, Chirality,
                                   ParallelPlanesError, PlaneSpan, PointSet4,
                                   angle_between_planes, block_rotation,
                                   chirality,
-                                  decompose_rotation, hopf_fiber, hopf_frame,
+                                  decompose_rotation, frame, hopf_fiber,
                                   hopf_image, mark_pair, pluecker,
                                   pluecker_distance, verify_rotation)
 from hypercongruence.harness import random_rotation
@@ -140,7 +140,7 @@ class TestChirality:
 
     def test_right_transitive_in_bundle(self, rng):
         # fibers of one bundle are pairwise right, in any combination
-        f = hopf_frame(PlaneSpan(random_rotation(rng)[:2]))
+        f = frame(random_rotation(rng)[:2])
         fibs = []
         for _ in range(4):
             s = rng.normal(size=3)
@@ -151,21 +151,51 @@ class TestChirality:
                     Chirality.RIGHT, Chirality.BOTH)
 
 
+class TestFrame:
+    @pytest.mark.parametrize("d", [3, 4])
+    def test_near_axis_completion_is_orthonormal(self, d):
+        # a vector within 1e-3 of a coordinate axis must still complete to
+        # an orthonormal frame, not one off by the residual cut of an axis
+        for t in np.geomspace(1e-9, 1e-3, 600):
+            u = np.zeros(d)
+            u[:2] = 1.0, t
+            u /= np.linalg.norm(u)
+            f = frame([u])
+            assert np.max(np.abs(f @ f.T - np.eye(d))) <= 2e-15
+            assert np.linalg.det(f) > 0
+            assert f[0] @ u > 0
+
+    def test_rows_follow_the_vectors(self, rng):
+        v = rng.normal(size=(3, 4))
+        f = frame(v)
+        assert np.allclose(f @ f.T, np.eye(4), atol=1e-14)
+        assert np.linalg.det(f) > 0
+        for i in range(3):
+            # row i lies in span(v_0..v_i), on the side of v_i
+            coef = np.linalg.lstsq(v[:i + 1].T, f[i], rcond=None)[0]
+            assert np.allclose(v[:i + 1].T @ coef, f[i], atol=1e-12)
+            assert f[i] @ v[i] > 0
+
+    def test_dependent_vectors(self):
+        assert frame([(1.0, 0, 0, 0), (2.0, 1e-10, 0, 0)]) is None
+        assert frame([(1.0, 0, 0, 0), (2.0, 2e-9, 0, 0)]) is not None
+
+
 class TestHopf:
     def test_base_circle_to_north(self, rng):
-        f = hopf_frame(E12)
+        f = frame(E12.basis)
         for th in rng.uniform(0, 2 * math.pi, 5):
             p = math.cos(th) * E12.basis[0] + math.sin(th) * E12.basis[1]
             assert np.allclose(hopf_image(f, p), [0, 0, 1], atol=1e-12)
 
     def test_orthogonal_circle_to_south(self, rng):
-        f = hopf_frame(E12)
+        f = frame(E12.basis)
         for th in rng.uniform(0, 2 * math.pi, 5):
             p = np.array([0, 0, math.cos(th), math.sin(th)])
             assert np.allclose(hopf_image(f, p), [0, 0, -1], atol=1e-12)
 
     def test_right_pair_geodesic_is_twice_alpha(self, rng):
-        f = hopf_frame(PlaneSpan(random_rotation(rng)[:2]))
+        f = frame(random_rotation(rng)[:2])
         for _ in range(50):
             s1, s2 = rng.normal(size=(2, 3))
             s1 /= np.linalg.norm(s1)
@@ -178,7 +208,7 @@ class TestHopf:
             assert abs(geo - 2 * a.alpha) <= 1e-9
 
     def test_fiber_roundtrip(self, rng):
-        f = hopf_frame(PlaneSpan(random_rotation(rng)[:2]))
+        f = frame(random_rotation(rng)[:2])
         s = rng.normal(size=3)
         s /= np.linalg.norm(s)
         fib = hopf_fiber(f, s, "left")

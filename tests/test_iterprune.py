@@ -18,7 +18,7 @@ from hypercongruence.iterprune import (
     EdgeTransitive,
     MirrorSymmetric,
     WellSeparated,
-    edge_figure_code,
+    edge_figure_codes,
     iterative_prune,
 )
 
@@ -46,16 +46,15 @@ class TestFigureCodes:
         g = graph_of(cube)
         gr = graph_of(cube @ r.T)
         assert undirected(g) == undirected(gr)
+        codes, codes_r = edge_figure_codes(cube, g), edge_figure_codes(cube @ r.T, gr)
         for arc in sorted(g.arcs)[:6]:
-            assert (edge_figure_code(arc, g, cube)
-                    == edge_figure_code(arc, gr, cube @ r.T))
+            assert codes[arc] == codes_r[arc]
 
     def test_four_cube_arcs_all_one_code(self):
         cube = unit_rows(gen_regular_polytope("4-cube"))
         g = graph_of(cube)
         assert len(g.arcs) == 64
-        codes = {edge_figure_code(a, g, cube) for a in g.arcs}
-        assert len(codes) == 1
+        assert len(set(edge_figure_codes(cube, g).values())) == 1
 
     def test_arc_orientation_matters(self):
         # path 0-1-2 with unequal leg lengths at the middle vertex
@@ -65,8 +64,8 @@ class TestFigureCodes:
                           math.sin(0.8 + 1.1) * math.cos(0.2),
                           math.sin(0.2), 0]])
         g = DirectedGraph(3, frozenset({(0, 1), (1, 0), (1, 2), (2, 1)}))
-        assert (edge_figure_code((0, 1), g, pts)
-                != edge_figure_code((1, 0), g, pts))
+        codes = edge_figure_codes(pts, g)
+        assert codes[(0, 1)] != codes[(1, 0)]
 
 
 class TestIterativePrune:

@@ -8,8 +8,8 @@ from hypercongruence.geom import (
     Chirality,
     PlaneSpan,
     chirality,
+    frame,
     hopf_fiber,
-    hopf_frame,
     mark_pair,
     pluecker_distance,
 )
@@ -48,10 +48,10 @@ def two_tetra_bundles():
     second bundle; all 28 pairwise distances then agree.
     """
     t = tetrahedron()
-    f0 = hopf_frame(E12)
+    f0 = frame(E12.basis)
     b1 = [hopf_fiber(f0, v, "left") for v in t]
     beta2 = math.acos(-1 / 3)
-    d = hopf_fiber(hopf_frame(b1[0]),
+    d = hopf_fiber(frame(b1[0].basis),
                    np.array([math.sin(beta2), 0, math.cos(beta2)]), "right")
     axis = np.cross(t[0], [0, 0, 1.0])
     axis /= np.linalg.norm(axis)
@@ -60,7 +60,7 @@ def two_tetra_bundles():
                   [axis[2], 0, -axis[0]],
                   [-axis[1], axis[0], 0]])
     rt = np.eye(3) + math.sin(ang) * k + (1 - math.cos(ang)) * (k @ k)
-    fd = hopf_frame(d)
+    fd = frame(d.basis)
     b2 = [hopf_fiber(fd, rt @ v, "left") for v in t]
     assert pluecker_distance(b2[0], d) < 1e-9
     return b1 + [d] + b2[1:]
@@ -95,7 +95,7 @@ class TestTwoCircles:
 
 class TestFewCirclesPath:
     def test_dodecahedral_bundle_condenses(self, rng):
-        f0 = hopf_frame(E12)
+        f0 = frame(E12.basis)
         circles = [hopf_fiber(f0, v, "right") for v in dodecahedron()]
         r = random_rotation(rng)
         res, keys = mark_circles([rot_span(c, r) for c in circles],
@@ -107,7 +107,7 @@ class TestFewCirclesPath:
         assert "M11" in stages and stages[-1] == "M3"
 
     def test_condensed_circles_form_one_bundle(self, rng):
-        f0 = hopf_frame(E12)
+        f0 = frame(E12.basis)
         circles = [hopf_fiber(f0, v, "right") for v in dodecahedron()]
         res, _ = mark_circles(circles, few_cap=12)
         for i in range(len(res.circles)):

@@ -7,7 +7,7 @@ import pytest
 from scipy.spatial import cKDTree
 
 from hypercongruence.condense import TWO_PI
-from hypercongruence.geom import PlaneSpan, hopf_fiber, hopf_frame
+from hypercongruence.geom import frame, hopf_fiber
 from hypercongruence.harness import (
     gen_regular_polytope,
     gen_torus_grid,
@@ -66,6 +66,23 @@ class TestGenericClouds:
         a = rng.normal(size=(13, 4))
         v = congruence_test_4d(a, a * 1.5)
         assert not v.congruent
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_anchor_near_coordinate_axis(self, seed):
+        # the single anchor (the smallest-norm point) sits 2e-6 off the
+        # first coordinate axis, where an axis-cut basis completion loses
+        # orthonormality
+        rng = np.random.default_rng(seed)
+        a = rng.normal(size=(200, 4))
+        a -= a.mean(axis=0)
+        p = a[np.argmin(np.linalg.norm(a, axis=1))]
+        u = p / np.linalg.norm(p)
+        target = np.array([1.0, 2e-6, 0, 0]) / np.linalg.norm([1.0, 2e-6])
+        w = u - target
+        house = np.eye(4) - 2.0 * np.outer(w, w) / (w @ w)
+        a = a @ (np.diag([1.0, 1, 1, -1]) @ house).T
+        b = (a @ random_rotation(rng).T + rng.normal(size=4))[rng.permutation(200)]
+        assert congruence_test_4d(a, b).congruent
 
 
 class TestStructuredFamilies:
@@ -130,8 +147,7 @@ class TestStructuredFamilies:
         assert mirror_keys[-1][0] == "Anchors"
 
     def test_hopf_fiber_samples(self, rng):
-        f0 = hopf_frame(PlaneSpan(np.array([[1.0, 0, 0, 0],
-                                            [0, 1.0, 0, 0]])))
+        f0 = frame(np.array([[1.0, 0, 0, 0], [0, 1.0, 0, 0]]))
         pts = []
         for s in ([0.0, 0, 1], [1.0, 0, 0], [0.6, 0.8, 0]):
             fib = hopf_fiber(f0, np.array(s), "right")
