@@ -3,8 +3,7 @@
 Subcommands: `test` two point files, `generate` instances from the
 structured families, `oracle` for brute-force verdicts on tiny inputs,
 and `bench` for wall-time scaling.  Exit codes of test/oracle: 0 means
-congruent, 1 not congruent, 2 usage or parse error.  The environment
-variable HYPERCONGRUENCE_THREADS caps internal parallelism (0 = auto).
+congruent, 1 not congruent, 2 usage or parse error.
 """
 
 from __future__ import annotations

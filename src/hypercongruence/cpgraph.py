@@ -15,7 +15,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 from scipy.spatial.distance import pdist, squareform
 
-from .geom import EPS_EQ, DuplicatePointsError, worker_count
+from .geom import EPS_EQ, DuplicatePointsError
 
 
 @dataclass(frozen=True)
@@ -43,7 +43,7 @@ def closest_pair_graph(points: np.ndarray, antipodal: bool = False,
         raise ValueError("need at least two points")
     work = np.vstack([pts, -pts]) if antipodal else pts
     tree = cKDTree(work)
-    dists, idxs = tree.query(work, k=3 if antipodal else 2, workers=worker_count())
+    dists, idxs = tree.query(work, k=3 if antipodal else 2)
     # row i of work stands for point i % n; its own rows are not neighbors
     rows = np.arange(len(work))[:, None] % n
     delta = float(dists[idxs % n != rows].min())

@@ -13,7 +13,6 @@ of their own.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple, Optional, Sequence
@@ -62,16 +61,6 @@ class DegenerateRotationError(ValueError):
 
 class ParallelPlanesError(ValueError):
     """Planes are equal or Clifford parallel; closest points are not unique."""
-
-
-def worker_count() -> int:
-    """Thread cap for neighbor queries, from HYPERCONGRUENCE_THREADS (0 = auto)."""
-    raw = os.environ.get("HYPERCONGRUENCE_THREADS", "0")
-    try:
-        n = int(raw)
-    except ValueError:
-        n = 0
-    return n if n > 0 else -1
 
 
 class Chirality(Enum):
@@ -411,7 +400,7 @@ def match_multisets(x: np.ndarray, y: np.ndarray, eps: float = EPS_EQ,
     if len(x) == 0:
         return True
     tree = cKDTree(y)
-    cand = tree.query_ball_point(x, r=eps, workers=worker_count())
+    cand = tree.query_ball_point(x, r=eps)
     order = sorted(range(len(x)), key=lambda i: len(cand[i]))
     used = np.zeros(len(y), dtype=bool)
     for i in order:

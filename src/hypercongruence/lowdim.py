@@ -15,9 +15,10 @@ from collections import Counter
 from typing import Optional, Sequence
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from .condense import (TWO_PI, canonical_axes, circular_cluster,
-                       joint_cluster, wrap_angle)
+                       joint_cluster, prune_by_key, wrap_angle)
 from .geom import (EPS_EQ, PointSet4, Verdict, frame, match_multisets,
                    verify_rotation)
 from .sphere import condense_sphere
@@ -45,7 +46,8 @@ def collapse_circle(angles: np.ndarray, labels: Sequence,
     c = np.bincount(ids[order], weights=np.cos(ang[order]))
     s = np.bincount(ids[order], weights=np.sin(ang[order]))
     reps = wrap_angle([math.atan2(y, x) for y, x in zip(s.tolist(), c.tolist())])
-    return reps, [tuple(sorted(Counter(m).items())) for m in members]
+    return reps, [((m[0], 1),) if len(m) == 1 else tuple(sorted(Counter(m).items()))
+                  for m in members]
 
 
 def circle_axes(a: np.ndarray, la: Sequence, b: np.ndarray, lb: Sequence,
@@ -130,8 +132,8 @@ def congruence_3d_labeled(points_a: np.ndarray, labels_a: Sequence,
 
     rida, ridb = joint_cluster(np.linalg.norm(pa, axis=1),
                                np.linalg.norm(pb, axis=1), eps)
-    toks_a = [(l, int(r)) for l, r in zip(la, rida)]
-    toks_b = [(l, int(r)) for l, r in zip(lb, ridb)]
+    toks_a = list(zip(la, rida.tolist()))
+    toks_b = list(zip(lb, ridb.tolist()))
     ca, cb = Counter(toks_a), Counter(toks_b)
     if ca != cb:
         return None
@@ -157,22 +159,20 @@ def congruence_3d_labeled(points_a: np.ndarray, labels_a: Sequence,
             rho_a = np.hypot(ca3[:, 0], ca3[:, 1])
             rho_b = np.hypot(cb3[:, 0], cb3[:, 1])
             off_a, off_b = rho_a > eps, rho_b > eps
-            on_toks_a = Counter((l, int(h)) for l, h, o
-                                in zip(la, hids_a, off_a) if not o)
-            on_toks_b = Counter((l, int(h)) for l, h, o
-                                in zip(lb, hids_b, off_b) if not o)
+            on_toks_a = Counter((l, h) for l, h, o
+                                in zip(la, hids_a.tolist(), off_a) if not o)
+            on_toks_b = Counter((l, h) for l, h, o
+                                in zip(lb, hids_b.tolist(), off_b) if not o)
             if on_toks_a != on_toks_b or off_a.sum() != off_b.sum():
                 continue
             if off_a.any():
                 pids_a, pids_b = joint_cluster(rho_a[off_a], rho_b[off_b], eps)
                 th_a = np.arctan2(ca3[off_a, 1], ca3[off_a, 0])
                 th_b = np.arctan2(cb3[off_b, 1], cb3[off_b, 0])
-                tla = [(l, int(h), int(p)) for l, h, p in
-                       zip([x for x, o in zip(la, off_a) if o],
-                           hids_a[off_a], pids_a)]
-                tlb = [(l, int(h), int(p)) for l, h, p in
-                       zip([x for x, o in zip(lb, off_b) if o],
-                           hids_b[off_b], pids_b)]
+                tla = list(zip([x for x, o in zip(la, off_a) if o],
+                               hids_a[off_a].tolist(), pids_a.tolist()))
+                tlb = list(zip([x for x, o in zip(lb, off_b) if o],
+                               hids_b[off_b].tolist(), pids_b.tolist()))
                 t = congruence_2d_labeled(th_a, tla, th_b, tlb, eps)
                 if t is None:
                     continue
@@ -207,21 +207,50 @@ def congruence_3d_labeled(points_a: np.ndarray, labels_a: Sequence,
     return None
 
 
+def _anchor_class(aa: np.ndarray, ab: np.ndarray,
+                  eps: float) -> Optional[tuple]:
+    """The rarest class of anchors on each side under the signature "sorted
+    distances to the k = min(4, m - 1) nearest other anchors", or None when
+    the two sides' class histograms differ.
+
+    The distance columns are clustered jointly, so the classes of both sides
+    are comparable.  Keys are the negated cluster ids: prune_by_key breaks
+    ties towards the smallest key, which is then the class with the largest
+    neighbour distances, the best-conditioned anchors.
+    """
+    k = min(4, len(aa) - 1)
+    da = cKDTree(aa).query(aa, k + 1)[0][:, 1:]
+    db = cKDTree(ab).query(ab, k + 1)[0][:, 1:]
+    cols = [joint_cluster(da[:, j], db[:, j], eps) for j in range(k)]
+    pa, pb = (prune_by_key(list(map(tuple, (-np.column_stack(ids)).tolist())))
+              for ids in zip(*cols))
+    if pa.histogram != pb.histogram:
+        return None
+    return aa[list(pa.indices)], ab[list(pb.indices)]
+
+
 def one_plus_three_reduce(set_a: PointSet4, set_b: PointSet4,
                           anchors_a: np.ndarray, anchors_b: np.ndarray,
                           eps: float = EPS_EQ) -> Verdict:
     """Decide congruence of two normalized 4D sets from well-separated anchors.
 
     Any congruence must map the anchor family of ``set_a`` onto that of
-    ``set_b``, so it maps the lexicographically least anchor a0 to *some*
-    anchor b.  Each candidate pins one axis; the residual freedom is a
-    rotation of the orthogonal 3-slice, decided by congruence_3d_labeled on
-    the projections with signed heights folded into the labels.
+    ``set_b`` and keep the distances between anchors, so it maps the
+    lexicographically least anchor a0 of the rarest signature class
+    (_anchor_class) to *some* anchor b of the same class.  Each candidate
+    pins one axis; the residual freedom is a rotation of the orthogonal
+    3-slice, decided by congruence_3d_labeled on the projections with
+    signed heights folded into the labels.
     """
     aa = np.asarray(anchors_a, dtype=float).reshape(-1, 4)
     ab = np.asarray(anchors_b, dtype=float).reshape(-1, 4)
     if len(aa) != len(ab) or len(aa) == 0:
         return Verdict.no("anchor count")
+    if len(aa) > 1:
+        classes = _anchor_class(aa, ab, eps)
+        if classes is None:
+            return Verdict.no("anchor alignment")
+        aa, ab = classes
     a0 = aa[np.lexsort(aa.T[::-1])[0]]
     fa = frame([a0])
     h_a = set_a.points @ fa[0]
@@ -233,8 +262,8 @@ def one_plus_three_reduce(set_a: PointSet4, set_b: PointSet4,
         fb = frame([b])
         h_b = set_b.points @ fb[0]
         hids_a, hids_b = joint_cluster(h_a, h_b, eps)
-        la = [(l, int(h)) for l, h in zip(base_a, hids_a)]
-        lb = [(l, int(h)) for l, h in zip(base_b, hids_b)]
+        la = list(zip(base_a, hids_a.tolist()))
+        lb = list(zip(base_b, hids_b.tolist()))
         s = congruence_3d_labeled(proj_a, la, set_b.points @ fb[1:].T, lb, eps)
         if s is None:
             continue

@@ -4,8 +4,10 @@ import math
 from collections import Counter
 
 import numpy as np
+import pytest
 
 from conftest import rot3
+from hypercongruence import lowdim
 from hypercongruence.condense import TWO_PI, circular_cluster
 from hypercongruence.geom import PointSet4, match_multisets
 from hypercongruence.harness import random_rotation
@@ -226,3 +228,63 @@ class TestOnePlusThree:
             PointSet4(a[perm] @ r4.T, tuple(labs[i] for i in perm)),
             anchors, anchors @ r4.T, 1e-9)
         assert v.congruent
+
+
+class TestAnchorSignatures:
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """Counts the 3D tests one_plus_three_reduce runs."""
+        count = [0]
+        inner = lowdim.congruence_3d_labeled
+
+        def counted(*args, **kwargs):
+            count[0] += 1
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(lowdim, "congruence_3d_labeled", counted)
+        return count
+
+    @staticmethod
+    def antipodal(rng, n=128):
+        u = rng.normal(size=(n, 4))
+        u /= np.linalg.norm(u, axis=1, keepdims=True)
+        return np.vstack([u, -u])
+
+    def test_antipodal_pair_tries_one_class(self, rng, calls):
+        # every anchor of a 2x128-point antipodal set is a candidate; its
+        # signature classes are the antipodal pairs, so at most 2 remain
+        a = self.antipodal(rng)
+        r4 = random_rotation(rng)
+        b = (a @ r4.T)[rng.permutation(len(a))]
+        v = one_plus_three_reduce(PointSet4(a), PointSet4(b), a, b, 1e-9)
+        assert v.congruent and calls[0] <= 2
+        assert match_multisets(a @ v.rotation.T, b, 1e-6)
+
+        calls[0] = 0
+        m = (a * [1, 1, 1, -1]) @ r4.T
+        v = one_plus_three_reduce(PointSet4(a), PointSet4(m), a, m, 1e-9)
+        assert not v.congruent and v.stage == "anchor alignment"
+        assert calls[0] <= 2
+
+    def test_histogram_mismatch_needs_no_3d_test(self, rng, calls):
+        a = self.antipodal(rng, 32)
+        b = a @ random_rotation(rng).T
+        anchors_b = b.copy()
+        anchors_b[5] = anchors_b[5] + 1e-3 * rng.normal(size=4)
+        anchors_b[5] /= np.linalg.norm(anchors_b[5])
+        v = one_plus_three_reduce(PointSet4(a), PointSet4(b), a, anchors_b,
+                                  1e-9)
+        assert not v.congruent and v.stage == "anchor alignment"
+        assert calls[0] == 0
+
+    def test_two_anchors(self, rng, calls):
+        # k = 1: both anchors share the one distance, so both are candidates
+        a = rng.normal(size=(200, 4))
+        a -= a.mean(axis=0)
+        r4 = random_rotation(rng)
+        anchors = a[:2] / np.linalg.norm(a[:2], axis=1, keepdims=True)
+        b = a @ r4.T
+        v = one_plus_three_reduce(PointSet4(a), PointSet4(b[::-1]), anchors,
+                                  (anchors @ r4.T)[::-1], 1e-9)
+        assert v.congruent and 1 <= calls[0] <= 2
+        assert match_multisets(a @ v.rotation.T, b, 1e-6)

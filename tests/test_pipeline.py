@@ -85,6 +85,29 @@ class TestGenericClouds:
         assert congruence_test_4d(a, b).congruent
 
 
+class TestAntipodalNoise:
+    @staticmethod
+    def false_negatives(noise):
+        misses = 0
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            u = rng.normal(size=(200, 4))
+            u /= np.linalg.norm(u, axis=1, keepdims=True)
+            a = np.vstack([u, -u])
+            b = transformed(a, rng)[rng.permutation(len(a))]
+            b = b + noise * rng.normal(size=b.shape)
+            misses += not congruence_test_4d(a, b).congruent
+        return misses
+
+    def test_noise_1e12_never_rejected(self):
+        # the 1+3 anchor class is the most isolated one, the best
+        # conditioned; the least-distance class loses some of these pairs
+        assert self.false_negatives(1e-12) == 0
+
+    def test_noise_1e11_rarely_rejected(self):
+        assert self.false_negatives(1e-11) <= 2
+
+
 class TestStructuredFamilies:
     def test_four_cube_default_path(self, rng):
         assert_roundtrip(gen_regular_polytope("4-cube"), rng)
