@@ -12,17 +12,14 @@ from .geom import (
     AnglePair,
     Chirality,
     Constants,
-    DegenerateRotationError,
     DuplicatePointsError,
     ParallelPlanesError,
     PlaneSpan,
     PointSet4,
-    RotationDecomposition,
     Verdict,
     angle_between_planes,
     block_rotation,
     chirality,
-    decompose_rotation,
     frame,
     hopf_fiber,
     hopf_image,

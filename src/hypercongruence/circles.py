@@ -4,11 +4,14 @@ The pruning loop ends in one of two structured situations besides plain
 separation.  A mirror-symmetric graph is an orbit of a reflection group;
 its components are either eccentric (condense to their centroids), regular
 polygons (their circumcircles), three-dimensional (two antipodal normal
-points), toroidal grids (two orthogonal great circles each), or other
-full-dimensional sets (the anchors of a 1+3 reduction).  An
-edge-transitive graph decomposes into orbit cycles of a single rotation
-each; every cycle yields the invariant great circle in which the rotation
-turns by its smaller angle.
+points), toroidal grids (two orthogonal great circles each), orbit cycles
+sampled finer than the mirror tolerance, or other full-dimensional sets
+(the anchors of a 1+3 reduction).  An edge-transitive graph decomposes
+into orbit cycles of a single rotation each.  On either path every orbit
+cycle yields the invariant great circle in which its step rotation turns
+by the smaller angle; :func:`cycle_circle` fits that rotation over the
+whole cycle by orthogonal Procrustes and reads the circle off its complex
+eigenvectors.
 
 Both paths emit stage keys for the lockstep comparison and are equivariant:
 a rotation of the input rotates the output.
@@ -20,8 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geom import (EPS_EQ, CONSTANTS, PlaneSpan, DegenerateRotationError,
-                   decompose_rotation, frame)
+from .geom import EPS_EQ, CONSTANTS, PlaneSpan, frame
 from .condense import TWO_PI, component_ids, is_regular_polygon, members_by_id
 from .iterprune import THETA_TOL, DirectedGraph, ps_figures
 
@@ -54,7 +56,6 @@ class OrbitCycle:
     """
 
     vertices: tuple
-    rotation: np.ndarray
     circle: PlaneSpan
 
 
@@ -90,21 +91,35 @@ def _step_error(orbit: np.ndarray, rot: np.ndarray) -> float:
     return float(np.max(np.abs(orbit @ rot.T - np.roll(orbit, -1, axis=0))))
 
 
-def _cycle_rotation(pts: np.ndarray, order: list, eps: float) -> np.ndarray:
-    """The rotation advancing a cycle one step, fitted from spread triples."""
-    ell = len(order)
-    m = max(1, ell // 3)
-    orbit = pts[order]
-    for shift in range(min(ell, 8)):
-        tmpl = [order[(shift + j * m) % ell] for j in range(3)]
-        targ = [order[(shift + j * m + 1) % ell] for j in range(3)]
-        try:
-            rot = fit_rotation(pts[tmpl], pts[targ], eps)
-        except ValueError:
-            continue
-        if _step_error(orbit, rot) <= 1e-7:
-            return rot
-    raise AssertionError("no step rotation advances the mirror cycle")
+def cycle_circle(points, order, eps: float = EPS_EQ) -> PlaneSpan:
+    """The invariant great circle of a closed orbit cycle.
+
+    ``points[order]`` is the cycle; its step rotation maps every point to
+    the next.  The rotation is the orthogonal Procrustes fit over all the
+    (point, next point) pairs of the cycle (Schoenemann 1966), unique
+    unless the cycle lies on one great circle.  The circle is the plane in
+    which it turns by the smaller angle, spanned by the real and imaginary
+    parts of the eigenvector whose eigenvalue has the smallest argument.
+    """
+    orbit = np.asarray(points, dtype=float)[list(order)]
+    u, s, vt = np.linalg.svd(np.roll(orbit, -1, axis=0).T @ orbit)
+    if np.linalg.det(u @ vt) < 0:
+        u[:, -1] = -u[:, -1]
+    rot = u @ vt
+    err = _step_error(orbit, rot)
+    if err > 1e-7:
+        raise AssertionError("fitted rotation does not advance the "
+                             f"cycle (error {err:.2g})")
+    vals, vecs = np.linalg.eig(rot)
+    args = np.abs(np.angle(vals))
+    # a concyclic cycle leaves the fit free off its circle (rank 2)
+    if args.max() - args.min() <= eps or s[2] <= 1e-7 * s[0]:
+        raise AssertionError("orbit rotation is isoclinic, points "
+                             "would be concyclic")
+    if args.min() <= 1e-9:
+        raise AssertionError("orbit rotation fixes a plane pointwise")
+    v = vecs[:, np.argmin(args)]
+    return PlaneSpan.from_vectors(v.real, v.imag)
 
 
 def _grid_leg_pairs(legs: np.ndarray):
@@ -199,12 +214,7 @@ def mirror_reduce(points, graph: DirectedGraph, eps: float = EPS_EQ):
         lens = []
         for c in comps:
             order = _trace_cycle(adj, c)
-            rot = _cycle_rotation(pts, order, eps)
-            dec = decompose_rotation(rot, eps)
-            if dec.isoclinic:
-                raise AssertionError("isoclinic mirror cycle should have "
-                                     "been planar")
-            circles.append(dec.planes[0])
+            circles.append(cycle_circle(pts, order, eps))
             lens.append(len(order))
         keys.append(("R5", ("cycles", tuple(sorted(lens)))))
         return GreatCircles(sorted(circles, key=lambda p: p.key())), keys
@@ -227,26 +237,6 @@ def mirror_reduce(points, graph: DirectedGraph, eps: float = EPS_EQ):
 
 # ---------------------------------------------------------------------------
 # orbit-cycle case
-
-
-def fit_rotation(template, target, eps: float = EPS_EQ) -> np.ndarray:
-    """The unique rotation mapping one 3-point frame onto another.
-
-    Both triples must span a 3-dimensional subspace together with the
-    origin (three points not on a common great circle); the target must be
-    congruent to the template.
-    """
-    a = np.asarray(template, dtype=float)
-    b = np.asarray(target, dtype=float)
-    if a.shape != (3, 4) or b.shape != (3, 4):
-        raise ValueError("expected two 3x4 point triples")
-    fa, fb = frame(a), frame(b)
-    if fa is None or fb is None:
-        raise ValueError("triple lies on a great circle, rotation not unique")
-    r = fb.T @ fa
-    if np.max(np.abs(a @ r.T - b)) > max(eps, 1e-9) * 10:
-        raise ValueError("target triple is not congruent to the template")
-    return r
 
 
 def orbit_circles(points, graph: DirectedGraph, delta: float, alpha: float,
@@ -285,7 +275,7 @@ def orbit_circles(points, graph: DirectedGraph, delta: float, alpha: float,
 
     visited: set = set()
     cycles: list = []
-    by_vertex_set: dict = {}
+    seen: set = set()
     n = len(pts)
     for a in sorted(graph.arcs):
         for b in graph.succ[a]:
@@ -308,27 +298,10 @@ def orbit_circles(points, graph: DirectedGraph, delta: float, alpha: float,
             verts = tuple(s[0][0] for s in states)
             if len(set(verts)) != len(verts):
                 raise AssertionError("orbit cycle revisits a vertex")
-            key = frozenset(verts)
-            if key in by_vertex_set:
+            if frozenset(verts) in seen:
                 continue
-            ell = len(verts)
-            rot = fit_rotation(pts[list(verts[:3])],
-                               pts[[verts[1], verts[2], verts[3 % ell]]], eps)
-            err = _step_error(pts[list(verts)], rot)
-            if err > 1e-7:
-                raise AssertionError("fitted rotation does not advance the "
-                                     f"cycle (error {err:.2g})")
-            try:
-                dec = decompose_rotation(rot, eps)
-            except DegenerateRotationError as exc:
-                raise AssertionError("orbit rotation is degenerate") from exc
-            if dec.isoclinic:
-                raise AssertionError("orbit rotation is isoclinic, points "
-                                     "would be concyclic")
-            if abs(dec.angles[0]) <= 1e-9:
-                raise AssertionError("orbit rotation fixes a plane pointwise")
-            cycles.append(OrbitCycle(verts, rot, dec.planes[0]))
-            by_vertex_set[key] = cycles[-1]
+            seen.add(frozenset(verts))
+            cycles.append(OrbitCycle(verts, cycle_circle(pts, verts, eps)))
     lengths = tuple(sorted(len(c.vertices) for c in cycles))
     keys = [("O", (len(cycles), lengths))]
     if delta <= CONSTANTS.delta0 and len(cycles) > len(pts) / CONSTANTS.circle_factor:

@@ -23,7 +23,6 @@ class ClosestPairGraph:
     n: int
     delta: float
     edges: tuple            # sorted (i, j) pairs with i < j
-    antipodal: bool = False
 
     def max_degree(self) -> int:
         return int(np.bincount(np.asarray(self.edges, dtype=int).ravel(),
@@ -52,7 +51,7 @@ def closest_pair_graph(points: np.ndarray, antipodal: bool = False,
         raise DuplicatePointsError(f"two {what} at distance {delta:.3e}")
     raw = np.sort(tree.query_pairs(r=delta + eps, output_type="ndarray") % n, axis=1)
     edges = np.unique(raw[raw[:, 0] != raw[:, 1]], axis=0)
-    return ClosestPairGraph(n, delta, tuple(map(tuple, edges.tolist())), antipodal)
+    return ClosestPairGraph(n, delta, tuple(map(tuple, edges.tolist())))
 
 
 def brute_graph(points: np.ndarray, antipodal: bool = False,
@@ -75,4 +74,4 @@ def brute_graph(points: np.ndarray, antipodal: bool = False,
         raise DuplicatePointsError(f"two points at distance {delta:.3e}")
     close = d[iu] <= delta + eps
     edges = tuple(zip(iu[0][close].tolist(), iu[1][close].tolist()))
-    return ClosestPairGraph(n, delta, edges, antipodal)
+    return ClosestPairGraph(n, delta, edges)

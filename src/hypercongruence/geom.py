@@ -3,7 +3,10 @@
 Everything downstream works with plain float64 numpy arrays: points are rows
 of an (n, 4) array, planes through the origin are row-pairs of orthonormal
 basis vectors, and every adapted orthonormal frame (anchor axis, plane
-pair, Hopf bundle, edge figure) comes from :func:`frame`.  ``EPS_EQ`` is
+pair, Hopf bundle, edge figure) comes from :func:`frame`.  Rotations are
+built here (:func:`block_rotation`) but not taken apart: the invariant
+planes of an orbit cycle's step rotation come from its complex
+eigenvectors in ``circles.cycle_circle``.  ``EPS_EQ`` is
 the default comparison tolerance for coordinates; callers may override it
 per operation.  It is not the only tolerance: several stages still
 compare angles, frames and fits against fixed literals (1e-7 and others)
@@ -18,7 +21,6 @@ from enum import Enum
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
-import scipy.linalg
 from scipy.linalg.lapack import dgeqrf, dorgqr
 from scipy.spatial import cKDTree
 
@@ -53,10 +55,6 @@ CONSTANTS = Constants()
 
 class DuplicatePointsError(ValueError):
     """Input contains two points closer than the comparison tolerance."""
-
-
-class DegenerateRotationError(ValueError):
-    """Rotation is the identity or the central inversion."""
 
 
 class ParallelPlanesError(ValueError):
@@ -293,79 +291,6 @@ def hopf_fiber(c0, s: np.ndarray, kind: str = "right") -> PlaneSpan:
         return PlaneSpan(np.vstack([v1, v2]))
     w1 = math.cos(delta) * v3 + math.sin(delta) * v4
     return PlaneSpan(np.vstack([cg * v1 + sg * w1, cg * v2 + sg * w2]))
-
-
-@dataclass(frozen=True)
-class RotationDecomposition:
-    """Invariant planes and rotation angles of a proper rotation.
-
-    ``basis`` has columns (v1, v2, v3, v4), positively oriented; the rotation
-    acts by ``angles[0]`` in span(v1, v2) and ``angles[1]`` in span(v3, v4),
-    with 0 <= angles[0] <= |angles[1]|.  For isoclinic rotations the plane
-    pair is not unique; ``chirality`` is set instead.
-    """
-
-    planes: tuple
-    angles: tuple
-    basis: np.ndarray
-    isoclinic: bool
-    chirality: Optional[Chirality]
-
-    def reconstruct(self) -> np.ndarray:
-        phi, psi = self.angles
-        return self.basis @ block_rotation(phi, psi) @ self.basis.T
-
-
-def decompose_rotation(r: np.ndarray, eps: float = EPS_EQ) -> RotationDecomposition:
-    """Split a proper rotation into two plane rotations.
-
-    Raises DegenerateRotationError for the identity and the central
-    inversion, whose invariant planes are entirely arbitrary.
-    """
-    r = np.asarray(r, dtype=float)
-    if r.shape != (4, 4) or np.max(np.abs(r.T @ r - np.eye(4))) > 1e-7:
-        raise ValueError("not an orthogonal 4x4 matrix")
-    if np.linalg.det(r) < 0:
-        raise ValueError("matrix is orientation reversing")
-    if np.max(np.abs(r - np.eye(4))) <= eps or np.max(np.abs(r + np.eye(4))) <= eps:
-        raise DegenerateRotationError("identity or inversion has no invariant plane pair")
-
-    t, q = scipy.linalg.schur(r, output="real")
-    pair_cols: list[np.ndarray] = []
-    plus_cols: list[np.ndarray] = []
-    minus_cols: list[np.ndarray] = []
-    i = 0
-    while i < 4:
-        if i < 3 and abs(t[i + 1, i]) > 1e-10:
-            pair_cols.append(q[:, i:i + 2])
-            i += 2
-        else:
-            (plus_cols if t[i, i] > 0 else minus_cols).append(q[:, i])
-            i += 1
-    for bucket in (plus_cols, minus_cols):
-        while bucket:
-            pair_cols.append(np.column_stack([bucket.pop(), bucket.pop()]))
-
-    def measured_angle(cols):
-        v1, v2 = cols[:, 0], cols[:, 1]
-        return math.atan2(v2 @ (r @ v1), v1 @ (r @ v1))
-
-    pair_cols.sort(key=lambda c: abs(measured_angle(c)))
-    basis = np.column_stack([pair_cols[0], pair_cols[1]])
-    if np.linalg.det(basis) < 0:
-        basis[:, 3] = -basis[:, 3]
-    phi = measured_angle(basis[:, 0:2])
-    psi = measured_angle(basis[:, 2:4])
-    if phi < -eps or (abs(phi) <= eps and psi < 0):
-        basis = basis[:, [1, 0, 3, 2]]
-        phi, psi = -phi, -psi
-
-    planes = (PlaneSpan(basis[:, 0:2].T.copy()), PlaneSpan(basis[:, 2:4].T.copy()))
-    iso = abs(abs(phi) - abs(psi)) <= eps
-    chir = None
-    if iso:
-        chir = Chirality.RIGHT if phi * psi > 0 else Chirality.LEFT
-    return RotationDecomposition(planes, (phi, psi), basis, iso, chir)
 
 
 def mark_pair(c: PlaneSpan, d: PlaneSpan, eps: float = EPS_EQ) -> tuple[np.ndarray, np.ndarray]:

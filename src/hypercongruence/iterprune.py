@@ -244,9 +244,6 @@ class PSFigure:
     """
 
     arc: tuple
-    center: np.ndarray
-    frame: np.ndarray          # rows f1, f2 spanning the circle plane
-    radius: float
     thetas: np.ndarray         # merged positions, ascending in [0, 2pi)
     roles: np.ndarray
     succ_at: tuple
@@ -305,8 +302,8 @@ def ps_figure(points, arc, succ_arcs, pred_arcs, delta: float,
         k, (_, role, a) = pos.ids[i], marks[i]
         roles[k] = role if roles[k] in (None, role) else ROLE_BOTH
         at[role][k] = a
-    return PSFigure(arc, center, np.vstack([f1, f2]), radius, pos.reps,
-                    np.array(roles), tuple(at[ROLE_SUCC]), tuple(at[ROLE_PRED]))
+    return PSFigure(arc, pos.reps, np.array(roles), tuple(at[ROLE_SUCC]),
+                    tuple(at[ROLE_PRED]))
 
 
 def ps_figures(points, graph: DirectedGraph, delta: float, alpha: float) -> dict:

@@ -4,17 +4,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from hypercongruence.circles import (
     CondensedPoints,
     GreatCircles,
-    fit_rotation,
+    cycle_circle,
     mirror_reduce,
     orbit_circles,
 )
 from hypercongruence.cpgraph import closest_pair_graph
-from hypercongruence.geom import decompose_rotation
-from hypercongruence.harness import random_rotation
+from hypercongruence.geom import block_rotation, frame
+from hypercongruence.harness import gen_orbit_helix, random_rotation
 from hypercongruence.iterprune import (
     DirectedGraph,
     EdgeTransitive,
@@ -36,29 +38,80 @@ def torus_grid(p, q, r1, r2):
                      for a in th for b in ph])
 
 
-class TestFitRotation:
-    def frame(self, rng):
-        tri = rng.normal(size=(3, 4))
-        return tri / np.linalg.norm(tri, axis=1, keepdims=True)
+def projector(plane):
+    return plane.basis.T @ plane.basis
 
-    def test_roundtrip(self, rng):
-        for _ in range(10):
-            tri = self.frame(rng)
-            r = random_rotation(rng)
-            rot = fit_rotation(tri, tri @ r.T)
-            assert np.max(np.abs(rot - r)) < 1e-9
-            assert np.linalg.det(rot) == pytest.approx(1.0)
 
-    def test_identity(self, rng):
-        tri = self.frame(rng)
-        rot = fit_rotation(tri, tri)
-        assert np.allclose(rot, np.eye(4), atol=1e-9)
+SLOW_12 = np.diag([1.0, 1, 0, 0])
+SLOW_34 = np.diag([0.0, 0, 1, 1])
 
-    def test_concyclic_template_rejected(self):
-        cc = np.array([[1, 0, 0, 0], [0, 1, 0, 0],
-                       [1 / math.sqrt(2), 1 / math.sqrt(2), 0, 0]])
-        with pytest.raises(ValueError):
-            fit_rotation(cc, cc)
+
+def block_orbit(ell, a, b, s, r1=0.6, phase=(0.3, 1.1)):
+    """The orbit of one point under s @ block_rotation(2pi a/ell,
+    2pi b/ell) @ s.T, the point having radius r1 in the first plane."""
+    r2 = math.sqrt(1 - r1 * r1)
+    p = np.array([r1 * math.cos(phase[0]), r1 * math.sin(phase[0]),
+                  r2 * math.cos(phase[1]), r2 * math.sin(phase[1])])
+    return np.array([s @ block_rotation(2 * np.pi * a * j / ell,
+                                        2 * np.pi * b * j / ell) @ p
+                     for j in range(ell)])
+
+
+class TestCycleCircle:
+    def test_block_rotation_slow_plane(self):
+        c = cycle_circle(block_orbit(40, 3, 8, np.eye(4)), range(40))
+        assert np.max(np.abs(projector(c) - SLOW_12)) < 1e-12
+        c = cycle_circle(block_orbit(40, 9, 2, np.eye(4)), range(40))
+        assert np.max(np.abs(projector(c) - SLOW_34)) < 1e-12
+
+    @given(st.data(), st.sampled_from([8, 9, 12, 21, 25, 30, 60]),
+           st.floats(0.1, 0.99), st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_conjugated_block_rotation(self, data, ell, r1, seed):
+        half = (ell - 1) // 2
+        a = data.draw(st.integers(0, half))
+        b = data.draw(st.integers(0, half))
+        assume(math.gcd(math.gcd(a, b), ell) == 1)
+        rng = np.random.default_rng(seed)
+        s = random_rotation(rng)
+        orbit = block_orbit(ell, a, b, s, r1, rng.uniform(0, 2 * np.pi, 2))
+        # the cycle order is an argument, not the row order
+        perm = rng.permutation(ell)
+        pts, order = orbit[perm], np.argsort(perm)
+        if a == b:
+            with pytest.raises(AssertionError, match="isoclinic"):
+                cycle_circle(pts, order)
+        elif min(a, b) == 0:
+            with pytest.raises(AssertionError, match="fixes a plane"):
+                cycle_circle(pts, order)
+        else:
+            want = s @ (SLOW_12 if a < b else SLOW_34) @ s.T
+            got = projector(cycle_circle(pts, order))
+            assert np.max(np.abs(got - want)) < 1e-9
+
+    def test_isoclinic_rejected(self):
+        # right and left isoclinic steps leave every orbit concyclic
+        for b in (5, 35):
+            with pytest.raises(AssertionError, match="isoclinic"):
+                cycle_circle(block_orbit(40, 5, b, np.eye(4)), range(40))
+
+    def test_identity_and_inversion_rejected(self, rng):
+        p = random_rotation(rng)[0]
+        with pytest.raises(AssertionError, match="isoclinic"):
+            cycle_circle(np.array([p, p, p]), range(3))
+        with pytest.raises(AssertionError, match="isoclinic"):
+            cycle_circle(np.array([p, -p]), range(2))
+
+    def test_concyclic_cycle_rejected(self):
+        # a regular polygon on a great circle fixes no step rotation off it
+        th = 2 * np.pi * np.arange(7) / 7
+        poly = np.c_[np.cos(th), np.sin(th), np.zeros(7), np.zeros(7)]
+        with pytest.raises(AssertionError, match="isoclinic"):
+            cycle_circle(poly, range(7))
+
+    def test_open_path_rejected(self):
+        with pytest.raises(AssertionError, match="does not advance"):
+            cycle_circle(block_orbit(40, 3, 8, np.eye(4))[:30], range(30))
 
 
 def small_circle_polygon(center, k, r, e1, e2, phase=0.0):
@@ -142,6 +195,19 @@ class TestMirrorReduce:
         assert isinstance(res, GreatCircles)
         assert len(res.circles) == 2
 
+    @pytest.mark.parametrize("ell, k", [(21, 4), (30, 7), (60, 7)])
+    def test_mirror_cycle_with_isoclinic_spread_step(self, ell, k, rng):
+        # with ell % 3 == 0 and k % 3 == +-1, the step rotation to the power
+        # ell/3 is isoclinic: every triple ell/3 apart lies on one circle
+        r4 = random_rotation(rng)
+        g = both_ways([(i, (i + 1) % ell) for i in range(ell)], ell)
+        res, keys = mirror_reduce(gen_orbit_helix(ell, k, 0.6) @ r4.T, g)
+        assert isinstance(res, GreatCircles)
+        assert keys[-1] == ("R5", ("cycles", (ell,)))
+        assert len(res.circles) == 1
+        want = r4 @ SLOW_12 @ r4.T
+        assert np.max(np.abs(projector(res.circles[0]) - want)) < 1e-9
+
     def test_keys_equal_under_rotation(self, rng):
         th = 2 * np.pi * np.arange(5) / 5
         pent = np.stack([np.cos(th), np.sin(th),
@@ -168,11 +234,15 @@ class TestOrbitCircles:
                                      ex.tau0)
         assert keys
         assert cycles
-        want = {round(2 * np.pi / 40, 9), round(4 * np.pi / 40, 9)}
         for c in cycles:
-            dec = decompose_rotation(c.rotation)
-            assert {round(a, 9) for a in dec.angles} == want
             assert len(c.vertices) == 40
+            # the step turns the circle by 2pi/40, its complement by 4pi/40
+            orbit = ex.points[list(c.vertices)]
+            for basis, want in ((c.circle.basis, 2 * np.pi / 40),
+                                (frame(c.circle.basis)[2:], 4 * np.pi / 40)):
+                z = orbit @ basis.T @ [1, 1j]
+                assert np.allclose(np.abs(np.angle(np.roll(z, -1) / z)),
+                                   want, atol=1e-9)
 
     def test_cycle_circle_is_slow_plane(self, rng):
         ex, r4 = self.run_helix(rng)

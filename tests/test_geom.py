@@ -1,5 +1,5 @@
 """Core geometry: plane angles, Pluecker coordinates,
-chirality, Hopf maps, rotation decomposition, marks, verification."""
+chirality, Hopf maps, frames, marks, verification."""
 
 import math
 
@@ -7,12 +7,9 @@ import numpy as np
 import pytest
 
 from hypercongruence.geom import (CONSTANTS, DELTA_MIN, AnglePair, Chirality,
-                                  DegenerateRotationError,
                                   ParallelPlanesError, PlaneSpan, PointSet4,
-                                  angle_between_planes, block_rotation,
-                                  chirality,
-                                  decompose_rotation, frame, hopf_fiber,
-                                  hopf_image, mark_pair, pluecker,
+                                  angle_between_planes, chirality, frame,
+                                  hopf_fiber, hopf_image, mark_pair, pluecker,
                                   pluecker_distance, verify_rotation)
 from hypercongruence.harness import random_rotation
 
@@ -214,47 +211,6 @@ class TestHopf:
         fib = hopf_fiber(f, s, "left")
         assert np.allclose(hopf_image(f, fib.basis[0], "left"), s, atol=1e-9)
         assert np.allclose(hopf_image(f, fib.basis[1], "left"), s, atol=1e-9)
-
-
-class TestDecomposeRotation:
-    def test_block_rotation_recovered(self):
-        d = decompose_rotation(block_rotation(0.5, 1.2))
-        assert np.allclose(sorted(abs(a) for a in d.angles), [0.5, 1.2])
-        p1 = d.planes[0].basis.T @ d.planes[0].basis
-        assert np.allclose(p1, np.diag([1.0, 1, 0, 0]), atol=1e-9)
-
-    def test_isoclinic_right(self):
-        d = decompose_rotation(block_rotation(0.7, 0.7))
-        assert d.isoclinic and d.chirality is Chirality.RIGHT
-        d = decompose_rotation(block_rotation(0.7, -0.7))
-        assert d.isoclinic and d.chirality is Chirality.LEFT
-
-    def test_conjugation_preserves_angles(self, rng):
-        r0 = block_rotation(0.5, 1.2)
-        for _ in range(10):
-            s = random_rotation(rng)
-            d = decompose_rotation(s @ r0 @ s.T)
-            assert np.allclose(sorted(abs(a) for a in d.angles), [0.5, 1.2],
-                               atol=1e-9)
-            # invariant planes are the conjugated coordinate planes
-            pr1 = d.planes[0].basis.T @ d.planes[0].basis
-            want = s @ np.diag([1.0, 1, 0, 0]) @ s.T
-            assert np.allclose(pr1, want, atol=1e-7)
-
-    def test_reconstruct_roundtrip(self, rng):
-        for _ in range(20):
-            r = random_rotation(rng)
-            try:
-                d = decompose_rotation(r)
-            except DegenerateRotationError:
-                continue
-            assert np.max(np.abs(d.reconstruct() - r)) <= 1e-9
-
-    def test_identity_and_inversion_rejected(self):
-        with pytest.raises(DegenerateRotationError):
-            decompose_rotation(np.eye(4))
-        with pytest.raises(DegenerateRotationError):
-            decompose_rotation(-np.eye(4))
 
 
 class TestMarkPair:

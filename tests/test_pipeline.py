@@ -9,6 +9,7 @@ from scipy.spatial import cKDTree
 from hypercongruence.condense import TWO_PI
 from hypercongruence.geom import frame, hopf_fiber
 from hypercongruence.harness import (
+    gen_orbit_helix,
     gen_regular_polytope,
     gen_torus_grid,
     random_rotation,
@@ -150,6 +151,21 @@ class TestStructuredFamilies:
         v = congruence_test_4d(a, b, PipelineOptions(delta0=1.0))
         assert v.congruent
         assert cKDTree(b).query(a @ v.rotation.T + v.translation)[0].max() < 1e-6
+
+    def test_helix_mirror_cycle_with_isoclinic_spread_step(self, rng):
+        # 1203 = 3 * 401 and k = 2: the step to the power 401 is isoclinic,
+        # so every triple of points 401 apart is concyclic
+        a = gen_orbit_helix(1203, 2, 0.15)
+        delta = cKDTree(a).query(a, k=2)[0][:, 1].min()
+        b = transformed(a, rng)
+        trace = []
+        v = congruence_test_4d(a, b[rng.permutation(len(b))],
+                               PipelineOptions(delta0=2 * delta),
+                               trace_sink=trace)
+        assert v.congruent
+        assert cKDTree(b).query(a @ v.rotation.T + v.translation)[0].max() < 1e-6
+        mirror_keys = [k for stage, k, _ in trace if stage == "mirror"]
+        assert ("R5", ("cycles", (1203,))) in mirror_keys[-1][1]
 
     @pytest.mark.parametrize("name, delta0", [("5-cell", 2.0), ("16-cell", 1.5),
                                               ("24-cell", 1.5)])

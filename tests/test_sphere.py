@@ -170,3 +170,50 @@ def test_equivariance(rng):
 def test_empty_rejected():
     with pytest.raises(ValueError):
         condense_sphere(np.empty((0, 3)))
+
+
+def ring(n, z, phase=0.0):
+    th = phase + 2 * math.pi * np.arange(n) / n
+    r = math.sqrt(1 - z * z)
+    return np.c_[r * np.cos(th), r * np.sin(th), np.full(n, z)]
+
+
+def bipyramid(n):
+    return np.vstack([ring(n, 0.0), [[0, 0, 1.0], [0, 0, -1.0]]])
+
+
+def antiprism(n, z):
+    return np.vstack([ring(n, z), ring(n, -z, math.pi / n)])
+
+
+def assert_condenses_to_axis(pts, rng):
+    """The output is the antipodal pair on the z axis, and condensing
+    commutes with a rotation and with a reflection of the sphere."""
+    out = condense_sphere(pts)
+    assert kind_of(out) == "antipodal"
+    assert same_configuration(out, np.array([[0, 0, 1.0], [0, 0, -1.0]]))
+    for m in (rot3(rng), rot3(rng) @ np.diag([-1.0, 1, 1])):
+        assert same_configuration(condense_sphere(pts @ m.T), out @ m.T)
+
+
+def test_near_duplicate_vertex_merges(rng):
+    # a copy of one vertex 1e-12 away merges back before the hull is built
+    pts = bipyramid(3)
+    assert_condenses_to_axis(np.vstack([pts, pts[1] + [0, 0, 1e-12]]), rng)
+
+
+@pytest.mark.parametrize("n", [3, 5])
+def test_bipyramid_degree_prune_to_poles(n, rng):
+    # the two poles form the rarer vertex-degree class
+    assert_condenses_to_axis(bipyramid(n), rng)
+
+
+def test_square_antiprism_face_size_prune(rng):
+    # every vertex has degree 4; the two squares are the rarer face size
+    assert_condenses_to_axis(antiprism(4, 0.4), rng)
+
+
+def test_two_length_triangular_antiprism_face_keys(rng):
+    # triangles only, degree 4 throughout, six edges of each length: only
+    # the edge-length keys of the faces single out the two end triangles
+    assert_condenses_to_axis(antiprism(3, 0.3), rng)
