@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from hypercongruence.geom import block_rotation, frame
 from hypercongruence.harness import random_rotation
 
 
@@ -20,4 +21,18 @@ def rot3(rng) -> np.ndarray:
         [2 * (b * d - a * c), 2 * (c * d + a * b), a * a - b * b - c * c + d * d]])
 
 
-__all__ = ["random_rotation", "rot3"]
+def step_angles(orbit, circle) -> np.ndarray:
+    """The angles by which one step of a cycle turns its circle and the
+    complementary plane, measured on the first two points."""
+    f = frame(circle.basis)
+    z = orbit[:2] @ f.T @ np.array([[1, 0], [1j, 0], [0, 1], [0, 1j]])
+    return np.angle(z[1] / z[0])
+
+
+def rebuilt_step(orbit, circle) -> np.ndarray:
+    """A cycle's step rotation rebuilt from its circle and step angles."""
+    f = frame(circle.basis)
+    return f.T @ block_rotation(*step_angles(orbit, circle)) @ f
+
+
+__all__ = ["random_rotation", "rebuilt_step", "rot3", "step_angles"]

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from conftest import rebuilt_step
 from hypercongruence.circles import (
     CondensedPoints,
     GreatCircles,
@@ -57,6 +58,34 @@ def block_orbit(ell, a, b, s, r1=0.6, phase=(0.3, 1.1)):
                      for j in range(ell)])
 
 
+class TestFitRotation:
+    """The Procrustes fit of a cycle's step rotation in cycle_circle."""
+
+    def test_roundtrip(self, rng):
+        step0 = block_rotation(2 * np.pi * 3 / 40, 2 * np.pi * 8 / 40)
+        for _ in range(10):
+            s = random_rotation(rng)
+            orbit = block_orbit(40, 3, 8, s)
+            perm = rng.permutation(40)
+            order = np.argsort(perm)
+            step = s @ step0 @ s.T
+            c = cycle_circle(orbit[perm], order)
+            assert np.max(np.abs(rebuilt_step(orbit, c) - step)) < 1e-9
+            # the reversed cycle steps by the inverse rotation
+            c = cycle_circle(orbit[perm], order[::-1])
+            assert np.max(np.abs(rebuilt_step(orbit[::-1], c) - step.T)) < 1e-9
+
+    def test_identity(self, rng):
+        # the identity step leaves a one-point cycle, on which the fit is
+        # free; a fine cycle, whose step is next to the identity, still fits
+        s = random_rotation(rng)
+        with pytest.raises(AssertionError, match="isoclinic"):
+            cycle_circle(s[:1], [0])
+        orbit = block_orbit(20000, 1, 2, s)
+        c = cycle_circle(orbit, range(20000))
+        assert np.max(np.abs(projector(c) - s @ SLOW_12 @ s.T)) < 1e-9
+
+
 class TestCycleCircle:
     def test_block_rotation_slow_plane(self):
         c = cycle_circle(block_orbit(40, 3, 8, np.eye(4)), range(40))
@@ -94,13 +123,6 @@ class TestCycleCircle:
         for b in (5, 35):
             with pytest.raises(AssertionError, match="isoclinic"):
                 cycle_circle(block_orbit(40, 5, b, np.eye(4)), range(40))
-
-    def test_identity_and_inversion_rejected(self, rng):
-        p = random_rotation(rng)[0]
-        with pytest.raises(AssertionError, match="isoclinic"):
-            cycle_circle(np.array([p, p, p]), range(3))
-        with pytest.raises(AssertionError, match="isoclinic"):
-            cycle_circle(np.array([p, -p]), range(2))
 
     def test_concyclic_cycle_rejected(self):
         # a regular polygon on a great circle fixes no step rotation off it

@@ -1,16 +1,20 @@
 """Core geometry: plane angles, Pluecker coordinates,
-chirality, Hopf maps, frames, marks, verification."""
+chirality, Hopf maps, frames, rotation decomposition, marks,
+verification."""
 
 import math
 
 import numpy as np
 import pytest
 
+from conftest import rebuilt_step, step_angles
+from hypercongruence.circles import cycle_circle
 from hypercongruence.geom import (CONSTANTS, DELTA_MIN, AnglePair, Chirality,
                                   ParallelPlanesError, PlaneSpan, PointSet4,
-                                  angle_between_planes, chirality, frame,
-                                  hopf_fiber, hopf_image, mark_pair, pluecker,
-                                  pluecker_distance, verify_rotation)
+                                  angle_between_planes, block_rotation,
+                                  chirality, frame, hopf_fiber, hopf_image,
+                                  mark_pair, pluecker, pluecker_distance,
+                                  verify_rotation)
 from hypercongruence.harness import random_rotation
 
 E12 = PlaneSpan(np.array([[1.0, 0, 0, 0], [0, 1.0, 0, 0]]))
@@ -211,6 +215,51 @@ class TestHopf:
         fib = hopf_fiber(f, s, "left")
         assert np.allclose(hopf_image(f, fib.basis[0], "left"), s, atol=1e-9)
         assert np.allclose(hopf_image(f, fib.basis[1], "left"), s, atol=1e-9)
+
+
+class TestDecomposeRotation:
+    """A cycle's step rotation split into its circle, the complementary
+    plane and the angle it turns each by, as circles.cycle_circle does."""
+
+    @staticmethod
+    def orbit(step, ell, rng):
+        p = rng.normal(size=4)
+        p /= np.linalg.norm(p)
+        return np.array([np.linalg.matrix_power(step, j) @ p
+                         for j in range(ell)])
+
+    def test_conjugation_preserves_angles(self, rng):
+        r0 = block_rotation(2 * np.pi * 3 / 40, 2 * np.pi * 8 / 40)
+        for _ in range(10):
+            s = random_rotation(rng)
+            orbit = self.orbit(s @ r0 @ s.T, 40, rng)
+            c = cycle_circle(orbit, range(40))
+            assert np.allclose(np.abs(step_angles(orbit, c)),
+                               [2 * np.pi * 3 / 40, 2 * np.pi * 8 / 40],
+                               atol=1e-9)
+            # the circle is the conjugated slow coordinate plane
+            want = s @ np.diag([1.0, 1, 0, 0]) @ s.T
+            assert np.allclose(c.basis.T @ c.basis, want, atol=1e-9)
+
+    def test_reconstruct_roundtrip(self, rng):
+        for _ in range(20):
+            ell = int(rng.integers(5, 61))
+            a, b = (rng.choice(np.arange(1, (ell + 1) // 2), 2, replace=False)
+                    * rng.choice([-1, 1], 2))
+            if math.gcd(math.gcd(a, b), ell) > 1:
+                continue
+            s = random_rotation(rng)
+            step = s @ block_rotation(2 * np.pi * a / ell,
+                                      2 * np.pi * b / ell) @ s.T
+            orbit = self.orbit(step, ell, rng)
+            c = cycle_circle(orbit, range(ell))
+            assert np.max(np.abs(rebuilt_step(orbit, c) - step)) <= 1e-9
+
+    def test_identity_and_inversion_rejected(self, rng):
+        p = random_rotation(rng)[0]
+        for cycle in ([p, p, p], [p, -p]):
+            with pytest.raises(AssertionError, match="isoclinic"):
+                cycle_circle(np.array(cycle), range(len(cycle)))
 
 
 class TestMarkPair:
