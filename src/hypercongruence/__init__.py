@@ -9,7 +9,6 @@ condensing both sets in lockstep until a dimension reduction applies.
 from .geom import (
     CONSTANTS,
     EPS_EQ,
-    AnglePair,
     Chirality,
     Constants,
     DuplicatePointsError,
@@ -17,7 +16,6 @@ from .geom import (
     PlaneSpan,
     PointSet4,
     Verdict,
-    angle_between_planes,
     block_rotation,
     chirality,
     frame,
@@ -25,7 +23,6 @@ from .geom import (
     hopf_image,
     mark_pair,
     pluecker,
-    pluecker_distance,
     verify_rotation,
 )
 from .fileio import PointFileError, read_points, write_points

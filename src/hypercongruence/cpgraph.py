@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial import cKDTree
-from scipy.spatial.distance import pdist, squareform
 
 from .geom import EPS_EQ, DuplicatePointsError
 
@@ -53,25 +52,3 @@ def closest_pair_graph(points: np.ndarray, antipodal: bool = False,
     edges = np.unique(raw[raw[:, 0] != raw[:, 1]], axis=0)
     return ClosestPairGraph(n, delta, tuple(map(tuple, edges.tolist())))
 
-
-def brute_graph(points: np.ndarray, antipodal: bool = False,
-                eps: float = EPS_EQ) -> ClosestPairGraph:
-    """Quadratic reference construction, for cross-checking (n <= 4096)."""
-    pts = np.asarray(points, dtype=float)
-    n = len(pts)
-    if n < 2:
-        raise ValueError("need at least two points")
-    if n > 4096:
-        raise ValueError("brute-force graph capped at 4096 points")
-    d = squareform(pdist(pts))
-    if antipodal:
-        d_plus = squareform(pdist(np.vstack([pts, -pts])))[:n, n:]
-        np.fill_diagonal(d_plus, np.inf)
-        d = np.minimum(d, d_plus)
-    iu = np.triu_indices(n, k=1)
-    delta = float(d[iu].min())
-    if delta <= eps:
-        raise DuplicatePointsError(f"two points at distance {delta:.3e}")
-    close = d[iu] <= delta + eps
-    edges = tuple(zip(iu[0][close].tolist(), iu[1][close].tolist()))
-    return ClosestPairGraph(n, delta, edges)

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import NamedTuple, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 from scipy.linalg.lapack import dgeqrf, dorgqr
@@ -66,13 +66,6 @@ class Chirality(Enum):
     RIGHT = "right"
     BOTH = "both"
     NOT_ISOCLINIC = "not-isoclinic"
-
-
-class AnglePair(NamedTuple):
-    """Principal angles between two planes, sorted, each in [0, pi/2]."""
-
-    alpha: float
-    beta: float
 
 
 @dataclass(frozen=True)
@@ -182,16 +175,6 @@ def frame(vectors, eps: float = 1e-9) -> Optional[np.ndarray]:
     return f
 
 
-def angle_between_planes(p: PlaneSpan, q: PlaneSpan) -> AnglePair:
-    """Principal angle pair of two planes via the SVD of the 2x2 overlap."""
-    m = p.basis @ q.basis.T
-    s = np.linalg.svd(m, compute_uv=False)
-    s = np.clip(s, -1.0, 1.0)
-    alpha = math.acos(s[0])   # larger cosine -> smaller angle
-    beta = math.acos(s[1])
-    return AnglePair(alpha, beta)
-
-
 def pluecker(p: PlaneSpan) -> np.ndarray:
     """Canonical unit Pluecker coordinates of a plane.
 
@@ -211,17 +194,6 @@ def pluecker(p: PlaneSpan) -> np.ndarray:
     coords /= np.linalg.norm(coords)
     first = coords[np.argmax(np.abs(coords) > EPS_EQ)]
     return -coords if first < 0 else coords
-
-
-def pluecker_distance(p: PlaneSpan, q: PlaneSpan) -> float:
-    """Distance of two planes as antipodal point pairs on the 5-sphere.
-
-    Equals sqrt(2 * (1 - cos(alpha) * cos(beta))) for principal angles
-    (alpha, beta).
-    """
-    a = pluecker(p)
-    b = pluecker(q)
-    return min(float(np.linalg.norm(a - b)), float(np.linalg.norm(a + b)))
 
 
 def chirality(p: PlaneSpan, q: PlaneSpan, eps: float = EPS_EQ) -> Chirality:
@@ -247,31 +219,27 @@ def chirality(p: PlaneSpan, q: PlaneSpan, eps: float = EPS_EQ) -> Chirality:
     return Chirality.RIGHT if d > 0 else Chirality.LEFT
 
 
-def hopf_image(c0, p: np.ndarray, kind: str = "right") -> np.ndarray:
+def hopf_image(c0, p: np.ndarray) -> np.ndarray:
     """Map a unit 4-vector to the base 2-sphere of the circle bundle through c0.
 
     ``c0`` may be a PlaneSpan or a precomputed ``frame(c0.basis)``; the
-    base-sphere coordinates depend on which completion of c0 is used.
-    Points of c0 itself map to (0, 0, 1); the completely orthogonal circle
-    maps to (0, 0, -1).  Two circles of the bundle at angle pair (a, a) have
-    image points at geodesic distance 2a.
+    base-sphere coordinates depend on which completion of c0 is used.  A
+    positively oriented frame gives the right-parallel bundle; negating its
+    row 2 gives the left one.  Points of c0 itself map to (0, 0, 1); the
+    completely orthogonal circle maps to (0, 0, -1).  Two circles of the
+    bundle at angle pair (a, a) have image points at geodesic distance 2a.
     """
     f = c0 if isinstance(c0, np.ndarray) else frame(c0.basis)
     x, y, z, w = f @ np.asarray(p, dtype=float)
-    if kind == "right":
-        return np.array([2.0 * (x * w - y * z), 2.0 * (y * w + x * z),
-                         1.0 - 2.0 * (z * z + w * w)])
-    if kind == "left":
-        return np.array([2.0 * (x * w + y * z), 2.0 * (y * w - x * z),
-                         1.0 - 2.0 * (z * z + w * w)])
-    raise ValueError(f"unknown bundle kind {kind!r}")
+    return np.array([2.0 * (x * w - y * z), 2.0 * (y * w + x * z),
+                     1.0 - 2.0 * (z * z + w * w)])
 
 
-def hopf_fiber(c0, s: np.ndarray, kind: str = "right") -> PlaneSpan:
+def hopf_fiber(c0, s: np.ndarray) -> PlaneSpan:
     """The circle of the bundle through c0 lying over base point s.
 
     Inverse of :func:`hopf_image` for the same frame: the returned plane is
-    parallel (in the given sense) to c0 and its points map to s.
+    parallel (in the frame's sense) to c0 and its points map to s.
     """
     f = c0 if isinstance(c0, np.ndarray) else frame(c0.basis)
     s = np.asarray(s, dtype=float)
@@ -279,17 +247,11 @@ def hopf_fiber(c0, s: np.ndarray, kind: str = "right") -> PlaneSpan:
     gamma = math.acos(min(1.0, max(-1.0, s[2]))) / 2.0
     cg, sg = math.cos(gamma), math.sin(gamma)
     v1, v2, v3, v4 = f
-    if kind == "right":
-        delta = math.atan2(s[0], s[1])
-        w2 = math.cos(delta) * v4 - math.sin(delta) * v3
-    elif kind == "left":
-        delta = math.atan2(s[0], -s[1])
-        w2 = math.sin(delta) * v3 - math.cos(delta) * v4
-    else:
-        raise ValueError(f"unknown bundle kind {kind!r}")
     if sg * 2.0 < 1e-15:
         return PlaneSpan(np.vstack([v1, v2]))
+    delta = math.atan2(s[0], s[1])
     w1 = math.cos(delta) * v3 + math.sin(delta) * v4
+    w2 = math.cos(delta) * v4 - math.sin(delta) * v3
     return PlaneSpan(np.vstack([cg * v1 + sg * w1, cg * v2 + sg * w2]))
 
 

@@ -180,7 +180,7 @@ def gen_hopf_circles(m: int, samples: int, seed: int) -> tuple:
     base /= np.linalg.norm(base, axis=1, keepdims=True)
     circles, pts = [], []
     for s in base:
-        fib = hopf_fiber(f0, s, "right")
+        fib = hopf_fiber(f0, s)
         circles.append(fib)
         th = rng.uniform(0.0, TWO_PI) + np.arange(samples) * TWO_PI / samples
         pts.append(np.cos(th)[:, None] * fib.basis[0]

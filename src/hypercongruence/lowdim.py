@@ -1,17 +1,19 @@
-"""Labeled congruence tests in one and three dimensions.
+"""Labeled congruence tests in two and three dimensions, and the 1+3
+reduction that leads to them.
 
-The 4D pipeline bottoms out here: once a well-separated direction pair
-has been fixed (or a pair of invariant circles), what remains is to match
-labeled points on a circle or in a 3-dimensional slice.  Angles on a
-circle are matched through the canonical-axes machinery; 3D point sets
-are matched by condensing a least-frequent shell to its symmetry-bounded
-core and trying the handful of frame alignments that survive.
+The 4D pipeline bottoms out here.  Both reductions take one step,
+_about_axis: pin an axis of A onto each candidate axis of B, cluster the
+heights along the axes jointly, and solve the orthogonal slice with the
+height ids as labels.  one_plus_three_reduce pins an anchor and solves
+the 3-slice with congruence_3d_labeled, which pins a point of its
+condensed rarest shell and matches labeled angles on the circle.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
+from itertools import compress
 from typing import Optional, Sequence
 
 import numpy as np
@@ -97,9 +99,50 @@ def congruence_2d_labeled(angles_a: np.ndarray, labels_a: Sequence,
     return t
 
 
-def _rot_z(t: float) -> np.ndarray:
+def _about_axis(pa: np.ndarray, la: Sequence, pb: np.ndarray, lb: Sequence,
+                u: np.ndarray, targets: np.ndarray, eps: float, residual):
+    """Candidate rotations mapping axis u onto each target v in turn.
+
+    Heights along u and v are clustered jointly, and ``residual(proj_a,
+    labels_a, height_ids_a, proj_b, labels_b, height_ids_b, eps)`` solves
+    the orthogonal slice (a rotation matrix s, or None); each solution
+    yields fb.T @ diag(1, s) @ fa.  The caller checks the candidates.
+    """
+    fa = frame([u])
+    h_a, proj_a = pa @ fa[0], pa @ fa[1:].T
+    for v in targets:
+        fb = frame([v])
+        hids_a, hids_b = joint_cluster(h_a, pb @ fb[0], eps)
+        s = residual(proj_a, la, hids_a.tolist(),
+                     pb @ fb[1:].T, lb, hids_b.tolist(), eps)
+        if s is not None:
+            lift = np.eye(len(fa))
+            lift[1:, 1:] = s
+            yield fb.T @ lift @ fa
+
+
+def _turn_2d(qa: np.ndarray, la: Sequence, ha: list, qb: np.ndarray,
+             lb: Sequence, hb: list, eps: float) -> Optional[np.ndarray]:
+    """A 2x2 rotation matching two equally long plane sets about the
+    origin, each point labeled by its label and height id, or None.  Points
+    off the origin add a jointly clustered radius id (congruence_2d_labeled).
+    """
+    rho_a, rho_b = np.hypot(qa[:, 0], qa[:, 1]), np.hypot(qb[:, 0], qb[:, 1])
+    on_a, on_b = rho_a <= eps, rho_b <= eps
+    if Counter(zip(compress(la, on_a), compress(ha, on_a))) != \
+            Counter(zip(compress(lb, on_b), compress(hb, on_b))):
+        return None
+    pids_a, pids_b = joint_cluster(rho_a[~on_a], rho_b[~on_b], eps)
+    t = congruence_2d_labeled(
+        np.arctan2(qa[~on_a, 1], qa[~on_a, 0]),
+        list(zip(compress(la, ~on_a), compress(ha, ~on_a), pids_a.tolist())),
+        np.arctan2(qb[~on_b, 1], qb[~on_b, 0]),
+        list(zip(compress(lb, ~on_b), compress(hb, ~on_b), pids_b.tolist())),
+        eps)
+    if t is None:
+        return None
     c, s = math.cos(t), math.sin(t)
-    return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+    return np.array([[c, -s], [s, c]])
 
 
 def congruence_3d_labeled(points_a: np.ndarray, labels_a: Sequence,
@@ -109,7 +152,10 @@ def congruence_3d_labeled(points_a: np.ndarray, labels_a: Sequence,
     as labeled multisets, or None.
 
     Only proper rotations are searched: every embedding of a 3D slice match
-    into a positively oriented 4D congruence forces det(S) = +1.
+    into a positively oriented 4D congruence forces det(S) = +1.  The rarest
+    labeled shell condenses to a frame of 1, 2, 4, 6 or 12 points; S maps
+    the first point of A's frame onto some point of B's, and the circle
+    test about that axis fixes the turn.
     """
     pa = np.asarray(points_a, dtype=float).reshape(-1, 3)
     pb = np.asarray(points_b, dtype=float).reshape(-1, 3)
@@ -118,20 +164,14 @@ def congruence_3d_labeled(points_a: np.ndarray, labels_a: Sequence,
     la, lb = list(labels_a), list(labels_b)
     ra, rb = np.linalg.norm(pa, axis=1), np.linalg.norm(pb, axis=1)
     orig_a, orig_b = ra <= eps, rb <= eps
-    if Counter(l for l, o in zip(la, orig_a) if o) != \
-            Counter(l for l, o in zip(lb, orig_b) if o):
+    if Counter(compress(la, orig_a)) != Counter(compress(lb, orig_b)):
         return None
-    keep_a, keep_b = ~orig_a, ~orig_b
-    pa, pb = pa[keep_a], pb[keep_b]
-    la = [l for l, k in zip(la, keep_a) if k]
-    lb = [l for l, k in zip(lb, keep_b) if k]
-    if len(pa) != len(pb):
-        return None
+    pa, pb, ra, rb = pa[~orig_a], pb[~orig_b], ra[~orig_a], rb[~orig_b]
+    la, lb = list(compress(la, ~orig_a)), list(compress(lb, ~orig_b))
     if len(pa) == 0:
         return np.eye(3)
 
-    rida, ridb = joint_cluster(np.linalg.norm(pa, axis=1),
-                               np.linalg.norm(pb, axis=1), eps)
+    rida, ridb = joint_cluster(ra, rb, eps)
     toks_a = list(zip(la, rida.tolist()))
     toks_b = list(zip(lb, ridb.tolist()))
     ca, cb = Counter(toks_a), Counter(toks_b)
@@ -147,63 +187,9 @@ def congruence_3d_labeled(points_a: np.ndarray, labels_a: Sequence,
     if len(fa) != len(fb):
         return None
     vtol = max(eps, 1e-9) * 10.0
-
-    if len(fa) <= 2:
-        # an invariant axis: try u -> v, and u -> -v for the antipodal pair;
-        # frame rows (e1, e2, axis), a cyclic shift keeps the orientation
-        ma = frame(fa[:1])[[1, 2, 0]]
-        for v in fb:
-            mb = frame([v])[[1, 2, 0]]
-            ca3, cb3 = pa @ ma.T, pb @ mb.T
-            hids_a, hids_b = joint_cluster(ca3[:, 2], cb3[:, 2], eps)
-            rho_a = np.hypot(ca3[:, 0], ca3[:, 1])
-            rho_b = np.hypot(cb3[:, 0], cb3[:, 1])
-            off_a, off_b = rho_a > eps, rho_b > eps
-            on_toks_a = Counter((l, h) for l, h, o
-                                in zip(la, hids_a.tolist(), off_a) if not o)
-            on_toks_b = Counter((l, h) for l, h, o
-                                in zip(lb, hids_b.tolist(), off_b) if not o)
-            if on_toks_a != on_toks_b or off_a.sum() != off_b.sum():
-                continue
-            if off_a.any():
-                pids_a, pids_b = joint_cluster(rho_a[off_a], rho_b[off_b], eps)
-                th_a = np.arctan2(ca3[off_a, 1], ca3[off_a, 0])
-                th_b = np.arctan2(cb3[off_b, 1], cb3[off_b, 0])
-                tla = list(zip([x for x, o in zip(la, off_a) if o],
-                               hids_a[off_a].tolist(), pids_a.tolist()))
-                tlb = list(zip([x for x, o in zip(lb, off_b) if o],
-                               hids_b[off_b].tolist(), pids_b.tolist()))
-                t = congruence_2d_labeled(th_a, tla, th_b, tlb, eps)
-                if t is None:
-                    continue
-            else:
-                t = 0.0
-            s = mb.T @ _rot_z(t) @ ma
-            if match_multisets(pa @ s.T, pb, vtol, tuple(toks_a), tuple(toks_b)):
-                return s
-        return None
-
-    # a bounded orbit frame (4, 6 or 12 points): try every same-gap image pair
-    p1 = fa[0]
-    dist = np.where(np.abs(np.abs(fa @ p1) - 1.0) < 1e-6, np.inf,
-                    np.linalg.norm(fa - p1, axis=1))
-    if not np.isfinite(dist).any():
-        raise AssertionError("condensed frame of >2 points is collinear")
-    p2 = fa[int(np.argmin(dist))]
-    d12 = float(p1 @ p2)
-    ma = frame([p1, p2])
-    for i in range(len(fb)):
-        for j in range(len(fb)):
-            if i == j or abs(float(fb[i] @ fb[j]) - d12) > vtol:
-                continue
-            mb = frame([fb[i], fb[j]])
-            if mb is None:
-                continue
-            s = mb.T @ ma
-            if not match_multisets(fa @ s.T, fb, vtol):
-                continue
-            if match_multisets(pa @ s.T, pb, vtol, tuple(toks_a), tuple(toks_b)):
-                return s
+    for s in _about_axis(pa, la, pb, lb, fa[0], fb, eps, _turn_2d):
+        if match_multisets(pa @ s.T, pb, vtol, tuple(toks_a), tuple(toks_b)):
+            return s
     return None
 
 
@@ -238,9 +224,7 @@ def one_plus_three_reduce(set_a: PointSet4, set_b: PointSet4,
     ``set_b`` and keep the distances between anchors, so it maps the
     lexicographically least anchor a0 of the rarest signature class
     (_anchor_class) to *some* anchor b of the same class.  Each candidate
-    pins one axis; the residual freedom is a rotation of the orthogonal
-    3-slice, decided by congruence_3d_labeled on the projections with
-    signed heights folded into the labels.
+    pins one axis, and congruence_3d_labeled decides the orthogonal 3-slice.
     """
     aa = np.asarray(anchors_a, dtype=float).reshape(-1, 4)
     ab = np.asarray(anchors_b, dtype=float).reshape(-1, 4)
@@ -252,25 +236,15 @@ def one_plus_three_reduce(set_a: PointSet4, set_b: PointSet4,
             return Verdict.no("anchor alignment")
         aa, ab = classes
     a0 = aa[np.lexsort(aa.T[::-1])[0]]
-    fa = frame([a0])
-    h_a = set_a.points @ fa[0]
-    proj_a = set_a.points @ fa[1:].T
     base_a = set_a.labels if set_a.labels is not None else [0] * len(set_a)
     base_b = set_b.labels if set_b.labels is not None else [0] * len(set_b)
 
-    for b in ab[np.lexsort(ab.T[::-1])]:
-        fb = frame([b])
-        h_b = set_b.points @ fb[0]
-        hids_a, hids_b = joint_cluster(h_a, h_b, eps)
-        la = list(zip(base_a, hids_a.tolist()))
-        lb = list(zip(base_b, hids_b.tolist()))
-        s = congruence_3d_labeled(proj_a, la, set_b.points @ fb[1:].T, lb, eps)
-        if s is None:
-            continue
-        lift = np.zeros((4, 4))
-        lift[0, 0] = 1.0
-        lift[1:, 1:] = s
-        r = fb.T @ lift @ fa
+    def slice_3d(qa, la, ha, qb, lb, hb, eps):
+        return congruence_3d_labeled(qa, list(zip(la, ha)),
+                                     qb, list(zip(lb, hb)), eps)
+
+    for r in _about_axis(set_a.points, base_a, set_b.points, base_b, a0,
+                         ab[np.lexsort(ab.T[::-1])], eps, slice_3d):
         if verify_rotation(set_a, set_b, r):
             return Verdict.yes(r, np.zeros(4))
     return Verdict.no("anchor alignment")

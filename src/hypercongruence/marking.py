@@ -52,12 +52,14 @@ def _dedupe_points(points: np.ndarray, eps: float) -> np.ndarray:
     return reps[np.lexsort(reps.T[::-1])]
 
 
-def _closest_mate(idx: int, mates, plv: np.ndarray):
-    """Nearest class mate on the Pluecker sphere, ties by lexicographic order."""
-    def rank(k):
-        d = min(np.linalg.norm(plv[idx] - plv[k]), np.linalg.norm(plv[idx] + plv[k]))
-        return (d, tuple(plv[k]))
-    return min(mates, key=rank)
+def _closest_mates(idx: int, mates, plv: np.ndarray, eps: float) -> list:
+    """The class mates nearest to circle idx on the Pluecker sphere, every
+    one within eps of the nearest distance: breaking such a tie by the
+    coordinates would not commute with rotations."""
+    m = plv[mates]
+    d = np.minimum(np.linalg.norm(m - plv[idx], axis=1),
+                   np.linalg.norm(m + plv[idx], axis=1))
+    return [k for k, dk in zip(mates, d.tolist()) if dk <= d.min() + eps]
 
 
 def mark_circles(circles, eps: float = EPS_EQ,
@@ -66,9 +68,10 @@ def mark_circles(circles, eps: float = EPS_EQ,
 
     The result is Markers (at most 4 points for each of at most 25 times
     the family size many pairs) or FewCircles (at most ``few_cap``
-    circles).  ``few_cap`` exists so small instances can exercise the
-    marking path; the default is the packing bound under which a stalled
-    family must already have dropped.
+    circles, or the family of a condensing round that made no progress).
+    ``few_cap`` exists so small instances can exercise the marking path;
+    the default is the packing bound under which a stalled family must
+    already have dropped.
     """
     circles = list(circles)
     if not circles:
@@ -92,9 +95,7 @@ def mark_circles(circles, eps: float = EPS_EQ,
 
         # M3: few circles left
         if len(circles) <= few_cap:
-            keys.append(("M3", len(circles)))
-            order = np.lexsort(_plueckers(circles).T[::-1])
-            return FewCircles([circles[i] for i in order]), keys
+            return _few(circles, keys)
 
         # M4: a trivial partition carries no chirality
         if all(len(c) == 1 for c in classes):
@@ -135,7 +136,7 @@ def mark_circles(circles, eps: float = EPS_EQ,
             keys.append(("M7", len(e_n)))
             return _mark(circles, e_n, len(circles), eps, keys)
 
-        # M8/M9: replace a parallel edge endpoint by its nearest class mate
+        # M8/M9: replace a parallel edge endpoint by its nearest class mates
         # of the opposite sense; the replacement cannot be parallel to the
         # other endpoint, or parallelism of both senses would be transitive
         # through it
@@ -151,7 +152,8 @@ def mark_circles(circles, eps: float = EPS_EQ,
                     mates = [k for k in class_of[c] if k != c and k != d]
                     if not mates:
                         continue
-                    pairs.add(frozenset((_closest_mate(c, mates, plv), d)))
+                    pairs.update(frozenset((k, d))
+                                 for k in _closest_mates(c, mates, plv, eps))
             pairs = sorted(tuple(sorted(p)) for p in pairs)
             if not pairs:
                 raise AssertionError("no usable cross pairs from parallel edges")
@@ -179,20 +181,29 @@ def mark_circles(circles, eps: float = EPS_EQ,
             c0 = min((circles[i] for i in members),
                      key=lambda c: tuple(pluecker(c)))
             f0 = frame(c0.basis)
-            images = np.array([hopf_image(f0, circles[i].basis[0], side)
+            if side == "left":
+                f0[2] = -f0[2]
+            images = np.array([hopf_image(f0, circles[i].basis[0])
                                for i in members])
             reps = condense_sphere(images, eps=1e-7)
-            fibers = [hopf_fiber(f0, s, side) for s in reps]
+            fibers = [hopf_fiber(f0, s) for s in reps]
             new_classes.append(list(range(len(new_circles),
                                           len(new_circles) + len(fibers))))
             new_circles.extend(fibers)
         if (len(new_classes), len(new_circles)) >= before:
-            raise AssertionError("circle condensing stalled above the "
-                                 "packing bound")
+            # stalled above few_cap: the 2+2 reduction tries every circle
+            return _few(circles, keys)
         keys.append(("M10" if side == "left" else "M11",
                      (before[0], len(new_classes))))
         circles, classes, chir = new_circles, new_classes, side
     raise AssertionError("circle condensing failed to terminate")
+
+
+def _few(circles, keys: list):
+    """M3: the family in Pluecker order, for the 2+2 reduction."""
+    keys.append(("M3", len(circles)))
+    order = np.lexsort(_plueckers(circles).T[::-1])
+    return FewCircles([circles[i] for i in order]), keys
 
 
 def _mark(circles, pairs, family_size: int, eps: float, keys: list):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hypercongruence.geom import block_rotation, frame
+from hypercongruence.geom import block_rotation, frame, pluecker
 from hypercongruence.harness import random_rotation
 
 
@@ -35,4 +35,23 @@ def rebuilt_step(orbit, circle) -> np.ndarray:
     return f.T @ block_rotation(*step_angles(orbit, circle)) @ f
 
 
-__all__ = ["random_rotation", "rebuilt_step", "rot3", "step_angles"]
+def pluecker_distance(p, q) -> float:
+    """Distance of two planes as antipodal point pairs on the 5-sphere.
+
+    Equals sqrt(2 * (1 - cos(alpha) * cos(beta))) for principal angles
+    (alpha, beta).
+    """
+    a, b = pluecker(p), pluecker(q)
+    return min(float(np.linalg.norm(a - b)), float(np.linalg.norm(a + b)))
+
+
+def left_frame(f: np.ndarray) -> np.ndarray:
+    """A frame with row 2 negated: hopf_image and hopf_fiber on it map the
+    left-parallel bundle through the frame's first plane."""
+    f = np.array(f, dtype=float)
+    f[2] = -f[2]
+    return f
+
+
+__all__ = ["left_frame", "pluecker_distance", "random_rotation",
+           "rebuilt_step", "rot3", "step_angles"]

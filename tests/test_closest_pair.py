@@ -5,10 +5,31 @@ import itertools
 import numpy as np
 import pytest
 
-from hypercongruence.cpgraph import (ClosestPairGraph, brute_graph,
-                                     closest_pair_graph)
-from hypercongruence.geom import DuplicatePointsError, PlaneSpan, pluecker
+from scipy.spatial.distance import pdist, squareform
+
+from hypercongruence.cpgraph import ClosestPairGraph, closest_pair_graph
+from hypercongruence.geom import (EPS_EQ, DuplicatePointsError, PlaneSpan,
+                                  pluecker)
 from hypercongruence.harness import random_rotation
+
+
+def brute_graph(points: np.ndarray, antipodal: bool = False,
+                eps: float = EPS_EQ) -> ClosestPairGraph:
+    """Quadratic reference construction of the closest-pair graph."""
+    pts = np.asarray(points, dtype=float)
+    n = len(pts)
+    d = squareform(pdist(pts))
+    if antipodal:
+        d_plus = squareform(pdist(np.vstack([pts, -pts])))[:n, n:]
+        np.fill_diagonal(d_plus, np.inf)
+        d = np.minimum(d, d_plus)
+    iu = np.triu_indices(n, k=1)
+    delta = float(d[iu].min())
+    if delta <= eps:
+        raise DuplicatePointsError(f"two points at distance {delta:.3e}")
+    close = d[iu] <= delta + eps
+    edges = tuple(zip(iu[0][close].tolist(), iu[1][close].tolist()))
+    return ClosestPairGraph(n, delta, edges)
 
 
 def unit_cloud(rng, n):
@@ -62,8 +83,9 @@ def test_antipodal_mode_matches_brute(rng):
 def test_antipodal_duplicates_rejected():
     p = PlaneSpan(np.array([[1.0, 0, 0, 0], [0, 1.0, 0, 0]]))
     v = pluecker(p)
-    with pytest.raises(DuplicatePointsError):
-        brute_graph(np.vstack([v, -v, [0, 0, 0, 0, 0, 1.0]]), antipodal=True)
+    for make in (closest_pair_graph, brute_graph):
+        with pytest.raises(DuplicatePointsError):
+            make(np.vstack([v, -v, [0, 0, 0, 0, 0, 1.0]]), antipodal=True)
 
 
 def test_duplicates_rejected(rng):

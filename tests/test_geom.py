@@ -3,23 +3,36 @@ chirality, Hopf maps, frames, rotation decomposition, marks,
 verification."""
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 
-from conftest import rebuilt_step, step_angles
+from conftest import left_frame, pluecker_distance, rebuilt_step, step_angles
 from hypercongruence.circles import cycle_circle
-from hypercongruence.geom import (CONSTANTS, DELTA_MIN, AnglePair, Chirality,
+from hypercongruence.geom import (CONSTANTS, DELTA_MIN, Chirality,
                                   ParallelPlanesError, PlaneSpan, PointSet4,
-                                  angle_between_planes, block_rotation,
-                                  chirality, frame, hopf_fiber, hopf_image,
-                                  mark_pair, pluecker, pluecker_distance,
+                                  block_rotation, chirality, frame,
+                                  hopf_fiber, hopf_image, mark_pair, pluecker,
                                   verify_rotation)
 from hypercongruence.harness import random_rotation
 
 E12 = PlaneSpan(np.array([[1.0, 0, 0, 0], [0, 1.0, 0, 0]]))
 E34 = PlaneSpan(np.array([[0, 0, 1.0, 0], [0, 0, 0, 1.0]]))
 E13 = PlaneSpan(np.array([[1.0, 0, 0, 0], [0, 0, 1.0, 0]]))
+
+
+class AnglePair(NamedTuple):
+    """Principal angles between two planes, sorted, each in [0, pi/2]."""
+
+    alpha: float
+    beta: float
+
+
+def angle_between_planes(p: PlaneSpan, q: PlaneSpan) -> AnglePair:
+    """Principal angle pair of two planes via the SVD of the 2x2 overlap."""
+    s = np.clip(np.linalg.svd(p.basis @ q.basis.T, compute_uv=False), -1.0, 1.0)
+    return AnglePair(math.acos(s[0]), math.acos(s[1]))
 
 
 def clifford_pair(basis_rows, alpha, delta, kind):
@@ -145,7 +158,7 @@ class TestChirality:
         fibs = []
         for _ in range(4):
             s = rng.normal(size=3)
-            fibs.append(hopf_fiber(f, s / np.linalg.norm(s), "right"))
+            fibs.append(hopf_fiber(f, s / np.linalg.norm(s)))
         for i in range(4):
             for j in range(i + 1, 4):
                 assert chirality(fibs[i], fibs[j]) in (
@@ -201,8 +214,8 @@ class TestHopf:
             s1, s2 = rng.normal(size=(2, 3))
             s1 /= np.linalg.norm(s1)
             s2 /= np.linalg.norm(s2)
-            c = hopf_fiber(f, s1, "right")
-            d = hopf_fiber(f, s2, "right")
+            c = hopf_fiber(f, s1)
+            d = hopf_fiber(f, s2)
             a = angle_between_planes(c, d)
             assert abs(a.alpha - a.beta) < 1e-9
             geo = math.acos(np.clip(s1 @ s2, -1, 1))
@@ -212,9 +225,27 @@ class TestHopf:
         f = frame(random_rotation(rng)[:2])
         s = rng.normal(size=3)
         s /= np.linalg.norm(s)
-        fib = hopf_fiber(f, s, "left")
-        assert np.allclose(hopf_image(f, fib.basis[0], "left"), s, atol=1e-9)
-        assert np.allclose(hopf_image(f, fib.basis[1], "left"), s, atol=1e-9)
+        f = left_frame(f)
+        fib = hopf_fiber(f, s)
+        assert np.allclose(hopf_image(f, fib.basis[0]), s, atol=1e-9)
+        assert np.allclose(hopf_image(f, fib.basis[1]), s, atol=1e-9)
+
+    def test_left_frame_maps_the_left_bundle(self, rng):
+        # the left-bundle formulas, (2(xw + yz), 2(yw - xz), 1 - 2(z^2 + w^2))
+        # in the unflipped frame, are the right ones in the flipped frame
+        f = frame(random_rotation(rng)[:2])
+        for p in rng.normal(size=(20, 4)):
+            x, y, z, w = f @ (p / np.linalg.norm(p))
+            want = [2 * (x * w + y * z), 2 * (y * w - x * z),
+                    1 - 2 * (z * z + w * w)]
+            assert np.allclose(hopf_image(left_frame(f), p / np.linalg.norm(p)),
+                               want, atol=1e-15)
+        fibs = [hopf_fiber(left_frame(f), s / np.linalg.norm(s))
+                for s in rng.normal(size=(4, 3))]
+        for i in range(4):
+            for j in range(i + 1, 4):
+                assert chirality(fibs[i], fibs[j]) in (
+                    Chirality.LEFT, Chirality.BOTH)
 
 
 class TestDecomposeRotation:

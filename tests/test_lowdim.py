@@ -58,6 +58,18 @@ class TestCircle:
         assert congruence_2d_labeled([0.0, 1.0], [0, 0], [0.0], [0],
                                      1e-9) is None
 
+    def test_gap_pattern_mismatch(self):
+        assert congruence_2d_labeled([0.0, 1.0, 2.0], [0] * 3,
+                                     [0.0, 1.0, 3.0], [0] * 3, 1e-9) is None
+
+    def test_position_count_mismatch(self):
+        # two of A's points share one position
+        assert congruence_2d_labeled([0.0, 0.0, 1.0], [0] * 3,
+                                     [0.0, 1.0, 2.0], [0] * 3, 1e-9) is None
+
+    def test_empty(self):
+        assert congruence_2d_labeled([], [], [], [], 1e-9) == 0.0
+
     def test_single_position_any_shift(self):
         # every point at one angle merges into a single position
         t = congruence_2d_labeled([6.0] * 3, [0, 1, 1], [0.5] * 3, [1, 0, 1],
@@ -185,6 +197,26 @@ class TestSphere3D:
         assert s is not None
         assert np.max(np.abs(lin @ s.T - lin @ r.T)) < 1e-7
 
+    def test_count_mismatch(self):
+        assert congruence_3d_labeled(np.eye(3), [0] * 3, np.eye(3)[:2],
+                                     [0] * 2, 1e-9) is None
+
+    def test_condensed_frames_differ(self):
+        # six points each: a triangular prism condenses to its axis pair,
+        # the octahedron to itself
+        th = TWO_PI * np.arange(6) / 3
+        prism = np.c_[np.cos(th), np.sin(th), np.repeat([0.5, -0.5], 3)]
+        octa = np.concatenate([np.eye(3), -np.eye(3)])
+        assert congruence_3d_labeled(prism / np.linalg.norm(prism, axis=1)[:, None],
+                                     [0] * 6, octa, [0] * 6, 1e-9) is None
+
+    def test_on_axis_labels_differ(self):
+        # equal heights and radii, but the second point on the pinned axis
+        # carries label 1 in A and label 2 in B
+        pts = np.array([[0, 0, 1.0], [0, 0, -2.0], [2.0, 0, 0]])
+        assert congruence_3d_labeled(pts, [0, 1, 2], pts, [0, 2, 1],
+                                     1e-9) is None
+
     def test_origin_point_allowed(self, rng):
         pts = np.array([[0, 0, 1.0], [0, 0, 2.0], [0, 0, -1.0], [0, 0, 0]])
         r = rot3(rng)
@@ -218,6 +250,12 @@ class TestOnePlusThree:
                                   anchors @ r4.T, 1e-9)
         assert not v.congruent
         assert v.stage
+
+    def test_anchor_count_mismatch(self, rng):
+        a, r4, anchors = self.make(rng)
+        v = one_plus_three_reduce(PointSet4(a), PointSet4(a @ r4.T), anchors,
+                                  anchors[:2] @ r4.T, 1e-9)
+        assert v.stage == "anchor count"
 
     def test_labeled(self, rng):
         a, r4, anchors = self.make(rng)

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 
+from conftest import left_frame, pluecker_distance
 from hypercongruence.geom import (
     Chirality,
     PlaneSpan,
@@ -11,10 +12,11 @@ from hypercongruence.geom import (
     frame,
     hopf_fiber,
     mark_pair,
-    pluecker_distance,
+    pluecker,
 )
 from hypercongruence.harness import random_rotation
-from hypercongruence.marking import FewCircles, Markers, mark_circles
+from hypercongruence.marking import (FewCircles, Markers, _closest_mates,
+                                     mark_circles)
 
 E12 = PlaneSpan(np.array([[1.0, 0, 0, 0], [0, 1.0, 0, 0]]))
 
@@ -48,11 +50,11 @@ def two_tetra_bundles():
     second bundle; all 28 pairwise distances then agree.
     """
     t = tetrahedron()
-    f0 = frame(E12.basis)
-    b1 = [hopf_fiber(f0, v, "left") for v in t]
+    f0 = left_frame(frame(E12.basis))
+    b1 = [hopf_fiber(f0, v) for v in t]
     beta2 = math.acos(-1 / 3)
     d = hopf_fiber(frame(b1[0].basis),
-                   np.array([math.sin(beta2), 0, math.cos(beta2)]), "right")
+                   np.array([math.sin(beta2), 0, math.cos(beta2)]))
     axis = np.cross(t[0], [0, 0, 1.0])
     axis /= np.linalg.norm(axis)
     ang = math.acos(t[0] @ [0, 0, 1.0])
@@ -60,8 +62,8 @@ def two_tetra_bundles():
                   [axis[2], 0, -axis[0]],
                   [-axis[1], axis[0], 0]])
     rt = np.eye(3) + math.sin(ang) * k + (1 - math.cos(ang)) * (k @ k)
-    fd = frame(d.basis)
-    b2 = [hopf_fiber(fd, rt @ v, "left") for v in t]
+    fd = left_frame(frame(d.basis))
+    b2 = [hopf_fiber(fd, rt @ v) for v in t]
     assert pluecker_distance(b2[0], d) < 1e-9
     return b1 + [d] + b2[1:]
 
@@ -96,7 +98,7 @@ class TestTwoCircles:
 class TestFewCirclesPath:
     def test_dodecahedral_bundle_condenses(self, rng):
         f0 = frame(E12.basis)
-        circles = [hopf_fiber(f0, v, "right") for v in dodecahedron()]
+        circles = [hopf_fiber(f0, v) for v in dodecahedron()]
         r = random_rotation(rng)
         res, keys = mark_circles([rot_span(c, r) for c in circles],
                                  few_cap=12)
@@ -108,7 +110,7 @@ class TestFewCirclesPath:
 
     def test_condensed_circles_form_one_bundle(self, rng):
         f0 = frame(E12.basis)
-        circles = [hopf_fiber(f0, v, "right") for v in dodecahedron()]
+        circles = [hopf_fiber(f0, v) for v in dodecahedron()]
         res, _ = mark_circles(circles, few_cap=12)
         for i in range(len(res.circles)):
             for j in range(i + 1, len(res.circles)):
@@ -146,3 +148,14 @@ class TestEquidistantBundles:
         _, k2 = mark_circles([c1, c2], few_cap=1)
         _, k8 = mark_circles(two_tetra_bundles(), few_cap=2)
         assert k2 != k8
+
+
+class TestClosestMates:
+    def test_ties_keep_every_nearest_mate(self, rng):
+        # fibers over the octahedron: the four equatorial ones are equally
+        # near the north fiber, under any rotation of the family
+        octa = np.concatenate([np.eye(3), -np.eye(3)])[[2, 0, 1, 3, 4, 5]]
+        circles = [hopf_fiber(frame(E12.basis), v) for v in octa]
+        for r in (np.eye(4), random_rotation(rng)):
+            plv = np.array([pluecker(rot_span(c, r)) for c in circles])
+            assert _closest_mates(0, [1, 2, 3, 4, 5], plv, 1e-9) == [1, 2, 3, 4]

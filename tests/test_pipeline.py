@@ -32,6 +32,25 @@ def assert_roundtrip(a, rng, opts=None, tol=1e-6):
     return v
 
 
+def quaternion_orbit(lefts, rights, p):
+    """The points l * p * conj(r) for unit quaternions l, r (rows w, x, y,
+    z), duplicates removed."""
+    def mul(a, b):
+        return np.stack([a[:, 0] * b[:, 0] - np.sum(a[:, 1:] * b[:, 1:], 1),
+                         *(a[:, :1] * b[:, 1:] + b[:, :1] * a[:, 1:]
+                           + np.cross(a[:, 1:], b[:, 1:])).T], 1)
+    lp = mul(np.asarray(lefts, float), np.tile(p, (len(lefts), 1)))
+    conj = np.asarray(rights, float) * [1, -1, -1, -1]
+    pts = mul(np.repeat(lp, len(conj), 0), np.tile(conj, (len(lp), 1)))
+    return np.unique(np.round(pts, 12), axis=0)
+
+
+def binary_tetrahedral() -> np.ndarray:
+    """The 24 unit quaternions of the binary tetrahedral group."""
+    return np.vstack([np.eye(4), -np.eye(4),
+                      np.array(list(itertools.product([-0.5, 0.5], repeat=4)))])
+
+
 class TestSmallSets:
     def test_single_point(self, rng):
         assert_roundtrip(rng.normal(size=(1, 4)), rng)
@@ -185,11 +204,30 @@ class TestStructuredFamilies:
         mirror_keys = [k for stage, k, _ in trace if stage == "mirror"]
         assert mirror_keys[-1][0] == "Anchors"
 
+    def test_stalled_circle_condensing_takes_two_plus_two(self, rng):
+        # the 2T x C8 orbit: its 6 orbit circles condense to one left class
+        # of 4 that stays 4 circles, above few_cap = 3
+        th = np.arange(8) * np.pi / 4
+        c8 = np.c_[np.cos(th), np.sin(th), np.zeros(8), np.zeros(8)]
+        p = np.random.default_rng(0).normal(size=4)
+        a = quaternion_orbit(binary_tetrahedral(), c8, p / np.linalg.norm(p))
+        assert len(a) == 96
+        delta = cKDTree(a).query(a, k=2)[0][:, 1].min()
+        b = transformed(a, rng)
+        trace = []
+        v = congruence_test_4d(a, b[rng.permutation(len(b))],
+                               PipelineOptions(delta0=1.01 * delta, few_cap=3),
+                               trace_sink=trace)
+        assert v.congruent
+        assert cKDTree(b).query(a @ v.rotation.T + v.translation)[0].max() < 1e-6
+        marking = [k for stage, k, _ in trace if stage == "marking"][-1]
+        assert marking[0] == "FewCircles" and marking[1][-1] == ("M3", 4)
+
     def test_hopf_fiber_samples(self, rng):
         f0 = frame(np.array([[1.0, 0, 0, 0], [0, 1.0, 0, 0]]))
         pts = []
         for s in ([0.0, 0, 1], [1.0, 0, 0], [0.6, 0.8, 0]):
-            fib = hopf_fiber(f0, np.array(s), "right")
+            fib = hopf_fiber(f0, np.array(s))
             th = np.arange(12) * TWO_PI / 12
             pts.append(np.cos(th)[:, None] * fib.basis[0]
                        + np.sin(th)[:, None] * fib.basis[1])

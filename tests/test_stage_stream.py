@@ -48,6 +48,26 @@ def _chiral_helix() -> np.ndarray:
                      np.cos(2 * t), np.sin(2 * t)], axis=1) / math.sqrt(2)
 
 
+def _snub_24_cell() -> np.ndarray:
+    """The 96 vertices of the 600-cell with exactly one zero coordinate.
+    Under delta0 = 0.7 it prunes through C4 progress and C10 "mixed" to
+    24 orbit circles, whose right-parallel classes condense (M11) and then
+    mark across cross pairs (M8) before the Markers restart."""
+    c = gen_regular_polytope("600-cell")
+    return c[(np.abs(c) < 1e-12).sum(1) == 1]
+
+
+def _great_polygons(k: int, n: int, seed: int) -> np.ndarray:
+    """k regular n-gons on random great circles.  For seed 13 no two
+    polygons come closer than their edge, so the polygons are the mirror
+    circles; one closest pair of them is not isoclinic (M7) and its marks
+    restart the pipeline."""
+    rng = np.random.default_rng(seed)
+    th = 2 * np.pi * np.arange(n) / n
+    return np.concatenate([np.cos(th)[:, None] * f[0] + np.sin(th)[:, None] * f[1]
+                           for f in (random_rotation(rng)[:2] for _ in range(k))])
+
+
 # name -> (points, pipeline options, compare against the mirror image)
 CASES = {
     "well_separated": (gen_regular_polytope("24-cell"), None, False),
@@ -66,6 +86,11 @@ CASES = {
                                   PipelineOptions(delta0=1.5, few_cap=8), False),
     "torus_grid": (gen_torus_grid(7, 6, 0.7),
                    PipelineOptions(delta0=1.0, few_cap=8), False),
+    "cross_pair_markers": (_snub_24_cell(),
+                           PipelineOptions(delta0=0.7, few_cap=8), False),
+    "markers_restart": (_great_polygons(6, 60, 13),
+                        PipelineOptions(delta0=1.01 * 2 * math.sin(math.pi / 60),
+                                        few_cap=4), False),
 }
 
 
