@@ -6,7 +6,10 @@ _about_axis: pin an axis of A onto each candidate axis of B, cluster the
 heights along the axes jointly, and solve the orthogonal slice with the
 height ids as labels.  one_plus_three_reduce pins an anchor and solves
 the 3-slice with congruence_3d_labeled, which pins a point of its
-condensed rarest shell and matches labeled angles on the circle.
+condensed rarest shell and matches labeled angles on the circle.  The
+same step, run from B onto itself, finds symmetries of B; the anchor loop
+tests one candidate per orbit of them, so a vertex-transitive set costs
+two 3D tests instead of one per anchor.
 """
 
 from __future__ import annotations
@@ -20,7 +23,8 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .condense import (TWO_PI, canonical_axes, circular_cluster,
-                       joint_cluster, prune_by_key, wrap_angle)
+                       component_ids, joint_cluster, prune_by_key,
+                       wrap_angle)
 from .geom import (EPS_EQ, PointSet4, Verdict, frame, match_multisets,
                    verify_rotation)
 from .sphere import condense_sphere
@@ -153,9 +157,10 @@ def congruence_3d_labeled(points_a: np.ndarray, labels_a: Sequence,
 
     Only proper rotations are searched: every embedding of a 3D slice match
     into a positively oriented 4D congruence forces det(S) = +1.  The rarest
-    labeled shell condenses to a frame of 1, 2, 4, 6 or 12 points; S maps
-    the first point of A's frame onto some point of B's, and the circle
-    test about that axis fixes the turn.
+    labeled shell, ties going to the largest jointly clustered radius (the
+    best-conditioned axis), condenses to a frame of 1, 2, 4, 6 or 12
+    points; S maps the first point of A's frame onto some point of B's, and
+    the circle test about that axis fixes the turn.
     """
     pa = np.asarray(points_a, dtype=float).reshape(-1, 3)
     pb = np.asarray(points_b, dtype=float).reshape(-1, 3)
@@ -178,7 +183,7 @@ def congruence_3d_labeled(points_a: np.ndarray, labels_a: Sequence,
     if ca != cb:
         return None
 
-    tok = min(ca, key=lambda t: (ca[t], t))
+    tok = min(ca, key=lambda t: (ca[t], -t[1], t))
     sel_a = [i for i, t in enumerate(toks_a) if t == tok]
     sel_b = [i for i, t in enumerate(toks_b) if t == tok]
     ua = pa[sel_a] / np.linalg.norm(pa[sel_a], axis=1, keepdims=True)
@@ -215,6 +220,32 @@ def _anchor_class(aa: np.ndarray, ab: np.ndarray,
     return aa[list(pa.indices)], ab[list(pb.indices)]
 
 
+def _slice_3d(qa: np.ndarray, la: Sequence, ha: list, qb: np.ndarray,
+              lb: Sequence, hb: list, eps: float) -> Optional[np.ndarray]:
+    """The 1+3 residual: congruence_3d_labeled on (label, height id)."""
+    return congruence_3d_labeled(qa, list(zip(la, ha)), qb, list(zip(lb, hb)),
+                                 eps)
+
+
+def _symmetry_edges(set_b: PointSet4, base_b: Sequence, cands: np.ndarray,
+                    i: int, eps: float) -> Optional[np.ndarray]:
+    """The (j, perm[j]) pairs of an automorphism g of set_b with g·c0 = c_i,
+    or None when the 3D test finds no such g.
+
+    g is found by the step that pins the axis c0 of set_b onto c_i, and it
+    must map set_b onto itself (labels included) and the candidates onto
+    themselves within the 3D test's tolerance.
+    """
+    vtol = max(eps, 1e-9) * 10.0
+    for g in _about_axis(set_b.points, base_b, set_b.points, base_b,
+                         cands[0], cands[i:i + 1], eps, _slice_3d):
+        if verify_rotation(set_b, set_b, g, vtol):
+            dist, perm = cKDTree(cands).query(cands @ g.T)
+            if dist.max() <= vtol:
+                return np.column_stack([np.arange(len(cands)), perm])
+    return None
+
+
 def one_plus_three_reduce(set_a: PointSet4, set_b: PointSet4,
                           anchors_a: np.ndarray, anchors_b: np.ndarray,
                           eps: float = EPS_EQ) -> Verdict:
@@ -223,8 +254,18 @@ def one_plus_three_reduce(set_a: PointSet4, set_b: PointSet4,
     Any congruence must map the anchor family of ``set_a`` onto that of
     ``set_b`` and keep the distances between anchors, so it maps the
     lexicographically least anchor a0 of the rarest signature class
-    (_anchor_class) to *some* anchor b of the same class.  Each candidate
-    pins one axis, and congruence_3d_labeled decides the orthogonal 3-slice.
+    (_anchor_class) to *some* candidate c_i of the same class.  Each
+    candidate pins one axis, and congruence_3d_labeled decides the
+    orthogonal 3-slice.
+
+    The candidates are tried in lexicographic order, c0 first, and those in
+    the orbit of a rejected candidate under the symmetries of ``set_b`` are
+    skipped: if R maps A onto B with R·a0 = g·c0 for an automorphism g of B,
+    then g⁻¹R maps A onto B with a0 → c0.  Before testing c_i, while at least
+    two candidates are untested, the same axis step looks for g with
+    g·c0 = c_i and merges the orbits over the candidates g permutes.  The
+    first search that fails ends the searching, so a decision spends at most
+    one 3D test on a failed search.
     """
     aa = np.asarray(anchors_a, dtype=float).reshape(-1, 4)
     ab = np.asarray(anchors_b, dtype=float).reshape(-1, 4)
@@ -236,15 +277,28 @@ def one_plus_three_reduce(set_a: PointSet4, set_b: PointSet4,
             return Verdict.no("anchor alignment")
         aa, ab = classes
     a0 = aa[np.lexsort(aa.T[::-1])[0]]
+    cands = ab[np.lexsort(ab.T[::-1])]
     base_a = set_a.labels if set_a.labels is not None else [0] * len(set_a)
     base_b = set_b.labels if set_b.labels is not None else [0] * len(set_b)
 
-    def slice_3d(qa, la, ha, qb, lb, hb, eps):
-        return congruence_3d_labeled(qa, list(zip(la, ha)),
-                                     qb, list(zip(lb, hb)), eps)
-
-    for r in _about_axis(set_a.points, base_a, set_b.points, base_b, a0,
-                         ab[np.lexsort(ab.T[::-1])], eps, slice_3d):
-        if verify_rotation(set_a, set_b, r):
-            return Verdict.yes(r, np.zeros(4))
+    m = len(cands)
+    orbit, edges = np.arange(m), np.zeros((0, 2), dtype=int)
+    rejected = np.zeros(m, dtype=bool)
+    search = True
+    for i in range(m):
+        if rejected[orbit == orbit[i]].any():
+            continue
+        if search and 0 < i < m - 1:
+            pairs = _symmetry_edges(set_b, base_b, cands, i, eps)
+            search = pairs is not None
+            if search:
+                # g·c0 = c_i puts c_i in the orbit of the rejected c0
+                edges = np.vstack([edges, pairs])
+                orbit = component_ids(m, edges)
+                continue
+        for r in _about_axis(set_a.points, base_a, set_b.points, base_b, a0,
+                             cands[i:i + 1], eps, _slice_3d):
+            if verify_rotation(set_a, set_b, r):
+                return Verdict.yes(r, np.zeros(4))
+        rejected[i] = True
     return Verdict.no("anchor alignment")

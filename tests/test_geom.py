@@ -13,8 +13,8 @@ from hypercongruence.circles import cycle_circle
 from hypercongruence.geom import (CONSTANTS, DELTA_MIN, Chirality,
                                   ParallelPlanesError, PlaneSpan, PointSet4,
                                   block_rotation, chirality, frame,
-                                  hopf_fiber, hopf_image, mark_pair, pluecker,
-                                  verify_rotation)
+                                  hopf_fiber, hopf_image, mark_pair,
+                                  match_multisets, pluecker, verify_rotation)
 from hypercongruence.harness import random_rotation
 
 E12 = PlaneSpan(np.array([[1.0, 0, 0, 0], [0, 1.0, 0, 0]]))
@@ -348,6 +348,20 @@ class TestVerifyRotation:
         lb = ("x", "y", "x", "y", "z", "z")  # swapped across geometry
         assert verify_rotation(PointSet4(a, la), PointSet4(a @ r.T, la), r)
         assert not verify_rotation(PointSet4(a, la), PointSet4(a @ r.T, lb), r)
+
+
+class TestMatchMultisets:
+    def test_shape_mismatch_false(self, rng):
+        a = rng.normal(size=(5, 4))
+        assert not match_multisets(a, a[:4])
+        assert not match_multisets(a, a[:, :3])
+
+    def test_empty_sets_match(self):
+        assert match_multisets(np.zeros((0, 4)), np.zeros((0, 4)))
+        assert match_multisets(np.zeros((0, 4)), np.zeros((0, 4)), 1e-9, (), ())
+
+    def test_empty_against_nonempty_false(self):
+        assert not match_multisets(np.zeros((0, 4)), np.ones((1, 4)))
 
 
 def test_constants_sane():

@@ -9,8 +9,8 @@ import pytest
 from conftest import rot3
 from hypercongruence import lowdim
 from hypercongruence.condense import TWO_PI, circular_cluster
-from hypercongruence.geom import PointSet4, match_multisets
-from hypercongruence.harness import random_rotation
+from hypercongruence.geom import PointSet4, match_multisets, verify_rotation
+from hypercongruence.harness import gen_orbit_helix, random_rotation
 from hypercongruence.lowdim import (
     collapse_circle,
     congruence_2d_labeled,
@@ -89,6 +89,15 @@ class TestCircle:
         assert t is not None and abs(t - 2.2) < 1e-9
         assert congruence_2d_labeled(ang, lab, np.mod(ang + 2.2, TWO_PI),
                                      ["a", "b", "a", "c", "c"], 1e-9) is None
+
+    def test_gap_chain_drift_rejected(self):
+        # gaps ramp by 0.9 eps around a 9-gon: one chained gap class, so the
+        # codes agree, but the positions drift up to 9 eps apart
+        h = TWO_PI / 9
+        ramp = 0.9e-9 * (np.arange(9) - 4)
+        drifted = np.concatenate([[0.0], np.cumsum(h + ramp)[:-1]])
+        assert congruence_2d_labeled(np.arange(9) * h, [0] * 9, drifted,
+                                     [0] * 9, 1e-9) is None
 
 
 def collapse_reference(ang, labels, eps):
@@ -268,6 +277,16 @@ class TestOnePlusThree:
         assert v.congruent
 
 
+def unpruned_congruent(set_a, set_b, anchors_a, anchors_b, eps=1e-9):
+    """The 1+3 candidate loop without symmetry pruning: one 3D test per
+    candidate of the rarest anchor class."""
+    aa, ab = lowdim._anchor_class(anchors_a, anchors_b, eps)
+    a0 = aa[np.lexsort(aa.T[::-1])[0]]
+    return any(verify_rotation(set_a, set_b, r) for r in lowdim._about_axis(
+        set_a.points, set_a.labels, set_b.points, set_b.labels, a0, ab, eps,
+        lowdim._slice_3d))
+
+
 class TestAnchorSignatures:
     @pytest.fixture
     def calls(self, monkeypatch):
@@ -281,6 +300,20 @@ class TestAnchorSignatures:
 
         monkeypatch.setattr(lowdim, "congruence_3d_labeled", counted)
         return count
+
+    @pytest.fixture
+    def searches(self, monkeypatch):
+        """Records whether each automorphism search found a symmetry."""
+        found = []
+        inner = lowdim._symmetry_edges
+
+        def recorded(*args, **kwargs):
+            edges = inner(*args, **kwargs)
+            found.append(edges is not None)
+            return edges
+
+        monkeypatch.setattr(lowdim, "_symmetry_edges", recorded)
+        return found
 
     @staticmethod
     def antipodal(rng, n=128):
@@ -326,3 +359,74 @@ class TestAnchorSignatures:
                                   (anchors @ r4.T)[::-1], 1e-9)
         assert v.congruent and 1 <= calls[0] <= 2
         assert match_multisets(a @ v.rotation.T, b, 1e-6)
+
+    def test_two_candidate_mirror_pair_needs_no_search(self, rng, calls,
+                                                        searches):
+        a = self.antipodal(rng)
+        m = (a * [1, 1, 1, -1]) @ random_rotation(rng).T
+        v = one_plus_three_reduce(PointSet4(a), PointSet4(m), a, m, 1e-9)
+        assert not v.congruent and v.stage == "anchor alignment"
+        assert calls[0] == 2 and searches == []
+
+    def test_helix_mirror_pair_tests_one_orbit(self, rng, calls, searches):
+        # all 200 anchors of a helix share one signature, but they form one
+        # orbit of its symmetries: c0's test and one search decide the pair
+        h = gen_orbit_helix(200, 3, 0.8)
+        r4 = random_rotation(rng)
+        m = (h * [1, 1, 1, -1]) @ r4.T
+        v = one_plus_three_reduce(PointSet4(h), PointSet4(m), h, m, 1e-9)
+        assert not v.congruent and v.stage == "anchor alignment"
+        assert calls[0] <= 3 and all(searches)
+
+        calls[0] = 0
+        b = (h @ r4.T)[rng.permutation(200)]
+        v = one_plus_three_reduce(PointSet4(h), PointSet4(b), h, b, 1e-9)
+        assert v.congruent and calls[0] <= 3
+        assert match_multisets(h @ v.rotation.T, h @ r4.T, 1e-6)
+
+    def test_failed_search_stops_searching(self, rng, calls, searches):
+        # labels j mod 2 split the helix's anchors into two orbits of 20
+        h = gen_orbit_helix(40, 3, 0.8)
+        labs = tuple(j % 2 for j in range(40))
+        for flip in ([1, 1, 1, 1], [1, 1, 1, -1]):
+            for _ in range(3):
+                perm = rng.permutation(40)
+                set_a = PointSet4(h * flip, labs)
+                b = (h @ random_rotation(rng).T)[perm]
+                set_b = PointSet4(b, tuple(labs[j] for j in perm))
+                searches.clear()
+                calls[0] = 0
+                v = one_plus_three_reduce(set_a, set_b, set_a.points, b, 1e-9)
+                tests_run = calls[0]
+                # only the last search may fail, so at most one test is lost
+                assert False not in searches[:-1] and tests_run <= 40 + 1
+                assert v.congruent == (flip[3] == 1)
+                assert v.congruent == unpruned_congruent(set_a, set_b,
+                                                         set_a.points, b)
+        # this mirror pair's c1 has the other parity: c0's test and the
+        # failed search, then the 39 other candidates one by one
+        assert searches == [False] and tests_run == 41
+
+    def test_symmetry_must_permute_the_candidates(self, rng, calls, searches):
+        # anchors p20, p21 of a 40-point helix and a third point c2 that
+        # makes them an equilateral triangle: the helix step maps p20 onto
+        # p21 but moves c2 off the anchors, so the search refuses it
+        h = gen_orbit_helix(40, 3, 0.8)
+        p20, p21 = h[20], h[21]
+        side = p21 - p20
+        n = np.array([1.0, 0, 0, 0]) - side * side[0] / (side @ side)
+        c2 = (p20 + p21) / 2 + math.sqrt(0.75) * np.linalg.norm(side) * n / \
+            np.linalg.norm(n)
+        anchors = np.vstack([c2, p21, p20])
+        set_b = PointSet4(h, (0,) * 40)
+        for flip in ([1, 1, 1, 1], [1, 1, 1, -1]):
+            r4 = random_rotation(rng)
+            set_a = PointSet4((h * flip) @ r4.T, (0,) * 40)
+            anchors_a = (anchors * flip) @ r4.T
+            searches.clear()
+            v = one_plus_three_reduce(set_a, set_b, anchors_a, anchors, 1e-9)
+            assert v.congruent == unpruned_congruent(set_a, set_b, anchors_a,
+                                                     anchors)
+            assert v.congruent == (flip[3] == 1)
+        # the mirror pair rejects c0 = p20 and refuses the step at c1 = p21
+        assert searches == [False]

@@ -1,6 +1,7 @@
 """End-to-end congruence pipeline behavior."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -126,6 +127,32 @@ class TestAntipodalNoise:
 
     def test_noise_1e11_rarely_rejected(self):
         assert self.false_negatives(1e-11) <= 2
+
+
+class TestHelixNoise:
+    @staticmethod
+    def false_negatives(noise):
+        misses = 0
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            k = int(rng.choice([2, 3, 5, 7]))
+            ell = int(rng.integers(20, 161))
+            while math.gcd(ell, k) != 1:
+                ell += 1
+            a = gen_orbit_helix(ell, k, float(rng.uniform(0.4, 0.9)))
+            b = transformed(a, rng)[rng.permutation(ell)]
+            b = b + noise * rng.normal(size=b.shape)
+            misses += not congruence_test_4d(a, b).congruent
+        return misses
+
+    def test_noise_1e12_never_rejected(self):
+        # the 1+3 loop tests one anchor per orbit of the helix's symmetries,
+        # so that one test must not fail on noise: the 3D test breaks ties
+        # between equally rare shells toward the outermost, best conditioned
+        assert self.false_negatives(1e-12) == 0
+
+    def test_noise_3e11_rarely_rejected(self):
+        assert self.false_negatives(3e-11) <= 2
 
 
 class TestStructuredFamilies:
