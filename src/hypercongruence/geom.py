@@ -3,7 +3,8 @@
 Everything downstream works with plain float64 numpy arrays: points are rows
 of an (n, 4) array, planes through the origin are row-pairs of orthonormal
 basis vectors, and every adapted orthonormal frame (anchor axis, plane
-pair, Hopf bundle, edge figure) comes from :func:`frame`.  Rotations are
+pair, Hopf bundle, edge figure) comes from :func:`frame`, or from
+:func:`frames` for a whole stack of them at once.  Rotations are
 built here (:func:`block_rotation`) but not taken apart: the invariant
 planes of an orbit cycle's step rotation come from its complex
 eigenvectors in ``circles.cycle_circle``.  ``EPS_EQ`` is
@@ -21,7 +22,6 @@ from enum import Enum
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.linalg.lapack import dgeqrf, dorgqr
 from scipy.spatial import cKDTree
 
 EPS_EQ = 1e-9
@@ -155,24 +155,31 @@ def block_rotation(phi: float, psi: float) -> np.ndarray:
                      [0.0, 0.0, s2, c2]])
 
 
+def frames(stack, eps: float = 1e-9) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`frame` of every k-vector row of an (m, k, d) stack, k < d.
+
+    Returns (F, ok): F is (m, d, d) with F[i] the frame of stack[i], and
+    ok[i] is False where some vector is within eps of the span of those
+    before it (F[i] is then meaningless).  One stacked QR and one stacked
+    determinant serve all rows.
+    """
+    a = np.asarray(stack, dtype=float)
+    k = a.shape[-2]
+    q, r = np.linalg.qr(np.swapaxes(a, -1, -2), mode="complete")
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    f = np.swapaxes(q, -1, -2).copy()
+    f[..., :k, :] *= np.copysign(1.0, d)[..., None]
+    f[np.linalg.det(f) < 0, -1] *= -1.0
+    return f, np.abs(d).min(axis=-1) >= eps
+
+
 def frame(vectors, eps: float = 1e-9) -> Optional[np.ndarray]:
     """Positively oriented orthonormal basis (rows) of R^d adapted to k < d
     vectors: row i lies in the span of vectors 0..i, on the side of vector
     i.  None if some vector is within eps of the span of those before it.
     """
-    a = np.asarray(vectors, dtype=float)
-    k, dim = a.shape
-    # the LAPACK calls of np.linalg.qr(a.T, mode="complete") minus its
-    # wrapper, which triples the cost here; zero columns make Q complete
-    qr, tau = dgeqrf(a.T)[:2]
-    d = qr.diagonal()
-    if np.abs(d).min() < eps:
-        return None
-    f = dorgqr(np.concatenate([qr, np.zeros((dim, dim - k))], 1), tau)[0].T
-    f[:k] *= np.copysign(1.0, d)[:, None]
-    if np.linalg.det(f) < 0:
-        f[-1] = -f[-1]
-    return f
+    f, ok = frames(np.asarray(vectors, dtype=float)[None], eps)
+    return f[0] if ok[0] else None
 
 
 def pluecker(p: PlaneSpan) -> np.ndarray:

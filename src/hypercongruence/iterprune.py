@@ -24,7 +24,7 @@ from typing import Optional
 
 import numpy as np
 
-from .geom import EPS_EQ, CONSTANTS, frame, match_multisets
+from .geom import EPS_EQ, CONSTANTS, frames, match_multisets
 from .condense import (TWO_PI, canonical_axes, circular_cluster, dense_ranks,
                        is_regular_polygon, prune_by_key, tolerance_cluster,
                        wrap_angle)
@@ -145,85 +145,109 @@ def _graph_angle_ids(points, graph: DirectedGraph, eps: float):
     return tagged, clu.reps
 
 
-def _edge_figure_entries(points, graph: DirectedGraph, arc):
-    """Figure points of an arc with direction masks; the head v is implicit.
+def _blocks(sizes: np.ndarray, which: np.ndarray) -> tuple:
+    """(k, i) for every index i in block which[k], k ascending, where the
+    blocks are consecutive index ranges of the given sizes."""
+    counts = sizes[which]
+    owner = np.repeat(np.arange(len(which)), counts)
+    shift = (np.cumsum(sizes) - sizes)[which] - (np.cumsum(counts) - counts)
+    return owner, np.arange(len(owner)) + np.repeat(shift, counts)
 
-    Mask bits: 1 for the tail u, 2 for endpoints of arcs out of v, 4 for
-    sources of arcs into u.  The reversed arc vu shows up as bit 2 on u.
-    """
-    u, v = arc
-    masks: dict = {u: 1}
-    for a in graph.out_arcs(v):
-        masks[a[1]] = masks.get(a[1], 0) | 2
-    for a in graph.in_arcs(u):
-        if a[0] != v:
-            masks[a[0]] = masks.get(a[0], 0) | 4
-    idxs = sorted(masks)
-    return idxs, [masks[i] for i in idxs]
+
+def _runs(items: list, counts) -> list:
+    """items cut into consecutive runs of the given lengths."""
+    ends = np.cumsum(counts).tolist()
+    return [items[s:e] for s, e in zip([0] + ends[:-1], ends)]
 
 
 def edge_figure_codes(points, graph: DirectedGraph, eps: float = EPS_EQ) -> dict:
     """Canonical code per arc, quantized jointly over the whole graph.
 
-    The code is the minimum, over base vectors b from the out-neighbors of
-    the head, of the sorted string of frame coordinates of all figure
-    points, tagged with direction masks.  Arcs whose head has no second
-    out-neighbor fall back to a two-vector frame plus a canonical cyclic
-    code for the angular part.
+    The figure of an arc uv holds its tail u, the heads of the arcs out of
+    v and the tails of the arcs into u, each tagged with a direction mask
+    (1 for u, 2 for out-neighbors of v, 4 for in-neighbors of u; the
+    reversed arc vu shows up as bit 2 on u), with v as the origin.  The
+    code is the minimum, over base vectors b from the out-neighbors of the
+    head, of the sorted string of frame(-v, u - v, b - v) coordinates of
+    all figure points with their masks.  Arcs with no such frame (the head
+    has no out-neighbor off the plane of 0, u and v) fall back to the
+    two-vector frame(-v, u - v): the axial coordinates and the distance
+    from the axial plane are clustered, and the angular part around it
+    gets one canonical cyclic code.  All frames of the graph come from two
+    stacked :func:`frames` calls, and all figure coordinates from one
+    einsum.
     """
-    coord_pop: list = []
-    prepared: dict = {}
-    for arc in sorted(graph.arcs):
-        u, v = arc
-        idxs, masks = _edge_figure_entries(points, graph, arc)
-        rel = points[idxs] - points[v]
-        variants = []
-        for a in graph.out_arcs(v):
-            if a[1] == u:
-                continue
-            f = frame([-points[v], points[u] - points[v],
-                       points[a[1]] - points[v]])
-            if f is None:
-                continue
-            coords = rel @ f.T
-            variants.append(("f", len(coord_pop), len(idxs)))
-            coord_pop.extend(coords.ravel())
-        if not variants:
-            f = frame([-points[v], points[u] - points[v]])
-            if f is None:
-                raise AssertionError("arc endpoints collapse onto one ray")
-            c12, c34 = rel @ f[:2].T, rel @ f[2:].T
-            rho = np.hypot(c34[:, 0], c34[:, 1])
-            theta = wrap_angle(np.arctan2(c34[:, 1], c34[:, 0]))
-            on = rho > 1e-9
-            start = len(coord_pop)
-            coord_pop.extend(c12.ravel())
-            coord_pop.extend(rho)
-            variants.append(("p", start, len(idxs), on, theta))
-        prepared[arc] = (masks, variants)
-    cids = tolerance_cluster(coord_pop, eps).ids if coord_pop else np.zeros(0, int)
+    pts = np.asarray(points, dtype=float)
+    arcs = np.array(sorted(graph.arcs), dtype=int).reshape(-1, 2)
+    tail, head = arcs.T
+    n, n_arcs = len(pts), len(arcs)
+    # arcs sorted by tail (by head) put the arcs out of (into) x in a block
+    out_arc, out_at = _blocks(np.bincount(tail, minlength=n), head)
+    out_pt = head[out_at]
+    in_arc, in_at = _blocks(np.bincount(head, minlength=n), tail)
+    in_pt = tail[np.lexsort((tail, head))[in_at]]
+    from_v = in_pt != head[in_arc]
+    # figure points sorted by (arc, point), with their or-ed masks
+    key, inv = np.unique(np.concatenate([
+        np.arange(n_arcs) * n + tail, out_arc * n + out_pt,
+        in_arc[from_v] * n + in_pt[from_v]]), return_inverse=True)
+    masks = np.zeros(len(key), dtype=int)
+    np.bitwise_or.at(masks, inv, np.repeat(
+        [1, 2, 4], [n_arcs, len(out_arc), int(from_v.sum())]))
+    fig_arc, fig_pt = np.divmod(key, n)
+    fig_size = np.bincount(fig_arc, minlength=n_arcs)
+
+    def stack(owner, *ends):
+        pv = pts[head[owner]]
+        return np.stack([-pv] + [pts[e] - pv for e in ends], axis=1)
+
+    base = out_pt != tail[out_arc]
+    var_arc, var_pt = out_arc[base], out_pt[base]
+    f3, ok = frames(stack(var_arc, tail[var_arc], var_pt))
+    var_arc, f3 = var_arc[ok], f3[ok]
+    planar = np.ones(n_arcs, dtype=bool)
+    planar[var_arc] = False
+    plan_arc = np.flatnonzero(planar)
+    f2, ok = frames(stack(plan_arc, tail[plan_arc]))
+    if not ok.all():
+        raise AssertionError("arc endpoints collapse onto one ray")
+    # one coordinate row per (frame, figure point): three-vector rows first
+    row_f, row_fig = _blocks(fig_size, np.concatenate([var_arc, plan_arc]))
+    rel = pts[fig_pt[row_fig]] - pts[head[fig_arc[row_fig]]]
+    coords = np.einsum("nk,nik->ni", rel, np.concatenate([f3, f2])[row_f])
+    n3 = int(fig_size[var_arc].sum())
+    c3, c12, c34 = coords[:n3], coords[n3:, :2], coords[n3:, 2:]
+    rho = np.hypot(c34[:, 0], c34[:, 1])
+    ids3, ids12, ids_rho = np.split(tolerance_cluster(
+        np.concatenate([c3.ravel(), c12.ravel(), rho]), eps).ids,
+        [c3.size, c3.size + c12.size])
     codes: dict = {}
-    planar: list = []       # (arc, axial part, angular configuration)
-    for arc in sorted(graph.arcs):
-        masks, variants = prepared[arc]
-        if variants[0][0] == "p":
-            _, start, m, on, theta = variants[0]
-            flat = [(int(cids[start + 2 * i]), int(cids[start + 2 * i + 1]),
-                     int(cids[start + 2 * m + i]), masks[i]) for i in range(m)]
-            axial = tuple(sorted(f for f, o in zip(flat, on) if not o))
-            planar.append((arc, axial,
-                           (theta[on], [f for f, o in zip(flat, on) if o])))
-            continue
-        frame_codes = []
-        for _, start, m in variants:
-            entries = [tuple(int(c) for c in cids[start + 4 * i: start + 4 * i + 4])
-                       + (masks[i],) for i in range(m)]
-            frame_codes.append(("f", tuple(sorted(entries))))
-        codes[arc] = min(frame_codes)
+    arc_keys = list(map(tuple, arcs.tolist()))
+
+    # three-vector figures: each variant's entries sorted, least variant wins
+    table = np.c_[ids3.reshape(-1, 4), masks[row_fig[:n3]]]
+    order = np.lexsort(np.c_[row_f[:n3], table].T[::-1])
+    entries = _runs(list(map(tuple, table[order].tolist())), fig_size[var_arc])
+    for e, ent in zip(var_arc.tolist(), entries):
+        code = ("f", tuple(ent))
+        arc = arc_keys[e]
+        if arc not in codes or code < codes[arc]:
+            codes[arc] = code
+
+    # planar figures: the axial part sorted, the angular part on the circle
+    flat = np.c_[ids12.reshape(-1, 2), ids_rho, masks[row_fig[n3:]]]
+    theta = wrap_angle(np.arctan2(c34[:, 1], c34[:, 0]))
+    on = rho > 1e-9
+    sizes = fig_size[plan_arc]
+    rows = _runs(list(map(tuple, flat.tolist())), sizes)
+    ons = _runs(on.tolist(), sizes)
+    configs = [([t for t, x in zip(th, o) if x], [r for r, x in zip(rw, o) if x])
+               for rw, o, th in zip(rows, ons, _runs(theta.tolist(), sizes))]
     # the angular parts of all planar figures share one gap quantization
-    axes = iter(canonical_axes([c for _, _, c in planar if c[1]], THETA_TOL))
-    for arc, axial, (_, labels) in planar:
-        codes[arc] = ("p", axial, next(axes).code if labels else ())
+    axes = iter(canonical_axes([c for c in configs if c[1]], THETA_TOL))
+    for e, rw, o, (_, labels) in zip(plan_arc.tolist(), rows, ons, configs):
+        axial = tuple(sorted(r for r, x in zip(rw, o) if not x))
+        codes[arc_keys[e]] = ("p", axial, next(axes).code if labels else ())
     return codes
 
 
@@ -268,13 +292,22 @@ class PSFigure:
                    for s, p in zip(self.succ_at, self.pred_at))
 
 
+def _mark_frames(points, arcs) -> np.ndarray:
+    """frame(v, u - v) of every arc uv, stacked."""
+    pts = np.asarray(points, dtype=float)
+    ends = np.asarray(arcs, dtype=int).reshape(-1, 2)
+    pv = pts[ends[:, 1]]
+    f, ok = frames(np.stack([pv, pts[ends[:, 0]] - pv], axis=1), 1e-12)
+    if not ok.all():
+        raise ValueError("arc through the origin has no mark circle")
+    return f
+
+
 def ps_figure(points, arc, succ_arcs, pred_arcs, delta: float,
-              alpha: float) -> PSFigure:
+              alpha: float, f: np.ndarray) -> PSFigure:
+    """The figure of one arc; f is the arc's row of :func:`_mark_frames`."""
     pu, pv = points[arc[0]], points[arc[1]]
     q = pu - pv
-    f = frame([pv, q], 1e-12)
-    if f is None:
-        raise ValueError("arc through the origin has no mark circle")
     r1, r2, f1, f2 = f
     qr1, nw = float(q @ r1), float(q @ r2)
     # center solves v.x = 1 - d^2/2 (x on the sphere at distance d from v)
@@ -309,8 +342,9 @@ def ps_figure(points, arc, succ_arcs, pred_arcs, delta: float,
 def ps_figures(points, graph: DirectedGraph, delta: float, alpha: float) -> dict:
     """Figures of all arcs, built from the graph's successor sets."""
     pred = graph.pred()
-    return {a: ps_figure(points, a, graph.succ[a], pred[a], delta, alpha)
-            for a in sorted(graph.arcs)}
+    arcs = sorted(graph.arcs)
+    return {a: ps_figure(points, a, graph.succ[a], pred[a], delta, alpha, f)
+            for a, f in zip(arcs, _mark_frames(points, arcs))}
 
 
 # ---------------------------------------------------------------------------
@@ -399,6 +433,7 @@ class _Run:
     def _choose_alpha(self, points, graph, rep, angle_ids, angle_reps, delta):
         """Smallest successor angle whose mark figure is not fully symmetric."""
         rep_ids = sorted({aid for _, aid, _ in angle_ids[rep]})
+        f = _mark_frames(points, [rep])[0]
         for aid in rep_ids:
             alpha = float(angle_reps[aid])
             if math.sin(alpha) <= 1e-7:
@@ -406,7 +441,7 @@ class _Run:
             succ_arcs = [a for a, i, _ in angle_ids[rep] if i == aid]
             pred_arcs = [t for t in graph.in_arcs(rep[0])
                          if any(a == rep and i == aid for a, i, _ in angle_ids[t])]
-            fig = ps_figure(points, rep, succ_arcs, pred_arcs, delta, alpha)
+            fig = ps_figure(points, rep, succ_arcs, pred_arcs, delta, alpha, f)
             if fig.has_free_successor():
                 return aid, alpha
         raise AssertionError("every successor angle is mirror symmetric "

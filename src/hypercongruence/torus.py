@@ -6,10 +6,21 @@ polar angles).  Deciding labeled translation congruence on the torus is done
 canonically: both sets are condensed to a translation-equivariant lattice
 coset (Voronoi cell shapes and cell contents provide the pruning keys), and
 the single surviving candidate translation is verified directly.
+
+The cells are those of the sites on the torus, built by qhull in the plane
+on one sheet plus a margin (:func:`periodic_voronoi`) rather than on nine
+full copies.  Every cell lies within the covering radius R of its site, so
+a copy farther than 2R from a site cannot cut that site's cell.  R is
+bounded from above on a probe grid, so the margin can be too wide but
+never too narrow, and only the central cells are read.  Cell contents
+come from a periodic k-d tree (``boxsize`` 2pi) over the sites, which
+needs positions in [0, 2pi): :func:`wrap_angle` gives them, mapping a
+value that rounds up to 2pi onto 0.
 """
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from typing import Optional, Sequence
 
@@ -23,19 +34,39 @@ from .geom import (EPS_EQ, PlaneSpan, PointSet4, Verdict, block_rotation,
                    frame, match_multisets, verify_rotation)
 from .lowdim import circle_axes, congruence_2d_labeled
 
-_NINE_OFFSETS = np.array([[0.0, 0.0]] + [[dx, dy]
-                         for dx in (-TWO_PI, 0.0, TWO_PI)
-                         for dy in (-TWO_PI, 0.0, TWO_PI)
-                         if (dx, dy) != (0.0, 0.0)])
-
 SWAP_PLANES = np.array([[0.0, 1.0, 0.0, 0.0],
                         [1.0, 0.0, 0.0, 0.0],
                         [0.0, 0.0, 0.0, 1.0],
                         [0.0, 0.0, 1.0, 0.0]])
 
 
-def _replicate(sites: np.ndarray) -> np.ndarray:
-    return np.concatenate([sites + off for off in _NINE_OFFSETS])
+def periodic_voronoi(sites: np.ndarray) -> Voronoi:
+    """Planar Voronoi diagram whose cells of the first len(sites) input
+    points are the cells of the sites on the flat torus [0, 2pi)^2.
+
+    Every point of the torus lies within the covering radius R of its
+    nearest site, so every cell lies within R of its site, and a site
+    farther than 2R away cannot cut it.  R is bounded by the largest
+    nearest-site distance over a grid of about len(sites) probes of
+    spacing h, plus h / sqrt(2).  The sites and those of their copies in
+    the eight neighbouring squares that lie within 2R of the fundamental
+    square (coordinate-wise) then form one qhull input; when 2R reaches
+    2pi, all nine copies do.
+    """
+    g = math.isqrt(len(sites) - 1) + 1
+    h = TWO_PI / g
+    probes = np.arange(g) * h
+    d, _ = cKDTree(sites, boxsize=TWO_PI).query(
+        np.c_[np.repeat(probes, g), np.tile(probes, g)])
+    reach = 2.0 * (d.max() + h / math.sqrt(2.0))
+    shifts = TWO_PI * np.array([(0, 0), (-1, -1), (-1, 0), (-1, 1), (0, -1),
+                                (0, 1), (1, -1), (1, 0), (1, 1)])
+    copies = (sites + shifts[:, None]).reshape(-1, 2)
+    if reach < TWO_PI:
+        copies = copies[np.all(np.abs(copies - math.pi) <= math.pi + reach,
+                               axis=1)]
+    # Q12: a wide merge of nearly cocircular sites is no error
+    return Voronoi(copies, qhull_options="Qbb Qc Qz Q12")
 
 
 def _cell_shapes(vor: Voronoi, sites: np.ndarray, eps: float) -> list:
@@ -96,9 +127,7 @@ def canonical_set_torus(positions: np.ndarray, labels: Sequence,
 
         while True:
             sites = cur_pos[cand]
-            # Q12: a wide merge of nearly cocircular sites is no error
-            vor = Voronoi(_replicate(sites), qhull_options="Qbb Qc Qz Q12")
-            shapes = _cell_shapes(vor, sites, eps)
+            shapes = _cell_shapes(periodic_voronoi(sites), sites, eps)
             spr = prune_by_key(shapes)
             keys.append(("T3", spr.histogram))
             if not spr.progressed:
@@ -110,12 +139,12 @@ def canonical_set_torus(positions: np.ndarray, labels: Sequence,
 
         sites = cur_pos[cand]
         m = len(sites)
-        tree = cKDTree(_replicate(sites))
+        tree = cKDTree(sites, boxsize=TWO_PI)
         d, _ = tree.query(cur_pos)
         balls = tree.query_ball_point(cur_pos, d + eps)
         # one (site, point) row per point in the nearest-site ball of a site
         lens = np.fromiter(map(len, balls), int, len(balls))
-        site, pt = np.unique(np.c_[np.concatenate(balls) % m,
+        site, pt = np.unique(np.c_[np.concatenate(balls),
                                    np.repeat(np.arange(len(cur_pos)), lens)],
                              axis=0).T
         w = cur_pos[pt] - sites[site]

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
-from hypercongruence.geom import block_rotation, frame, pluecker
+from hypercongruence.condense import canonical_axes, tolerance_cluster, wrap_angle
+from hypercongruence.geom import EPS_EQ, block_rotation, frame, pluecker
 from hypercongruence.harness import random_rotation
+from hypercongruence.iterprune import THETA_TOL
 
 
 @pytest.fixture
@@ -53,5 +55,66 @@ def left_frame(f: np.ndarray) -> np.ndarray:
     return f
 
 
+def reference_edge_figure_codes(points, graph, eps: float = EPS_EQ) -> dict:
+    """iterprune.edge_figure_codes one arc at a time: the figure points
+    and masks from the graph's adjacency lists, one frame call per base
+    vector, and per-arc coordinate products."""
+    coord_pop: list = []
+    prepared: dict = {}
+    for arc in sorted(graph.arcs):
+        u, v = arc
+        masks: dict = {u: 1}
+        for a in graph.out_arcs(v):
+            masks[a[1]] = masks.get(a[1], 0) | 2
+        for a in graph.in_arcs(u):
+            if a[0] != v:
+                masks[a[0]] = masks.get(a[0], 0) | 4
+        idxs = sorted(masks)
+        masks = [masks[i] for i in idxs]
+        rel = points[idxs] - points[v]
+        variants = []
+        for a in graph.out_arcs(v):
+            if a[1] == u:
+                continue
+            f = frame([-points[v], points[u] - points[v],
+                       points[a[1]] - points[v]])
+            if f is None:
+                continue
+            variants.append(("f", len(coord_pop), len(idxs)))
+            coord_pop.extend((rel @ f.T).ravel())
+        if not variants:
+            f = frame([-points[v], points[u] - points[v]])
+            c12, c34 = rel @ f[:2].T, rel @ f[2:].T
+            rho = np.hypot(c34[:, 0], c34[:, 1])
+            theta = wrap_angle(np.arctan2(c34[:, 1], c34[:, 0]))
+            start = len(coord_pop)
+            coord_pop.extend(c12.ravel())
+            coord_pop.extend(rho)
+            variants.append(("p", start, len(idxs), rho > 1e-9, theta))
+        prepared[arc] = (masks, variants)
+    cids = tolerance_cluster(coord_pop, eps).ids
+    codes: dict = {}
+    planar: list = []
+    for arc in sorted(graph.arcs):
+        masks, variants = prepared[arc]
+        if variants[0][0] == "p":
+            _, start, m, on, theta = variants[0]
+            flat = [(int(cids[start + 2 * i]), int(cids[start + 2 * i + 1]),
+                     int(cids[start + 2 * m + i]), masks[i]) for i in range(m)]
+            axial = tuple(sorted(f for f, o in zip(flat, on) if not o))
+            planar.append((arc, axial,
+                           (theta[on], [f for f, o in zip(flat, on) if o])))
+            continue
+        codes[arc] = min(
+            ("f", tuple(sorted(tuple(int(c) for c in cids[s + 4 * i:s + 4 * i + 4])
+                               + (masks[i],) for i in range(m))))
+            for _, s, m in variants)
+    axes = iter(canonical_axes([c for _, _, c in planar if c[1]], THETA_TOL))
+    for arc, axial, (_, labels) in planar:
+        codes[arc] = ("p", axial, next(axes).code if labels else ())
+    return codes
+
+
 __all__ = ["left_frame", "pluecker_distance", "random_rotation",
-           "rebuilt_step", "rot3", "step_angles"]
+           "rebuilt_step", "reference_edge_figure_codes", "rot3",
+           "step_angles"]

@@ -12,7 +12,7 @@ from conftest import left_frame, pluecker_distance, rebuilt_step, step_angles
 from hypercongruence.circles import cycle_circle
 from hypercongruence.geom import (CONSTANTS, DELTA_MIN, Chirality,
                                   ParallelPlanesError, PlaneSpan, PointSet4,
-                                  block_rotation, chirality, frame,
+                                  block_rotation, chirality, frame, frames,
                                   hopf_fiber, hopf_image, mark_pair,
                                   match_multisets, pluecker, verify_rotation)
 from hypercongruence.harness import random_rotation
@@ -193,6 +193,25 @@ class TestFrame:
     def test_dependent_vectors(self):
         assert frame([(1.0, 0, 0, 0), (2.0, 1e-10, 0, 0)]) is None
         assert frame([(1.0, 0, 0, 0), (2.0, 2e-9, 0, 0)]) is not None
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_stack_equals_rows(self, rng, k):
+        stack = rng.normal(size=(40, k, 4))
+        stack[1] = 0.0
+        stack[1, :, 0] = np.arange(1.0, k + 1)         # degenerate for k > 1
+        stack[2] = 0.0
+        stack[2, 0, 0] = -1.0                          # Q = I, R = -1: flipped
+        stack[2, 1:, 1:k] = np.eye(k - 1)
+        f, ok = frames(stack)
+        assert ok[1] == (k == 1) and ok[2]
+        assert np.array_equal(f[2, 0], [-1.0, 0, 0, 0])
+        assert f[2, -1, -1] == -1.0                    # the det flip
+        for row, fi, oki in zip(stack, f, ok):
+            single = frame(row)
+            assert (single is not None) == oki
+            if oki:
+                assert np.array_equal(single, fi)
+                assert np.linalg.det(fi) > 0
 
 
 class TestHopf:

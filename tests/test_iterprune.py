@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import reference_edge_figure_codes
 from hypercongruence.geom import CONSTANTS
 from hypercongruence.harness import (
     gen_orbit_helix,
@@ -66,6 +67,55 @@ class TestFigureCodes:
         g = DirectedGraph(3, frozenset({(0, 1), (1, 0), (1, 2), (2, 1)}))
         codes = edge_figure_codes(pts, g)
         assert codes[(0, 1)] != codes[(1, 0)]
+
+
+class TestBatchedFigureCodes:
+    """edge_figure_codes against the per-arc reference of conftest."""
+
+    @staticmethod
+    def check(points, graph):
+        codes = edge_figure_codes(points, graph)
+        ref = reference_edge_figure_codes(points, graph)
+        assert codes == ref
+        assert list(codes) == list(ref)
+        return codes
+
+    def test_great_circle_is_planar_only(self, rng):
+        t = np.sort(rng.uniform(0, 2 * np.pi, 60))
+        pts = np.c_[np.cos(t), np.sin(t), np.zeros(60), np.zeros(60)]
+        pts = pts @ random_rotation(rng).T
+        ring = [(i, (i + 1) % 60) for i in range(60)]
+        g = DirectedGraph(60, frozenset(ring) | frozenset((j, i) for i, j in ring))
+        codes = self.check(pts, g)
+        assert {c[0] for c in codes.values()} == {"p"}
+
+    def test_torus_grid(self):
+        pts = unit_rows(gen_torus_grid(8, 9, 1 / math.sqrt(2)))
+        codes = self.check(pts, graph_of(pts))
+        assert {c[0] for c in codes.values()} == {"f"}
+
+    def test_600_cell_star(self):
+        # a vertex, its 12 neighbours and their 20 common neighbours: the
+        # hub's in-arcs have 11 base vectors each
+        pts = unit_rows(gen_regular_polytope("600-cell"))
+        g = closest_pair_graph(pts)
+        cap = pts @ pts[0] > 0.45
+        arcs = frozenset((i, j) for i, j in g.edges if cap[i] and cap[j])
+        graph = DirectedGraph(len(pts), arcs | frozenset((j, i) for i, j in arcs))
+        assert max(len(graph.out_arcs(v)) for v in range(len(pts))) >= 6
+        self.check(pts, graph)
+
+    def test_both_branches_in_one_graph(self, rng):
+        # a ring of a great circle plus a spoke to a point off its plane:
+        # the arcs near the spoke get three-vector frames, the rest none
+        t = 2 * np.pi * np.arange(12) / 12
+        ring = np.c_[np.cos(t), np.sin(t), np.zeros(12), np.zeros(12)]
+        pts = np.vstack([ring, unit_rows([[1.0, 0.3, 0.4, 0.2]])])
+        pts = pts @ random_rotation(rng).T
+        edges = [(i, (i + 1) % 12) for i in range(12)] + [(0, 12)]
+        g = DirectedGraph(13, frozenset(edges) | frozenset((j, i) for i, j in edges))
+        codes = self.check(pts, g)
+        assert {c[0] for c in codes.values()} == {"f", "p"}
 
 
 class TestIterativePrune:

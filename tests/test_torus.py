@@ -2,18 +2,21 @@
 
 import numpy as np
 import pytest
+from scipy.spatial import Voronoi
 
-from hypercongruence.condense import TWO_PI
+from hypercongruence.condense import TWO_PI, wrap_angle
 from hypercongruence.geom import (
     PlaneSpan,
     PointSet4,
     block_rotation,
     match_multisets,
 )
-from hypercongruence.harness import random_rotation
+from hypercongruence.harness import gen_orbit_helix, random_rotation
 from hypercongruence.torus import (
     SWAP_PLANES,
+    _cell_shapes,
     canonical_set_torus,
+    periodic_voronoi,
     torus_translation_congruent,
     two_plus_two_reduce,
 )
@@ -54,6 +57,43 @@ def brute_symmetries(pos, labels, eps=1e-7):
         if ok:
             out.append(tuple(np.round(t, 6)))
     return set(out)
+
+
+def nine_copy_voronoi(sites):
+    """The planar Voronoi of the sites and all eight of their neighbouring
+    copies, the sites first."""
+    shifts = [(0, 0)] + [(i, j) for i in (-1, 0, 1) for j in (-1, 0, 1)
+                         if (i, j) != (0, 0)]
+    return Voronoi(np.concatenate([sites + TWO_PI * np.array(s) for s in shifts]),
+                   qhull_options="Qbb Qc Qz Q12")
+
+
+def helix_angles(ell, k, r1):
+    h = gen_orbit_helix(ell, k, r1)
+    return wrap_angle(np.c_[np.arctan2(h[:, 1], h[:, 0]),
+                            np.arctan2(h[:, 3], h[:, 2])])
+
+
+class TestPeriodicVoronoi:
+    @pytest.mark.parametrize("case", ["cloud", "grid", "helix"])
+    def test_clipped_cells_equal_nine_copy_cells(self, rng, case):
+        sites = {"cloud": lambda: rng.uniform(0, TWO_PI, size=(300, 2)),
+                 "grid": lambda: np.array([[i * TWO_PI / 12, j * TWO_PI / 13]
+                                           for i in range(12) for j in range(13)]),
+                 "helix": lambda: helix_angles(2000, 3, 0.8)}[case]()
+        vor = periodic_voronoi(sites)
+        assert len(vor.points) < 9 * len(sites)
+        assert _cell_shapes(vor, sites, 1e-7) == \
+            _cell_shapes(nine_copy_voronoi(sites), sites, 1e-7)
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_few_sites_take_all_nine_copies(self, rng, m):
+        sites = rng.uniform(0, TWO_PI, size=(m, 2))
+        sites[0] = 0.0
+        vor = periodic_voronoi(sites)
+        assert len(vor.points) == 9 * m
+        assert _cell_shapes(vor, sites, 1e-7) == \
+            _cell_shapes(nine_copy_voronoi(sites), sites, 1e-7)
 
 
 class TestCanonicalSet:
@@ -98,6 +138,22 @@ class TestCanonicalSet:
             idx, _ = canonical_set_torus(pos, labs)
             syms = brute_symmetries(pos, labs)
             assert len(idx) == len(syms)
+
+    def test_positions_at_the_seam(self, rng):
+        # the periodic trees need [0, 2pi); values that round onto either
+        # end of it must give the keys of their wrapped values
+        top = np.nextafter(TWO_PI, 0.0)
+        for pos in (np.array([[i * TWO_PI / 3, j * TWO_PI / 3]
+                              for i in range(3) for j in range(3)]),
+                    rng.uniform(0, TWO_PI, size=(12, 2))):
+            pos[0] = -1e-17, -0.0
+            pos[1, 0] = top
+            pos[2, 1] = -1e-17
+            labs = [0] * len(pos)
+            ia, ka = canonical_set_torus(pos, labs)
+            ib, kb = canonical_set_torus(wrap_angle(pos), labs)
+            assert ka == kb
+            assert ia.tolist() == ib.tolist()
 
     def test_canonical_set_is_one_orbit(self, rng):
         # two lattice orbits with different labels: the symmetry group is
