@@ -5,18 +5,20 @@ reals into classes (single linkage at the comparison tolerance) on a line
 or on a circle, wrapping angles into one period, the gaps between sorted
 angles and the regular-polygon test built on them, numbering the connected
 components of a graph, merging points within a tolerance and averaging
-points per component, ranking keys densely, keeping only the smallest
-class under a canonical key, and computing the canonical axes
-of labeled configurations on a circle.  Canonical axes quantize the gaps
-of every configuration passed in one call together, which is what makes
-their codes comparable.  The value groupings are deterministic functions
-of the input multiset, never of input order.
+points per component, ranking labels jointly across sides into ints,
+keeping only the smallest class under a canonical key, the least rotations
+of cyclic int strings, and the canonical axes of labeled configurations on
+a circle.  Canonical axes quantize the gaps of every configuration passed
+in one call together, which is what makes their int codes comparable.  The
+value groupings are deterministic functions of the input multiset, never
+of input order.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate, chain
 from typing import Hashable, Sequence
 
 import numpy as np
@@ -81,14 +83,10 @@ def tolerance_cluster(values: Sequence[float], eps: float = EPS_EQ) -> ClusterRe
         return ClusterResult(np.zeros(0, dtype=int), np.zeros(0))
     order = np.argsort(vals, kind="stable")
     sv = vals[order]
-    breaks = np.nonzero(np.diff(sv) > eps)[0]
-    ids_sorted = np.zeros(n, dtype=int)
-    ids_sorted[breaks + 1] = 1
-    ids_sorted = np.cumsum(ids_sorted)
+    first = np.concatenate(([True], np.diff(sv) > eps))
     ids = np.empty(n, dtype=int)
-    ids[order] = ids_sorted
-    starts = np.concatenate([[0], breaks + 1])
-    return ClusterResult(ids, sv[starts])
+    ids[order] = np.cumsum(first) - 1
+    return ClusterResult(ids, sv[first])
 
 
 def circular_cluster(values: Sequence[float], eps: float = EPS_EQ,
@@ -119,9 +117,7 @@ def component_ids(n: int, edges) -> np.ndarray:
     graph = coo_matrix((np.ones(len(e)), (e[:, 0], e[:, 1])), shape=(n, n))
     _, labels = connected_components(graph, directed=False)
     _, first = np.unique(labels, return_index=True)
-    rank = np.empty(len(first), dtype=int)
-    rank[np.argsort(first)] = np.arange(len(first))
-    return rank[labels]
+    return np.argsort(np.argsort(first))[labels]
 
 
 def merge_close(points, eps: float, labels=None) -> np.ndarray:
@@ -132,16 +128,9 @@ def merge_close(points, eps: float, labels=None) -> np.ndarray:
         return np.arange(len(pts))
     pairs = cKDTree(pts).query_pairs(r=eps, output_type="ndarray")
     if labels is not None:
-        ranks = np.asarray(dense_ranks(labels))
-        pairs = pairs[ranks[pairs[:, 0]] == ranks[pairs[:, 1]]]
+        labs = np.asarray(labels)
+        pairs = pairs[labs[pairs[:, 0]] == labs[pairs[:, 1]]]
     return component_ids(len(pts), pairs)
-
-
-def dense_ranks(keys) -> list:
-    """Rank of each key among the distinct keys in sorted order."""
-    distinct = sorted(set(keys))
-    rank = dict(zip(distinct, range(len(distinct))))
-    return [rank[k] for k in keys]
 
 
 def members_by_id(ids: np.ndarray) -> list:
@@ -166,6 +155,43 @@ def joint_cluster(a: Sequence[float], b: Sequence[float],
     return res.ids[:len(a)], res.ids[len(a):]
 
 
+def joint_ranks(*sides) -> tuple:
+    """(values, ranks of each side): dense ranks of the labels of all sides
+    together, ordered as the labels, and the distinct labels in rank order.
+
+    Int arrays are ranked by one sort, 2D ones by rows in lexicographic
+    order (mixed-radix digits), so (label, id) columns make one compound
+    label.  Other sides hold hashable, mutually comparable labels."""
+    if all(isinstance(x, np.ndarray) and x.dtype.kind in "biu" for x in sides):
+        x = np.concatenate(sides) if len(sides) > 1 else sides[0]
+        key = x
+        if x.ndim == 2:
+            key, size = np.zeros(len(x), dtype=np.int64), 1
+            for col in x.T:
+                lo, hi = int(col.min(initial=0)), int(col.max(initial=0))
+                if size * (hi - lo + 1) > 2 ** 62:
+                    key, size = joint_ranks(key)[1], len(x)
+                key, size = key * (hi - lo + 1) + (col - lo), size * (hi - lo + 1)
+        order = key.argsort()
+        ordered = key[order]
+        new = np.ones(len(x), dtype=bool)
+        new[1:] = ordered[1:] != ordered[:-1]
+        ranks = np.empty(len(x), dtype=int)
+        ranks[order] = new.cumsum() - 1
+        values = x[order[new]]
+    else:
+        values = sorted(set().union(*sides))
+        rank = dict(zip(values, range(len(values))))
+        ranks = np.fromiter(map(rank.__getitem__, chain(*sides)), int)
+    ends = list(accumulate(map(len, sides)))
+    return (values, *(ranks[e - len(x):e] for x, e in zip(sides, ends)))
+
+
+def dense_ranks(keys) -> list:
+    """Rank of each key among the distinct keys in sorted order."""
+    return joint_ranks(keys)[1].tolist()
+
+
 @dataclass(frozen=True)
 class PruneResult:
     indices: tuple          # positions of the selected class, ascending
@@ -175,38 +201,42 @@ class PruneResult:
 
 
 def prune_by_key(keys: Sequence[Hashable]) -> PruneResult:
-    """Select the smallest key class, ties broken by smallest key."""
+    """Select the smallest key class, ties broken by smallest key.  Keys
+    are ranked by joint_ranks; int array keys come out as plain ints."""
     if len(keys) == 0:
         raise ValueError("nothing to prune")
-    buckets: dict = {}
-    for i, k in enumerate(keys):
-        buckets.setdefault(k, []).append(i)
-    best = min(buckets, key=lambda k: (len(buckets[k]), k))
-    hist = tuple(sorted((k, len(v)) for k, v in buckets.items()))
-    return PruneResult(tuple(buckets[best]), best, len(buckets) > 1, hist)
+    values, ranks = joint_ranks(keys)
+    names = values.tolist() if isinstance(values, np.ndarray) else values
+    counts = np.bincount(ranks)
+    best = int(np.argmin(counts))
+    return PruneResult(tuple(np.flatnonzero(ranks == best).tolist()),
+                       names[best], len(counts) > 1,
+                       tuple(zip(names, counts.tolist())))
 
 
-def least_rotation(tokens: list) -> int:
-    """Booth's algorithm: the first start index of the lexicographically
-    least rotation."""
-    s = tokens + tokens
-    n = len(s)
-    f = [-1] * n
-    k = 0
-    for j in range(1, n):
-        sj = s[j]
-        i = f[j - k - 1]
-        while i != -1 and sj != s[k + i + 1]:
-            if sj < s[k + i + 1]:
-                k = j - i - 1
-            i = f[i]
-        if sj != s[k + i + 1]:
-            if sj < s[k]:
-                k = j
-            f[j - k] = -1
-        else:
-            f[j - k] = i + 1
-    return k
+def least_rotations(tokens, lengths) -> tuple:
+    """(first, count, rotated) for int strings laid end to end, lengths[i]
+    >= 1 each: the first start of each least rotation, how many starts give
+    it (length / smallest period), and the strings so rotated.  Prefix
+    doubling (Karp-Miller-Rosenberg naming, as in Manber and Myers, "Suffix
+    arrays", SIAM J. Comput. 1993) ranks cyclic substrings of length 1, 2,
+    4, ... until a doubling splits no class or they span whole strings."""
+    tokens, lengths = np.asarray(tokens, int), np.asarray(lengths, int)
+    seg = np.repeat(np.arange(len(lengths)), lengths)
+    begin = np.cumsum(lengths) - lengths
+    start, size = begin[seg], lengths[seg]
+    off = np.arange(len(seg)) - start
+    cls, ahead, width = joint_ranks(tokens)[1], start + (off + 1) % size, 1
+    while width < lengths.max(initial=0):
+        classes = int(cls.max()) + 1
+        cls = joint_ranks(cls * classes + cls[ahead])[1]
+        if cls.max() + 1 == classes:
+            break
+        ahead, width = ahead[ahead], 2 * width
+    least = np.flatnonzero(cls == np.minimum.reduceat(cls, begin)[seg])
+    first = off[least[np.diff(seg[least], prepend=-1) > 0]]
+    return (first, np.bincount(seg[least], minlength=len(lengths)),
+            tokens[start + (off + first[seg]) % size])
 
 
 @dataclass(frozen=True)
@@ -214,8 +244,8 @@ class AxesSet:
     """Canonical axes of a labeled circular configuration.
 
     ``count`` equally spaced rays, the first at ``base_angle``; every axis
-    passes through a configuration point.  ``code`` is the canonical cyclic
-    string (the least rotation of the alternating label/gap sequence).
+    passes through a configuration point.  ``code`` is the least rotation
+    of the cyclic label rank / gap sequence; gap class g is L + g for L labels.
     """
 
     count: int
@@ -230,37 +260,31 @@ class AxesSet:
 def canonical_axes(configs: Sequence[tuple], eps: float = EPS_EQ) -> list:
     """Canonical axes of each (angles, labels) configuration on the circle.
 
-    Labels must be mutually comparable, canonical tokens (ints or int
-    tuples); they are used verbatim in the code strings.  The gap lengths
-    of all configurations are quantized by one tolerance clustering, so the
-    codes of one call are comparable: equal codes mean congruent labeled
-    configurations.  The least rotations of each cyclic sequence start at
-    label positions; those starts are the axis points.
+    Labels of all configurations are ranked together and gap lengths
+    quantized by one tolerance clustering, so the codes of one call are
+    comparable: equal codes mean congruent labeled configurations.  Label
+    ranks sort below gaps, so least rotations start at labels: the axes.
     """
-    sorted_configs = []
-    for angles, labels in configs:
-        ang = wrap_angle(angles)
-        if len(ang) == 0:
-            raise ValueError("empty configuration")
-        order = np.lexsort((np.arange(len(ang)), ang)).tolist()
-        sorted_configs.append((ang[order], [labels[i] for i in order]))
-    gaps = [circle_gaps(sa) for sa, _ in sorted_configs]
-    gids = tolerance_cluster(np.concatenate(gaps) if gaps else [], eps).ids.tolist()
-    out = []
-    at = 0
-    for sa, labels in sorted_configs:
-        n = len(sa)
-        tokens: list = []
-        for lab, gid in zip(labels, gids[at:at + n]):
-            tokens += [(0, lab), (1, gid)]
-        at += n
-        k = least_rotation(tokens)
-        # label tokens sort before gap tokens, so the least rotation begins at a label
-        assert k % 2 == 0
-        # k is the first least rotation; the others follow every p tokens,
-        # p the smallest period (even: odd shifts swap labels and gaps)
-        p = next(p for p in range(2, 2 * n + 1, 2)
-                 if 2 * n % p == 0 and tokens[p:] == tokens[:-p])
-        out.append(AxesSet(2 * n // p, float(sa[k // 2]),
-                           tuple(tokens[k:] + tokens[:k])))
-    return out
+    if not configs:
+        return []
+    angs = [wrap_angle(angles) for angles, _ in configs]
+    if min(map(len, angs)) == 0:
+        raise ValueError("empty configuration")
+    values, *ranks = joint_ranks(*(labels for _, labels in configs))
+    lengths = np.array([len(a) for a in angs])
+    seg = np.repeat(np.arange(len(angs)), lengths)
+    ang = np.concatenate(angs)
+    # within a configuration by angle, equal angles in input order
+    order = np.lexsort((ang, seg))
+    sa = ang[order]
+    start = np.cumsum(lengths) - lengths
+    ahead = sa[np.r_[1:len(sa), 0]]
+    ahead[start + lengths - 1] = sa[start] + TWO_PI
+    gids = tolerance_cluster(ahead - sa, eps).ids
+    tokens = np.column_stack((np.concatenate(ranks)[order],
+                              len(values) + gids)).ravel()
+    first, count, codes = least_rotations(tokens, 2 * lengths)
+    codes = codes.tolist()
+    return [AxesSet(c, float(sa[s + k // 2]), tuple(codes[2 * s:2 * (s + n)]))
+            for c, k, s, n in zip(count.tolist(), first.tolist(),
+                                  start.tolist(), lengths.tolist())]

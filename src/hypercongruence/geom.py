@@ -70,17 +70,19 @@ class Chirality(Enum):
 
 @dataclass(frozen=True)
 class PointSet4:
-    """A finite labeled multiset of points in 4-space."""
+    """A finite labeled multiset of points in 4-space (no labels: all 0)."""
 
     points: np.ndarray
-    labels: Optional[tuple] = None
+    labels: Optional[Sequence] = None
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != 4:
             raise ValueError(f"expected an (n, 4) array, got {pts.shape}")
         object.__setattr__(self, "points", pts)
-        if self.labels is not None and len(self.labels) != len(pts):
+        if self.labels is None:
+            object.__setattr__(self, "labels", np.zeros(len(pts), dtype=int))
+        if len(self.labels) != len(pts):
             raise ValueError("label count does not match point count")
 
     def __len__(self) -> int:
@@ -283,32 +285,47 @@ def match_multisets(x: np.ndarray, y: np.ndarray, eps: float = EPS_EQ,
                     labels_y: Optional[Sequence] = None) -> bool:
     """Decide whether two labeled point multisets agree within tolerance.
 
-    Builds a bijection greedily from nearest-neighbor candidate lists; any
-    two candidates for one point are within 2*eps of each other, so greedy
-    choice cannot paint itself into a corner beyond the tolerance contract.
-    """
+    Builds a bijection greedily, points with fewer candidates within eps
+    first (those with one in arrays); any two candidates for one point are
+    within 2*eps of each other, so greedy choice cannot paint itself into a
+    corner beyond the tolerance contract.  Labels other than int arrays are
+    ranked jointly at entry."""
+    if (labels_x is None) != (labels_y is None):
+        raise ValueError("either both sets are labeled or neither is")
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.shape != y.shape:
         return False
     if len(x) == 0:
         return True
+    lx, ly = labels_x, labels_y
+    if lx is None:
+        lx = ly = np.zeros(len(x), dtype=int)
+    elif not all(isinstance(v, np.ndarray) and v.dtype.kind in "biu"
+                 for v in (lx, ly)):
+        from .condense import joint_ranks      # condense imports this module
+        _, lx, ly = joint_ranks(lx, ly)
     tree = cKDTree(y)
-    cand = tree.query_ball_point(x, r=eps)
-    order = sorted(range(len(x)), key=lambda i: len(cand[i]))
+    num = tree.query_ball_point(x, r=eps, return_length=True)
+    if not num.all():
+        return False
+    one = np.flatnonzero(num == 1)
+    # the one candidate is the nearest point, and no farther than eps
+    _, hit = tree.query(x[one], distance_upper_bound=np.nextafter(2 * eps, 3))
     used = np.zeros(len(y), dtype=bool)
-    for i in order:
-        hit = -1
-        for j in cand[i]:
-            if used[j]:
-                continue
-            if labels_x is not None and labels_x[i] != labels_y[j]:
-                continue
-            hit = j
-            break
-        if hit < 0:
+    used[hit] = True
+    if used.sum() < len(one) or (lx[one] != ly[hit]).any():
+        return False
+    rest = np.flatnonzero(num > 1)
+    if len(rest) == 0:
+        return True
+    cand = tree.query_ball_point(x[rest], r=eps)
+    lx, ly = lx[rest].tolist(), ly.tolist()
+    for k in np.argsort(num[rest], kind="stable").tolist():
+        j = next((j for j in cand[k] if not used[j] and lx[k] == ly[j]), -1)
+        if j < 0:
             return False
-        used[hit] = True
+        used[j] = True
     return True
 
 

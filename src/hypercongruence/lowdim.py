@@ -15,58 +15,56 @@ two 3D tests instead of one per anchor.
 from __future__ import annotations
 
 import math
-from collections import Counter
-from itertools import compress
 from typing import Optional, Sequence
 
 import numpy as np
 from scipy.spatial import cKDTree
 
 from .condense import (TWO_PI, canonical_axes, circular_cluster,
-                       component_ids, joint_cluster, prune_by_key,
-                       wrap_angle)
+                       component_ids, joint_cluster, joint_ranks,
+                       prune_by_key, wrap_angle)
 from .geom import (EPS_EQ, PointSet4, Verdict, frame, match_multisets,
                    verify_rotation)
 from .sphere import condense_sphere
 
 
-def collapse_circle(angles: np.ndarray, labels: Sequence,
+def collapse_circle(angles: np.ndarray, labels: np.ndarray,
                     eps: float) -> tuple:
     """Merge coincident circle positions into multiset-labeled points.
 
     Distinct points of a labeled circle set may share one angle (stacked
     3D points project together); their relative order under angle sorting
     is then noise, so they must enter any canonical code as one position
-    carrying the label multiset.
+    carrying the label multiset: a row of its (label rank, count) pairs,
+    padded with -1 so that rows order as those pair tuples do.
     """
     ang = wrap_angle(np.atleast_1d(angles))
-    if len(ang) == 0:
-        return ang, []
-    labs = list(labels)
     ids = circular_cluster(ang, eps).ids
-    members: list = [[] for _ in range(ids.max() + 1)]
-    order = np.argsort(ang, kind="stable")
-    for i, k in zip(order.tolist(), ids[order].tolist()):
-        members[k].append(labs[i])
     # a position is the mean direction of its members, summed in angle order
+    order = np.argsort(ang, kind="stable")
     c = np.bincount(ids[order], weights=np.cos(ang[order]))
     s = np.bincount(ids[order], weights=np.sin(ang[order]))
-    reps = wrap_angle([math.atan2(y, x) for y, x in zip(s.tolist(), c.tolist())])
-    return reps, [((m[0], 1),) if len(m) == 1 else tuple(sorted(Counter(m).items()))
-                  for m in members]
+    reps = wrap_angle(list(map(math.atan2, s.tolist(), c.tolist())))
+    span = int(labels.max(initial=0)) + 1
+    pairs, counts = np.unique(ids * span + labels, return_counts=True)
+    pos, lab = np.divmod(pairs, span)
+    col = np.arange(len(pairs)) - np.searchsorted(pos, pos)
+    rows = np.full((len(reps), 2 * int(col.max(initial=0)) + 2), -1)
+    rows[pos, 2 * col] = lab
+    rows[pos, 2 * col + 1] = counts
+    return reps, rows
 
 
 def circle_axes(a: np.ndarray, la: Sequence, b: np.ndarray, lb: Sequence,
                 eps: float) -> Optional[tuple]:
-    """Canonical axes (ax_a, ax_b) of two labeled circle sets, computed
-    jointly after merging coincident positions, or None when the position
-    counts or the codes differ, so that no rotation maps one onto the other.
-    """
+    """Canonical axes (ax_a, ax_b) of two circle sets labeled by joint int
+    ranks, or None when the merged position counts or the codes differ, so
+    that no rotation maps one onto the other."""
     ra, ta = collapse_circle(a, la, eps)
     rb, tb = collapse_circle(b, lb, eps)
-    if len(ra) != len(rb):
-        return None
-    ax_a, ax_b = canonical_axes([(ra, ta), (rb, tb)], eps)
+    rows = np.full((len(ra) + len(rb), max(ta.shape[1], tb.shape[1])), -1)
+    rows[:len(ra), :ta.shape[1]], rows[len(ra):, :tb.shape[1]] = ta, tb
+    ax_a, ax_b = canonical_axes([(ra, rows[:len(ra)]), (rb, rows[len(ra):])], eps)
     if ax_a.code != ax_b.code:
         return None
     return ax_a, ax_b
@@ -78,10 +76,10 @@ def congruence_2d_labeled(angles_a: np.ndarray, labels_a: Sequence,
     """Rotation angle t with (angles_a + t, labels_a) == (angles_b, labels_b)
     as labeled multisets on the circle, or None.
 
-    Labels must be hashable and comparable across the two sets (cluster ids,
-    tuples of such).  Runs in O(n log n): both sets are reduced to a
-    canonical necklace code; equality of codes pins the shift up to the
-    common symmetry, and one representative shift is verified directly.
+    Labels, hashable and comparable across the sets or rows of int tables,
+    are ranked jointly at entry.  Runs in O(n log n): both sets are reduced
+    to a canonical necklace code; equality of codes pins the shift up to
+    the common symmetry, and one representative shift is verified directly.
     """
     a = wrap_angle(np.atleast_1d(angles_a))
     b = wrap_angle(np.atleast_1d(angles_b))
@@ -89,7 +87,7 @@ def congruence_2d_labeled(angles_a: np.ndarray, labels_a: Sequence,
         return None
     if len(a) == 0:
         return 0.0
-    la, lb = list(labels_a), list(labels_b)
+    _, la, lb = joint_ranks(labels_a, labels_b)
     axes = circle_axes(a, la, b, lb, eps)
     if axes is None:
         return None
@@ -97,8 +95,8 @@ def congruence_2d_labeled(angles_a: np.ndarray, labels_a: Sequence,
 
     # every merged position must hold equal label multisets from both sides
     ids = circular_cluster(np.concatenate([a + t, b]), max(eps, 1e-12)).ids
-    pos_a, pos_b = ids[:len(a)].tolist(), ids[len(a):].tolist()
-    if Counter(zip(pos_a, la)) != Counter(zip(pos_b, lb)):
+    keys = ids * (int(max(la.max(), lb.max())) + 1) + np.concatenate([la, lb])
+    if not np.array_equal(np.sort(keys[:len(a)]), np.sort(keys[len(a):])):
         return None
     return t
 
@@ -108,41 +106,40 @@ def _about_axis(pa: np.ndarray, la: Sequence, pb: np.ndarray, lb: Sequence,
     """Candidate rotations mapping axis u onto each target v in turn.
 
     Heights along u and v are clustered jointly, and ``residual(proj_a,
-    labels_a, height_ids_a, proj_b, labels_b, height_ids_b, eps)`` solves
-    the orthogonal slice (a rotation matrix s, or None); each solution
-    yields fb.T @ diag(1, s) @ fa.  The caller checks the candidates.
+    keys_a, proj_b, keys_b, eps)`` solves the orthogonal slice (a rotation
+    matrix s, or None) with the joint ranks of (label, height id) as keys;
+    each solution yields fb.T @ diag(1, s) @ fa.  The caller checks them.
     """
     fa = frame([u])
     h_a, proj_a = pa @ fa[0], pa @ fa[1:].T
     for v in targets:
         fb = frame([v])
         hids_a, hids_b = joint_cluster(h_a, pb @ fb[0], eps)
-        s = residual(proj_a, la, hids_a.tolist(),
-                     pb @ fb[1:].T, lb, hids_b.tolist(), eps)
+        _, ka, kb = joint_ranks(np.column_stack((la, hids_a)),
+                                np.column_stack((lb, hids_b)))
+        s = residual(proj_a, ka, pb @ fb[1:].T, kb, eps)
         if s is not None:
             lift = np.eye(len(fa))
             lift[1:, 1:] = s
             yield fb.T @ lift @ fa
 
 
-def _turn_2d(qa: np.ndarray, la: Sequence, ha: list, qb: np.ndarray,
-             lb: Sequence, hb: list, eps: float) -> Optional[np.ndarray]:
+def _turn_2d(qa: np.ndarray, ka: np.ndarray, qb: np.ndarray, kb: np.ndarray,
+             eps: float) -> Optional[np.ndarray]:
     """A 2x2 rotation matching two equally long plane sets about the
-    origin, each point labeled by its label and height id, or None.  Points
-    off the origin add a jointly clustered radius id (congruence_2d_labeled).
+    origin, each point labeled by its int key, or None.  Points off the
+    origin add a jointly clustered radius id (congruence_2d_labeled).
     """
     rho_a, rho_b = np.hypot(qa[:, 0], qa[:, 1]), np.hypot(qb[:, 0], qb[:, 1])
     on_a, on_b = rho_a <= eps, rho_b <= eps
-    if Counter(zip(compress(la, on_a), compress(ha, on_a))) != \
-            Counter(zip(compress(lb, on_b), compress(hb, on_b))):
+    if not np.array_equal(np.sort(ka[on_a]), np.sort(kb[on_b])):
         return None
     pids_a, pids_b = joint_cluster(rho_a[~on_a], rho_b[~on_b], eps)
     t = congruence_2d_labeled(
         np.arctan2(qa[~on_a, 1], qa[~on_a, 0]),
-        list(zip(compress(la, ~on_a), compress(ha, ~on_a), pids_a.tolist())),
+        np.column_stack((ka[~on_a], pids_a)),
         np.arctan2(qb[~on_b, 1], qb[~on_b, 0]),
-        list(zip(compress(lb, ~on_b), compress(hb, ~on_b), pids_b.tolist())),
-        eps)
+        np.column_stack((kb[~on_b], pids_b)), eps)
     if t is None:
         return None
     c, s = math.cos(t), math.sin(t)
@@ -155,45 +152,43 @@ def congruence_3d_labeled(points_a: np.ndarray, labels_a: Sequence,
     """A proper rotation S in SO(3) with S @ a_i matching {(b_j, label_j)}
     as labeled multisets, or None.
 
-    Only proper rotations are searched: every embedding of a 3D slice match
-    into a positively oriented 4D congruence forces det(S) = +1.  The rarest
-    labeled shell, ties going to the largest jointly clustered radius (the
-    best-conditioned axis), condenses to a frame of 1, 2, 4, 6 or 12
-    points; S maps the first point of A's frame onto some point of B's, and
-    the circle test about that axis fixes the turn.
+    Labels are ranked at entry.  Only proper rotations are searched: every
+    embedding of a 3D slice match into a positively oriented 4D congruence
+    forces det(S) = +1.  The rarest labeled shell, ties going to the
+    largest jointly clustered radius (the best-conditioned axis), condenses
+    to a frame of 1, 2, 4, 6 or 12 points; S maps the first point of A's
+    frame onto some point of B's, and the circle test about that axis fixes
+    the turn.
     """
     pa = np.asarray(points_a, dtype=float).reshape(-1, 3)
     pb = np.asarray(points_b, dtype=float).reshape(-1, 3)
     if len(pa) != len(pb):
         return None
-    la, lb = list(labels_a), list(labels_b)
+    _, la, lb = joint_ranks(labels_a, labels_b)
     ra, rb = np.linalg.norm(pa, axis=1), np.linalg.norm(pb, axis=1)
     orig_a, orig_b = ra <= eps, rb <= eps
-    if Counter(compress(la, orig_a)) != Counter(compress(lb, orig_b)):
+    if not np.array_equal(np.sort(la[orig_a]), np.sort(lb[orig_b])):
         return None
     pa, pb, ra, rb = pa[~orig_a], pb[~orig_b], ra[~orig_a], rb[~orig_b]
-    la, lb = list(compress(la, ~orig_a)), list(compress(lb, ~orig_b))
+    la, lb = la[~orig_a], lb[~orig_b]
     if len(pa) == 0:
         return np.eye(3)
 
     rida, ridb = joint_cluster(ra, rb, eps)
-    toks_a = list(zip(la, rida.tolist()))
-    toks_b = list(zip(lb, ridb.tolist()))
-    ca, cb = Counter(toks_a), Counter(toks_b)
-    if ca != cb:
+    toks, ta, tb = joint_ranks(np.column_stack((la, rida)),
+                               np.column_stack((lb, ridb)))
+    counts = np.bincount(ta, minlength=len(toks))
+    if not np.array_equal(counts, np.bincount(tb, minlength=len(toks))):
         return None
-
-    tok = min(ca, key=lambda t: (ca[t], -t[1], t))
-    sel_a = [i for i, t in enumerate(toks_a) if t == tok]
-    sel_b = [i for i, t in enumerate(toks_b) if t == tok]
-    ua = pa[sel_a] / np.linalg.norm(pa[sel_a], axis=1, keepdims=True)
-    ub = pb[sel_b] / np.linalg.norm(pb[sel_b], axis=1, keepdims=True)
-    fa, fb = condense_sphere(ua, eps), condense_sphere(ub, eps)
+    # the rarest token, then the largest radius id, then the smallest token
+    tok = np.lexsort((np.arange(len(toks)), -toks[:, 1], counts))[0]
+    fa, fb = (condense_sphere(u / np.linalg.norm(u, axis=1, keepdims=True),
+                              eps) for u in (pa[ta == tok], pb[tb == tok]))
     if len(fa) != len(fb):
         return None
     vtol = max(eps, 1e-9) * 10.0
     for s in _about_axis(pa, la, pb, lb, fa[0], fb, eps, _turn_2d):
-        if match_multisets(pa @ s.T, pb, vtol, tuple(toks_a), tuple(toks_b)):
+        if match_multisets(pa @ s.T, pb, vtol, ta, tb):
             return s
     return None
 
@@ -205,26 +200,26 @@ def _anchor_class(aa: np.ndarray, ab: np.ndarray,
     the two sides' class histograms differ.
 
     The distance columns are clustered jointly, so the classes of both sides
-    are comparable.  Keys are the negated cluster ids: prune_by_key breaks
-    ties towards the smallest key, which is then the class with the largest
-    neighbour distances, the best-conditioned anchors.
+    are comparable.  Keys rank the negated cluster id rows: prune_by_key
+    breaks ties towards the smallest key, which is then the class with the
+    largest neighbour distances, the best-conditioned anchors.
     """
     k = min(4, len(aa) - 1)
     da = cKDTree(aa).query(aa, k + 1)[0][:, 1:]
     db = cKDTree(ab).query(ab, k + 1)[0][:, 1:]
     cols = [joint_cluster(da[:, j], db[:, j], eps) for j in range(k)]
-    pa, pb = (prune_by_key(list(map(tuple, (-np.column_stack(ids)).tolist())))
-              for ids in zip(*cols))
+    _, ka, kb = joint_ranks(*(-np.column_stack(ids) for ids in zip(*cols)))
+    pa, pb = prune_by_key(ka), prune_by_key(kb)
     if pa.histogram != pb.histogram:
         return None
     return aa[list(pa.indices)], ab[list(pb.indices)]
 
 
-def _slice_3d(qa: np.ndarray, la: Sequence, ha: list, qb: np.ndarray,
-              lb: Sequence, hb: list, eps: float) -> Optional[np.ndarray]:
-    """The 1+3 residual: congruence_3d_labeled on (label, height id)."""
-    return congruence_3d_labeled(qa, list(zip(la, ha)), qb, list(zip(lb, hb)),
-                                 eps)
+def _slice_3d(qa: np.ndarray, ka: np.ndarray, qb: np.ndarray, kb: np.ndarray,
+              eps: float) -> Optional[np.ndarray]:
+    """The 1+3 residual: congruence_3d_labeled on the (label, height id)
+    keys, looked up by name at every call."""
+    return congruence_3d_labeled(qa, ka, qb, kb, eps)
 
 
 def _symmetry_edges(set_b: PointSet4, base_b: Sequence, cands: np.ndarray,
@@ -278,8 +273,7 @@ def one_plus_three_reduce(set_a: PointSet4, set_b: PointSet4,
         aa, ab = classes
     a0 = aa[np.lexsort(aa.T[::-1])[0]]
     cands = ab[np.lexsort(ab.T[::-1])]
-    base_a = set_a.labels if set_a.labels is not None else [0] * len(set_a)
-    base_b = set_b.labels if set_b.labels is not None else [0] * len(set_b)
+    _, base_a, base_b = joint_ranks(set_a.labels, set_b.labels)
 
     m = len(cands)
     orbit, edges = np.arange(m), np.zeros((0, 2), dtype=int)

@@ -13,14 +13,14 @@ impossible regardless of how aggressively the working sets were condensed.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .circles import Anchors, CondensedPoints, mirror_reduce, orbit_circles
-from .condense import group_means, joint_cluster, merge_close, prune_by_key
+from .condense import (group_means, joint_cluster, joint_ranks, merge_close,
+                       prune_by_key)
 from .geom import CONSTANTS, EPS_EQ, PointSet4, Verdict, verify_rotation
 from .iterprune import MirrorSymmetric, WellSeparated, iterative_prune
 from .lowdim import one_plus_three_reduce
@@ -50,18 +50,13 @@ class PipelineOptions:
             raise ValueError("eps_eq must be positive")
 
 
-def _dedupe(points: np.ndarray, eps: float, labels=None) -> tuple:
-    """Collapse coincident equal-label points into multiplicity tokens.
-
-    Returns (unique points, tokens) where a token is the multiplicity, or
-    (multiplicity, label) when input labels are given.
-    """
+def _dedupe(points: np.ndarray, eps: float, labels: np.ndarray) -> tuple:
+    """Collapse coincident equal-label points: (unique points, their
+    multiplicities, their int labels)."""
     ids = merge_close(points, eps, labels)
     out, counts = group_means(points, ids)
-    if labels is None:
-        return out, counts.tolist()
     _, first = np.unique(ids, return_index=True)
-    return out, [(int(c), labels[i]) for c, i in zip(counts, first)]
+    return out, counts, labels[first]
 
 
 def _unique_circles(circles: list, eps: float) -> list:
@@ -112,23 +107,31 @@ def _attempt(an: np.ndarray, bn: np.ndarray, opts: PipelineOptions,
              sink: Optional[list], labels_a=None, labels_b=None) -> Verdict:
     eps = opts.eps_eq
 
-    def check(stage: str, key_a, key_b) -> bool:
-        """Record a stage's key pair; True when the two sides agree."""
+    def check(stage: str, key_a, key_b, name=None) -> bool:
+        """Record a stage's key pair, named where they hold joint ranks;
+        True when the two sides agree."""
         if sink is not None:
-            sink.append((stage, key_a, key_b))
+            sink.append((stage, name(key_a), name(key_b)) if name else
+                        (stage, key_a, key_b))
         return key_a == key_b
 
-    ua, mult_a = _dedupe(an, eps, labels_a)
-    ub, mult_b = _dedupe(bn, eps, labels_b)
-    if not check("multiplicity",
-                 (len(ua), tuple(sorted(Counter(mult_a).items()))),
-                 (len(ub), tuple(sorted(Counter(mult_b).items())))):
+    labeled = labels_a is not None
+    label_names, la, lb = joint_ranks(labels_a, labels_b) if labeled else \
+        ([0], np.zeros(len(an), dtype=int), np.zeros(len(bn), dtype=int))
+    ua, cnt_a, la = _dedupe(an, eps, la)
+    ub, cnt_b, lb = _dedupe(bn, eps, lb)
+    # a token is the multiplicity, or (multiplicity, label), ranked jointly
+    toks, mult_a, mult_b = joint_ranks(np.column_stack((cnt_a, la)),
+                                       np.column_stack((cnt_b, lb)))
+    names = [(c, label_names[k]) if labeled else c for c, k in toks.tolist()]
+    if not check("multiplicity", (len(ua), prune_by_key(mult_a).histogram),
+                 (len(ub), prune_by_key(mult_b).histogram),
+                 lambda k: (k[0], tuple((names[i], c) for i, c in k[1]))):
         return Verdict.no("multiplicity")
-    full_a = PointSet4(ua, tuple(mult_a))
-    full_b = PointSet4(ub, tuple(mult_b))
+    full_a, full_b = PointSet4(ua, mult_a), PointSet4(ub, mult_b)
 
     wa, wb = ua, ub
-    lab_a, lab_b = list(mult_a), list(mult_b)
+    lab_a, lab_b = mult_a, mult_b
     delta0 = opts.delta0 if opts.delta0 is not None else CONSTANTS.delta0
     few_cap = opts.few_cap if opts.few_cap is not None else \
         CONSTANTS.few_circles_cap
@@ -138,25 +141,25 @@ def _attempt(an: np.ndarray, bn: np.ndarray, opts: PipelineOptions,
         norm_b = np.linalg.norm(wb, axis=1)
         org_a, org_b = norm_a <= eps, norm_b <= eps
         if not check("origin",
-                     (int(org_a.sum()),
-                      tuple(sorted(l for l, o in zip(lab_a, org_a) if o))),
-                     (int(org_b.sum()),
-                      tuple(sorted(l for l, o in zip(lab_b, org_b) if o)))):
+                     (int(org_a.sum()), tuple(np.sort(lab_a[org_a]).tolist())),
+                     (int(org_b.sum()), tuple(np.sort(lab_b[org_b]).tolist())),
+                     lambda k: (k[0], tuple(names[i] for i in k[1]))):
             return Verdict.no("origin class")
         if org_a.all():
             # no direction information anywhere in the working set
             if verify_rotation(full_a, full_b, np.eye(4)):
                 return Verdict.yes(np.eye(4), np.zeros(4))
             return Verdict.no("coincident")
-        wa, norm_a = wa[~org_a], norm_a[~org_a]
-        wb, norm_b = wb[~org_b], norm_b[~org_b]
-        lab_a = [l for l, o in zip(lab_a, org_a) if not o]
-        lab_b = [l for l, o in zip(lab_b, org_b) if not o]
+        wa, norm_a, lab_a = wa[~org_a], norm_a[~org_a], lab_a[~org_a]
+        wb, norm_b, lab_b = wb[~org_b], norm_b[~org_b], lab_b[~org_b]
 
         rid_a, rid_b = joint_cluster(norm_a, norm_b, eps)
-        pr_a = prune_by_key(list(zip(lab_a, (int(r) for r in rid_a))))
-        pr_b = prune_by_key(list(zip(lab_b, (int(r) for r in rid_b))))
-        if not check("radius", pr_a.histogram, pr_b.histogram):
+        keys, rk_a, rk_b = joint_ranks(np.column_stack((lab_a, rid_a)),
+                                       np.column_stack((lab_b, rid_b)))
+        pr_a, pr_b = prune_by_key(rk_a), prune_by_key(rk_b)
+        if not check("radius", pr_a.histogram, pr_b.histogram,
+                     lambda h: tuple(((names[keys[k, 0]], int(keys[k, 1])), c)
+                                     for k, c in h)):
             return Verdict.no("radius class")
         ka = np.array(pr_a.indices, dtype=int)
         kb = np.array(pr_b.indices, dtype=int)
@@ -189,7 +192,7 @@ def _attempt(an: np.ndarray, bn: np.ndarray, opts: PipelineOptions,
                 if len(res_a.points) >= len(wa):
                     raise AssertionError("mirror condensing made no progress")
                 wa, wb = res_a.points, res_b.points
-                lab_a, lab_b = [0] * len(wa), [0] * len(wb)
+                lab_a, lab_b, names = np.zeros(len(wa), int), np.zeros(len(wb), int), [0]
                 continue
             circ_a, circ_b = res_a.circles, res_b.circles
         else:
@@ -224,6 +227,6 @@ def _attempt(an: np.ndarray, bn: np.ndarray, opts: PipelineOptions,
         if len(mres_a.points) >= len(wa):
             raise AssertionError("marking made no progress")
         wa, wb = mres_a.points, mres_b.points
-        lab_a, lab_b = [0] * len(wa), [0] * len(wb)
+        lab_a, lab_b, names = np.zeros(len(wa), int), np.zeros(len(wb), int), [0]
 
     raise AssertionError("restart budget exhausted")

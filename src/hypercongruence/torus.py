@@ -21,15 +21,15 @@ value that rounds up to 2pi onto 0.
 from __future__ import annotations
 
 import math
-from collections import Counter
+from itertools import chain
 from typing import Optional, Sequence
 
 import numpy as np
 from scipy.spatial import Voronoi, cKDTree
 
-from .condense import (TWO_PI, circular_cluster, dense_ranks, joint_cluster,
-                       least_rotation, prune_by_key, tolerance_cluster,
-                       wrap_angle)
+from .condense import (TWO_PI, circular_cluster, joint_cluster,
+                       joint_ranks, least_rotations, prune_by_key,
+                       tolerance_cluster, wrap_angle)
 from .geom import (EPS_EQ, PlaneSpan, PointSet4, Verdict, block_rotation,
                    frame, match_multisets, verify_rotation)
 from .lowdim import circle_axes, congruence_2d_labeled
@@ -69,30 +69,36 @@ def periodic_voronoi(sites: np.ndarray) -> Voronoi:
     return Voronoi(copies, qhull_options="Qbb Qc Qz Q12")
 
 
-def _cell_shapes(vor: Voronoi, sites: np.ndarray, eps: float) -> list:
-    """Canonical quantized shape key for each central site's Voronoi cell."""
-    rels = []
-    for i in range(len(sites)):
-        region = vor.regions[vor.point_region[i]]
-        if -1 in region or len(region) == 0:
-            raise AssertionError("central torus cell is unbounded")
-        rels.append(vor.vertices[region] - sites[i])
-    flat = np.concatenate(rels)
-    xids = tolerance_cluster(flat[:, 0], eps).ids
-    yids = tolerance_cluster(flat[:, 1], eps).ids
-    shapes = []
-    at = 0
-    for rel in rels:
-        k = len(rel)
-        pairs = list(zip(xids[at:at + k].tolist(), yids[at:at + k].tolist()))
-        at += k
-        ang = np.arctan2(rel[:, 1], rel[:, 0])
-        ccw = [pairs[j] for j in np.argsort(ang, kind="stable")]
-        # qhull may split a vertex shared by four cocircular sites in two
-        ccw = [t for i, t in enumerate(ccw) if t != ccw[i - 1]]
-        start = least_rotation(ccw)
-        shapes.append(tuple(ccw[start:] + ccw[:start]))
-    return shapes
+def _cell_shapes(vor: Voronoi, sites: np.ndarray, eps: float) -> tuple:
+    """(shape rank of each central site's Voronoi cell, the shapes in rank
+    order).  A shape lists the cell's vertices relative to its site as
+    quantized (x id, y id) pairs, counterclockwise from the least one."""
+    m = len(sites)
+    regions = [vor.regions[r] for r in vor.point_region[:m].tolist()]
+    sizes = np.fromiter(map(len, regions), int, m)
+    verts = np.fromiter(chain.from_iterable(regions), int, int(sizes.sum()))
+    if not sizes.all() or (verts < 0).any():
+        raise AssertionError("central torus cell is unbounded")
+    cell = np.repeat(np.arange(m), sizes)
+    rel = vor.vertices[verts] - sites[cell]
+    xids = tolerance_cluster(rel[:, 0], eps).ids
+    yids = tolerance_cluster(rel[:, 1], eps).ids
+    span = int(yids.max()) + 1
+    order = np.lexsort((np.arctan2(rel[:, 1], rel[:, 0]), cell))
+    tokens = (xids * span + yids)[order]
+    # qhull may split a vertex shared by four cocircular sites in two
+    prev = np.arange(-1, len(tokens) - 1)
+    prev[np.cumsum(sizes) - sizes] += sizes
+    keep = tokens != tokens[prev]
+    tokens, cell = tokens[keep], cell[keep]
+    sizes = np.bincount(cell, minlength=m)
+    rot = least_rotations(tokens, sizes[sizes > 0])[2]
+    off = np.arange(len(tokens)) - (np.cumsum(sizes) - sizes)[cell]
+    rows = np.full((m, int(sizes.max())), -1)
+    rows[cell, off] = rot
+    shapes, ranks = joint_ranks(rows)
+    return ranks, [tuple(divmod(t, span) for t in row if t >= 0)
+                   for row in shapes.tolist()]
 
 
 def canonical_set_torus(positions: np.ndarray, labels: Sequence,
@@ -107,17 +113,16 @@ def canonical_set_torus(positions: np.ndarray, labels: Sequence,
     congruent run's result is a valid candidate translation.
     """
     pos = wrap_angle(np.asarray(positions, dtype=float).reshape(-1, 2))
-    labs = list(labels)
-    if len(pos) != len(labs):
+    if len(pos) != len(labels):
         raise ValueError("label count does not match point count")
     if len(pos) == 0:
         raise ValueError("empty torus set")
     keys: list = []
     orig = np.arange(len(pos))
-    cur_pos, cur_labs = pos, labs
+    cur_pos, cur_labs = pos, labels
 
     while True:
-        lab_rank = dense_ranks(cur_labs)
+        lab_rank = joint_ranks(cur_labs)[1]
         pr = prune_by_key(lab_rank)
         keys.append(("T1", pr.histogram))
         cand = np.array(pr.indices, dtype=int)
@@ -127,9 +132,9 @@ def canonical_set_torus(positions: np.ndarray, labels: Sequence,
 
         while True:
             sites = cur_pos[cand]
-            shapes = _cell_shapes(periodic_voronoi(sites), sites, eps)
-            spr = prune_by_key(shapes)
-            keys.append(("T3", spr.histogram))
+            ranks, shapes = _cell_shapes(periodic_voronoi(sites), sites, eps)
+            spr = prune_by_key(ranks)
+            keys.append(("T3", tuple((shapes[r], c) for r, c in spr.histogram)))
             if not spr.progressed:
                 break
             cand = cand[np.array(spr.indices, dtype=int)]
@@ -150,13 +155,13 @@ def canonical_set_torus(positions: np.ndarray, labels: Sequence,
         w = cur_pos[pt] - sites[site]
         rows = np.c_[circular_cluster(w[:, 0], eps).ids,
                      circular_cluster(w[:, 1], eps).ids,
-                     np.asarray(lab_rank)[pt]]
+                     lab_rank[pt]]
         split = np.cumsum(np.bincount(site, minlength=m))[:-1]
         words = [tuple(sorted(map(tuple, g.tolist())))
                  for g in np.split(rows, split)]
-        ranks = dense_ranks(words)
-        keys.append(("T5", tuple(sorted(Counter(ranks).items()))))
-        if max(ranks) == 0:
+        ranks = joint_ranks(words)[1]
+        keys.append(("T5", prune_by_key(ranks).histogram))
+        if ranks.max() == 0:
             keys.append(("T", len(cand)))
             return orig[cand], keys
         orig = orig[cand]
@@ -191,7 +196,7 @@ def torus_translation_congruent(pos_a: np.ndarray, labels_a: Sequence,
     shifted = wrap_angle(pa + t)
     vtol = max(eps, 1e-9) * 10.0
     if match_multisets(_embed_torus(shifted), _embed_torus(pb), vtol,
-                       tuple(labels_a), tuple(labels_b)):
+                       labels_a, labels_b):
         return t
     return None
 
@@ -219,7 +224,8 @@ def _axes_offsets(ang_a, labs_a, ang_b, labs_b, tor_a, tor_b, eps):
     if len(ang_a) == 0:
         return np.zeros(n_t_a, dtype=int), np.zeros(n_t_b, dtype=int)
 
-    axes = circle_axes(ang_a, labs_a, ang_b, labs_b, eps)
+    _, ra, rb = joint_ranks(labs_a, labs_b)
+    axes = circle_axes(ang_a, ra, ang_b, rb, eps)
     if axes is None:
         return None
     ax_a, ax_b = axes
@@ -245,8 +251,7 @@ def _block_match(ac: np.ndarray, la: Sequence, bc: np.ndarray, lb: Sequence,
                    (tor_a, tor_b)):
         if ma.sum() != mb.sum():
             return None
-    if Counter(l for l, o in zip(la, org_a) if o) != \
-            Counter(l for l, o in zip(lb, org_b) if o):
+    if not np.array_equal(np.sort(la[org_a]), np.sort(lb[org_b])):
         return None
 
     r1ids_a, r1ids_b = joint_cluster(r1a, r1b, tol)
@@ -254,8 +259,7 @@ def _block_match(ac: np.ndarray, la: Sequence, bc: np.ndarray, lb: Sequence,
 
     def circle_data(coords, mask, labs, rids, cols):
         ang = np.arctan2(coords[mask, cols[1]], coords[mask, cols[0]])
-        toks = [(l, int(r)) for l, r, m in zip(labs, rids, mask) if m]
-        return wrap_angle(ang), toks
+        return wrap_angle(ang), np.column_stack((labs[mask], rids[mask]))
 
     ang1_a, l1a = circle_data(ac, in1_a, la, r1ids_a, (0, 1))
     ang1_b, l1b = circle_data(bc, in1_b, lb, r1ids_b, (0, 1))
@@ -288,9 +292,7 @@ def _block_match(ac: np.ndarray, la: Sequence, bc: np.ndarray, lb: Sequence,
         return None
 
     def torus_labels(labs, mask, r1ids, r2ids, o1, o2):
-        base = [(l, int(p), int(q)) for l, p, q, m
-                in zip(labs, r1ids, r2ids, mask) if m]
-        return [b + (int(x), int(y)) for b, x, y in zip(base, o1, o2)]
+        return np.column_stack((labs[mask], r1ids[mask], r2ids[mask], o1, o2))
 
     tla = torus_labels(la, tor_a, r1ids_a, r2ids_a, off1[0], off2[0])
     tlb = torus_labels(lb, tor_b, r1ids_b, r2ids_b, off1[1], off2[1])
@@ -314,8 +316,7 @@ def two_plus_two_reduce(set_a: PointSet4, set_b: PointSet4,
     fa, fb = frame(plane_a.basis), frame(plane_b.basis)
     ac0 = set_a.points @ fa.T
     bc = set_b.points @ fb.T
-    la = list(set_a.labels) if set_a.labels is not None else [0] * len(set_a)
-    lb = list(set_b.labels) if set_b.labels is not None else [0] * len(set_b)
+    _, la, lb = joint_ranks(set_a.labels, set_b.labels)
 
     for swapped in (False, True):
         ac = ac0 @ SWAP_PLANES if swapped else ac0

@@ -1,7 +1,9 @@
 """Pruning by key, tolerance and circular clustering, graph components,
-merging of close points, dense ranks, circle gaps and canonical axes."""
+merging of close points, dense and joint ranks, circle gaps, least
+rotations and canonical axes."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -12,7 +14,8 @@ from hypercongruence.condense import (AxesSet, canonical_axes, circle_gaps,
                                       circular_cluster, component_ids,
                                       dense_ranks, group_means,
                                       is_regular_polygon, joint_cluster,
-                                      least_rotation, members_by_id,
+                                      joint_ranks, least_rotations,
+                                      members_by_id,
                                       merge_close, prune_by_key,
                                       tolerance_cluster, wrap_angle)
 
@@ -183,8 +186,10 @@ class TestCanonicalAxes:
             n = len(ang)
             order = np.argsort(ang)
             gids = tolerance_cluster(circle_gaps(ang[order])).ids.tolist()
+            # label ranks, then the gap classes after the distinct labels
+            rank = dense_ranks(labels)
             tokens = [t for i, g in zip(order, gids)
-                      for t in ((0, labels[i]), (1, g))]
+                      for t in (rank[i], len(set(labels)) + g)]
             starts = [s for s in range(n)
                       if tuple(tokens[2 * s:] + tokens[:2 * s]) == ax.code]
             assert ax.count == len(starts)
@@ -205,14 +210,43 @@ class TestCircleGaps:
         assert is_regular_polygon([4.0], 1e-9)
         assert is_regular_polygon([], 1e-9)
 
-    def test_least_rotation(self, rng):
-        for _ in range(50):
-            # a base of any length 1-9, repeated 1-3 times
-            seq = rng.integers(0, 3, int(rng.integers(1, 10))).tolist()
-            seq *= int(rng.integers(1, 4))
-            k = least_rotation(seq)
-            rotations = [seq[s:] + seq[:s] for s in range(len(seq))]
-            assert k == rotations.index(min(rotations))
+
+
+def cyclic_segments():
+    """Ragged batches of int strings: periodic ones (a word repeated),
+    constant and length-1 ones among them, and long binary ones, whose
+    rotations can share long prefixes."""
+    word = st.lists(st.integers(0, 3), min_size=1, max_size=6)
+    periodic = st.tuples(word, st.integers(1, 4)).map(lambda t: t[0] * t[1])
+    binary = st.lists(st.integers(0, 1), min_size=1, max_size=40)
+    return st.lists(st.one_of(periodic, binary), min_size=1, max_size=8)
+
+
+class TestLeastRotations:
+    @given(cyclic_segments())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_brute_force(self, segments):
+        first, count, rotated = least_rotations(np.concatenate(segments),
+                                                [len(s) for s in segments])
+        assert rotated.tolist() == [t for s in segments
+                                    for t in min(s[k:] + s[:k]
+                                                 for k in range(len(s)))]
+        for s, f, c in zip(segments, first.tolist(), count.tolist()):
+            rotations = [s[k:] + s[:k] for k in range(len(s))]
+            least = min(rotations)
+            assert f == rotations.index(least)
+            assert c == rotations.count(least)
+
+    def test_constant_and_single_segments(self):
+        first, count, rotated = least_rotations([5, 5, 5, 2, 1, 0, 1, 0],
+                                                [3, 1, 4])
+        assert first.tolist() == [0, 0, 1]
+        assert count.tolist() == [3, 1, 2]
+        assert rotated.tolist() == [5, 5, 5, 2, 0, 1, 0, 1]
+
+    def test_no_segments(self):
+        out = least_rotations(np.zeros(0, dtype=int), [])
+        assert [len(x) for x in out] == [0, 0, 0]
 
 
 class TestComponentIds:
@@ -287,6 +321,55 @@ class TestDenseRanks:
         ranks = dense_ranks([7, 3, 7])
         assert ranks == [1, 0, 1]
         assert all(type(r) is int for r in ranks)
+
+
+def padded(multisets, width):
+    """Each multiset's sorted (label, count) pairs, flattened and padded
+    with -1 to the given number of pairs."""
+    rows = []
+    for m in multisets:
+        flat = [x for pair in m for x in pair]
+        rows.append(flat + [-1] * (2 * width - len(flat)))
+    return np.array(rows, dtype=int).reshape(len(multisets), 2 * width)
+
+
+class TestJointRanks:
+    @given(st.lists(st.tuples(st.integers(0, 3), st.integers(-2, 2)), max_size=30),
+           st.lists(st.tuples(st.integers(0, 3), st.integers(-2, 2)), max_size=30))
+    @settings(max_examples=100, deadline=None)
+    def test_int_rows_rank_like_tuples(self, a, b):
+        # one compound int column per side orders as the tuples do
+        values, ra, rb = joint_ranks(np.array(a, dtype=int).reshape(-1, 2),
+                                     np.array(b, dtype=int).reshape(-1, 2))
+        assert ra.tolist() + rb.tolist() == dense_ranks(a + b)
+        assert list(map(tuple, values.tolist())) == sorted(set(a + b))
+
+    @given(st.lists(st.lists(st.integers(0, 4), min_size=1, max_size=5),
+                    min_size=1, max_size=20))
+    @settings(max_examples=100, deadline=None)
+    def test_padded_multisets_rank_like_tuples(self, groups):
+        # a ragged multiset ranks as its sorted (label, count) tuple, so a
+        # shorter prefix still sorts first
+        multisets = [tuple(sorted(Counter(g).items())) for g in groups]
+        rows = padded(multisets, max(map(len, multisets)))
+        half = len(rows) // 2
+        _, ra, rb = joint_ranks(rows[:half], rows[half:])
+        assert ra.tolist() + rb.tolist() == dense_ranks(multisets)
+
+    @given(st.lists(st.integers(-5, 5), max_size=20),
+           st.lists(st.integers(-5, 5), max_size=20))
+    @settings(max_examples=60, deadline=None)
+    def test_hashable_and_int_paths_agree(self, a, b):
+        values, ra, rb = joint_ranks(a, b)
+        ivalues, ia, ib = joint_ranks(np.array(a, dtype=int),
+                                      np.array(b, dtype=int))
+        assert values == ivalues.tolist() == sorted(set(a + b))
+        assert ra.tolist() == ia.tolist() and rb.tolist() == ib.tolist()
+
+    def test_hashable_labels(self):
+        values, ra, rb = joint_ranks("cab", ["b", "d"])
+        assert values == ["a", "b", "c", "d"]
+        assert ra.tolist() == [2, 0, 1] and rb.tolist() == [1, 3]
 
 
 class TestCircularCluster:

@@ -7,6 +7,7 @@ from typing import NamedTuple
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 from conftest import left_frame, pluecker_distance, rebuilt_step, step_angles
 from hypercongruence.circles import cycle_circle
@@ -369,6 +370,19 @@ class TestVerifyRotation:
         assert not verify_rotation(PointSet4(a, la), PointSet4(a @ r.T, lb), r)
 
 
+def greedy_match(x, y, eps, lx, ly):
+    """match_multisets as one loop: candidate lists, fewest first."""
+    cand = cKDTree(y).query_ball_point(x, r=eps)
+    used = set()
+    for i in sorted(range(len(x)), key=lambda i: len(cand[i])):
+        hit = next((j for j in cand[i] if j not in used and lx[i] == ly[j]),
+                   None)
+        if hit is None:
+            return False
+        used.add(hit)
+    return True
+
+
 class TestMatchMultisets:
     def test_shape_mismatch_false(self, rng):
         a = rng.normal(size=(5, 4))
@@ -381,6 +395,63 @@ class TestMatchMultisets:
 
     def test_empty_against_nonempty_false(self):
         assert not match_multisets(np.zeros((0, 4)), np.ones((1, 4)))
+
+    def test_two_points_share_their_only_candidate(self):
+        # both points of x see only y[0]; y[1] is out of reach of both
+        x = np.array([[0.0, 0.0], [0.0, 1e-9]])
+        y = np.array([[0.0, 0.5e-9], [5.0, 0.0]])
+        assert not match_multisets(x, y, 1e-8)
+        assert match_multisets(x, np.array([[0.0, 0.5e-9], [0.0, 1e-9]]), 2e-9)
+
+    def test_only_candidate_with_the_wrong_label(self):
+        x = np.array([[0.0, 0.0], [3.0, 0.0]])
+        assert match_multisets(x, x[::-1], 1e-9, ["p", "q"], ["q", "p"])
+        assert not match_multisets(x, x[::-1], 1e-9, ["p", "q"], ["p", "q"])
+        assert not match_multisets(x, x, 1e-9, np.array([0, 1]),
+                                   np.array([0, 2]))
+
+    def test_unique_and_ambiguous_candidates(self, rng):
+        # at eps = 1e-9 the two points 1e-10 apart have two candidates
+        # each, the 20 others one; with labels only one choice matches
+        far = rng.normal(size=(20, 3)) * 10
+        pair = np.array([[0.0, 0.0, 0.0], [1e-10, 0.0, 0.0]])
+        x = np.vstack([far, pair])
+        y = np.vstack([far[::-1], pair[::-1]])
+        lx = list(range(22))
+        ly = list(range(19, -1, -1)) + [21, 20]
+        assert match_multisets(x, y, 1e-9)
+        assert match_multisets(x, y, 1e-9, lx, ly)
+        assert not match_multisets(x, y, 1e-9, lx, ly[:-2] + [21, 21])
+
+    def test_ball_boundary_matches_query_ball_point(self):
+        # a candidate exactly eps away counts, as query_ball_point has it
+        x = np.array([[0.0, 0.0], [8.0, 0.0]])
+        y = np.array([[0.25, 0.0], [8.0, 0.0]])
+        assert cKDTree(y).query_ball_point(x[0], r=0.25) == [0]
+        assert match_multisets(x, y, 0.25)
+        assert not match_multisets(x, y, np.nextafter(0.25, 0.0))
+
+    def test_equals_greedy_loop_reference(self, rng):
+        # clusters of near-duplicates give points with 0, 1 and several
+        # candidates; the array settling must decide as the plain loop does
+        for _ in range(200):
+            k = int(rng.integers(1, 6))
+            centers = rng.normal(size=(k, 3))
+            x = centers[rng.integers(0, k, 12)] + \
+                rng.normal(scale=1e-9, size=(12, 3))
+            y = x[rng.permutation(12)] + rng.normal(scale=1e-9, size=(12, 3))
+            lx = rng.integers(0, 2, 12)
+            ly = lx[rng.permutation(12)]
+            for eps in (1e-10, 3e-9, 1e-8):
+                assert match_multisets(x, y, eps, lx, ly) == \
+                    greedy_match(x, y, eps, lx.tolist(), ly.tolist())
+
+    def test_one_sided_labels_raise(self, rng):
+        a = rng.normal(size=(4, 4))
+        with pytest.raises(ValueError):
+            match_multisets(a, a, 1e-9, ["x"] * 4, None)
+        with pytest.raises(ValueError):
+            match_multisets(a, a, 1e-9, None, ["x"] * 4)
 
 
 def test_constants_sane():

@@ -124,15 +124,17 @@ class TestCollapseCircle:
             ang = np.repeat(base, rng.integers(1, 12, 5))
             ang = ang + rng.normal(scale=1e-11, size=len(ang))
             labels = [int(x) for x in rng.integers(0, 3, len(ang))]
-            reps, toks = collapse_circle(ang, labels, 1e-9)
+            reps, rows = collapse_circle(ang, np.array(labels), 1e-9)
             ref_reps, ref_toks = collapse_reference(ang, labels, 1e-9)
+            toks = [tuple((lab, c) for lab, c in zip(r[::2], r[1::2])
+                          if lab >= 0) for r in rows.tolist()]
             assert toks == ref_toks
             diff = np.abs(reps - ref_reps)
             assert np.minimum(diff, TWO_PI - diff).max() <= tol
 
     def test_empty(self):
-        reps, toks = collapse_circle([], [], 1e-9)
-        assert len(reps) == 0 and toks == []
+        reps, rows = collapse_circle([], np.zeros(0, dtype=int), 1e-9)
+        assert len(reps) == 0 and len(rows) == 0
 
 
 class TestSphere3D:

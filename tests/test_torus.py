@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.spatial import Voronoi
 
-from hypercongruence.condense import TWO_PI, wrap_angle
+from hypercongruence.condense import TWO_PI, tolerance_cluster, wrap_angle
 from hypercongruence.geom import (
     PlaneSpan,
     PointSet4,
@@ -74,6 +74,31 @@ def helix_angles(ell, k, r1):
                             np.arctan2(h[:, 3], h[:, 2])])
 
 
+def cell_shapes(vor, sites):
+    """The shape of every site's cell, from _cell_shapes' ranks."""
+    ranks, shapes = _cell_shapes(vor, sites, 1e-7)
+    return [shapes[r] for r in ranks.tolist()]
+
+
+def reference_cell_shapes(vor, sites, eps=1e-7):
+    """_cell_shapes one cell at a time: vertex pairs sorted by angle, the
+    copies of a split vertex dropped, then the least of all rotations."""
+    rels = [vor.vertices[vor.regions[vor.point_region[i]]] - sites[i]
+            for i in range(len(sites))]
+    flat = np.concatenate(rels)
+    xids = tolerance_cluster(flat[:, 0], eps).ids.tolist()
+    yids = tolerance_cluster(flat[:, 1], eps).ids.tolist()
+    shapes, at = [], 0
+    for rel in rels:
+        pairs = list(zip(xids[at:at + len(rel)], yids[at:at + len(rel)]))
+        at += len(rel)
+        ccw = [pairs[j] for j in np.argsort(np.arctan2(rel[:, 1], rel[:, 0]),
+                                            kind="stable")]
+        ccw = [t for i, t in enumerate(ccw) if t != ccw[i - 1]]
+        shapes.append(min(tuple(ccw[k:] + ccw[:k]) for k in range(len(ccw))))
+    return shapes
+
+
 class TestPeriodicVoronoi:
     @pytest.mark.parametrize("case", ["cloud", "grid", "helix"])
     def test_clipped_cells_equal_nine_copy_cells(self, rng, case):
@@ -83,8 +108,8 @@ class TestPeriodicVoronoi:
                  "helix": lambda: helix_angles(2000, 3, 0.8)}[case]()
         vor = periodic_voronoi(sites)
         assert len(vor.points) < 9 * len(sites)
-        assert _cell_shapes(vor, sites, 1e-7) == \
-            _cell_shapes(nine_copy_voronoi(sites), sites, 1e-7)
+        assert cell_shapes(vor, sites) == \
+            cell_shapes(nine_copy_voronoi(sites), sites)
 
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_few_sites_take_all_nine_copies(self, rng, m):
@@ -92,8 +117,22 @@ class TestPeriodicVoronoi:
         sites[0] = 0.0
         vor = periodic_voronoi(sites)
         assert len(vor.points) == 9 * m
-        assert _cell_shapes(vor, sites, 1e-7) == \
-            _cell_shapes(nine_copy_voronoi(sites), sites, 1e-7)
+        assert cell_shapes(vor, sites) == \
+            cell_shapes(nine_copy_voronoi(sites), sites)
+
+    @pytest.mark.parametrize("case", ["cloud", "grid"])
+    def test_shapes_equal_per_cell_reference(self, rng, case):
+        # the grid's cells share vertices of four cocircular sites, which
+        # qhull may split in two; ranks order as the shapes do
+        sites = {"cloud": lambda: rng.uniform(0, TWO_PI, size=(200, 2)),
+                 "grid": lambda: np.array([[i * TWO_PI / 9, j * TWO_PI / 10]
+                                           for i in range(9) for j in range(10)]),
+                 }[case]()
+        vor = periodic_voronoi(sites)
+        ref = reference_cell_shapes(vor, sites)
+        ranks, shapes = _cell_shapes(vor, sites, 1e-7)
+        assert [shapes[r] for r in ranks.tolist()] == ref
+        assert shapes == sorted(set(ref))
 
 
 class TestCanonicalSet:
