@@ -65,7 +65,7 @@ class OrbitCycle:
 
 def _components(n: int, undirected_edges) -> list:
     # only vertices on an edge belong to the graph
-    groups = members_by_id(component_ids(n, list(undirected_edges)))
+    groups = members_by_id(component_ids(n, undirected_edges))
     return [g.tolist() for g in groups if len(g) > 1]
 
 
@@ -156,7 +156,9 @@ def mirror_reduce(points, graph: DirectedGraph, eps: float = EPS_EQ):
     """
     pts = np.asarray(points, dtype=float)
     keys: list = []
-    edges = {(min(a), max(a)) for a in graph.arcs}
+    ends = np.sort(graph.arc_rows, axis=1)
+    edges = np.column_stack(np.divmod(
+        np.unique(ends[:, 0] * len(pts) + ends[:, 1]), len(pts)))
     comps = _components(len(pts), edges)
     sizes = tuple(sorted(len(c) for c in comps))
     keys.append(("R1", (len(comps), sizes)))
@@ -206,8 +208,8 @@ def mirror_reduce(points, graph: DirectedGraph, eps: float = EPS_EQ):
     # orbit cycles sampled so finely that their chirality defect fell below
     # the mirror tolerance
     circles = []
-    adj = {v: set() for e in edges for v in e}
-    for i, j in edges:
+    adj = {v: set() for v in np.unique(edges).tolist()}
+    for i, j in edges.tolist():
         adj[i].add(j)
         adj[j].add(i)
     if all(len(adj[v]) == 2 for c in comps for v in c):
@@ -277,7 +279,7 @@ def orbit_circles(points, graph: DirectedGraph, delta: float, alpha: float,
     cycles: list = []
     seen: set = set()
     n = len(pts)
-    for a in sorted(graph.arcs):
+    for a in graph.arcs:
         for b in graph.succ[a]:
             if (a, b) in visited:
                 continue

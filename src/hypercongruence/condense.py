@@ -5,13 +5,13 @@ reals into classes (single linkage at the comparison tolerance) on a line
 or on a circle, wrapping angles into one period, the gaps between sorted
 angles and the regular-polygon test built on them, numbering the connected
 components of a graph, merging points within a tolerance and averaging
-points per component, ranking labels jointly across sides into ints,
-keeping only the smallest class under a canonical key, the least rotations
-of cyclic int strings, and the canonical axes of labeled configurations on
-a circle.  Canonical axes quantize the gaps of every configuration passed
-in one call together, which is what makes their int codes comparable.  The
-value groupings are deterministic functions of the input multiset, never
-of input order.
+points per component, ranking labels jointly across sides into ints
+(int strings as rows padded with -1), keeping only the smallest class
+under a canonical key, the least rotations of cyclic int strings, and the
+canonical axes of labeled configurations on a circle.  Canonical axes
+quantize the gaps of every configuration passed in one call together,
+which is what makes their int codes comparable.  The value groupings are
+deterministic functions of the input multiset, never of input order.
 """
 
 from __future__ import annotations
@@ -187,9 +187,17 @@ def joint_ranks(*sides) -> tuple:
     return (values, *(ranks[e - len(x):e] for x, e in zip(sides, ends)))
 
 
-def dense_ranks(keys) -> list:
-    """Rank of each key among the distinct keys in sorted order."""
-    return joint_ranks(keys)[1].tolist()
+def padded_rows(tokens, lengths) -> np.ndarray:
+    """Int strings laid end to end, as the rows of one array padded with -1.
+
+    For tokens >= 0 the rows order lexicographically as the strings do, a
+    proper prefix first, so :func:`joint_ranks` of the rows ranks the
+    strings as it ranks tuples of their tokens."""
+    lengths = np.asarray(lengths, dtype=int)
+    seg = np.repeat(np.arange(len(lengths)), lengths)
+    rows = np.full((len(lengths), int(lengths.max(initial=0))), -1)
+    rows[seg, np.arange(len(seg)) - (np.cumsum(lengths) - lengths)[seg]] = tokens
+    return rows
 
 
 @dataclass(frozen=True)
@@ -202,11 +210,16 @@ class PruneResult:
 
 def prune_by_key(keys: Sequence[Hashable]) -> PruneResult:
     """Select the smallest key class, ties broken by smallest key.  Keys
-    are ranked by joint_ranks; int array keys come out as plain ints."""
+    are ranked by joint_ranks; int array keys come out as plain ints, and
+    the rows of a 2D int array as tuples of them."""
     if len(keys) == 0:
         raise ValueError("nothing to prune")
     values, ranks = joint_ranks(keys)
-    names = values.tolist() if isinstance(values, np.ndarray) else values
+    names = values
+    if isinstance(values, np.ndarray):
+        names = values.tolist()
+        if values.ndim == 2:
+            names = list(map(tuple, names))
     counts = np.bincount(ranks)
     best = int(np.argmin(counts))
     return PruneResult(tuple(np.flatnonzero(ranks == best).tolist()),

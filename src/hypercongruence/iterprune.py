@@ -13,21 +13,27 @@ by canonical axes, until one of three stable situations is reached:
 
 Decisions are made on quantized invariants (tolerance-clustered angles and
 frame coordinates), so congruent inputs run through identical stages; the
-emitted stage keys make any divergence observable.
+emitted stage keys make any divergence observable.  Arcs travel as one
+sorted int array.  The edge-figure and mark-figure codes of a round are int
+strings, replaced by their ranks among the codes of that round's graph, so
+ranks compare within one graph only; the C4 and C9 keys are their
+histograms, which congruent inputs share.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
+from itertools import chain
 from typing import Optional
 
 import numpy as np
 
 from .geom import EPS_EQ, CONSTANTS, frames, match_multisets
-from .condense import (TWO_PI, canonical_axes, circular_cluster, dense_ranks,
-                       is_regular_polygon, prune_by_key, tolerance_cluster,
-                       wrap_angle)
+from .condense import (TWO_PI, canonical_axes, circular_cluster,
+                       is_regular_polygon, joint_ranks, padded_rows,
+                       prune_by_key, tolerance_cluster, wrap_angle)
 from .cpgraph import closest_pair_graph
 
 THETA_TOL = 1e-7            # angular tolerance for positions on mark circles
@@ -37,37 +43,59 @@ ROLE_PRED = 1
 ROLE_BOTH = 2
 
 
-@dataclass(frozen=True)
+def _runs(items: list, counts) -> list:
+    """items cut into consecutive runs of the given lengths."""
+    ends = np.cumsum(counts).tolist()
+    return [items[s:e] for s, e in zip([0] + ends[:-1], ends)]
+
+
+@dataclass(frozen=True, eq=False)
 class DirectedGraph:
     """Arcs (ordered index pairs) over a point set, with successor sets.
 
-    ``succ`` maps an arc to the tuple of its current successor arcs; it is
-    None until successor angles get assigned.  Predecessors are derived:
-    tu is a predecessor of uv exactly when uv is a successor of tu.
+    ``arc_rows`` holds the arcs as an (m, 2) int array of (tail, head) rows
+    in lexicographic order; any collection of distinct pairs is accepted.
+    ``succ`` maps an arc tuple to the tuple of its current successor arcs;
+    it is None until successor angles get assigned.  Predecessors are
+    derived: tu is a predecessor of uv exactly when uv is a successor of tu.
     """
 
     n: int
-    arcs: frozenset
+    arc_rows: np.ndarray
     succ: Optional[dict] = None
-    _out: dict = field(default_factory=dict, compare=False, repr=False)
-    _in: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self):
-        for a in self.arcs:
-            self._out.setdefault(a[0], []).append(a)
-            self._in.setdefault(a[1], []).append(a)
-        for m in (self._out, self._in):
-            for k in m:
-                m[k].sort()
+        rows = self.arc_rows
+        if not isinstance(rows, np.ndarray):
+            rows = list(rows)
+        rows = np.asarray(rows, dtype=int).reshape(-1, 2)
+        object.__setattr__(self, "arc_rows", rows[np.lexsort(rows.T[::-1])])
+
+    @cached_property
+    def arcs(self) -> list:
+        """The arcs as (tail, head) tuples, in sorted order."""
+        return list(map(tuple, self.arc_rows.tolist()))
+
+    @cached_property
+    def _adjacency(self) -> tuple:
+        """Sorted out-arc and in-arc lists of every vertex."""
+        tail, head = self.arc_rows.T
+        by_head = np.lexsort((tail, head)).tolist()
+        arcs = self.arcs
+        return (_runs(arcs, np.bincount(tail, minlength=self.n)),
+                _runs([arcs[i] for i in by_head],
+                      np.bincount(head, minlength=self.n)))
 
     def out_arcs(self, v) -> list:
-        return self._out.get(v, [])
+        return self._adjacency[0][v]
 
     def in_arcs(self, v) -> list:
-        return self._in.get(v, [])
+        return self._adjacency[1][v]
 
-    def degrees(self, v) -> tuple:
-        return (len(self._out.get(v, ())), len(self._in.get(v, ())))
+    def degrees(self) -> np.ndarray:
+        """(out-degree, in-degree) row of every vertex."""
+        return np.c_[np.bincount(self.arc_rows[:, 0], minlength=self.n),
+                     np.bincount(self.arc_rows[:, 1], minlength=self.n)]
 
     def pred(self) -> dict:
         p: dict = {a: [] for a in self.arcs}
@@ -123,7 +151,7 @@ def _graph_angle_ids(points, graph: DirectedGraph, eps: float):
     """
     per_arc: dict = {}
     population: list = []
-    for arc in sorted(graph.arcs):
+    for arc in graph.arcs:
         u, v = arc
         base = points[u] - points[v]
         vals = []
@@ -136,7 +164,7 @@ def _graph_angle_ids(points, graph: DirectedGraph, eps: float):
     clu = tolerance_cluster(population, eps)
     tagged: dict = {}
     k = 0
-    for arc in sorted(graph.arcs):
+    for arc in graph.arcs:
         lst = []
         for a, val in per_arc[arc]:
             lst.append((a, int(clu.ids[k]), val))
@@ -154,14 +182,24 @@ def _blocks(sizes: np.ndarray, which: np.ndarray) -> tuple:
     return owner, np.arange(len(owner)) + np.repeat(shift, counts)
 
 
-def _runs(items: list, counts) -> list:
-    """items cut into consecutive runs of the given lengths."""
-    ends = np.cumsum(counts).tolist()
-    return [items[s:e] for s, e in zip([0] + ends[:-1], ends)]
+def _sort_runs(tokens: np.ndarray, owner: np.ndarray) -> np.ndarray:
+    """Non-negative int tokens sorted within each run of equal owner, for
+    owners in ascending order."""
+    shift = owner * (int(tokens.max(initial=0)) + 1)
+    return np.sort(tokens + shift) - shift
 
 
-def edge_figure_codes(points, graph: DirectedGraph, eps: float = EPS_EQ) -> dict:
-    """Canonical code per arc, quantized jointly over the whole graph.
+def _code_rows(axes: list) -> np.ndarray:
+    """The codes of canonical axes as rows padded with -1."""
+    lengths = [len(ax.code) for ax in axes]
+    return padded_rows(np.fromiter(chain.from_iterable(ax.code for ax in axes),
+                                   int, sum(lengths)), lengths)
+
+
+def edge_figure_codes(points, graph: DirectedGraph,
+                      eps: float = EPS_EQ) -> np.ndarray:
+    """Rank of the canonical code of every arc (in ``graph.arc_rows`` order)
+    among the distinct codes of the graph, quantized jointly over it.
 
     The figure of an arc uv holds its tail u, the heads of the arcs out of
     v and the tails of the arcs into u, each tagged with a direction mask
@@ -173,12 +211,16 @@ def edge_figure_codes(points, graph: DirectedGraph, eps: float = EPS_EQ) -> dict
     has no out-neighbor off the plane of 0, u and v) fall back to the
     two-vector frame(-v, u - v): the axial coordinates and the distance
     from the axial plane are clustered, and the angular part around it
-    gets one canonical cyclic code.  All frames of the graph come from two
-    stacked :func:`frames` calls, and all figure coordinates from one
-    einsum.
+    gets one canonical cyclic code.  These planar codes rank above all
+    three-vector codes.  All frames of the graph come from two stacked
+    :func:`frames` calls, and all figure coordinates from one einsum.
+    A code is an int string with one token per figure point, the rank of
+    its row of ids and mask, followed for a planar figure by its axes code;
+    each is ranked as one row padded with -1 (:func:`padded_rows`), so
+    ranks are comparable within one graph only.
     """
     pts = np.asarray(points, dtype=float)
-    arcs = np.array(sorted(graph.arcs), dtype=int).reshape(-1, 2)
+    arcs = graph.arc_rows
     tail, head = arcs.T
     n, n_arcs = len(pts), len(arcs)
     # arcs sorted by tail (by head) put the arcs out of (into) x in a block
@@ -221,34 +263,36 @@ def edge_figure_codes(points, graph: DirectedGraph, eps: float = EPS_EQ) -> dict
     ids3, ids12, ids_rho = np.split(tolerance_cluster(
         np.concatenate([c3.ravel(), c12.ravel(), rho]), eps).ids,
         [c3.size, c3.size + c12.size])
-    codes: dict = {}
-    arc_keys = list(map(tuple, arcs.tolist()))
+    ranks = np.zeros(n_arcs, dtype=int)
 
-    # three-vector figures: each variant's entries sorted, least variant wins
-    table = np.c_[ids3.reshape(-1, 4), masks[row_fig[:n3]]]
-    order = np.lexsort(np.c_[row_f[:n3], table].T[::-1])
-    entries = _runs(list(map(tuple, table[order].tolist())), fig_size[var_arc])
-    for e, ent in zip(var_arc.tolist(), entries):
-        code = ("f", tuple(ent))
-        arc = arc_keys[e]
-        if arc not in codes or code < codes[arc]:
-            codes[arc] = code
+    # three-vector figures: each variant's entries sorted, least variant
+    # wins; an entry is the rank of its (4 coordinate ids, mask) row
+    entry = joint_ranks(np.c_[ids3.reshape(-1, 4), masks[row_fig[:n3]]])[1]
+    var_rank = joint_ranks(padded_rows(_sort_runs(entry, row_f[:n3]),
+                                       fig_size[var_arc]))[1]
+    first = np.flatnonzero(np.diff(var_arc, prepend=-1))
+    least, ranks[var_arc[first]] = joint_ranks(
+        np.minimum.reduceat(var_rank, first))
 
-    # planar figures: the axial part sorted, the angular part on the circle
-    flat = np.c_[ids12.reshape(-1, 2), ids_rho, masks[row_fig[n3:]]]
-    theta = wrap_angle(np.arctan2(c34[:, 1], c34[:, 0]))
+    # planar figures: the axial part sorted, the angular part on the circle;
+    # an entry is the rank of its (x id, y id, rho id, mask) row
+    entry = joint_ranks(np.c_[ids12.reshape(-1, 2), ids_rho,
+                              masks[row_fig[n3:]]])[1]
+    owner = row_f[n3:] - len(var_arc)
     on = rho > 1e-9
-    sizes = fig_size[plan_arc]
-    rows = _runs(list(map(tuple, flat.tolist())), sizes)
-    ons = _runs(on.tolist(), sizes)
-    configs = [([t for t, x in zip(th, o) if x], [r for r, x in zip(rw, o) if x])
-               for rw, o, th in zip(rows, ons, _runs(theta.tolist(), sizes))]
+    axial = padded_rows(_sort_runs(entry[~on], owner[~on]),
+                        np.bincount(owner[~on], minlength=len(plan_arc)))
     # the angular parts of all planar figures share one gap quantization
-    axes = iter(canonical_axes([c for c in configs if c[1]], THETA_TOL))
-    for e, rw, o, (_, labels) in zip(plan_arc.tolist(), rows, ons, configs):
-        axial = tuple(sorted(r for r, x in zip(rw, o) if not x))
-        codes[arc_keys[e]] = ("p", axial, next(axes).code if labels else ())
-    return codes
+    at = np.flatnonzero(on)
+    cut = np.flatnonzero(np.diff(owner[at], prepend=-1))
+    theta = wrap_angle(np.arctan2(c34[:, 1], c34[:, 0]))
+    axes = canonical_axes([(theta[i], entry[i]) for i in np.split(at, cut[1:])]
+                          if len(at) else [], THETA_TOL)
+    codes = _code_rows(axes)
+    angular = np.full((len(plan_arc), codes.shape[1]), -1)
+    angular[owner[at[cut]]] = codes
+    ranks[plan_arc] = len(least) + joint_ranks(np.c_[axial, angular])[1]
+    return ranks
 
 
 # ---------------------------------------------------------------------------
@@ -342,7 +386,7 @@ def ps_figure(points, arc, succ_arcs, pred_arcs, delta: float,
 def ps_figures(points, graph: DirectedGraph, delta: float, alpha: float) -> dict:
     """Figures of all arcs, built from the graph's successor sets."""
     pred = graph.pred()
-    arcs = sorted(graph.arcs)
+    arcs = graph.arcs
     return {a: ps_figure(points, a, graph.succ[a], pred[a], delta, alpha, f)
             for a, f in zip(arcs, _mark_frames(points, arcs))}
 
@@ -371,8 +415,8 @@ class _Run:
                 self.emit("C1", (n, "separated"))
                 return WellSeparated(self.all_points[alive])
             self.emit("C1", (n, "dense"))
-            arcs = frozenset((i, j) for i, j in g.edges) | \
-                frozenset((j, i) for i, j in g.edges)
+            edges = np.asarray(g.edges, dtype=int).reshape(-1, 2)
+            arcs = np.concatenate([edges, edges[:, ::-1]])
             self.emit("C2", len(arcs))
             outcome = self._arc_rounds(self.all_points[alive], arcs, g.delta)
             if isinstance(outcome, np.ndarray):
@@ -389,19 +433,17 @@ class _Run:
         # vertex degree classes, so the degree bound caps the rounds
         for _ in range(CONSTANTS.kissing_3 * (CONSTANTS.kissing_2 + 2) + 4):
             graph = DirectedGraph(len(points), arcs)
-            degs = [graph.degrees(v) for v in range(len(points))]
-            res = prune_by_key(degs)
+            arcs = graph.arc_rows
+            res = prune_by_key(graph.degrees())
             self.emit("C3", res.histogram)
             if res.progressed:
                 return np.array(res.indices, dtype=int)
-            codes = edge_figure_codes(points, graph, self.eps)
-            arclist = sorted(arcs)
-            res = prune_by_key(dense_ranks([codes[a] for a in arclist]))
+            res = prune_by_key(edge_figure_codes(points, graph, self.eps))
             self.emit("C4", res.histogram)
             if res.progressed:
-                arcs = frozenset(arclist[i] for i in res.indices)
+                arcs = arcs[np.array(res.indices, dtype=int)]
                 continue
-            rep = arclist[0]
+            rep = tuple(arcs[0].tolist())
             if self._mirror_symmetric(points, graph, rep):
                 self.emit("C5", "mirror")
                 return MirrorSymmetric(points, graph)
@@ -411,7 +453,7 @@ class _Run:
                                                  angle_ids, angle_reps, delta)
             self.emit("C6", alpha_id)
             succ = {a: tuple(x for x, aid, _ in angle_ids[a] if aid == alpha_id)
-                    for a in arclist}
+                    for a in graph.arcs}
             self.emit("C7", tuple(sorted({len(s) for s in succ.values()})))
             step = self._successor_rounds(points, arcs, succ, delta, alpha)
             if step[0] == "arcs":
@@ -422,8 +464,9 @@ class _Run:
 
     def _mirror_symmetric(self, points, graph: DirectedGraph, arc) -> bool:
         u, v = arc
-        outs = np.array([points[a[1]] for a in graph.out_arcs(v)])
-        ins = np.array([points[a[0]] for a in graph.in_arcs(u)])
+        rows = graph.arc_rows
+        outs = points[rows[rows[:, 0] == v, 1]]
+        ins = points[rows[rows[:, 1] == u, 0]]
         if len(outs) != len(ins):
             return False
         reflected = np.array([_reflect_across_bisector(x, points[u], points[v])
@@ -449,16 +492,16 @@ class _Run:
 
     def _successor_rounds(self, points, arcs, succ, delta, alpha):
         """C8 through C11: prune arcs by mark figure or successors by axes."""
-        arclist = sorted(arcs)
         for _ in range(CONSTANTS.kissing_2 + 2):
             graph = DirectedGraph(len(points), arcs, succ)
+            arclist = graph.arcs
             figures = ps_figures(points, graph, delta, alpha)
             axes = canonical_axes([(figures[a].thetas, figures[a].roles.tolist())
                                    for a in arclist], THETA_TOL)
-            res = prune_by_key(dense_ranks([ax.code for ax in axes]))
+            res = prune_by_key(joint_ranks(_code_rows(axes))[1])
             self.emit("C9", res.histogram)
             if res.progressed:
-                return "arcs", frozenset(arclist[i] for i in res.indices)
+                return "arcs", graph.arc_rows[np.array(res.indices, dtype=int)]
             fig = figures[arclist[0]]
             if not fig.has_free_successor():
                 raise AssertionError("no free successor position on the mark circle")

@@ -28,8 +28,8 @@ import numpy as np
 from scipy.spatial import Voronoi, cKDTree
 
 from .condense import (TWO_PI, circular_cluster, joint_cluster,
-                       joint_ranks, least_rotations, prune_by_key,
-                       tolerance_cluster, wrap_angle)
+                       joint_ranks, least_rotations, padded_rows,
+                       prune_by_key, tolerance_cluster, wrap_angle)
 from .geom import (EPS_EQ, PlaneSpan, PointSet4, Verdict, block_rotation,
                    frame, match_multisets, verify_rotation)
 from .lowdim import circle_axes, congruence_2d_labeled
@@ -93,10 +93,7 @@ def _cell_shapes(vor: Voronoi, sites: np.ndarray, eps: float) -> tuple:
     tokens, cell = tokens[keep], cell[keep]
     sizes = np.bincount(cell, minlength=m)
     rot = least_rotations(tokens, sizes[sizes > 0])[2]
-    off = np.arange(len(tokens)) - (np.cumsum(sizes) - sizes)[cell]
-    rows = np.full((m, int(sizes.max())), -1)
-    rows[cell, off] = rot
-    shapes, ranks = joint_ranks(rows)
+    shapes, ranks = joint_ranks(padded_rows(rot, sizes))
     return ranks, [tuple(divmod(t, span) for t in row if t >= 0)
                    for row in shapes.tolist()]
 
@@ -156,10 +153,10 @@ def canonical_set_torus(positions: np.ndarray, labels: Sequence,
         rows = np.c_[circular_cluster(w[:, 0], eps).ids,
                      circular_cluster(w[:, 1], eps).ids,
                      lab_rank[pt]]
-        split = np.cumsum(np.bincount(site, minlength=m))[:-1]
-        words = [tuple(sorted(map(tuple, g.tolist())))
-                 for g in np.split(rows, split)]
-        ranks = joint_ranks(words)[1]
+        # a site's word: its (x id, y id, label) rows sorted, as one int row
+        rows = rows[np.lexsort(np.c_[site, rows].T[::-1])]
+        ranks = joint_ranks(padded_rows(
+            rows.ravel(), 3 * np.bincount(site, minlength=m)))[1]
         keys.append(("T5", prune_by_key(ranks).histogram))
         if ranks.max() == 0:
             keys.append(("T", len(cand)))

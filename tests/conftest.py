@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from hypercongruence.condense import canonical_axes, tolerance_cluster, wrap_angle
+from hypercongruence.condense import (canonical_axes, joint_ranks,
+                                      tolerance_cluster, wrap_angle)
 from hypercongruence.geom import EPS_EQ, block_rotation, frame, pluecker
 from hypercongruence.harness import random_rotation
 from hypercongruence.iterprune import THETA_TOL
@@ -53,6 +54,12 @@ def left_frame(f: np.ndarray) -> np.ndarray:
     f = np.array(f, dtype=float)
     f[2] = -f[2]
     return f
+
+
+def dense_ranks(keys) -> list:
+    """Rank of each key among the distinct keys in sorted order: the
+    reference that int-row rankings are checked against."""
+    return joint_ranks(keys)[1].tolist()
 
 
 def reference_edge_figure_codes(points, graph, eps: float = EPS_EQ) -> dict:
@@ -115,6 +122,6 @@ def reference_edge_figure_codes(points, graph, eps: float = EPS_EQ) -> dict:
     return codes
 
 
-__all__ = ["left_frame", "pluecker_distance", "random_rotation",
+__all__ = ["dense_ranks", "left_frame", "pluecker_distance", "random_rotation",
            "rebuilt_step", "reference_edge_figure_codes", "rot3",
            "step_angles"]

@@ -10,13 +10,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import dense_ranks
 from hypercongruence.condense import (AxesSet, canonical_axes, circle_gaps,
                                       circular_cluster, component_ids,
-                                      dense_ranks, group_means,
+                                      group_means,
                                       is_regular_polygon, joint_cluster,
                                       joint_ranks, least_rotations,
                                       members_by_id,
-                                      merge_close, prune_by_key,
+                                      merge_close, padded_rows, prune_by_key,
                                       tolerance_cluster, wrap_angle)
 
 TWO_PI = 2 * math.pi
@@ -49,6 +50,15 @@ class TestPruneByKey:
         a = prune_by_key(["u", "v", "v", "w"])
         b = prune_by_key(["v", "w", "u", "v"])
         assert a.histogram == b.histogram
+
+    def test_int_rows_named_as_tuples(self):
+        rows = [(1, 2), (1, 2), (0, 1)]
+        r = prune_by_key(np.array(rows))
+        assert r.key == (0, 1)
+        assert hash(r.key) == hash((0, 1))
+        assert r.indices == (2,)
+        assert r.histogram == ((((0, 1), 1), ((1, 2), 2)))
+        assert repr(r) == repr(prune_by_key(rows))
 
     @given(st.lists(st.integers(0, 5), min_size=2, max_size=40))
     @settings(max_examples=60, deadline=None)
@@ -365,6 +375,15 @@ class TestJointRanks:
                                       np.array(b, dtype=int))
         assert values == ivalues.tolist() == sorted(set(a + b))
         assert ra.tolist() == ia.tolist() and rb.tolist() == ib.tolist()
+
+    @given(st.lists(st.lists(st.integers(0, 9), max_size=6), max_size=20))
+    @settings(max_examples=100, deadline=None)
+    def test_padded_rows_rank_like_tuples(self, strings):
+        # int strings laid end to end come back as -1 padded rows
+        rows = padded_rows([t for s in strings for t in s], list(map(len, strings)))
+        assert rows.shape[0] == len(strings)
+        assert [[t for t in row if t >= 0] for row in rows.tolist()] == strings
+        assert joint_ranks(rows)[1].tolist() == dense_ranks(list(map(tuple, strings)))
 
     def test_hashable_labels(self):
         values, ra, rb = joint_ranks("cab", ["b", "d"])

@@ -4,7 +4,11 @@ import numpy as np
 import pytest
 from scipy.spatial import Voronoi
 
-from hypercongruence.condense import TWO_PI, tolerance_cluster, wrap_angle
+from scipy.spatial import cKDTree
+
+from hypercongruence.condense import (TWO_PI, circular_cluster, joint_ranks,
+                                      prune_by_key, tolerance_cluster,
+                                      wrap_angle)
 from hypercongruence.geom import (
     PlaneSpan,
     PointSet4,
@@ -97,6 +101,60 @@ def reference_cell_shapes(vor, sites, eps=1e-7):
         ccw = [t for i, t in enumerate(ccw) if t != ccw[i - 1]]
         shapes.append(min(tuple(ccw[k:] + ccw[:k]) for k in range(len(ccw))))
     return shapes
+
+
+def reference_canonical_set_torus(positions, labels, eps=1e-7):
+    """canonical_set_torus with every T5 word built as a sorted tuple of
+    per-site (x id, y id, label) tuples."""
+    pos = wrap_angle(np.asarray(positions, dtype=float).reshape(-1, 2))
+    keys, orig, cur_pos, cur_labs = [], np.arange(len(pos)), pos, labels
+    while True:
+        lab_rank = joint_ranks(cur_labs)[1]
+        pr = prune_by_key(lab_rank)
+        keys.append(("T1", pr.histogram))
+        cand = np.array(pr.indices, dtype=int)
+        if len(cand) == 1:
+            keys.append(("T", 1))
+            return orig[cand], keys
+        while True:
+            sites = cur_pos[cand]
+            ranks, shapes = _cell_shapes(periodic_voronoi(sites), sites, eps)
+            spr = prune_by_key(ranks)
+            keys.append(("T3", tuple((shapes[r], c) for r, c in spr.histogram)))
+            if not spr.progressed:
+                break
+            cand = cand[np.array(spr.indices, dtype=int)]
+            if len(cand) == 1:
+                keys.append(("T", 1))
+                return orig[cand], keys
+        sites = cur_pos[cand]
+        tree = cKDTree(sites, boxsize=TWO_PI)
+        d, _ = tree.query(cur_pos)
+        balls = tree.query_ball_point(cur_pos, d + eps)
+        words = [[] for _ in sites]
+        for p, ball in enumerate(balls):
+            for k in set(ball):
+                w = cur_pos[p] - sites[k]
+                words[k].append((w, int(lab_rank[p])))
+        flat = np.array([w for word in words for w, _ in word])
+        xids = circular_cluster(flat[:, 0], eps).ids.tolist()
+        yids = circular_cluster(flat[:, 1], eps).ids.tolist()
+        it = iter(zip(xids, yids))
+        words = [tuple(sorted(next(it) + (lab,) for _, lab in word))
+                 for word in words]
+        ranks = joint_ranks(words)[1]
+        keys.append(("T5", prune_by_key(ranks).histogram))
+        if ranks.max() == 0:
+            keys.append(("T", len(cand)))
+            return orig[cand], keys
+        orig = orig[cand]
+        cur_pos, cur_labs = cur_pos[cand], ranks
+
+
+def grid_coset(p, q, offset=(0.0, 0.0)):
+    """The p x q grid on the torus, shifted by offset, row by row."""
+    i, j = np.divmod(np.arange(p * q), q)
+    return wrap_angle(np.c_[i * TWO_PI / p, j * TWO_PI / q] + offset), i, j
 
 
 class TestPeriodicVoronoi:
@@ -211,6 +269,40 @@ class TestCanonicalSet:
         diffs = {tuple(np.round(np.mod(pos[i] - pos[idx[0]], TWO_PI), 6))
                  for i in idx}
         assert diffs == syms
+
+
+class TestTupleWords:
+    """The int-row T5 words against the tuple-word reference."""
+
+    @staticmethod
+    def check(pos, labs):
+        idx, keys = canonical_set_torus(pos, labs)
+        ref_idx, ref_keys = reference_canonical_set_torus(pos, labs)
+        assert keys == ref_keys
+        assert idx.tolist() == ref_idx.tolist()
+        return [k for stage, k in keys if stage == "T5"]
+
+    def test_labeled_grid(self):
+        # a 6 x 7 grid: label 0 on every third column, the labels beside
+        # it swapped on row 0, so T5 splits that row off
+        pos, i, j = grid_coset(6, 7)
+        labs = np.where(i % 3 == 0, 0, 1 + ((i % 3 == 1) ^ (j == 0)))
+        t5 = self.check(pos, labs.tolist())
+        assert t5[0] == ((0, 2), (1, 12))
+
+    def test_union_of_two_cosets(self):
+        a, _, _ = grid_coset(4, 6)
+        b, _, _ = grid_coset(4, 6, (np.pi / 4, 0.3))
+        t5 = self.check(np.vstack([a, b]), [0] * 48)
+        assert t5 == [((0, 24),)]
+
+    def test_labels_break_a_period(self):
+        # a shifted 6 x 5 grid: the labels beside column class 0 swap from
+        # row 3 on, so the coset's period along the rows is broken
+        pos, i, j = grid_coset(6, 5, (0.1, 0.2))
+        labs = np.where(i % 3 == 0, 0, 1 + ((i % 3 == 2) ^ (j >= 3)))
+        t5 = self.check(pos, labs.tolist())
+        assert t5[0] == ((0, 6), (1, 4))
 
 
 class TestTranslationCongruent:

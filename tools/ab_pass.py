@@ -1,0 +1,105 @@
+"""Interleaved A/B timing of in-process passes over a benchmark workload.
+
+Each round starts one fresh interpreter per side, alternating which side
+goes first.  An interpreter imports ``hypercongruence`` from its side's
+``--src``, generates the pairs of ``perfbench/workloads.generate`` for the
+workload and seed, decides every pair once untimed, then times ``--passes``
+passes (one pass decides every pair once) and reports their median.  The
+script prints each round's medians and ratio, the median over rounds of
+each side with the interquartile range of the base, and in how many rounds
+the change was faster:
+
+    python tools/ab_pass.py --base ../parent/src --workload dense
+    python tools/ab_pass.py --base ../parent/src --src src --workload gauss \\
+        --seed 3 --rounds 10 --passes 5
+
+The workload module is read, never changed.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+from time import perf_counter
+
+from stream_digest import ROOT, load_workloads
+
+
+def passes(src: str, workload: str, seed: int, count: int) -> list:
+    """Seconds of each timed pass, after one untimed pass."""
+    sys.path.insert(0, src)
+    from hypercongruence import pipeline
+    pairs = load_workloads().generate(workload, seed)
+    opts = [None if p.delta0 is None else pipeline.PipelineOptions(delta0=p.delta0)
+            for p in pairs]
+
+    def one_pass() -> float:
+        t0 = perf_counter()
+        for pair, o in zip(pairs, opts):
+            pipeline.congruence_test_4d(pair.a, pair.b, o)
+        return perf_counter() - t0
+
+    one_pass()
+    return [one_pass() for _ in range(count)]
+
+
+def run_side(src: str, args) -> float:
+    out = subprocess.run(
+        [sys.executable, __file__, "--worker", "--src", src, "--workload",
+         args.workload, "--seed", str(args.seed), "--passes", str(args.passes)],
+        check=True, capture_output=True, text=True).stdout
+    return statistics.median(json.loads(out.splitlines()[-1]))
+
+
+def quartiles(xs: list) -> tuple:
+    if len(xs) < 2:
+        return xs[0], xs[0]
+    q = statistics.quantiles(xs, n=4)
+    return q[0], q[2]
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--base", help="directory of the base hypercongruence "
+                    "package (required unless --worker)")
+    ap.add_argument("--src", default=str(ROOT / "src"),
+                    help="directory of the changed package (default: src)")
+    ap.add_argument("--workload", default="dense")
+    ap.add_argument("--seed", type=int, default=3)
+    ap.add_argument("--rounds", type=int, default=10)
+    ap.add_argument("--passes", type=int, default=5)
+    ap.add_argument("--worker", action="store_true", help=argparse.SUPPRESS)
+    args = ap.parse_args(argv)
+    if args.worker:
+        print(json.dumps(passes(args.src, args.workload, args.seed, args.passes)))
+        return 0
+    if args.base is None:
+        ap.error("--base is required")
+    sides = {"base": str(Path(args.base).resolve()),
+             "change": str(Path(args.src).resolve())}
+    times: dict = {"base": [], "change": []}
+    print(f"{args.workload} seed={args.seed}: median of {args.passes} passes "
+          f"per interpreter, {args.rounds} rounds")
+    print("round  first   base_s  change_s  change/base")
+    for r in range(args.rounds):
+        order = ["base", "change"] if r % 2 == 0 else ["change", "base"]
+        for side in order:
+            times[side].append(run_side(sides[side], args))
+        b, c = times["base"][-1], times["change"][-1]
+        print(f"{r:5d}  {order[0]:6s} {b:8.4f}  {c:8.4f}  {c / b:11.3f}")
+    b, c = times["base"], times["change"]
+    lo, hi = quartiles(b)
+    wins = sum(x < y for x, y in zip(c, b))
+    print(f"median base {statistics.median(b):.4f} s [{lo:.4f}-{hi:.4f}], "
+          f"change {statistics.median(c):.4f} s, "
+          f"ratio {statistics.median(c) / statistics.median(b):.3f}; "
+          f"change faster in {wins}/{len(b)} rounds")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
