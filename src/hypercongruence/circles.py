@@ -156,9 +156,7 @@ def mirror_reduce(points, graph: DirectedGraph, eps: float = EPS_EQ):
     """
     pts = np.asarray(points, dtype=float)
     keys: list = []
-    ends = np.sort(graph.arc_rows, axis=1)
-    edges = np.column_stack(np.divmod(
-        np.unique(ends[:, 0] * len(pts) + ends[:, 1]), len(pts)))
+    edges = np.unique(np.sort(graph.arc_rows, axis=1), axis=0)
     comps = _components(len(pts), edges)
     sizes = tuple(sorted(len(c) for c in comps))
     keys.append(("R1", (len(comps), sizes)))

@@ -43,18 +43,13 @@ ROLE_PRED = 1
 ROLE_BOTH = 2
 
 
-def _runs(items: list, counts) -> list:
-    """items cut into consecutive runs of the given lengths."""
-    ends = np.cumsum(counts).tolist()
-    return [items[s:e] for s, e in zip([0] + ends[:-1], ends)]
-
-
 @dataclass(frozen=True, eq=False)
 class DirectedGraph:
     """Arcs (ordered index pairs) over a point set, with successor sets.
 
-    ``arc_rows`` holds the arcs as an (m, 2) int array of (tail, head) rows
-    in lexicographic order; any collection of distinct pairs is accepted.
+    ``arc_rows`` holds the arcs as an (m, 2) int array of distinct
+    (tail, head) rows in lexicographic order; row subsets of a sorted array
+    stay sorted.
     ``succ`` maps an arc tuple to the tuple of its current successor arcs;
     it is None until successor angles get assigned.  Predecessors are
     derived: tu is a predecessor of uv exactly when uv is a successor of tu.
@@ -64,33 +59,30 @@ class DirectedGraph:
     arc_rows: np.ndarray
     succ: Optional[dict] = None
 
-    def __post_init__(self):
-        rows = self.arc_rows
-        if not isinstance(rows, np.ndarray):
-            rows = list(rows)
-        rows = np.asarray(rows, dtype=int).reshape(-1, 2)
-        object.__setattr__(self, "arc_rows", rows[np.lexsort(rows.T[::-1])])
-
     @cached_property
     def arcs(self) -> list:
         """The arcs as (tail, head) tuples, in sorted order."""
         return list(map(tuple, self.arc_rows.tolist()))
 
     @cached_property
-    def _adjacency(self) -> tuple:
-        """Sorted out-arc and in-arc lists of every vertex."""
+    def _starts(self) -> tuple:
+        """Where the out-arcs of every vertex start in arc order and its
+        in-arcs in head order, and the head order (arcs by head, then tail)."""
         tail, head = self.arc_rows.T
-        by_head = np.lexsort((tail, head)).tolist()
-        arcs = self.arcs
-        return (_runs(arcs, np.bincount(tail, minlength=self.n)),
-                _runs([arcs[i] for i in by_head],
-                      np.bincount(head, minlength=self.n)))
+        by_head = np.lexsort((tail, head))
+        at = np.arange(self.n + 1)
+        return (np.searchsorted(tail, at).tolist(),
+                np.searchsorted(head[by_head], at).tolist(), by_head)
 
-    def out_arcs(self, v) -> list:
-        return self._adjacency[0][v]
+    def out_rows(self, v) -> np.ndarray:
+        """The arcs out of v as rows, by head."""
+        s = self._starts[0]
+        return self.arc_rows[s[v]:s[v + 1]]
 
-    def in_arcs(self, v) -> list:
-        return self._adjacency[1][v]
+    def in_rows(self, v) -> np.ndarray:
+        """The arcs into v as rows, by tail."""
+        _, s, by_head = self._starts
+        return self.arc_rows[by_head[s[v]:s[v + 1]]]
 
     def degrees(self) -> np.ndarray:
         """(out-degree, in-degree) row of every vertex."""
@@ -155,7 +147,7 @@ def _graph_angle_ids(points, graph: DirectedGraph, eps: float):
         u, v = arc
         base = points[u] - points[v]
         vals = []
-        for a in graph.out_arcs(v):
+        for a in map(tuple, graph.out_rows(v).tolist()):
             if a[1] == u:
                 continue
             vals.append((a, _angle(base, points[a[1]] - points[v])))
@@ -417,6 +409,7 @@ class _Run:
             self.emit("C1", (n, "dense"))
             edges = np.asarray(g.edges, dtype=int).reshape(-1, 2)
             arcs = np.concatenate([edges, edges[:, ::-1]])
+            arcs = arcs[np.lexsort(arcs.T[::-1])]
             self.emit("C2", len(arcs))
             outcome = self._arc_rounds(self.all_points[alive], arcs, g.delta)
             if isinstance(outcome, np.ndarray):
@@ -433,7 +426,6 @@ class _Run:
         # vertex degree classes, so the degree bound caps the rounds
         for _ in range(CONSTANTS.kissing_3 * (CONSTANTS.kissing_2 + 2) + 4):
             graph = DirectedGraph(len(points), arcs)
-            arcs = graph.arc_rows
             res = prune_by_key(graph.degrees())
             self.emit("C3", res.histogram)
             if res.progressed:
@@ -464,13 +456,13 @@ class _Run:
 
     def _mirror_symmetric(self, points, graph: DirectedGraph, arc) -> bool:
         u, v = arc
-        rows = graph.arc_rows
-        outs = points[rows[rows[:, 0] == v, 1]]
-        ins = points[rows[rows[:, 1] == u, 0]]
+        outs = points[graph.out_rows(v)[:, 1]]
+        ins = points[graph.in_rows(u)[:, 0]]
         if len(outs) != len(ins):
             return False
+        # an empty neighbourhood keeps its (0, 4) shape, so it matches one
         reflected = np.array([_reflect_across_bisector(x, points[u], points[v])
-                              for x in outs])
+                              for x in outs]).reshape(outs.shape)
         return match_multisets(reflected, ins, 1e-7)
 
     def _choose_alpha(self, points, graph, rep, angle_ids, angle_reps, delta):
@@ -482,7 +474,7 @@ class _Run:
             if math.sin(alpha) <= 1e-7:
                 continue        # the circle at angle 0 or pi is a point
             succ_arcs = [a for a, i, _ in angle_ids[rep] if i == aid]
-            pred_arcs = [t for t in graph.in_arcs(rep[0])
+            pred_arcs = [t for t in map(tuple, graph.in_rows(rep[0]).tolist())
                          if any(a == rep and i == aid for a, i, _ in angle_ids[t])]
             fig = ps_figure(points, rep, succ_arcs, pred_arcs, delta, alpha, f)
             if fig.has_free_successor():

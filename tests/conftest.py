@@ -56,6 +56,12 @@ def left_frame(f: np.ndarray) -> np.ndarray:
     return f
 
 
+def arc_array(arcs) -> np.ndarray:
+    """(tail, head) pairs as the sorted (m, 2) int array of distinct rows
+    that a DirectedGraph holds."""
+    return np.array(sorted(set(arcs)), dtype=int).reshape(-1, 2)
+
+
 def dense_ranks(keys) -> list:
     """Rank of each key among the distinct keys in sorted order: the
     reference that int-row rankings are checked against."""
@@ -71,16 +77,16 @@ def reference_edge_figure_codes(points, graph, eps: float = EPS_EQ) -> dict:
     for arc in sorted(graph.arcs):
         u, v = arc
         masks: dict = {u: 1}
-        for a in graph.out_arcs(v):
+        for a in graph.out_rows(v).tolist():
             masks[a[1]] = masks.get(a[1], 0) | 2
-        for a in graph.in_arcs(u):
+        for a in graph.in_rows(u).tolist():
             if a[0] != v:
                 masks[a[0]] = masks.get(a[0], 0) | 4
         idxs = sorted(masks)
         masks = [masks[i] for i in idxs]
         rel = points[idxs] - points[v]
         variants = []
-        for a in graph.out_arcs(v):
+        for a in graph.out_rows(v).tolist():
             if a[1] == u:
                 continue
             f = frame([-points[v], points[u] - points[v],

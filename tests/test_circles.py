@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import rebuilt_step
+from conftest import arc_array, rebuilt_step
 from hypercongruence.circles import (
     CondensedPoints,
     GreatCircles,
@@ -27,8 +27,8 @@ from hypercongruence.iterprune import (
 
 
 def both_ways(edges, n):
-    arcs = frozenset(tuple(e) for e in edges)
-    return DirectedGraph(n, arcs | frozenset((b, a) for a, b in arcs))
+    arcs = {tuple(e) for e in edges}
+    return DirectedGraph(n, arc_array(arcs | {(b, a) for a, b in arcs}))
 
 
 def torus_grid(p, q, r1, r2):
@@ -211,8 +211,8 @@ class TestMirrorReduce:
         cp = closest_pair_graph(g48)
         assert len(cp.edges) == 4 * 8 * 2
         r4 = random_rotation(rng)
-        arcs = frozenset(map(tuple, cp.edges))
-        g = DirectedGraph(32, arcs | frozenset((b, a) for a, b in arcs))
+        arcs = set(map(tuple, cp.edges))
+        g = DirectedGraph(32, arc_array(arcs | {(b, a) for a, b in arcs}))
         res, _ = mirror_reduce(g48 @ r4.T, g)
         assert isinstance(res, GreatCircles)
         assert len(res.circles) == 2

@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from conftest import dense_ranks, reference_edge_figure_codes
-from hypercongruence.geom import CONSTANTS
+from conftest import arc_array, dense_ranks, reference_edge_figure_codes
+from hypercongruence.geom import CONSTANTS, EPS_EQ
 from hypercongruence.harness import (
     gen_orbit_helix,
     gen_regular_polytope,
@@ -19,6 +19,7 @@ from hypercongruence.iterprune import (
     EdgeTransitive,
     MirrorSymmetric,
     WellSeparated,
+    _Run,
     edge_figure_codes,
     iterative_prune,
 )
@@ -37,7 +38,7 @@ def graph_of(points):
     g = closest_pair_graph(points)
     arcs = frozenset((i, j) for i, j in g.edges) | frozenset(
         (j, i) for i, j in g.edges)
-    return DirectedGraph(len(points), arcs)
+    return DirectedGraph(len(points), arc_array(arcs))
 
 
 def code_of(graph, ranks):
@@ -47,15 +48,23 @@ def code_of(graph, ranks):
 
 class TestFigureCodes:
     def test_codes_equal_under_rotation(self, rng):
-        cube = unit_rows(gen_regular_polytope("4-cube"))
-        r = random_rotation(rng)
-        g = graph_of(cube)
-        gr = graph_of(cube @ r.T)
-        assert undirected(g) == undirected(gr)
-        codes = code_of(g, edge_figure_codes(cube, g))
-        codes_r = code_of(gr, edge_figure_codes(cube @ r.T, gr))
-        for arc in sorted(g.arcs)[:6]:
-            assert codes[arc] == codes_r[arc]
+        # the 600-cell star of TestBatchedFigureCodes beside rotated copies
+        # of itself in one graph: ranks are shared across the copies, so
+        # equal ranks arc by arc mean equal codes, over six code classes
+        pts = unit_rows(gen_regular_polytope("600-cell"))
+        rots = [random_rotation(rng) for _ in range(3)]
+        g = graph_of(pts)
+        assert undirected(g) == undirected(graph_of(pts @ rots[0].T))
+        cap = pts @ pts[0] > 0.45
+        star = g.arc_rows[cap[g.arc_rows].all(axis=1)]
+        copies = [pts] + [pts @ r.T for r in rots]
+        n = len(pts)
+        union = DirectedGraph(n * len(copies),
+                              np.concatenate([star + k * n for k in range(len(copies))]))
+        ranks = edge_figure_codes(np.concatenate(copies), union)
+        ranks = ranks.reshape(len(copies), len(star))
+        assert len(set(ranks[0].tolist())) == 6
+        assert (ranks == ranks[0]).all()
 
     def test_four_cube_arcs_all_one_code(self):
         cube = unit_rows(gen_regular_polytope("4-cube"))
@@ -70,7 +79,7 @@ class TestFigureCodes:
                          [math.cos(0.8 + 1.1) * math.cos(0.2),
                           math.sin(0.8 + 1.1) * math.cos(0.2),
                           math.sin(0.2), 0]])
-        g = DirectedGraph(3, frozenset({(0, 1), (1, 0), (1, 2), (2, 1)}))
+        g = DirectedGraph(3, arc_array({(0, 1), (1, 0), (1, 2), (2, 1)}))
         codes = code_of(g, edge_figure_codes(pts, g))
         assert codes[(0, 1)] != codes[(1, 0)]
 
@@ -92,7 +101,7 @@ class TestBatchedFigureCodes:
         pts = np.c_[np.cos(t), np.sin(t), np.zeros(60), np.zeros(60)]
         pts = pts @ random_rotation(rng).T
         ring = [(i, (i + 1) % 60) for i in range(60)]
-        g = DirectedGraph(60, frozenset(ring) | frozenset((j, i) for i, j in ring))
+        g = DirectedGraph(60, arc_array(ring + [(j, i) for i, j in ring]))
         codes = self.check(pts, g)
         assert {c[0] for c in codes.values()} == {"p"}
 
@@ -108,8 +117,8 @@ class TestBatchedFigureCodes:
         g = closest_pair_graph(pts)
         cap = pts @ pts[0] > 0.45
         arcs = frozenset((i, j) for i, j in g.edges if cap[i] and cap[j])
-        graph = DirectedGraph(len(pts), arcs | frozenset((j, i) for i, j in arcs))
-        assert max(len(graph.out_arcs(v)) for v in range(len(pts))) >= 6
+        graph = DirectedGraph(len(pts), arc_array(arcs | {(j, i) for i, j in arcs}))
+        assert max(len(graph.out_rows(v)) for v in range(len(pts))) >= 6
         self.check(pts, graph)
 
     def test_both_branches_in_one_graph(self, rng):
@@ -120,7 +129,7 @@ class TestBatchedFigureCodes:
         pts = np.vstack([ring, unit_rows([[1.0, 0.3, 0.4, 0.2]])])
         pts = pts @ random_rotation(rng).T
         edges = [(i, (i + 1) % 12) for i in range(12)] + [(0, 12)]
-        g = DirectedGraph(13, frozenset(edges) | frozenset((j, i) for i, j in edges))
+        g = DirectedGraph(13, arc_array(edges + [(j, i) for i, j in edges]))
         codes = self.check(pts, g)
         assert {c[0] for c in codes.values()} == {"f", "p"}
 
@@ -142,9 +151,31 @@ class TestBatchedFigureCodes:
                     if rng.random() < 0.8}
             if not arcs:
                 continue
-            codes = self.check(pts, DirectedGraph(n, frozenset(arcs)))
+            codes = self.check(pts, DirectedGraph(n, arc_array(arcs)))
             labeled += any(c[0] == "p" and c[2] for c in codes.values())
         assert labeled >= 60
+
+
+class TestDirectedGraph:
+    def test_rows_match_brute_force(self, rng):
+        # vertex 9 has no arcs
+        arcs = arc_array((i, j) for i, j in rng.integers(0, 9, (30, 2)).tolist()
+                         if i != j)
+        g = DirectedGraph(10, arcs)
+        for v in range(10):
+            assert g.out_rows(v).tolist() == [a for a in arcs.tolist() if a[0] == v]
+            assert g.in_rows(v).tolist() == sorted(a for a in arcs.tolist()
+                                                   if a[1] == v)
+        assert g.degrees().tolist() == [[len(g.out_rows(v)), len(g.in_rows(v))]
+                                        for v in range(10)]
+
+    def test_mirror_test_on_empty_neighbourhoods(self):
+        # a lone arc: no arc leaves its head and none enters its tail, and
+        # the two empty multisets match
+        pts = unit_rows([[1, 0, 0, 0], [0.9, 0.1, 0, 0]])
+        g = DirectedGraph(2, arc_array({(0, 1)}))
+        run = _Run(pts, EPS_EQ, CONSTANTS.delta0)
+        assert run._mirror_symmetric(pts, g, (0, 1))
 
 
 class TestIterativePrune:
