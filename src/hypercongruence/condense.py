@@ -73,7 +73,9 @@ def tolerance_cluster(values: Sequence[float], eps: float = EPS_EQ) -> ClusterRe
 
     Single linkage: chains of closely spaced values merge even if the chain
     is wider than eps.  That keeps the result order-free and symmetric, at
-    the usual price of non-transitivity near the tolerance boundary.
+    the usual price of non-transitivity near the tolerance boundary.  The
+    sort need not be stable: values it may order either way are equal, so
+    they share a class and the sorted values are the same.
     """
     vals = np.asarray(values, dtype=float)
     if vals.ndim != 1:
@@ -81,7 +83,7 @@ def tolerance_cluster(values: Sequence[float], eps: float = EPS_EQ) -> ClusterRe
     n = len(vals)
     if n == 0:
         return ClusterResult(np.zeros(0, dtype=int), np.zeros(0))
-    order = np.argsort(vals, kind="stable")
+    order = np.argsort(vals)
     sv = vals[order]
     first = np.concatenate(([True], np.diff(sv) > eps))
     ids = np.empty(n, dtype=int)
@@ -122,15 +124,33 @@ def component_ids(n: int, edges) -> np.ndarray:
 
 def merge_close(points, eps: float, labels=None) -> np.ndarray:
     """component_ids of the points under the pairs at most eps apart (single
-    linkage); with labels, only pairs with equal labels link."""
+    linkage); with labels, only pairs with equal labels link.
+
+    A sweep runs before the k-d tree.  Two points within eps are within eps
+    in their first coordinate, so in first-coordinate order consecutive
+    gaps of at most eps join them.  Only the points with such a gap on
+    either side go to the tree, and none when there are none.  Rounding
+    cannot drop a pair: every gap between a pair is at most the difference
+    of its first coordinates, and a difference above eps squares to more
+    than eps**2, which the tree's squared distance of a pair it finds
+    cannot exceed.  The order of equal first coordinates cannot show:
+    their gaps are 0, so all of them are kept."""
     pts = np.asarray(points, dtype=float)
-    if len(pts) < 2:
-        return np.arange(len(pts))
-    pairs = cKDTree(pts).query_pairs(r=eps, output_type="ndarray")
+    n = len(pts)
+    if n < 2:
+        return np.arange(n)
+    order = np.argsort(pts[:, 0])
+    near = np.diff(pts[order, 0]) <= eps
+    kept = np.zeros(n, dtype=bool)
+    kept[order[1:][near]] = kept[order[:-1][near]] = True
+    keep = np.flatnonzero(kept)
+    if len(keep) == 0:
+        return np.arange(n)
+    pairs = keep[cKDTree(pts[keep]).query_pairs(r=eps, output_type="ndarray")]
     if labels is not None:
         labs = np.asarray(labels)
         pairs = pairs[labs[pairs[:, 0]] == labs[pairs[:, 1]]]
-    return component_ids(len(pts), pairs)
+    return component_ids(n, pairs)
 
 
 def members_by_id(ids: np.ndarray) -> list:

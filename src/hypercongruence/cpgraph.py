@@ -17,15 +17,14 @@ from scipy.spatial import cKDTree
 from .geom import EPS_EQ, DuplicatePointsError
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ClosestPairGraph:
     n: int
     delta: float
-    edges: tuple            # sorted (i, j) pairs with i < j
+    edges: np.ndarray       # (m, 2) int rows (i, j), i < j, sorted
 
     def max_degree(self) -> int:
-        return int(np.bincount(np.asarray(self.edges, dtype=int).ravel(),
-                               minlength=self.n).max())
+        return int(np.bincount(self.edges.ravel(), minlength=self.n).max())
 
 
 def closest_pair_graph(points: np.ndarray, antipodal: bool = False,
@@ -50,5 +49,5 @@ def closest_pair_graph(points: np.ndarray, antipodal: bool = False,
         raise DuplicatePointsError(f"two {what} at distance {delta:.3e}")
     raw = np.sort(tree.query_pairs(r=delta + eps, output_type="ndarray") % n, axis=1)
     edges = np.unique(raw[raw[:, 0] != raw[:, 1]], axis=0)
-    return ClosestPairGraph(n, delta, tuple(map(tuple, edges.tolist())))
+    return ClosestPairGraph(n, delta, edges)
 

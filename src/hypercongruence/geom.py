@@ -286,10 +286,13 @@ def match_multisets(x: np.ndarray, y: np.ndarray, eps: float = EPS_EQ,
     """Decide whether two labeled point multisets agree within tolerance.
 
     Builds a bijection greedily, points with fewer candidates within eps
-    first (those with one in arrays); any two candidates for one point are
-    within 2*eps of each other, so greedy choice cannot paint itself into a
-    corner beyond the tolerance contract.  Labels other than int arrays are
-    ranked jointly at entry."""
+    first; any two candidates for one point are within 2*eps of each
+    other, so greedy choice cannot paint itself into a corner beyond the
+    tolerance contract.  One k=2 query bounded just above eps finds every
+    point's nearest candidate and whether it has a second; the points with
+    one are settled in arrays, and only the rest list their candidates,
+    taken in stable order of candidate count.  Labels other than int arrays
+    are ranked jointly at entry."""
     if (labels_x is None) != (labels_y is None):
         raise ValueError("either both sets are labeled or neither is")
     x = np.asarray(x, dtype=float)
@@ -306,22 +309,23 @@ def match_multisets(x: np.ndarray, y: np.ndarray, eps: float = EPS_EQ,
         from .condense import joint_ranks      # condense imports this module
         _, lx, ly = joint_ranks(lx, ly)
     tree = cKDTree(y)
-    num = tree.query_ball_point(x, r=eps, return_length=True)
-    if not num.all():
+    # a missing neighbour (len(y) == 1, or none in reach) has distance inf
+    d, idx = tree.query(x, k=2, distance_upper_bound=np.nextafter(eps, np.inf))
+    if (d[:, 0] > eps).any():
         return False
-    one = np.flatnonzero(num == 1)
-    # the one candidate is the nearest point, and no farther than eps
-    _, hit = tree.query(x[one], distance_upper_bound=np.nextafter(2 * eps, 3))
+    one = d[:, 1] > eps
+    hit = idx[one, 0]
     used = np.zeros(len(y), dtype=bool)
     used[hit] = True
-    if used.sum() < len(one) or (lx[one] != ly[hit]).any():
+    if used.sum() < len(hit) or (lx[one] != ly[hit]).any():
         return False
-    rest = np.flatnonzero(num > 1)
+    rest = np.flatnonzero(~one)
     if len(rest) == 0:
         return True
     cand = tree.query_ball_point(x[rest], r=eps)
+    num = np.fromiter(map(len, cand), dtype=int, count=len(cand))
     lx, ly = lx[rest].tolist(), ly.tolist()
-    for k in np.argsort(num[rest], kind="stable").tolist():
+    for k in np.argsort(num, kind="stable").tolist():
         j = next((j for j in cand[k] if not used[j] and lx[k] == ly[j]), -1)
         if j < 0:
             return False

@@ -407,8 +407,7 @@ class _Run:
                 self.emit("C1", (n, "separated"))
                 return WellSeparated(self.all_points[alive])
             self.emit("C1", (n, "dense"))
-            edges = np.asarray(g.edges, dtype=int).reshape(-1, 2)
-            arcs = np.concatenate([edges, edges[:, ::-1]])
+            arcs = np.concatenate([g.edges, g.edges[:, ::-1]])
             arcs = arcs[np.lexsort(arcs.T[::-1])]
             self.emit("C2", len(arcs))
             outcome = self._arc_rounds(self.all_points[alive], arcs, g.delta)

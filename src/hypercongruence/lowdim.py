@@ -40,8 +40,9 @@ def collapse_circle(angles: np.ndarray, labels: np.ndarray,
     """
     ang = wrap_angle(np.atleast_1d(angles))
     ids = circular_cluster(ang, eps).ids
-    # a position is the mean direction of its members, summed in angle order
-    order = np.argsort(ang, kind="stable")
+    # a position is the mean direction of its members, summed in angle
+    # order; tied angles add equal terms, so any sort gives the same sums
+    order = np.argsort(ang)
     c = np.bincount(ids[order], weights=np.cos(ang[order]))
     s = np.bincount(ids[order], weights=np.sin(ang[order]))
     reps = wrap_angle(list(map(math.atan2, s.tolist(), c.tolist())))

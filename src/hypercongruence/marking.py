@@ -113,7 +113,7 @@ def mark_circles(circles, eps: float = EPS_EQ,
         e_l, e_r, e_n = [], [], []
         par_deg = {"left": np.zeros(len(circles), int),
                    "right": np.zeros(len(circles), int)}
-        for i, j in h.edges:
+        for i, j in h.edges.tolist():
             ch = chirality(circles[i], circles[j], eps)
             if ch is Chirality.NOT_ISOCLINIC:
                 e_n.append((i, j))

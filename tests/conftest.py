@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 from hypercongruence.condense import (canonical_axes, joint_ranks,
                                       tolerance_cluster, wrap_angle)
@@ -128,6 +129,36 @@ def reference_edge_figure_codes(points, graph, eps: float = EPS_EQ) -> dict:
     return codes
 
 
+def reference_match_multisets(x, y, eps, lx, ly) -> bool:
+    """geom.match_multisets for int labels, as a ball count per point: a
+    second query finds the one candidate of points that have one, and the
+    rest take the first free candidate of their list, fewest first."""
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    if x.shape != y.shape:
+        return False
+    if len(x) == 0:
+        return True
+    tree = cKDTree(y)
+    num = tree.query_ball_point(x, r=eps, return_length=True)
+    if not num.all():
+        return False
+    one = np.flatnonzero(num == 1)
+    _, hit = tree.query(x[one], distance_upper_bound=np.nextafter(2 * eps, 3))
+    used = np.zeros(len(y), dtype=bool)
+    used[hit] = True
+    if used.sum() < len(one) or (lx[one] != ly[hit]).any():
+        return False
+    rest = np.flatnonzero(num > 1)
+    cand = tree.query_ball_point(x[rest], r=eps)
+    for k in np.argsort(num[rest], kind="stable").tolist():
+        j = next((j for j in cand[k] if not used[j] and lx[rest[k]] == ly[j]),
+                 -1)
+        if j < 0:
+            return False
+        used[j] = True
+    return True
+
+
 __all__ = ["dense_ranks", "left_frame", "pluecker_distance", "random_rotation",
-           "rebuilt_step", "reference_edge_figure_codes", "rot3",
-           "step_angles"]
+           "rebuilt_step", "reference_edge_figure_codes",
+           "reference_match_multisets", "rot3", "step_angles"]

@@ -211,7 +211,7 @@ class TestMirrorReduce:
         cp = closest_pair_graph(g48)
         assert len(cp.edges) == 4 * 8 * 2
         r4 = random_rotation(rng)
-        arcs = set(map(tuple, cp.edges))
+        arcs = set(map(tuple, cp.edges.tolist()))
         g = DirectedGraph(32, arc_array(arcs | {(b, a) for a, b in arcs}))
         res, _ = mirror_reduce(g48 @ r4.T, g)
         assert isinstance(res, GreatCircles)

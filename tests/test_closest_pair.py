@@ -28,8 +28,7 @@ def brute_graph(points: np.ndarray, antipodal: bool = False,
     if delta <= eps:
         raise DuplicatePointsError(f"two points at distance {delta:.3e}")
     close = d[iu] <= delta + eps
-    edges = tuple(zip(iu[0][close].tolist(), iu[1][close].tolist()))
-    return ClosestPairGraph(n, delta, edges)
+    return ClosestPairGraph(n, delta, np.column_stack(iu)[close])
 
 
 def unit_cloud(rng, n):
@@ -49,7 +48,7 @@ def test_four_cube_graph():
 def test_two_points():
     pts = np.array([[1.0, 0, 0, 0], [0, 1.0, 0, 0]])
     g = closest_pair_graph(pts)
-    assert g.edges == ((0, 1),)
+    assert g.edges.tolist() == [[0, 1]]
     assert g.delta == pytest.approx(np.sqrt(2))
 
 
@@ -58,7 +57,7 @@ def test_matches_brute_on_random(rng):
         pts = unit_cloud(rng, n)
         g = closest_pair_graph(pts)
         b = brute_graph(pts)
-        assert g.edges == b.edges
+        assert np.array_equal(g.edges, b.edges)
         assert g.delta == pytest.approx(b.delta)
 
 
@@ -67,7 +66,7 @@ def test_three_on_circle_single_edge():
     pts = np.c_[np.cos(th), np.sin(th), np.zeros(3), np.zeros(3)]
     for make in (closest_pair_graph, brute_graph):
         g = make(pts)
-        assert g.edges == ((0, 1),)
+        assert g.edges.tolist() == [[0, 1]]
 
 
 def test_antipodal_mode_matches_brute(rng):
@@ -76,7 +75,7 @@ def test_antipodal_mode_matches_brute(rng):
         plv = np.array([pluecker(p) for p in planes])
         g = closest_pair_graph(plv, antipodal=True)
         b = brute_graph(plv, antipodal=True)
-        assert g.edges == b.edges
+        assert np.array_equal(g.edges, b.edges)
         assert g.delta == pytest.approx(b.delta)
 
 
@@ -107,7 +106,7 @@ def test_equivariance(rng):
     for _ in range(5):
         r = random_rotation(rng)
         gr = closest_pair_graph(pts @ r.T)
-        assert gr.edges == g.edges
+        assert np.array_equal(gr.edges, g.edges)
         assert gr.delta == pytest.approx(g.delta)
 
 
@@ -117,8 +116,8 @@ def test_order_independent(rng):
     perm = rng.permutation(64)
     gp = closest_pair_graph(pts[perm])
     inv = np.argsort(perm)
-    remapped = tuple(sorted(tuple(sorted((perm[i], perm[j]))) for i, j in gp.edges))
-    assert remapped == g.edges
+    remapped = np.unique(np.sort(perm[gp.edges], axis=1), axis=0)
+    assert np.array_equal(remapped, g.edges)
     assert inv is not None
 
 
@@ -127,7 +126,7 @@ def test_tolerance_closed_edge_set():
     th = np.array([0.0, 1e-3, 2.0, 2.0 + 1e-3 + 1e-13])
     pts = np.c_[np.cos(th), np.sin(th), np.zeros(4), np.zeros(4)]
     g = closest_pair_graph(pts)
-    assert set(g.edges) == {(0, 1), (2, 3)}
+    assert g.edges.tolist() == [[0, 1], [2, 3]]
 
 
 def test_single_point_rejected():

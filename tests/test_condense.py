@@ -99,6 +99,18 @@ class TestToleranceCluster:
         shuf = tolerance_cluster([vals[i] for i in order], 1e-3)
         assert [base.ids[i] for i in order] == list(shuf.ids)
 
+    def test_exact_ties_in_any_order(self, rng):
+        # few distinct values, several within eps of each other: the sort
+        # may order equal values either way, which must not show in ids
+        # or in the bits of the representatives
+        pool = np.r_[rng.normal(size=8), 0.5, 0.5 + 4e-10, 0.5 + 8e-10]
+        for _ in range(50):
+            vals = rng.choice(pool, 300)
+            perm = rng.permutation(300)
+            base, shuf = tolerance_cluster(vals), tolerance_cluster(vals[perm])
+            assert np.array_equal(base.ids[perm], shuf.ids)
+            assert base.reps.tobytes() == shuf.reps.tobytes()
+
     def test_joint_cluster_aligns_runs(self):
         ia, ib = joint_cluster([1.0, 2.0], [2.0 + 1e-13, 1.0], 1e-9)
         assert list(ia) == [0, 1]
@@ -291,6 +303,36 @@ class TestComponentIds:
         assert means.tolist() == [[2.0, 1.0], [5.0, 5.0], [0.0, -1.0]]
 
 
+UNIT = 2.0 ** -30        # a dyadic grid step near the pipeline's tolerance
+
+
+@st.composite
+def sweep_clouds(draw):
+    """(points, eps, labels or None) on a dyadic grid, where every squared
+    distance is exact, so the brute-force reference needs no tolerance.
+
+    Small integer coordinates give exact duplicates, many points sharing
+    the first coordinate and first coordinates exactly eps apart; an added
+    run of points eps apart along the first axis is a chain wider than
+    eps."""
+    dim = draw(st.integers(1, 4))
+    step = draw(st.integers(1, 3))
+    coord = st.integers(-6, 6)
+    grid = draw(st.lists(st.lists(coord, min_size=dim, max_size=dim),
+                         max_size=40))
+    start = draw(st.lists(coord, min_size=dim, max_size=dim))
+    chain = [[start[0] + step * i] + start[1:]
+             for i in range(draw(st.integers(0, 6)))]
+    rows = np.array(grid + chain, dtype=float).reshape(-1, dim)
+    order = draw(st.permutations(range(len(rows))))
+    pts = draw(st.sampled_from([0.0, 1.0, -3.5])) + UNIT * rows[order]
+    labels = None
+    if draw(st.booleans()):
+        labels = np.array(draw(st.lists(st.integers(0, 2), min_size=len(pts),
+                                        max_size=len(pts))))
+    return pts, UNIT * step, labels
+
+
 class TestMergeClose:
     def test_pairs_closer_than_eps_merge(self):
         pts = np.array([[0.0, 0.0], [5.0, 0.0], [0.0, 1e-10], [5.0, 1e-3]])
@@ -317,6 +359,17 @@ class TestMergeClose:
     def test_fewer_than_two_points(self):
         assert merge_close(np.zeros((0, 4)), 1e-9).tolist() == []
         assert merge_close(np.ones((1, 4)), 1e-9).tolist() == [0]
+
+    @given(sweep_clouds())
+    @settings(max_examples=300, deadline=None)
+    def test_equals_brute_single_linkage(self, cloud):
+        pts, eps, labels = cloud
+        link = ((pts[:, None] - pts[None]) ** 2).sum(axis=-1) <= eps * eps
+        if labels is not None:
+            link &= labels[:, None] == labels[None]
+        ref = component_ids(len(pts), np.argwhere(np.triu(link, 1)))
+        assert merge_close(pts, eps, labels).tolist() == ref.tolist()
+
 
 
 class TestDenseRanks:

@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
-from conftest import left_frame, pluecker_distance, rebuilt_step, step_angles
+from conftest import (left_frame, pluecker_distance, rebuilt_step,
+                      reference_match_multisets, step_angles)
 from hypercongruence.circles import cycle_circle
 from hypercongruence.geom import (CONSTANTS, DELTA_MIN, Chirality,
                                   ParallelPlanesError, PlaneSpan, PointSet4,
@@ -445,6 +446,42 @@ class TestMatchMultisets:
             for eps in (1e-10, 3e-9, 1e-8):
                 assert match_multisets(x, y, eps, lx, ly) == \
                     greedy_match(x, y, eps, lx.tolist(), ly.tolist())
+
+    def test_equals_ball_count_reference(self, rng):
+        # near-duplicate clusters give points several candidates; one point
+        # moved out of reach, two labels swapped and single-point sets are
+        # variants, and on a dyadic grid candidates lie exactly eps away
+        unit = 2.0 ** -30
+        cases = []
+        for _ in range(150):
+            k, n = int(rng.integers(1, 6)), int(rng.integers(1, 16))
+            x = rng.normal(size=(k, 4))[rng.integers(0, k, n)] + \
+                rng.normal(scale=1e-9, size=(n, 4))
+            perm = rng.permutation(n)
+            y = x[perm] + rng.normal(scale=1e-9, size=(n, 4))
+            lx = rng.integers(0, 3, n)
+            ly = lx[perm]
+            far = y.copy()
+            far[0] += 1.0
+            swapped = ly.copy()
+            swapped[[0, -1]] = swapped[[-1, 0]]
+            for eps in (1e-10, 3e-9, 1e-8):
+                cases += [(x, y, eps, lx, ly), (x, far, eps, lx, ly),
+                          (x, y, eps, lx, swapped),
+                          (x[:1], y[:1], eps, lx[:1], ly[:1])]
+            grid = unit * rng.integers(-2, 3, size=(n, 4)).astype(float)
+            shift = np.zeros(4)
+            shift[int(rng.integers(4))] = unit
+            lg = rng.integers(0, 2, n)
+            for eps in (unit, np.nextafter(unit, 0.0), 2 * unit):
+                cases += [(grid, grid[perm] + shift, eps, lg, lg[perm]),
+                          (grid[:1], grid[:1] + shift, eps, lg[:1], lg[:1])]
+        verdicts = set()
+        for x, y, eps, lx, ly in cases:
+            got = match_multisets(x, y, eps, lx, ly)
+            assert got == reference_match_multisets(x, y, eps, lx, ly)
+            verdicts.add(got)
+        assert verdicts == {False, True}
 
     def test_one_sided_labels_raise(self, rng):
         a = rng.normal(size=(4, 4))

@@ -132,6 +132,19 @@ class TestCollapseCircle:
             diff = np.abs(reps - ref_reps)
             assert np.minimum(diff, TWO_PI - diff).max() <= tol
 
+    def test_exact_ties_in_any_order(self, rng):
+        # many points share each angle exactly, one stack straddles the
+        # seam: input order must not reach the positions or their rows
+        pool = np.r_[rng.uniform(0, TWO_PI, 5), 0.0, TWO_PI - 4e-10, 3e-10]
+        for _ in range(30):
+            ang = rng.choice(pool, 200)
+            labels = rng.integers(0, 3, 200)
+            perm = rng.permutation(200)
+            reps, rows = collapse_circle(ang, labels, 1e-9)
+            p_reps, p_rows = collapse_circle(ang[perm], labels[perm], 1e-9)
+            assert reps.tobytes() == p_reps.tobytes()
+            assert np.array_equal(rows, p_rows)
+
     def test_empty(self):
         reps, rows = collapse_circle([], np.zeros(0, dtype=int), 1e-9)
         assert len(reps) == 0 and len(rows) == 0

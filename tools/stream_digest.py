@@ -7,11 +7,12 @@ where ``pair`` is "<workload> seed=<seed> <label>".  Two checkouts decide
 alike when their files are equal; the script imports ``hypercongruence``
 from ``src`` next to it, or from ``--src``:
 
-    python tools/stream_digest.py after.json
     python tools/stream_digest.py before.json --src ../parent/src
-    cmp before.json after.json
+    python tools/stream_digest.py after.json --compare before.json
 
-The workload module is read, never changed.
+With ``--compare`` the script also prints every pair whose verdict, stage
+or digest differs from the earlier file's, or that only one file has, and
+exits 1 if there is any.  The workload module is read, never changed.
 """
 
 from __future__ import annotations
@@ -52,18 +53,31 @@ def digests(pipeline, workloads) -> dict:
     return out
 
 
+def differences(before: dict, after: dict) -> list:
+    """One line per pair that the two digest files disagree on."""
+    return [f"{pair}: {before.get(pair, 'missing')} -> {after.get(pair, 'missing')}"
+            for pair in sorted(before.keys() | after.keys())
+            if before.get(pair) != after.get(pair)]
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("out", help="path of the JSON file to write")
     ap.add_argument("--src", default=str(ROOT / "src"),
                     help="directory holding the hypercongruence package")
+    ap.add_argument("--compare", metavar="BEFORE",
+                    help="digest file to compare the new one with")
     args = ap.parse_args(argv)
     sys.path.insert(0, args.src)
     from hypercongruence import pipeline
     result = digests(pipeline, load_workloads())
     Path(args.out).write_text(json.dumps(result, indent=1, sort_keys=True) + "\n")
     print(f"{len(result)} pairs -> {args.out}")
-    return 0
+    if args.compare is None:
+        return 0
+    diff = differences(json.loads(Path(args.compare).read_text()), result)
+    print("\n".join(diff) or f"identical to {args.compare}")
+    return 1 if diff else 0
 
 
 if __name__ == "__main__":
