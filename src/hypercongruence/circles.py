@@ -25,7 +25,7 @@ import numpy as np
 
 from .geom import EPS_EQ, CONSTANTS, PlaneSpan, frame
 from .condense import TWO_PI, component_ids, is_regular_polygon, members_by_id
-from .iterprune import THETA_TOL, DirectedGraph, ps_figures
+from .iterprune import THETA_TOL, DirectedGraph, EdgeTransitive
 
 
 @dataclass
@@ -69,20 +69,15 @@ def _components(n: int, undirected_edges) -> list:
     return [g.tolist() for g in groups if len(g) > 1]
 
 
-def _trace_cycle(adj: dict, comp) -> list:
-    """Vertex order of a single cycle component (every degree is 2)."""
-    start = min(comp)
+def _trace_cycle(nbrs: list, start: int) -> list:
+    """Vertex order of the cycle through start, given the two neighbours of
+    every vertex (smaller first); steps to the smaller neighbour first."""
     order = [start]
-    prev, cur = None, start
-    while True:
-        step = min(w for w in adj[cur] if w != prev) if prev is not None \
-            else min(adj[cur])
-        if step == start:
-            break
-        order.append(step)
-        prev, cur = cur, step
-    if len(order) != len(comp):
-        raise AssertionError("degree-2 component is not a single cycle")
+    prev, cur = start, nbrs[start][0]
+    while cur != start:
+        order.append(cur)
+        a, b = nbrs[cur]
+        prev, cur = cur, b if a == prev else a
     return order
 
 
@@ -156,8 +151,13 @@ def mirror_reduce(points, graph: DirectedGraph, eps: float = EPS_EQ):
     """
     pts = np.asarray(points, dtype=float)
     keys: list = []
-    edges = np.unique(np.sort(graph.arc_rows, axis=1), axis=0)
-    comps = _components(len(pts), edges)
+    # one graph over both directions of every arc serves the components,
+    # the degree test, the cycle walk and the grid legs
+    n = len(pts)
+    tail, head = graph.arc_rows.T
+    sym = DirectedGraph(n, np.stack(np.divmod(
+        np.unique(np.r_[tail * n + head, head * n + tail]), n), axis=1))
+    comps = _components(n, sym.arc_rows)
     sizes = tuple(sorted(len(c) for c in comps))
     keys.append(("R1", (len(comps), sizes)))
 
@@ -194,11 +194,7 @@ def mirror_reduce(points, graph: DirectedGraph, eps: float = EPS_EQ):
         return GreatCircles(sorted(circles, key=lambda p: p.key())), keys
 
     if rank == 3:
-        normals = []
-        for vt in svds:
-            n = vt[3]
-            normals.append(n)
-            normals.append(-n)
+        normals = [x for vt in svds for x in (vt[3], -vt[3])]
         keys.append(("R4", len(normals)))
         return CondensedPoints(np.array(normals)), keys
 
@@ -206,21 +202,21 @@ def mirror_reduce(points, graph: DirectedGraph, eps: float = EPS_EQ):
     # orbit cycles sampled so finely that their chirality defect fell below
     # the mirror tolerance
     circles = []
-    adj = {v: set() for v in np.unique(edges).tolist()}
-    for i, j in edges.tolist():
-        adj[i].add(j)
-        adj[j].add(i)
-    if all(len(adj[v]) == 2 for c in comps for v in c):
+    deg = np.bincount(sym.arc_rows[:, 0], minlength=n)
+    if (deg[deg > 0] == 2).all():
+        nbrs = np.zeros((n, 2), dtype=int)
+        nbrs[deg > 0] = sym.arc_rows[:, 1].reshape(-1, 2)
+        nbrs = nbrs.tolist()
         lens = []
         for c in comps:
-            order = _trace_cycle(adj, c)
+            order = _trace_cycle(nbrs, min(c))
             circles.append(cycle_circle(pts, order, eps))
             lens.append(len(order))
         keys.append(("R5", ("cycles", tuple(sorted(lens)))))
         return GreatCircles(sorted(circles, key=lambda p: p.key())), keys
     for c in comps:
         u = min(c)
-        nbrs = sorted(adj[u])
+        nbrs = sym.out_rows(u)[:, 1]
         legs = pts[nbrs] - pts[u]
         pairs = _grid_leg_pairs(legs) if len(nbrs) == 4 else None
         if pairs is None:
@@ -239,71 +235,58 @@ def mirror_reduce(points, graph: DirectedGraph, eps: float = EPS_EQ):
 # orbit-cycle case
 
 
-def orbit_circles(points, graph: DirectedGraph, delta: float, alpha: float,
-                  tau0: float, eps: float = EPS_EQ):
+def orbit_circles(ex: EdgeTransitive, eps: float = EPS_EQ):
     """Trace all orbit cycles of an edge-transitive graph.
 
-    Every triple (a1, a2, a3) with a2a3 a successor of a1a2 starts a unique
-    cycle in which consecutive quadruples all share the anchor torsion
-    tau0.  Cycles are traced once (the step map is a permutation of the
-    triples) and deduplicated by vertex set.  Returns (cycles, stage_keys).
+    A state is a successor pair (a1a2, a2a3) of the exit.  It steps to the
+    pair (a2a3, a3a4) whose successor sits at the anchor torsion tau0 from
+    the predecessor mark of a1a2 on the mark figure of a2a3, so the
+    consecutive quadruples of a cycle all share tau0.  The step map over
+    all pairs is computed once from the exit's mark figures and must be a
+    permutation; each of its cycles is walked once, from its smallest pair,
+    and the cycles are deduplicated by vertex set.  Returns (cycles,
+    stage_keys).
     """
-    pts = np.asarray(points, dtype=float)
-    figures = ps_figures(pts, graph, delta, alpha)
-    succ_pos: dict = {}
-    pred_pos: dict = {}
-    for a, fig in figures.items():
-        succ_pos[a] = {arc: i for i, arc in enumerate(fig.succ_at)
-                       if arc is not None}
-        pred_pos[a] = {arc: i for i, arc in enumerate(fig.pred_at)
-                       if arc is not None}
+    pts = np.asarray(ex.points, dtype=float)
+    arcs, succ, figs = ex.graph.arc_rows, ex.succ, ex.figures
+    m = len(arcs)
+    # every pair against the positions on the figure of its successor: the
+    # predecessor mark of its arc, and the successor marks at torsion tau0
+    pair, j = figs.join(succ[:, 1])
+    is_pred = figs.pred[j] == succ[pair, 0]
+    if (np.bincount(pair[is_pred], minlength=len(succ)) != 1).any():
+        raise AssertionError("traced arc lost its predecessor mark")
+    tau = (figs.theta[j] - figs.theta[j[is_pred]][pair]) % TWO_PI
+    d = np.abs(tau - ex.tau0)
+    hit = (figs.succ[j] >= 0) & (np.minimum(d, TWO_PI - d) <= THETA_TOL)
+    counts = np.bincount(pair[hit], minlength=len(succ))
+    if (counts != 1).any():
+        raise AssertionError(f"torsion anchor hit {counts[counts != 1][0]} "
+                             "successors")
+    step = np.searchsorted(succ[:, 0] * m + succ[:, 1],
+                           succ[:, 1] * m + figs.succ[j[hit]])
+    if len(np.unique(step)) != len(step):
+        raise AssertionError("orbit trace crossed another cycle")
 
-    def next_arc(prev, cur):
-        fig = figures[cur]
-        ti = pred_pos[cur].get(prev)
-        if ti is None:
-            raise AssertionError("traced arc lost its predecessor mark")
-        hits = []
-        for arc, j in succ_pos[cur].items():
-            tau = (fig.thetas[j] - fig.thetas[ti]) % TWO_PI
-            d = abs(tau - tau0)
-            if min(d, TWO_PI - d) <= THETA_TOL:
-                hits.append(arc)
-        if len(hits) != 1:
-            raise AssertionError(f"torsion anchor hit {len(hits)} successors")
-        return hits[0]
-
-    visited: set = set()
+    step, tails = step.tolist(), arcs[succ[:, 0], 0].tolist()
+    walked = [False] * len(step)
     cycles: list = []
     seen: set = set()
-    n = len(pts)
-    for a in graph.arcs:
-        for b in graph.succ[a]:
-            if (a, b) in visited:
-                continue
-            states = []
-            state = (a, b)
-            while True:
-                if state in visited:
-                    raise AssertionError("orbit trace crossed another cycle")
-                states.append(state)
-                visited.add(state)
-                nxt = next_arc(*state)
-                state = (state[1], nxt)
-                if state == (a, b):
-                    break
-                if len(states) > n:
-                    raise AssertionError("orbit cycle failed to close "
-                                         "within the point count")
-            verts = tuple(s[0][0] for s in states)
-            if len(set(verts)) != len(verts):
-                raise AssertionError("orbit cycle revisits a vertex")
-            if frozenset(verts) in seen:
-                continue
-            seen.add(frozenset(verts))
-            cycles.append(OrbitCycle(verts, cycle_circle(pts, verts, eps)))
+    for first in range(len(step)):
+        verts, p = [], first
+        while not walked[p]:
+            walked[p] = True
+            verts.append(tails[p])
+            p = step[p]
+        if len(set(verts)) != len(verts):
+            raise AssertionError("orbit cycle revisits a vertex")
+        if not verts or frozenset(verts) in seen:
+            continue
+        seen.add(frozenset(verts))
+        cycles.append(OrbitCycle(tuple(verts), cycle_circle(pts, verts, eps)))
     lengths = tuple(sorted(len(c.vertices) for c in cycles))
     keys = [("O", (len(cycles), lengths))]
-    if delta <= CONSTANTS.delta0 and len(cycles) > len(pts) / CONSTANTS.circle_factor:
+    if ex.delta <= CONSTANTS.delta0 and \
+            len(cycles) > len(pts) / CONSTANTS.circle_factor:
         raise AssertionError("more orbit cycles than the packing bound allows")
     return cycles, keys

@@ -166,6 +166,17 @@ def group_means(points: np.ndarray, ids: np.ndarray) -> tuple:
     return sums / counts[:, None], counts
 
 
+def merge_unit_points(points: np.ndarray, eps: float) -> np.ndarray:
+    """Unit points with every class of :func:`merge_close` at eps replaced
+    by its mean scaled back to unit length, in class order; the input
+    itself when nothing merges."""
+    ids = merge_close(points, eps)
+    if ids.max() + 1 == len(points):
+        return points
+    reps = group_means(points, ids)[0]
+    return reps / np.linalg.norm(reps, axis=1, keepdims=True)
+
+
 def joint_cluster(a: Sequence[float], b: Sequence[float],
                   eps: float = EPS_EQ) -> tuple[np.ndarray, np.ndarray]:
     """Cluster the union of two value multisets; return ids aligned to each."""
@@ -220,10 +231,9 @@ def padded_rows(tokens, lengths) -> np.ndarray:
     return rows
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PruneResult:
-    indices: tuple          # positions of the selected class, ascending
-    key: Hashable           # its key
+    indices: np.ndarray     # positions of the selected class, ascending
     progressed: bool        # False when only one class existed
     histogram: tuple        # sorted (key, count) pairs; lockstep summary
 
@@ -242,8 +252,7 @@ def prune_by_key(keys: Sequence[Hashable]) -> PruneResult:
             names = list(map(tuple, names))
     counts = np.bincount(ranks)
     best = int(np.argmin(counts))
-    return PruneResult(tuple(np.flatnonzero(ranks == best).tolist()),
-                       names[best], len(counts) > 1,
+    return PruneResult(np.flatnonzero(ranks == best), len(counts) > 1,
                        tuple(zip(names, counts.tolist())))
 
 

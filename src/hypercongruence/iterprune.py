@@ -14,10 +14,12 @@ by canonical axes, until one of three stable situations is reached:
 Decisions are made on quantized invariants (tolerance-clustered angles and
 frame coordinates), so congruent inputs run through identical stages; the
 emitted stage keys make any divergence observable.  Arcs travel as one
-sorted int array.  The edge-figure and mark-figure codes of a round are int
-strings, replaced by their ranks among the codes of that round's graph, so
-ranks compare within one graph only; the C4 and C9 keys are their
-histograms, which congruent inputs share.
+sorted int array, and everything else about them as int arrays indexed by
+arc row: successor pairs are (arc, successor arc) rows, and the mark
+figures of all arcs are one table of circle positions.  The edge-figure and
+mark-figure codes of a round are int strings, replaced by their ranks among
+the codes of that round's graph, so ranks compare within one graph only;
+the C4 and C9 keys are their histograms, which congruent inputs share.
 """
 
 from __future__ import annotations
@@ -26,43 +28,28 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
-from typing import Optional
 
 import numpy as np
 
 from .geom import EPS_EQ, CONSTANTS, frames, match_multisets
-from .condense import (TWO_PI, canonical_axes, circular_cluster,
-                       is_regular_polygon, joint_ranks, padded_rows,
-                       prune_by_key, tolerance_cluster, wrap_angle)
+from .condense import (TWO_PI, canonical_axes, is_regular_polygon, joint_ranks,
+                       padded_rows, prune_by_key, tolerance_cluster, wrap_angle)
 from .cpgraph import closest_pair_graph
 
 THETA_TOL = 1e-7            # angular tolerance for positions on mark circles
 
-ROLE_SUCC = 0
-ROLE_PRED = 1
-ROLE_BOTH = 2
-
 
 @dataclass(frozen=True, eq=False)
 class DirectedGraph:
-    """Arcs (ordered index pairs) over a point set, with successor sets.
+    """Arcs (ordered index pairs) over a point set.
 
     ``arc_rows`` holds the arcs as an (m, 2) int array of distinct
     (tail, head) rows in lexicographic order; row subsets of a sorted array
     stay sorted.
-    ``succ`` maps an arc tuple to the tuple of its current successor arcs;
-    it is None until successor angles get assigned.  Predecessors are
-    derived: tu is a predecessor of uv exactly when uv is a successor of tu.
     """
 
     n: int
     arc_rows: np.ndarray
-    succ: Optional[dict] = None
-
-    @cached_property
-    def arcs(self) -> list:
-        """The arcs as (tail, head) tuples, in sorted order."""
-        return list(map(tuple, self.arc_rows.tolist()))
 
     @cached_property
     def _starts(self) -> tuple:
@@ -89,15 +76,6 @@ class DirectedGraph:
         return np.c_[np.bincount(self.arc_rows[:, 0], minlength=self.n),
                      np.bincount(self.arc_rows[:, 1], minlength=self.n)]
 
-    def pred(self) -> dict:
-        p: dict = {a: [] for a in self.arcs}
-        for a, succs in (self.succ or {}).items():
-            for s in succs:
-                p[s].append(a)
-        for a in p:
-            p[a].sort()
-        return p
-
 
 @dataclass
 class WellSeparated:
@@ -113,56 +91,28 @@ class MirrorSymmetric:
 @dataclass
 class EdgeTransitive:
     points: np.ndarray
-    graph: DirectedGraph        # carries the final successor sets
+    graph: DirectedGraph
+    succ: np.ndarray            # final (arc, successor) row pairs
+    figures: "MarkFigures"      # the mark figures of those pairs
     delta: float
     alpha: float
     tau0: float
 
 
+def _dot(x, y) -> np.ndarray:
+    """Row-wise dot products over the last axis."""
+    return np.einsum("...k,...k->...", x, y)
+
+
 def _reflect_across_bisector(x, u, v):
-    """Reflect x across the hyperplane of points equidistant from u and v."""
+    """Reflect the rows x across the hyperplanes of points equidistant from
+    u and v (rows as well, or single points)."""
     d = v - u
-    return x - (2.0 * (x @ d) / (d @ d)) * d
-
-
-def _angle(a: np.ndarray, b: np.ndarray) -> float:
-    c = float(a @ b) / (np.linalg.norm(a) * np.linalg.norm(b))
-    return math.acos(min(1.0, max(-1.0, c)))
+    return x - (2.0 * _dot(x, d) / _dot(d, d))[..., None] * d
 
 
 # ---------------------------------------------------------------------------
 # figure codes
-
-
-def _graph_angle_ids(points, graph: DirectedGraph, eps: float):
-    """Cluster the successor angles of all arcs of the graph.
-
-    For an arc (u, v), the successor angle of an out-arc (v, w), w != u, is
-    the angle at v between the two.  Returns per-arc lists of
-    (out_arc, cluster_id, value) plus the class representatives.
-    """
-    per_arc: dict = {}
-    population: list = []
-    for arc in graph.arcs:
-        u, v = arc
-        base = points[u] - points[v]
-        vals = []
-        for a in map(tuple, graph.out_rows(v).tolist()):
-            if a[1] == u:
-                continue
-            vals.append((a, _angle(base, points[a[1]] - points[v])))
-        per_arc[arc] = vals
-        population.extend(t for _, t in vals)
-    clu = tolerance_cluster(population, eps)
-    tagged: dict = {}
-    k = 0
-    for arc in graph.arcs:
-        lst = []
-        for a, val in per_arc[arc]:
-            lst.append((a, int(clu.ids[k]), val))
-            k += 1
-        tagged[arc] = lst
-    return tagged, clu.reps
 
 
 def _blocks(sizes: np.ndarray, which: np.ndarray) -> tuple:
@@ -288,99 +238,136 @@ def edge_figure_codes(points, graph: DirectedGraph,
 
 
 # ---------------------------------------------------------------------------
-# predecessor-successor figures
+# successor pairs and mark figures
 
 
-@dataclass
-class PSFigure:
-    """Mark circle of an arc: successors, and predecessors reflected onto it.
+def successor_angles(points, arcs: np.ndarray, eps: float) -> tuple:
+    """(pairs, ids, reps): the successor angles of all arcs, clustered.
 
-    Successor endpoints at angle alpha from the arc lie on a circle around
+    For an arc uv, the successor angle of an out-arc vw, w != u, is the
+    angle at v between the two.  ``pairs`` holds the (arc, out-arc) rows
+    of ``arcs`` in row order, ``ids`` the class of every pair's angle and
+    ``reps`` the class minima, from one :func:`tolerance_cluster`.
+    Predecessors are the same pairs read by their second column.
+    """
+    pts = np.asarray(points, dtype=float)
+    tail, head = arcs.T
+    pairs = np.stack(_blocks(np.bincount(tail, minlength=len(pts)), head), axis=1)
+    pairs = pairs[head[pairs[:, 1]] != tail[pairs[:, 0]]]
+    pv = pts[head[pairs[:, 0]]]
+    base, leg = pts[tail[pairs[:, 0]]] - pv, pts[head[pairs[:, 1]]] - pv
+    cos = _dot(base, leg) / (np.linalg.norm(base, axis=1) *
+                             np.linalg.norm(leg, axis=1))
+    clu = tolerance_cluster(np.arccos(np.clip(cos, -1.0, 1.0)), eps)
+    return pairs, clu.ids, clu.reps
+
+
+def _successor_counts(succ: np.ndarray, n_arcs: int) -> tuple:
+    """The distinct numbers of successors of the arcs."""
+    return tuple(np.unique(np.bincount(succ[:, 0], minlength=n_arcs)).tolist())
+
+
+@dataclass(frozen=True, eq=False)
+class MarkFigures:
+    """The mark circles of the arcs: successors, and predecessors reflected
+    onto them, as one table of positions.
+
+    Successor endpoints at angle alpha from an arc lie on a circle around
     the arc head; reflecting predecessors across the bisecting hyperplane
     of the arc puts them on the same circle.  Positions closer than the
     angular tolerance merge; distinct arcs occupy distinct points of the
     circle, so each position holds at most one successor and one
-    predecessor.
+    predecessor.  The positions of arc a are rows starts[a]:starts[a + 1],
+    ascending in theta in [0, 2pi); ``succ`` and ``pred`` hold the arc row
+    marked there, -1 for none.
     """
 
-    arc: tuple
-    thetas: np.ndarray         # merged positions, ascending in [0, 2pi)
-    roles: np.ndarray
-    succ_at: tuple
-    pred_at: tuple
+    starts: np.ndarray
+    owner: np.ndarray
+    theta: np.ndarray
+    succ: np.ndarray
+    pred: np.ndarray
 
-    def torsions(self) -> list:
-        """(tau, pred_arc, succ_arc) for every predecessor-successor pair,
-        tau being the counterclockwise angle from predecessor to successor."""
-        out = []
-        for i in range(len(self.thetas)):
-            if self.pred_at[i] is None:
-                continue
-            for j in range(len(self.thetas)):
-                if self.succ_at[j] is None:
-                    continue
-                out.append(((self.thetas[j] - self.thetas[i]) % TWO_PI,
-                            self.pred_at[i], self.succ_at[j]))
-        return out
+    @property
+    def roles(self) -> np.ndarray:
+        """0 for a successor alone, 1 for a predecessor alone, 2 for both."""
+        return np.where(self.succ >= 0, 2 * (self.pred >= 0), 1)
 
-    def has_free_successor(self) -> bool:
-        return any(s is not None and p is None
-                   for s, p in zip(self.succ_at, self.pred_at))
+    @property
+    def free(self) -> np.ndarray:
+        """Positions holding a successor and no predecessor."""
+        return (self.succ >= 0) & (self.pred < 0)
+
+    def of(self, arc: int) -> slice:
+        """The positions of one arc."""
+        return slice(int(self.starts[arc]), int(self.starts[arc + 1]))
+
+    def join(self, arcs: np.ndarray) -> tuple:
+        """(k, i) for every position i on the figure of arcs[k]."""
+        return _blocks(np.diff(self.starts), arcs)
+
+    def configs(self) -> list:
+        """(angles, roles) of every arc, for :func:`canonical_axes`."""
+        cut = self.starts[1:-1]
+        return list(zip(np.split(self.theta, cut), np.split(self.roles, cut)))
 
 
-def _mark_frames(points, arcs) -> np.ndarray:
-    """frame(v, u - v) of every arc uv, stacked."""
+def mark_figures(points, arcs: np.ndarray, succ: np.ndarray, delta: float,
+                 alpha: float) -> MarkFigures:
+    """The mark figures of the arcs under the (arc, successor) row pairs
+    ``succ``: every pair marks the successor's head on the figure of its
+    arc and the arc's tail, reflected, on the figure of the successor.
+    Arcs without marks get no positions.  All circle centres come from one
+    stacked :func:`frames` call, and the positions from one sweep per arc
+    with the seam rule of :func:`circular_cluster`."""
     pts = np.asarray(points, dtype=float)
-    ends = np.asarray(arcs, dtype=int).reshape(-1, 2)
-    pv = pts[ends[:, 1]]
-    f, ok = frames(np.stack([pv, pts[ends[:, 0]] - pv], axis=1), 1e-12)
+    tail, head = arcs.T
+    # marks in (owner, input) order are successors, then predecessors
+    owner = np.concatenate([succ[:, 0], succ[:, 1]])
+    other = np.concatenate([succ[:, 1], succ[:, 0]])
+    is_succ = np.arange(len(owner)) < len(succ)
+    own, at = np.unique(owner, return_inverse=True)
+    pu, pv = pts[tail[own]], pts[head[own]]
+    q = pu - pv
+    f, ok = frames(np.stack([pv, q], axis=1), 1e-12)
     if not ok.all():
         raise ValueError("arc through the origin has no mark circle")
-    return f
-
-
-def ps_figure(points, arc, succ_arcs, pred_arcs, delta: float,
-              alpha: float, f: np.ndarray) -> PSFigure:
-    """The figure of one arc; f is the arc's row of :func:`_mark_frames`."""
-    pu, pv = points[arc[0]], points[arc[1]]
-    q = pu - pv
-    r1, r2, f1, f2 = f
-    qr1, nw = float(q @ r1), float(q @ r2)
-    # center solves v.x = 1 - d^2/2 (x on the sphere at distance d from v)
-    # and (u-v).x = (u-v).v + d^2 cos(alpha) (successor angle condition)
-    b1 = 1.0 - delta * delta / 2.0
-    b2 = float(q @ pv) + delta * delta * math.cos(alpha)
-    x = b1
-    y = (b2 - x * qr1) / nw
-    center = x * r1 + y * r2
-    radius = math.sqrt(max(1.0 - float(center @ center), 0.0))
-    if radius < 1e-9:
+    r1, r2, f1, f2 = np.moveaxis(f, 1, 0)
+    # a center solves v.x = 1 - d^2/2 (x on the sphere at distance d from
+    # v) and (u-v).x = (u-v).v + d^2 cos(alpha) (successor angle condition)
+    x = 1.0 - delta * delta / 2.0
+    y = (_dot(q, pv) + delta * delta * math.cos(alpha) - x * _dot(q, r1)) \
+        / _dot(q, r2)
+    center = x * r1 + y[:, None] * r2
+    if (np.sqrt(np.maximum(1.0 - _dot(center, center), 0.0)) < 1e-9).any():
         raise ValueError("mark circle degenerates to a point")
-    marks = [(points[a[1]], ROLE_SUCC, a) for a in succ_arcs]
-    marks += [(_reflect_across_bisector(points[a[0]], pu, pv), ROLE_PRED, a)
-              for a in pred_arcs]
-    if not marks:
-        raise ValueError("empty mark figure")
-    th = wrap_angle([math.atan2(float((x - center) @ f2),
-                                float((x - center) @ f1)) for x, _, _ in marks])
-    # a position sits at its smallest angle; a role mix makes it ROLE_BOTH
-    pos = circular_cluster(th, THETA_TOL)
-    roles: list = [None] * pos.count
-    at = {ROLE_SUCC: [None] * pos.count, ROLE_PRED: [None] * pos.count}
-    for i in np.argsort(th, kind="stable"):
-        k, (_, role, a) = pos.ids[i], marks[i]
-        roles[k] = role if roles[k] in (None, role) else ROLE_BOTH
-        at[role][k] = a
-    return PSFigure(arc, pos.reps, np.array(roles), tuple(at[ROLE_SUCC]),
-                    tuple(at[ROLE_PRED]))
+    mark = np.where(is_succ[:, None], pts[head[other]],
+                    _reflect_across_bisector(pts[tail[other]], pu[at], pv[at]))
+    rel = mark - center[at]
+    th = wrap_angle(np.arctan2(_dot(rel, f2[at]), _dot(rel, f1[at])))
 
+    # a position sits at its smallest angle; across the seam of a circle
+    # the last class joins the first
+    order = np.lexsort((th, owner))
+    o, t = owner[order], th[order]
+    new = np.diff(o, prepend=-1) != 0
+    first, last = np.flatnonzero(new), np.flatnonzero(np.diff(o, append=-1))
+    new[1:] |= np.diff(t) > THETA_TOL
+    cls = np.cumsum(new) - 1
+    seam = (cls[first] != cls[last]) & (t[first] + TWO_PI - t[last] <= THETA_TOL)
+    join = np.arange(len(o))
+    join[cls[last[seam]]] = cls[first[seam]]
+    _, lead, pos = np.unique(join[cls], return_index=True, return_inverse=True)
 
-def ps_figures(points, graph: DirectedGraph, delta: float, alpha: float) -> dict:
-    """Figures of all arcs, built from the graph's successor sets."""
-    pred = graph.pred()
-    arcs = graph.arcs
-    return {a: ps_figure(points, a, graph.succ[a], pred[a], delta, alpha, f)
-            for a, f in zip(arcs, _mark_frames(points, arcs))}
+    def marked(role: np.ndarray) -> np.ndarray:
+        # the last mark of the role at every position wins
+        k = np.full(len(lead), -1)
+        np.maximum.at(k, pos[role], np.flatnonzero(role))
+        return np.where(k >= 0, other[order][k], -1)
+
+    return MarkFigures(np.searchsorted(o[lead], np.arange(len(arcs) + 1)),
+                       o[lead], t[lead], marked(is_succ[order]),
+                       marked(~is_succ[order]))
 
 
 # ---------------------------------------------------------------------------
@@ -428,116 +415,101 @@ class _Run:
             res = prune_by_key(graph.degrees())
             self.emit("C3", res.histogram)
             if res.progressed:
-                return np.array(res.indices, dtype=int)
+                return res.indices
             res = prune_by_key(edge_figure_codes(points, graph, self.eps))
             self.emit("C4", res.histogram)
             if res.progressed:
-                arcs = arcs[np.array(res.indices, dtype=int)]
+                arcs = arcs[res.indices]
                 continue
-            rep = tuple(arcs[0].tolist())
-            if self._mirror_symmetric(points, graph, rep):
+            if self._mirror_symmetric(points, graph, tuple(arcs[0].tolist())):
                 self.emit("C5", "mirror")
                 return MirrorSymmetric(points, graph)
             self.emit("C5", "chiral")
-            angle_ids, angle_reps = _graph_angle_ids(points, graph, self.eps)
-            alpha_id, alpha = self._choose_alpha(points, graph, rep,
-                                                 angle_ids, angle_reps, delta)
+            pairs, ids, reps = successor_angles(points, arcs, self.eps)
+            alpha_id, alpha = self._choose_alpha(points, arcs, pairs, ids,
+                                                 reps, delta)
             self.emit("C6", alpha_id)
-            succ = {a: tuple(x for x, aid, _ in angle_ids[a] if aid == alpha_id)
-                    for a in graph.arcs}
-            self.emit("C7", tuple(sorted({len(s) for s in succ.values()})))
-            step = self._successor_rounds(points, arcs, succ, delta, alpha)
-            if step[0] == "arcs":
-                arcs = step[1]
-                continue
-            return step[1]
+            succ = pairs[ids == alpha_id]
+            self.emit("C7", _successor_counts(succ, len(arcs)))
+            outcome = self._successor_rounds(points, graph, succ, delta, alpha)
+            if not isinstance(outcome, np.ndarray):
+                return outcome
+            arcs = outcome
         raise AssertionError("arc pruning failed to terminate")
 
     def _mirror_symmetric(self, points, graph: DirectedGraph, arc) -> bool:
         u, v = arc
-        outs = points[graph.out_rows(v)[:, 1]]
-        ins = points[graph.in_rows(u)[:, 0]]
-        if len(outs) != len(ins):
-            return False
-        # an empty neighbourhood keeps its (0, 4) shape, so it matches one
-        reflected = np.array([_reflect_across_bisector(x, points[u], points[v])
-                              for x in outs]).reshape(outs.shape)
-        return match_multisets(reflected, ins, 1e-7)
+        # an empty neighbourhood keeps its (0, 4) shape, so it matches one;
+        # unequal counts fail the shape test of match_multisets
+        reflected = _reflect_across_bisector(points[graph.out_rows(v)[:, 1]],
+                                             points[u], points[v])
+        return match_multisets(reflected, points[graph.in_rows(u)[:, 0]], 1e-7)
 
-    def _choose_alpha(self, points, graph, rep, angle_ids, angle_reps, delta):
-        """Smallest successor angle whose mark figure is not fully symmetric."""
-        rep_ids = sorted({aid for _, aid, _ in angle_ids[rep]})
-        f = _mark_frames(points, [rep])[0]
-        for aid in rep_ids:
-            alpha = float(angle_reps[aid])
+    def _choose_alpha(self, points, arcs, pairs, ids, reps, delta):
+        """Smallest successor angle at which the mark figure of arc 0 is not
+        fully symmetric: it has a free successor position."""
+        # the figure of arc 0 needs the pairs that arc 0 is a member of
+        near = (pairs == 0).any(axis=1)
+        for aid in np.unique(ids[pairs[:, 0] == 0]).tolist():
+            alpha = float(reps[aid])
             if math.sin(alpha) <= 1e-7:
                 continue        # the circle at angle 0 or pi is a point
-            succ_arcs = [a for a, i, _ in angle_ids[rep] if i == aid]
-            pred_arcs = [t for t in map(tuple, graph.in_rows(rep[0]).tolist())
-                         if any(a == rep and i == aid for a, i, _ in angle_ids[t])]
-            fig = ps_figure(points, rep, succ_arcs, pred_arcs, delta, alpha, f)
-            if fig.has_free_successor():
+            figs = mark_figures(points, arcs, pairs[near & (ids == aid)],
+                                delta, alpha)
+            if figs.free[figs.of(0)].any():
                 return aid, alpha
         raise AssertionError("every successor angle is mirror symmetric "
                              "although the mirror test failed")
 
-    def _successor_rounds(self, points, arcs, succ, delta, alpha):
-        """C8 through C11: prune arcs by mark figure or successors by axes."""
+    def _successor_rounds(self, points, graph: DirectedGraph, succ, delta,
+                          alpha):
+        """C8 through C11: prune arcs by mark figure or successors by axes;
+        either the surviving arcs or the edge-transitive exit."""
+        arcs = graph.arc_rows
         for _ in range(CONSTANTS.kissing_2 + 2):
-            graph = DirectedGraph(len(points), arcs, succ)
-            arclist = graph.arcs
-            figures = ps_figures(points, graph, delta, alpha)
-            axes = canonical_axes([(figures[a].thetas, figures[a].roles.tolist())
-                                   for a in arclist], THETA_TOL)
+            figs = mark_figures(points, arcs, succ, delta, alpha)
+            axes = canonical_axes(figs.configs(), THETA_TOL)
             res = prune_by_key(joint_ranks(_code_rows(axes))[1])
             self.emit("C9", res.histogram)
             if res.progressed:
-                return "arcs", graph.arc_rows[np.array(res.indices, dtype=int)]
-            fig = figures[arclist[0]]
-            if not fig.has_free_successor():
+                return arcs[res.indices]
+            at = figs.of(0)
+            if not figs.free[at].any():
                 raise AssertionError("no free successor position on the mark circle")
-            k_s = sum(1 for s in fig.succ_at if s is not None)
-            k_p = sum(1 for p in fig.pred_at if p is not None)
-            if k_s == k_p and self._regular_kgons(fig):
-                tau0 = min(t for t, _, _ in fig.torsions() if t > THETA_TOL)
+            theta = figs.theta[at]
+            is_s, is_p = figs.succ[at] >= 0, figs.pred[at] >= 0
+            k_s, k_p = int(is_s.sum()), int(is_p.sum())
+            if k_s == k_p and is_regular_polygon(theta[is_s], THETA_TOL) \
+                    and is_regular_polygon(theta[is_p], THETA_TOL):
+                # the torsions: counterclockwise from predecessor to successor
+                tau = np.mod(theta[is_s] - theta[is_p, None], TWO_PI)
+                tau0 = float(tau[tau > THETA_TOL].min())
                 self.emit("C10", ("transitive", k_s))
-                return "exit", EdgeTransitive(points, graph, delta, alpha, tau0)
+                return EdgeTransitive(points, graph, succ, figs, delta, alpha,
+                                      tau0)
             self.emit("C10", ("mixed", k_s, k_p))
-            succ = self._axes_prune(figures, arclist, succ)
-            self.emit("C11", tuple(sorted({len(s) for s in succ.values()})))
+            succ = self._axes_prune(figs, axes, len(succ))
+            self.emit("C11", _successor_counts(succ, len(arcs)))
         raise AssertionError("successor pruning failed to terminate")
 
     @staticmethod
-    def _regular_kgons(fig: PSFigure) -> bool:
-        return all(is_regular_polygon([t for t, o in zip(fig.thetas, occupied)
-                                       if o is not None], THETA_TOL)
-                   for occupied in (fig.succ_at, fig.pred_at))
-
-    @staticmethod
-    def _axes_prune(figures, arclist, succ) -> dict:
-        """Keep the successors hit by the canonical axes after rotating them
-        counterclockwise onto the first free successor position."""
-        new_succ = {}
-        before = sum(len(succ[a]) for a in arclist)
-        for a in arclist:
-            fig = figures[a]
-            ax = canonical_axes([(fig.thetas, fig.roles.tolist())], THETA_TOL)[0]
-            free = [(fig.thetas[i] - ax.base_angle) % ax.spacing
-                    for i in range(len(fig.thetas))
-                    if fig.succ_at[i] is not None and fig.pred_at[i] is None]
-            dstar = min(free)
-            kept = []
-            for i in range(len(fig.thetas)):
-                if fig.succ_at[i] is None:
-                    continue
-                off = (fig.thetas[i] - ax.base_angle - dstar) % ax.spacing
-                if off <= THETA_TOL or ax.spacing - off <= THETA_TOL:
-                    kept.append(fig.succ_at[i])
-            new_succ[a] = tuple(sorted(kept))
-        after = sum(len(new_succ[a]) for a in arclist)
-        if not 0 < after < before:
+    def _axes_prune(figs: MarkFigures, axes: list, before: int) -> np.ndarray:
+        """Keep the successors hit by the canonical axes of their figure
+        after rotating them counterclockwise onto the first free successor
+        position; returns the kept (arc, successor) pairs."""
+        base = np.array([ax.base_angle for ax in axes])[figs.owner]
+        spacing = np.array([ax.spacing for ax in axes])[figs.owner]
+        dstar = np.full(len(axes), np.inf)
+        free = figs.free
+        np.minimum.at(dstar, figs.owner[free],
+                      ((figs.theta - base) % spacing)[free])
+        off = (figs.theta - base - dstar[figs.owner]) % spacing
+        hit = (off <= THETA_TOL) | (spacing - off <= THETA_TOL)
+        kept = (figs.succ >= 0) & hit
+        succ = np.c_[figs.owner[kept], figs.succ[kept]]
+        if not 0 < len(succ) < before:
             raise AssertionError("axes pruning must shrink the successor sets")
-        return new_succ
+        return succ[np.lexsort(succ.T[::-1])]
 
 
 def iterative_prune(points, eps: float = EPS_EQ,

@@ -213,7 +213,7 @@ def _anchor_class(aa: np.ndarray, ab: np.ndarray,
     pa, pb = prune_by_key(ka), prune_by_key(kb)
     if pa.histogram != pb.histogram:
         return None
-    return aa[list(pa.indices)], ab[list(pb.indices)]
+    return aa[pa.indices], ab[pb.indices]
 
 
 def _slice_3d(qa: np.ndarray, ka: np.ndarray, qb: np.ndarray, kb: np.ndarray,

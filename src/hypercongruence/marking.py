@@ -22,7 +22,7 @@ import numpy as np
 
 from .geom import (EPS_EQ, CONSTANTS, Chirality, chirality, frame,
                    hopf_fiber, hopf_image, mark_pair, pluecker)
-from .condense import (component_ids, group_means, members_by_id, merge_close,
+from .condense import (component_ids, members_by_id, merge_unit_points,
                        prune_by_key)
 from .cpgraph import closest_pair_graph
 from .sphere import condense_sphere
@@ -44,12 +44,6 @@ class FewCircles:
 
 def _plueckers(circles) -> np.ndarray:
     return np.array([pluecker(c) for c in circles])
-
-
-def _dedupe_points(points: np.ndarray, eps: float) -> np.ndarray:
-    reps = group_means(points, merge_close(points, eps))[0]
-    reps /= np.linalg.norm(reps, axis=1, keepdims=True)
-    return reps[np.lexsort(reps.T[::-1])]
 
 
 def _closest_mates(idx: int, mates, plv: np.ndarray, eps: float) -> list:
@@ -213,7 +207,8 @@ def _mark(circles, pairs, family_size: int, eps: float, keys: list):
         on_c, on_d = mark_pair(circles[i], circles[j], eps)
         marks.append(on_c)
         marks.append(on_d)
-    pts = _dedupe_points(np.vstack(marks), 1e-7)
+    pts = merge_unit_points(np.vstack(marks), 1e-7)
+    pts = pts[np.lexsort(pts.T[::-1])]
     if len(pts) > CONSTANTS.marks_per_pair * CONSTANTS.pair_fanout * family_size:
         raise AssertionError("marker count exceeds the fanout bound")
     keys.append(("M12", len(pts)))

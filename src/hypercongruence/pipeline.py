@@ -161,8 +161,7 @@ def _attempt(an: np.ndarray, bn: np.ndarray, opts: PipelineOptions,
                      lambda h: tuple(((names[keys[k, 0]], int(keys[k, 1])), c)
                                      for k, c in h)):
             return Verdict.no("radius class")
-        ka = np.array(pr_a.indices, dtype=int)
-        kb = np.array(pr_b.indices, dtype=int)
+        ka, kb = pr_a.indices, pr_b.indices
         sa = wa[ka] / norm_a[ka, None]
         sb = wb[kb] / norm_b[kb, None]
 
@@ -196,10 +195,8 @@ def _attempt(an: np.ndarray, bn: np.ndarray, opts: PipelineOptions,
                 continue
             circ_a, circ_b = res_a.circles, res_b.circles
         else:
-            cyc_a, ok_a = orbit_circles(ex_a.points, ex_a.graph, ex_a.delta,
-                                        ex_a.alpha, ex_a.tau0, eps)
-            cyc_b, ok_b = orbit_circles(ex_b.points, ex_b.graph, ex_b.delta,
-                                        ex_b.alpha, ex_b.tau0, eps)
+            cyc_a, ok_a = orbit_circles(ex_a, eps)
+            cyc_b, ok_b = orbit_circles(ex_b, eps)
             if not check("orbit", tuple(ok_a), tuple(ok_b)):
                 return Verdict.no("orbit structure")
             circ_a = [c.circle for c in cyc_a]

@@ -13,18 +13,10 @@ import numpy as np
 from scipy.spatial import ConvexHull
 
 from .geom import EPS_EQ, frame
-from .condense import (component_ids, group_means, members_by_id, merge_close,
+from .condense import (component_ids, members_by_id, merge_unit_points,
                        prune_by_key, tolerance_cluster)
 
 _MAX_ROUNDS = 64
-
-
-def _dedupe(points: np.ndarray, eps: float) -> np.ndarray:
-    ids = merge_close(points, eps)
-    if ids.max() + 1 == len(points):
-        return points       # nothing merged
-    reps = group_means(points, ids)[0]
-    return reps / np.linalg.norm(reps, axis=1, keepdims=True)
 
 
 def _merged_faces(hull: ConvexHull, points: np.ndarray) -> list:
@@ -69,7 +61,7 @@ def condense_sphere(points: np.ndarray, eps: float = EPS_EQ) -> np.ndarray:
     f = f / np.linalg.norm(f, axis=1, keepdims=True)
 
     for _ in range(_MAX_ROUNDS):
-        f = _dedupe(f, eps)
+        f = merge_unit_points(f, eps)
         n = len(f)
         if n == 1:
             break
@@ -98,7 +90,7 @@ def condense_sphere(points: np.ndarray, eps: float = EPS_EQ) -> np.ndarray:
         deg = np.bincount(np.ravel(list(edges)), minlength=n)
         res = prune_by_key([int(d) for d in deg])
         if res.progressed:
-            f = f[list(res.indices)]
+            f = f[res.indices]
             continue
         res = prune_by_key([len(cyc) for cyc in faces])
         if res.progressed:

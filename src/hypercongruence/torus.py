@@ -122,7 +122,7 @@ def canonical_set_torus(positions: np.ndarray, labels: Sequence,
         lab_rank = joint_ranks(cur_labs)[1]
         pr = prune_by_key(lab_rank)
         keys.append(("T1", pr.histogram))
-        cand = np.array(pr.indices, dtype=int)
+        cand = pr.indices
         if len(cand) == 1:
             keys.append(("T", 1))
             return orig[cand], keys
@@ -134,7 +134,7 @@ def canonical_set_torus(positions: np.ndarray, labels: Sequence,
             keys.append(("T3", tuple((shapes[r], c) for r, c in spr.histogram)))
             if not spr.progressed:
                 break
-            cand = cand[np.array(spr.indices, dtype=int)]
+            cand = cand[spr.indices]
             if len(cand) == 1:
                 keys.append(("T", 1))
                 return orig[cand], keys

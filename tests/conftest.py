@@ -1,11 +1,14 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
-from hypercongruence.condense import (canonical_axes, joint_ranks,
-                                      tolerance_cluster, wrap_angle)
+from hypercongruence.condense import (canonical_axes, circular_cluster,
+                                      joint_ranks, tolerance_cluster,
+                                      wrap_angle)
 from hypercongruence.geom import EPS_EQ, block_rotation, frame, pluecker
-from hypercongruence.harness import random_rotation
+from hypercongruence.harness import gen_regular_polytope, random_rotation
 from hypercongruence.iterprune import THETA_TOL
 
 
@@ -57,6 +60,32 @@ def left_frame(f: np.ndarray) -> np.ndarray:
     return f
 
 
+def chiral_helix() -> np.ndarray:
+    """The 40-point orbit helix of frequencies 1 and 2 at equal radii."""
+    t = 2 * np.pi * np.arange(40) / 40
+    return np.stack([np.cos(t), np.sin(t),
+                     np.cos(2 * t), np.sin(2 * t)], axis=1) / math.sqrt(2)
+
+
+def two_helices() -> np.ndarray:
+    """Two 20-point orbit helices of one rotation, the second a half turn
+    along in the second plane: the orbit exit finds two cycles on the same
+    invariant circle, which merge into one."""
+    t = 2 * np.pi * np.arange(20) / 20
+    return np.concatenate([np.c_[0.6 * np.cos(t), 0.6 * np.sin(t),
+                                 0.8 * np.cos(3 * t + ph), 0.8 * np.sin(3 * t + ph)]
+                           for ph in (0.0, np.pi)])
+
+
+def snub_24_cell() -> np.ndarray:
+    """The 96 vertices of the 600-cell with exactly one zero coordinate.
+    Under delta0 = 0.7 it prunes through C4 progress and C10 "mixed" to
+    24 orbit circles, whose right-parallel classes condense (M11) and then
+    mark across cross pairs (M8) before the Markers restart."""
+    c = gen_regular_polytope("600-cell")
+    return c[(np.abs(c) < 1e-12).sum(1) == 1]
+
+
 def arc_array(arcs) -> np.ndarray:
     """(tail, head) pairs as the sorted (m, 2) int array of distinct rows
     that a DirectedGraph holds."""
@@ -75,7 +104,8 @@ def reference_edge_figure_codes(points, graph, eps: float = EPS_EQ) -> dict:
     vector, and per-arc coordinate products."""
     coord_pop: list = []
     prepared: dict = {}
-    for arc in sorted(graph.arcs):
+    arcs = list(map(tuple, graph.arc_rows.tolist()))
+    for arc in arcs:
         u, v = arc
         masks: dict = {u: 1}
         for a in graph.out_rows(v).tolist():
@@ -109,7 +139,7 @@ def reference_edge_figure_codes(points, graph, eps: float = EPS_EQ) -> dict:
     cids = tolerance_cluster(coord_pop, eps).ids
     codes: dict = {}
     planar: list = []
-    for arc in sorted(graph.arcs):
+    for arc in arcs:
         masks, variants = prepared[arc]
         if variants[0][0] == "p":
             _, start, m, on, theta = variants[0]
@@ -127,6 +157,59 @@ def reference_edge_figure_codes(points, graph, eps: float = EPS_EQ) -> dict:
     for arc, axial, (_, labels) in planar:
         codes[arc] = ("p", axial, next(axes).code if labels else ())
     return codes
+
+
+def reference_successor_angles(points, graph, eps: float = EPS_EQ) -> tuple:
+    """iterprune.successor_angles one angle at a time, with arcs as tuples:
+    the (arc, out-arc) pairs in sorted order, their class ids and the class
+    minima."""
+    pairs, population = [], []
+    for u, v in map(tuple, graph.arc_rows.tolist()):
+        base = points[u] - points[v]
+        for a in map(tuple, graph.out_rows(v).tolist()):
+            if a[1] == u:
+                continue
+            leg = points[a[1]] - points[v]
+            c = float(base @ leg) / (np.linalg.norm(base) * np.linalg.norm(leg))
+            pairs.append(((u, v), a))
+            population.append(math.acos(min(1.0, max(-1.0, c))))
+    clu = tolerance_cluster(population, eps)
+    return pairs, clu.ids.tolist(), clu.reps
+
+
+def mark_circle(pu, pv, delta: float, alpha: float) -> tuple:
+    """(center, f1, f2) of the mark circle of the arc from pu to pv: the
+    circle's points are center + r (cos theta f1 + sin theta f2)."""
+    q = pu - pv
+    r1, r2, f1, f2 = frame([pv, q], 1e-12)
+    x = 1.0 - delta * delta / 2.0
+    y = (float(q @ pv) + delta * delta * math.cos(alpha) - x * float(q @ r1)) \
+        / float(q @ r2)
+    return x * r1 + y * r2, f1, f2
+
+
+def reference_mark_figure(points, arc, succ_arcs, pred_arcs, delta: float,
+                          alpha: float) -> tuple:
+    """The mark figure of one arc from arc tuples, as iterprune.mark_figures
+    builds it for all arcs: (thetas, roles, successor at, predecessor at)
+    per merged position, None where a position holds no such arc.  Marks
+    are visited by angle, so the last one at a position wins."""
+    pu, pv = points[arc[0]], points[arc[1]]
+    center, f1, f2 = mark_circle(pu, pv, delta, alpha)
+    d = pv - pu
+    marks = [(points[a[1]], 0, a) for a in succ_arcs]
+    marks += [(points[a[0]] - (2.0 * (points[a[0]] @ d) / (d @ d)) * d, 1, a)
+              for a in pred_arcs]
+    th = wrap_angle([math.atan2(float((m - center) @ f2),
+                                float((m - center) @ f1)) for m, _, _ in marks])
+    pos = circular_cluster(th, THETA_TOL)
+    roles: list = [None] * pos.count
+    at: list = [[None] * pos.count, [None] * pos.count]
+    for i in np.argsort(th, kind="stable"):
+        k, (_, role, a) = pos.ids[i], marks[i]
+        roles[k] = role if roles[k] in (None, role) else 2
+        at[role][k] = a
+    return pos.reps, roles, at[0], at[1]
 
 
 def reference_match_multisets(x, y, eps, lx, ly) -> bool:
@@ -159,6 +242,8 @@ def reference_match_multisets(x, y, eps, lx, ly) -> bool:
     return True
 
 
-__all__ = ["dense_ranks", "left_frame", "pluecker_distance", "random_rotation",
-           "rebuilt_step", "reference_edge_figure_codes",
-           "reference_match_multisets", "rot3", "step_angles"]
+__all__ = ["chiral_helix", "dense_ranks", "left_frame", "mark_circle", "pluecker_distance",
+           "random_rotation", "rebuilt_step", "reference_edge_figure_codes",
+           "reference_mark_figure", "reference_match_multisets",
+           "reference_successor_angles", "rot3", "snub_24_cell", "step_angles",
+           "two_helices"]

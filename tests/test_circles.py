@@ -252,8 +252,7 @@ class TestOrbitCircles:
 
     def test_cycle_rotation_angles(self):
         ex, _ = self.run_helix()
-        cycles, keys = orbit_circles(ex.points, ex.graph, ex.delta, ex.alpha,
-                                     ex.tau0)
+        cycles, keys = orbit_circles(ex)
         assert keys
         assert cycles
         for c in cycles:
@@ -268,8 +267,7 @@ class TestOrbitCircles:
 
     def test_cycle_circle_is_slow_plane(self, rng):
         ex, r4 = self.run_helix(rng)
-        cycles, _ = orbit_circles(ex.points, ex.graph, ex.delta, ex.alpha,
-                                  ex.tau0)
+        cycles, _ = orbit_circles(ex)
         # the invariant circle tracks the plane of the smaller turning angle
         pexp = r4 @ np.diag([1.0, 1, 0, 0]) @ r4.T
         for c in cycles:
@@ -278,8 +276,7 @@ class TestOrbitCircles:
 
     def test_circle_budget(self):
         ex, _ = self.run_helix()
-        cycles, _ = orbit_circles(ex.points, ex.graph, ex.delta, ex.alpha,
-                                  ex.tau0)
+        cycles, _ = orbit_circles(ex)
         assert len(cycles) <= max(1, len(ex.points) // 200) * 40
         seen = {tuple(sorted(c.vertices)) for c in cycles}
         assert len(seen) == len(cycles)
@@ -287,8 +284,6 @@ class TestOrbitCircles:
     def test_keys_equal_under_rotation(self, rng):
         ex0, _ = self.run_helix()
         ex1, _ = self.run_helix(rng)
-        _, k0 = orbit_circles(ex0.points, ex0.graph, ex0.delta, ex0.alpha,
-                              ex0.tau0)
-        _, k1 = orbit_circles(ex1.points, ex1.graph, ex1.delta, ex1.alpha,
-                              ex1.tau0)
+        _, k0 = orbit_circles(ex0)
+        _, k1 = orbit_circles(ex1)
         assert k0 == k1

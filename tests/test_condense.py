@@ -26,25 +26,25 @@ TWO_PI = 2 * math.pi
 class TestPruneByKey:
     def test_smallest_class_wins(self):
         r = prune_by_key(["a", "a", "a", "b"])
-        assert r.indices == (3,)
-        assert r.key == "b"
+        assert r.indices.tolist() == [3]
+        assert r.histogram == (("a", 3), ("b", 1))
         assert r.progressed
 
     def test_tie_breaks_to_smaller_key(self):
         r = prune_by_key(["b", "a", "b", "a"])
-        assert r.key == "a"
-        assert r.indices == (1, 3)
+        assert r.indices.tolist() == [1, 3]
+        assert r.histogram == (("a", 2), ("b", 2))
 
     def test_two_shell_split(self):
         radii = [1.0] * 3 + [2.0] * 5
         ids = tolerance_cluster(radii).ids
         r = prune_by_key([int(i) for i in ids])
-        assert r.indices == (0, 1, 2)
+        assert r.indices.tolist() == [0, 1, 2]
 
     def test_single_class_no_progress(self):
         r = prune_by_key(["x", "x"])
         assert not r.progressed
-        assert r.indices == (0, 1)
+        assert r.indices.tolist() == [0, 1]
 
     def test_histogram_is_lockstep_key(self):
         a = prune_by_key(["u", "v", "v", "w"])
@@ -54,9 +54,8 @@ class TestPruneByKey:
     def test_int_rows_named_as_tuples(self):
         rows = [(1, 2), (1, 2), (0, 1)]
         r = prune_by_key(np.array(rows))
-        assert r.key == (0, 1)
-        assert hash(r.key) == hash((0, 1))
-        assert r.indices == (2,)
+        assert hash(r.histogram[0][0]) == hash((0, 1))
+        assert r.indices.tolist() == [2]
         assert r.histogram == ((((0, 1), 1), ((1, 2), 2)))
         assert repr(r) == repr(prune_by_key(rows))
 

@@ -5,7 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from conftest import arc_array, dense_ranks, reference_edge_figure_codes
+from conftest import (arc_array, chiral_helix, dense_ranks, mark_circle,
+                      reference_edge_figure_codes, reference_mark_figure,
+                      reference_successor_angles, snub_24_cell, two_helices)
 from hypercongruence.geom import CONSTANTS, EPS_EQ
 from hypercongruence.harness import (
     gen_orbit_helix,
@@ -22,6 +24,8 @@ from hypercongruence.iterprune import (
     _Run,
     edge_figure_codes,
     iterative_prune,
+    mark_figures,
+    successor_angles,
 )
 
 
@@ -30,8 +34,12 @@ def unit_rows(pts):
     return pts / np.linalg.norm(pts, axis=1, keepdims=True)
 
 
+def arcs_of(graph):
+    return list(map(tuple, graph.arc_rows.tolist()))
+
+
 def undirected(graph):
-    return {(min(a), max(a)) for a in graph.arcs}
+    return {(min(a), max(a)) for a in arcs_of(graph)}
 
 
 def graph_of(points):
@@ -43,7 +51,7 @@ def graph_of(points):
 
 def code_of(graph, ranks):
     """Arc tuple -> rank of its edge-figure code."""
-    return dict(zip(graph.arcs, ranks.tolist()))
+    return dict(zip(arcs_of(graph), ranks.tolist()))
 
 
 class TestFigureCodes:
@@ -69,7 +77,7 @@ class TestFigureCodes:
     def test_four_cube_arcs_all_one_code(self):
         cube = unit_rows(gen_regular_polytope("4-cube"))
         g = graph_of(cube)
-        assert len(g.arcs) == 64
+        assert len(g.arc_rows) == 64
         assert set(edge_figure_codes(cube, g).tolist()) == {0}
 
     def test_arc_orientation_matters(self):
@@ -92,8 +100,8 @@ class TestBatchedFigureCodes:
     def check(points, graph):
         ranks = edge_figure_codes(points, graph)
         ref = reference_edge_figure_codes(points, graph)
-        assert sorted(ref) == graph.arcs
-        assert ranks.tolist() == dense_ranks([ref[a] for a in graph.arcs])
+        assert sorted(ref) == arcs_of(graph)
+        assert ranks.tolist() == dense_ranks([ref[a] for a in arcs_of(graph)])
         return ref
 
     def test_great_circle_is_planar_only(self, rng):
@@ -177,6 +185,111 @@ class TestDirectedGraph:
         run = _Run(pts, EPS_EQ, CONSTANTS.delta0)
         assert run._mirror_symmetric(pts, g, (0, 1))
 
+    def test_mirror_test_on_unequal_counts(self):
+        # two arcs leave the head of arc 01, none enters its tail
+        pts = unit_rows([[1, 0, 0, 0], [0.9, 0.1, 0, 0], [0.9, 0.2, 0.1, 0],
+                         [0.9, 0.1, 0.2, 0]])
+        g = DirectedGraph(4, arc_array({(0, 1), (1, 2), (1, 3)}))
+        assert g.degrees()[1, 0] != g.degrees()[0, 1]
+        run = _Run(pts, EPS_EQ, CONSTANTS.delta0)
+        assert not run._mirror_symmetric(pts, g, (0, 1))
+
+
+class TestBatchedChiralPath:
+    """successor_angles and mark_figures against the per-arc tuple versions
+    in conftest, at the last successor-angle choice of each chiral case and
+    at its edge-transitive exit."""
+
+    CASES = {"helix": (chiral_helix, 1.0), "two_helices": (two_helices, 1.0),
+             "snub_24_cell": (snub_24_cell, 0.7)}
+
+    @pytest.fixture(params=[(name, rotated) for name in CASES
+                            for rotated in (False, True)],
+                    ids=lambda p: p[0] + ("_rotated" if p[1] else ""))
+    def exit_(self, request, rng):
+        name, rotated = request.param
+        build, delta0 = self.CASES[name]
+        pts = unit_rows(build())
+        if rotated:
+            pts = pts @ random_rotation(rng).T
+        ex, keys = iterative_prune(pts, delta0=delta0)
+        assert isinstance(ex, EdgeTransitive)
+        return ex, [k for stage, k in keys if stage == "C6"][-1]
+
+    def test_successor_angles(self, exit_):
+        ex, _ = exit_
+        arcs = ex.graph.arc_rows
+        pairs, ids, reps = successor_angles(ex.points, arcs, EPS_EQ)
+        ref_pairs, ref_ids, ref_reps = reference_successor_angles(ex.points,
+                                                                  ex.graph)
+        assert [(tuple(arcs[i]), tuple(arcs[j]))
+                for i, j in pairs.tolist()] == ref_pairs
+        assert ids.tolist() == ref_ids
+        assert np.abs(reps - ref_reps).max() <= 1e-12
+
+    @staticmethod
+    def check_figures(points, arcs, succ, delta, alpha):
+        """mark_figures equals the reference on every arc; returns them."""
+        figs = mark_figures(points, arcs, succ, delta, alpha)
+        as_arc = [tuple(a) for a in arcs.tolist()] + [None]    # -1: None
+        for a, arc in enumerate(as_arc[:-1]):
+            thetas, roles, succ_at, pred_at = reference_mark_figure(
+                points, arc, [as_arc[j] for j in succ[succ[:, 0] == a, 1]],
+                [as_arc[i] for i in succ[succ[:, 1] == a, 0]], delta, alpha)
+            at = figs.of(a)
+            assert np.abs(figs.theta[at] - thetas).max() <= 1e-12
+            assert figs.roles[at].tolist() == roles
+            assert [as_arc[j] for j in figs.succ[at]] == succ_at
+            assert [as_arc[i] for i in figs.pred[at]] == pred_at
+        return figs
+
+    def test_merged_and_seam_positions(self):
+        # arc 0 -> 1 with successor heads and reflected predecessor tails
+        # placed at chosen angles of its mark circle: two successors merge
+        # at 1 (the later one wins), a successor and a predecessor share 3,
+        # and the classes at 1e-9 and just below 2pi merge across the seam
+        delta, alpha = 0.5, 2.0
+        pu = np.array([1.0, 0, 0, 0])
+        pv = np.array([math.cos(2 * math.asin(delta / 2)),
+                       math.sin(2 * math.asin(delta / 2)), 0, 0])
+        center, f1, f2 = mark_circle(pu, pv, delta, alpha)
+        radius = math.sqrt(1 - center @ center)
+
+        def on_circle(theta):
+            return center + radius * (math.cos(theta) * f1 + math.sin(theta) * f2)
+
+        def reflected(x):
+            d = pv - pu
+            return x - 2 * (x @ d) / (d @ d) * d
+
+        heads = [1e-9, 2 * math.pi - 5e-8, 1.0, 1.0 + 1e-9, 3.0]
+        tails = [3.0, 4.0, 2 * math.pi - 3e-8]
+        pts = np.array([pu, pv] + [on_circle(t) for t in heads]
+                       + [reflected(on_circle(t)) for t in tails])
+        w = range(2, 2 + len(heads))
+        t = range(2 + len(heads), len(pts))
+        arcs = arc_array([(0, 1)] + [(1, k) for k in w] + [(k, 0) for k in t])
+        row = {a: i for i, a in enumerate(map(tuple, arcs.tolist()))}
+        succ = arc_array([(0, row[1, k]) for k in w] + [(row[k, 0], 0) for k in t])
+        figs = self.check_figures(pts, arcs, succ, delta, alpha)
+        at = figs.of(0)
+        assert np.abs(figs.theta[at] - [1e-9, 1.0, 3.0, 4.0]).max() <= 1e-12
+        assert figs.roles[at].tolist() == [2, 0, 2, 1]
+        assert figs.succ[at].tolist() == [row[1, 3], row[1, 5], row[1, 6], -1]
+        assert figs.pred[at].tolist() == [row[9, 0], -1, row[7, 0], row[8, 0]]
+
+    def test_mark_figures(self, exit_):
+        ex, alpha_id = exit_
+        arcs = ex.graph.arc_rows
+        pairs, ids, _ = successor_angles(ex.points, arcs, EPS_EQ)
+        chosen = pairs[ids == alpha_id]
+        assert len(chosen) >= len(ex.succ)
+        figs = mark_figures(ex.points, arcs, ex.succ, ex.delta, ex.alpha)
+        for name in ("starts", "owner", "theta", "succ", "pred"):
+            assert np.array_equal(getattr(figs, name), getattr(ex.figures, name))
+        for succ in (chosen, ex.succ):
+            self.check_figures(ex.points, arcs, succ, ex.delta, ex.alpha)
+
 
 class TestIterativePrune:
     def test_well_separated_exit(self, rng):
@@ -212,7 +325,7 @@ class TestIterativePrune:
                         np.cos(2 * t), np.sin(2 * t)], axis=1) / math.sqrt(2)
         exit_, keys = iterative_prune(pts, delta0=1.0)
         assert isinstance(exit_, EdgeTransitive)
-        assert exit_.graph.succ is not None
+        assert exit_.succ is not None
         assert exit_.delta <= 1.0
         assert keys
 

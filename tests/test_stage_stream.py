@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import chiral_helix, snub_24_cell, two_helices
 from hypercongruence.harness import (gen_orbit_helix, gen_regular_polytope,
                                      gen_torus_grid, random_rotation)
 from hypercongruence.pipeline import PipelineOptions, congruence_test_4d
@@ -30,31 +31,6 @@ def _grid_with_hexagon() -> np.ndarray:
     th = 2 * np.pi * np.arange(6) / 6
     hexagon = 0.9 * np.c_[np.cos(th), np.sin(th), np.zeros(6), np.zeros(6)]
     return np.concatenate([gen_torus_grid(6, 5, 0.6), hexagon])
-
-
-def _two_helices() -> np.ndarray:
-    """Two 20-point orbit helices of one rotation, the second a half turn
-    along in the second plane: the orbit exit finds two cycles on the same
-    invariant circle, which merge into one."""
-    t = 2 * np.pi * np.arange(20) / 20
-    return np.concatenate([np.c_[0.6 * np.cos(t), 0.6 * np.sin(t),
-                                 0.8 * np.cos(3 * t + ph), 0.8 * np.sin(3 * t + ph)]
-                           for ph in (0.0, np.pi)])
-
-
-def _chiral_helix() -> np.ndarray:
-    t = 2 * np.pi * np.arange(40) / 40
-    return np.stack([np.cos(t), np.sin(t),
-                     np.cos(2 * t), np.sin(2 * t)], axis=1) / math.sqrt(2)
-
-
-def _snub_24_cell() -> np.ndarray:
-    """The 96 vertices of the 600-cell with exactly one zero coordinate.
-    Under delta0 = 0.7 it prunes through C4 progress and C10 "mixed" to
-    24 orbit circles, whose right-parallel classes condense (M11) and then
-    mark across cross pairs (M8) before the Markers restart."""
-    c = gen_regular_polytope("600-cell")
-    return c[(np.abs(c) < 1e-12).sum(1) == 1]
 
 
 def _great_polygons(k: int, n: int, seed: int) -> np.ndarray:
@@ -75,10 +51,10 @@ CASES = {
                        PipelineOptions(delta0=1.5), False),
     "mirror": (np.array(list(itertools.product([-0.5, 0.5], repeat=4))),
                PipelineOptions(delta0=1.5, few_cap=8), False),
-    "orbit": (_chiral_helix(), PipelineOptions(delta0=1.0, few_cap=8), False),
-    "orbit_merged_circles": (_two_helices(),
+    "orbit": (chiral_helix(), PipelineOptions(delta0=1.0, few_cap=8), False),
+    "orbit_merged_circles": (two_helices(),
                              PipelineOptions(delta0=1.0, few_cap=8), False),
-    "orbit_mirror_negative": (_chiral_helix(),
+    "orbit_mirror_negative": (chiral_helix(),
                               PipelineOptions(delta0=1.0, few_cap=8), True),
     "two_plus_two": (gen_orbit_helix(40, 9, 0.8),
                      PipelineOptions(delta0=1.0, few_cap=3), False),
@@ -86,7 +62,7 @@ CASES = {
                                   PipelineOptions(delta0=1.5, few_cap=8), False),
     "torus_grid": (gen_torus_grid(7, 6, 0.7),
                    PipelineOptions(delta0=1.0, few_cap=8), False),
-    "cross_pair_markers": (_snub_24_cell(),
+    "cross_pair_markers": (snub_24_cell(),
                            PipelineOptions(delta0=0.7, few_cap=8), False),
     "markers_restart": (_great_polygons(6, 60, 13),
                         PipelineOptions(delta0=1.01 * 2 * math.sin(math.pi / 60),
