@@ -7,27 +7,40 @@ canonically: both sets are condensed to a translation-equivariant lattice
 coset (Voronoi cell shapes and cell contents provide the pruning keys), and
 the single surviving candidate translation is verified directly.
 
-The cells are those of the sites on the torus, built by qhull in the plane
-on one sheet plus a margin (:func:`periodic_voronoi`) rather than on nine
-full copies.  Every cell lies within the covering radius R of its site, so
-a copy farther than 2R from a site cannot cut that site's cell.  R is
-bounded from above on a probe grid, so the margin can be too wide but
-never too narrow, and only the central cells are read.  Cell contents
-come from a periodic k-d tree (``boxsize`` 2pi) over the sites, which
-needs positions in [0, 2pi): :func:`wrap_angle` gives them, mapping a
-value that rounds up to 2pi onto 0.
+The condensation runs on the quotient of the plane by a lattice of periods
+of the labeled set, Lambda' >= 2pi Z^2 (:func:`_period_lattice`).  A period
+maps cells and cell contents onto themselves, so every key is that of the
+full torus with each count multiplied by the index [Lambda' : 2pi Z^2], and
+one representative per orbit stands for the whole orbit: a lattice coset
+is one site.  The periods are kept exactly, as an int lattice in Hermite
+normal form over (2pi / Q) Z^2, and proven by matching the set with a
+periodic k-d tree (boxsize 2pi), which needs positions in [0, 2pi):
+:func:`wrap_angle` gives them, mapping a value that rounds up to 2pi onto
+0.  A set with no period has Lambda' = 2pi Z^2, the full torus.
+
+The cells are those of the representatives in the plane, built by qhull
+from the representatives and those of their copies under a Lagrange-Gauss
+reduced basis of Lambda' that lie within a margin of the fundamental
+parallelogram (:func:`_lattice_copies`).  Every cell lies within the
+covering radius R of its site, bounded from above on a probe grid, so a
+copy farther than 2R from a site cannot cut that site's cell; in the
+coordinates of the reduced basis, no copy more than two steps from a site
+can either.  The margin can be too wide but never too narrow, and only
+the central cells are read.  Cell contents come from a plain k-d tree over
+the same copies.
 """
 
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from itertools import chain
 from typing import Optional, Sequence
 
 import numpy as np
 from scipy.spatial import Voronoi, cKDTree
 
-from .condense import (TWO_PI, circular_cluster, joint_cluster,
+from .condense import (TWO_PI, circular_cluster, component_ids, joint_cluster,
                        joint_ranks, least_rotations, padded_rows,
                        prune_by_key, tolerance_cluster, wrap_angle)
 from .geom import (EPS_EQ, PlaneSpan, PointSet4, Verdict, block_rotation,
@@ -38,35 +51,143 @@ SWAP_PLANES = np.array([[0.0, 1.0, 0.0, 0.0],
                         [1.0, 0.0, 0.0, 0.0],
                         [0.0, 0.0, 0.0, 1.0],
                         [0.0, 0.0, 1.0, 0.0]])
+RING = np.array([(i, j) for i in (-1, 0, 1) for j in (-1, 0, 1)])
 
 
-def periodic_voronoi(sites: np.ndarray) -> Voronoi:
-    """Planar Voronoi diagram whose cells of the first len(sites) input
-    points are the cells of the sites on the flat torus [0, 2pi)^2.
+def _hermite(rows) -> tuple:
+    """(a, b, d) with a, d > 0 and 0 <= b < d: the Hermite basis (a, b),
+    (0, d) of the int lattice that the int rows span, which has rank 2."""
+    first, rest = None, []
+    for row in rows:
+        if first is None:
+            first = row
+            continue
+        while row[0]:
+            q = first[0] // row[0]
+            first, row = row, (first[0] - q * row[0], first[1] - q * row[1])
+        rest.append(row[1])
+    if first[0] < 0:
+        first = (-first[0], -first[1])
+    d = math.gcd(*rest)
+    return first[0], first[1] % d, d
 
-    Every point of the torus lies within the covering radius R of its
-    nearest site, so every cell lies within R of its site, and a site
-    farther than 2R away cannot cut it.  R is bounded by the largest
-    nearest-site distance over a grid of about len(sites) probes of
-    spacing h, plus h / sqrt(2).  The sites and those of their copies in
-    the eight neighbouring squares that lie within 2R of the fundamental
-    square (coordinate-wise) then form one qhull input; when 2R reaches
-    2pi, all nine copies do.
+
+def _reduced_basis(a: int, b: int, d: int) -> np.ndarray:
+    """A Lagrange-Gauss reduced basis, as int rows, of the lattice with
+    Hermite basis (a, b), (0, d): the first row is a shortest vector."""
+    u, v = (a, b), (0, d)
+    while True:
+        if u[0] * u[0] + u[1] * u[1] > v[0] * v[0] + v[1] * v[1]:
+            u, v = v, u
+        uu = u[0] * u[0] + u[1] * u[1]
+        k = (2 * (u[0] * v[0] + u[1] * v[1]) + uu) // (2 * uu)
+        if k == 0:
+            return np.array([u, v], dtype=np.int64)
+        v = (v[0] - k * u[0], v[1] - k * u[1])
+
+
+def _period_lattice(pos: np.ndarray, labs: np.ndarray, eps: float) -> tuple:
+    """(Q, basis, orbit): a lattice Lambda' >= 2pi Z^2 of periods of the
+    labeled set, as a reduced int basis over (2pi / Q) Z^2, and the orbit
+    id of every point under it, numbered in order of the orbits' least
+    points.
+
+    Candidates are the differences v = s - s0 from the first point s0 of
+    the rarest label class (ties to the least label) to the others of its
+    class, nearest first; those already in Lambda' are skipped.  The order
+    of v on the torus is at most the class size k, so v / 2pi is snapped
+    to the nearest rationals of denominator at most k, and the snapped v
+    must move every point within eps onto a distinct point of its label.
+    Each such check at least doubles the index; the search stops at the
+    first failed one, or once the orbit of s0 fills its class, when
+    Lambda' is the whole period group.  Near-coincident points can make
+    the matched permutations join more than an orbit; then no period is
+    proven.
+    """
+    n = len(pos)
+    members = np.flatnonzero(labs == np.argmin(np.bincount(labs)))
+    diff = pos[members] - pos[members[0]]
+    diff -= TWO_PI * np.rint(diff / TWO_PI)
+    diff = diff[np.argsort(np.hypot(diff[:, 0], diff[:, 1]), kind="stable")]
+    q, (a, b, d) = 1, (1, 0, 1)
+    tree, edges, at = None, [], 1
+    while q * q // (a * d) < len(members):
+        c = diff[at:] * (q / TWO_PI)
+        u = np.rint(c).astype(np.int64)
+        inside = ((np.hypot(*(c - u).T) * (TWO_PI / q) <= eps)
+                  & (u[:, 0] % a == 0) & ((u[:, 1] - u[:, 0] // a * b) % d == 0))
+        if inside.all():
+            break
+        at += int(np.argmin(inside))
+        f = [Fraction(x).limit_denominator(len(members))
+             for x in (diff[at] / TWO_PI).tolist()]
+        v = TWO_PI * np.array([float(x) for x in f])
+        if np.hypot(*(diff[at] - v)) > eps:
+            break
+        if tree is None:
+            tree = cKDTree(pos, boxsize=TWO_PI)
+        dist, j = tree.query(wrap_angle(pos + v), distance_upper_bound=eps)
+        if not np.isfinite(dist).all() or (labs[j] != labs).any() or \
+                np.bincount(j, minlength=n).max() > 1:
+            break
+        edges.append(np.c_[np.arange(n), j])
+        r = math.lcm(q, *(x.denominator for x in f))
+        a, b, d = _hermite([(a * (r // q), b * (r // q)), (0, d * (r // q)),
+                            tuple(x.numerator * (r // x.denominator) for x in f)])
+        q, at = r, at + 1
+    orbit = component_ids(n, np.concatenate(edges)) if edges else np.arange(n)
+    if (np.bincount(orbit) != q * q // (a * d)).any():
+        q, (a, b, d), orbit = 1, (1, 0, 1), np.arange(n)
+    return q, _reduced_basis(a, b, d), orbit
+
+
+def _lattice_copies(sites: np.ndarray, basis: np.ndarray, eps: float) -> tuple:
+    """(copies, owner, offsets): the sites, which lie in the fundamental
+    parallelogram P of the reduced lattice basis b1, b2, then those of
+    their copies site + i * b1 + j * b2 within a margin of P; the site
+    each copy is of, and its (i, j).
+
+    The copies hold every site that cuts the cell of one of the sites, and
+    every site within eps of the nearest-site distance of a point of P.
+    The cell of s lies within the covering radius R of s, so a site t
+    that cuts it has |t - s| <= 2R, and a site of a point's ball lies
+    within R + eps of the point.  R is bounded by the largest distance from a grid of about len(sites)
+    probes over P to the nearest of the sites and of their eight
+    neighbouring copies within two probe spacings of P, plus half the
+    longer diagonal of a probe cell.
+
+    A disc of radius 2R can hold many copies of a long thin P, but the
+    lattice bounds them too.  A point x of the cell of s is no farther
+    from s than from s +- b1 and s +- b2, which puts the lattice
+    coordinates of x - s in [-1, 1] for a reduced basis (|b1 . b2| <=
+    |b1|^2 / 2, |b1| <= |b2|).  A site t cuts the cell at a point of both
+    cells, so t - s lies in [-2, 2]^2.  For a point of P and a site of its
+    ball the inequalities hold only to within eps, which adds the slack
+    terms below.
     """
     g = math.isqrt(len(sites) - 1) + 1
-    h = TWO_PI / g
-    probes = np.arange(g) * h
-    d, _ = cKDTree(sites, boxsize=TWO_PI).query(
-        np.c_[np.repeat(probes, g), np.tile(probes, g)])
-    reach = 2.0 * (d.max() + h / math.sqrt(2.0))
-    shifts = TWO_PI * np.array([(0, 0), (-1, -1), (-1, 0), (-1, 1), (0, -1),
-                                (0, 1), (1, -1), (1, 0), (1, 1)])
-    copies = (sites + shifts[:, None]).reshape(-1, 2)
-    if reach < TWO_PI:
-        copies = copies[np.all(np.abs(copies - math.pi) <= math.pi + reach,
-                               axis=1)]
-    # Q12: a wide merge of nearly cocircular sites is no error
-    return Voronoi(copies, qhull_options="Qbb Qc Qz Q12")
+    t = np.arange(g) / g
+    probes = np.c_[np.repeat(t, g), np.tile(t, g)] @ basis
+    coef = np.linalg.solve(basis.T, sites.T).T
+    ring = coef + RING[:, None]
+    near = np.all(np.abs(ring - 0.5) <= 0.5 + 2.0 / g, axis=2)
+    d, _ = cKDTree((sites + (RING @ basis)[:, None])[near]).query(probes)
+    r = d.max() + max(np.hypot(*(basis[0] + basis[1])),
+                      np.hypot(*(basis[0] - basis[1]))) / (2 * g)
+    # the margin in lattice coordinates: the distance bound over the width
+    # of P across the other basis vector, or the lattice bound
+    lengths = np.hypot(*basis.T)
+    det = abs(basis[0, 0] * basis[1, 1] - basis[0, 1] * basis[1, 0])
+    slack = eps * (r + eps + lengths + eps / 2) / lengths ** 2
+    margin = np.minimum((r + max(r, eps)) * lengths[::-1] / det,
+                        2.0 + (4.0 * slack + 2.0 * slack[::-1]) / 3.0)
+    i, j = np.ceil(margin).astype(int)
+    offs = np.array([(0, 0)] + [(x, y) for x in range(-i, i + 1)
+                                for y in range(-j, j + 1) if x or y])
+    coef = coef + offs[:, None]
+    keep = np.all((coef >= -margin) & (coef <= 1.0 + margin), axis=2)
+    at, owner = np.nonzero(keep)
+    return (sites + (offs @ basis)[:, None])[keep], owner, offs[at]
 
 
 def _cell_shapes(vor: Voronoi, sites: np.ndarray, eps: float) -> tuple:
@@ -108,48 +229,74 @@ def canonical_set_torus(positions: np.ndarray, labels: Sequence,
     to the translation).  The returned subset is a single orbit of the
     symmetry group: the difference of any member with any member of a
     congruent run's result is a valid candidate translation.
+
+    The rounds run on one representative per orbit of the period lattice
+    of :func:`_period_lattice`, its least input index, placed in the
+    lattice's fundamental parallelogram.  Their keys are those of the
+    full torus with counts multiplied by the lattice index, and the
+    indices returned are every input index whose representative survives,
+    ascending: T1 keeps the rarest label class, T3 the rarest Voronoi cell
+    shape until no shape splits off, and T5 ranks each site's word, the
+    (offset, label) rows of the points in whose nearest-site ball it
+    lies, and repeats from T1 on the sites with the word ranks as labels
+    until all words are equal.
     """
     pos = wrap_angle(np.asarray(positions, dtype=float).reshape(-1, 2))
     if len(pos) != len(labels):
         raise ValueError("label count does not match point count")
     if len(pos) == 0:
         raise ValueError("empty torus set")
-    keys: list = []
-    orig = np.arange(len(pos))
-    cur_pos, cur_labs = pos, labels
+    lab_rank = joint_ranks(labels)[1]
+    q, lattice, orbit = _period_lattice(pos, lab_rank, eps)
+    reps = np.unique(orbit, return_index=True)[1]
+    index, basis = len(pos) // len(reps), lattice * (TWO_PI / q)
+    cur_pos = pos[reps] - np.floor(np.linalg.solve(basis.T, pos[reps].T).T) @ basis
+    cur_labs, orig, keys = lab_rank[reps], np.arange(len(reps)), []
+
+    def survivors(cand: np.ndarray) -> np.ndarray:
+        keep = np.zeros(len(reps), dtype=bool)
+        keep[orig[cand]] = True
+        return np.flatnonzero(keep[orbit])
 
     while True:
         lab_rank = joint_ranks(cur_labs)[1]
         pr = prune_by_key(lab_rank)
-        keys.append(("T1", pr.histogram))
+        keys.append(("T1", tuple((k, c * index) for k, c in pr.histogram)))
         cand = pr.indices
-        if len(cand) == 1:
+        if len(cand) * index == 1:
             keys.append(("T", 1))
-            return orig[cand], keys
+            return survivors(cand), keys
 
         while True:
             sites = cur_pos[cand]
-            ranks, shapes = _cell_shapes(periodic_voronoi(sites), sites, eps)
+            copies, owner, offs = _lattice_copies(sites, basis, eps)
+            # Q12: a wide merge of nearly cocircular sites is no error
+            vor = Voronoi(copies, qhull_options="Qbb Qc Qz Q12")
+            ranks, shapes = _cell_shapes(vor, sites, eps)
             spr = prune_by_key(ranks)
-            keys.append(("T3", tuple((shapes[r], c) for r, c in spr.histogram)))
+            keys.append(("T3", tuple((shapes[r], c * index)
+                                     for r, c in spr.histogram)))
             if not spr.progressed:
                 break
             cand = cand[spr.indices]
-            if len(cand) == 1:
+            if len(cand) * index == 1:
                 keys.append(("T", 1))
-                return orig[cand], keys
+                return survivors(cand), keys
 
-        sites = cur_pos[cand]
-        m = len(sites)
-        tree = cKDTree(sites, boxsize=TWO_PI)
+        m, n = len(sites), len(cur_pos)
+        tree = cKDTree(copies)
         d, _ = tree.query(cur_pos)
         balls = tree.query_ball_point(cur_pos, d + eps)
-        # one (site, point) row per point in the nearest-site ball of a site
-        lens = np.fromiter(map(len, balls), int, len(balls))
-        site, pt = np.unique(np.c_[np.concatenate(balls),
-                                   np.repeat(np.arange(len(cur_pos)), lens)],
-                             axis=0).T
-        w = cur_pos[pt] - sites[site]
+        lens = np.fromiter(map(len, balls), int, n)
+        hit, pt = np.concatenate(balls), np.repeat(np.arange(n), lens)
+        # one (site, point) row per torus site in a point's ball: a copy
+        # is its owner moved by a lattice vector, taken modulo 2pi Z^2
+        mod = np.mod(offs[hit] @ lattice, q)
+        torus_site = (owner[hit] * q + mod[:, 0]) * q + mod[:, 1]
+        first = np.unique(torus_site * n + pt, return_index=True)[1]
+        hit, pt = hit[first], pt[first]
+        site = owner[hit]
+        w = cur_pos[pt] - copies[hit]
         rows = np.c_[circular_cluster(w[:, 0], eps).ids,
                      circular_cluster(w[:, 1], eps).ids,
                      lab_rank[pt]]
@@ -157,10 +304,11 @@ def canonical_set_torus(positions: np.ndarray, labels: Sequence,
         rows = rows[np.lexsort(np.c_[site, rows].T[::-1])]
         ranks = joint_ranks(padded_rows(
             rows.ravel(), 3 * np.bincount(site, minlength=m)))[1]
-        keys.append(("T5", prune_by_key(ranks).histogram))
+        keys.append(("T5", tuple((k, c * index)
+                                 for k, c in prune_by_key(ranks).histogram)))
         if ranks.max() == 0:
-            keys.append(("T", len(cand)))
-            return orig[cand], keys
+            keys.append(("T", len(cand) * index))
+            return survivors(cand), keys
         orig = orig[cand]
         cur_pos, cur_labs = cur_pos[cand], ranks
 
@@ -212,12 +360,11 @@ def _plane_split(coords: np.ndarray, tol: float) -> tuple:
 def _axes_offsets(ang_a, labs_a, ang_b, labs_b, tor_a, tor_b, eps):
     """Offset ids of torus angles relative to the plane sets' symmetry axes.
 
-    Returns (off_ids_a, off_ids_b) or None when the two plane sets cannot
-    correspond under any rotation.  Empty plane sets impose no constraint.
+    Returns (off_ids_a, off_ids_b) or None when the two plane sets, of
+    equal size, cannot correspond under any rotation.  Empty plane sets
+    impose no constraint.
     """
     n_t_a, n_t_b = len(tor_a), len(tor_b)
-    if len(ang_a) != len(ang_b):
-        return None
     if len(ang_a) == 0:
         return np.zeros(n_t_a, dtype=int), np.zeros(n_t_b, dtype=int)
 

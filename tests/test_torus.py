@@ -1,10 +1,10 @@
 """Translation congruence on the 2-torus and the 2+2 block reduction."""
 
+import math
+
 import numpy as np
 import pytest
-from scipy.spatial import Voronoi
-
-from scipy.spatial import cKDTree
+from scipy.spatial import Voronoi, cKDTree
 
 from hypercongruence.condense import (TWO_PI, circular_cluster, joint_ranks,
                                       prune_by_key, tolerance_cluster,
@@ -15,12 +15,15 @@ from hypercongruence.geom import (
     block_rotation,
     match_multisets,
 )
-from hypercongruence.harness import gen_orbit_helix, random_rotation
+from hypercongruence.harness import (gen_orbit_helix, gen_torus_grid,
+                                     random_rotation)
 from hypercongruence.torus import (
     SWAP_PLANES,
+    _block_match,
     _cell_shapes,
+    _lattice_copies,
+    _period_lattice,
     canonical_set_torus,
-    periodic_voronoi,
     torus_translation_congruent,
     two_plus_two_reduce,
 )
@@ -61,6 +64,34 @@ def brute_symmetries(pos, labels, eps=1e-7):
         if ok:
             out.append(tuple(np.round(t, 6)))
     return set(out)
+
+
+def periodic_voronoi(sites: np.ndarray) -> Voronoi:
+    """Planar Voronoi diagram whose cells of the first len(sites) input
+    points are the cells of the sites on the flat torus [0, 2pi)^2.
+
+    Every point of the torus lies within the covering radius R of its
+    nearest site, so every cell lies within R of its site, and a site
+    farther than 2R away cannot cut it.  R is bounded by the largest
+    nearest-site distance over a grid of about len(sites) probes of
+    spacing h, plus h / sqrt(2).  The sites and those of their copies in
+    the eight neighbouring squares that lie within 2R of the fundamental
+    square (coordinate-wise) then form one qhull input; when 2R reaches
+    2pi, all nine copies do.
+    """
+    g = math.isqrt(len(sites) - 1) + 1
+    h = TWO_PI / g
+    probes = np.arange(g) * h
+    d, _ = cKDTree(sites, boxsize=TWO_PI).query(
+        np.c_[np.repeat(probes, g), np.tile(probes, g)])
+    reach = 2.0 * (d.max() + h / math.sqrt(2.0))
+    shifts = TWO_PI * np.array([(0, 0), (-1, -1), (-1, 0), (-1, 1), (0, -1),
+                                (0, 1), (1, -1), (1, 0), (1, 1)])
+    copies = (sites + shifts[:, None]).reshape(-1, 2)
+    if reach < TWO_PI:
+        copies = copies[np.all(np.abs(copies - math.pi) <= math.pi + reach,
+                               axis=1)]
+    return Voronoi(copies, qhull_options="Qbb Qc Qz Q12")
 
 
 def nine_copy_voronoi(sites):
@@ -104,8 +135,10 @@ def reference_cell_shapes(vor, sites, eps=1e-7):
 
 
 def reference_canonical_set_torus(positions, labels, eps=1e-7):
-    """canonical_set_torus with every T5 word built as a sorted tuple of
-    per-site (x id, y id, label) tuples."""
+    """canonical_set_torus on the full torus, without periods: every site
+    is its own representative, cells come from :func:`periodic_voronoi`
+    and cell contents from a periodic k-d tree, and every T5 word is a
+    sorted tuple of per-site (x id, y id, label) tuples."""
     pos = wrap_angle(np.asarray(positions, dtype=float).reshape(-1, 2))
     keys, orig, cur_pos, cur_labs = [], np.arange(len(pos)), pos, labels
     while True:
@@ -155,6 +188,46 @@ def grid_coset(p, q, offset=(0.0, 0.0)):
     """The p x q grid on the torus, shifted by offset, row by row."""
     i, j = np.divmod(np.arange(p * q), q)
     return wrap_angle(np.c_[i * TWO_PI / p, j * TWO_PI / q] + offset), i, j
+
+
+def placed_grid(p, q, rng):
+    """Torus angles of gen_torus_grid(p, q) turned by a random block
+    rotation, in random order, as the 2+2 reduction reads them."""
+    g = gen_torus_grid(p, q, 0.6) @ block_rotation(*rng.uniform(0, TWO_PI, 2)).T
+    g = g[rng.permutation(len(g))]
+    return wrap_angle(np.c_[np.arctan2(g[:, 1], g[:, 0]),
+                            np.arctan2(g[:, 3], g[:, 2])])
+
+
+def seam_cases(rng):
+    """A 3 x 3 grid and a cloud with values that round onto either end of
+    [0, 2pi)."""
+    top = np.nextafter(TWO_PI, 0.0)
+    cases = []
+    for pos in (np.array([[i * TWO_PI / 3, j * TWO_PI / 3]
+                          for i in range(3) for j in range(3)]),
+                rng.uniform(0, TWO_PI, size=(12, 2))):
+        pos[0] = -1e-17, -0.0
+        pos[1, 0] = top
+        pos[2, 1] = -1e-17
+        cases.append(pos)
+    return cases
+
+
+def lattice_index(pos, labs, eps=1e-7):
+    """[Lambda' : 2pi Z^2] of the period lattice that _period_lattice
+    proves, checked against its orbit sizes."""
+    q, basis, orbit = _period_lattice(wrap_angle(pos), joint_ranks(labs)[1], eps)
+    (a, b), (c, d) = basis.tolist()
+    index = q * q // abs(a * d - b * c)
+    assert (np.bincount(orbit) == index).all()
+    return index
+
+
+def lattice_basis(pos, labs):
+    """The float reduced basis of the period lattice of the set."""
+    q, basis, _ = _period_lattice(wrap_angle(pos), joint_ranks(labs)[1], 1e-7)
+    return basis * (TWO_PI / q)
 
 
 class TestPeriodicVoronoi:
@@ -237,15 +310,9 @@ class TestCanonicalSet:
             assert len(idx) == len(syms)
 
     def test_positions_at_the_seam(self, rng):
-        # the periodic trees need [0, 2pi); values that round onto either
+        # the periodic tree needs [0, 2pi); values that round onto either
         # end of it must give the keys of their wrapped values
-        top = np.nextafter(TWO_PI, 0.0)
-        for pos in (np.array([[i * TWO_PI / 3, j * TWO_PI / 3]
-                              for i in range(3) for j in range(3)]),
-                    rng.uniform(0, TWO_PI, size=(12, 2))):
-            pos[0] = -1e-17, -0.0
-            pos[1, 0] = top
-            pos[2, 1] = -1e-17
+        for pos in seam_cases(rng):
             labs = [0] * len(pos)
             ia, ka = canonical_set_torus(pos, labs)
             ib, kb = canonical_set_torus(wrap_angle(pos), labs)
@@ -305,6 +372,138 @@ class TestTupleWords:
         assert t5[0] == ((0, 6), (1, 4))
 
 
+class TestQuotientMatchesFullTorus:
+    """canonical_set_torus on the quotient by the period lattice against
+    the full-torus reference, on each input and on a translate of it."""
+
+    @staticmethod
+    def check(pos, labs, rng):
+        for p in (pos, wrap_angle(pos + rng.uniform(0, TWO_PI, size=2))):
+            idx, keys = canonical_set_torus(p, labs)
+            ref_idx, ref_keys = reference_canonical_set_torus(p, labs)
+            assert keys == ref_keys
+            assert idx.tolist() == ref_idx.tolist()
+
+    @pytest.mark.parametrize("p", [3, 5, 22, 32])
+    def test_placed_grid(self, rng, p):
+        pos = placed_grid(p, p + 1, rng)
+        assert lattice_index(pos, [0] * len(pos)) == len(pos)
+        self.check(pos, [0] * len(pos), rng)
+
+    def test_sheared_helix_lattice(self, rng):
+        pos = helix_angles(2000, 3, 0.8)
+        assert lattice_index(pos, [0] * 2000) == 2000
+        self.check(pos, [0] * 2000, rng)
+
+    def test_random_cloud(self, rng):
+        pos = rng.uniform(0, TWO_PI, size=(150, 2))
+        assert lattice_index(pos, [0] * 150) == 1
+        self.check(pos, [0] * 150, rng)
+
+    def test_union_of_two_cosets(self, rng):
+        a, _, _ = grid_coset(4, 6)
+        b, _, _ = grid_coset(4, 6, (np.pi / 4, 0.3))
+        self.check(np.vstack([a, b]), [0] * 48, rng)
+
+    def test_union_with_a_partial_period(self, rng):
+        # the rows of a 12 x 3 grid are closer than the second coset, so
+        # the row period is proven and the next candidate fails
+        a, _, _ = grid_coset(12, 3)
+        b, _, _ = grid_coset(12, 3, (TWO_PI / 24, 1.05))
+        pos = np.vstack([a, b])
+        assert lattice_index(pos, [0] * 72) == 12
+        self.check(pos, [0] * 72, rng)
+
+    def test_label_sublattice(self, rng):
+        # labels on every third column leave a period lattice of index 14
+        # and three representatives, which T3 and T5 split
+        pos, i, j = grid_coset(6, 7)
+        labs = (i % 3).tolist()
+        assert lattice_index(pos, labs) == 14
+        self.check(pos, labs, rng)
+
+    def test_labels_break_a_period(self, rng):
+        pos, i, j = grid_coset(6, 5, (0.1, 0.2))
+        labs = np.where(i % 3 == 0, 0, 1 + ((i % 3 == 2) ^ (j >= 3)))
+        self.check(pos, labs.tolist(), rng)
+
+    def test_seam(self, rng):
+        for pos in seam_cases(rng):
+            self.check(pos, [0] * len(pos), rng)
+
+
+class TestPeriodLattice:
+    def test_index_is_the_symmetry_group_order(self, rng):
+        g = np.array([[i * TWO_PI / 3, j * TWO_PI / 3]
+                      for i in range(3) for j in range(3)])
+        cloud = rng.uniform(0, TWO_PI, size=(7, 2))
+        sheared = helix_angles(30, 7, 0.8)
+        cases = [(g, [0] * 9), (g, [i // 3 for i in range(9)]),
+                 (cloud, [0] * 7), (np.vstack([g, cloud]), [0] * 16),
+                 (sheared, [0] * 30), (sheared, [i % 5 for i in range(30)])]
+        for pos, labs in cases:
+            assert lattice_index(pos, labs) == len(brute_symmetries(pos, labs))
+
+    def test_search_stops_at_the_first_failed_check(self):
+        # the grid's periods are the union's, but its nearest candidate,
+        # the offset of the second coset, fails first
+        a, _, _ = grid_coset(4, 6)
+        b, _, _ = grid_coset(4, 6, (np.pi / 4, 0.3))
+        pos = np.vstack([a, b])
+        assert len(brute_symmetries(pos, [0] * 48)) == 24
+        assert lattice_index(pos, [0] * 48) == 1
+
+    def test_near_coincident_points_prove_no_period(self):
+        # pairs 0.8 eps long, turned by 60 degrees from one third of the
+        # torus to the next: the shift by a third matches every point
+        # within eps, but three shifts swap each pair, so its orbits hold
+        # six points and not three
+        half = 0.4e-7
+        turn = np.radians(60.0) * np.arange(3)
+        ends = half * np.c_[np.cos(turn), np.sin(turn)]
+        centres = np.c_[1.0 + np.arange(3) * TWO_PI / 3, np.ones(3)]
+        pos = np.r_[centres - ends, centres + ends]
+        q, basis, orbit = _period_lattice(pos, np.zeros(6, dtype=int), 1e-7)
+        assert (q, basis.tolist(), orbit.tolist()) == \
+            (1, [[1, 0], [0, 1]], list(range(6)))
+
+    @pytest.mark.parametrize("case", ["grid", "helix", "long", "cloud"])
+    def test_margin_copies_match_brute_force(self, rng, case):
+        eps = 1e-7
+        if case == "cloud":
+            basis, sites = TWO_PI * np.eye(2), rng.uniform(0, TWO_PI, (60, 2))
+        else:
+            pos = {"grid": lambda: grid_coset(22, 23)[0],
+                   "helix": lambda: helix_angles(2000, 3, 0.8),
+                   "long": lambda: helix_angles(25000, 3, 0.8)}[case]()
+            basis = lattice_basis(pos, [0] * len(pos))
+            sites = rng.uniform(0, 1, size=({"long": 1}.get(case, 5), 2)) @ basis
+        copies, owner, offs = _lattice_copies(sites, basis, eps)
+        assert np.array_equal(copies[:len(sites)], sites)
+        assert np.allclose(copies, sites[owner] + offs @ basis)
+        ij = np.array([(0, 0)] + [(i, j) for i in range(-3, 4)
+                                  for j in range(-3, 4) if i or j])
+        brute = (sites + (ij @ basis)[:, None]).reshape(-1, 2)
+        brute_owner = np.tile(np.arange(len(sites)), len(ij))
+        brute_offs = np.repeat(ij, len(sites), axis=0)
+        assert cell_shapes(Voronoi(copies, qhull_options="Qbb Qc Qz Q12"),
+                           sites) == \
+            cell_shapes(Voronoi(brute, qhull_options="Qbb Qc Qz Q12"), sites)
+        # nearest-site balls of points of the parallelogram
+        pts = np.r_[sites, rng.uniform(0, 1, size=(200, 2)) @ basis]
+        balls = []
+        for cs, ow, of in ((copies, owner, offs),
+                           (brute, brute_owner, brute_offs)):
+            tree = cKDTree(cs)
+            d, _ = tree.query(pts)
+            balls.append([sorted((ow[k], *of[k]) for k in ball) for ball in
+                          tree.query_ball_point(pts, d + eps)])
+        assert balls[0] == balls[1]
+        if case == "long":
+            # a thin parallelogram: the lattice bound keeps the copies few
+            assert len(copies) < 50
+
+
 class TestTranslationCongruent:
     def test_roundtrip(self, rng):
         pos = rng.uniform(0, TWO_PI, size=(24, 2))
@@ -354,6 +553,10 @@ class TestTranslationCongruent:
 
     def test_size_mismatch(self):
         assert torus_translation_congruent([[0, 0]], ["a"], [], []) is None
+
+    def test_empty_sets(self):
+        t = torus_translation_congruent(np.zeros((0, 2)), [], np.zeros((0, 2)), [])
+        assert t.tolist() == [0.0, 0.0]
 
 
 def embed(phi, psi, r1, r2):
@@ -457,3 +660,45 @@ class TestTwoPlusTwo:
         v = two_plus_two_reduce(PointSet4(g), PointSet4(gb), E12, E12)
         assert v.congruent
         assert match_multisets(g @ v.rotation.T, gb, 1e-6)
+
+
+class TestBlockMatchExits:
+    """The None exits of _block_match on direct coordinate inputs."""
+
+    @staticmethod
+    def match(ac, la, bc, lb):
+        return _block_match(ac, np.asarray(la), bc, np.asarray(lb), 1e-9)
+
+    def test_plane_split_counts_differ(self, rng):
+        tor = embed(rng.uniform(0, TWO_PI, 4), rng.uniform(0, TWO_PI, 4),
+                    0.8, 0.6)
+        ac = np.r_[tor, embed([0.3], [0.0], 1.0, 0.0)]
+        bc = np.r_[tor, embed([0.3], [0.2], 0.8, 0.6)]
+        assert self.match(ac, [0] * 5, bc, [0] * 5) is None
+
+    def test_origin_labels_differ(self, rng):
+        tor = embed([0.4], [1.1], 0.8, 0.6)
+        ac = np.r_[np.zeros((1, 4)), tor]
+        assert self.match(ac, [0, 1], ac, [1, 0]) is None
+
+    @pytest.mark.parametrize("plane", [1, 2])
+    def test_circle_sets_not_congruent(self, plane):
+        ang_a, ang_b = np.array([0.0, 1.0, 2.5]), np.array([0.0, 1.0, 2.0])
+        square = np.arange(4) * TWO_PI / 4
+        if plane == 1:
+            ac = embed(ang_a, np.zeros(3), 1.0, 0.0)
+            bc = embed(ang_b, np.zeros(3), 1.0, 0.0)
+        else:
+            ac = np.r_[embed(square, np.zeros(4), 1.0, 0.0),
+                       embed(np.zeros(3), ang_a, 0.0, 1.0)]
+            bc = np.r_[embed(square + 0.3, np.zeros(4), 1.0, 0.0),
+                       embed(np.zeros(3), ang_b, 0.0, 1.0)]
+        assert self.match(ac, [0] * len(ac), bc, [0] * len(bc)) is None
+
+    def test_plane_two_axes_differ(self, rng):
+        # torus points with plane-2 circle sets no rotation can match
+        tor = embed(rng.uniform(0, TWO_PI, 6), rng.uniform(0, TWO_PI, 6),
+                    0.8, 0.6)
+        ac = np.r_[tor, embed(np.zeros(3), [0.0, 1.0, 2.5], 0.0, 1.0)]
+        bc = np.r_[tor, embed(np.zeros(3), [0.0, 1.0, 2.0], 0.0, 1.0)]
+        assert self.match(ac, [0] * 9, bc, [0] * 9) is None

@@ -13,6 +13,14 @@ the change was faster:
     python tools/ab_pass.py --base ../parent/src --src src --workload gauss \\
         --seed 3 --rounds 10 --passes 5
 
+With ``--helix ELL K R1`` a pass decides one congruent pair instead of a
+workload: ``harness.gen_orbit_helix(ELL, K, R1)`` and its copy placed by
+``perfbench/workloads.place`` with the seed, which must come out
+congruent.  Helices too large for a benchmark pair are timed this way:
+
+    python tools/ab_pass.py --base ../parent/src --helix 25000 3 0.8 \\
+        --rounds 4 --passes 1
+
 The workload module is read, never changed.
 """
 
@@ -26,31 +34,43 @@ import sys
 from pathlib import Path
 from time import perf_counter
 
+import numpy as np
+
 from stream_digest import ROOT, load_workloads
 
 
-def passes(src: str, workload: str, seed: int, count: int) -> list:
+def passes(src: str, args) -> list:
     """Seconds of each timed pass, after one untimed pass."""
     sys.path.insert(0, src)
-    from hypercongruence import pipeline
-    pairs = load_workloads().generate(workload, seed)
-    opts = [None if p.delta0 is None else pipeline.PipelineOptions(delta0=p.delta0)
-            for p in pairs]
+    from hypercongruence import harness, pipeline
+    workloads = load_workloads()
+    if args.helix:
+        ell, k, r1 = args.helix
+        a = harness.gen_orbit_helix(int(ell), int(k), r1)
+        cases = [(a, workloads.place(a, np.random.default_rng(args.seed)), None)]
+    else:
+        cases = [(p.a, p.b, None if p.delta0 is None
+                  else pipeline.PipelineOptions(delta0=p.delta0))
+                 for p in workloads.generate(args.workload, args.seed)]
 
     def one_pass() -> float:
         t0 = perf_counter()
-        for pair, o in zip(pairs, opts):
-            pipeline.congruence_test_4d(pair.a, pair.b, o)
-        return perf_counter() - t0
+        verdicts = [pipeline.congruence_test_4d(a, b, o) for a, b, o in cases]
+        seconds = perf_counter() - t0
+        if args.helix and not verdicts[0].congruent:
+            raise SystemExit(f"{src}: the helix pair came out not congruent")
+        return seconds
 
     one_pass()
-    return [one_pass() for _ in range(count)]
+    return [one_pass() for _ in range(args.passes)]
 
 
 def run_side(src: str, args) -> float:
+    what = (["--helix", *map(str, args.helix)] if args.helix
+            else ["--workload", args.workload])
     out = subprocess.run(
-        [sys.executable, __file__, "--worker", "--src", src, "--workload",
-         args.workload, "--seed", str(args.seed), "--passes", str(args.passes)],
+        [sys.executable, __file__, "--worker", "--src", src, *what,
+         "--seed", str(args.seed), "--passes", str(args.passes)],
         check=True, capture_output=True, text=True).stdout
     return statistics.median(json.loads(out.splitlines()[-1]))
 
@@ -69,20 +89,24 @@ def main(argv=None) -> int:
     ap.add_argument("--src", default=str(ROOT / "src"),
                     help="directory of the changed package (default: src)")
     ap.add_argument("--workload", default="dense")
+    ap.add_argument("--helix", nargs=3, type=float, metavar=("ELL", "K", "R1"),
+                    help="time one congruent orbit helix pair instead")
     ap.add_argument("--seed", type=int, default=3)
     ap.add_argument("--rounds", type=int, default=10)
     ap.add_argument("--passes", type=int, default=5)
     ap.add_argument("--worker", action="store_true", help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
     if args.worker:
-        print(json.dumps(passes(args.src, args.workload, args.seed, args.passes)))
+        print(json.dumps(passes(args.src, args)))
         return 0
     if args.base is None:
         ap.error("--base is required")
     sides = {"base": str(Path(args.base).resolve()),
              "change": str(Path(args.src).resolve())}
     times: dict = {"base": [], "change": []}
-    print(f"{args.workload} seed={args.seed}: median of {args.passes} passes "
+    what = ("helix " + " ".join(f"{x:g}" for x in args.helix) if args.helix
+            else args.workload)
+    print(f"{what} seed={args.seed}: median of {args.passes} passes "
           f"per interpreter, {args.rounds} rounds")
     print("round  first   base_s  change_s  change/base")
     for r in range(args.rounds):
