@@ -19,6 +19,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
+from itertools import combinations, permutations
 from typing import Optional, Sequence
 
 import numpy as np
@@ -26,6 +28,7 @@ from scipy.spatial import cKDTree
 
 EPS_EQ = 1e-9
 VERIFY_EPS = 1e-6           # matching tolerance of the final rotation check
+_TINY = np.finfo(float).tiny  # smallest normal float64
 
 # Bound constants used by the pruning pipeline.  The icosahedral quantities
 # derive from the edge length of the unit icosahedron; the circle-family cap
@@ -157,28 +160,84 @@ def block_rotation(phi: float, psi: float) -> np.ndarray:
                      [0.0, 0.0, s2, c2]])
 
 
+@lru_cache(maxsize=None)
+def _cross_terms(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """The generalized cross product of d - 1 rows f_0 .. f_{d-2} in R^d as
+    a Levi-Civita contraction: its entry j is the sum, over the
+    permutations p of 0 .. d-1 with p[-1] = j, of sign(p) * f_0[p[0]] *
+    ... * f_{d-2}[p[d-2]].  Returns the flat indices r * d + p[r] of the
+    factors, (d, (d-1)!, d-1), and the signs, (d, (d-1)!, 1).  Appended as
+    a last row, the product makes the determinant its squared length.
+    """
+    perms = sorted(permutations(range(d)), key=lambda p: p[-1])
+    sign = [(-1) ** sum(x > y for x, y in combinations(p, 2)) for p in perms]
+    flat = np.arange(d - 1) * d + np.array(perms)[:, :-1]
+    return flat.reshape(d, -1, d - 1), np.array(sign, float).reshape(d, -1, 1)
+
+
+def _gs_step(q: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """One classical Gram-Schmidt step: the columns of w, (d, m), minus
+    their projections on the orthonormal rows q, (i, d, m), of the same
+    stacks."""
+    if not len(q):
+        return w
+    return w - (q * (q * w).sum(1)[:, None]).sum(0)
+
+
+def _unit(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The columns of w scaled to unit length, and their squared lengths.
+    A column whose squared length is below the smallest normal float comes
+    out finite (zero stays zero); the caller replaces it."""
+    s = (w * w).sum(0)
+    return w / np.sqrt(np.maximum(s, _TINY)), s
+
+
 def frames(stack, eps: float = 1e-9) -> tuple[np.ndarray, np.ndarray]:
     """:func:`frame` of every k-vector row of an (m, k, d) stack, k < d.
 
     Returns (F, ok): F is (m, d, d) with F[i] the frame of stack[i], and
     ok[i] is False where some vector is within eps of the span of those
-    before it (F[i] is then meaningless).  One stacked QR and one stacked
-    determinant serve all rows.
+    before it (F[i] is then still a finite, positively oriented orthonormal
+    frame, but not adapted to the vectors).
+
+    The frames are built in closed form, each step one vectorized pass
+    over the whole stack.  Given row i is vector i after two classical
+    Gram-Schmidt steps against the rows before it (Giraud, Langou,
+    Rozloznik and van den Eshof, Numer. Math. 2005), which keeps it on the
+    side of vector i; ok compares its length after the first step, |R_ii|,
+    with eps.  A free middle row, and a given row whose residual vanishes,
+    is the coordinate axis of least weight on the rows before it after the
+    same two steps.  The last row is the generalized cross product of the
+    rows before it, which orients the frame positively.
     """
-    a = np.asarray(stack, dtype=float)
-    k = a.shape[-2]
-    q, r = np.linalg.qr(np.swapaxes(a, -1, -2), mode="complete")
-    d = np.diagonal(r, axis1=-2, axis2=-1)
-    f = np.swapaxes(q, -1, -2).copy()
-    f[..., :k, :] *= np.copysign(1.0, d)[..., None]
-    f[np.linalg.det(f) < 0, -1] *= -1.0
-    return f, np.abs(d).min(axis=-1) >= eps
+    a = np.ascontiguousarray(np.asarray(stack, dtype=float).transpose(1, 2, 0))
+    k, d, m = a.shape
+    f = np.empty((d, d, m))         # row, coordinate, stack
+    ok = np.ones(m, dtype=bool)
+    for i in range(d - 1):
+        q = f[:i]
+        if i < k:
+            w = _gs_step(q, a[i])
+            ok &= (w * w).sum(0) >= eps * eps
+            u, s = _unit(_gs_step(q, w))
+            if (s >= _TINY).all():
+                f[i] = u
+                continue
+        axis = np.eye(d)[:, (q * q).sum(0).argmin(0)]
+        e = _unit(_gs_step(q, _gs_step(q, axis)))[0]
+        f[i] = e if i >= k else np.where(s >= _TINY, u, e)
+    flat, sign = _cross_terms(d)
+    f[-1] = _unit((f.reshape(d * d, m)[flat].prod(2) * sign).sum(1))[0]
+    return np.ascontiguousarray(f.transpose(2, 0, 1)), ok
 
 
 def frame(vectors, eps: float = 1e-9) -> Optional[np.ndarray]:
     """Positively oriented orthonormal basis (rows) of R^d adapted to k < d
     vectors: row i lies in the span of vectors 0..i, on the side of vector
     i.  None if some vector is within eps of the span of those before it.
+    The one-stack case of :func:`frames`, which also defines the free
+    rows; a caller with several frames to build makes one :func:`frames`
+    call instead, at about the cost of one :func:`frame`.
     """
     f, ok = frames(np.asarray(vectors, dtype=float)[None], eps)
     return f[0] if ok[0] else None

@@ -23,7 +23,7 @@ from scipy.spatial import cKDTree
 from .condense import (TWO_PI, canonical_axes, circular_cluster,
                        component_ids, joint_cluster, joint_ranks,
                        prune_by_key, wrap_angle)
-from .geom import (EPS_EQ, PointSet4, Verdict, frame, match_multisets,
+from .geom import (EPS_EQ, PointSet4, Verdict, frames, match_multisets,
                    verify_rotation)
 from .sphere import condense_sphere
 
@@ -110,11 +110,11 @@ def _about_axis(pa: np.ndarray, la: Sequence, pb: np.ndarray, lb: Sequence,
     keys_a, proj_b, keys_b, eps)`` solves the orthogonal slice (a rotation
     matrix s, or None) with the joint ranks of (label, height id) as keys;
     each solution yields fb.T @ diag(1, s) @ fa.  The caller checks them.
+    All frames come from one stacked :func:`frames` call.
     """
-    fa = frame([u])
+    fa, *fbs = frames(np.vstack([u, targets])[:, None])[0]
     h_a, proj_a = pa @ fa[0], pa @ fa[1:].T
-    for v in targets:
-        fb = frame([v])
+    for fb in fbs:
         hids_a, hids_b = joint_cluster(h_a, pb @ fb[0], eps)
         _, ka, kb = joint_ranks(np.column_stack((la, hids_a)),
                                 np.column_stack((lb, hids_b)))

@@ -44,7 +44,7 @@ from .condense import (TWO_PI, circular_cluster, component_ids, joint_cluster,
                        joint_ranks, least_rotations, padded_rows,
                        prune_by_key, tolerance_cluster, wrap_angle)
 from .geom import (EPS_EQ, PlaneSpan, PointSet4, Verdict, block_rotation,
-                   frame, match_multisets, verify_rotation)
+                   frames, match_multisets, verify_rotation)
 from .lowdim import circle_axes, congruence_2d_labeled
 
 SWAP_PLANES = np.array([[0.0, 1.0, 0.0, 0.0],
@@ -457,7 +457,7 @@ def two_plus_two_reduce(set_a: PointSet4, set_b: PointSet4,
     blocks orthogonal and determinant +1 overall: either two rotations, or
     two reflections, which a fixed plane swap turns back into rotations.
     """
-    fa, fb = frame(plane_a.basis), frame(plane_b.basis)
+    fa, fb = frames(np.stack([plane_a.basis, plane_b.basis]))[0]
     ac0 = set_a.points @ fa.T
     bc = set_b.points @ fb.T
     _, la, lb = joint_ranks(set_a.labels, set_b.labels)

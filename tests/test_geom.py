@@ -216,6 +216,112 @@ class TestFrame:
                 assert np.linalg.det(fi) > 0
 
 
+def qr_frames(stack, eps: float = 1e-9):
+    """Reference for :func:`frames`: one stacked complete QR.
+
+    Given row i takes the sign of R_ii, the last row the sign that makes
+    the determinant positive.  Returns (F, ok, min |R_ii|), ok being
+    min |R_ii| >= eps.
+    """
+    a = np.asarray(stack, dtype=float)
+    k = a.shape[-2]
+    q, r = np.linalg.qr(np.swapaxes(a, -1, -2), mode="complete")
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
+    f = np.swapaxes(q, -1, -2).copy()
+    f[..., :k, :] *= np.copysign(1.0, diag)[..., None]
+    f[np.linalg.det(f) < 0, -1] *= -1.0
+    r_min = np.abs(diag).min(axis=-1)
+    return f, r_min >= eps, r_min
+
+
+def mixed_rows(rng, m: int, k: int, d: int) -> np.ndarray:
+    """m stacks of k rows in R^d, each stack a unit lower-triangular mix of
+    orthonormal rows with row scales in [0.5, 2]: condition number < 10."""
+    o = np.linalg.qr(rng.normal(size=(m, d, d)))[0][:, :k]
+    mix = np.eye(k) + np.tril(rng.uniform(-0.5, 0.5, size=(m, k, k)), -1)
+    return rng.uniform(0.5, 2.0, size=(m, k, 1)) * (mix @ o)
+
+
+def near_axis_rows(rng, m: int, k: int, d: int) -> np.ndarray:
+    """m stacks of k signed distinct coordinate axes, each moved by up to
+    1e-3 in a random direction (down to 1e-16)."""
+    axes = np.array([np.eye(d)[rng.permutation(d)[:k]] for _ in range(m)])
+    axes *= rng.choice([-1.0, 1.0], size=(m, k, 1))
+    tilt = 10.0 ** rng.uniform(-16, -3, size=(m, 1, 1))
+    return axes + tilt * rng.normal(size=(m, k, d))
+
+
+def orthonormality_error(f: np.ndarray) -> float:
+    return float(np.abs(f @ np.swapaxes(f, -1, -2) - np.eye(f.shape[-1])).max())
+
+
+KD = [(1, 3), (2, 3), (1, 4), (2, 4), (3, 4)]
+
+
+class TestFrames:
+    """The closed-form stacked frames against the QR reference."""
+
+    @pytest.mark.parametrize("k, d", KD)
+    def test_equals_qr_on_well_conditioned_rows(self, rng, k, d):
+        stack = np.concatenate([mixed_rows(rng, 400, k, d),
+                                near_axis_rows(rng, 400, k, d)])
+        f, ok = frames(stack)
+        g, ok_ref, _ = qr_frames(stack)
+        assert ok.all() and ok_ref.all()
+        # the given rows span fixed flags, and for k = d - 1 so does the
+        # last row; free middle rows are a choice and are not compared
+        fixed = list(range(k)) + ([d - 1] if k == d - 1 else [])
+        assert np.abs(f[:, fixed] - g[:, fixed]).max() <= 1e-13
+        assert orthonormality_error(f) <= 2e-15
+        assert (np.linalg.det(f) > 0).all()
+
+    @pytest.mark.parametrize("k, d", KD)
+    def test_near_dependent_rows(self, rng, k, d):
+        # the last vector lies at distance ~t from the span of the others,
+        # t from 1e-12 to 1e-2: ok changes sides at eps = 1e-9
+        stack = mixed_rows(rng, 2000, k, d)
+        t = 10.0 ** rng.uniform(-12, -2, size=(2000, 1))
+        coef = rng.normal(size=(2000, k - 1))
+        stack[:, -1] = np.einsum("mj,mjd->md", coef, stack[:, :-1]) + \
+            t * rng.normal(size=(2000, d))
+        f, ok = frames(stack)
+        g, ok_ref, r_min = qr_frames(stack)
+        outside_band = np.abs(r_min / 1e-9 - 1.0) > 1e-3
+        assert np.array_equal(ok[outside_band], ok_ref[outside_band])
+        assert ok.any() and not ok.all()
+        assert orthonormality_error(f) <= 2e-15
+        assert (np.linalg.det(f) > 0).all()
+        assert np.abs(f[:, :k - 1] - g[:, :k - 1]).max(initial=0.0) <= 1e-13
+        # the last given row loses about u |v| / |R_kk| to cancellation in
+        # both methods, and so does the last frame row when it is fixed
+        fixed = [k - 1] + ([d - 1] if k == d - 1 else [])
+        err = np.abs(f[:, fixed] - g[:, fixed]).max(axis=(1, 2))
+        assert (err[ok] * r_min[ok] <= 1e-14).all()
+
+    @pytest.mark.parametrize("eps", [1e-9, 0.0])
+    def test_dependent_rows_stay_finite(self, rng, eps):
+        v = rng.normal(size=4)
+        e = np.eye(4)
+        stacks = [
+            [[0 * v]],
+            [[e[0], 2 * e[0]], [v, -3 * v], [0 * v, v], [0 * v, 0 * v]],
+            [[e[0], e[1], e[0] - e[1]], [v, 2 * v, e[2]], [e[3], e[3], e[3]]],
+        ]
+        for rows in stacks:
+            with np.errstate(divide="raise", over="raise", invalid="raise"):
+                f, ok = frames(np.array(rows, dtype=float), eps)
+            _, ok_ref, r_min = qr_frames(rows, eps)
+            assert np.isfinite(f).all()
+            assert orthonormality_error(f) <= 2e-15
+            assert (np.linalg.det(f) > 0).all()
+            assert not ok[r_min < eps].any()
+            if eps == 0.0:
+                assert ok.all()
+        # a zero residual takes the least-weight axis: [e0, 2 e0] -> e1
+        f, _ = frames(np.array([[e[0], 2 * e[0]]]), 0.0)
+        assert np.array_equal(f[0], e)
+
+
 class TestHopf:
     def test_base_circle_to_north(self, rng):
         f = frame(E12.basis)

@@ -42,18 +42,38 @@ def tetrahedron():
                     float) / math.sqrt(3)
 
 
+# the complex structure x -> (x3, -x2, x1, -x0) of the fixture below
+J = np.array([[0, 0, 0, 1], [0, 0, -1, 0], [0, 1, 0, 0], [-1, 0, 0, 0]],
+             dtype=float)
+
+
+def bundle_frame(circle: PlaneSpan) -> np.ndarray:
+    """The frame (p, q, Jq, -Jp) of a circle with basis (p, q) and p.Jq = 0.
+
+    Fixing the completion rows fixes which fiber of a bundle lies over a
+    base point, so the fixture does not depend on the completion rule of
+    ``geom.frame``.
+    """
+    p, q = circle.basis
+    f = np.array([p, q, J @ q, -J @ p])
+    assert np.allclose(f @ f.T, np.eye(4), atol=1e-12)
+    assert np.linalg.det(f) > 0
+    return f
+
+
 def two_tetra_bundles():
     """Two left Hopf bundles of tetrahedral circles sharing the tie circle D.
 
     D is a right fiber of the first bundle at twice the tetrahedral angle,
     and simultaneously the image of the first tetrahedron vertex in the
-    second bundle; all 28 pairwise distances then agree.
+    second bundle; all 28 pairwise distances then agree.  Every bundle is
+    laid out in a :func:`bundle_frame`.
     """
     t = tetrahedron()
-    f0 = left_frame(frame(E12.basis))
+    f0 = left_frame(bundle_frame(E12))
     b1 = [hopf_fiber(f0, v) for v in t]
     beta2 = math.acos(-1 / 3)
-    d = hopf_fiber(frame(b1[0].basis),
+    d = hopf_fiber(bundle_frame(b1[0]),
                    np.array([math.sin(beta2), 0, math.cos(beta2)]))
     axis = np.cross(t[0], [0, 0, 1.0])
     axis /= np.linalg.norm(axis)
@@ -62,7 +82,7 @@ def two_tetra_bundles():
                   [axis[2], 0, -axis[0]],
                   [-axis[1], axis[0], 0]])
     rt = np.eye(3) + math.sin(ang) * k + (1 - math.cos(ang)) * (k @ k)
-    fd = left_frame(frame(d.basis))
+    fd = left_frame(bundle_frame(d))
     b2 = [hopf_fiber(fd, rt @ v) for v in t]
     assert pluecker_distance(b2[0], d) < 1e-9
     return b1 + [d] + b2[1:]

@@ -21,6 +21,12 @@ congruent.  Helices too large for a benchmark pair are timed this way:
     python tools/ab_pass.py --base ../parent/src --helix 25000 3 0.8 \\
         --rounds 4 --passes 1
 
+With ``--polytope NAME DELTA0`` a pass decides one congruent pair the same
+way: ``harness.gen_regular_polytope(NAME)`` and its placed copy, under
+``PipelineOptions(delta0=DELTA0)``:
+
+    python tools/ab_pass.py --base ../parent/src --polytope 600-cell 0.7
+
 The workload module is read, never changed.
 """
 
@@ -44,10 +50,16 @@ def passes(src: str, args) -> list:
     sys.path.insert(0, src)
     from hypercongruence import harness, pipeline
     workloads = load_workloads()
+    one_pair = args.helix or args.polytope
     if args.helix:
         ell, k, r1 = args.helix
         a = harness.gen_orbit_helix(int(ell), int(k), r1)
         cases = [(a, workloads.place(a, np.random.default_rng(args.seed)), None)]
+    elif args.polytope:
+        name, delta0 = args.polytope
+        a = harness.gen_regular_polytope(name)
+        cases = [(a, workloads.place(a, np.random.default_rng(args.seed)),
+                  pipeline.PipelineOptions(delta0=float(delta0)))]
     else:
         cases = [(p.a, p.b, None if p.delta0 is None
                   else pipeline.PipelineOptions(delta0=p.delta0))
@@ -57,8 +69,8 @@ def passes(src: str, args) -> list:
         t0 = perf_counter()
         verdicts = [pipeline.congruence_test_4d(a, b, o) for a, b, o in cases]
         seconds = perf_counter() - t0
-        if args.helix and not verdicts[0].congruent:
-            raise SystemExit(f"{src}: the helix pair came out not congruent")
+        if one_pair and not verdicts[0].congruent:
+            raise SystemExit(f"{src}: the pair came out not congruent")
         return seconds
 
     one_pass()
@@ -67,6 +79,7 @@ def passes(src: str, args) -> list:
 
 def run_side(src: str, args) -> float:
     what = (["--helix", *map(str, args.helix)] if args.helix
+            else ["--polytope", *args.polytope] if args.polytope
             else ["--workload", args.workload])
     out = subprocess.run(
         [sys.executable, __file__, "--worker", "--src", src, *what,
@@ -89,8 +102,11 @@ def main(argv=None) -> int:
     ap.add_argument("--src", default=str(ROOT / "src"),
                     help="directory of the changed package (default: src)")
     ap.add_argument("--workload", default="dense")
-    ap.add_argument("--helix", nargs=3, type=float, metavar=("ELL", "K", "R1"),
-                    help="time one congruent orbit helix pair instead")
+    pair = ap.add_mutually_exclusive_group()
+    pair.add_argument("--helix", nargs=3, type=float, metavar=("ELL", "K", "R1"),
+                      help="time one congruent orbit helix pair instead")
+    pair.add_argument("--polytope", nargs=2, metavar=("NAME", "DELTA0"),
+                      help="time one congruent regular polytope pair instead")
     ap.add_argument("--seed", type=int, default=3)
     ap.add_argument("--rounds", type=int, default=10)
     ap.add_argument("--passes", type=int, default=5)
@@ -105,6 +121,7 @@ def main(argv=None) -> int:
              "change": str(Path(args.src).resolve())}
     times: dict = {"base": [], "change": []}
     what = ("helix " + " ".join(f"{x:g}" for x in args.helix) if args.helix
+            else "polytope " + " ".join(args.polytope) if args.polytope
             else args.workload)
     print(f"{what} seed={args.seed}: median of {args.passes} passes "
           f"per interpreter, {args.rounds} rounds")
