@@ -23,7 +23,7 @@ from scipy.spatial import cKDTree
 from .condense import (TWO_PI, canonical_axes, circular_cluster,
                        component_ids, joint_cluster, joint_ranks,
                        prune_by_key, wrap_angle)
-from .geom import (EPS_EQ, PointSet4, Verdict, frames, match_multisets,
+from .geom import (EPS_EQ, PointSet4, Verdict, frame, match_multisets,
                    verify_rotation)
 from .sphere import condense_sphere
 
@@ -102,6 +102,26 @@ def congruence_2d_labeled(angles_a: np.ndarray, labels_a: Sequence,
     return t
 
 
+def _transported(fa: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """The frame fa carried onto each target axis, (m, d, d).
+
+    Each frame is fa moved by the rotation in the plane of its axis a and
+    the unit target v that takes a to v and fixes the orthogonal
+    complement: x -> x - ((a + v).x / (1 + a.v)) (a + v) + 2 (a.x) v.  A
+    target on the far side (a.v < 0) starts from fa turned by a half-turn
+    in the plane of its first two rows, so 1 + a.v stays at least 1.
+    """
+    v = np.asarray(targets, dtype=float).reshape(-1, len(fa))
+    v = v / np.linalg.norm(v, axis=1, keepdims=True)
+    base = np.repeat(fa[None], len(v), axis=0)
+    base[v @ fa[0] < 0, :2] *= -1.0
+    a = base[:, 0]
+    coef = np.einsum("mjd,md->mj", base, v) / (1.0 + (a * v).sum(1))[:, None]
+    fb = base - coef[:, :, None] * (a + v)[:, None, :]
+    fb[:, 0] = v
+    return fb
+
+
 def _about_axis(pa: np.ndarray, la: Sequence, pb: np.ndarray, lb: Sequence,
                 u: np.ndarray, targets: np.ndarray, eps: float, residual):
     """Candidate rotations mapping axis u onto each target v in turn.
@@ -110,9 +130,12 @@ def _about_axis(pa: np.ndarray, la: Sequence, pb: np.ndarray, lb: Sequence,
     keys_a, proj_b, keys_b, eps)`` solves the orthogonal slice (a rotation
     matrix s, or None) with the joint ranks of (label, height id) as keys;
     each solution yields fb.T @ diag(1, s) @ fa.  The caller checks them.
-    All frames come from one stacked :func:`frames` call.
+    fa is the :func:`frame` of u and fb is fa carried onto v
+    (_transported), so s = 1 stands for the least rotation taking u to v
+    and the slices of nearby axes are alike in their coordinates.
     """
-    fa, *fbs = frames(np.vstack([u, targets])[:, None])[0]
+    fa = frame([u])
+    fbs = _transported(fa, targets)
     h_a, proj_a = pa @ fa[0], pa @ fa[1:].T
     for fb in fbs:
         hids_a, hids_b = joint_cluster(h_a, pb @ fb[0], eps)
@@ -158,8 +181,8 @@ def congruence_3d_labeled(points_a: np.ndarray, labels_a: Sequence,
     forces det(S) = +1.  The rarest labeled shell, ties going to the
     largest jointly clustered radius (the best-conditioned axis), condenses
     to a frame of 1, 2, 4, 6 or 12 points; S maps the first point of A's
-    frame onto some point of B's, and the circle test about that axis fixes
-    the turn.
+    frame onto some point of B's, nearest first, and the circle test about
+    that axis fixes the turn.
     """
     pa = np.asarray(points_a, dtype=float).reshape(-1, 3)
     pb = np.asarray(points_b, dtype=float).reshape(-1, 3)
@@ -188,6 +211,10 @@ def congruence_3d_labeled(points_a: np.ndarray, labels_a: Sequence,
     if len(fa) != len(fb):
         return None
     vtol = max(eps, 1e-9) * 10.0
+    # the targets nearest to A's axis first: the least rotations are tried
+    # first, so a symmetry search about a nearby axis finds the small turn
+    # of a helix step before a half-turn flip
+    fb = fb[np.argsort(-(fb @ fa[0]), kind="stable")]
     for s in _about_axis(pa, la, pb, lb, fa[0], fb, eps, _turn_2d):
         if match_multisets(pa @ s.T, pb, vtol, ta, tb):
             return s

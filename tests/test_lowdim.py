@@ -9,7 +9,8 @@ import pytest
 from conftest import rot3
 from hypercongruence import lowdim
 from hypercongruence.condense import TWO_PI, circular_cluster
-from hypercongruence.geom import PointSet4, match_multisets, verify_rotation
+from hypercongruence.geom import (PointSet4, frame, match_multisets,
+                                  verify_rotation)
 from hypercongruence.harness import gen_orbit_helix, random_rotation
 from hypercongruence.lowdim import (
     collapse_circle,
@@ -148,6 +149,37 @@ class TestCollapseCircle:
     def test_empty(self):
         reps, rows = collapse_circle([], np.zeros(0, dtype=int), 1e-9)
         assert len(reps) == 0 and len(rows) == 0
+
+
+class TestTransported:
+    @pytest.mark.parametrize("d", [3, 4])
+    def test_frames_on_their_targets(self, rng, d):
+        u = rng.normal(size=d)
+        fa = frame([u])
+        v = np.vstack([rng.normal(size=(20, d)), u, 3 * u, -u,
+                       -u + 1e-9 * rng.normal(size=d)])
+        fb = lowdim._transported(fa, v)
+        unit = v / np.linalg.norm(v, axis=1, keepdims=True)
+        assert np.abs(fb[:, 0] - unit).max() <= 1e-15
+        gram = np.einsum("mij,mkj->mik", fb, fb)
+        assert np.abs(gram - np.eye(d)).max() <= 4e-15
+        assert (np.linalg.det(fb) > 0).all()
+        # a target on u's axis carries the frame unchanged
+        assert np.abs(fb[20:22] - fa).max() <= 1e-15
+
+    def test_least_rotation(self, rng):
+        # on the near side, fb.T @ fa turns only the plane of u and v
+        u = rng.normal(size=4)
+        fa = frame([u])
+        for _ in range(10):
+            v = u / np.linalg.norm(u) + 0.5 * rng.normal(size=4)
+            if v @ u <= 0:
+                continue
+            g = lowdim._transported(fa, v)[0].T @ fa
+            w = frame([u, v])[2:]
+            assert np.abs(w @ g.T - w).max() <= 1e-14
+            assert np.abs(g @ u - np.linalg.norm(u) * v / np.linalg.norm(v)
+                          ).max() <= 1e-14
 
 
 class TestSphere3D:
@@ -398,6 +430,22 @@ class TestAnchorSignatures:
         v = one_plus_three_reduce(PointSet4(h), PointSet4(b), h, b, 1e-9)
         assert v.congruent and calls[0] <= 3
         assert match_multisets(h @ v.rotation.T, h @ r4.T, 1e-6)
+
+    def test_helix_mirror_pair_search_finds_the_step(self, rng, calls,
+                                                     searches):
+        # whatever the placement, the one search for g with g.c0 = c1 finds
+        # the helix step, whose orbit covers every candidate
+        for ell in (50, 100):
+            h = gen_orbit_helix(ell, 3, 0.8)
+            for _ in range(8):
+                r4 = random_rotation(rng)
+                m = ((h * [1, 1, 1, -1]) @ r4.T)[rng.permutation(ell)]
+                calls[0] = 0
+                searches.clear()
+                v = one_plus_three_reduce(PointSet4(h), PointSet4(m), h, m,
+                                          1e-9)
+                assert not v.congruent and v.stage == "anchor alignment"
+                assert calls[0] == 2 and searches == [True]
 
     def test_failed_search_stops_searching(self, rng, calls, searches):
         # labels j mod 2 split the helix's anchors into two orbits of 20
