@@ -7,9 +7,13 @@ heights along the axes jointly, and solve the orthogonal slice with the
 height ids as labels.  one_plus_three_reduce pins an anchor and solves
 the 3-slice with congruence_3d_labeled, which pins a point of its
 condensed rarest shell and matches labeled angles on the circle.  The
-same step, run from B onto itself, finds symmetries of B; the anchor loop
-tests one candidate per orbit of them, so a vertex-transitive set costs
-two 3D tests instead of one per anchor.
+circle test, congruence_2d_labeled, reads the turn off the labels that one
+point holds on each side when there are any, and off canonical necklace
+codes of the whole circle (Alt, Mehlhorn, Wagener and Welzl, DCG 1988)
+only when every label class has several members.  The same step, run
+from B onto itself, finds symmetries of B; the anchor loop tests one
+candidate per orbit of them, so a vertex-transitive set costs two 3D
+tests instead of one per anchor.
 """
 
 from __future__ import annotations
@@ -78,9 +82,13 @@ def congruence_2d_labeled(angles_a: np.ndarray, labels_a: Sequence,
     as labeled multisets on the circle, or None.
 
     Labels, hashable and comparable across the sets or rows of int tables,
-    are ranked jointly at entry.  Runs in O(n log n): both sets are reduced
-    to a canonical necklace code; equality of codes pins the shift up to
-    the common symmetry, and one representative shift is verified directly.
+    are ranked jointly at entry; sets whose label histograms differ are
+    rejected.  A label held by one point on each side pins the shift, since
+    any labeled congruence maps the one onto the other: t is the circular
+    mean of b_r - a_r over every such singleton class r.  Otherwise both
+    sets are reduced to a canonical necklace code in O(n log n); equality
+    of codes pins the shift up to the common symmetry.  Either way the one
+    candidate shift is verified directly.
     """
     a = wrap_angle(np.atleast_1d(angles_a))
     b = wrap_angle(np.atleast_1d(angles_b))
@@ -88,11 +96,22 @@ def congruence_2d_labeled(angles_a: np.ndarray, labels_a: Sequence,
         return None
     if len(a) == 0:
         return 0.0
-    _, la, lb = joint_ranks(labels_a, labels_b)
-    axes = circle_axes(a, la, b, lb, eps)
-    if axes is None:
+    toks, la, lb = joint_ranks(labels_a, labels_b)
+    counts = np.bincount(la, minlength=len(toks))
+    if not np.array_equal(counts, np.bincount(lb, minlength=len(toks))):
         return None
-    t = float(np.mod(axes[1].base_angle - axes[0].base_angle, TWO_PI))
+    single = counts == 1
+    if single.any():
+        # an angle per label, the one angle of each singleton class
+        at, bt = np.empty(len(toks)), np.empty(len(toks))
+        at[la], bt[lb] = a, b
+        d = bt[single] - at[single]
+        t = float(wrap_angle(math.atan2(np.sin(d).sum(), np.cos(d).sum())))
+    else:
+        axes = circle_axes(a, la, b, lb, eps)
+        if axes is None:
+            return None
+        t = float(np.mod(axes[1].base_angle - axes[0].base_angle, TWO_PI))
 
     # every merged position must hold equal label multisets from both sides
     ids = circular_cluster(np.concatenate([a + t, b]), max(eps, 1e-12)).ids

@@ -13,6 +13,7 @@ from hypercongruence.geom import (PointSet4, frame, match_multisets,
                                   verify_rotation)
 from hypercongruence.harness import gen_orbit_helix, random_rotation
 from hypercongruence.lowdim import (
+    circle_axes,
     collapse_circle,
     congruence_2d_labeled,
     congruence_3d_labeled,
@@ -21,11 +22,25 @@ from hypercongruence.lowdim import (
 
 
 class TestCircle:
-    def test_regular_polygon_any_shift(self):
+    # a label class with one member on each side pins the turn; the
+    # canonical necklace code of the circle is built only without one
+    @pytest.fixture
+    def no_axes(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("circle_axes called")
+        monkeypatch.setattr(lowdim, "circle_axes", refuse)
+
+    def test_regular_polygon_any_shift(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return circle_axes(*args)
+        monkeypatch.setattr(lowdim, "circle_axes", counted)
         ang = np.arange(7) * TWO_PI / 7
         t = congruence_2d_labeled(ang, [0] * 7, np.mod(ang + 1.3, TWO_PI),
                                   [0] * 7, 1e-9)
-        assert t is not None
+        assert t is not None and len(calls) == 1
         assert np.allclose(np.sort(np.mod(ang + t, TWO_PI)),
                            np.sort(np.mod(ang + 1.3, TWO_PI)), atol=1e-9)
 
@@ -36,13 +51,13 @@ class TestCircle:
         assert np.allclose(np.sort(np.mod(ang + t, TWO_PI)),
                            np.sort(ang), atol=1e-9)
 
-    def test_distinct_labels_pin_exact_shift(self):
+    def test_distinct_labels_pin_exact_shift(self, rng, no_axes):
         ang = np.arange(7) * TWO_PI / 7
         labs = list(range(7))
-        t = congruence_2d_labeled(ang, labs, np.mod(ang + 1.3, TWO_PI),
-                                  labs, 1e-9)
+        b = np.mod(ang + 1.3 + 1e-12 * rng.normal(size=7), TWO_PI)
+        t = congruence_2d_labeled(ang, labs, b, labs, 1e-9)
         assert t is not None
-        assert abs(t - 1.3) < 1e-9
+        assert abs(t - 1.3) < 1e-11
 
     def test_permuted_labels_rejected(self):
         ang = np.arange(7) * TWO_PI / 7
@@ -99,6 +114,23 @@ class TestCircle:
         drifted = np.concatenate([[0.0], np.cumsum(h + ramp)[:-1]])
         assert congruence_2d_labeled(np.arange(9) * h, [0] * 9, drifted,
                                      [0] * 9, 1e-9) is None
+
+    def test_singleton_across_the_seam(self, no_axes):
+        shift = 1e-7 - 6.2831853 + TWO_PI
+        a = np.array([6.2831853, 2.0, 4.0])
+        t = congruence_2d_labeled(a, [0, 1, 1], np.mod(a + shift, TWO_PI),
+                                  [0, 1, 1], 1e-9)
+        assert t is not None and abs(t - shift) < 1e-12
+
+    def test_other_class_displaced_rejected(self, no_axes):
+        a = np.array([0.5, 2.0, 4.0])
+        b = a + 1.0
+        b[2] += 1e-3
+        assert congruence_2d_labeled(a, [0, 1, 1], b, [0, 1, 1], 1e-9) is None
+
+    def test_histograms_differ_rejected(self, no_axes):
+        a = np.array([0.5, 2.0, 4.0])
+        assert congruence_2d_labeled(a, [0, 0, 1], a, [0, 1, 1], 1e-9) is None
 
 
 def collapse_reference(ang, labels, eps):

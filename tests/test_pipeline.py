@@ -129,6 +129,18 @@ class TestAntipodalNoise:
         assert self.false_negatives(1e-11) <= 2
 
 
+class TestGaussNoise:
+    def test_noise_1e12_never_rejected(self):
+        misses = 0
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            a = rng.normal(size=(300, 4))
+            b = transformed(a, rng)[rng.permutation(len(a))]
+            b = b + 1e-12 * rng.normal(size=b.shape)
+            misses += not congruence_test_4d(a, b).congruent
+        assert misses == 0
+
+
 class TestHelixNoise:
     @staticmethod
     def false_negatives(noise):

@@ -27,13 +27,26 @@ way: ``harness.gen_regular_polytope(NAME)`` and its placed copy, under
 
     python tools/ab_pass.py --base ../parent/src --polytope 600-cell 0.7
 
+With ``--count NAME`` each side then runs one more interpreter that
+decides every pair once untimed and once under cProfile, and the script
+prints the calls in that profiled pass of every function whose qualified
+name ends in NAME.  The profile counts a function whatever name it was
+imported under:
+
+    python tools/ab_pass.py --base ../parent/src --workload gauss \\
+        --rounds 0 --count lowdim.circle_axes --count condense.joint_ranks
+
+``--rounds 0`` skips the timing and only counts.
+
 The workload module is read, never changed.
 """
 
 from __future__ import annotations
 
 import argparse
+import cProfile
 import json
+import pstats
 import statistics
 import subprocess
 import sys
@@ -46,7 +59,8 @@ from stream_digest import ROOT, load_workloads
 
 
 def passes(src: str, args) -> list:
-    """Seconds of each timed pass, after one untimed pass."""
+    """Seconds of each timed pass, after one untimed pass; with --count,
+    the calls of each function it names in one more, profiled pass."""
     sys.path.insert(0, src)
     from hypercongruence import harness, pipeline
     workloads = load_workloads()
@@ -74,18 +88,38 @@ def passes(src: str, args) -> list:
         return seconds
 
     one_pass()
+    if args.count:
+        profile = cProfile.Profile()
+        profile.runcall(one_pass)
+        return call_counts(pstats.Stats(profile).stats, args.count)
     return [one_pass() for _ in range(args.passes)]
 
 
-def run_side(src: str, args) -> float:
+def call_counts(stats: dict, names: list) -> dict:
+    """{qualified name: calls} of the profiled functions whose qualified
+    name (package, module and function, as hypercongruence.geom.frames)
+    ends in one of names."""
+    out = {}
+    for (filename, _, func), (_, calls, *_) in stats.items():
+        parts = Path(filename).with_suffix("").parts
+        qual = ".".join((*parts[-2:], func))
+        if any(qual == n or qual.endswith("." + n) for n in names):
+            out[qual] = out.get(qual, 0) + calls
+    return dict(sorted(out.items()))
+
+
+def run_side(src: str, args, count: bool = False):
     what = (["--helix", *map(str, args.helix)] if args.helix
             else ["--polytope", *args.polytope] if args.polytope
             else ["--workload", args.workload])
+    for name in args.count if count else []:
+        what += ["--count", name]
     out = subprocess.run(
         [sys.executable, __file__, "--worker", "--src", src, *what,
          "--seed", str(args.seed), "--passes", str(args.passes)],
         check=True, capture_output=True, text=True).stdout
-    return statistics.median(json.loads(out.splitlines()[-1]))
+    result = json.loads(out.splitlines()[-1])
+    return result if count else statistics.median(result)
 
 
 def quartiles(xs: list) -> tuple:
@@ -110,6 +144,9 @@ def main(argv=None) -> int:
     ap.add_argument("--seed", type=int, default=3)
     ap.add_argument("--rounds", type=int, default=10)
     ap.add_argument("--passes", type=int, default=5)
+    ap.add_argument("--count", action="append", default=[], metavar="NAME",
+                    help="print the calls per pass of the functions whose "
+                    "qualified name ends in NAME (repeatable)")
     ap.add_argument("--worker", action="store_true", help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
     if args.worker:
@@ -133,12 +170,20 @@ def main(argv=None) -> int:
         b, c = times["base"][-1], times["change"][-1]
         print(f"{r:5d}  {order[0]:6s} {b:8.4f}  {c:8.4f}  {c / b:11.3f}")
     b, c = times["base"], times["change"]
-    lo, hi = quartiles(b)
-    wins = sum(x < y for x, y in zip(c, b))
-    print(f"median base {statistics.median(b):.4f} s [{lo:.4f}-{hi:.4f}], "
-          f"change {statistics.median(c):.4f} s, "
-          f"ratio {statistics.median(c) / statistics.median(b):.3f}; "
-          f"change faster in {wins}/{len(b)} rounds")
+    if b:
+        lo, hi = quartiles(b)
+        wins = sum(x < y for x, y in zip(c, b))
+        print(f"median base {statistics.median(b):.4f} s [{lo:.4f}-{hi:.4f}], "
+              f"change {statistics.median(c):.4f} s, "
+              f"ratio {statistics.median(c) / statistics.median(b):.3f}; "
+              f"change faster in {wins}/{len(b)} rounds")
+    if args.count:
+        counts = {side: run_side(src, args, count=True)
+                  for side, src in sides.items()}
+        print("calls in one profiled pass:  base  change")
+        for qual in sorted(counts["base"].keys() | counts["change"].keys()):
+            print(f"  {qual}  {counts['base'].get(qual, 0)}  "
+                  f"{counts['change'].get(qual, 0)}")
     return 0
 
 
