@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geom import EPS_EQ, CONSTANTS, PlaneSpan, frames
+from .geom import EPS_EQ, CONSTANTS, PlaneSpan
 from .condense import TWO_PI, component_ids, is_regular_polygon, members_by_id
 from .iterprune import THETA_TOL, DirectedGraph, EdgeTransitive
 
@@ -167,33 +167,34 @@ def mirror_reduce(points, graph: DirectedGraph, eps: float = EPS_EQ):
         return CondensedPoints(centers), keys
     keys.append(("R2", "centered"))
 
-    svds = [np.linalg.svd(pts[c], full_matrices=False) for c in comps]
-    ranks = {int(np.sum(s > 1e-7 * s[0])) for _, s, _ in svds}
-    if len(ranks) != 1:
+    # every component is centered, so rank 3 needs four points and its
+    # normal vt[3] exists; rank 2 reads only vt[0] and vt[1]
+    ranks = []
+    svds = []
+    for c in comps:
+        _, s, vt = np.linalg.svd(pts[c], full_matrices=False)
+        ranks.append(int(np.sum(s > 1e-7 * s[0])))
+        svds.append(vt)
+    if len(set(ranks)) != 1:
         raise AssertionError("components of a mirror-symmetric graph must "
                              "be congruent, got mixed ranks")
-    rank = ranks.pop()
+    rank = ranks[0]
     keys.append(("R-rank", rank))
-    # every short basis completed to a frame, one frames call per row count
-    bases = [vt for _, _, vt in svds]
-    for k in {len(vt) for vt in bases if len(vt) < 4}:
-        short = [i for i, vt in enumerate(bases) if len(vt) == k]
-        for i, f in zip(short, frames(np.stack([bases[i] for i in short]))[0]):
-            bases[i] = f
 
     if rank == 2:
+        circles = []
         ks = set()
-        for c, vt in zip(comps, bases):
-            if not is_regular_polygon(np.arctan2(pts[c] @ vt[1], pts[c] @ vt[0]),
-                                      1e-7):
+        for c, vt in zip(comps, svds):
+            e1, e2 = vt[0], vt[1]
+            if not is_regular_polygon(np.arctan2(pts[c] @ e2, pts[c] @ e1), 1e-7):
                 raise AssertionError("planar component is not a regular polygon")
             ks.add(len(c))
+            circles.append(PlaneSpan.from_vectors(e1, e2))
         keys.append(("R3", tuple(sorted(ks))))
-        circles = PlaneSpan.from_pairs([vt[:2] for vt in bases])
         return GreatCircles(sorted(circles, key=lambda p: p.key())), keys
 
     if rank == 3:
-        normals = [x for vt in bases for x in (vt[3], -vt[3])]
+        normals = [x for vt in svds for x in (vt[3], -vt[3])]
         keys.append(("R4", len(normals)))
         return CondensedPoints(np.array(normals)), keys
 
@@ -213,7 +214,6 @@ def mirror_reduce(points, graph: DirectedGraph, eps: float = EPS_EQ):
             lens.append(len(order))
         keys.append(("R5", ("cycles", tuple(sorted(lens)))))
         return GreatCircles(sorted(circles, key=lambda p: p.key())), keys
-    spans = []
     for c in comps:
         u = min(c)
         nbrs = sym.out_rows(u)[:, 1]
@@ -225,8 +225,8 @@ def mirror_reduce(points, graph: DirectedGraph, eps: float = EPS_EQ):
             # so they serve as the anchors of a 1+3 reduction
             keys.append(("R5", ("anchors", len(pts))))
             return Anchors(), keys
-        spans.extend(legs[[i, j]] for i, j in sorted(pairs))
-    circles = PlaneSpan.from_pairs(spans)
+        circles.extend(PlaneSpan.from_vectors(legs[i], legs[j])
+                       for i, j in sorted(pairs))
     keys.append(("R5", len(circles)))
     return GreatCircles(sorted(circles, key=lambda p: p.key())), keys
 

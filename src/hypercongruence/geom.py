@@ -109,16 +109,10 @@ class PlaneSpan:
     @classmethod
     def from_vectors(cls, u: np.ndarray, v: np.ndarray) -> "PlaneSpan":
         """Orthonormalize two independent vectors into a plane span."""
-        return cls.from_pairs([[u, v]])[0]
-
-    @classmethod
-    def from_pairs(cls, pairs) -> list:
-        """from_vectors of every (u, v) pair of a (m, 2, 4) stack, all of
-        them from one frames call."""
-        f, ok = frames(np.asarray(pairs, dtype=float).reshape(-1, 2, 4), 1e-12)
-        if not ok.all():
+        f = frame([u, v], 1e-12)
+        if f is None:
             raise ValueError("spanning vectors are dependent")
-        return [cls(x[:2]) for x in f]
+        return cls(f[:2])
 
     def key(self) -> tuple:
         """Deterministic ordering key: the canonical Pluecker coordinates."""
