@@ -5,9 +5,12 @@ The 4D pipeline bottoms out here.  Both reductions take one step,
 _about_axis: pin an axis of A onto each candidate axis of B, cluster the
 heights along the axes jointly, and solve the orthogonal slice with the
 height ids as labels.  one_plus_three_reduce pins an anchor and solves
-the 3-slice with congruence_3d_labeled, which pins a point of its
-condensed rarest shell and matches labeled angles on the circle.  The
-circle test, congruence_2d_labeled, reads the turn off the labels that one
+the 3-slice with congruence_3d_labeled.  When tokens held by one point
+on each side span a plane, those points fix the correspondence, and the
+3D test takes the rotation from them alone by Kabsch's least-squares fit
+(Acta Cryst. A32, 1976); otherwise it pins a point of its condensed
+rarest shell and matches labeled angles on the circle.  The circle
+test, congruence_2d_labeled, reads the turn off the labels that one
 point holds on each side when there are any, and off canonical necklace
 codes of the whole circle (Alt, Mehlhorn, Wagener and Welzl, DCG 1988)
 only when every label class has several members.  The same step, run
@@ -197,11 +200,17 @@ def congruence_3d_labeled(points_a: np.ndarray, labels_a: Sequence,
 
     Labels are ranked at entry.  Only proper rotations are searched: every
     embedding of a 3D slice match into a positively oriented 4D congruence
-    forces det(S) = +1.  The rarest labeled shell, ties going to the
-    largest jointly clustered radius (the best-conditioned axis), condenses
-    to a frame of 1, 2, 4, 6 or 12 points; S maps the first point of A's
-    frame onto some point of B's, nearest first, and the circle test about
-    that axis fixes the turn.
+    forces det(S) = +1.  Points are tokened by (label, jointly clustered
+    radius id).  A token held by one point on each side forces that pair
+    to match, so when two or more such singleton pairs span a plane, S is
+    their Kabsch fit V diag(1, 1, sign det(V U^T)) U^T from the SVD
+    U Σ V^T of Σ a_i b_i^T, proper by construction.  The pairs are checked
+    one by one and the other points as labeled multisets; a failed check
+    is final, since no other correspondence exists.  Otherwise the rarest
+    token's shell, ties going to the largest radius (the best-conditioned
+    axis), condenses to a frame of 1, 2, 4, 6 or 12 points; S maps the
+    first point of A's frame onto some point of B's, nearest first, and
+    the circle test about that axis fixes the turn.
     """
     pa = np.asarray(points_a, dtype=float).reshape(-1, 3)
     pb = np.asarray(points_b, dtype=float).reshape(-1, 3)
@@ -223,13 +232,32 @@ def congruence_3d_labeled(points_a: np.ndarray, labels_a: Sequence,
     counts = np.bincount(ta, minlength=len(toks))
     if not np.array_equal(counts, np.bincount(tb, minlength=len(toks))):
         return None
+    # every candidate S must put each point within vtol of its match
+    vtol = max(eps, 1e-9) * 10.0
+    single = counts == 1
+    if single.sum() >= 2:
+        # a point per token, the one point of each singleton token
+        at, bt = np.empty((len(toks), 3)), np.empty((len(toks), 3))
+        at[ta], bt[tb] = pa, pb
+        at, bt = at[single], bt[single]
+        u, sv, vt = np.linalg.svd(at.T @ bt)
+        # collinear singletons leave the turn about their line free
+        if sv[1] > 1e-6 * sv[0]:
+            # Kabsch's least-squares fit, kept proper: S = V diag(1, 1, d) U^T
+            d = 1.0 if np.linalg.det(vt.T @ u.T) >= 0 else -1.0
+            s = vt.T @ np.diag([1.0, 1.0, d]) @ u.T
+            rest_a, rest_b = ~single[ta], ~single[tb]
+            if ((np.linalg.norm(at @ s.T - bt, axis=1) <= vtol).all()
+                    and match_multisets(pa[rest_a] @ s.T, pb[rest_b], vtol,
+                                        ta[rest_a], tb[rest_b])):
+                return s
+            return None
     # the rarest token, then the largest radius id, then the smallest token
     tok = np.lexsort((np.arange(len(toks)), -toks[:, 1], counts))[0]
     fa, fb = (condense_sphere(u / np.linalg.norm(u, axis=1, keepdims=True),
                               eps) for u in (pa[ta == tok], pb[tb == tok]))
     if len(fa) != len(fb):
         return None
-    vtol = max(eps, 1e-9) * 10.0
     # the targets nearest to A's axis first: the least rotations are tried
     # first, so a symmetry search about a nearby axis finds the small turn
     # of a helix step before a half-turn flip

@@ -19,6 +19,7 @@ from hypercongruence.lowdim import (
     congruence_3d_labeled,
     one_plus_three_reduce,
 )
+from hypercongruence.sphere import condense_sphere
 
 
 class TestCircle:
@@ -305,12 +306,85 @@ class TestSphere3D:
         assert congruence_3d_labeled(pts, [0, 1, 2], pts, [0, 2, 1],
                                      1e-9) is None
 
+    def test_on_axis_labels_differ_one_singleton(self):
+        # only the pole is a singleton, so the pole is the pinned axis; the
+        # point below it carries label 1 in A and label 2 in B
+        pts = np.array([[0, 0, 1.0], [0, 0, -2.0], [2.0, 0, 0], [0, 2.0, 0],
+                        [-2.0, 0, 0]])
+        assert congruence_3d_labeled(pts, [0, 1, 1, 2, 2], pts,
+                                     [0, 2, 2, 1, 1], 1e-9) is None
+
     def test_origin_point_allowed(self, rng):
         pts = np.array([[0, 0, 1.0], [0, 0, 2.0], [0, 0, -1.0], [0, 0, 0]])
         r = rot3(rng)
         s = congruence_3d_labeled(pts, [0, 1, 2, 3], pts @ r.T, [0, 1, 2, 3],
                                   1e-9)
         assert s is not None
+
+
+class TestSingletonPin:
+    # tokens held by one point on each side fix the rotation by a Kabsch
+    # fit; the rarest shell is condensed only when they do not span a plane
+    @pytest.fixture
+    def no_shell(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("condense_sphere called")
+        monkeypatch.setattr(lowdim, "condense_sphere", refuse)
+
+    @staticmethod
+    def shell(rng, n):
+        u = rng.normal(size=(n, 3))
+        return u / np.linalg.norm(u, axis=1, keepdims=True)
+
+    def test_distinct_labels_exact_rotation(self, rng, no_shell):
+        pa = rng.normal(size=(40, 3))
+        r = rot3(rng)
+        perm = rng.permutation(40)
+        pb = (pa @ r.T + 1e-12 * rng.normal(size=pa.shape))[perm]
+        s = congruence_3d_labeled(pa, np.arange(40), pb, perm, 1e-9)
+        assert s is not None
+        assert np.abs(s - r).max() <= 1e-10
+
+    def test_mirror_image_rejected(self, rng, no_shell):
+        pa = rng.normal(size=(40, 3))
+        m = rot3(rng) @ np.diag([1.0, 1.0, -1.0])
+        labs = np.arange(40)
+        assert congruence_3d_labeled(pa, labs, pa @ m.T, labs, 1e-9) is None
+
+    def test_coplanar_singletons(self, rng, no_shell):
+        pa = np.c_[rng.normal(size=(12, 2)), np.zeros(12)]
+        r = rot3(rng)
+        labs = np.arange(12)
+        s = congruence_3d_labeled(pa, labs, pa @ r.T, labs, 1e-9)
+        assert s is not None
+        assert abs(np.linalg.det(s) - 1) < 1e-12
+        assert np.abs(pa @ s.T - pa @ r.T).max() <= 1e-12
+
+    def test_collinear_singletons_fall_back(self, rng, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return condense_sphere(*args)
+        monkeypatch.setattr(lowdim, "condense_sphere", counted)
+        p = rng.normal(size=3)
+        pa = np.r_[[p, -2 * p], self.shell(rng, 10), 2 * self.shell(rng, 10)]
+        labs = [1, 2] + [0] * 20
+        r = rot3(rng)
+        perm = rng.permutation(22)
+        s = congruence_3d_labeled(pa, labs, (pa @ r.T)[perm],
+                                  np.array(labs)[perm], 1e-9)
+        assert len(calls) == 2
+        assert s is not None and abs(np.linalg.det(s) - 1) < 1e-12
+        assert np.abs(pa @ s.T - pa @ r.T).max() <= 1e-9
+
+    def test_displaced_class_rejected(self, rng, no_shell):
+        pa = np.r_[rng.normal(size=(3, 3)), self.shell(rng, 10)]
+        labs = [1, 2, 3] + [0] * 10
+        pb = pa @ rot3(rng).T
+        # a point of the shared shell slides along its sphere
+        pb[5] = rot3(rng) @ pb[5]
+        assert congruence_3d_labeled(pa, labs, pb, labs, 1e-9) is None
 
 
 class TestOnePlusThree:
