@@ -12,12 +12,20 @@ canonical axes of labeled configurations on a circle.  Canonical axes
 quantize the gaps of every configuration passed in one call together,
 which is what makes their int codes comparable.  The value groupings are
 deterministic functions of the input multiset, never of input order.
+
+Two sides ranked jointly agree exactly when the count vectors of their
+ranks (np.bincount with the number of ranks as minlength) are equal, so a
+lockstep check compares those; the named (key, count) histogram of a
+pruning is built only when a trace or a stage-key list reads it.  Labels
+that already are joint ranks are not ranked again (:func:`rank_labels`),
+and dense int keys are counted rather than sorted.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import accumulate, chain
 from typing import Hashable, Sequence
 
@@ -29,6 +37,11 @@ from scipy.spatial import cKDTree
 from .geom import EPS_EQ
 
 TWO_PI = 2.0 * math.pi
+# int keys spanning at most _COUNT_SPAN values per key are counted instead
+# of sorted: always by prune_by_key, by joint_ranks from _COUNT_MIN keys on
+# (the sort is cheaper below)
+_COUNT_MIN = 512
+_COUNT_SPAN = 4
 
 
 def wrap_angle(x, period: float = TWO_PI) -> np.ndarray:
@@ -192,7 +205,10 @@ def joint_ranks(*sides) -> tuple:
 
     Int arrays are ranked by one sort, 2D ones by rows in lexicographic
     order (mixed-radix digits), so (label, id) columns make one compound
-    label.  Other sides hold hashable, mutually comparable labels."""
+    label.  From _COUNT_MIN labels on, keys spanning at most _COUNT_SPAN
+    values per label are ranked by marking the keys present instead: the
+    sort is cheaper on fewer labels.  Other sides hold hashable, mutually
+    comparable labels."""
     if all(isinstance(x, np.ndarray) and x.dtype.kind in "biu" for x in sides):
         x = np.concatenate(sides) if len(sides) > 1 else sides[0]
         key = x
@@ -203,19 +219,47 @@ def joint_ranks(*sides) -> tuple:
                 if size * (hi - lo + 1) > 2 ** 62:
                     key, size = joint_ranks(key)[1], len(x)
                 key, size = key * (hi - lo + 1) + (col - lo), size * (hi - lo + 1)
-        order = key.argsort()
-        ordered = key[order]
-        new = np.ones(len(x), dtype=bool)
-        new[1:] = ordered[1:] != ordered[:-1]
-        ranks = np.empty(len(x), dtype=int)
-        ranks[order] = new.cumsum() - 1
-        values = x[order[new]]
+        span = int(key.max()) - int(key.min()) + 1 \
+            if len(x) >= _COUNT_MIN else 0
+        if 0 < span <= _COUNT_SPAN * len(x):
+            # equal keys hold equal labels, so any row of a key stands for it
+            key = np.subtract(key, key.min(), dtype=np.int64)
+            seen = np.zeros(span, dtype=bool)
+            seen[key] = True
+            at = np.empty(span, dtype=int)
+            at[key] = np.arange(len(x))
+            ranks = (seen.cumsum() - 1)[key]
+            first = at[seen]
+        else:
+            order = key.argsort()
+            ordered = key[order]
+            new = np.ones(len(x), dtype=bool)
+            new[1:] = ordered[1:] != ordered[:-1]
+            ranks = np.empty(len(x), dtype=int)
+            ranks[order] = new.cumsum() - 1
+            first = order[new]
+        # np.take gathers the rows of a 2D array many times faster than
+        # indexing with an int array does
+        values = np.take(x, first, axis=0)
     else:
         values = sorted(set().union(*sides))
         rank = dict(zip(values, range(len(values))))
         ranks = np.fromiter(map(rank.__getitem__, chain(*sides)), int)
     ends = list(accumulate(map(len, sides)))
     return (values, *(ranks[e - len(x):e] for x, e in zip(sides, ends)))
+
+
+def rank_labels(*sides) -> tuple:
+    """The ranks of each side of :func:`joint_ranks`, without ranking
+    sides that already are joint ranks: 1D int arrays whose values are
+    0, 1, ..., k - 1 together, which are their own ranks."""
+    if all(isinstance(x, np.ndarray) and x.ndim == 1 and x.dtype.kind == "i"
+           for x in sides):
+        x = np.concatenate(sides) if len(sides) > 1 else sides[0]
+        if len(x) == 0 or (x.min() >= 0 and x.max() < len(x)
+                           and np.bincount(x).all()):
+            return sides
+    return joint_ranks(*sides)[1:]
 
 
 def padded_rows(tokens, lengths) -> np.ndarray:
@@ -233,27 +277,58 @@ def padded_rows(tokens, lengths) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class PruneResult:
+    """The smallest key class of :func:`prune_by_key`, and the sizes of all
+    classes.
+
+    ``values`` holds the distinct keys in ascending order and ``counts``
+    their class sizes.  ``histogram``, the sorted (key, count) pairs that
+    stage keys and traces read, is built from them on first read: a
+    lockstep check needs only to compare count vectors.
+    """
+
     indices: np.ndarray     # positions of the selected class, ascending
     progressed: bool        # False when only one class existed
-    histogram: tuple        # sorted (key, count) pairs; lockstep summary
+    values: object = field(repr=False)
+    counts: np.ndarray = field(repr=False)
+
+    @cached_property
+    def histogram(self) -> tuple:
+        """Sorted (key, count) pairs; int array keys as plain ints, the
+        rows of a 2D int array as tuples of them."""
+        names = self.values
+        if isinstance(names, np.ndarray):
+            names = names.tolist()
+            if self.values.ndim == 2:
+                names = list(map(tuple, names))
+        return tuple(zip(names, self.counts.tolist()))
+
+    def __repr__(self) -> str:
+        return (f"PruneResult(indices={self.indices!r}, progressed="
+                f"{self.progressed!r}, histogram={self.histogram!r})")
 
 
 def prune_by_key(keys: Sequence[Hashable]) -> PruneResult:
-    """Select the smallest key class, ties broken by smallest key.  Keys
-    are ranked by joint_ranks; int array keys come out as plain ints, and
-    the rows of a 2D int array as tuples of them."""
+    """Select the smallest key class, ties broken by smallest key.  A 1D
+    int array whose keys span at most _COUNT_SPAN values per key, such as
+    ranks, is counted by one bincount; other keys are ranked by
+    joint_ranks first."""
     if len(keys) == 0:
         raise ValueError("nothing to prune")
+    if isinstance(keys, np.ndarray) and keys.ndim == 1 and \
+            keys.dtype.kind == "i":
+        lo = int(keys.min())
+        if int(keys.max()) - lo < _COUNT_SPAN * len(keys):
+            full = np.bincount(keys - lo)
+            values = np.flatnonzero(full)
+            counts = full[values]
+            best = values[np.argmin(counts)]
+            return PruneResult(np.flatnonzero(keys == best + lo),
+                               len(values) > 1, values + lo, counts)
     values, ranks = joint_ranks(keys)
-    names = values
-    if isinstance(values, np.ndarray):
-        names = values.tolist()
-        if values.ndim == 2:
-            names = list(map(tuple, names))
     counts = np.bincount(ranks)
     best = int(np.argmin(counts))
     return PruneResult(np.flatnonzero(ranks == best), len(counts) > 1,
-                       tuple(zip(names, counts.tolist())))
+                       values, counts)
 
 
 def least_rotations(tokens, lengths) -> tuple:
@@ -268,7 +343,7 @@ def least_rotations(tokens, lengths) -> tuple:
     begin = np.cumsum(lengths) - lengths
     start, size = begin[seg], lengths[seg]
     off = np.arange(len(seg)) - start
-    cls, ahead, width = joint_ranks(tokens)[1], start + (off + 1) % size, 1
+    cls, ahead, width = rank_labels(tokens)[0], start + (off + 1) % size, 1
     while width < lengths.max(initial=0):
         classes = int(cls.max()) + 1
         cls = joint_ranks(cls * classes + cls[ahead])[1]

@@ -29,7 +29,7 @@ from scipy.spatial import cKDTree
 
 from .condense import (TWO_PI, canonical_axes, circular_cluster,
                        component_ids, joint_cluster, joint_ranks,
-                       prune_by_key, wrap_angle)
+                       prune_by_key, rank_labels, wrap_angle)
 from .geom import (EPS_EQ, PointSet4, Verdict, frame, match_multisets,
                    verify_rotation)
 from .sphere import condense_sphere
@@ -216,7 +216,7 @@ def congruence_3d_labeled(points_a: np.ndarray, labels_a: Sequence,
     pb = np.asarray(points_b, dtype=float).reshape(-1, 3)
     if len(pa) != len(pb):
         return None
-    _, la, lb = joint_ranks(labels_a, labels_b)
+    la, lb = rank_labels(labels_a, labels_b)
     ra, rb = np.linalg.norm(pa, axis=1), np.linalg.norm(pb, axis=1)
     orig_a, orig_b = ra <= eps, rb <= eps
     if not np.array_equal(np.sort(la[orig_a]), np.sort(lb[orig_b])):
@@ -283,11 +283,11 @@ def _anchor_class(aa: np.ndarray, ab: np.ndarray,
     da = cKDTree(aa).query(aa, k + 1)[0][:, 1:]
     db = cKDTree(ab).query(ab, k + 1)[0][:, 1:]
     cols = [joint_cluster(da[:, j], db[:, j], eps) for j in range(k)]
-    _, ka, kb = joint_ranks(*(-np.column_stack(ids) for ids in zip(*cols)))
-    pa, pb = prune_by_key(ka), prune_by_key(kb)
-    if pa.histogram != pb.histogram:
+    keys, ka, kb = joint_ranks(*(-np.column_stack(ids) for ids in zip(*cols)))
+    if not np.array_equal(np.bincount(ka, minlength=len(keys)),
+                          np.bincount(kb, minlength=len(keys))):
         return None
-    return aa[pa.indices], ab[pb.indices]
+    return aa[prune_by_key(ka).indices], ab[prune_by_key(kb).indices]
 
 
 def _slice_3d(qa: np.ndarray, ka: np.ndarray, qb: np.ndarray, kb: np.ndarray,
@@ -348,7 +348,7 @@ def one_plus_three_reduce(set_a: PointSet4, set_b: PointSet4,
         aa, ab = classes
     a0 = aa[np.lexsort(aa.T[::-1])[0]]
     cands = ab[np.lexsort(ab.T[::-1])]
-    _, base_a, base_b = joint_ranks(set_a.labels, set_b.labels)
+    base_a, base_b = rank_labels(set_a.labels, set_b.labels)
 
     m = len(cands)
     orbit, edges = np.arange(m), np.zeros((0, 2), dtype=int)

@@ -77,7 +77,7 @@ def mark_circles(circles, eps: float = EPS_EQ,
 
     for _ in range(64):
         # M2: keep only classes of the least frequent size
-        sizes = [len(c) for c in classes]
+        sizes = np.fromiter(map(len, classes), int, len(classes))
         pruned = prune_by_key(sizes)
         keys.append(("M2", pruned.histogram))
         if pruned.progressed:

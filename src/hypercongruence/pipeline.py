@@ -115,6 +115,15 @@ def _attempt(an: np.ndarray, bn: np.ndarray, opts: PipelineOptions,
                         (stage, key_a, key_b))
         return key_a == key_b
 
+    def check_counts(stage: str, ranks_a, ranks_b, bound: int, name) -> bool:
+        """True when two sides' joint ranks below bound have equal class
+        sizes; the histograms, named by name, are built only for a trace."""
+        if sink is not None:
+            sink.append((stage, *(name(prune_by_key(r).histogram)
+                                  for r in (ranks_a, ranks_b))))
+        return np.array_equal(np.bincount(ranks_a, minlength=bound),
+                              np.bincount(ranks_b, minlength=bound))
+
     labeled = labels_a is not None
     label_names, la, lb = joint_ranks(labels_a, labels_b) if labeled else \
         ([0], np.zeros(len(an), dtype=int), np.zeros(len(bn), dtype=int))
@@ -124,9 +133,9 @@ def _attempt(an: np.ndarray, bn: np.ndarray, opts: PipelineOptions,
     toks, mult_a, mult_b = joint_ranks(np.column_stack((cnt_a, la)),
                                        np.column_stack((cnt_b, lb)))
     names = [(c, label_names[k]) if labeled else c for c, k in toks.tolist()]
-    if not check("multiplicity", (len(ua), prune_by_key(mult_a).histogram),
-                 (len(ub), prune_by_key(mult_b).histogram),
-                 lambda k: (k[0], tuple((names[i], c) for i, c in k[1]))):
+    if not check_counts("multiplicity", mult_a, mult_b, len(toks),
+                        lambda h: (sum(c for _, c in h),
+                                   tuple((names[i], c) for i, c in h))):
         return Verdict.no("multiplicity")
     full_a, full_b = PointSet4(ua, mult_a), PointSet4(ub, mult_b)
 
@@ -156,12 +165,12 @@ def _attempt(an: np.ndarray, bn: np.ndarray, opts: PipelineOptions,
         rid_a, rid_b = joint_cluster(norm_a, norm_b, eps)
         keys, rk_a, rk_b = joint_ranks(np.column_stack((lab_a, rid_a)),
                                        np.column_stack((lab_b, rid_b)))
-        pr_a, pr_b = prune_by_key(rk_a), prune_by_key(rk_b)
-        if not check("radius", pr_a.histogram, pr_b.histogram,
-                     lambda h: tuple(((names[keys[k, 0]], int(keys[k, 1])), c)
-                                     for k, c in h)):
+        if not check_counts("radius", rk_a, rk_b, len(keys),
+                            lambda h: tuple(((names[keys[k, 0]],
+                                              int(keys[k, 1])), c)
+                                            for k, c in h)):
             return Verdict.no("radius class")
-        ka, kb = pr_a.indices, pr_b.indices
+        ka, kb = prune_by_key(rk_a).indices, prune_by_key(rk_b).indices
         sa = wa[ka] / norm_a[ka, None]
         sb = wb[kb] / norm_b[kb, None]
 

@@ -88,11 +88,11 @@ def condense_sphere(points: np.ndarray, eps: float = EPS_EQ) -> np.ndarray:
         faces = _merged_faces(hull, f)
         edges = _face_edges(faces)
         deg = np.bincount(np.ravel(list(edges)), minlength=n)
-        res = prune_by_key([int(d) for d in deg])
+        res = prune_by_key(deg)
         if res.progressed:
             f = f[res.indices]
             continue
-        res = prune_by_key([len(cyc) for cyc in faces])
+        res = prune_by_key(np.fromiter(map(len, faces), int, len(faces)))
         if res.progressed:
             f = np.array([f[faces[i]].mean(axis=0) for i in res.indices])
             continue
@@ -108,7 +108,7 @@ def condense_sphere(points: np.ndarray, eps: float = EPS_EQ) -> np.ndarray:
         ids = tolerance_cluster(lengths, eps).ids
         if ids.max() == 0:
             break  # regular tetrahedron, octahedron, or icosahedron
-        res = prune_by_key([int(i) for i in ids])
+        res = prune_by_key(ids)
         if len(res.indices) < n:
             f = np.array([(f[edge_list[i][0]] + f[edge_list[i][1]]) / 2.0
                           for i in res.indices])

@@ -42,7 +42,8 @@ from scipy.spatial import Voronoi, cKDTree
 
 from .condense import (TWO_PI, circular_cluster, component_ids, joint_cluster,
                        joint_ranks, least_rotations, padded_rows,
-                       prune_by_key, tolerance_cluster, wrap_angle)
+                       prune_by_key, rank_labels, tolerance_cluster,
+                       wrap_angle)
 from .geom import (EPS_EQ, PlaneSpan, PointSet4, Verdict, block_rotation,
                    frames, match_multisets, verify_rotation)
 from .lowdim import circle_axes, congruence_2d_labeled
@@ -259,8 +260,8 @@ def canonical_set_torus(positions: np.ndarray, labels: Sequence,
         return np.flatnonzero(keep[orbit])
 
     while True:
-        lab_rank = joint_ranks(cur_labs)[1]
-        pr = prune_by_key(lab_rank)
+        # cur_labs are dense ranks: each label class keeps a representative
+        pr = prune_by_key(cur_labs)
         keys.append(("T1", tuple((k, c * index) for k, c in pr.histogram)))
         cand = pr.indices
         if len(cand) * index == 1:
@@ -299,7 +300,7 @@ def canonical_set_torus(positions: np.ndarray, labels: Sequence,
         w = cur_pos[pt] - copies[hit]
         rows = np.c_[circular_cluster(w[:, 0], eps).ids,
                      circular_cluster(w[:, 1], eps).ids,
-                     lab_rank[pt]]
+                     cur_labs[pt]]
         # a site's word: its (x id, y id, label) rows sorted, as one int row
         rows = rows[np.lexsort(np.c_[site, rows].T[::-1])]
         ranks = joint_ranks(padded_rows(
@@ -460,7 +461,7 @@ def two_plus_two_reduce(set_a: PointSet4, set_b: PointSet4,
     fa, fb = frames(np.stack([plane_a.basis, plane_b.basis]))[0]
     ac0 = set_a.points @ fa.T
     bc = set_b.points @ fb.T
-    _, la, lb = joint_ranks(set_a.labels, set_b.labels)
+    la, lb = rank_labels(set_a.labels, set_b.labels)
 
     for swapped in (False, True):
         ac = ac0 @ SWAP_PLANES if swapped else ac0

@@ -18,7 +18,9 @@ from hypercongruence.condense import (AxesSet, canonical_axes, circle_gaps,
                                       joint_ranks, least_rotations,
                                       members_by_id,
                                       merge_close, padded_rows, prune_by_key,
-                                      tolerance_cluster, wrap_angle)
+                                      rank_labels, tolerance_cluster,
+                                      wrap_angle)
+from hypercongruence.condense import _COUNT_MIN, _COUNT_SPAN
 
 TWO_PI = 2 * math.pi
 
@@ -441,6 +443,84 @@ class TestJointRanks:
         values, ra, rb = joint_ranks("cab", ["b", "d"])
         assert values == ["a", "b", "c", "d"]
         assert ra.tolist() == [2, 0, 1] and rb.tolist() == [1, 3]
+
+
+def reference_prune(rows: list) -> tuple:
+    """(indices, progressed, histogram, ranks) of prune_by_key and
+    joint_ranks on hashable keys, by sorted(set(...)) and counting."""
+    values = sorted(set(rows))
+    rank = {v: i for i, v in enumerate(values)}
+    count = Counter(rows)
+    best = min(values, key=lambda v: (count[v], rank[v]))
+    return ([i for i, r in enumerate(rows) if r == best], len(values) > 1,
+            tuple((v, count[v]) for v in values), [rank[r] for r in rows])
+
+
+# key counts on both sides of the size where joint_ranks starts counting
+SIZES = st.one_of(st.integers(1, 40),
+                  st.integers(_COUNT_MIN - 20, _COUNT_MIN + 200))
+# key spans per key on both sides of the widest span that is counted
+SPANS = st.sampled_from([0.01, 0.5, 1.0, _COUNT_SPAN - 0.1, _COUNT_SPAN,
+                         _COUNT_SPAN + 0.1, 50.0])
+
+
+@st.composite
+def int_keys(draw):
+    """A 1D or 2D int key array; values start at a possibly negative low
+    and span about a drawn multiple of the key count (the product of the
+    column spans for 2D keys)."""
+    n, cols = draw(SIZES), draw(st.sampled_from([0, 1, 2]))
+    span = max(1, round(draw(SPANS) * n))
+    if cols:
+        span = max(1, round(span ** (1 / cols)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    lo = draw(st.integers(-60, 60))
+    return rng.integers(lo, lo + span, (n, cols) if cols else n)
+
+
+def key_list(keys: np.ndarray) -> list:
+    return list(map(tuple, keys.tolist())) if keys.ndim == 2 else keys.tolist()
+
+
+class TestCountingPaths:
+    @given(int_keys())
+    @settings(max_examples=80, deadline=None)
+    def test_prune_and_ranks_match_reference(self, keys):
+        indices, progressed, histogram, ranks = reference_prune(key_list(keys))
+        r = prune_by_key(keys)
+        assert r.indices.tolist() == indices
+        assert r.progressed == progressed
+        assert r.histogram == histogram
+        values, got = joint_ranks(keys)
+        assert got.tolist() == ranks
+        assert key_list(values) == [k for k, _ in histogram]
+
+    @given(int_keys(), st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_joint_ranks_of_split_sides(self, keys, seed):
+        cut = np.random.default_rng(seed).integers(0, len(keys) + 1)
+        _, ra, rb = joint_ranks(keys[:cut], keys[cut:])
+        assert ra.tolist() + rb.tolist() == reference_prune(key_list(keys))[3]
+        if keys.ndim == 1:
+            sa, sb = rank_labels(keys[:cut], keys[cut:])
+            assert sa.tolist() == ra.tolist() and sb.tolist() == rb.tolist()
+            # joint ranks are their own ranks
+            assert all(x is y for x, y in zip(rank_labels(ra, rb), (ra, rb)))
+
+    @given(int_keys(), st.integers(0, 2 ** 32 - 1), st.integers(0, 2))
+    @settings(max_examples=80, deadline=None)
+    def test_equal_count_vectors_iff_equal_histograms(self, keys, seed, edits):
+        # the other side is a shuffle of the keys with up to two keys
+        # replaced, so its histogram often is and often is not equal
+        rng = np.random.default_rng(seed)
+        other = keys[rng.permutation(len(keys))]
+        for _ in range(edits):
+            other[rng.integers(len(other))] = keys[rng.integers(len(keys))] + 1
+        values, ra, rb = joint_ranks(keys, other)
+        same = np.array_equal(np.bincount(ra, minlength=len(values)),
+                              np.bincount(rb, minlength=len(values)))
+        assert same == (prune_by_key(ra).histogram == prune_by_key(rb).histogram)
+        assert same == (Counter(key_list(keys)) == Counter(key_list(other)))
 
 
 class TestCircularCluster:

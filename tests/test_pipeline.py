@@ -380,3 +380,76 @@ class TestTrace:
         stage, key_a, key_b = trace[-1]
         assert key_a != key_b
         assert v.stage
+
+
+class TestUntracedDecisions:
+    """A trace sink only records keys: the checks compare count vectors,
+    and the histograms are named only for the trace."""
+
+    @staticmethod
+    def decide_both(a, b, opts=None, **labels):
+        """The traced verdict, after checking that the untraced one has
+        the same outcome, stage and rotation."""
+        sink: list = []
+        traced = congruence_test_4d(a, b, opts, sink, **labels)
+        plain = congruence_test_4d(a, b, opts, None, **labels)
+        assert sink
+        assert (plain.congruent, plain.stage, plain.reflected) == \
+            (traced.congruent, traced.stage, traced.reflected)
+        if traced.congruent:
+            assert np.array_equal(plain.rotation, traced.rotation)
+            assert np.array_equal(plain.translation, traced.translation)
+        return traced
+
+    @pytest.mark.parametrize("kind", ["congruent", "mirror", "near-miss"])
+    def test_gaussian_clouds(self, rng, kind):
+        a = rng.normal(size=(2000, 4))
+        src = a @ np.diag([-1.0, 1.0, 1.0, 1.0]) if kind == "mirror" else a.copy()
+        if kind == "near-miss":
+            d = rng.normal(size=4)
+            src[rng.integers(len(a))] += 1e-3 * d / np.linalg.norm(d)
+        b = transformed(src, rng)[rng.permutation(len(a))]
+        v = self.decide_both(a, b)
+        assert v.congruent == (kind == "congruent")
+        if kind == "near-miss":
+            assert v.stage == "radius class"
+
+    def test_mirror_with_reflection_allowed(self, rng):
+        a = rng.normal(size=(300, 4))
+        b = transformed(a @ np.diag([-1.0, 1.0, 1.0, 1.0]), rng)
+        v = self.decide_both(a, b, PipelineOptions(allow_reflection=True))
+        assert v.congruent and v.reflected
+
+    def test_multiplicity_histograms_differ(self, rng):
+        a = rng.normal(size=(40, 4))
+        r = random_rotation(rng)
+        # three doubled points against a tripled and a doubled one
+        v = self.decide_both(np.r_[a, a[:3]], np.r_[a, a[:1], a[:2]] @ r.T)
+        assert not v.congruent and v.stage == "multiplicity"
+
+    def test_label_histograms_differ(self, rng):
+        a = rng.normal(size=(40, 4))
+        labs = [i % 3 for i in range(40)]
+        other = list(labs)
+        other[0] = 2
+        v = self.decide_both(a, transformed(a, rng), labels_a=labs,
+                             labels_b=other)
+        assert not v.congruent and v.stage == "multiplicity"
+
+    def test_labels_on_other_radii(self, rng):
+        # equal label histograms, but two labels trade radius shells
+        a = rng.normal(size=(40, 4))
+        labs = [i % 3 for i in range(40)]
+        other = list(labs)
+        other[0], other[1] = other[1], other[0]
+        v = self.decide_both(a, transformed(a, rng), labels_a=labs,
+                             labels_b=other)
+        assert not v.congruent and v.stage == "radius class"
+
+    def test_labeled_congruent(self, rng):
+        a = rng.normal(size=(60, 4))
+        labs = [f"l{i % 4}" for i in range(60)]
+        perm = rng.permutation(60)
+        v = self.decide_both(a, transformed(a, rng)[perm], labels_a=labs,
+                             labels_b=[labs[i] for i in perm])
+        assert v.congruent

@@ -12,7 +12,10 @@ from ``src`` next to it, or from ``--src``:
 
 With ``--compare`` the script also prints every pair whose verdict, stage
 or digest differs from the earlier file's, or that only one file has, and
-exits 1 if there is any.  The workload module is read, never changed.
+exits 1 if there is any.  It decides every pair a second time without a
+trace sink, since the pipeline names stage keys only for a trace, and
+prints and exits 1 on every pair whose untraced verdict or stage differs
+from the traced one.  The workload module is read, never changed.
 """
 
 from __future__ import annotations
@@ -37,8 +40,10 @@ def load_workloads():
     return module
 
 
-def digests(pipeline, workloads) -> dict:
-    out = {}
+def digests(pipeline, workloads) -> tuple:
+    """({pair: [verdict, stage, digest]} of the traced decisions, one line
+    per pair whose untraced verdict or stage differs from the traced)."""
+    out, split = {}, []
     for name in sorted(workloads.WORKLOADS):
         for seed in SEEDS:
             for pair in workloads.generate(name, seed):
@@ -48,9 +53,14 @@ def digests(pipeline, workloads) -> dict:
                 sink: list = []
                 v = pipeline.congruence_test_4d(pair.a, pair.b, opts, sink)
                 digest = hashlib.sha256(repr(sink).encode()).hexdigest()
-                out[f"{name} seed={seed} {pair.label}"] = \
-                    [bool(v.congruent), v.stage, digest]
-    return out
+                key = f"{name} seed={seed} {pair.label}"
+                out[key] = [bool(v.congruent), v.stage, digest]
+                u = pipeline.congruence_test_4d(pair.a, pair.b, opts)
+                untraced = [bool(u.congruent), u.stage]
+                if untraced != out[key][:2]:
+                    split.append(f"{key}: traced {out[key][:2]}, "
+                                 f"untraced {untraced}")
+    return out, split
 
 
 def differences(before: dict, after: dict) -> list:
@@ -70,14 +80,15 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     sys.path.insert(0, args.src)
     from hypercongruence import pipeline
-    result = digests(pipeline, load_workloads())
+    result, split = digests(pipeline, load_workloads())
     Path(args.out).write_text(json.dumps(result, indent=1, sort_keys=True) + "\n")
     print(f"{len(result)} pairs -> {args.out}")
+    print("\n".join(split) or "untraced decisions match the traced ones")
     if args.compare is None:
-        return 0
+        return 1 if split else 0
     diff = differences(json.loads(Path(args.compare).read_text()), result)
     print("\n".join(diff) or f"identical to {args.compare}")
-    return 1 if diff else 0
+    return 1 if diff or split else 0
 
 
 if __name__ == "__main__":
