@@ -88,9 +88,6 @@ class PointSet4:
         if len(self.labels) != len(pts):
             raise ValueError("label count does not match point count")
 
-    def __len__(self) -> int:
-        return len(self.points)
-
 
 class PlaneSpan:
     """A 2-plane through the origin, stored as two orthonormal row vectors."""
@@ -287,29 +284,28 @@ def chirality(p: PlaneSpan, q: PlaneSpan, eps: float = EPS_EQ) -> Chirality:
     return Chirality.RIGHT if d > 0 else Chirality.LEFT
 
 
-def hopf_image(c0, p: np.ndarray) -> np.ndarray:
-    """Map a unit 4-vector to the base 2-sphere of the circle bundle through c0.
+def hopf_image(f: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Map a unit 4-vector to the base 2-sphere of the circle bundle of the
+    frame f, whose rows 0 and 1 span the circle c0, as ``frame(c0.basis)``.
 
-    ``c0`` may be a PlaneSpan or a precomputed ``frame(c0.basis)``; the
-    base-sphere coordinates depend on which completion of c0 is used.  A
+    The base-sphere coordinates depend on the completion of c0 that f is.  A
     positively oriented frame gives the right-parallel bundle; negating its
     row 2 gives the left one.  Points of c0 itself map to (0, 0, 1); the
     completely orthogonal circle maps to (0, 0, -1).  Two circles of the
     bundle at angle pair (a, a) have image points at geodesic distance 2a.
     """
-    f = c0 if isinstance(c0, np.ndarray) else frame(c0.basis)
     x, y, z, w = f @ np.asarray(p, dtype=float)
     return np.array([2.0 * (x * w - y * z), 2.0 * (y * w + x * z),
                      1.0 - 2.0 * (z * z + w * w)])
 
 
-def hopf_fiber(c0, s: np.ndarray) -> PlaneSpan:
-    """The circle of the bundle through c0 lying over base point s.
+def hopf_fiber(f: np.ndarray, s: np.ndarray) -> PlaneSpan:
+    """The circle of the bundle of the frame f lying over base point s.
 
     Inverse of :func:`hopf_image` for the same frame: the returned plane is
-    parallel (in the frame's sense) to c0 and its points map to s.
+    parallel (in the frame's sense) to the circle of rows 0 and 1 of f,
+    and its points map to s.
     """
-    f = c0 if isinstance(c0, np.ndarray) else frame(c0.basis)
     s = np.asarray(s, dtype=float)
     s = s / np.linalg.norm(s)
     gamma = math.acos(min(1.0, max(-1.0, s[2]))) / 2.0

@@ -13,10 +13,12 @@ rarest shell and matches labeled angles on the circle.  The circle
 test, congruence_2d_labeled, reads the turn off the labels that one
 point holds on each side when there are any, and off canonical necklace
 codes of the whole circle (Alt, Mehlhorn, Wagener and Welzl, DCG 1988)
-only when every label class has several members.  The same step, run
-from B onto itself, finds symmetries of B; the anchor loop tests one
-candidate per orbit of them, so a vertex-transitive set costs two 3D
-tests instead of one per anchor.
+only when every label class has several members.  Its caller, turn_2d,
+which adds jointly clustered radius ids to the labels, also turns each
+plane of the 2+2 step (torus) when no point lies off the two plane
+circles.  The axis step, run from B onto itself, finds symmetries of B;
+the anchor loop tests one candidate per orbit of them, so a
+vertex-transitive set costs two 3D tests instead of one per anchor.
 """
 
 from __future__ import annotations
@@ -170,11 +172,13 @@ def _about_axis(pa: np.ndarray, la: Sequence, pb: np.ndarray, lb: Sequence,
             yield fb.T @ lift @ fa
 
 
-def _turn_2d(qa: np.ndarray, ka: np.ndarray, qb: np.ndarray, kb: np.ndarray,
-             eps: float) -> Optional[np.ndarray]:
+def turn_2d(qa: np.ndarray, ka: np.ndarray, qb: np.ndarray, kb: np.ndarray,
+            eps: float) -> Optional[np.ndarray]:
     """A 2x2 rotation matching two equally long plane sets about the
     origin, each point labeled by its int key, or None.  Points off the
-    origin add a jointly clustered radius id (congruence_2d_labeled).
+    origin add a jointly clustered radius id (congruence_2d_labeled).  It
+    is the 3D test's slice about an axis and the turn of a plane of the
+    2+2 step that holds no torus points.
     """
     rho_a, rho_b = np.hypot(qa[:, 0], qa[:, 1]), np.hypot(qb[:, 0], qb[:, 1])
     on_a, on_b = rho_a <= eps, rho_b <= eps
@@ -262,7 +266,7 @@ def congruence_3d_labeled(points_a: np.ndarray, labels_a: Sequence,
     # first, so a symmetry search about a nearby axis finds the small turn
     # of a helix step before a half-turn flip
     fb = fb[np.argsort(-(fb @ fa[0]), kind="stable")]
-    for s in _about_axis(pa, la, pb, lb, fa[0], fb, eps, _turn_2d):
+    for s in _about_axis(pa, la, pb, lb, fa[0], fb, eps, turn_2d):
         if match_multisets(pa @ s.T, pb, vtol, ta, tb):
             return s
     return None

@@ -1,8 +1,16 @@
-"""Translation congruence on the flat torus and the invariant-plane reduction.
+"""Translation congruence on the flat torus and the 2+2 reduction.
 
-Once an invariant plane pair has been pinned, a 4D congruence restricted to
-the generic points acts as a translation of the flat square torus (the two
-polar angles).  Deciding labeled translation congruence on the torus is done
+Once an invariant plane pair has been pinned, a 4D congruence is, in
+frames adapted to the two planes, a block rotation turning each plane by
+its own angle, after a fixed reflection of both planes when it reverses
+their orientations (:func:`_block_match`).  The origin and the points of
+one plane's circle only constrain the turns; with nothing else, each
+plane's turn is the 2D step of the 3D test.  On the other, generic,
+points the block rotation acts as a translation of the flat square torus
+of their two polar angles, labeled by offsets from the circles'
+canonical axes.
+
+Deciding labeled translation congruence on the torus is done
 canonically: both sets are condensed to a translation-equivariant lattice
 coset (Voronoi cell shapes and cell contents provide the pruning keys), and
 the single surviving candidate translation is verified directly.
@@ -40,13 +48,12 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy.spatial import Voronoi, cKDTree
 
-from .condense import (TWO_PI, circular_cluster, component_ids, joint_cluster,
-                       joint_ranks, least_rotations, padded_rows,
-                       prune_by_key, rank_labels, tolerance_cluster,
-                       wrap_angle)
+from .condense import (TWO_PI, circular_cluster, component_ids, joint_ranks,
+                       least_rotations, padded_rows, prune_by_key,
+                       rank_labels, tolerance_cluster, wrap_angle)
 from .geom import (EPS_EQ, PlaneSpan, PointSet4, Verdict, block_rotation,
                    frames, match_multisets, verify_rotation)
-from .lowdim import circle_axes, congruence_2d_labeled
+from .lowdim import circle_axes, turn_2d
 
 SWAP_PLANES = np.array([[0.0, 1.0, 0.0, 0.0],
                         [1.0, 0.0, 0.0, 0.0],
@@ -314,11 +321,6 @@ def canonical_set_torus(positions: np.ndarray, labels: Sequence,
         cur_pos, cur_labs = cur_pos[cand], ranks
 
 
-def _embed_torus(pos: np.ndarray) -> np.ndarray:
-    return np.c_[np.cos(pos[:, 0]), np.sin(pos[:, 0]),
-                 np.cos(pos[:, 1]), np.sin(pos[:, 1])]
-
-
 def torus_translation_congruent(pos_a: np.ndarray, labels_a: Sequence,
                                 pos_b: np.ndarray, labels_b: Sequence,
                                 eps: float = 1e-7) -> Optional[np.ndarray]:
@@ -341,111 +343,65 @@ def torus_translation_congruent(pos_a: np.ndarray, labels_a: Sequence,
     t = np.mod(q - p, TWO_PI)
     shifted = wrap_angle(pa + t)
     vtol = max(eps, 1e-9) * 10.0
-    if match_multisets(_embed_torus(shifted), _embed_torus(pb), vtol,
-                       labels_a, labels_b):
+    ea, eb = (np.stack([np.cos(x), np.sin(x)], axis=2).reshape(-1, 4)
+              for x in (shifted, pb))
+    if match_multisets(ea, eb, vtol, labels_a, labels_b):
         return t
     return None
 
 
-def _plane_split(coords: np.ndarray, tol: float) -> tuple:
-    """Masks (origin, plane-1 only, plane-2 only, generic torus points)."""
-    r1 = np.hypot(coords[:, 0], coords[:, 1])
-    r2 = np.hypot(coords[:, 2], coords[:, 3])
-    origin = (r1 <= tol) & (r2 <= tol)
-    in1 = (r2 <= tol) & ~origin
-    in2 = (r1 <= tol) & ~origin
-    torus = ~(origin | in1 | in2)
-    return r1, r2, origin, in1, in2, torus
+def _block_match(ac: np.ndarray, la: np.ndarray, bc: np.ndarray,
+                 lb: np.ndarray, eps: float) -> Optional[np.ndarray]:
+    """The block rotation that maps the coordinate set ac, with joint label
+    ranks la, onto bc, or None.
 
-
-def _axes_offsets(ang_a, labs_a, ang_b, labs_b, tor_a, tor_b, eps):
-    """Offset ids of torus angles relative to the plane sets' symmetry axes.
-
-    Returns (off_ids_a, off_ids_b) or None when the two plane sets, of
-    equal size, cannot correspond under any rotation.  Empty plane sets
-    impose no constraint.
-    """
-    n_t_a, n_t_b = len(tor_a), len(tor_b)
-    if len(ang_a) == 0:
-        return np.zeros(n_t_a, dtype=int), np.zeros(n_t_b, dtype=int)
-
-    _, ra, rb = joint_ranks(labs_a, labs_b)
-    axes = circle_axes(ang_a, ra, ang_b, rb, eps)
-    if axes is None:
-        return None
-    ax_a, ax_b = axes
-    spacing = ax_a.spacing
-    off_a = np.mod(tor_a - ax_a.base_angle, spacing)
-    off_b = np.mod(tor_b - ax_b.base_angle, spacing)
-    ids = circular_cluster(np.concatenate([off_a, off_b]), eps, spacing).ids
-    return ids[:n_t_a], ids[n_t_a:]
-
-
-def _block_match(ac: np.ndarray, la: Sequence, bc: np.ndarray, lb: Sequence,
-                 eps: float) -> Optional[tuple]:
-    """Angles (phi, psi) with block_rotation(phi, psi) mapping the labeled
-    coordinate set ac onto bc, or None.  Both coordinate planes must be
-    invariant; points are split into the two pure-plane circles and the
-    generic torus part, and the torus translation is constrained to respect
-    the circles through offset labels.
+    Points are classed once by their two plane radii: origin, plane-1
+    circle, plane-2 circle or torus point.  One loop over the planes then
+    takes each plane's turn from :func:`turn_2d` when there are no torus
+    points, or else adds its radius ids and axis offset ids to the torus
+    labels (label, r1 id, r2 id, offset 1, offset 2); a plane with no
+    circle points gives offsets 0.
     """
     tol = max(eps, 1e-9)
-    r1a, r2a, org_a, in1_a, in2_a, tor_a = _plane_split(ac, tol)
-    r1b, r2b, org_b, in1_b, in2_b, tor_b = _plane_split(bc, tol)
-    for ma, mb in ((org_a, org_b), (in1_a, in1_b), (in2_a, in2_b),
-                   (tor_a, tor_b)):
-        if ma.sum() != mb.sum():
-            return None
-    if not np.array_equal(np.sort(la[org_a]), np.sort(lb[org_b])):
+    n, c = len(ac), np.r_[ac, bc]
+    a, b = slice(None, n), slice(n, None)
+    rad = np.hypot(c[:, 0::2], c[:, 1::2])
+    ang = wrap_angle(np.arctan2(c[:, 1::2], c[:, 0::2]))
+    # 0 origin, 1 plane-1 circle, 2 plane-2 circle, 3 torus point
+    cls = (rad > tol) @ [1, 2]
+    if not (np.array_equal(np.bincount(cls[a], minlength=4),
+                           np.bincount(cls[b], minlength=4))
+            and np.array_equal(np.sort(la[cls[a] == 0]),
+                               np.sort(lb[cls[b] == 0]))):
         return None
-
-    r1ids_a, r1ids_b = joint_cluster(r1a, r1b, tol)
-    r2ids_a, r2ids_b = joint_cluster(r2a, r2b, tol)
-
-    def circle_data(coords, mask, labs, rids, cols):
-        ang = np.arctan2(coords[mask, cols[1]], coords[mask, cols[0]])
-        return wrap_angle(ang), np.column_stack((labs[mask], rids[mask]))
-
-    ang1_a, l1a = circle_data(ac, in1_a, la, r1ids_a, (0, 1))
-    ang1_b, l1b = circle_data(bc, in1_b, lb, r1ids_b, (0, 1))
-    ang2_a, l2a = circle_data(ac, in2_a, la, r2ids_a, (2, 3))
-    ang2_b, l2b = circle_data(bc, in2_b, lb, r2ids_b, (2, 3))
-
-    if not tor_a.any():
-        phi = 0.0
-        if len(ang1_a) or len(ang1_b):
-            phi = congruence_2d_labeled(ang1_a, l1a, ang1_b, l1b, tol)
-            if phi is None:
+    tor = cls == 3
+    turns, rows = np.eye(4), np.zeros((len(c), 5), dtype=int)
+    rows[:, 0] = np.r_[la, lb]
+    for p in (0, 1):
+        plane = slice(2 * p, 2 * p + 2)
+        if not tor.any():
+            s = turn_2d(ac[:, plane], la, bc[:, plane], lb, tol)
+            if s is None:
                 return None
-        psi = 0.0
-        if len(ang2_a) or len(ang2_b):
-            psi = congruence_2d_labeled(ang2_a, l2a, ang2_b, l2b, tol)
-            if psi is None:
+            turns[plane, plane] = s
+            continue
+        rows[:, 1 + p] = tolerance_cluster(rad[:, p], tol).ids
+        on = cls == p + 1
+        if on.any():
+            keys = rows[:, [0, 1 + p]]
+            _, ka, kb = joint_ranks(keys[a][on[a]], keys[b][on[b]])
+            axes = circle_axes(ang[a, p][on[a]], ka, ang[b, p][on[b]], kb, tol)
+            if axes is None:
                 return None
-        return float(phi), float(psi)
-
-    phi_t_a = wrap_angle(np.arctan2(ac[tor_a, 1], ac[tor_a, 0]))
-    psi_t_a = wrap_angle(np.arctan2(ac[tor_a, 3], ac[tor_a, 2]))
-    phi_t_b = wrap_angle(np.arctan2(bc[tor_b, 1], bc[tor_b, 0]))
-    psi_t_b = wrap_angle(np.arctan2(bc[tor_b, 3], bc[tor_b, 2]))
-
-    off1 = _axes_offsets(ang1_a, l1a, ang1_b, l1b, phi_t_a, phi_t_b, tol)
-    if off1 is None:
-        return None
-    off2 = _axes_offsets(ang2_a, l2a, ang2_b, l2b, psi_t_a, psi_t_b, tol)
-    if off2 is None:
-        return None
-
-    def torus_labels(labs, mask, r1ids, r2ids, o1, o2):
-        return np.column_stack((labs[mask], r1ids[mask], r2ids[mask], o1, o2))
-
-    tla = torus_labels(la, tor_a, r1ids_a, r2ids_a, off1[0], off2[0])
-    tlb = torus_labels(lb, tor_b, r1ids_b, r2ids_b, off1[1], off2[1])
-    t = torus_translation_congruent(np.c_[phi_t_a, psi_t_a], tla,
-                                    np.c_[phi_t_b, psi_t_b], tlb, tol)
-    if t is None:
-        return None
-    return float(t[0]), float(t[1])
+            base = np.repeat([axes[0].base_angle, axes[1].base_angle],
+                             [n, len(bc)])
+            rows[tor, 3 + p] = circular_cluster((ang[:, p] - base)[tor], tol,
+                                                axes[0].spacing).ids
+    if not tor.any():
+        return turns
+    t = torus_translation_congruent(ang[a][tor[a]], rows[a][tor[a]],
+                                    ang[b][tor[b]], rows[b][tor[b]], tol)
+    return None if t is None else block_rotation(*t)
 
 
 def two_plus_two_reduce(set_a: PointSet4, set_b: PointSet4,
@@ -456,7 +412,9 @@ def two_plus_two_reduce(set_a: PointSet4, set_b: PointSet4,
 
     In adapted coordinates the unknown map is block 2x2 + 2x2 with both
     blocks orthogonal and determinant +1 overall: either two rotations, or
-    two reflections, which a fixed plane swap turns back into rotations.
+    two reflections, which SWAP_PLANES, a fixed reflection of both planes,
+    turns back into rotations.  For each case :func:`_block_match` gives
+    the one candidate block rotation, which is verified on the input.
     """
     fa, fb = frames(np.stack([plane_a.basis, plane_b.basis]))[0]
     ac0 = set_a.points @ fa.T
@@ -465,10 +423,9 @@ def two_plus_two_reduce(set_a: PointSet4, set_b: PointSet4,
 
     for swapped in (False, True):
         ac = ac0 @ SWAP_PLANES if swapped else ac0
-        res = _block_match(ac, la, bc, lb, eps)
-        if res is None:
+        m = _block_match(ac, la, bc, lb, eps)
+        if m is None:
             continue
-        m = block_rotation(*res)
         if swapped:
             m = m @ SWAP_PLANES
         r = fb.T @ m @ fa

@@ -125,8 +125,8 @@ class TestAntipodalNoise:
         # conditioned; the least-distance class loses some of these pairs
         assert self.false_negatives(1e-12) == 0
 
-    def test_noise_1e11_rarely_rejected(self):
-        assert self.false_negatives(1e-11) <= 2
+    def test_noise_1e11_never_rejected(self):
+        assert self.false_negatives(1e-11) == 0
 
     def test_noise_1e10_never_rejected(self):
         # the anchor's 3-slice holds only singleton tokens, which pin its

@@ -16,7 +16,7 @@ from hypercongruence.geom import (
     match_multisets,
 )
 from hypercongruence.harness import (gen_orbit_helix, gen_torus_grid,
-                                     random_rotation)
+                                     oracle_congruent, random_rotation)
 from hypercongruence.torus import (
     SWAP_PLANES,
     _block_match,
@@ -610,6 +610,30 @@ class TestTwoPlusTwo:
         v = two_plus_two_reduce(PointSet4(a), PointSet4(b), E12, E12)
         assert v.congruent
         assert match_multisets(a @ v.rotation.T, b, 1e-6)
+
+    @staticmethod
+    def two_triangles(turn_inner):
+        """Triangles of radii 1 and 0.5 in plane 1, a square in plane 2."""
+        k3, k4 = np.arange(3) * TWO_PI / 3 + 0.7, np.arange(4) * TWO_PI / 4
+        return np.r_[embed(k3, np.zeros(3), 1.0, 0.0),
+                     embed(k3 + turn_inner, np.zeros(3), 0.5, 0.0),
+                     embed(np.zeros(4), k4 + 0.3, 0.0, 1.0)]
+
+    def test_concentric_circles_only(self, rng):
+        # plane 1 reads as a regular hexagon without its radius ids, and
+        # both canonical axes of A (direct and mirrored) lie on the outer
+        # triangle while B's lies on the inner one
+        a = self.two_triangles(TWO_PI / 6)
+        m = block_rotation(0.9, 1.1)
+        b = (a @ m.T)[rng.permutation(len(a))]
+        v = two_plus_two_reduce(PointSet4(a), PointSet4(b), E12, E12)
+        assert v.congruent and oracle_congruent(a, b).congruent
+        assert match_multisets(a @ v.rotation.T, b, 1e-6)
+        # only the inner triangle turned by another angle
+        moved = self.two_triangles(TWO_PI / 6 + 0.5) @ m.T
+        assert not two_plus_two_reduce(PointSet4(a), PointSet4(moved),
+                                       E12, E12).congruent
+        assert not oracle_congruent(a, moved).congruent
 
     def test_single_plane_position(self, rng):
         # one point on a plane circle fixes no residual symmetry there; the

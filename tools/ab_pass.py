@@ -38,6 +38,12 @@ imported under:
 
 ``--rounds 0`` skips the timing and only counts.
 
+``--workload all`` runs the above on every workload of
+``perfbench/workloads.WORKLOADS`` in turn, then prints one summary line
+per workload, so one command shows whether any of them got slower:
+
+    python tools/ab_pass.py --base ../parent/src --workload all --rounds 6
+
 The workload module is read, never changed.
 """
 
@@ -135,7 +141,8 @@ def main(argv=None) -> int:
                     "package (required unless --worker)")
     ap.add_argument("--src", default=str(ROOT / "src"),
                     help="directory of the changed package (default: src)")
-    ap.add_argument("--workload", default="dense")
+    ap.add_argument("--workload", default="dense",
+                    help="a perfbench workload, or all of them (default: dense)")
     pair = ap.add_mutually_exclusive_group()
     pair.add_argument("--helix", nargs=3, type=float, metavar=("ELL", "K", "R1"),
                       help="time one congruent orbit helix pair instead")
@@ -156,6 +163,21 @@ def main(argv=None) -> int:
         ap.error("--base is required")
     sides = {"base": str(Path(args.base).resolve()),
              "change": str(Path(args.src).resolve())}
+    if args.workload != "all" or args.helix or args.polytope:
+        compare(sides, args)
+        return 0
+    summaries = []
+    for name in load_workloads().WORKLOADS:
+        args.workload = name
+        summaries.append(f"{name}: {compare(sides, args)}")
+        print()
+    print("\n".join(summaries))
+    return 0
+
+
+def compare(sides: dict, args) -> str:
+    """Print the interleaved rounds of one workload or pair and its
+    summary, and return the summary."""
     times: dict = {"base": [], "change": []}
     what = ("helix " + " ".join(f"{x:g}" for x in args.helix) if args.helix
             else "polytope " + " ".join(args.polytope) if args.polytope
@@ -170,13 +192,15 @@ def main(argv=None) -> int:
         b, c = times["base"][-1], times["change"][-1]
         print(f"{r:5d}  {order[0]:6s} {b:8.4f}  {c:8.4f}  {c / b:11.3f}")
     b, c = times["base"], times["change"]
+    summary = "not timed"
     if b:
         lo, hi = quartiles(b)
         wins = sum(x < y for x, y in zip(c, b))
-        print(f"median base {statistics.median(b):.4f} s [{lo:.4f}-{hi:.4f}], "
-              f"change {statistics.median(c):.4f} s, "
-              f"ratio {statistics.median(c) / statistics.median(b):.3f}; "
-              f"change faster in {wins}/{len(b)} rounds")
+        summary = (f"median base {statistics.median(b):.4f} s "
+                   f"[{lo:.4f}-{hi:.4f}], change {statistics.median(c):.4f} s, "
+                   f"ratio {statistics.median(c) / statistics.median(b):.3f}; "
+                   f"change faster in {wins}/{len(b)} rounds")
+        print(summary)
     if args.count:
         counts = {side: run_side(src, args, count=True)
                   for side, src in sides.items()}
@@ -184,7 +208,7 @@ def main(argv=None) -> int:
         for qual in sorted(counts["base"].keys() | counts["change"].keys()):
             print(f"  {qual}  {counts['base'].get(qual, 0)}  "
                   f"{counts['change'].get(qual, 0)}")
-    return 0
+    return summary
 
 
 if __name__ == "__main__":
