@@ -335,6 +335,11 @@ def mark_pair(c: PlaneSpan, d: PlaneSpan, eps: float = EPS_EQ) -> tuple[np.ndarr
     return np.vstack([on_c, -on_c]), np.vstack([on_d, -on_d])
 
 
+def match_tol(eps: float) -> float:
+    """How near a reduced test's rotation puts each point: 10 eps, >= 1e-8."""
+    return max(eps, 1e-9) * 10.0
+
+
 def match_multisets(x: np.ndarray, y: np.ndarray, eps: float = EPS_EQ,
                     labels_x: Optional[Sequence] = None,
                     labels_y: Optional[Sequence] = None) -> bool:

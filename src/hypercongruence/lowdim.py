@@ -1,24 +1,23 @@
 """Labeled congruence tests in two and three dimensions, and the 1+3
 reduction that leads to them.
 
-The 4D pipeline bottoms out here.  Both reductions take one step,
-_about_axis: pin an axis of A onto each candidate axis of B, cluster the
-heights along the axes jointly, and solve the orthogonal slice with the
-height ids as labels.  one_plus_three_reduce pins an anchor and solves
-the 3-slice with congruence_3d_labeled.  When tokens held by one point
-on each side span a plane, those points fix the correspondence, and the
-3D test takes the rotation from them alone by Kabsch's least-squares fit
-(Acta Cryst. A32, 1976); otherwise it pins a point of its condensed
-rarest shell and matches labeled angles on the circle.  The circle
-test, congruence_2d_labeled, reads the turn off the labels that one
-point holds on each side when there are any, and off canonical necklace
-codes of the whole circle (Alt, Mehlhorn, Wagener and Welzl, DCG 1988)
-only when every label class has several members.  Its caller, turn_2d,
-which adds jointly clustered radius ids to the labels, also turns each
-plane of the 2+2 step (torus) when no point lies off the two plane
-circles.  The axis step, run from B onto itself, finds symmetries of B;
-the anchor loop tests one candidate per orbit of them, so a
-vertex-transitive set costs two 3D tests instead of one per anchor.
+The 4D pipeline bottoms out here, in one labeled test for the plane and
+for space, labeled_rotation.  It matches the origin's labels and tokens
+the other points by (label, jointly clustered radius id).  When tokens
+held by one point on each side span a hyperplane, those points fix the
+correspondence, and the rotation is their Kabsch least-squares fit (Acta
+Cryst. A32, 1976).  Otherwise the plane test matches canonical necklace
+codes of the circle (Alt, Mehlhorn, Wagener and Welzl, DCG 1988), and the
+space test pins a point of its condensed rarest shell and solves the
+plane about it.  Both reductions take one step, _about_axis: pin an axis
+of A onto each candidate axis of B, cluster the heights along the axes
+jointly, and solve the orthogonal slice with the height ids as labels.
+one_plus_three_reduce pins an anchor and solves the 3-slice with
+congruence_3d_labeled; the 2+2 step (torus) turns each plane with
+labeled_rotation when no point lies off the two plane circles.  The axis
+step, run from B onto itself, finds symmetries of B; the anchor loop
+tests one candidate per orbit of them, so a vertex-transitive set costs
+two 3D tests instead of one per anchor.
 """
 
 from __future__ import annotations
@@ -33,7 +32,7 @@ from .condense import (TWO_PI, canonical_axes, circular_cluster,
                        component_ids, joint_cluster, joint_ranks,
                        prune_by_key, rank_labels, wrap_angle)
 from .geom import (EPS_EQ, PointSet4, Verdict, frame, match_multisets,
-                   verify_rotation)
+                   match_tol, verify_rotation)
 from .sphere import condense_sphere
 
 
@@ -84,46 +83,116 @@ def congruence_2d_labeled(angles_a: np.ndarray, labels_a: Sequence,
                           angles_b: np.ndarray, labels_b: Sequence,
                           eps: float = EPS_EQ) -> Optional[float]:
     """Rotation angle t with (angles_a + t, labels_a) == (angles_b, labels_b)
-    as labeled multisets on the circle, or None.
-
-    Labels, hashable and comparable across the sets or rows of int tables,
-    are ranked jointly at entry; sets whose label histograms differ are
-    rejected.  A label held by one point on each side pins the shift, since
-    any labeled congruence maps the one onto the other: t is the circular
-    mean of b_r - a_r over every such singleton class r.  Otherwise both
-    sets are reduced to a canonical necklace code in O(n log n); equality
-    of codes pins the shift up to the common symmetry.  Either way the one
-    candidate shift is verified directly.
+    as labeled multisets on the circle, or None: the turn that
+    :func:`labeled_rotation` finds for the unit points (cos, sin).  Labels
+    are hashable and comparable across the sets, or rows of int tables.
     """
-    a = wrap_angle(np.atleast_1d(angles_a))
-    b = wrap_angle(np.atleast_1d(angles_b))
-    if len(a) != len(b):
+    pa, pb = (np.column_stack((np.cos(x), np.sin(x)))
+              for x in (np.atleast_1d(angles_a), np.atleast_1d(angles_b)))
+    s = labeled_rotation(pa, labels_a, pb, labels_b, eps)
+    return None if s is None else float(wrap_angle(math.atan2(s[1, 0],
+                                                              s[0, 0])))
+
+
+def labeled_rotation(pa: np.ndarray, la: Sequence, pb: np.ndarray,
+                     lb: Sequence, eps: float) -> Optional[np.ndarray]:
+    """A proper rotation S of the plane or of space (d = 2 or 3 columns)
+    with S @ a_i matching {(b_j, label_j)} as labeled multisets, or None.
+
+    Labels are ranked at entry and the origin's labels must agree; the
+    other points are tokened by (label, jointly clustered radius id), and
+    the token counts must agree.  A token held by one point on each side
+    forces that pair to match, so when such singleton pairs span a
+    (d - 1)-space, S is their Kabsch fit V diag(1, .., sign det(V U^T)) U^T
+    from the SVD U Σ V^T of Σ a_i b_i^T, proper by construction.  The pairs
+    are checked one by one and the other points as labeled multisets; a
+    failed check is final, since no other correspondence exists.
+    Otherwise, in the plane, equal canonical necklace codes pin the turn
+    up to the common symmetry, and every merged angle position must hold
+    equal tokens from both sides.  In space, the rarest token's shell,
+    ties going to the largest radius (the best-conditioned axis), condenses
+    to a frame of 1, 2, 4, 6 or 12 points; S maps the first point of A's
+    frame onto some point of B's, nearest first, and this test in the
+    plane about that axis fixes the turn.
+    """
+    d = pa.shape[1]
+    if len(pa) != len(pb):
         return None
-    if len(a) == 0:
-        return 0.0
-    toks, la, lb = joint_ranks(labels_a, labels_b)
-    counts = np.bincount(la, minlength=len(toks))
-    if not np.array_equal(counts, np.bincount(lb, minlength=len(toks))):
+    la, lb = rank_labels(la, lb)
+    ra, rb = np.linalg.norm(pa, axis=1), np.linalg.norm(pb, axis=1)
+    orig_a, orig_b = ra <= eps, rb <= eps
+    if not np.array_equal(np.sort(la[orig_a]), np.sort(lb[orig_b])):
         return None
+    pa, pb, ra, rb = pa[~orig_a], pb[~orig_b], ra[~orig_a], rb[~orig_b]
+    la, lb = la[~orig_a], lb[~orig_b]
+    if len(pa) == 0:
+        return np.eye(d)
+    rida, ridb = joint_cluster(ra, rb, eps)
+    toks, ta, tb = joint_ranks(np.column_stack((la, rida)),
+                               np.column_stack((lb, ridb)))
+    counts = np.bincount(ta, minlength=len(toks))
+    if not np.array_equal(counts, np.bincount(tb, minlength=len(toks))):
+        return None
+    # every candidate S must put each point within vtol of its match
+    vtol = match_tol(eps)
     single = counts == 1
-    if single.any():
-        # an angle per label, the one angle of each singleton class
-        at, bt = np.empty(len(toks)), np.empty(len(toks))
-        at[la], bt[lb] = a, b
-        d = bt[single] - at[single]
-        t = float(wrap_angle(math.atan2(np.sin(d).sum(), np.cos(d).sum())))
-    else:
-        axes = circle_axes(a, la, b, lb, eps)
+    if single.sum() >= d - 1:
+        # a point per token, the one point of each singleton token
+        at, bt = np.empty((len(toks), d)), np.empty((len(toks), d))
+        at[ta], bt[tb] = pa, pb
+        at, bt = at[single], bt[single]
+        u, sv, vt = np.linalg.svd(at.T @ bt)
+        # collinear singletons in space leave the turn about their line free
+        if sv[d - 2] > 1e-6 * sv[0]:
+            # Kabsch's least-squares fit, kept proper
+            flip = 1.0 if np.linalg.det(vt.T @ u.T) >= 0 else -1.0
+            s = vt.T @ np.diag([1.0] * (d - 1) + [flip]) @ u.T
+            rest_a, rest_b = ~single[ta], ~single[tb]
+            if ((np.linalg.norm(at @ s.T - bt, axis=1) <= vtol).all()
+                    and match_multisets(pa[rest_a] @ s.T, pb[rest_b], vtol,
+                                        ta[rest_a], tb[rest_b])):
+                return s
+            return None
+    if d == 2:
+        a, b = (wrap_angle(np.arctan2(p[:, 1], p[:, 0])) for p in (pa, pb))
+        axes = circle_axes(a, ta, b, tb, eps)
         if axes is None:
             return None
         t = float(np.mod(axes[1].base_angle - axes[0].base_angle, TWO_PI))
-
-    # every merged position must hold equal label multisets from both sides
-    ids = circular_cluster(np.concatenate([a + t, b]), max(eps, 1e-12)).ids
-    keys = ids * (int(max(la.max(), lb.max())) + 1) + np.concatenate([la, lb])
-    if not np.array_equal(np.sort(keys[:len(a)]), np.sort(keys[len(a):])):
+        ids = circular_cluster(np.concatenate([a + t, b]), max(eps, 1e-12)).ids
+        keys = ids * len(toks) + np.concatenate([ta, tb])
+        if not np.array_equal(np.sort(keys[:len(a)]), np.sort(keys[len(a):])):
+            return None
+        c, s = math.cos(t), math.sin(t)
+        return np.array([[c, -s], [s, c]])
+    # the rarest token, then the largest radius id, then the smallest token
+    tok = np.lexsort((np.arange(len(toks)), -toks[:, 1], counts))[0]
+    fa, fb = (condense_sphere(u / np.linalg.norm(u, axis=1, keepdims=True),
+                              eps) for u in (pa[ta == tok], pb[tb == tok]))
+    if len(fa) != len(fb):
         return None
-    return t
+    # the targets nearest to A's axis first: the least rotations are tried
+    # first, so a symmetry search about a nearby axis finds the small turn
+    # of a helix step before a half-turn flip
+    fb = fb[np.argsort(-(fb @ fa[0]), kind="stable")]
+    for s in _about_axis(pa, la, pb, lb, fa[0], fb, eps, labeled_rotation):
+        if match_multisets(pa @ s.T, pb, vtol, ta, tb):
+            return s
+    return None
+
+
+def congruence_3d_labeled(points_a: np.ndarray, labels_a: Sequence,
+                          points_b: np.ndarray, labels_b: Sequence,
+                          eps: float = EPS_EQ) -> Optional[np.ndarray]:
+    """A proper rotation S in SO(3) with S @ a_i matching {(b_j, label_j)}
+    as labeled multisets, or None: :func:`labeled_rotation` in space.  Only
+    proper rotations are searched: every embedding of a 3D slice match into
+    a positively oriented 4D congruence forces det(S) = +1.  The 1+3 step
+    calls it by this name as its residual.
+    """
+    pa, pb = (np.asarray(p, dtype=float).reshape(-1, 3)
+              for p in (points_a, points_b))
+    return labeled_rotation(pa, labels_a, pb, labels_b, eps)
 
 
 def _transported(fa: np.ndarray, targets: np.ndarray) -> np.ndarray:
@@ -172,106 +241,6 @@ def _about_axis(pa: np.ndarray, la: Sequence, pb: np.ndarray, lb: Sequence,
             yield fb.T @ lift @ fa
 
 
-def turn_2d(qa: np.ndarray, ka: np.ndarray, qb: np.ndarray, kb: np.ndarray,
-            eps: float) -> Optional[np.ndarray]:
-    """A 2x2 rotation matching two equally long plane sets about the
-    origin, each point labeled by its int key, or None.  Points off the
-    origin add a jointly clustered radius id (congruence_2d_labeled).  It
-    is the 3D test's slice about an axis and the turn of a plane of the
-    2+2 step that holds no torus points.
-    """
-    rho_a, rho_b = np.hypot(qa[:, 0], qa[:, 1]), np.hypot(qb[:, 0], qb[:, 1])
-    on_a, on_b = rho_a <= eps, rho_b <= eps
-    if not np.array_equal(np.sort(ka[on_a]), np.sort(kb[on_b])):
-        return None
-    pids_a, pids_b = joint_cluster(rho_a[~on_a], rho_b[~on_b], eps)
-    t = congruence_2d_labeled(
-        np.arctan2(qa[~on_a, 1], qa[~on_a, 0]),
-        np.column_stack((ka[~on_a], pids_a)),
-        np.arctan2(qb[~on_b, 1], qb[~on_b, 0]),
-        np.column_stack((kb[~on_b], pids_b)), eps)
-    if t is None:
-        return None
-    c, s = math.cos(t), math.sin(t)
-    return np.array([[c, -s], [s, c]])
-
-
-def congruence_3d_labeled(points_a: np.ndarray, labels_a: Sequence,
-                          points_b: np.ndarray, labels_b: Sequence,
-                          eps: float = EPS_EQ) -> Optional[np.ndarray]:
-    """A proper rotation S in SO(3) with S @ a_i matching {(b_j, label_j)}
-    as labeled multisets, or None.
-
-    Labels are ranked at entry.  Only proper rotations are searched: every
-    embedding of a 3D slice match into a positively oriented 4D congruence
-    forces det(S) = +1.  Points are tokened by (label, jointly clustered
-    radius id).  A token held by one point on each side forces that pair
-    to match, so when two or more such singleton pairs span a plane, S is
-    their Kabsch fit V diag(1, 1, sign det(V U^T)) U^T from the SVD
-    U Σ V^T of Σ a_i b_i^T, proper by construction.  The pairs are checked
-    one by one and the other points as labeled multisets; a failed check
-    is final, since no other correspondence exists.  Otherwise the rarest
-    token's shell, ties going to the largest radius (the best-conditioned
-    axis), condenses to a frame of 1, 2, 4, 6 or 12 points; S maps the
-    first point of A's frame onto some point of B's, nearest first, and
-    the circle test about that axis fixes the turn.
-    """
-    pa = np.asarray(points_a, dtype=float).reshape(-1, 3)
-    pb = np.asarray(points_b, dtype=float).reshape(-1, 3)
-    if len(pa) != len(pb):
-        return None
-    la, lb = rank_labels(labels_a, labels_b)
-    ra, rb = np.linalg.norm(pa, axis=1), np.linalg.norm(pb, axis=1)
-    orig_a, orig_b = ra <= eps, rb <= eps
-    if not np.array_equal(np.sort(la[orig_a]), np.sort(lb[orig_b])):
-        return None
-    pa, pb, ra, rb = pa[~orig_a], pb[~orig_b], ra[~orig_a], rb[~orig_b]
-    la, lb = la[~orig_a], lb[~orig_b]
-    if len(pa) == 0:
-        return np.eye(3)
-
-    rida, ridb = joint_cluster(ra, rb, eps)
-    toks, ta, tb = joint_ranks(np.column_stack((la, rida)),
-                               np.column_stack((lb, ridb)))
-    counts = np.bincount(ta, minlength=len(toks))
-    if not np.array_equal(counts, np.bincount(tb, minlength=len(toks))):
-        return None
-    # every candidate S must put each point within vtol of its match
-    vtol = max(eps, 1e-9) * 10.0
-    single = counts == 1
-    if single.sum() >= 2:
-        # a point per token, the one point of each singleton token
-        at, bt = np.empty((len(toks), 3)), np.empty((len(toks), 3))
-        at[ta], bt[tb] = pa, pb
-        at, bt = at[single], bt[single]
-        u, sv, vt = np.linalg.svd(at.T @ bt)
-        # collinear singletons leave the turn about their line free
-        if sv[1] > 1e-6 * sv[0]:
-            # Kabsch's least-squares fit, kept proper: S = V diag(1, 1, d) U^T
-            d = 1.0 if np.linalg.det(vt.T @ u.T) >= 0 else -1.0
-            s = vt.T @ np.diag([1.0, 1.0, d]) @ u.T
-            rest_a, rest_b = ~single[ta], ~single[tb]
-            if ((np.linalg.norm(at @ s.T - bt, axis=1) <= vtol).all()
-                    and match_multisets(pa[rest_a] @ s.T, pb[rest_b], vtol,
-                                        ta[rest_a], tb[rest_b])):
-                return s
-            return None
-    # the rarest token, then the largest radius id, then the smallest token
-    tok = np.lexsort((np.arange(len(toks)), -toks[:, 1], counts))[0]
-    fa, fb = (condense_sphere(u / np.linalg.norm(u, axis=1, keepdims=True),
-                              eps) for u in (pa[ta == tok], pb[tb == tok]))
-    if len(fa) != len(fb):
-        return None
-    # the targets nearest to A's axis first: the least rotations are tried
-    # first, so a symmetry search about a nearby axis finds the small turn
-    # of a helix step before a half-turn flip
-    fb = fb[np.argsort(-(fb @ fa[0]), kind="stable")]
-    for s in _about_axis(pa, la, pb, lb, fa[0], fb, eps, turn_2d):
-        if match_multisets(pa @ s.T, pb, vtol, ta, tb):
-            return s
-    return None
-
-
 def _anchor_class(aa: np.ndarray, ab: np.ndarray,
                   eps: float) -> Optional[tuple]:
     """The rarest class of anchors on each side under the signature "sorted
@@ -294,13 +263,6 @@ def _anchor_class(aa: np.ndarray, ab: np.ndarray,
     return aa[prune_by_key(ka).indices], ab[prune_by_key(kb).indices]
 
 
-def _slice_3d(qa: np.ndarray, ka: np.ndarray, qb: np.ndarray, kb: np.ndarray,
-              eps: float) -> Optional[np.ndarray]:
-    """The 1+3 residual: congruence_3d_labeled on the (label, height id)
-    keys, looked up by name at every call."""
-    return congruence_3d_labeled(qa, ka, qb, kb, eps)
-
-
 def _symmetry_edges(set_b: PointSet4, base_b: Sequence, cands: np.ndarray,
                     i: int, eps: float) -> Optional[np.ndarray]:
     """The (j, perm[j]) pairs of an automorphism g of set_b with g·c0 = c_i,
@@ -310,9 +272,9 @@ def _symmetry_edges(set_b: PointSet4, base_b: Sequence, cands: np.ndarray,
     must map set_b onto itself (labels included) and the candidates onto
     themselves within the 3D test's tolerance.
     """
-    vtol = max(eps, 1e-9) * 10.0
+    vtol = match_tol(eps)
     for g in _about_axis(set_b.points, base_b, set_b.points, base_b,
-                         cands[0], cands[i:i + 1], eps, _slice_3d):
+                         cands[0], cands[i:i + 1], eps, congruence_3d_labeled):
         if verify_rotation(set_b, set_b, g, vtol):
             dist, perm = cKDTree(cands).query(cands @ g.T)
             if dist.max() <= vtol:
@@ -370,7 +332,7 @@ def one_plus_three_reduce(set_a: PointSet4, set_b: PointSet4,
                 orbit = component_ids(m, edges)
                 continue
         for r in _about_axis(set_a.points, base_a, set_b.points, base_b, a0,
-                             cands[i:i + 1], eps, _slice_3d):
+                             cands[i:i + 1], eps, congruence_3d_labeled):
             if verify_rotation(set_a, set_b, r):
                 return Verdict.yes(r, np.zeros(4))
         rejected[i] = True

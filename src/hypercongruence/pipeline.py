@@ -170,7 +170,10 @@ def _attempt(an: np.ndarray, bn: np.ndarray, opts: PipelineOptions,
                                               int(keys[k, 1])), c)
                                             for k, c in h)):
             return Verdict.no("radius class")
-        ka, kb = prune_by_key(rk_a).indices, prune_by_key(rk_b).indices
+        # the rarest radius class, ties to the largest, best-conditioned one
+        counts = np.bincount(rk_a, minlength=len(keys))
+        k = np.lexsort((-keys[:, 1], counts))[0]
+        ka, kb = np.flatnonzero(rk_a == k), np.flatnonzero(rk_b == k)
         sa = wa[ka] / norm_a[ka, None]
         sb = wb[kb] / norm_b[kb, None]
 

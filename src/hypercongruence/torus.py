@@ -5,7 +5,7 @@ frames adapted to the two planes, a block rotation turning each plane by
 its own angle, after a fixed reflection of both planes when it reverses
 their orientations (:func:`_block_match`).  The origin and the points of
 one plane's circle only constrain the turns; with nothing else, each
-plane's turn is the 2D step of the 3D test.  On the other, generic,
+plane's turn is labeled_rotation in the plane.  On the other, generic,
 points the block rotation acts as a translation of the flat square torus
 of their two polar angles, labeled by offsets from the circles'
 canonical axes.
@@ -52,8 +52,8 @@ from .condense import (TWO_PI, circular_cluster, component_ids, joint_ranks,
                        least_rotations, padded_rows, prune_by_key,
                        rank_labels, tolerance_cluster, wrap_angle)
 from .geom import (EPS_EQ, PlaneSpan, PointSet4, Verdict, block_rotation,
-                   frames, match_multisets, verify_rotation)
-from .lowdim import circle_axes, turn_2d
+                   frames, match_multisets, match_tol, verify_rotation)
+from .lowdim import circle_axes, labeled_rotation
 
 SWAP_PLANES = np.array([[0.0, 1.0, 0.0, 0.0],
                         [1.0, 0.0, 0.0, 0.0],
@@ -342,7 +342,7 @@ def torus_translation_congruent(pos_a: np.ndarray, labels_a: Sequence,
     q = pb[cb][np.lexsort(pb[cb].T[::-1])[0]]
     t = np.mod(q - p, TWO_PI)
     shifted = wrap_angle(pa + t)
-    vtol = max(eps, 1e-9) * 10.0
+    vtol = match_tol(eps)
     ea, eb = (np.stack([np.cos(x), np.sin(x)], axis=2).reshape(-1, 4)
               for x in (shifted, pb))
     if match_multisets(ea, eb, vtol, labels_a, labels_b):
@@ -357,9 +357,9 @@ def _block_match(ac: np.ndarray, la: np.ndarray, bc: np.ndarray,
 
     Points are classed once by their two plane radii: origin, plane-1
     circle, plane-2 circle or torus point.  One loop over the planes then
-    takes each plane's turn from :func:`turn_2d` when there are no torus
-    points, or else adds its radius ids and axis offset ids to the torus
-    labels (label, r1 id, r2 id, offset 1, offset 2); a plane with no
+    takes each plane's turn from :func:`labeled_rotation` when there are
+    no torus points, or else adds its radius ids and axis offset ids to the
+    torus labels (label, r1 id, r2 id, offset 1, offset 2); a plane with no
     circle points gives offsets 0.
     """
     tol = max(eps, 1e-9)
@@ -380,7 +380,7 @@ def _block_match(ac: np.ndarray, la: np.ndarray, bc: np.ndarray,
     for p in (0, 1):
         plane = slice(2 * p, 2 * p + 2)
         if not tor.any():
-            s = turn_2d(ac[:, plane], la, bc[:, plane], lb, tol)
+            s = labeled_rotation(ac[:, plane], la, bc[:, plane], lb, tol)
             if s is None:
                 return None
             turns[plane, plane] = s

@@ -134,6 +134,34 @@ class TestCircle:
         assert congruence_2d_labeled(a, [0, 0, 1], a, [0, 1, 1], 1e-9) is None
 
 
+class TestLabeledRotation:
+    # the plane test pins its turn from singleton tokens by the Kabsch fit
+    # and checks coordinates, so angle noise near the origin is no error
+    @staticmethod
+    def noisy_pair(noise):
+        rng = np.random.default_rng(1)
+        pa = rng.normal(size=(12, 2))
+        pa[0] *= 0.01 / np.linalg.norm(pa[0])
+        c, s = math.cos(1.1), math.sin(1.1)
+        r = np.array([[c, -s], [s, c]])
+        return pa, r, pa @ r.T + noise * rng.normal(size=pa.shape)
+
+    def test_point_near_origin_with_noise_accepted(self):
+        # the point at radius 0.01 carries 5e-9 of angle noise, more than
+        # eps, but its coordinates only 5e-11
+        pa, r, pb = self.noisy_pair(5e-11)
+        labs = np.arange(12)
+        s = lowdim.labeled_rotation(pa, labs, pb, labs, 1e-9)
+        assert s is not None
+        assert np.abs(s - r).max() <= 1e-9
+
+    def test_moved_point_rejected(self):
+        pa, _, pb = self.noisy_pair(5e-11)
+        pb[5] += 1e-3
+        labs = np.arange(12)
+        assert lowdim.labeled_rotation(pa, labs, pb, labs, 1e-9) is None
+
+
 def collapse_reference(ang, labels, eps):
     """collapse_circle as one loop per position, summing with np.sum."""
     ang = np.mod(ang, TWO_PI)
@@ -437,7 +465,7 @@ def unpruned_congruent(set_a, set_b, anchors_a, anchors_b, eps=1e-9):
     a0 = aa[np.lexsort(aa.T[::-1])[0]]
     return any(verify_rotation(set_a, set_b, r) for r in lowdim._about_axis(
         set_a.points, set_a.labels, set_b.points, set_b.labels, a0, ab, eps,
-        lowdim._slice_3d))
+        lowdim.congruence_3d_labeled))
 
 
 class TestAnchorSignatures:

@@ -13,6 +13,7 @@ from hypercongruence.harness import (
     gen_orbit_helix,
     gen_regular_polytope,
     gen_torus_grid,
+    oracle_congruent,
     random_rotation,
 )
 from hypercongruence.pipeline import PipelineOptions, congruence_test_4d
@@ -151,6 +152,14 @@ class TestGaussNoise:
 
     def test_noise_1e11_never_rejected(self):
         assert self.false_negatives(1e-11) == 0
+
+    def test_noise_3e11_never_rejected(self):
+        # the anchor is taken from the largest of the rarest radius classes:
+        # its direction carries noise over its norm
+        assert self.false_negatives(3e-11) == 0
+
+    def test_noise_1e10_never_rejected(self):
+        assert self.false_negatives(1e-10) == 0
 
 
 class TestHelixNoise:
@@ -303,6 +312,28 @@ class TestReflection:
                                PipelineOptions(allow_reflection=True))
         assert v.congruent and not v.reflected
         assert np.linalg.det(v.rotation) == pytest.approx(1.0)
+
+
+class TestOriginVerdicts:
+    def test_origin_class(self):
+        # both centroids are 0; A has a point there and B none
+        e = np.eye(4)
+        a = np.array([np.zeros(4), e[0], -e[0]])
+        b = np.array([e[0], [-0.5, 0.5, 0, 0], [-0.5, -0.5, 0, 0]])
+        v = congruence_test_4d(a, b)
+        assert not v.congruent and v.stage == "origin class"
+        assert not oracle_congruent(a, b).congruent
+
+    def test_coincident_above_half_the_verify_tolerance(self):
+        # eps_eq above VERIFY_EPS / 2 puts every point at the origin while
+        # the identity does not verify; the oracle finds the rotation, so
+        # this verdict is a false negative
+        e = np.eye(4)
+        a = np.array([0.9 * e[0], -0.9 * e[0]])
+        b = np.array([0.9 * e[1], -0.9 * e[1]])
+        v = congruence_test_4d(a, b, PipelineOptions(eps_eq=1.0))
+        assert not v.congruent and v.stage == "coincident"
+        assert oracle_congruent(a, b).congruent
 
 
 class TestMultiplicities:
