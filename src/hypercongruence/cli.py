@@ -18,6 +18,7 @@ import numpy as np
 
 from . import harness
 from .fileio import PointFileError, read_points, write_points
+from .geom import EPS_EQ
 from .pipeline import PipelineOptions, congruence_test_4d
 
 MAX_GENERATE = 5_000_000
@@ -200,8 +201,8 @@ def main(argv=None) -> int:
     t = sub.add_parser("test", help="decide congruence of two point files")
     t.add_argument("file_a")
     t.add_argument("file_b")
-    t.add_argument("--tolerance", type=float, default=1e-9,
-                   help="coordinate equality tolerance (default 1e-9)")
+    t.add_argument("--tolerance", type=float, default=EPS_EQ,
+                   help="coordinate equality tolerance (default %(default)g)")
     t.add_argument("--reflect", action="store_true",
                    help="also accept orientation-reversing congruences")
     t.add_argument("--json", action="store_true")

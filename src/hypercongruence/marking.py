@@ -49,50 +49,49 @@ def _plueckers(circles) -> np.ndarray:
 def _closest_mates(idx: int, mates, plv: np.ndarray, eps: float) -> list:
     """The class mates nearest to circle idx on the Pluecker sphere, every
     one within eps of the nearest distance: breaking such a tie by the
-    coordinates would not commute with rotations."""
+    coordinates would not commute with rotations.  No mates give []."""
+    mates = np.asarray(mates, dtype=int)
     m = plv[mates]
     d = np.minimum(np.linalg.norm(m - plv[idx], axis=1),
                    np.linalg.norm(m + plv[idx], axis=1))
-    return [k for k, dk in zip(mates, d.tolist()) if dk <= d.min() + eps]
+    return mates[d <= d.min(initial=np.inf) + eps].tolist()
 
 
 def mark_circles(circles, eps: float = EPS_EQ,
                  few_cap: int = CONSTANTS.few_circles_cap):
     """Mark points on a circle family, or condense it; returns (result, keys).
 
-    The result is Markers (at most 4 points for each of at most 25 times
-    the family size many pairs) or FewCircles (at most ``few_cap``
-    circles, or the family of a condensing round that made no progress).
-    ``few_cap`` exists so small instances can exercise the marking path;
-    the default is the packing bound under which a stalled family must
-    already have dropped.
+    The result is Markers (at most ``CONSTANTS.marks_per_pair`` points for
+    each of at most ``CONSTANTS.pair_fanout`` times the family size many
+    pairs) or FewCircles (at most ``few_cap`` circles, or the family of a
+    condensing round that made no progress).  ``few_cap`` exists so small
+    instances can exercise the marking path; the default is the packing
+    bound under which a stalled family must already have dropped.
     """
     circles = list(circles)
     if not circles:
         raise ValueError("empty circle family")
     keys: list = []
-    # M1: singleton classes
-    classes = [[i] for i in range(len(circles))]
+    # M1: singleton classes; cls holds the class id of every circle, dense
+    # and in order of each class's first circle
+    cls = np.arange(len(circles))
     chir = None
 
     for _ in range(64):
-        # M2: keep only classes of the least frequent size
-        sizes = np.fromiter(map(len, classes), int, len(classes))
-        pruned = prune_by_key(sizes)
+        # M2: keep only the circles of classes of the least frequent size
+        pruned = prune_by_key(np.bincount(cls))
         keys.append(("M2", pruned.histogram))
-        if pruned.progressed:
-            classes = [classes[i] for i in pruned.indices]
-        kept = sorted(i for c in classes for i in c)
-        circles = [circles[i] for i in kept]
-        remap = {old: new for new, old in enumerate(kept)}
-        classes = [[remap[i] for i in c] for c in classes]
+        keep = np.isin(cls, pruned.indices)
+        circles = [c for c, k in zip(circles, keep) if k]
+        cls = np.unique(cls[keep], return_inverse=True)[1]
+        n_classes = len(pruned.indices)
 
         # M3: few circles left
         if len(circles) <= few_cap:
             return _few(circles, keys)
 
         # M4: a trivial partition carries no chirality
-        if all(len(c) == 1 for c in classes):
+        if n_classes == len(circles):
             chir = None
         keys.append(("M4", str(chir)))
 
@@ -104,23 +103,15 @@ def mark_circles(circles, eps: float = EPS_EQ,
             raise AssertionError("circle kissing number exceeded on the 5-sphere")
 
         # M6: split edges by pair chirality
-        e_l, e_r, e_n = [], [], []
-        par_deg = {"left": np.zeros(len(circles), int),
-                   "right": np.zeros(len(circles), int)}
-        for i, j in h.edges.tolist():
-            ch = chirality(circles[i], circles[j], eps)
-            if ch is Chirality.NOT_ISOCLINIC:
-                e_n.append((i, j))
-                continue
-            if ch in (Chirality.LEFT, Chirality.BOTH):
-                e_l.append((i, j))
-                par_deg["left"][[i, j]] += 1
-            if ch in (Chirality.RIGHT, Chirality.BOTH):
-                e_r.append((i, j))
-                par_deg["right"][[i, j]] += 1
+        ch = [chirality(circles[i], circles[j], eps) for i, j in h.edges.tolist()]
+        masks = [np.array([c in kinds for c in ch], bool) for kinds in
+                 ((Chirality.LEFT, Chirality.BOTH),
+                  (Chirality.RIGHT, Chirality.BOTH), (Chirality.NOT_ISOCLINIC,))]
+        e_l, e_r, e_n = (h.edges[m].tolist() for m in masks)
         keys.append(("M6", (len(e_l), len(e_r), len(e_n))))
-        for side in ("left", "right"):
-            if par_deg[side].max() > CONSTANTS.kissing_2:
+        for side, m in zip(("left", "right"), masks):
+            deg = np.bincount(h.edges[m].ravel(), minlength=len(circles))
+            if deg.max() > CONSTANTS.kissing_2:
                 raise AssertionError(f"a circle has more than "
                                      f"{CONSTANTS.kissing_2} {side}-parallel "
                                      "closest neighbors")
@@ -136,16 +127,10 @@ def mark_circles(circles, eps: float = EPS_EQ,
         # through it
         cross = {"right": e_l, "left": e_r}[chir] if chir else None
         if cross:
-            class_of = {}
-            for c in classes:
-                for i in c:
-                    class_of[i] = c
             pairs = set()
             for edge in cross:
                 for c, d in (edge, edge[::-1]):
-                    mates = [k for k in class_of[c] if k != c and k != d]
-                    if not mates:
-                        continue
+                    mates = np.setdiff1d(np.flatnonzero(cls == cls[c]), edge)
                     pairs.update(frozenset((k, d))
                                  for k in _closest_mates(c, mates, plv, eps))
             pairs = sorted(tuple(sorted(p)) for p in pairs)
@@ -164,14 +149,9 @@ def mark_circles(circles, eps: float = EPS_EQ,
         side, edges = ("left", e_l) if e_l else ("right", e_r)
         if not edges:
             raise AssertionError("closest-pair graph has no usable edges")
-        cls_idx = {i: ci for ci, c in enumerate(classes) for i in c}
-        merged = component_ids(len(classes),
-                               [(cls_idx[i], cls_idx[j]) for i, j in edges])
-        before = (len(classes), len(circles))
-        new_circles: list = []
-        new_classes: list = []
-        for group in members_by_id(merged):
-            members = sorted(i for ci in group for i in classes[ci])
+        groups = members_by_id(component_ids(n_classes, cls[edges])[cls])
+        fibers: list = []
+        for members in groups:
             c0 = min((circles[i] for i in members),
                      key=lambda c: tuple(pluecker(c)))
             f0 = frame(c0.basis)
@@ -179,17 +159,16 @@ def mark_circles(circles, eps: float = EPS_EQ,
                 f0[2] = -f0[2]
             images = np.array([hopf_image(f0, circles[i].basis[0])
                                for i in members])
-            reps = condense_sphere(images, eps=1e-7)
-            fibers = [hopf_fiber(f0, s) for s in reps]
-            new_classes.append(list(range(len(new_circles),
-                                          len(new_circles) + len(fibers))))
-            new_circles.extend(fibers)
-        if (len(new_classes), len(new_circles)) >= before:
+            fibers.append([hopf_fiber(f0, s)
+                           for s in condense_sphere(images, eps=1e-7)])
+        if (len(groups), sum(map(len, fibers))) >= (n_classes, len(circles)):
             # stalled above few_cap: the 2+2 reduction tries every circle
             return _few(circles, keys)
         keys.append(("M10" if side == "left" else "M11",
-                     (before[0], len(new_classes))))
-        circles, classes, chir = new_circles, new_classes, side
+                     (n_classes, len(groups))))
+        circles = [f for group in fibers for f in group]
+        cls = np.repeat(np.arange(len(groups)), list(map(len, fibers)))
+        chir = side
     raise AssertionError("circle condensing failed to terminate")
 
 

@@ -5,8 +5,10 @@ import json
 import numpy as np
 import pytest
 
+from hypercongruence import cli
 from hypercongruence.cli import MAX_GENERATE, main
 from hypercongruence.fileio import read_points, write_points
+from hypercongruence.geom import EPS_EQ
 from hypercongruence.harness import gen_congruent_pair
 
 
@@ -35,6 +37,23 @@ class TestTest:
         rc = main(["test", pa, str(pc)])
         assert rc == 1
         assert "not congruent" in capsys.readouterr().out
+
+    def test_default_tolerance_is_eps_eq(self, pair_files, monkeypatch,
+                                         capsys):
+        seen = []
+        decide = cli.congruence_test_4d
+
+        def spy(a, b, opts, *args, **kwargs):
+            seen.append(opts.eps_eq)
+            return decide(a, b, opts, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "congruence_test_4d", spy)
+        assert main(["test", *pair_files]) == 0
+        assert main(["test", "--tolerance", "1e-8", *pair_files]) == 0
+        assert seen == [EPS_EQ, 1e-8]
+        with pytest.raises(SystemExit):
+            main(["test", "--help"])
+        assert f"(default {EPS_EQ:g})" in capsys.readouterr().out
 
     def test_missing_file_exit_two(self, tmp_path, capsys):
         rc = main(["test", str(tmp_path / "x.txt"), str(tmp_path / "y.txt")])

@@ -3,8 +3,10 @@
 import math
 
 import numpy as np
+import pytest
 
-from conftest import left_frame, pluecker_distance
+from conftest import left_frame, pluecker_distance, snub_24_cell
+from hypercongruence.circles import orbit_circles
 from hypercongruence.geom import (
     Chirality,
     PlaneSpan,
@@ -15,14 +17,22 @@ from hypercongruence.geom import (
     pluecker,
 )
 from hypercongruence.harness import random_rotation
+from hypercongruence.iterprune import iterative_prune
 from hypercongruence.marking import (FewCircles, Markers, _closest_mates,
                                      mark_circles)
 
 E12 = PlaneSpan(np.array([[1.0, 0, 0, 0], [0, 1.0, 0, 0]]))
+MIRROR_X0 = np.diag([-1.0, 1.0, 1.0, 1.0])
 
 
 def rot_span(plane, r):
     return PlaneSpan.from_vectors(r @ plane.basis[0], r @ plane.basis[1])
+
+
+def snub_orbit_circles() -> list:
+    """The 24 orbit circles that the snub 24-cell prunes to at delta0 = 0.7."""
+    ex, _ = iterative_prune(snub_24_cell(), delta0=0.7)
+    return [c.circle for c in orbit_circles(ex)[0]]
 
 
 def dodecahedron():
@@ -179,3 +189,53 @@ class TestClosestMates:
         for r in (np.eye(4), random_rotation(rng)):
             plv = np.array([pluecker(rot_span(c, r)) for c in circles])
             assert _closest_mates(0, [1, 2, 3, 4, 5], plv, 1e-9) == [1, 2, 3, 4]
+
+    def test_no_mates_give_nothing(self):
+        plv = np.array([pluecker(E12)])
+        assert _closest_mates(0, [], plv, 1e-9) == []
+        assert _closest_mates(0, np.array([], int), plv, 1e-9) == []
+
+    def test_plain_list_gives_plain_ints(self, rng):
+        circles = [rot_span(E12, random_rotation(rng)) for _ in range(4)]
+        plv = np.array([pluecker(c) for c in circles])
+        got = _closest_mates(3, [2, 0, 1], plv, 1e-9)
+        assert len(got) == 1 and type(got[0]) is int
+        d = [pluecker_distance(circles[3], circles[k]) for k in (2, 0, 1)]
+        assert got == [(2, 0, 1)[int(np.argmin(d))]]
+
+
+class TestSnubOrbitCircles:
+    """The snub 24-cell's orbit circles merge into three right-parallel
+    classes that condense to six circles each and then mark across pairs
+    of the opposite sense; mirrored, the same walk runs on the left side."""
+
+    @pytest.mark.parametrize("mirrored", [False, True],
+                             ids=["right", "left"])
+    def test_walk(self, mirrored):
+        circles = snub_orbit_circles()
+        m6, merge, side, cross = (0, 36, 0), "M11", "right", "M8"
+        if mirrored:
+            circles = [rot_span(c, MIRROR_X0) for c in circles]
+            m6, merge, side, cross = (36, 0, 0), "M10", "left", "M9"
+        res, keys = mark_circles(circles, few_cap=8)
+        assert isinstance(res, Markers)
+        assert keys == [("M2", ((1, 24),)), ("M4", "None"), ("M5", 36),
+                        ("M6", m6), (merge, (24, 3)), ("M2", ((6, 3),)),
+                        ("M4", side), ("M5", 72), ("M6", (36, 36, 0)),
+                        (cross, 72), ("M12", 48)]
+
+    def test_far_circle_is_the_rarest_class(self):
+        circles = snub_orbit_circles()
+        far = PlaneSpan.from_vectors(np.array([1.4, -0.2, -1.5, -1.0]),
+                                     np.array([0.0, 0.8, 1.9, 0.7]))
+        # farther from every circle than the closest pairs are apart, so
+        # no closest-pair edge reaches it and it stays a class of its own
+        closest = min(pluecker_distance(c, d) for c in circles
+                      for d in circles if c is not d)
+        assert closest == pytest.approx(math.sqrt(2 / 3))
+        assert min(pluecker_distance(far, c) for c in circles) > 0.86
+        res, keys = mark_circles(circles + [far], few_cap=8)
+        assert keys[4:] == [("M11", (25, 4)), ("M2", ((1, 1), (6, 3))),
+                            ("M3", 1)]
+        assert isinstance(res, FewCircles)
+        assert pluecker_distance(res.circles[0], far) < 1e-7

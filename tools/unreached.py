@@ -5,7 +5,8 @@ benchmark pair reaches.
 ``sys.settrace``: it runs the tier-1 suite in process, then decides every
 pair of ``perfbench/workloads.generate`` at seeds 0 and 1, and prints each
 source line that compiles to code but never ran, as ``path:line: text``,
-grouped into runs.  Run it from anywhere in a source checkout:
+grouped into runs.  The last line counts them, and separately those
+outside ``raise`` statements.  Run it from anywhere in a source checkout:
 
     python tools/unreached.py
 
@@ -15,6 +16,7 @@ parts on a 2-core host).  It exits 1 when the tier-1 suite fails.
 
 from __future__ import annotations
 
+import ast
 import sys
 import types
 from pathlib import Path
@@ -34,6 +36,13 @@ def executable_lines(path: Path) -> set:
         lines.update(ln for _, _, ln in code.co_lines() if ln is not None)
         stack.extend(c for c in code.co_consts if isinstance(c, types.CodeType))
     return lines
+
+
+def raise_lines(path: Path) -> set:
+    """Line numbers spanned by a ``raise`` statement."""
+    return {ln for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Raise)
+            for ln in range(node.lineno, node.end_lineno + 1)}
 
 
 class LineCollector:
@@ -69,9 +78,10 @@ def run_workloads() -> int:
     return count
 
 
-def report(hits: set) -> int:
-    """Print the unreached runs of every module; returns the line count."""
-    total = 0
+def report(hits: set) -> tuple:
+    """Print the unreached runs of every module; returns the line count and
+    the count of those outside raise statements."""
+    total = outside = 0
     for path in sorted(Path(PACKAGE).glob("*.py")):
         seen = {ln for f, ln in hits if f == str(path)}
         missing = sorted(executable_lines(path) - seen)
@@ -88,7 +98,8 @@ def report(hits: set) -> int:
                 print(f"{rel}:{ln}: {text[ln - 1].strip()}")
             print()
         total += len(missing)
-    return total
+        outside += len(set(missing) - raise_lines(path))
+    return total, outside
 
 
 def main() -> int:
@@ -103,8 +114,9 @@ def main() -> int:
         pairs = run_workloads()
     finally:
         sys.settrace(None)
-    total = report(collector.hits)
-    print(f"{total} unreached lines; tier-1 exit status {status}; "
+    total, outside = report(collector.hits)
+    print(f"{total} unreached lines, {outside} outside raise statements; "
+          f"tier-1 exit status {status}; "
           f"{pairs} benchmark pairs at seeds {SEEDS}")
     return 1 if status else 0
 
