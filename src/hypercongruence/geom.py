@@ -394,7 +394,28 @@ def match_multisets(x: np.ndarray, y: np.ndarray, eps: float = EPS_EQ,
 
 
 def verify_rotation(a: PointSet4, b: PointSet4, r: np.ndarray,
-                    eps: float = VERIFY_EPS) -> bool:
-    """Check that r maps normalized set a onto normalized set b exactly."""
+                    eps: float = VERIFY_EPS,
+                    pairing: Optional[np.ndarray] = None) -> bool:
+    """Check that r maps normalized set a onto normalized set b exactly:
+    some bijection of their rows with equal labels puts every r @ a_i
+    within eps of its b_j.
+
+    A pairing (row pairing[i] of b for row i of a) is such a bijection when
+    it is a permutation, the labels agree along it and every paired squared
+    distance is at most eps**2; that check is O(n).  Without a pairing, or
+    when it fails, :func:`match_multisets` searches for a bijection, so a
+    wrong pairing can cost time but never a verdict."""
     ra = a.points @ np.asarray(r, dtype=float).T
+    n = len(b.points)
+    if pairing is not None and len(pairing) == len(ra) == n \
+            and (np.bincount(pairing, minlength=n) == 1).all():
+        la, lb = a.labels, b.labels
+        if not all(isinstance(v, np.ndarray) and v.dtype.kind in "biu"
+                   for v in (la, lb)):
+            from .condense import joint_ranks  # condense imports this module
+            _, la, lb = joint_ranks(la, lb)
+        d = ra - np.take(b.points, pairing, axis=0)
+        if (np.array_equal(la, np.take(lb, pairing))
+                and (np.einsum("ij,ij->i", d, d) <= eps * eps).all()):
+            return True
     return match_multisets(ra, b.points, eps, a.labels, b.labels)

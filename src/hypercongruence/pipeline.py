@@ -52,8 +52,11 @@ class PipelineOptions:
 
 def _dedupe(points: np.ndarray, eps: float, labels: np.ndarray) -> tuple:
     """Collapse coincident equal-label points: (unique points, their
-    multiplicities, their int labels)."""
+    multiplicities, their int labels); the input itself, with unit
+    multiplicities, when nothing merges."""
     ids = merge_close(points, eps, labels)
+    if ids.max() + 1 == len(points):
+        return points, np.ones(len(points), dtype=np.intp), labels
     out, counts = group_means(points, ids)
     _, first = np.unique(ids, return_index=True)
     return out, counts, labels[first]
@@ -159,8 +162,10 @@ def _attempt(an: np.ndarray, bn: np.ndarray, opts: PipelineOptions,
             if verify_rotation(full_a, full_b, np.eye(4)):
                 return Verdict.yes(np.eye(4), np.zeros(4))
             return Verdict.no("coincident")
-        wa, norm_a, lab_a = wa[~org_a], norm_a[~org_a], lab_a[~org_a]
-        wb, norm_b, lab_b = wb[~org_b], norm_b[~org_b], lab_b[~org_b]
+        wa, norm_a, lab_a = (np.compress(~org_a, wa, axis=0), norm_a[~org_a],
+                             lab_a[~org_a])
+        wb, norm_b, lab_b = (np.compress(~org_b, wb, axis=0), norm_b[~org_b],
+                             lab_b[~org_b])
 
         rid_a, rid_b = joint_cluster(norm_a, norm_b, eps)
         keys, rk_a, rk_b = joint_ranks(np.column_stack((lab_a, rid_a)),
@@ -174,8 +179,8 @@ def _attempt(an: np.ndarray, bn: np.ndarray, opts: PipelineOptions,
         counts = np.bincount(rk_a, minlength=len(keys))
         k = np.lexsort((-keys[:, 1], counts))[0]
         ka, kb = np.flatnonzero(rk_a == k), np.flatnonzero(rk_b == k)
-        sa = wa[ka] / norm_a[ka, None]
-        sb = wb[kb] / norm_b[kb, None]
+        sa = np.take(wa, ka, axis=0) / norm_a[ka, None]
+        sb = np.take(wb, kb, axis=0) / norm_b[kb, None]
 
         if len(sa) == 1:
             return one_plus_three_reduce(full_a, full_b, sa, sb, eps)

@@ -11,8 +11,9 @@ from scipy.spatial import cKDTree
 
 from conftest import (left_frame, pluecker_distance, rebuilt_step,
                       reference_match_multisets, step_angles)
+from hypercongruence import geom
 from hypercongruence.circles import cycle_circle
-from hypercongruence.geom import (CONSTANTS, DELTA_MIN, Chirality,
+from hypercongruence.geom import (CONSTANTS, DELTA_MIN, VERIFY_EPS, Chirality,
                                   ParallelPlanesError, PlaneSpan, PointSet4,
                                   block_rotation, chirality, frame, frames,
                                   hopf_fiber, hopf_image, mark_pair,
@@ -475,6 +476,58 @@ class TestVerifyRotation:
         lb = ("x", "y", "x", "y", "z", "z")  # swapped across geometry
         assert verify_rotation(PointSet4(a, la), PointSet4(a @ r.T, la), r)
         assert not verify_rotation(PointSet4(a, la), PointSet4(a @ r.T, lb), r)
+
+
+class TestPairedVerify:
+    # a forced pairing is checked row by row; when that check fails,
+    # match_multisets decides as it does without a pairing
+    @pytest.fixture
+    def searches(self, monkeypatch):
+        """The match_multisets calls verify_rotation makes."""
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return match_multisets(*args, **kwargs)
+        monkeypatch.setattr(geom, "match_multisets", counted)
+        return calls
+
+    @staticmethod
+    def labeled_pair(rng, n=40):
+        """(A, B, r, pairing): B is A turned by r and shuffled, with rows 0
+        and 1 of A coincident under labels 0 and 1; pairing[i] is the row
+        of B that row i of A lands on."""
+        a = rng.normal(size=(n, 4))
+        a[1] = a[0]
+        la = (np.arange(n) < 2) * np.arange(n)
+        r = random_rotation(rng)
+        perm = rng.permutation(n)
+        b = PointSet4((a @ r.T)[perm], la[perm])
+        return PointSet4(a, la), b, r, np.argsort(perm)
+
+    def test_forced_pairing_needs_no_search(self, rng, searches):
+        a, b, r, pairing = self.labeled_pair(rng)
+        assert verify_rotation(a, b, r, pairing=pairing)
+        assert searches == []
+
+    def test_moved_partner_rejected(self, rng, searches):
+        a, b, r, pairing = self.labeled_pair(rng)
+        step = rng.normal(size=4)
+        b.points[pairing[5]] += 2 * VERIFY_EPS * step / np.linalg.norm(step)
+        assert not verify_rotation(a, b, r, pairing=pairing)
+        assert len(searches) == 1
+
+    @pytest.mark.parametrize("fault", ["swapped partners", "label mismatch",
+                                       "repeated row"])
+    def test_wrong_pairing_falls_back(self, rng, searches, fault):
+        a, b, r, pairing = self.labeled_pair(rng)
+        # rows 0 and 1 coincide, so swapping them only mismatches labels
+        dst, src = {"swapped partners": ([2, 3], [3, 2]),
+                    "label mismatch": ([0, 1], [1, 0]),
+                    "repeated row": ([2], [3])}[fault]
+        pairing[dst] = pairing[src]
+        assert verify_rotation(a, b, r, pairing=pairing)
+        assert len(searches) == 1
 
 
 def greedy_match(x, y, eps, lx, ly):

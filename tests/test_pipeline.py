@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
-from hypercongruence.condense import TWO_PI
+from hypercongruence import geom
+from hypercongruence.condense import TWO_PI, group_means, merge_close
 from hypercongruence.geom import frame, hopf_fiber
 from hypercongruence.harness import (
     gen_orbit_helix,
@@ -16,7 +17,8 @@ from hypercongruence.harness import (
     oracle_congruent,
     random_rotation,
 )
-from hypercongruence.pipeline import PipelineOptions, congruence_test_4d
+from hypercongruence.pipeline import (PipelineOptions, _dedupe,
+                                      congruence_test_4d)
 
 
 def transformed(a, rng, translation=None):
@@ -348,6 +350,51 @@ class TestMultiplicities:
         b = np.r_[a @ r.T, a[:2] @ r.T, a[3:4] @ r.T]
         v = congruence_test_4d(aa, b)
         assert not v.congruent
+
+    @staticmethod
+    def dedupe_reference(points, eps, labels):
+        """_dedupe through group_means whether or not anything merges."""
+        ids = merge_close(points, eps, labels)
+        out, counts = group_means(points, ids)
+        _, first = np.unique(ids, return_index=True)
+        return out, counts, labels[first]
+
+    @pytest.mark.parametrize("copies", [0, 3])
+    def test_dedupe_equals_group_means(self, rng, copies):
+        a, lab = rng.normal(size=(20, 4)), rng.integers(2, size=20)
+        pts, labels = np.r_[a, a[:copies]], np.r_[lab, lab[:copies]]
+        if copies:
+            # the last copy has another label, so it stays apart
+            labels[-1] = 1 - labels[-1]
+        got = _dedupe(pts, 1e-9, labels)
+        want = self.dedupe_reference(pts, 1e-9, labels)
+        assert len(got[0]) == len(pts) - max(copies - 1, 0)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and np.array_equal(g, w)
+
+
+class TestForcedPairing:
+    # the 1+3 step hands verify_rotation the pairing its 3D test forces;
+    # the check searches for a bijection only where tokens are shared
+    @pytest.fixture
+    def searches(self, monkeypatch):
+        """The shapes of the point sets verify_rotation searches."""
+        shapes = []
+        inner = geom.match_multisets
+
+        def recorded(x, *args, **kwargs):
+            shapes.append(np.shape(x))
+            return inner(x, *args, **kwargs)
+        monkeypatch.setattr(geom, "match_multisets", recorded)
+        return shapes
+
+    def test_gaussian_cloud_needs_no_search(self, rng, searches):
+        assert_roundtrip(rng.normal(size=(300, 4)), rng)
+        assert [s for s in searches if s[1] == 4] == []
+
+    def test_helix_shares_tokens(self, rng, searches):
+        assert_roundtrip(gen_orbit_helix(50, 3, 0.8), rng)
+        assert (50, 4) in searches
 
 
 class TestLabels:

@@ -21,6 +21,13 @@ congruent.  Helices too large for a benchmark pair are timed this way:
     python tools/ab_pass.py --base ../parent/src --helix 25000 3 0.8 \\
         --rounds 4 --passes 1
 
+With ``--gauss N`` a pass decides one congruent Gaussian cloud pair the
+same way: N standard normal points drawn with the seed and their copy
+placed by ``perfbench/workloads.place`` with the same generator:
+
+    python tools/ab_pass.py --base ../parent/src --gauss 256000 \\
+        --rounds 4 --passes 1
+
 With ``--polytope NAME DELTA0`` a pass decides one congruent pair the same
 way: ``harness.gen_regular_polytope(NAME)`` and its placed copy, under
 ``PipelineOptions(delta0=DELTA0)``:
@@ -70,11 +77,15 @@ def passes(src: str, args) -> list:
     sys.path.insert(0, src)
     from hypercongruence import harness, pipeline
     workloads = load_workloads()
-    one_pair = args.helix or args.polytope
+    one_pair = args.helix or args.gauss or args.polytope
     if args.helix:
         ell, k, r1 = args.helix
         a = harness.gen_orbit_helix(int(ell), int(k), r1)
         cases = [(a, workloads.place(a, np.random.default_rng(args.seed)), None)]
+    elif args.gauss:
+        rng = np.random.default_rng(args.seed)
+        a = rng.normal(size=(args.gauss, 4))
+        cases = [(a, workloads.place(a, rng), None)]
     elif args.polytope:
         name, delta0 = args.polytope
         a = harness.gen_regular_polytope(name)
@@ -116,6 +127,7 @@ def call_counts(stats: dict, names: list) -> dict:
 
 def run_side(src: str, args, count: bool = False):
     what = (["--helix", *map(str, args.helix)] if args.helix
+            else ["--gauss", str(args.gauss)] if args.gauss
             else ["--polytope", *args.polytope] if args.polytope
             else ["--workload", args.workload])
     for name in args.count if count else []:
@@ -146,6 +158,8 @@ def main(argv=None) -> int:
     pair = ap.add_mutually_exclusive_group()
     pair.add_argument("--helix", nargs=3, type=float, metavar=("ELL", "K", "R1"),
                       help="time one congruent orbit helix pair instead")
+    pair.add_argument("--gauss", type=int, metavar="N",
+                      help="time one congruent Gaussian cloud pair instead")
     pair.add_argument("--polytope", nargs=2, metavar=("NAME", "DELTA0"),
                       help="time one congruent regular polytope pair instead")
     ap.add_argument("--seed", type=int, default=3)
@@ -163,7 +177,7 @@ def main(argv=None) -> int:
         ap.error("--base is required")
     sides = {"base": str(Path(args.base).resolve()),
              "change": str(Path(args.src).resolve())}
-    if args.workload != "all" or args.helix or args.polytope:
+    if args.workload != "all" or args.helix or args.gauss or args.polytope:
         compare(sides, args)
         return 0
     summaries = []
@@ -180,6 +194,7 @@ def compare(sides: dict, args) -> str:
     summary, and return the summary."""
     times: dict = {"base": [], "change": []}
     what = ("helix " + " ".join(f"{x:g}" for x in args.helix) if args.helix
+            else f"gauss {args.gauss}" if args.gauss
             else "polytope " + " ".join(args.polytope) if args.polytope
             else args.workload)
     print(f"{what} seed={args.seed}: median of {args.passes} passes "
