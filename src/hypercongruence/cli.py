@@ -40,10 +40,10 @@ def cmd_test(args) -> int:
         a, la, b, lb = _load_pair(args.file_a, args.file_b)
     except (OSError, PointFileError) as e:
         return _fail(str(e))
-    opts = PipelineOptions(eps_eq=args.tolerance,
-                           allow_reflection=args.reflect)
     sink: list = []
     try:
+        opts = PipelineOptions(eps_eq=args.tolerance,
+                               allow_reflection=args.reflect)
         v = congruence_test_4d(a, b, opts, sink if args.trace else None,
                                labels_a=la, labels_b=lb)
     except ValueError as e:

@@ -345,7 +345,11 @@ def match_multisets(x: np.ndarray, y: np.ndarray, eps: float = EPS_EQ,
                     labels_y: Optional[Sequence] = None) -> bool:
     """Decide whether two labeled point multisets agree within tolerance.
 
-    Builds a bijection greedily, points with fewer candidates within eps
+    First the rows of both sides are paired in order of their squared
+    norms: when the labels agree along that order and every paired
+    squared distance is at most eps**2, that is a bijection and the answer
+    is True without a search.  This check never rejects.  Otherwise a
+    bijection is built greedily, points with fewer candidates within eps
     first; any two candidates for one point are within 2*eps of each
     other, so greedy choice cannot paint itself into a corner beyond the
     tolerance contract.  One k=2 query bounded just above eps finds every
@@ -368,6 +372,11 @@ def match_multisets(x: np.ndarray, y: np.ndarray, eps: float = EPS_EQ,
                  for v in (lx, ly)):
         from .condense import joint_ranks      # condense imports this module
         _, lx, ly = joint_ranks(lx, ly)
+    ox, oy = (np.argsort(np.einsum("ij,ij->i", p, p)) for p in (x, y))
+    gap = np.take(x, ox, axis=0) - np.take(y, oy, axis=0)
+    if (np.array_equal(np.take(lx, ox, axis=0), np.take(ly, oy, axis=0))
+            and (np.einsum("ij,ij->i", gap, gap) <= eps * eps).all()):
+        return True
     tree = cKDTree(y)
     # a missing neighbour (len(y) == 1, or none in reach) has distance inf
     d, idx = tree.query(x, k=2, distance_upper_bound=np.nextafter(eps, np.inf))
@@ -394,28 +403,9 @@ def match_multisets(x: np.ndarray, y: np.ndarray, eps: float = EPS_EQ,
 
 
 def verify_rotation(a: PointSet4, b: PointSet4, r: np.ndarray,
-                    eps: float = VERIFY_EPS,
-                    pairing: Optional[np.ndarray] = None) -> bool:
+                    eps: float = VERIFY_EPS) -> bool:
     """Check that r maps normalized set a onto normalized set b exactly:
     some bijection of their rows with equal labels puts every r @ a_i
-    within eps of its b_j.
-
-    A pairing (row pairing[i] of b for row i of a) is such a bijection when
-    it is a permutation, the labels agree along it and every paired squared
-    distance is at most eps**2; that check is O(n).  Without a pairing, or
-    when it fails, :func:`match_multisets` searches for a bijection, so a
-    wrong pairing can cost time but never a verdict."""
-    ra = a.points @ np.asarray(r, dtype=float).T
-    n = len(b.points)
-    if pairing is not None and len(pairing) == len(ra) == n \
-            and (np.bincount(pairing, minlength=n) == 1).all():
-        la, lb = a.labels, b.labels
-        if not all(isinstance(v, np.ndarray) and v.dtype.kind in "biu"
-                   for v in (la, lb)):
-            from .condense import joint_ranks  # condense imports this module
-            _, la, lb = joint_ranks(la, lb)
-        d = ra - np.take(b.points, pairing, axis=0)
-        if (np.array_equal(la, np.take(lb, pairing))
-                and (np.einsum("ij,ij->i", d, d) <= eps * eps).all()):
-            return True
-    return match_multisets(ra, b.points, eps, a.labels, b.labels)
+    within eps of its b_j (:func:`match_multisets`)."""
+    return match_multisets(a.points @ np.asarray(r, dtype=float).T, b.points,
+                           eps, a.labels, b.labels)

@@ -6,19 +6,16 @@ for space, labeled_rotation.  It matches the origin's labels and tokens
 the other points by (label, jointly clustered radius id).  When tokens
 held by one point on each side span a hyperplane, those points fix the
 correspondence, and the rotation is their Kabsch least-squares fit (Acta
-Cryst. A32, 1976); when such tokens account for every point, the test
-also returns that forced correspondence.  Otherwise the plane test
-matches canonical necklace codes of the circle (Alt, Mehlhorn, Wagener
-and Welzl, DCG 1988), and the space test pins a point of its condensed
-rarest shell and solves the plane about it.  Both reductions take one
-step, _about_axis: pin an axis of A onto each candidate axis of B,
-cluster the heights along the axes jointly, and solve the orthogonal
-slice with the height ids as labels.  one_plus_three_reduce pins an
-anchor and solves the 3-slice with congruence_3d_labeled; its 4D check,
-verify_rotation, compares the rows of a forced correspondence in O(n)
-before it searches a k-d tree.  The 2+2 step (torus) turns each plane
-with labeled_rotation when no point lies off the two plane circles.  The
-axis step, run from B onto itself, finds symmetries of B; the anchor loop
+Cryst. A32, 1976).  Otherwise the plane test matches canonical necklace
+codes of the circle (Alt, Mehlhorn, Wagener and Welzl, DCG 1988), and the
+space test pins a point of its condensed rarest shell and solves the
+plane about it.  Both reductions take one step, _about_axis: pin an axis
+of A onto each candidate axis of B, cluster the heights along the axes
+jointly, and solve the orthogonal slice with the height ids as labels.
+one_plus_three_reduce pins an anchor and solves the 3-slice with
+congruence_3d_labeled; the 2+2 step (torus) turns each plane with
+labeled_rotation when no point lies off the two plane circles.  The axis
+step, run from B onto itself, finds symmetries of B; the anchor loop
 tests one candidate per orbit of them, so a vertex-transitive set costs
 two 3D tests instead of one per anchor.
 """
@@ -92,18 +89,15 @@ def congruence_2d_labeled(angles_a: np.ndarray, labels_a: Sequence,
     """
     pa, pb = (np.column_stack((np.cos(x), np.sin(x)))
               for x in (np.atleast_1d(angles_a), np.atleast_1d(angles_b)))
-    fit = labeled_rotation(pa, labels_a, pb, labels_b, eps)
-    if fit is None:
-        return None
-    s = fit[0]
-    return float(wrap_angle(math.atan2(s[1, 0], s[0, 0])))
+    s = labeled_rotation(pa, labels_a, pb, labels_b, eps)
+    return None if s is None else float(wrap_angle(math.atan2(s[1, 0],
+                                                              s[0, 0])))
 
 
 def labeled_rotation(pa: np.ndarray, la: Sequence, pb: np.ndarray,
-                     lb: Sequence, eps: float) -> Optional[tuple]:
-    """(S, pairing) for a proper rotation S of the plane or of space (d = 2
-    or 3 columns) with S @ a_i matching {(b_j, label_j)} as labeled
-    multisets, or None.
+                     lb: Sequence, eps: float) -> Optional[np.ndarray]:
+    """A proper rotation S of the plane or of space (d = 2 or 3 columns)
+    with S @ a_i matching {(b_j, label_j)} as labeled multisets, or None.
 
     Labels are ranked at entry and the origin's labels must agree; the
     other points are tokened by (label, jointly clustered radius id), and
@@ -120,11 +114,6 @@ def labeled_rotation(pa: np.ndarray, la: Sequence, pb: np.ndarray,
     to a frame of 1, 2, 4, 6 or 12 points; S maps the first point of A's
     frame onto some point of B's, nearest first, and this test in the
     plane about that axis fixes the turn.
-
-    When S is the Kabsch fit, every token is a singleton and no origin
-    label repeats, the whole correspondence is forced: pairing is an int
-    array whose entry i is the row of pb that row i of pa matches, origin
-    rows paired by label.  In every other case pairing is None.
     """
     d = pa.shape[1]
     if len(pa) != len(pb):
@@ -132,13 +121,12 @@ def labeled_rotation(pa: np.ndarray, la: Sequence, pb: np.ndarray,
     la, lb = rank_labels(la, lb)
     ra, rb = np.linalg.norm(pa, axis=1), np.linalg.norm(pb, axis=1)
     orig_a, orig_b = ra <= eps, rb <= eps
-    ola, olb = la[orig_a], lb[orig_b]
-    if not np.array_equal(np.sort(ola), np.sort(olb)):
+    if not np.array_equal(np.sort(la[orig_a]), np.sort(lb[orig_b])):
         return None
     pa, pb = np.compress(~orig_a, pa, axis=0), np.compress(~orig_b, pb, axis=0)
     ra, rb, la, lb = ra[~orig_a], rb[~orig_b], la[~orig_a], lb[~orig_b]
     if len(pa) == 0:
-        return np.eye(d), None
+        return np.eye(d)
     rida, ridb = joint_cluster(ra, rb, eps)
     toks, ta, tb = joint_ranks(np.column_stack((la, rida)),
                                np.column_stack((lb, ridb)))
@@ -161,10 +149,10 @@ def labeled_rotation(pa: np.ndarray, la: Sequence, pb: np.ndarray,
             s = vt.T @ np.diag([1.0] * (d - 1) + [flip]) @ u.T
             rest_a, rest_b = ~single[ta], ~single[tb]
             if ((np.linalg.norm(at @ s.T - bt, axis=1) <= vtol).all()
-                    and match_multisets(pa[rest_a] @ s.T, pb[rest_b], vtol,
+                    and match_multisets(np.compress(rest_a, pa, axis=0) @ s.T,
+                                        np.compress(rest_b, pb, axis=0), vtol,
                                         ta[rest_a], tb[rest_b])):
-                return s, (_forced_pairing(orig_a, orig_b, ola, olb, ta, tb)
-                           if single.all() else None)
+                return s
             return None
     if d == 2:
         a, b = (wrap_angle(np.arctan2(p[:, 1], p[:, 0])) for p in (pa, pb))
@@ -177,49 +165,33 @@ def labeled_rotation(pa: np.ndarray, la: Sequence, pb: np.ndarray,
         if not np.array_equal(np.sort(keys[:len(a)]), np.sort(keys[len(a):])):
             return None
         c, s = math.cos(t), math.sin(t)
-        return np.array([[c, -s], [s, c]]), None
+        return np.array([[c, -s], [s, c]])
     # the rarest token, then the largest radius id, then the smallest token
     tok = np.lexsort((np.arange(len(toks)), -toks[:, 1], counts))[0]
     fa, fb = (condense_sphere(u / np.linalg.norm(u, axis=1, keepdims=True),
-                              eps) for u in (pa[ta == tok], pb[tb == tok]))
+                              eps)
+              for u in (np.compress(ta == tok, pa, axis=0),
+                        np.compress(tb == tok, pb, axis=0)))
     if len(fa) != len(fb):
         return None
     # the targets nearest to A's axis first: the least rotations are tried
     # first, so a symmetry search about a nearby axis finds the small turn
     # of a helix step before a half-turn flip
     fb = fb[np.argsort(-(fb @ fa[0]), kind="stable")]
-    for s, _ in _about_axis(pa, la, pb, lb, fa[0], fb, eps, labeled_rotation):
+    for s in _about_axis(pa, la, pb, lb, fa[0], fb, eps, labeled_rotation):
         if match_multisets(pa @ s.T, pb, vtol, ta, tb):
-            return s, None
+            return s
     return None
-
-
-def _forced_pairing(orig_a: np.ndarray, orig_b: np.ndarray, ola: np.ndarray,
-                    olb: np.ndarray, ta: np.ndarray,
-                    tb: np.ndarray) -> Optional[np.ndarray]:
-    """The rows of B that the rows of A must match when every off-origin
-    token (ta, tb, one point each) is a singleton: origin rows pair by their
-    labels ola, olb, which must not repeat (else None), the others by token.
-    """
-    sa, sb = np.argsort(ola), np.argsort(olb)
-    if (np.diff(ola[sa]) == 0).any():
-        return None
-    pairing = np.empty(len(orig_a), dtype=np.intp)
-    pairing[np.flatnonzero(orig_a)[sa]] = np.flatnonzero(orig_b)[sb]
-    row_b = np.empty(len(tb), dtype=np.intp)
-    row_b[tb] = np.flatnonzero(~orig_b)
-    pairing[np.flatnonzero(~orig_a)] = row_b[ta]
-    return pairing
 
 
 def congruence_3d_labeled(points_a: np.ndarray, labels_a: Sequence,
                           points_b: np.ndarray, labels_b: Sequence,
-                          eps: float = EPS_EQ) -> Optional[tuple]:
-    """(S, pairing) for a proper rotation S in SO(3) with S @ a_i matching
-    {(b_j, label_j)} as labeled multisets, or None: :func:`labeled_rotation`
-    in space.  Only proper rotations are searched: every embedding of a 3D
-    slice match into a positively oriented 4D congruence forces det(S) =
-    +1.  The 1+3 step calls it by this name as its residual.
+                          eps: float = EPS_EQ) -> Optional[np.ndarray]:
+    """A proper rotation S in SO(3) with S @ a_i matching {(b_j, label_j)}
+    as labeled multisets, or None: :func:`labeled_rotation` in space.  Only
+    proper rotations are searched: every embedding of a 3D slice match into
+    a positively oriented 4D congruence forces det(S) = +1.  The 1+3 step
+    calls it by this name as its residual.
     """
     pa, pb = (np.asarray(p, dtype=float).reshape(-1, 3)
               for p in (points_a, points_b))
@@ -252,11 +224,8 @@ def _about_axis(pa: np.ndarray, la: Sequence, pb: np.ndarray, lb: Sequence,
 
     Heights along u and v are clustered jointly, and ``residual(proj_a,
     keys_a, proj_b, keys_b, eps)`` solves the orthogonal slice (a rotation
-    s and its pairing, as :func:`labeled_rotation` returns them, or None)
-    with the joint ranks of (label, height id) as keys; each solution
-    yields (fb.T @ diag(1, s) @ fa, pairing).  The slice rows are the rows
-    of pa and pb, so the pairing holds for them.  The caller checks the
-    rotations.
+    matrix s, or None) with the joint ranks of (label, height id) as keys;
+    each solution yields fb.T @ diag(1, s) @ fa.  The caller checks them.
     fa is the :func:`frame` of u and fb is fa carried onto v
     (_transported), so s = 1 stands for the least rotation taking u to v
     and the slices of nearby axes are alike in their coordinates.
@@ -268,11 +237,11 @@ def _about_axis(pa: np.ndarray, la: Sequence, pb: np.ndarray, lb: Sequence,
         hids_a, hids_b = joint_cluster(h_a, pb @ fb[0], eps)
         _, ka, kb = joint_ranks(np.column_stack((la, hids_a)),
                                 np.column_stack((lb, hids_b)))
-        fit = residual(proj_a, ka, pb @ fb[1:].T, kb, eps)
-        if fit is not None:
+        s = residual(proj_a, ka, pb @ fb[1:].T, kb, eps)
+        if s is not None:
             lift = np.eye(len(fa))
-            lift[1:, 1:] = fit[0]
-            yield fb.T @ lift @ fa, fit[1]
+            lift[1:, 1:] = s
+            yield fb.T @ lift @ fa
 
 
 def _anchor_class(aa: np.ndarray, ab: np.ndarray,
@@ -307,9 +276,8 @@ def _symmetry_edges(set_b: PointSet4, base_b: Sequence, cands: np.ndarray,
     themselves within the 3D test's tolerance.
     """
     vtol = match_tol(eps)
-    for g, _ in _about_axis(set_b.points, base_b, set_b.points, base_b,
-                            cands[0], cands[i:i + 1], eps,
-                            congruence_3d_labeled):
+    for g in _about_axis(set_b.points, base_b, set_b.points, base_b,
+                         cands[0], cands[i:i + 1], eps, congruence_3d_labeled):
         if verify_rotation(set_b, set_b, g, vtol):
             dist, perm = cKDTree(cands).query(cands @ g.T)
             if dist.max() <= vtol:
@@ -366,10 +334,9 @@ def one_plus_three_reduce(set_a: PointSet4, set_b: PointSet4,
                 edges = np.vstack([edges, pairs])
                 orbit = component_ids(m, edges)
                 continue
-        for r, pairing in _about_axis(set_a.points, base_a, set_b.points,
-                                      base_b, a0, cands[i:i + 1], eps,
-                                      congruence_3d_labeled):
-            if verify_rotation(set_a, set_b, r, pairing=pairing):
+        for r in _about_axis(set_a.points, base_a, set_b.points, base_b, a0,
+                             cands[i:i + 1], eps, congruence_3d_labeled):
+            if verify_rotation(set_a, set_b, r):
                 return Verdict.yes(r, np.zeros(4))
         rejected[i] = True
     return Verdict.no("anchor alignment")

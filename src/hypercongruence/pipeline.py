@@ -46,8 +46,8 @@ class PipelineOptions:
     few_cap: Optional[int] = None
 
     def __post_init__(self):
-        if self.eps_eq <= 0:
-            raise ValueError("eps_eq must be positive")
+        if not 0 < self.eps_eq < np.inf:
+            raise ValueError("eps_eq must be positive and finite")
 
 
 def _dedupe(points: np.ndarray, eps: float, labels: np.ndarray) -> tuple:
@@ -108,6 +108,25 @@ def congruence_test_4d(a_raw, b_raw, opts: Optional[PipelineOptions] = None,
 
 def _attempt(an: np.ndarray, bn: np.ndarray, opts: PipelineOptions,
              sink: Optional[list], labels_a=None, labels_b=None) -> Verdict:
+    """Decide the centered sets an, bn.  The reductions see coincident
+    points merged into their means, so when any merged, a positive verdict
+    must also map an onto bn."""
+    label_names, la, lb = (None, np.zeros(len(an), dtype=int),
+                           np.zeros(len(bn), dtype=int)) \
+        if labels_a is None else joint_ranks(labels_a, labels_b)
+    da, db = _dedupe(an, opts.eps_eq, la), _dedupe(bn, opts.eps_eq, lb)
+    v = _reduce(da, db, label_names, opts, sink)
+    if v.congruent and (da[0] is not an or db[0] is not bn) and not \
+            verify_rotation(PointSet4(an, la), PointSet4(bn, lb), v.rotation):
+        return Verdict.no("merged points")
+    return v
+
+
+def _reduce(da: tuple, db: tuple, label_names: Optional[list],
+            opts: PipelineOptions, sink: Optional[list]) -> Verdict:
+    """Decide the merged sets da, db (as _dedupe returns them) in lockstep;
+    label_names names the labels in a trace, None when there are none."""
+    (ua, cnt_a, la), (ub, cnt_b, lb) = da, db
     eps = opts.eps_eq
 
     def check(stage: str, key_a, key_b, name=None) -> bool:
@@ -127,15 +146,11 @@ def _attempt(an: np.ndarray, bn: np.ndarray, opts: PipelineOptions,
         return np.array_equal(np.bincount(ranks_a, minlength=bound),
                               np.bincount(ranks_b, minlength=bound))
 
-    labeled = labels_a is not None
-    label_names, la, lb = joint_ranks(labels_a, labels_b) if labeled else \
-        ([0], np.zeros(len(an), dtype=int), np.zeros(len(bn), dtype=int))
-    ua, cnt_a, la = _dedupe(an, eps, la)
-    ub, cnt_b, lb = _dedupe(bn, eps, lb)
     # a token is the multiplicity, or (multiplicity, label), ranked jointly
     toks, mult_a, mult_b = joint_ranks(np.column_stack((cnt_a, la)),
                                        np.column_stack((cnt_b, lb)))
-    names = [(c, label_names[k]) if labeled else c for c, k in toks.tolist()]
+    names = [c if label_names is None else (c, label_names[k])
+             for c, k in toks.tolist()]
     if not check_counts("multiplicity", mult_a, mult_b, len(toks),
                         lambda h: (sum(c for _, c in h),
                                    tuple((names[i], c) for i, c in h))):

@@ -380,10 +380,10 @@ def _block_match(ac: np.ndarray, la: np.ndarray, bc: np.ndarray,
     for p in (0, 1):
         plane = slice(2 * p, 2 * p + 2)
         if not tor.any():
-            fit = labeled_rotation(ac[:, plane], la, bc[:, plane], lb, tol)
-            if fit is None:
+            s = labeled_rotation(ac[:, plane], la, bc[:, plane], lb, tol)
+            if s is None:
                 return None
-            turns[plane, plane] = fit[0]
+            turns[plane, plane] = s
             continue
         rows[:, 1 + p] = tolerance_cluster(rad[:, p], tol).ids
         on = cls == p + 1

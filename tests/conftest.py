@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
+from hypercongruence import geom
 from hypercongruence.condense import (canonical_axes, circular_cluster,
                                       joint_ranks, tolerance_cluster,
                                       wrap_angle)
@@ -15,6 +16,18 @@ from hypercongruence.iterprune import THETA_TOL
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260814)
+
+
+@pytest.fixture
+def geom_trees(monkeypatch):
+    """The shapes of the point sets of the k-d trees geom builds."""
+    shapes = []
+
+    def counted(data, *args, **kwargs):
+        shapes.append(np.shape(data))
+        return cKDTree(data, *args, **kwargs)
+    monkeypatch.setattr(geom, "cKDTree", counted)
+    return shapes
 
 
 def rot3(rng) -> np.ndarray:

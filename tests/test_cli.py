@@ -55,6 +55,11 @@ class TestTest:
             main(["test", "--help"])
         assert f"(default {EPS_EQ:g})" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("tol", ["0", "-1e-9", "nan", "inf"])
+    def test_bad_tolerance_exit_two(self, pair_files, capsys, tol):
+        assert main(["test", f"--tolerance={tol}", *pair_files]) == 2
+        assert "eps_eq must be positive and finite" in capsys.readouterr().err
+
     def test_missing_file_exit_two(self, tmp_path, capsys):
         rc = main(["test", str(tmp_path / "x.txt"), str(tmp_path / "y.txt")])
         assert rc == 2

@@ -11,7 +11,6 @@ from scipy.spatial import cKDTree
 
 from conftest import (left_frame, pluecker_distance, rebuilt_step,
                       reference_match_multisets, step_angles)
-from hypercongruence import geom
 from hypercongruence.circles import cycle_circle
 from hypercongruence.geom import (CONSTANTS, DELTA_MIN, VERIFY_EPS, Chirality,
                                   ParallelPlanesError, PlaneSpan, PointSet4,
@@ -479,55 +478,46 @@ class TestVerifyRotation:
 
 
 class TestPairedVerify:
-    # a forced pairing is checked row by row; when that check fails,
-    # match_multisets decides as it does without a pairing
-    @pytest.fixture
-    def searches(self, monkeypatch):
-        """The match_multisets calls verify_rotation makes."""
-        calls = []
-
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return match_multisets(*args, **kwargs)
-        monkeypatch.setattr(geom, "match_multisets", counted)
-        return calls
-
+    # match_multisets first pairs the rows of both sides in order of their
+    # norms; a pairing that fails makes it search, and never rejects
     @staticmethod
-    def labeled_pair(rng, n=40):
-        """(A, B, r, pairing): B is A turned by r and shuffled, with rows 0
-        and 1 of A coincident under labels 0 and 1; pairing[i] is the row
-        of B that row i of A lands on."""
+    def gaussian_pair(rng, n=40):
+        """(A, B, r, perm): B is A turned by r and shuffled by perm."""
         a = rng.normal(size=(n, 4))
-        a[1] = a[0]
-        la = (np.arange(n) < 2) * np.arange(n)
         r = random_rotation(rng)
         perm = rng.permutation(n)
-        b = PointSet4((a @ r.T)[perm], la[perm])
-        return PointSet4(a, la), b, r, np.argsort(perm)
+        return PointSet4(a), PointSet4((a @ r.T)[perm]), r, perm
 
-    def test_forced_pairing_needs_no_search(self, rng, searches):
-        a, b, r, pairing = self.labeled_pair(rng)
-        assert verify_rotation(a, b, r, pairing=pairing)
-        assert searches == []
+    def test_norm_order_needs_no_tree(self, rng, geom_trees):
+        a, b, r, _ = self.gaussian_pair(rng)
+        assert verify_rotation(a, b, r)
+        assert geom_trees == []
 
-    def test_moved_partner_rejected(self, rng, searches):
-        a, b, r, pairing = self.labeled_pair(rng)
+    def test_moved_partner_rejected(self, rng, geom_trees):
+        a, b, r, perm = self.gaussian_pair(rng)
         step = rng.normal(size=4)
-        b.points[pairing[5]] += 2 * VERIFY_EPS * step / np.linalg.norm(step)
-        assert not verify_rotation(a, b, r, pairing=pairing)
-        assert len(searches) == 1
+        b.points[np.argsort(perm)[5]] += (2 * VERIFY_EPS * step
+                                          / np.linalg.norm(step))
+        assert not verify_rotation(a, b, r)
+        assert geom_trees == [(40, 4)]
 
-    @pytest.mark.parametrize("fault", ["swapped partners", "label mismatch",
-                                       "repeated row"])
-    def test_wrong_pairing_falls_back(self, rng, searches, fault):
-        a, b, r, pairing = self.labeled_pair(rng)
-        # rows 0 and 1 coincide, so swapping them only mismatches labels
-        dst, src = {"swapped partners": ([2, 3], [3, 2]),
-                    "label mismatch": ([0, 1], [1, 0]),
-                    "repeated row": ([2], [3])}[fault]
-        pairing[dst] = pairing[src]
-        assert verify_rotation(a, b, r, pairing=pairing)
-        assert len(searches) == 1
+    @pytest.mark.parametrize("fault", ["label mismatch", "swapped partners"])
+    def test_wrong_pairing_falls_back(self, rng, geom_trees, fault):
+        if fault == "label mismatch":
+            # coincident rows 0 and 1 under swapped labels: both sides
+            # hold the same rows, so the norm order pairs row i with row i
+            x = rng.normal(size=(40, 4))
+            x[1] = x[0]
+            lx = np.arange(40)
+            ly = lx.copy()
+            ly[:2] = [1, 0]
+            a, b = PointSet4(x, lx), PointSet4(x.copy(), ly)
+        else:
+            # the unit axes, all of norm 1, in reversed order
+            x = np.r_[np.eye(4), -np.eye(4)]
+            a, b = PointSet4(x), PointSet4(x[::-1])
+        assert verify_rotation(a, b, np.eye(4))
+        assert geom_trees == [(len(x), 4)]
 
 
 def greedy_match(x, y, eps, lx, ly):

@@ -22,12 +22,6 @@ from hypercongruence.lowdim import (
 from hypercongruence.sphere import condense_sphere
 
 
-def rotation_3d(*args):
-    """The rotation of congruence_3d_labeled(*args), or None."""
-    fit = congruence_3d_labeled(*args)
-    return None if fit is None else fit[0]
-
-
 class TestCircle:
     # a label class with one member on each side pins the turn; the
     # canonical necklace code of the circle is built only without one
@@ -157,9 +151,9 @@ class TestLabeledRotation:
         # eps, but its coordinates only 5e-11
         pa, r, pb = self.noisy_pair(5e-11)
         labs = np.arange(12)
-        fit = lowdim.labeled_rotation(pa, labs, pb, labs, 1e-9)
-        assert fit is not None
-        assert np.abs(fit[0] - r).max() <= 1e-9
+        s = lowdim.labeled_rotation(pa, labs, pb, labs, 1e-9)
+        assert s is not None
+        assert np.abs(s - r).max() <= 1e-9
 
     def test_moved_point_rejected(self):
         pa, _, pb = self.noisy_pair(5e-11)
@@ -254,8 +248,8 @@ class TestSphere3D:
         pa = rng.normal(size=(60, 3))
         r = rot3(rng)
         pb = pa @ r.T
-        s = rotation_3d(pa, [0] * 60, pb[rng.permutation(60)],
-                        [0] * 60, 1e-9)
+        s = congruence_3d_labeled(pa, [0] * 60, pb[rng.permutation(60)],
+                                  [0] * 60, 1e-9)
         assert s is not None
         assert abs(np.linalg.det(s) - 1) < 1e-9
         assert match_multisets(pa @ s.T, pb, 1e-7)
@@ -263,7 +257,7 @@ class TestSphere3D:
     def test_octahedron(self, rng):
         octa = np.concatenate([np.eye(3), -np.eye(3)])
         r = rot3(rng)
-        s = rotation_3d(octa, [0] * 6, octa @ r.T, [0] * 6, 1e-9)
+        s = congruence_3d_labeled(octa, [0] * 6, octa @ r.T, [0] * 6, 1e-9)
         assert s is not None
         assert match_multisets(octa @ s.T, octa @ r.T, 1e-7)
 
@@ -278,7 +272,7 @@ class TestSphere3D:
         ico /= np.linalg.norm(ico, axis=1, keepdims=True)
         labs = list(range(12))
         r = rot3(rng)
-        s = rotation_3d(ico, labs, ico @ r.T, labs, 1e-9)
+        s = congruence_3d_labeled(ico, labs, ico @ r.T, labs, 1e-9)
         assert s is not None
         # distinct labels leave a single admissible bijection
         assert np.max(np.abs(ico @ s.T - ico @ r.T)) < 1e-7
@@ -287,7 +281,7 @@ class TestSphere3D:
         tet = np.array([[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]],
                        float) / math.sqrt(3)
         r = rot3(rng)
-        s = rotation_3d(tet, "pqrs", tet @ r.T, "pqrs", 1e-9)
+        s = congruence_3d_labeled(tet, "pqrs", tet @ r.T, "pqrs", 1e-9)
         assert s is not None
         assert np.max(np.abs(tet @ s.T - tet @ r.T)) < 1e-7
 
@@ -296,7 +290,7 @@ class TestSphere3D:
         cyl = np.c_[np.cos(th), np.sin(th), rng.choice([0.5, 1.5], 40)]
         cyl = np.r_[cyl, [[0, 0, 3.0]]]
         r = rot3(rng)
-        s = rotation_3d(cyl, [0] * 41, cyl @ r.T, [0] * 41, 1e-9)
+        s = congruence_3d_labeled(cyl, [0] * 41, cyl @ r.T, [0] * 41, 1e-9)
         assert s is not None and match_multisets(cyl @ s.T, cyl @ r.T, 1e-6)
 
     def test_antipodal_axis_case(self, rng):
@@ -304,7 +298,7 @@ class TestSphere3D:
         cyl = np.c_[np.cos(th), np.sin(th), rng.choice([0.5, 1.5], 40)]
         cyl = np.r_[cyl, [[0, 0, 3.0], [0, 0, -3.0]]]
         r = rot3(rng)
-        s = rotation_3d(cyl, [0] * 42, cyl @ r.T, [0] * 42, 1e-9)
+        s = congruence_3d_labeled(cyl, [0] * 42, cyl @ r.T, [0] * 42, 1e-9)
         assert s is not None and match_multisets(cyl @ s.T, cyl @ r.T, 1e-6)
 
     def test_perturbed_rejected(self, rng):
@@ -316,7 +310,7 @@ class TestSphere3D:
     def test_collinear(self, rng):
         lin = np.array([[0, 0, 1.0], [0, 0, 2.0], [0, 0, -1.0]])
         r = rot3(rng)
-        s = rotation_3d(lin, [0, 1, 2], lin @ r.T, [0, 1, 2], 1e-9)
+        s = congruence_3d_labeled(lin, [0, 1, 2], lin @ r.T, [0, 1, 2], 1e-9)
         assert s is not None
         assert np.max(np.abs(lin @ s.T - lin @ r.T)) < 1e-7
 
@@ -351,8 +345,8 @@ class TestSphere3D:
     def test_origin_point_allowed(self, rng):
         pts = np.array([[0, 0, 1.0], [0, 0, 2.0], [0, 0, -1.0], [0, 0, 0]])
         r = rot3(rng)
-        s = rotation_3d(pts, [0, 1, 2, 3], pts @ r.T, [0, 1, 2, 3],
-                        1e-9)
+        s = congruence_3d_labeled(pts, [0, 1, 2, 3], pts @ r.T, [0, 1, 2, 3],
+                                  1e-9)
         assert s is not None
 
 
@@ -375,7 +369,7 @@ class TestSingletonPin:
         r = rot3(rng)
         perm = rng.permutation(40)
         pb = (pa @ r.T + 1e-12 * rng.normal(size=pa.shape))[perm]
-        s = rotation_3d(pa, np.arange(40), pb, perm, 1e-9)
+        s = congruence_3d_labeled(pa, np.arange(40), pb, perm, 1e-9)
         assert s is not None
         assert np.abs(s - r).max() <= 1e-10
 
@@ -389,7 +383,7 @@ class TestSingletonPin:
         pa = np.c_[rng.normal(size=(12, 2)), np.zeros(12)]
         r = rot3(rng)
         labs = np.arange(12)
-        s = rotation_3d(pa, labs, pa @ r.T, labs, 1e-9)
+        s = congruence_3d_labeled(pa, labs, pa @ r.T, labs, 1e-9)
         assert s is not None
         assert abs(np.linalg.det(s) - 1) < 1e-12
         assert np.abs(pa @ s.T - pa @ r.T).max() <= 1e-12
@@ -406,31 +400,11 @@ class TestSingletonPin:
         labs = [1, 2] + [0] * 20
         r = rot3(rng)
         perm = rng.permutation(22)
-        s = rotation_3d(pa, labs, (pa @ r.T)[perm],
-                        np.array(labs)[perm], 1e-9)
+        s = congruence_3d_labeled(pa, labs, (pa @ r.T)[perm],
+                                  np.array(labs)[perm], 1e-9)
         assert len(calls) == 2
         assert s is not None and abs(np.linalg.det(s) - 1) < 1e-12
         assert np.abs(pa @ s.T - pa @ r.T).max() <= 1e-9
-
-    def test_forced_pairing(self, rng, no_shell):
-        # two origin rows, paired by label, and 20 singleton tokens
-        pa = np.r_[np.zeros((2, 3)), rng.normal(size=(20, 3))]
-        labs, perm = np.arange(22), rng.permutation(22)
-        fit = congruence_3d_labeled(pa, labs, (pa @ rot3(rng).T)[perm],
-                                    labs[perm], 1e-9)
-        assert fit is not None
-        assert np.array_equal(fit[1], np.argsort(perm))
-
-    @pytest.mark.parametrize("shared", ["token", "origin label"])
-    def test_shared_rows_leave_no_pairing(self, rng, no_shell, shared):
-        pa = np.r_[np.zeros((2, 3)), rng.normal(size=(10, 3))]
-        labs = np.arange(12)
-        if shared == "token":
-            pa[3], labs[3] = rot3(rng) @ pa[2], labs[2]
-        else:
-            labs[1] = labs[0]
-        fit = congruence_3d_labeled(pa, labs, pa @ rot3(rng).T, labs, 1e-9)
-        assert fit is not None and fit[1] is None
 
     def test_displaced_class_rejected(self, rng, no_shell):
         pa = np.r_[rng.normal(size=(3, 3)), self.shell(rng, 10)]
@@ -489,7 +463,7 @@ def unpruned_congruent(set_a, set_b, anchors_a, anchors_b, eps=1e-9):
     candidate of the rarest anchor class."""
     aa, ab = lowdim._anchor_class(anchors_a, anchors_b, eps)
     a0 = aa[np.lexsort(aa.T[::-1])[0]]
-    return any(verify_rotation(set_a, set_b, r) for r, _ in lowdim._about_axis(
+    return any(verify_rotation(set_a, set_b, r) for r in lowdim._about_axis(
         set_a.points, set_a.labels, set_b.points, set_b.labels, a0, ab, eps,
         lowdim.congruence_3d_labeled))
 

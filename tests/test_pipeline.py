@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
-from hypercongruence import geom
 from hypercongruence.condense import TWO_PI, group_means, merge_close
 from hypercongruence.geom import frame, hopf_fiber
 from hypercongruence.harness import (
@@ -351,6 +350,15 @@ class TestMultiplicities:
         v = congruence_test_4d(aa, b)
         assert not v.congruent
 
+    def test_merged_points_checked_against_the_input(self):
+        # eps_eq = 1 merges each set into one point at its centroid, where
+        # the identity maps one mean onto the other
+        rng = np.random.default_rng(5)
+        a, b = 0.01 * rng.normal(size=(6, 4)), 0.01 * rng.normal(size=(6, 4))
+        v = congruence_test_4d(a, b, PipelineOptions(eps_eq=1.0))
+        assert not v.congruent and v.stage == "merged points"
+        assert not oracle_congruent(a, b).congruent
+
     @staticmethod
     def dedupe_reference(points, eps, labels):
         """_dedupe through group_means whether or not anything merges."""
@@ -374,27 +382,15 @@ class TestMultiplicities:
 
 
 class TestForcedPairing:
-    # the 1+3 step hands verify_rotation the pairing its 3D test forces;
-    # the check searches for a bijection only where tokens are shared
-    @pytest.fixture
-    def searches(self, monkeypatch):
-        """The shapes of the point sets verify_rotation searches."""
-        shapes = []
-        inner = geom.match_multisets
-
-        def recorded(x, *args, **kwargs):
-            shapes.append(np.shape(x))
-            return inner(x, *args, **kwargs)
-        monkeypatch.setattr(geom, "match_multisets", recorded)
-        return shapes
-
-    def test_gaussian_cloud_needs_no_search(self, rng, searches):
+    # the final check pairs the points in order of their norms, which is
+    # the right pairing for distinct radii, and builds no k-d tree for it
+    def test_gaussian_cloud_needs_no_search(self, rng, geom_trees):
         assert_roundtrip(rng.normal(size=(300, 4)), rng)
-        assert [s for s in searches if s[1] == 4] == []
+        assert geom_trees == []
 
-    def test_helix_shares_tokens(self, rng, searches):
+    def test_helix_shares_tokens(self, rng, geom_trees):
         assert_roundtrip(gen_orbit_helix(50, 3, 0.8), rng)
-        assert (50, 4) in searches
+        assert (50, 4) in geom_trees
 
 
 class TestLabels:
