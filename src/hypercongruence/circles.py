@@ -63,12 +63,6 @@ class OrbitCycle:
 # reflection-group case
 
 
-def _components(n: int, undirected_edges) -> list:
-    # only vertices on an edge belong to the graph
-    groups = members_by_id(component_ids(n, undirected_edges))
-    return [g.tolist() for g in groups if len(g) > 1]
-
-
 def _trace_cycle(nbrs: list, start: int) -> list:
     """Vertex order of the cycle through start, given the two neighbours of
     every vertex (smaller first); steps to the smaller neighbour first."""
@@ -157,7 +151,9 @@ def mirror_reduce(points, graph: DirectedGraph, eps: float = EPS_EQ):
     tail, head = graph.arc_rows.T
     sym = DirectedGraph(n, np.stack(np.divmod(
         np.unique(np.r_[tail * n + head, head * n + tail]), n), axis=1))
-    comps = _components(n, sym.arc_rows)
+    # only vertices on an edge belong to the graph
+    comps = [g.tolist() for g in members_by_id(component_ids(n, sym.arc_rows))
+             if len(g) > 1]
     sizes = tuple(sorted(len(c) for c in comps))
     keys.append(("R1", (len(comps), sizes)))
 

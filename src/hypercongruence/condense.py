@@ -4,14 +4,15 @@ The primitives every stage of the pipeline shares: grouping nearly-equal
 reals into classes (single linkage at the comparison tolerance) on a line
 or on a circle, wrapping angles into one period, the gaps between sorted
 angles and the regular-polygon test built on them, numbering the connected
-components of a graph, merging points within a tolerance and averaging
-points per component, ranking labels jointly across sides into ints
-(int strings as rows padded with -1), keeping only the smallest class
-under a canonical key, the least rotations of cyclic int strings, and the
-canonical axes of labeled configurations on a circle.  Canonical axes
-quantize the gaps of every configuration passed in one call together,
-which is what makes their int codes comparable.  The value groupings are
-deterministic functions of the input multiset, never of input order.
+components of a graph, merging points within a tolerance into their class
+means (:func:`merge_points`, the one coincidence merge every stage uses),
+ranking labels jointly across sides into ints (int strings as rows padded
+with -1), keeping only the smallest class under a canonical key, the least
+rotations of cyclic int strings, and the canonical axes of labeled
+configurations on a circle.  Canonical axes quantize the gaps of every
+configuration passed in one call together, which is what makes their int
+codes comparable.  The value groupings are deterministic functions of the
+input multiset, never of input order.
 
 Two sides ranked jointly agree exactly when the count vectors of their
 ranks (np.bincount with the number of ranks as minlength) are equal, so a
@@ -172,22 +173,26 @@ def members_by_id(ids: np.ndarray) -> list:
     return np.split(order, np.cumsum(np.bincount(ids))[:-1])
 
 
-def group_means(points: np.ndarray, ids: np.ndarray) -> tuple:
-    """(mean point, member count) of every id class, in id order."""
+def merge_points(points: np.ndarray, eps: float, labels=None) -> tuple:
+    """(means, counts, first): the classes of :func:`merge_close` as mean
+    points, member counts and least member indices, in class order; the
+    input itself, unit counts and arange(n) when nothing merges."""
+    ids = merge_close(points, eps, labels)
+    if ids.max(initial=-1) + 1 == len(ids):
+        return points, np.ones(len(ids), dtype=np.intp), np.arange(len(ids))
     counts = np.bincount(ids)
-    sums = np.column_stack([np.bincount(ids, weights=col) for col in points.T])
-    return sums / counts[:, None], counts
+    sums = np.column_stack([np.bincount(ids, weights=c) for c in points.T])
+    return sums / counts[:, None], counts, np.unique(ids, return_index=True)[1]
 
 
 def merge_unit_points(points: np.ndarray, eps: float) -> np.ndarray:
     """Unit points with every class of :func:`merge_close` at eps replaced
     by its mean scaled back to unit length, in class order; the input
     itself when nothing merges."""
-    ids = merge_close(points, eps)
-    if ids.max() + 1 == len(points):
+    means = merge_points(points, eps)[0]
+    if means is points:
         return points
-    reps = group_means(points, ids)[0]
-    return reps / np.linalg.norm(reps, axis=1, keepdims=True)
+    return means / np.linalg.norm(means, axis=1, keepdims=True)
 
 
 def joint_cluster(a: Sequence[float], b: Sequence[float],

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import chain
 
 import numpy as np
@@ -51,25 +50,13 @@ class DirectedGraph:
     n: int
     arc_rows: np.ndarray
 
-    @cached_property
-    def _starts(self) -> tuple:
-        """Where the out-arcs of every vertex start in arc order and its
-        in-arcs in head order, and the head order (arcs by head, then tail)."""
-        tail, head = self.arc_rows.T
-        by_head = np.lexsort((tail, head))
-        at = np.arange(self.n + 1)
-        return (np.searchsorted(tail, at).tolist(),
-                np.searchsorted(head[by_head], at).tolist(), by_head)
-
     def out_rows(self, v) -> np.ndarray:
         """The arcs out of v as rows, by head."""
-        s = self._starts[0]
-        return self.arc_rows[s[v]:s[v + 1]]
+        return self.arc_rows[self.arc_rows[:, 0] == v]
 
     def in_rows(self, v) -> np.ndarray:
         """The arcs into v as rows, by tail."""
-        _, s, by_head = self._starts
-        return self.arc_rows[by_head[s[v]:s[v + 1]]]
+        return self.arc_rows[self.arc_rows[:, 1] == v]
 
     def degrees(self) -> np.ndarray:
         """(out-degree, in-degree) row of every vertex."""

@@ -2,13 +2,14 @@
 
 congruence_test_4d ties the stages together: centering both sets on
 their centroids, merging coincident points into multiplicities, radius
-pruning, iterative pruning on the 3-sphere, the mirror and orbit
-condensing steps, circle marking, and the two dimension reductions.  Both
-inputs are processed in lockstep; every stage emits comparison keys built
-from counts and cluster ranks only, and the first key divergence decides
-NotCongruent.  Positive verdicts always carry a rotation that has been
-verified against the original (normalized) sets, so false positives are
-impossible regardless of how aggressively the working sets were condensed.
+pruning, merging the coincident directions of the chosen radius shell
+(both merges by condense.merge_points), iterative pruning on the 3-sphere,
+the mirror and orbit condensing steps, circle marking, and the two
+dimension reductions.  Both inputs are processed in lockstep; every stage
+emits comparison keys built from counts and cluster ranks only, and the
+first key divergence decides NotCongruent.  Positive verdicts always
+carry a rotation verified against the original (normalized) sets, so no
+amount of condensing of the working sets can make a false positive.
 """
 
 from __future__ import annotations
@@ -19,8 +20,8 @@ from typing import Optional
 import numpy as np
 
 from .circles import Anchors, CondensedPoints, mirror_reduce, orbit_circles
-from .condense import (group_means, joint_cluster, joint_ranks, merge_close,
-                       prune_by_key)
+from .condense import (joint_cluster, joint_ranks, merge_points,
+                       merge_unit_points, prune_by_key)
 from .geom import CONSTANTS, EPS_EQ, PointSet4, Verdict, verify_rotation
 from .iterprune import MirrorSymmetric, WellSeparated, iterative_prune
 from .lowdim import one_plus_three_reduce
@@ -35,40 +36,26 @@ MAX_RESTARTS = 64           # condensing rounds before giving up
 class PipelineOptions:
     """Knobs for congruence_test_4d.
 
-    delta0 and few_cap override the production constants so that small
-    constructed instances can exercise the deep condensing paths; leave
-    them at None for real inputs.
+    delta0 and few_cap default to the production constants; small
+    constructed instances lower them to exercise the deep condensing paths.
     """
 
     eps_eq: float = EPS_EQ
     allow_reflection: bool = False
-    delta0: Optional[float] = None
-    few_cap: Optional[int] = None
+    delta0: float = CONSTANTS.delta0
+    few_cap: int = CONSTANTS.few_circles_cap
 
     def __post_init__(self):
         if not 0 < self.eps_eq < np.inf:
             raise ValueError("eps_eq must be positive and finite")
 
 
-def _dedupe(points: np.ndarray, eps: float, labels: np.ndarray) -> tuple:
-    """Collapse coincident equal-label points: (unique points, their
-    multiplicities, their int labels); the input itself, with unit
-    multiplicities, when nothing merges."""
-    ids = merge_close(points, eps, labels)
-    if ids.max() + 1 == len(points):
-        return points, np.ones(len(points), dtype=np.intp), labels
-    out, counts = group_means(points, ids)
-    _, first = np.unique(ids, return_index=True)
-    return out, counts, labels[first]
-
-
 def _unique_circles(circles: list, eps: float) -> list:
     """The circles sorted by key, keeping the first of every class of keys
     at most 10 * eps apart."""
     circles = sorted(circles, key=lambda p: p.key())
-    _, first = np.unique(merge_close([c.key() for c in circles], 10 * eps),
-                         return_index=True)
-    return [circles[i] for i in first]
+    first = merge_points(np.array([c.key() for c in circles]), 10 * eps)[2]
+    return [circles[i] for i in first.tolist()]
 
 
 def congruence_test_4d(a_raw, b_raw, opts: Optional[PipelineOptions] = None,
@@ -114,19 +101,21 @@ def _attempt(an: np.ndarray, bn: np.ndarray, opts: PipelineOptions,
     label_names, la, lb = (None, np.zeros(len(an), dtype=int),
                            np.zeros(len(bn), dtype=int)) \
         if labels_a is None else joint_ranks(labels_a, labels_b)
-    da, db = _dedupe(an, opts.eps_eq, la), _dedupe(bn, opts.eps_eq, lb)
-    v = _reduce(da, db, label_names, opts, sink)
+    da, db = (merge_points(an, opts.eps_eq, la),
+              merge_points(bn, opts.eps_eq, lb))
+    v = _reduce(da, db, la, lb, label_names, opts, sink)
     if v.congruent and (da[0] is not an or db[0] is not bn) and not \
             verify_rotation(PointSet4(an, la), PointSet4(bn, lb), v.rotation):
         return Verdict.no("merged points")
     return v
 
 
-def _reduce(da: tuple, db: tuple, label_names: Optional[list],
+def _reduce(da: tuple, db: tuple, la, lb, label_names: Optional[list],
             opts: PipelineOptions, sink: Optional[list]) -> Verdict:
-    """Decide the merged sets da, db (as _dedupe returns them) in lockstep;
-    label_names names the labels in a trace, None when there are none."""
-    (ua, cnt_a, la), (ub, cnt_b, lb) = da, db
+    """Decide in lockstep the merge_points results da, db of points with
+    int labels la, lb; label_names names the labels in a trace, None when
+    there are none."""
+    (ua, cnt_a, first_a), (ub, cnt_b, first_b) = da, db
     eps = opts.eps_eq
 
     def check(stage: str, key_a, key_b, name=None) -> bool:
@@ -147,8 +136,8 @@ def _reduce(da: tuple, db: tuple, label_names: Optional[list],
                               np.bincount(ranks_b, minlength=bound))
 
     # a token is the multiplicity, or (multiplicity, label), ranked jointly
-    toks, mult_a, mult_b = joint_ranks(np.column_stack((cnt_a, la)),
-                                       np.column_stack((cnt_b, lb)))
+    toks, mult_a, mult_b = joint_ranks(np.column_stack((cnt_a, la[first_a])),
+                                       np.column_stack((cnt_b, lb[first_b])))
     names = [c if label_names is None else (c, label_names[k])
              for c, k in toks.tolist()]
     if not check_counts("multiplicity", mult_a, mult_b, len(toks),
@@ -159,9 +148,6 @@ def _reduce(da: tuple, db: tuple, label_names: Optional[list],
 
     wa, wb = ua, ub
     lab_a, lab_b = mult_a, mult_b
-    delta0 = opts.delta0 if opts.delta0 is not None else CONSTANTS.delta0
-    few_cap = opts.few_cap if opts.few_cap is not None else \
-        CONSTANTS.few_circles_cap
 
     for _ in range(MAX_RESTARTS):
         norm_a = np.linalg.norm(wa, axis=1)
@@ -194,14 +180,15 @@ def _reduce(da: tuple, db: tuple, label_names: Optional[list],
         counts = np.bincount(rk_a, minlength=len(keys))
         k = np.lexsort((-keys[:, 1], counts))[0]
         ka, kb = np.flatnonzero(rk_a == k), np.flatnonzero(rk_b == k)
-        sa = np.take(wa, ka, axis=0) / norm_a[ka, None]
-        sb = np.take(wb, kb, axis=0) / norm_b[kb, None]
+        # distinct shell points can come within eps on the unit sphere
+        sa = merge_unit_points(np.take(wa, ka, axis=0) / norm_a[ka, None], eps)
+        sb = merge_unit_points(np.take(wb, kb, axis=0) / norm_b[kb, None], eps)
 
-        if len(sa) == 1:
+        if len(sa) == 1 or len(sb) == 1:
             return one_plus_three_reduce(full_a, full_b, sa, sb, eps)
 
-        ex_a, keys_a = iterative_prune(sa, eps, delta0)
-        ex_b, keys_b = iterative_prune(sb, eps, delta0)
+        ex_a, keys_a = iterative_prune(sa, eps, opts.delta0)
+        ex_b, keys_b = iterative_prune(sb, eps, opts.delta0)
         if not check("sphere", (type(ex_a).__name__, tuple(keys_a)),
                      (type(ex_b).__name__, tuple(keys_b))):
             return Verdict.no("sphere structure")
@@ -239,8 +226,8 @@ def _reduce(da: tuple, db: tuple, label_names: Optional[list],
         if not check("circles", len(circ_a), len(circ_b)):
             return Verdict.no("circle count")
 
-        mres_a, mk_a = mark_circles(circ_a, eps, few_cap)
-        mres_b, mk_b = mark_circles(circ_b, eps, few_cap)
+        mres_a, mk_a = mark_circles(circ_a, eps, opts.few_cap)
+        mres_b, mk_b = mark_circles(circ_b, eps, opts.few_cap)
         if not check("marking", (type(mres_a).__name__, tuple(mk_a)),
                      (type(mres_b).__name__, tuple(mk_b))):
             return Verdict.no("circle structure")

@@ -13,11 +13,11 @@ from hypothesis import strategies as st
 from conftest import dense_ranks
 from hypercongruence.condense import (AxesSet, canonical_axes, circle_gaps,
                                       circular_cluster, component_ids,
-                                      group_means,
                                       is_regular_polygon, joint_cluster,
                                       joint_ranks, least_rotations,
-                                      members_by_id,
-                                      merge_close, padded_rows, prune_by_key,
+                                      members_by_id, merge_close,
+                                      merge_points, merge_unit_points,
+                                      padded_rows, prune_by_key,
                                       rank_labels, tolerance_cluster,
                                       wrap_angle)
 from hypercongruence.condense import _COUNT_MIN, _COUNT_SPAN
@@ -287,21 +287,47 @@ class TestComponentIds:
         assert ids.tolist() == [0, 1, 2, 1, 0, 2]
 
     def test_means_equal_loop_reference(self, rng):
-        pts = rng.normal(size=(300, 4))
-        edges = rng.integers(0, 300, size=(250, 2))
-        ids = component_ids(300, edges)
-        means, counts = group_means(pts, ids)
-        for k, members in enumerate(members_by_id(ids)):
-            assert counts[k] == len(members)
+        # 300 points near 100 centers, so merge_close classes have one to
+        # several members; merge_points averages the components
+        centers = rng.normal(size=(100, 4))
+        pts = centers[rng.integers(0, 100, size=300)] + \
+            1e-10 * rng.normal(size=(300, 4))
+        means, counts, first = merge_points(pts, 1e-8)
+        groups = members_by_id(merge_close(pts, 1e-8))
+        assert len(means) == len(groups) < 100
+        for k, members in enumerate(groups):
+            assert counts[k] == len(members) and first[k] == members[0]
             assert means[k].tobytes() == pts[members].mean(axis=0).tobytes()
 
     def test_members_and_means(self):
-        ids = component_ids(4, [(2, 0)])
+        pts = np.array([[1.0, 0.0], [5.0, 5.0], [3.0, 0.0], [0.0, -5.0]])
+        ids = merge_close(pts, 2.5)
+        assert ids.tolist() == component_ids(4, [(2, 0)]).tolist()
         assert [m.tolist() for m in members_by_id(ids)] == [[0, 2], [1], [3]]
-        pts = np.array([[1.0, 0.0], [5.0, 5.0], [3.0, 2.0], [0.0, -1.0]])
-        means, counts = group_means(pts, ids)
-        assert counts.tolist() == [2, 1, 1]
-        assert means.tolist() == [[2.0, 1.0], [5.0, 5.0], [0.0, -1.0]]
+        means, counts, first = merge_points(pts, 2.5)
+        assert counts.tolist() == [2, 1, 1] and first.tolist() == [0, 1, 3]
+        assert means.tolist() == [[2.0, 0.0], [5.0, 5.0], [0.0, -5.0]]
+
+
+class TestMergePoints:
+    def test_no_merge_returns_the_input(self, rng):
+        pts = rng.normal(size=(50, 4))
+        means, counts, first = merge_points(pts, 1e-9)
+        assert means is pts
+        assert counts.tolist() == [1] * 50 and first.tolist() == list(range(50))
+        unit = pts / np.linalg.norm(pts, axis=1, keepdims=True)
+        assert merge_unit_points(unit, 1e-9) is unit
+        for few in (pts[:0], pts[:1]):
+            means, counts, first = merge_points(few, 1e-9)
+            assert means is few and len(counts) == len(first) == len(few)
+
+    def test_unit_means_rescaled(self):
+        x = np.array([[1.0, 0, 0, 0], [0, 1.0, 0, 0], [0.6, 0.8, 0, 0]])
+        # the last two merge at 0.7; their mean is scaled to unit length
+        got = merge_unit_points(x, 0.7)
+        want = np.array([0.3, 0.9, 0, 0]) / math.hypot(0.3, 0.9)
+        assert got.shape == (2, 4) and np.allclose(got[1], want)
+        assert got[0].tolist() == [1.0, 0, 0, 0]
 
 
 UNIT = 2.0 ** -30        # a dyadic grid step near the pipeline's tolerance

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
-from hypercongruence.condense import TWO_PI, group_means, merge_close
+from hypercongruence.condense import (TWO_PI, members_by_id, merge_close,
+                                      merge_points)
 from hypercongruence.geom import frame, hopf_fiber
 from hypercongruence.harness import (
     gen_orbit_helix,
@@ -16,8 +17,7 @@ from hypercongruence.harness import (
     oracle_congruent,
     random_rotation,
 )
-from hypercongruence.pipeline import (PipelineOptions, _dedupe,
-                                      congruence_test_4d)
+from hypercongruence.pipeline import PipelineOptions, congruence_test_4d
 
 
 def transformed(a, rng, translation=None):
@@ -284,6 +284,24 @@ class TestStructuredFamilies:
         marking = [k for stage, k, _ in trace if stage == "marking"][-1]
         assert marking[0] == "FewCircles" and marking[1][-1] == ("M3", 4)
 
+    def test_mirror_structure_verdict(self, rng):
+        # two octagons in orthogonal planes and one 16-gon: both graphs are
+        # 16 vertices of degree 2 with mirror-symmetric edge figures, and
+        # only their components differ
+        t8, t16 = np.arange(8) * TWO_PI / 8, np.arange(16) * TWO_PI / 16
+        z = np.zeros(8)
+        a = np.r_[np.c_[np.cos(t8), np.sin(t8), z, z],
+                  np.c_[z, z, np.cos(t8), np.sin(t8)]]
+        b = np.c_[np.cos(t16), np.sin(t16), np.zeros((16, 2))]
+        trace = []
+        v = congruence_test_4d(a, b @ random_rotation(rng).T,
+                               PipelineOptions(delta0=1.0), trace_sink=trace)
+        assert not v.congruent and v.stage == "mirror structure"
+        stages = dict((s, (ka, kb)) for s, ka, kb in trace)
+        assert stages["sphere"][0] == stages["sphere"][1]
+        ra, rb = (dict(k[1])["R1"] for k in stages["mirror"])
+        assert (ra, rb) == ((2, (8, 8)), (1, (16,)))
+
     def test_hopf_fiber_samples(self, rng):
         f0 = frame(np.array([[1.0, 0, 0, 0], [0, 1.0, 0, 0]]))
         pts = []
@@ -360,25 +378,49 @@ class TestMultiplicities:
         assert not oracle_congruent(a, b).congruent
 
     @staticmethod
-    def dedupe_reference(points, eps, labels):
-        """_dedupe through group_means whether or not anything merges."""
-        ids = merge_close(points, eps, labels)
-        out, counts = group_means(points, ids)
-        _, first = np.unique(ids, return_index=True)
-        return out, counts, labels[first]
+    def merge_reference(points, eps, labels):
+        """merge_points by a loop over the classes of merge_close, whether
+        or not anything merges."""
+        groups = members_by_id(merge_close(points, eps, labels))
+        return (np.array([points[m].mean(axis=0) for m in groups]),
+                np.array([len(m) for m in groups], dtype=np.intp),
+                np.array([m[0] for m in groups], dtype=np.intp))
 
     @pytest.mark.parametrize("copies", [0, 3])
-    def test_dedupe_equals_group_means(self, rng, copies):
+    def test_merge_points_equals_loop_reference(self, rng, copies):
         a, lab = rng.normal(size=(20, 4)), rng.integers(2, size=20)
         pts, labels = np.r_[a, a[:copies]], np.r_[lab, lab[:copies]]
         if copies:
             # the last copy has another label, so it stays apart
             labels[-1] = 1 - labels[-1]
-        got = _dedupe(pts, 1e-9, labels)
-        want = self.dedupe_reference(pts, 1e-9, labels)
+        got = merge_points(pts, 1e-9, labels)
+        want = self.merge_reference(pts, 1e-9, labels)
         assert len(got[0]) == len(pts) - max(copies - 1, 0)
+        assert (got[0] is pts) == (copies == 0)
         for g, w in zip(got, want):
-            assert g.dtype == w.dtype and np.array_equal(g, w)
+            assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+
+    def test_shell_directions_merged_before_pruning(self, rng):
+        # two directions 5e-10 apart lie 5e-7 apart at radius 1000, so the
+        # points stay distinct while their directions merge on the sphere
+        x = rng.normal(size=(40, 4))
+        x /= np.linalg.norm(x, axis=1, keepdims=True)
+        t = rng.normal(size=4)
+        t -= (t @ x[0]) * x[0]
+        y = x[0] + 5e-10 * t / np.linalg.norm(t)
+        x = np.r_[x, [y / np.linalg.norm(y)]]
+        a = 1000 * np.r_[x, -x]
+        assert congruence_test_4d(a, a @ random_rotation(rng).T).congruent
+
+    def test_large_tolerance_raises_nothing(self):
+        # at eps_eq = 1 distinct points of one radius class come within
+        # eps_eq of each other once projected onto the unit sphere
+        rng = np.random.default_rng(1)
+        for _ in range(200):
+            n = rng.integers(2, 8)
+            a, b = rng.normal(size=(n, 4)), rng.normal(size=(n, 4))
+            v = congruence_test_4d(a, b, PipelineOptions(eps_eq=1.0))
+            assert not v.congruent
 
 
 class TestForcedPairing:

@@ -73,7 +73,9 @@ def run_workloads() -> int:
     for name in workloads.WORKLOADS:
         for seed in SEEDS:
             for pair in workloads.generate(name, seed):
-                congruence_test_4d(pair.a, pair.b, PipelineOptions(delta0=pair.delta0))
+                opts = None if pair.delta0 is None else \
+                    PipelineOptions(delta0=pair.delta0)
+                congruence_test_4d(pair.a, pair.b, opts)
                 count += 1
     return count
 
