@@ -43,6 +43,9 @@ TWO_PI = 2.0 * math.pi
 # (the sort is cheaper below)
 _COUNT_MIN = 512
 _COUNT_SPAN = 4
+# the sweep direction of merge_close before normalising: square roots of
+# distinct squarefree ints, so no nonzero int vector is orthogonal to it
+_SWEEP = np.sqrt([1.0, 2.0, 3.0, 5.0, 6.0, 7.0])
 
 
 def wrap_angle(x, period: float = TWO_PI) -> np.ndarray:
@@ -140,21 +143,28 @@ def merge_close(points, eps: float, labels=None) -> np.ndarray:
     """component_ids of the points under the pairs at most eps apart (single
     linkage); with labels, only pairs with equal labels link.
 
-    A sweep runs before the k-d tree.  Two points within eps are within eps
-    in their first coordinate, so in first-coordinate order consecutive
-    gaps of at most eps join them.  Only the points with such a gap on
-    either side go to the tree, and none when there are none.  Rounding
-    cannot drop a pair: every gap between a pair is at most the difference
-    of its first coordinates, and a difference above eps squares to more
-    than eps**2, which the tree's squared distance of a pair it finds
-    cannot exceed.  The order of equal first coordinates cannot show:
-    their gaps are 0, so all of them are kept."""
+    A sweep runs before the k-d tree.  Two points within eps project within
+    eps onto a unit vector, so in projection order consecutive gaps of at
+    most eps join them.  Only the points with such a gap on either side go
+    to the tree, and none when there are none.  The direction is
+    :data:`_SWEEP` cut to the column count: the circles and grids of
+    structured inputs tie in a coordinate, which would send every row to
+    the tree.  Rounding cannot drop a pair.  A computed projection x.u
+    in d columns errs by at most d ulps of |x|_1 <= d m, where m is the
+    largest absolute coordinate, and a pair the tree reports is at most eps
+    apart up to a few ulps of eps; so gaps up to eps plus 16 d ulps of
+    d m + eps are kept.  The order of equal projections cannot show: their
+    gaps are 0, so all of them are kept."""
     pts = np.asarray(points, dtype=float)
-    n = len(pts)
+    n, d = pts.shape
     if n < 2:
         return np.arange(n)
-    order = np.argsort(pts[:, 0])
-    near = np.diff(pts[order, 0]) <= eps
+    u = _SWEEP[:d] / np.linalg.norm(_SWEEP[:d])
+    proj = pts @ u
+    m = max(pts.max(), -pts.min())
+    pad = 16 * d * np.finfo(float).eps * (d * m + eps)
+    order = np.argsort(proj)
+    near = np.diff(proj[order]) <= eps + pad
     kept = np.zeros(n, dtype=bool)
     kept[order[1:][near]] = kept[order[:-1][near]] = True
     keep = np.flatnonzero(kept)

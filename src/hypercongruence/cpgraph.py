@@ -47,7 +47,10 @@ def closest_pair_graph(points: np.ndarray, antipodal: bool = False,
     if delta <= eps:
         what = "sign classes" if antipodal else "points"
         raise DuplicatePointsError(f"two {what} at distance {delta:.3e}")
-    raw = np.sort(tree.query_pairs(r=delta + eps, output_type="ndarray") % n, axis=1)
-    edges = np.unique(raw[raw[:, 0] != raw[:, 1]], axis=0)
-    return ClosestPairGraph(n, delta, edges)
+    # a pair is the key min * n + max of its points, so sorted distinct
+    # keys are the sorted distinct edges; x and -x make no edge
+    i, j = (tree.query_pairs(r=delta + eps, output_type="ndarray") % n).T
+    lo, hi = np.minimum(i, j), np.maximum(i, j)
+    key = np.unique((lo * n + hi)[lo != hi])
+    return ClosestPairGraph(n, delta, np.stack(np.divmod(key, n), axis=1))
 

@@ -20,10 +20,12 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from itertools import combinations, permutations
+from itertools import chain, combinations, permutations
 from typing import Optional, Sequence
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import maximum_bipartite_matching
 from scipy.spatial import cKDTree
 
 EPS_EQ = 1e-9
@@ -348,15 +350,16 @@ def match_multisets(x: np.ndarray, y: np.ndarray, eps: float = EPS_EQ,
     First the rows of both sides are paired in order of their squared
     norms: when the labels agree along that order and every paired
     squared distance is at most eps**2, that is a bijection and the answer
-    is True without a search.  This check never rejects.  Otherwise a
-    bijection is built greedily, points with fewer candidates within eps
-    first; any two candidates for one point are within 2*eps of each
-    other, so greedy choice cannot paint itself into a corner beyond the
-    tolerance contract.  One k=2 query bounded just above eps finds every
-    point's nearest candidate and whether it has a second; the points with
-    one are settled in arrays, and only the rest list their candidates,
-    taken in stable order of candidate count.  Labels other than int arrays
-    are ranked jointly at entry."""
+    is True without a search.  This check never rejects.  Otherwise the
+    candidates of a point are the points of y within eps with its label.
+    One k=2 query bounded just above eps finds every point's nearest
+    candidate and whether it has a second; a point with one must take it,
+    so those are settled in arrays.  The rest list their candidates, and a
+    maximum bipartite matching (Hopcroft-Karp) on the candidates not taken
+    yet decides whether all of them can be matched.  A greedy choice would
+    not do: when points lie closer than eps, taking one point's candidate
+    can leave a later point without one although a bijection exists.
+    Labels other than int arrays are ranked jointly at entry."""
     if (labels_x is None) != (labels_y is None):
         raise ValueError("either both sets are labeled or neither is")
     x = np.asarray(x, dtype=float)
@@ -393,13 +396,12 @@ def match_multisets(x: np.ndarray, y: np.ndarray, eps: float = EPS_EQ,
         return True
     cand = tree.query_ball_point(x[rest], r=eps)
     num = np.fromiter(map(len, cand), dtype=int, count=len(cand))
-    lx, ly = lx[rest].tolist(), ly.tolist()
-    for k in np.argsort(num, kind="stable").tolist():
-        j = next((j for j in cand[k] if not used[j] and lx[k] == ly[j]), -1)
-        if j < 0:
-            return False
-        used[j] = True
-    return True
+    row = np.repeat(np.arange(len(rest)), num)
+    col = np.fromiter(chain.from_iterable(cand), dtype=int, count=int(num.sum()))
+    edge = ~used[col] & (lx[rest][row] == ly[col])
+    graph = csr_matrix((np.ones(int(edge.sum()), dtype=np.int8),
+                        (row[edge], col[edge])), shape=(len(rest), len(y)))
+    return bool((maximum_bipartite_matching(graph, perm_type="column") >= 0).all())
 
 
 def verify_rotation(a: PointSet4, b: PointSet4, r: np.ndarray,

@@ -12,8 +12,11 @@ by canonical axes, until one of three stable situations is reached:
   hands over to orbit-cycle extraction.
 
 Decisions are made on quantized invariants (tolerance-clustered angles and
-frame coordinates), so congruent inputs run through identical stages; the
-emitted stage keys make any divergence observable.  Arcs travel as one
+frame coordinates), so congruent inputs run through identical stages.  The
+loop is a generator of stage keys (:func:`prune_steps`): it yields one
+(stage, key) pair per decision and returns the exit, so a caller can run
+two sets in lockstep and stop both at the first key that differs;
+:func:`iterative_prune` runs one set to its exit.  Arcs travel as one
 sorted int array, and everything else about them as int arrays indexed by
 arc row: successor pairs are (arc, successor arc) rows, and the mark
 figures of all arcs are one table of circle positions.  The edge-figure and
@@ -362,14 +365,13 @@ def mark_figures(points, arcs: np.ndarray, succ: np.ndarray, delta: float,
 
 
 class _Run:
+    """The pruning loop of one set as generators: they yield (stage, key)
+    pairs and return their result."""
+
     def __init__(self, points, eps, delta0):
         self.all_points = np.asarray(points, dtype=float)
         self.eps = eps
         self.delta0 = delta0
-        self.keys: list = []
-
-    def emit(self, stage, key):
-        self.keys.append((stage, key))
 
     def run(self):
         alive = np.arange(len(self.all_points))
@@ -378,13 +380,14 @@ class _Run:
             g = closest_pair_graph(self.all_points[alive], eps=self.eps) \
                 if n > 1 else None
             if g is None or g.delta > self.delta0:
-                self.emit("C1", (n, "separated"))
+                yield "C1", (n, "separated")
                 return WellSeparated(self.all_points[alive])
-            self.emit("C1", (n, "dense"))
+            yield "C1", (n, "dense")
             arcs = np.concatenate([g.edges, g.edges[:, ::-1]])
             arcs = arcs[np.lexsort(arcs.T[::-1])]
-            self.emit("C2", len(arcs))
-            outcome = self._arc_rounds(self.all_points[alive], arcs, g.delta)
+            yield "C2", len(arcs)
+            outcome = yield from self._arc_rounds(self.all_points[alive], arcs,
+                                                  g.delta)
             if isinstance(outcome, np.ndarray):
                 if not len(outcome) < n:
                     raise AssertionError("vertex pruning made no progress")
@@ -393,32 +396,33 @@ class _Run:
             return outcome
 
     def _arc_rounds(self, points, arcs, delta):
-        """C3 through C11 on one closest-pair graph; either an index array
-        of surviving vertices or a final exit."""
+        """C3 through C11 on one closest-pair graph; returns either an index
+        array of surviving vertices or a final exit."""
         # every arc-pruning pass lowers the common degree or splits the
         # vertex degree classes, so the degree bound caps the rounds
         for _ in range(CONSTANTS.kissing_3 * (CONSTANTS.kissing_2 + 2) + 4):
             graph = DirectedGraph(len(points), arcs)
             res = prune_by_key(graph.degrees())
-            self.emit("C3", res.histogram)
+            yield "C3", res.histogram
             if res.progressed:
                 return res.indices
             res = prune_by_key(edge_figure_codes(points, graph, self.eps))
-            self.emit("C4", res.histogram)
+            yield "C4", res.histogram
             if res.progressed:
                 arcs = arcs[res.indices]
                 continue
             if self._mirror_symmetric(points, graph, tuple(arcs[0].tolist())):
-                self.emit("C5", "mirror")
+                yield "C5", "mirror"
                 return MirrorSymmetric(points, graph)
-            self.emit("C5", "chiral")
+            yield "C5", "chiral"
             pairs, ids, reps = successor_angles(points, arcs, self.eps)
             alpha_id, alpha = self._choose_alpha(points, arcs, pairs, ids,
                                                  reps, delta)
-            self.emit("C6", alpha_id)
+            yield "C6", alpha_id
             succ = pairs[ids == alpha_id]
-            self.emit("C7", _successor_counts(succ, len(arcs)))
-            outcome = self._successor_rounds(points, graph, succ, delta, alpha)
+            yield "C7", _successor_counts(succ, len(arcs))
+            outcome = yield from self._successor_rounds(points, graph, succ,
+                                                        delta, alpha)
             if not isinstance(outcome, np.ndarray):
                 return outcome
             arcs = outcome
@@ -451,13 +455,13 @@ class _Run:
     def _successor_rounds(self, points, graph: DirectedGraph, succ, delta,
                           alpha):
         """C8 through C11: prune arcs by mark figure or successors by axes;
-        either the surviving arcs or the edge-transitive exit."""
+        returns either the surviving arcs or the edge-transitive exit."""
         arcs = graph.arc_rows
         for _ in range(CONSTANTS.kissing_2 + 2):
             figs = mark_figures(points, arcs, succ, delta, alpha)
             axes = canonical_axes(figs.configs(), THETA_TOL)
             res = prune_by_key(joint_ranks(_code_rows(axes))[1])
-            self.emit("C9", res.histogram)
+            yield "C9", res.histogram
             if res.progressed:
                 return arcs[res.indices]
             at = figs.of(0)
@@ -471,12 +475,12 @@ class _Run:
                 # the torsions: counterclockwise from predecessor to successor
                 tau = np.mod(theta[is_s] - theta[is_p, None], TWO_PI)
                 tau0 = float(tau[tau > THETA_TOL].min())
-                self.emit("C10", ("transitive", k_s))
+                yield "C10", ("transitive", k_s)
                 return EdgeTransitive(points, graph, succ, figs, delta, alpha,
                                       tau0)
-            self.emit("C10", ("mixed", k_s, k_p))
+            yield "C10", ("mixed", k_s, k_p)
             succ = self._axes_prune(figs, axes, len(succ))
-            self.emit("C11", _successor_counts(succ, len(arcs)))
+            yield "C11", _successor_counts(succ, len(arcs))
         raise AssertionError("successor pruning failed to terminate")
 
     @staticmethod
@@ -499,16 +503,37 @@ class _Run:
         return succ[np.lexsort(succ.T[::-1])]
 
 
+def prune_steps(points, eps: float = EPS_EQ, delta0: float = CONSTANTS.delta0):
+    """The pruning loop of a set on the unit sphere as a generator: it
+    yields the (stage, key) pairs one at a time and returns the exit,
+    WellSeparated, MirrorSymmetric or EdgeTransitive.  Congruent inputs
+    yield equal keys, so the first key that differs between two runs
+    certifies non-congruence, and the runs can stop there."""
+    pts = np.asarray(points, dtype=float)
+    if len(pts) < 2:
+        raise ValueError("need at least two points")
+    return _Run(pts, eps, delta0).run()
+
+
+def next_step(steps) -> tuple:
+    """(key, None) for the next (stage, key) pair of a :func:`prune_steps`
+    generator, or (None, exit) when it has returned its exit."""
+    try:
+        return next(steps), None
+    except StopIteration as stop:
+        return None, stop.value
+
+
 def iterative_prune(points, eps: float = EPS_EQ,
                     delta0: float = CONSTANTS.delta0):
     """Prune a set on the unit sphere down to one of the three exits.
 
-    Returns (exit, stage_keys) where exit is WellSeparated, MirrorSymmetric
-    or EdgeTransitive.  Congruent inputs produce equal stage keys, so a key
-    mismatch between two runs certifies non-congruence.
+    Returns (exit, stage_keys): :func:`prune_steps` run to its end.
     """
-    pts = np.asarray(points, dtype=float)
-    if len(pts) < 2:
-        raise ValueError("need at least two points")
-    run = _Run(pts, eps, delta0)
-    return run.run(), run.keys
+    steps = prune_steps(points, eps, delta0)
+    keys: list = []
+    while True:
+        key, exit_ = next_step(steps)
+        if key is None:
+            return exit_, keys
+        keys.append(key)

@@ -7,7 +7,9 @@ pruning, merging the coincident directions of the chosen radius shell
 the mirror and orbit condensing steps, circle marking, and the two
 dimension reductions.  Both inputs are processed in lockstep; every stage
 emits comparison keys built from counts and cluster ranks only, and the
-first key divergence decides NotCongruent.  Positive verdicts always
+first key divergence decides NotCongruent.  Iterative pruning is lockstep
+key by key: the two sides' key generators advance together and both stop
+at the first pair of keys that differ.  Positive verdicts always
 carry a rotation verified against the original (normalized) sets, so no
 amount of condensing of the working sets can make a false positive.
 """
@@ -23,7 +25,8 @@ from .circles import Anchors, CondensedPoints, mirror_reduce, orbit_circles
 from .condense import (joint_cluster, joint_ranks, merge_points,
                        merge_unit_points, prune_by_key)
 from .geom import CONSTANTS, EPS_EQ, PointSet4, Verdict, verify_rotation
-from .iterprune import MirrorSymmetric, WellSeparated, iterative_prune
+from .iterprune import (MirrorSymmetric, WellSeparated, next_step,
+                        prune_steps)
 from .lowdim import one_plus_three_reduce
 from .marking import FewCircles, mark_circles
 from .torus import two_plus_two_reduce
@@ -56,6 +59,22 @@ def _unique_circles(circles: list, eps: float) -> list:
     circles = sorted(circles, key=lambda p: p.key())
     first = merge_points(np.array([c.key() for c in circles]), 10 * eps)[2]
     return [circles[i] for i in first.tolist()]
+
+
+def _lockstep(steps_a, steps_b) -> tuple:
+    """(exit_a, exit_b, keys_a, keys_b): two stage-key generators advanced
+    one key at a time, up to the first pair of keys that differ, a side
+    that has ended against one that has not included.  After such a pair
+    both exits are None and the key lists end with it."""
+    keys_a, keys_b = [], []
+    while True:
+        (key_a, ex_a), (key_b, ex_b) = next_step(steps_a), next_step(steps_b)
+        if key_a is None and key_b is None:
+            return ex_a, ex_b, keys_a, keys_b
+        keys_a += [key_a] if key_a is not None else []
+        keys_b += [key_b] if key_b is not None else []
+        if key_a != key_b:
+            return None, None, keys_a, keys_b
 
 
 def congruence_test_4d(a_raw, b_raw, opts: Optional[PipelineOptions] = None,
@@ -187,10 +206,11 @@ def _reduce(da: tuple, db: tuple, la, lb, label_names: Optional[list],
         if len(sa) == 1 or len(sb) == 1:
             return one_plus_three_reduce(full_a, full_b, sa, sb, eps)
 
-        ex_a, keys_a = iterative_prune(sa, eps, opts.delta0)
-        ex_b, keys_b = iterative_prune(sb, eps, opts.delta0)
-        if not check("sphere", (type(ex_a).__name__, tuple(keys_a)),
-                     (type(ex_b).__name__, tuple(keys_b))):
+        ex_a, ex_b, keys_a, keys_b = _lockstep(
+            prune_steps(sa, eps, opts.delta0), prune_steps(sb, eps, opts.delta0))
+        # streams that diverged have no exits, and their names are None
+        if not check("sphere", (ex_a and type(ex_a).__name__, tuple(keys_a)),
+                     (ex_b and type(ex_b).__name__, tuple(keys_b))):
             return Verdict.no("sphere structure")
 
         if isinstance(ex_a, WellSeparated):

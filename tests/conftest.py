@@ -225,10 +225,27 @@ def reference_mark_figure(points, arc, succ_arcs, pred_arcs, delta: float,
     return pos.reps, roles, at[0], at[1]
 
 
+def augmenting_match(cand: list) -> bool:
+    """Whether every row can take a distinct column of its candidate list,
+    by augmenting paths (Kuhn's algorithm)."""
+    owner: dict = {}
+
+    def augment(i, seen) -> bool:
+        for j in cand[i]:
+            if j not in seen:
+                seen.add(j)
+                if j not in owner or augment(owner[j], seen):
+                    owner[j] = i
+                    return True
+        return False
+
+    return all(augment(i, set()) for i in range(len(cand)))
+
+
 def reference_match_multisets(x, y, eps, lx, ly) -> bool:
     """geom.match_multisets for int labels, as a ball count per point: a
     second query finds the one candidate of points that have one, and the
-    rest take the first free candidate of their list, fewest first."""
+    rest are matched by augmenting paths on the free candidates."""
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     if x.shape != y.shape:
         return False
@@ -246,16 +263,11 @@ def reference_match_multisets(x, y, eps, lx, ly) -> bool:
         return False
     rest = np.flatnonzero(num > 1)
     cand = tree.query_ball_point(x[rest], r=eps)
-    for k in np.argsort(num[rest], kind="stable").tolist():
-        j = next((j for j in cand[k] if not used[j] and lx[rest[k]] == ly[j]),
-                 -1)
-        if j < 0:
-            return False
-        used[j] = True
-    return True
+    return augmenting_match([[j for j in c if not used[j] and lx[i] == ly[j]]
+                             for i, c in zip(rest.tolist(), cand)])
 
 
-__all__ = ["chiral_helix", "dense_ranks", "left_frame", "mark_circle", "pluecker_distance",
+__all__ = ["augmenting_match", "chiral_helix", "dense_ranks", "left_frame", "mark_circle", "pluecker_distance",
            "random_rotation", "rebuilt_step", "reference_edge_figure_codes",
            "reference_mark_figure", "reference_match_multisets",
            "reference_successor_angles", "rot3", "snub_24_cell", "step_angles",

@@ -342,7 +342,7 @@ def sweep_clouds(draw):
     the first coordinate and first coordinates exactly eps apart; an added
     run of points eps apart along the first axis is a chain wider than
     eps."""
-    dim = draw(st.integers(1, 4))
+    dim = draw(st.integers(1, 6))
     step = draw(st.integers(1, 3))
     coord = st.integers(-6, 6)
     grid = draw(st.lists(st.lists(coord, min_size=dim, max_size=dim),

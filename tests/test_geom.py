@@ -9,15 +9,16 @@ import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
-from conftest import (left_frame, pluecker_distance, rebuilt_step,
-                      reference_match_multisets, step_angles)
+from conftest import (augmenting_match, left_frame, pluecker_distance,
+                      rebuilt_step, reference_match_multisets, step_angles)
 from hypercongruence.circles import cycle_circle
 from hypercongruence.geom import (CONSTANTS, DELTA_MIN, VERIFY_EPS, Chirality,
                                   ParallelPlanesError, PlaneSpan, PointSet4,
                                   block_rotation, chirality, frame, frames,
                                   hopf_fiber, hopf_image, mark_pair,
                                   match_multisets, pluecker, verify_rotation)
-from hypercongruence.harness import random_rotation
+from hypercongruence.harness import (gen_orbit_helix, gen_regular_polytope,
+                                     gen_torus_grid, random_rotation)
 
 E12 = PlaneSpan(np.array([[1.0, 0, 0, 0], [0, 1.0, 0, 0]]))
 E34 = PlaneSpan(np.array([[0, 0, 1.0, 0], [0, 0, 0, 1.0]]))
@@ -521,7 +522,8 @@ class TestPairedVerify:
 
 
 def greedy_match(x, y, eps, lx, ly):
-    """match_multisets as one loop: candidate lists, fewest first."""
+    """The greedy loop match_multisets once ran: candidate lists, fewest
+    first, each taking its first free candidate."""
     cand = cKDTree(y).query_ball_point(x, r=eps)
     used = set()
     for i in sorted(range(len(x)), key=lambda i: len(cand[i])):
@@ -531,6 +533,13 @@ def greedy_match(x, y, eps, lx, ly):
             return False
         used.add(hit)
     return True
+
+
+def exact_match(x, y, eps, lx, ly):
+    """match_multisets as augmenting paths over all candidate lists."""
+    cand = cKDTree(y).query_ball_point(x, r=eps)
+    return augmenting_match([[j for j in c if lx[i] == ly[j]]
+                             for i, c in enumerate(cand)])
 
 
 class TestMatchMultisets:
@@ -581,9 +590,11 @@ class TestMatchMultisets:
         assert match_multisets(x, y, 0.25)
         assert not match_multisets(x, y, np.nextafter(0.25, 0.0))
 
-    def test_equals_greedy_loop_reference(self, rng):
+    def test_equals_exact_matching_reference(self, rng):
         # clusters of near-duplicates give points with 0, 1 and several
-        # candidates; the array settling must decide as the plain loop does
+        # candidates; the array settling and the matching must decide as
+        # augmenting paths over all points do
+        missed = 0
         for _ in range(200):
             k = int(rng.integers(1, 6))
             centers = rng.normal(size=(k, 3))
@@ -593,8 +604,12 @@ class TestMatchMultisets:
             lx = rng.integers(0, 2, 12)
             ly = lx[rng.permutation(12)]
             for eps in (1e-10, 3e-9, 1e-8):
-                assert match_multisets(x, y, eps, lx, ly) == \
-                    greedy_match(x, y, eps, lx.tolist(), ly.tolist())
+                got = match_multisets(x, y, eps, lx, ly)
+                assert got == exact_match(x, y, eps, lx.tolist(), ly.tolist())
+                missed += got and not greedy_match(x, y, eps, lx.tolist(),
+                                                   ly.tolist())
+        # some of these bijections the greedy loop misses
+        assert missed > 0
 
     def test_equals_ball_count_reference(self, rng):
         # near-duplicate clusters give points several candidates; one point
@@ -631,6 +646,19 @@ class TestMatchMultisets:
             assert got == reference_match_multisets(x, y, eps, lx, ly)
             verdicts.add(got)
         assert verdicts == {False, True}
+
+    @pytest.mark.parametrize("points, scale", [
+        (gen_orbit_helix(200, 3, 0.8), 1e-5),
+        (gen_orbit_helix(200, 3, 0.8), 1e-6),
+        (gen_regular_polytope("600-cell"), 1e-6),
+        (gen_torus_grid(12, 13, 0.6), 1e-6)],
+        ids=["helix-1e-5", "helix-1e-6", "600-cell-1e-6", "grid-1e-6"])
+    def test_copy_with_closest_pairs_below_the_tolerance(self, points, scale,
+                                                          rng):
+        # every point has several candidates within VERIFY_EPS; a rotated,
+        # permuted exact copy still matches
+        a = points * scale @ random_rotation(rng).T
+        assert match_multisets(a, a[rng.permutation(len(a))], VERIFY_EPS)
 
     def test_one_sided_labels_raise(self, rng):
         a = rng.normal(size=(4, 4))

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
+from hypercongruence import iterprune
 from hypercongruence.condense import (TWO_PI, members_by_id, merge_close,
                                       merge_points)
 from hypercongruence.geom import frame, hopf_fiber
@@ -17,7 +18,8 @@ from hypercongruence.harness import (
     oracle_congruent,
     random_rotation,
 )
-from hypercongruence.pipeline import PipelineOptions, congruence_test_4d
+from hypercongruence.pipeline import (PipelineOptions, _lockstep,
+                                      congruence_test_4d)
 
 
 def transformed(a, rng, translation=None):
@@ -211,6 +213,12 @@ class TestStructuredFamilies:
 
     def test_torus_grid(self, rng):
         assert_roundtrip(gen_torus_grid(20, 20, np.sqrt(0.5)), rng)
+
+    @pytest.mark.parametrize("name", ["24-cell", "600-cell"])
+    def test_polytope_with_edges_below_the_verify_tolerance(self, name, rng):
+        # at 1e-6 the edges are shorter than VERIFY_EPS, so the final check
+        # has several candidates per point and needs an exact matching
+        assert_roundtrip(gen_regular_polytope(name) * 1e-6, rng, tol=1e-9)
 
     def test_helix_deep_path(self, rng):
         th = np.arange(40) * TWO_PI / 40
@@ -496,6 +504,61 @@ class TestTrace:
         stage, key_a, key_b = trace[-1]
         assert key_a != key_b
         assert v.stage
+
+
+class TestLockstep:
+    @staticmethod
+    def steps(keys, exit_, advanced):
+        """A stage-key generator that counts the keys it has yielded."""
+        for key in keys:
+            advanced.append(key)
+            yield key
+        return exit_
+
+    def run(self, keys_a, keys_b):
+        adv_a, adv_b = [], []
+        out = _lockstep(self.steps(keys_a, "A", adv_a),
+                        self.steps(keys_b, "B", adv_b))
+        return out, len(adv_a), len(adv_b)
+
+    def test_equal_streams_return_both_exits(self):
+        keys = [("C1", 1), ("C2", 2), ("C3", 3)]
+        assert self.run(keys, list(keys)) == (("A", "B", keys, keys), 3, 3)
+
+    def test_first_difference_stops_both_sides(self):
+        a = [("C1", 1), ("C2", 2), ("C3", 3), ("C4", 4), ("C5", 5)]
+        b = a[:2] + [("C3", 9)] + a[3:]
+        assert self.run(a, b) == ((None, None, a[:3], b[:3]), 3, 3)
+
+    def test_a_side_that_ends_early_diverges(self):
+        a = [("C1", 1), ("C2", 2)]
+        b = a + [("C3", 3), ("C4", 4)]
+        assert self.run(a, b) == ((None, None, a, b[:3]), 2, 3)
+        assert self.run(b, a) == ((None, None, b[:3], a), 3, 2)
+
+    def test_near_miss_circle_stops_at_the_arc_count(self, rng, monkeypatch):
+        # the dense benchmark near-miss: two antipodal points of a great
+        # circle slid by 0.3 spacing make a closest-pair graph of 2 edges
+        n = 600
+        th = 2 * np.pi * np.arange(n) / n
+        a = np.c_[np.cos(th), np.sin(th), np.zeros(n), np.zeros(n)]
+        near = a.copy()
+        near[0, :2] = np.cos(0.3 * th[1]), np.sin(0.3 * th[1])
+        near[n // 2, :2] = -near[0, :2]
+        b = transformed(near, rng)[rng.permutation(n)]
+        calls = []
+        real = iterprune.edge_figure_codes
+        monkeypatch.setattr(iterprune, "edge_figure_codes",
+                            lambda *args: calls.append(1) or real(*args))
+        sink = []
+        v = congruence_test_4d(a, b, PipelineOptions(delta0=0.07),
+                               trace_sink=sink)
+        assert v.stage == "sphere structure"
+        stage, (exit_a, keys_a), (exit_b, keys_b) = sink[-1]
+        assert stage == "sphere" and exit_a is exit_b is None
+        assert keys_a == (("C1", (n, "dense")), ("C2", 2 * n))
+        assert keys_b == (("C1", (n, "dense")), ("C2", 4))
+        assert calls == []
 
 
 class TestUntracedDecisions:

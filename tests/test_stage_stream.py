@@ -17,8 +17,10 @@ import numpy as np
 import pytest
 
 from conftest import chiral_helix, snub_24_cell, two_helices
+from hypercongruence import pipeline
 from hypercongruence.harness import (gen_orbit_helix, gen_regular_polytope,
                                      gen_torus_grid, random_rotation)
+from hypercongruence.iterprune import iterative_prune, prune_steps
 from hypercongruence.pipeline import PipelineOptions, congruence_test_4d
 
 GOLDEN = Path(__file__).with_name("stage_streams.json")
@@ -97,3 +99,27 @@ def test_verdict_and_stream_match_golden(name, golden):
     verdict, stream = run_case(name)
     assert verdict == golden[name]["verdict"]
     assert stream == ast.literal_eval(golden[name]["stream"])
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_iterative_prune_is_drained_prune_steps(name, monkeypatch):
+    # on every set the pipeline prunes, iterative_prune is prune_steps run
+    # to its end
+    calls = []
+    real = pipeline.prune_steps
+    monkeypatch.setattr(pipeline, "prune_steps",
+                        lambda *args: calls.append(args) or real(*args))
+    run_case(name)
+    assert calls
+    for args in calls:
+        exit_, keys = iterative_prune(*args)
+        steps, drained = prune_steps(*args), []
+        while True:
+            try:
+                drained.append(next(steps))
+            except StopIteration as stop:
+                last = stop.value
+                break
+        assert drained == keys
+        assert type(last) is type(exit_)
+        assert np.array_equal(last.points, exit_.points)

@@ -2,20 +2,22 @@
 
 Decides every pair of ``perfbench/workloads.generate`` for each workload
 at seeds 0, 1, 3 and 7 and writes one JSON object
-``{pair: [verdict, stage, sha256(repr(trace_sink))]}`` to the given path,
-where ``pair`` is "<workload> seed=<seed> <label>".  Two checkouts decide
-alike when their files are equal; the script imports ``hypercongruence``
-from ``src`` next to it, or from ``--src``:
+``{pair: [verdict, stage, sha256(repr(trace_sink)), entries]}`` to the
+given path, where ``pair`` is "<workload> seed=<seed> <label>" and
+``entries`` holds one ``[stage, sha256(repr(entry))]`` per trace entry.
+Two checkouts decide alike when their files are equal; the script imports
+``hypercongruence`` from ``src`` next to it, or from ``--src``:
 
     python tools/stream_digest.py before.json --src ../parent/src
     python tools/stream_digest.py after.json --compare before.json
 
 With ``--compare`` the script also prints every pair whose verdict, stage
-or digest differs from the earlier file's, or that only one file has, and
-exits 1 if there is any.  It decides every pair a second time without a
-trace sink, since the pipeline names stage keys only for a trace, and
-prints and exits 1 on every pair whose untraced verdict or stage differs
-from the traced one.  The workload module is read, never changed.
+or digest differs from the earlier file's, or that only one file has, with
+the index and stage of the first trace entry that differs, and exits 1 if
+there is any.  It decides every pair a second time without a trace sink,
+since the pipeline names stage keys only for a trace, and prints and exits
+1 on every pair whose untraced verdict or stage differs from the traced
+one.  The workload module is read, never changed.
 """
 
 from __future__ import annotations
@@ -40,9 +42,14 @@ def load_workloads():
     return module
 
 
+def sha256(entry) -> str:
+    return hashlib.sha256(repr(entry).encode()).hexdigest()
+
+
 def digests(pipeline, workloads) -> tuple:
-    """({pair: [verdict, stage, digest]} of the traced decisions, one line
-    per pair whose untraced verdict or stage differs from the traced)."""
+    """({pair: [verdict, stage, digest, entries]} of the traced decisions,
+    one line per pair whose untraced verdict or stage differs from the
+    traced)."""
     out, split = {}, []
     for name in sorted(workloads.WORKLOADS):
         for seed in SEEDS:
@@ -52,9 +59,9 @@ def digests(pipeline, workloads) -> tuple:
                     opts = pipeline.PipelineOptions(delta0=pair.delta0)
                 sink: list = []
                 v = pipeline.congruence_test_4d(pair.a, pair.b, opts, sink)
-                digest = hashlib.sha256(repr(sink).encode()).hexdigest()
                 key = f"{name} seed={seed} {pair.label}"
-                out[key] = [bool(v.congruent), v.stage, digest]
+                out[key] = [bool(v.congruent), v.stage, sha256(sink),
+                            [[e[0], sha256(e)] for e in sink]]
                 u = pipeline.congruence_test_4d(pair.a, pair.b, opts)
                 untraced = [bool(u.congruent), u.stage]
                 if untraced != out[key][:2]:
@@ -63,11 +70,31 @@ def digests(pipeline, workloads) -> tuple:
     return out, split
 
 
+def first_difference(old: list, new: list) -> str:
+    """The index and stage of the first trace entry where two entry lists
+    differ, a missing entry included."""
+    k = next((k for k, (e, f) in enumerate(zip(old, new)) if e != f),
+             min(len(old), len(new)))
+    rest = old[k:] or new[k:]
+    if not rest:
+        return "trace entries identical"
+    return f"first differing entry #{k} ({rest[0][0]})"
+
+
 def differences(before: dict, after: dict) -> list:
-    """One line per pair that the two digest files disagree on."""
-    return [f"{pair}: {before.get(pair, 'missing')} -> {after.get(pair, 'missing')}"
-            for pair in sorted(before.keys() | after.keys())
-            if before.get(pair) != after.get(pair)]
+    """The verdicts, stages and digests of every pair that the two digest
+    files disagree on, each followed by the first differing trace entry
+    when both files have the pair."""
+    lines = []
+    for pair in sorted(before.keys() | after.keys()):
+        old, new = before.get(pair), after.get(pair)
+        if old == new:
+            continue
+        lines.append(f"{pair}: {old and old[:3] or 'missing'} -> "
+                     f"{new and new[:3] or 'missing'}")
+        if old and new:
+            lines.append("  " + first_difference(old[3], new[3]))
+    return lines
 
 
 def main(argv=None) -> int:
