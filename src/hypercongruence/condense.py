@@ -43,9 +43,11 @@ TWO_PI = 2.0 * math.pi
 # (the sort is cheaper below)
 _COUNT_MIN = 512
 _COUNT_SPAN = 4
-# the sweep direction of merge_close before normalising: square roots of
-# distinct squarefree ints, so no nonzero int vector is orthogonal to it
-_SWEEP = np.sqrt([1.0, 2.0, 3.0, 5.0, 6.0, 7.0])
+# the unit sweep directions of merge_close for 1 to 6 columns: square roots
+# of distinct squarefree ints, cut and normalised, so no nonzero int vector
+# is orthogonal to one
+_SWEEP = [u / np.linalg.norm(u) for u in
+          (np.sqrt([1.0, 2.0, 3.0, 5.0, 6.0, 7.0])[:d] for d in range(1, 7))]
 
 
 def wrap_angle(x, period: float = TWO_PI) -> np.ndarray:
@@ -146,10 +148,11 @@ def merge_close(points, eps: float, labels=None) -> np.ndarray:
     A sweep runs before the k-d tree.  Two points within eps project within
     eps onto a unit vector, so in projection order consecutive gaps of at
     most eps join them.  Only the points with such a gap on either side go
-    to the tree, and none when there are none.  The direction is
-    :data:`_SWEEP` cut to the column count: the circles and grids of
-    structured inputs tie in a coordinate, which would send every row to
-    the tree.  Rounding cannot drop a pair.  A computed projection x.u
+    to the tree.  When there are none, which a sort of the projections
+    (cheaper than their argsort) shows, every point is its own class.  The
+    direction is :data:`_SWEEP` for the column count: the circles and grids
+    of structured inputs tie in a coordinate, which would send every row
+    to the tree.  Rounding cannot drop a pair.  A computed projection x.u
     in d columns errs by at most d ulps of |x|_1 <= d m, where m is the
     largest absolute coordinate, and a pair the tree reports is at most eps
     apart up to a few ulps of eps; so gaps up to eps plus 16 d ulps of
@@ -159,17 +162,16 @@ def merge_close(points, eps: float, labels=None) -> np.ndarray:
     n, d = pts.shape
     if n < 2:
         return np.arange(n)
-    u = _SWEEP[:d] / np.linalg.norm(_SWEEP[:d])
-    proj = pts @ u
+    proj = pts @ _SWEEP[d - 1]
     m = max(pts.max(), -pts.min())
-    pad = 16 * d * np.finfo(float).eps * (d * m + eps)
+    gap = eps + 16 * d * np.finfo(float).eps * (d * m + eps)
+    if not (np.diff(np.sort(proj)) <= gap).any():
+        return np.arange(n)
     order = np.argsort(proj)
-    near = np.diff(proj[order]) <= eps + pad
+    near = np.diff(proj[order]) <= gap
     kept = np.zeros(n, dtype=bool)
     kept[order[1:][near]] = kept[order[:-1][near]] = True
     keep = np.flatnonzero(kept)
-    if len(keep) == 0:
-        return np.arange(n)
     pairs = keep[cKDTree(pts[keep]).query_pairs(r=eps, output_type="ndarray")]
     if labels is not None:
         labs = np.asarray(labels)

@@ -359,7 +359,8 @@ def match_multisets(x: np.ndarray, y: np.ndarray, eps: float = EPS_EQ,
     yet decides whether all of them can be matched.  A greedy choice would
     not do: when points lie closer than eps, taking one point's candidate
     can leave a later point without one although a bijection exists.
-    Labels other than int arrays are ranked jointly at entry."""
+    Labels other than 1-D int arrays (2-D label rows, say) are ranked
+    jointly at entry, so that labels compare elementwise."""
     if (labels_x is None) != (labels_y is None):
         raise ValueError("either both sets are labeled or neither is")
     x = np.asarray(x, dtype=float)
@@ -371,8 +372,8 @@ def match_multisets(x: np.ndarray, y: np.ndarray, eps: float = EPS_EQ,
     lx, ly = labels_x, labels_y
     if lx is None:
         lx = ly = np.zeros(len(x), dtype=int)
-    elif not all(isinstance(v, np.ndarray) and v.dtype.kind in "biu"
-                 for v in (lx, ly)):
+    elif not all(isinstance(v, np.ndarray) and v.ndim == 1
+                 and v.dtype.kind in "biu" for v in (lx, ly)):
         from .condense import joint_ranks      # condense imports this module
         _, lx, ly = joint_ranks(lx, ly)
     ox, oy = (np.argsort(np.einsum("ij,ij->i", p, p)) for p in (x, y))

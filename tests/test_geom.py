@@ -7,6 +7,7 @@ from typing import NamedTuple
 
 import numpy as np
 import pytest
+from scipy.sparse.csgraph import maximum_bipartite_matching
 from scipy.spatial import cKDTree
 
 from conftest import (augmenting_match, left_frame, pluecker_distance,
@@ -589,6 +590,24 @@ class TestMatchMultisets:
         assert cKDTree(y).query_ball_point(x[0], r=0.25) == [0]
         assert match_multisets(x, y, 0.25)
         assert not match_multisets(x, y, np.nextafter(0.25, 0.0))
+
+    def test_label_rows_at_the_matching_step(self, monkeypatch):
+        # 2-D int labels, one row per point, as the torus translation test
+        # passes them: coincident points with distinct label rows have two
+        # candidates each, and the norm-order prefix pairs unequal rows
+        import hypercongruence.geom as geom
+        calls = []
+
+        def counted(graph, perm_type):
+            calls.append(graph.shape)
+            return maximum_bipartite_matching(graph, perm_type=perm_type)
+
+        monkeypatch.setattr(geom, "maximum_bipartite_matching", counted)
+        x = np.repeat(np.eye(4)[:2], 2, axis=0)
+        lx = np.array([[0, 1], [0, 2], [0, 1], [0, 2]])
+        assert match_multisets(x, x.copy(), 1e-8, lx, lx[[1, 0, 3, 2]])
+        assert not match_multisets(x, x.copy(), 1e-8, lx, lx[[0, 2, 1, 3]])
+        assert calls == [(4, 4), (4, 4)]
 
     def test_equals_exact_matching_reference(self, rng):
         # clusters of near-duplicates give points with 0, 1 and several

@@ -531,6 +531,18 @@ class TestTranslationCongruent:
         assert torus_translation_congruent(pos, labs, pos_b, labs2,
                                            1e-7) is None
 
+    def test_concentric_tori_with_label_rows(self, rng):
+        # two tori through the same angles, told apart only by their int
+        # label rows: every angle pair holds two points with distinct rows
+        pos = np.repeat(rng.uniform(0, TWO_PI, size=(12, 2)), 2, axis=0)
+        rows = np.tile([[3, 0, 7], [5, 0, 7]], (12, 1))
+        t_true = np.array([0.6, 2.1])
+        perm = rng.permutation(24)
+        pos_b = np.mod(pos + t_true, TWO_PI)[perm]
+        t = torus_translation_congruent(pos, rows, pos_b, rows[perm])
+        assert t is not None
+        assert np.max(wrap_dist(t, t_true)) < 1e-7
+
     def test_square_lattice_translation_mod_lattice(self):
         g = np.array([[i * TWO_PI / 4, j * TWO_PI / 4]
                       for i in range(4) for j in range(4)])
