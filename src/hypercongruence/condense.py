@@ -2,17 +2,18 @@
 
 The primitives every stage of the pipeline shares: grouping nearly-equal
 reals into classes (single linkage at the comparison tolerance) on a line
-or on a circle, wrapping angles into one period, the gaps between sorted
+or on circles, wrapping angles into one period, the gaps between sorted
 angles and the regular-polygon test built on them, numbering the connected
 components of a graph, merging points within a tolerance into their class
 means (:func:`merge_points`, the one coincidence merge every stage uses),
 ranking labels jointly across sides into ints (int strings as rows padded
 with -1), keeping only the smallest class under a canonical key, the least
 rotations of cyclic int strings, and the canonical axes of labeled
-configurations on a circle.  Canonical axes quantize the gaps of every
-configuration passed in one call together, which is what makes their int
-codes comparable.  The value groupings are deterministic functions of the
-input multiset, never of input order.
+configurations on a circle.  Many circles go to one call: a group id per
+value clusters on each circle apart (:func:`circular_cluster`, the one
+seam rule), and configurations laid end to end with a length each get
+codes comparable across the call (:func:`canonical_axes`).  Groupings
+depend on the input multiset, never on input order.
 
 Two sides ranked jointly agree exactly when the count vectors of their
 ranks (np.bincount with the number of ranks as minlength) are equal, so a
@@ -111,19 +112,39 @@ def tolerance_cluster(values: Sequence[float], eps: float = EPS_EQ) -> ClusterRe
 
 
 def circular_cluster(values: Sequence[float], eps: float = EPS_EQ,
-                     period: float = TWO_PI) -> ClusterResult:
-    """tolerance_cluster of values on a circle of the given period.
+                     period: float = TWO_PI, groups=None) -> ClusterResult:
+    """tolerance_cluster of values on a circle of the given period, or on
+    one circle per group id with ``groups`` (an int per value).
 
     Values are wrapped into [0, period) first.  When the gap across the
-    0/period seam is at most eps, the classes on both sides of it merge
-    into class 0; ids stay dense and ordered by class minimum.
+    0/period seam of a circle is at most eps, its last class joins its
+    first.  Ids are dense, by group id and then by class minimum; the
+    representatives are the class minima.
     """
     vals = wrap_angle(values, period)
-    res = tolerance_cluster(vals, eps)
-    if res.count > 1 and vals.min() + period - vals.max() <= eps:
-        last = res.count - 1
-        return ClusterResult(np.where(res.ids == last, 0, res.ids), res.reps[:last])
-    return res
+    if len(vals) == 0:
+        return ClusterResult(np.zeros(0, dtype=int), np.zeros(0))
+    if groups is None:
+        order, start = np.argsort(vals), np.zeros(1, dtype=int)
+    else:
+        order = np.lexsort((vals, groups))
+        g = np.asarray(groups)[order]
+        start = np.flatnonzero(np.concatenate(([True], g[1:] != g[:-1])))
+    sv = vals[order]
+    new = np.concatenate(([True], np.diff(sv) > eps))
+    new[start] = True
+    cls = np.cumsum(new) - 1
+    last = np.concatenate((start[1:], [len(sv)])) - 1
+    seam = (cls[start] != cls[last]) & (sv[start] + period - sv[last] <= eps)
+    reps = sv[new]
+    if seam.any():
+        gone, at = cls[last[seam]], np.arange(len(reps))
+        target = at - np.searchsorted(gone, at)
+        target[gone] = target[cls[start[seam]]]
+        cls, reps = target[cls], np.delete(reps, gone)
+    ids = np.empty_like(order)
+    ids[order] = cls
+    return ClusterResult(ids, reps)
 
 
 def component_ids(n: int, edges) -> np.ndarray:
@@ -373,41 +394,25 @@ def least_rotations(tokens, lengths) -> tuple:
             tokens[start + (off + first[seg]) % size])
 
 
-@dataclass(frozen=True)
-class AxesSet:
-    """Canonical axes of a labeled circular configuration.
-
-    ``count`` equally spaced rays, the first at ``base_angle``; every axis
-    passes through a configuration point.  ``code`` is the least rotation
-    of the cyclic label rank / gap sequence; gap class g is L + g for L labels.
+def canonical_axes(angles, labels, lengths, eps: float = EPS_EQ) -> tuple:
+    """(count, base, codes) of labeled configurations on the circle laid end
+    to end, configuration i the next lengths[i] >= 1 angles and labels: it
+    has count[i] equally spaced axes, each through one of its points, the
+    first at angle base[i], and codes[i] is the least rotation of its cyclic
+    string of label rank, gap class, label rank, ... as a row padded with
+    -1.  Labels are ranked and gaps quantized jointly over the call, so
+    equal codes mean congruent labeled configurations.  Gap class g is
+    L + g for L labels: labels sort below gaps, so least rotations start at
+    labels, the axes.
     """
-
-    count: int
-    base_angle: float
-    code: tuple
-
-    @property
-    def spacing(self) -> float:
-        return TWO_PI / self.count
-
-
-def canonical_axes(configs: Sequence[tuple], eps: float = EPS_EQ) -> list:
-    """Canonical axes of each (angles, labels) configuration on the circle.
-
-    Labels of all configurations are ranked together and gap lengths
-    quantized by one tolerance clustering, so the codes of one call are
-    comparable: equal codes mean congruent labeled configurations.  Label
-    ranks sort below gaps, so least rotations start at labels: the axes.
-    """
-    if not configs:
-        return []
-    angs = [wrap_angle(angles) for angles, _ in configs]
-    if min(map(len, angs)) == 0:
+    lengths = np.asarray(lengths, dtype=int)
+    if len(lengths) == 0:
+        return lengths, np.zeros(0), np.zeros((0, 0), dtype=int)
+    if lengths.min() == 0:
         raise ValueError("empty configuration")
-    values, *ranks = joint_ranks(*(labels for _, labels in configs))
-    lengths = np.array([len(a) for a in angs])
-    seg = np.repeat(np.arange(len(angs)), lengths)
-    ang = np.concatenate(angs)
+    values, ranks = joint_ranks(labels)
+    ang = wrap_angle(angles)
+    seg = np.repeat(np.arange(len(lengths)), lengths)
     # within a configuration by angle, equal angles in input order
     order = np.lexsort((ang, seg))
     sa = ang[order]
@@ -415,10 +420,6 @@ def canonical_axes(configs: Sequence[tuple], eps: float = EPS_EQ) -> list:
     ahead = sa[np.r_[1:len(sa), 0]]
     ahead[start + lengths - 1] = sa[start] + TWO_PI
     gids = tolerance_cluster(ahead - sa, eps).ids
-    tokens = np.column_stack((np.concatenate(ranks)[order],
-                              len(values) + gids)).ravel()
+    tokens = np.column_stack((ranks[order], len(values) + gids)).ravel()
     first, count, codes = least_rotations(tokens, 2 * lengths)
-    codes = codes.tolist()
-    return [AxesSet(c, float(sa[s + k // 2]), tuple(codes[2 * s:2 * (s + n)]))
-            for c, k, s, n in zip(count.tolist(), first.tolist(),
-                                  start.tolist(), lengths.tolist())]
+    return count, sa[start + first // 2], padded_rows(codes, 2 * lengths)

@@ -19,9 +19,10 @@ two sets in lockstep and stop both at the first key that differs;
 :func:`iterative_prune` runs one set to its exit.  Arcs travel as one
 sorted int array, and everything else about them as int arrays indexed by
 arc row: successor pairs are (arc, successor arc) rows, and the mark
-figures of all arcs are one table of circle positions.  The edge-figure and
-mark-figure codes of a round are int strings, replaced by their ranks among
-the codes of that round's graph, so ranks compare within one graph only;
+figures of all arcs are one table of circle positions.  The circle parts
+of all figures of a round go to :mod:`condense` laid end to end, with a
+length per arc, and their codes come back as int rows.  Codes are ranked
+among those of the round's graph, so ranks compare within one graph only;
 the C4 and C9 keys are their histograms, which congruent inputs share.
 """
 
@@ -29,13 +30,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
 from .geom import EPS_EQ, CONSTANTS, frames, match_multisets
-from .condense import (TWO_PI, canonical_axes, is_regular_polygon, joint_ranks,
-                       padded_rows, prune_by_key, tolerance_cluster, wrap_angle)
+from .condense import (TWO_PI, canonical_axes, circular_cluster,
+                       is_regular_polygon, joint_ranks, padded_rows,
+                       prune_by_key, tolerance_cluster, wrap_angle)
 from .cpgraph import closest_pair_graph
 
 THETA_TOL = 1e-7            # angular tolerance for positions on mark circles
@@ -119,13 +120,6 @@ def _sort_runs(tokens: np.ndarray, owner: np.ndarray) -> np.ndarray:
     owners in ascending order."""
     shift = owner * (int(tokens.max(initial=0)) + 1)
     return np.sort(tokens + shift) - shift
-
-
-def _code_rows(axes: list) -> np.ndarray:
-    """The codes of canonical axes as rows padded with -1."""
-    lengths = [len(ax.code) for ax in axes]
-    return padded_rows(np.fromiter(chain.from_iterable(ax.code for ax in axes),
-                                   int, sum(lengths)), lengths)
 
 
 def edge_figure_codes(points, graph: DirectedGraph,
@@ -215,14 +209,11 @@ def edge_figure_codes(points, graph: DirectedGraph,
     axial = padded_rows(_sort_runs(entry[~on], owner[~on]),
                         np.bincount(owner[~on], minlength=len(plan_arc)))
     # the angular parts of all planar figures share one gap quantization
-    at = np.flatnonzero(on)
-    cut = np.flatnonzero(np.diff(owner[at], prepend=-1))
-    theta = wrap_angle(np.arctan2(c34[:, 1], c34[:, 0]))
-    axes = canonical_axes([(theta[i], entry[i]) for i in np.split(at, cut[1:])]
-                          if len(at) else [], THETA_TOL)
-    codes = _code_rows(axes)
+    size = np.bincount(owner[on], minlength=len(plan_arc))
+    codes = canonical_axes(np.arctan2(c34[on, 1], c34[on, 0]), entry[on],
+                           size[size > 0], THETA_TOL)[2]
     angular = np.full((len(plan_arc), codes.shape[1]), -1)
-    angular[owner[at[cut]]] = codes
+    angular[size > 0] = codes
     ranks[plan_arc] = len(least) + joint_ranks(np.c_[axial, angular])[1]
     return ranks
 
@@ -267,9 +258,10 @@ class MarkFigures:
     of the arc puts them on the same circle.  Positions closer than the
     angular tolerance merge; distinct arcs occupy distinct points of the
     circle, so each position holds at most one successor and one
-    predecessor.  The positions of arc a are rows starts[a]:starts[a + 1],
-    ascending in theta in [0, 2pi); ``succ`` and ``pred`` hold the arc row
-    marked there, -1 for none.
+    predecessor.  The positions of arc a are rows starts[a]:starts[a + 1]
+    of ``owner`` a, ascending in theta in [0, 2pi): with the roles, the
+    flat configurations of :func:`canonical_axes`.  ``succ`` and ``pred``
+    hold the arc row marked there, -1 for none.
     """
 
     starts: np.ndarray
@@ -296,11 +288,6 @@ class MarkFigures:
         """(k, i) for every position i on the figure of arcs[k]."""
         return _blocks(np.diff(self.starts), arcs)
 
-    def configs(self) -> list:
-        """(angles, roles) of every arc, for :func:`canonical_axes`."""
-        cut = self.starts[1:-1]
-        return list(zip(np.split(self.theta, cut), np.split(self.roles, cut)))
-
 
 def mark_figures(points, arcs: np.ndarray, succ: np.ndarray, delta: float,
                  alpha: float) -> MarkFigures:
@@ -308,8 +295,8 @@ def mark_figures(points, arcs: np.ndarray, succ: np.ndarray, delta: float,
     ``succ``: every pair marks the successor's head on the figure of its
     arc and the arc's tail, reflected, on the figure of the successor.
     Arcs without marks get no positions.  All circle centres come from one
-    stacked :func:`frames` call, and the positions from one sweep per arc
-    with the seam rule of :func:`circular_cluster`."""
+    stacked :func:`frames` call, and the positions from one
+    :func:`circular_cluster` with a circle per arc."""
     pts = np.asarray(points, dtype=float)
     tail, head = arcs.T
     # marks in (owner, input) order are successors, then predecessors
@@ -336,27 +323,20 @@ def mark_figures(points, arcs: np.ndarray, succ: np.ndarray, delta: float,
     rel = mark - center[at]
     th = wrap_angle(np.arctan2(_dot(rel, f2[at]), _dot(rel, f1[at])))
 
-    # a position sits at its smallest angle; across the seam of a circle
-    # the last class joins the first
+    # a position sits at its smallest angle, in (arc, angle) order
     order = np.lexsort((th, owner))
-    o, t = owner[order], th[order]
-    new = np.diff(o, prepend=-1) != 0
-    first, last = np.flatnonzero(new), np.flatnonzero(np.diff(o, append=-1))
-    new[1:] |= np.diff(t) > THETA_TOL
-    cls = np.cumsum(new) - 1
-    seam = (cls[first] != cls[last]) & (t[first] + TWO_PI - t[last] <= THETA_TOL)
-    join = np.arange(len(o))
-    join[cls[last[seam]]] = cls[first[seam]]
-    _, lead, pos = np.unique(join[cls], return_index=True, return_inverse=True)
+    pos = circular_cluster(th[order], THETA_TOL, groups=owner[order])
+    pos_owner = np.empty(pos.count, dtype=int)
+    pos_owner[pos.ids] = owner[order]
 
     def marked(role: np.ndarray) -> np.ndarray:
         # the last mark of the role at every position wins
-        k = np.full(len(lead), -1)
-        np.maximum.at(k, pos[role], np.flatnonzero(role))
+        k = np.full(pos.count, -1)
+        np.maximum.at(k, pos.ids[role], np.flatnonzero(role))
         return np.where(k >= 0, other[order][k], -1)
 
-    return MarkFigures(np.searchsorted(o[lead], np.arange(len(arcs) + 1)),
-                       o[lead], t[lead], marked(is_succ[order]),
+    return MarkFigures(np.searchsorted(pos_owner, np.arange(len(arcs) + 1)),
+                       pos_owner, pos.reps, marked(is_succ[order]),
                        marked(~is_succ[order]))
 
 
@@ -459,8 +439,9 @@ class _Run:
         arcs = graph.arc_rows
         for _ in range(CONSTANTS.kissing_2 + 2):
             figs = mark_figures(points, arcs, succ, delta, alpha)
-            axes = canonical_axes(figs.configs(), THETA_TOL)
-            res = prune_by_key(joint_ranks(_code_rows(axes))[1])
+            count, base, codes = canonical_axes(figs.theta, figs.roles,
+                                                np.diff(figs.starts), THETA_TOL)
+            res = prune_by_key(joint_ranks(codes)[1])
             yield "C9", res.histogram
             if res.progressed:
                 return arcs[res.indices]
@@ -479,18 +460,17 @@ class _Run:
                 return EdgeTransitive(points, graph, succ, figs, delta, alpha,
                                       tau0)
             yield "C10", ("mixed", k_s, k_p)
-            succ = self._axes_prune(figs, axes, len(succ))
+            succ = self._axes_prune(figs, count, base, len(succ))
             yield "C11", _successor_counts(succ, len(arcs))
         raise AssertionError("successor pruning failed to terminate")
 
     @staticmethod
-    def _axes_prune(figs: MarkFigures, axes: list, before: int) -> np.ndarray:
-        """Keep the successors hit by the canonical axes of their figure
-        after rotating them counterclockwise onto the first free successor
-        position; returns the kept (arc, successor) pairs."""
-        base = np.array([ax.base_angle for ax in axes])[figs.owner]
-        spacing = np.array([ax.spacing for ax in axes])[figs.owner]
-        dstar = np.full(len(axes), np.inf)
+    def _axes_prune(figs: MarkFigures, count, base, before: int) -> np.ndarray:
+        """Keep the successors hit by the count canonical axes from base of
+        their figure after rotating them counterclockwise onto the first
+        free successor position; returns the kept (arc, successor) pairs."""
+        base, spacing = base[figs.owner], TWO_PI / count[figs.owner]
+        dstar = np.full(len(count), np.inf)
         free = figs.free
         np.minimum.at(dstar, figs.owner[free],
                       ((figs.theta - base) % spacing)[free])

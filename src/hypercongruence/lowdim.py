@@ -66,17 +66,18 @@ def collapse_circle(angles: np.ndarray, labels: np.ndarray,
 
 def circle_axes(a: np.ndarray, la: Sequence, b: np.ndarray, lb: Sequence,
                 eps: float) -> Optional[tuple]:
-    """Canonical axes (ax_a, ax_b) of two circle sets labeled by joint int
-    ranks, or None when the merged position counts or the codes differ, so
-    that no rotation maps one onto the other."""
+    """(base_a, base_b, spacing) of the canonical axes of two circle sets
+    labeled by joint int ranks, or None when their codes differ, so that
+    no rotation maps one onto the other."""
     ra, ta = collapse_circle(a, la, eps)
     rb, tb = collapse_circle(b, lb, eps)
     rows = np.full((len(ra) + len(rb), max(ta.shape[1], tb.shape[1])), -1)
     rows[:len(ra), :ta.shape[1]], rows[len(ra):, :tb.shape[1]] = ta, tb
-    ax_a, ax_b = canonical_axes([(ra, rows[:len(ra)]), (rb, rows[len(ra):])], eps)
-    if ax_a.code != ax_b.code:
+    count, base, codes = canonical_axes(np.r_[ra, rb], rows,
+                                        [len(ra), len(rb)], eps)
+    if not np.array_equal(codes[0], codes[1]):
         return None
-    return ax_a, ax_b
+    return base[0], base[1], TWO_PI / count[0]
 
 
 def congruence_2d_labeled(angles_a: np.ndarray, labels_a: Sequence,
@@ -159,7 +160,7 @@ def labeled_rotation(pa: np.ndarray, la: Sequence, pb: np.ndarray,
         axes = circle_axes(a, ta, b, tb, eps)
         if axes is None:
             return None
-        t = float(np.mod(axes[1].base_angle - axes[0].base_angle, TWO_PI))
+        t = float(np.mod(axes[1] - axes[0], TWO_PI))
         ids = circular_cluster(np.concatenate([a + t, b]), max(eps, 1e-12)).ids
         keys = ids * len(toks) + np.concatenate([ta, tb])
         if not np.array_equal(np.sort(keys[:len(a)]), np.sort(keys[len(a):])):

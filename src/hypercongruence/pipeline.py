@@ -85,7 +85,8 @@ def congruence_test_4d(a_raw, b_raw, opts: Optional[PipelineOptions] = None,
     mirrored second set.  Returns a Verdict whose rotation and translation
     satisfy B ~ A @ rotation.T + translation as labeled multisets.
 
-    Optional labels restrict matchings to equal-label points.
+    Optional labels restrict matchings to equal-label points.  Every
+    coordinate must be finite.
     """
     opts = opts or PipelineOptions()
     a = np.asarray(a_raw, dtype=float).reshape(-1, 4)
@@ -94,6 +95,8 @@ def congruence_test_4d(a_raw, b_raw, opts: Optional[PipelineOptions] = None,
         raise ValueError(f"point counts differ: {len(a)} vs {len(b)}")
     if len(a) == 0:
         raise ValueError("need at least one point")
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise ValueError("coordinates must be finite")
     for lab, pts in ((labels_a, a), (labels_b, b)):
         if lab is not None and len(lab) != len(pts):
             raise ValueError("label count does not match point count")

@@ -393,10 +393,9 @@ def _block_match(ac: np.ndarray, la: np.ndarray, bc: np.ndarray,
             axes = circle_axes(ang[a, p][on[a]], ka, ang[b, p][on[b]], kb, tol)
             if axes is None:
                 return None
-            base = np.repeat([axes[0].base_angle, axes[1].base_angle],
-                             [n, len(bc)])
+            base = np.repeat(axes[:2], [n, len(bc)])
             rows[tor, 3 + p] = circular_cluster((ang[:, p] - base)[tor], tol,
-                                                axes[0].spacing).ids
+                                                axes[2]).ids
     if not tor.any():
         return turns
     t = torus_translation_congruent(ang[a][tor[a]], rows[a][tor[a]],

@@ -166,9 +166,13 @@ def reference_edge_figure_codes(points, graph, eps: float = EPS_EQ) -> dict:
             ("f", tuple(sorted(tuple(int(c) for c in cids[s + 4 * i:s + 4 * i + 4])
                                + (masks[i],) for i in range(m))))
             for _, s, m in variants)
-    axes = iter(canonical_axes([c for _, _, c in planar if c[1]], THETA_TOL))
+    angular = [c for _, _, c in planar if c[1]]
+    rows = iter(canonical_axes(
+        [t for theta, _ in angular for t in theta],
+        [f for _, flat in angular for f in flat],
+        [len(flat) for _, flat in angular], THETA_TOL)[2].tolist())
     for arc, axial, (_, labels) in planar:
-        codes[arc] = ("p", axial, next(axes).code if labels else ())
+        codes[arc] = ("p", axial, tuple(next(rows)) if labels else ())
     return codes
 
 

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import dense_ranks
-from hypercongruence.condense import (AxesSet, canonical_axes, circle_gaps,
+from hypercongruence.condense import (canonical_axes, circle_gaps,
                                       circular_cluster, component_ids,
                                       is_regular_polygon, joint_cluster,
                                       joint_ranks, least_rotations,
@@ -21,6 +21,7 @@ from hypercongruence.condense import (AxesSet, canonical_axes, circle_gaps,
                                       rank_labels, tolerance_cluster,
                                       wrap_angle)
 from hypercongruence.condense import _COUNT_MIN, _COUNT_SPAN
+from hypercongruence.geom import EPS_EQ
 
 TWO_PI = 2 * math.pi
 
@@ -73,6 +74,10 @@ class TestPruneByKey:
 
 
 class TestToleranceCluster:
+    def test_empty(self):
+        r = tolerance_cluster([])
+        assert r.count == 0 and len(r.ids) == 0
+
     def test_tight_pair_merges(self):
         r = tolerance_cluster([1.0, 1.0 + 1e-12, 2.0])
         assert list(r.ids) == [0, 0, 1]
@@ -118,41 +123,53 @@ class TestToleranceCluster:
         assert list(ib) == [1, 0]
 
 
-def axes_of(angles, labels=None):
-    """Canonical axes of one configuration, unlabeled by default."""
+def axes_of(angles, labels=None, eps=EPS_EQ):
+    """(count, base, code row) of one configuration, unlabeled by default."""
     if labels is None:
         labels = [0] * len(angles)
-    return canonical_axes([(angles, labels)])[0]
+    count, base, codes = canonical_axes(angles, labels, [len(angles)], eps)
+    return count[0], base[0], codes[0]
+
+
+def periodic_config(rng) -> tuple:
+    """Sorted angles and 0/1 labels of a random configuration of length
+    1 to 20 with a random rotational symmetry."""
+    period = int(rng.integers(1, 5))
+    reps = int(rng.integers(1, 6))
+    ang0 = np.sort(rng.uniform(0, TWO_PI / reps, period))
+    lab0 = rng.integers(0, 2, period).tolist()
+    return (np.concatenate([ang0 + j * TWO_PI / reps for j in range(reps)]),
+            lab0 * reps)
 
 
 class TestCanonicalAxes:
     def test_regular_pentagon_full_symmetry(self):
         ang = np.arange(5) * TWO_PI / 5
-        ax = axes_of(ang)
-        assert ax.count == 5
+        count, _, _ = axes_of(ang)
+        assert count == 5
 
     def test_unique_label_pins_axis(self):
         ang = np.arange(5) * TWO_PI / 5 + 0.3
-        ax = axes_of(ang, ["p", "p", "q", "p", "p"])
-        assert ax.count == 1
+        count, base, _ = axes_of(ang, ["p", "p", "q", "p", "p"])
+        assert count == 1
         # the single axis sits on one of the input points, stably
-        assert min(abs(ax.base_angle - a % TWO_PI) for a in ang) < 1e-12
-        shifted = axes_of((ang + 1.0) % TWO_PI, ["p", "p", "q", "p", "p"])
-        assert (shifted.base_angle - ax.base_angle) % TWO_PI == pytest.approx(1.0)
+        assert min(abs(base - a % TWO_PI) for a in ang) < 1e-12
+        _, shifted, _ = axes_of((ang + 1.0) % TWO_PI, ["p", "p", "q", "p", "p"])
+        assert (shifted - base) % TWO_PI == pytest.approx(1.0)
 
     def test_square_alternating_labels(self):
         ang = np.arange(4) * TWO_PI / 4
-        ax = axes_of(ang, ["A", "B", "A", "B"])
-        assert ax.count == 2
+        count, _, _ = axes_of(ang, ["A", "B", "A", "B"])
+        assert count == 2
 
     def test_symmetry_order_exact(self):
         # rotation by spacing maps the configuration to itself, smaller
         # fractions do not
         ang = np.arange(6) * TWO_PI / 6
         labels = ["x", "y", "x", "y", "x", "y"]
-        ax = axes_of(ang, labels)
-        assert ax.count == 3
-        shift = ax.spacing
+        count, _, _ = axes_of(ang, labels)
+        assert count == 3
+        shift = TWO_PI / count
         rotated = sorted((a + shift) % TWO_PI for a in ang)
         assert np.allclose(rotated, sorted(ang % TWO_PI), atol=1e-9)
 
@@ -160,24 +177,30 @@ class TestCanonicalAxes:
         ang = np.sort(rng.uniform(0, TWO_PI, 9))
         labels = [i % 3 for i in range(9)]
         th = rng.uniform(0, TWO_PI)
-        ax, ax2 = canonical_axes([(ang, labels), ((ang + th) % TWO_PI, labels)])
-        assert ax2.code == ax.code
-        assert ax2.count == ax.count
-        d = (ax2.base_angle - ax.base_angle - th) % TWO_PI
-        assert min(d % ax.spacing, ax.spacing - d % ax.spacing) < 1e-9
+        count, base, codes = canonical_axes(np.r_[ang, (ang + th) % TWO_PI],
+                                            labels + labels, [9, 9])
+        assert np.array_equal(codes[1], codes[0])
+        assert count[1] == count[0]
+        spacing = TWO_PI / count[0]
+        d = (base[1] - base[0] - th) % TWO_PI
+        assert min(d % spacing, spacing - d % spacing) < 1e-9
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            canonical_axes([([], [])])
+            canonical_axes([], [], [0])
+        with pytest.raises(ValueError):
+            canonical_axes([1.0, 2.0], [0, 0], [2, 0])
 
     def test_no_configurations(self):
-        assert canonical_axes([]) == []
+        count, base, codes = canonical_axes([], [], [])
+        assert len(count) == len(base) == len(codes) == 0
 
     def test_single_point(self):
-        ax = axes_of([1.25], ["z"])
-        assert isinstance(ax, AxesSet)
-        assert ax.count == 1
-        assert ax.base_angle == pytest.approx(1.25)
+        count, base, code = axes_of([1.25], ["z"])
+        # label rank 0, then gap class 0 after the one label
+        assert code.tolist() == [0, 1]
+        assert count == 1
+        assert base == pytest.approx(1.25)
 
     def test_one_call_quantizes_all_gaps_jointly(self):
         # alone, each configuration has gap classes {2, 2} and {2pi - 4}
@@ -187,36 +210,45 @@ class TestCanonicalAxes:
         a = np.array([0.0, 2.0, 4.0])
         b = np.array([0.0, 2.0 + 3e-9, 4.0 + 6e-9])
         labels = [0, 0, 0]
-        alone_a = canonical_axes([(a, labels)], eps)[0]
-        alone_b = canonical_axes([(b, labels)], eps)[0]
-        assert alone_a.code == alone_b.code
-        joint_a, joint_b = canonical_axes([(a, labels), (b, labels)], eps)
-        assert joint_a.code != joint_b.code
-        assert (joint_a.count, joint_b.count) == (1, 1)
-
+        _, _, alone_a = axes_of(a, labels, eps)
+        _, _, alone_b = axes_of(b, labels, eps)
+        assert np.array_equal(alone_a, alone_b)
+        count, _, joint = canonical_axes(np.r_[a, b], labels + labels, [3, 3],
+                                         eps)
+        assert not np.array_equal(joint[0], joint[1])
+        assert count.tolist() == [1, 1]
 
     def test_count_and_base_match_brute_force(self, rng):
         # the axes are the rotations of the token string equal to the code:
-        # their number is the count, the smallest start gives the base
+        # their number is the count, the smallest start gives the base; a
+        # ragged batch ranks its labels and clusters its gaps jointly
         for _ in range(300):
-            period = int(rng.integers(1, 5))
-            reps = int(rng.integers(1, 6))
-            ang0 = np.sort(rng.uniform(0, TWO_PI / reps, period))
-            lab0 = rng.integers(0, 2, period).tolist()
-            ang = np.concatenate([ang0 + j * TWO_PI / reps for j in range(reps)])
-            labels = lab0 * reps
-            ax = axes_of(ang, labels)
-            n = len(ang)
-            order = np.argsort(ang)
-            gids = tolerance_cluster(circle_gaps(ang[order])).ids.tolist()
+            configs = [periodic_config(rng)
+                       for _ in range(int(rng.integers(1, 6)))]
+            lengths = [len(ang) for ang, _ in configs]
+            labels = [x for _, lab in configs for x in lab]
+            count, base, codes = canonical_axes(
+                np.concatenate([ang for ang, _ in configs]), labels, lengths,
+                EPS_EQ)
+            orders = [np.argsort(ang) for ang, _ in configs]
+            gids = np.split(tolerance_cluster(np.concatenate(
+                [circle_gaps(ang[o]) for (ang, _), o in zip(configs, orders)])
+            ).ids, np.cumsum(lengths)[:-1])
             # label ranks, then the gap classes after the distinct labels
-            rank = dense_ranks(labels)
-            tokens = [t for i, g in zip(order, gids)
-                      for t in (rank[i], len(set(labels)) + g)]
-            starts = [s for s in range(n)
-                      if tuple(tokens[2 * s:] + tokens[:2 * s]) == ax.code]
-            assert ax.count == len(starts)
-            assert ax.base_angle == ang[order][starts[0]]
+            rank = np.split(np.array(dense_ranks(labels)),
+                            np.cumsum(lengths)[:-1])
+            for k, ((ang, _), order, n) in enumerate(zip(configs, orders,
+                                                         lengths)):
+                tokens = [t for i, g in zip(order, gids[k])
+                          for t in (rank[k][i], len(set(labels)) + g)]
+                rotations = [tuple(tokens[2 * s:] + tokens[:2 * s])
+                             for s in range(n)]
+                code = min(rotations)
+                assert codes[k].tolist() == \
+                    list(code) + [-1] * (codes.shape[1] - 2 * n)
+                starts = [s for s in range(n) if rotations[s] == code]
+                assert count[k] == len(starts)
+                assert base[k] == ang[order][starts[0]]
 
 
 class TestCircleGaps:
@@ -576,3 +608,45 @@ class TestCircularCluster:
         res = circular_cluster([-1e-20, 0.0, 2.0], 1e-9)
         assert res.ids.tolist() == [0, 0, 1]
         assert res.reps.tolist() == [0.0, 2.0]
+
+    @pytest.mark.parametrize("values, eps, period", [
+        ([TWO_PI - 1e-12, 1.0, 1e-12, 3.0], 1e-9, TWO_PI),
+        ([TWO_PI - 1e-3, 1e-3], 1e-9, TWO_PI),
+        ([0.1, 0.99999, 1.6, 2.0], 1e-3, 1.0),
+        ([-1e-20, 0.0, 2.0], 1e-9, TWO_PI)])
+    def test_one_group_is_ungrouped(self, values, eps, period):
+        plain = circular_cluster(values, eps, period)
+        one = circular_cluster(values, eps, period,
+                               groups=np.full(len(values), 4))
+        assert np.array_equal(one.ids, plain.ids)
+        assert one.reps.tobytes() == plain.reps.tobytes()
+
+    def test_groups_are_separate_circles(self, rng):
+        # per-group calls with the ids of each group shifted past the
+        # classes of the groups before it, whose ids are in any order and
+        # with gaps; stacks at 0, just below 2pi and in between merge
+        # across the seam in some groups and not in others
+        spots = np.array([0.0, 1e-10, TWO_PI - 2e-10, TWO_PI - 1e-6, 1.0, 3.0])
+        for _ in range(200):
+            n = int(rng.integers(0, 40))
+            values = rng.choice(spots, n) + rng.uniform(0, 3e-10, n)
+            groups = rng.choice([-2, 0, 5, 9], n)
+            res = circular_cluster(values, 1e-9, groups=groups)
+            ids, reps = np.empty(n, dtype=int), []
+            for g in np.unique(groups):
+                alone = circular_cluster(values[groups == g], 1e-9)
+                ids[groups == g] = alone.ids + sum(map(len, reps))
+                reps.append(alone.reps)
+            assert np.array_equal(res.ids, ids)
+            assert res.reps.tobytes() == np.concatenate([[]] + reps).tobytes()
+
+    def test_seam_merge_in_one_group_only(self):
+        res = circular_cluster([1e-12, TWO_PI - 1e-12, 1e-12, TWO_PI - 1e-12,
+                                2.0], 1e-9, groups=[3, 3, 7, 1, 7])
+        # group 1: one class; group 3: one seam class; group 7: two classes
+        assert res.ids.tolist() == [1, 1, 2, 0, 3]
+        assert res.reps.tolist() == [TWO_PI - 1e-12, 1e-12, 1e-12, 2.0]
+
+    def test_grouped_empty(self):
+        res = circular_cluster([], 1e-9, groups=np.zeros(0, dtype=int))
+        assert res.count == 0 and len(res.ids) == 0

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -73,6 +74,21 @@ class TestSmallSets:
         a = rng.normal(size=(4, 4))
         with pytest.raises(ValueError):
             congruence_test_4d(a, a[:3])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("where", ["a", "b", "both"])
+    def test_non_finite_coordinates_raise(self, rng, bad, where):
+        a = rng.normal(size=(6, 4))
+        b = transformed(a, rng)
+        if where in ("a", "both"):
+            a[2, 1] = bad
+        if where in ("b", "both"):
+            b[4, 3] = bad
+        # rejected before centering, so no RuntimeWarning comes first
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="finite"):
+                congruence_test_4d(a, b)
 
 
 class TestGenericClouds:
