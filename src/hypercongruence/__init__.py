@@ -30,7 +30,6 @@ from .harness import (
     gen_congruent_pair,
     gen_hopf_circles,
     gen_orbit_helix,
-    gen_perturbed,
     gen_regular_polytope,
     gen_torus_grid,
     oracle_congruent,

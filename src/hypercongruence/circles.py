@@ -23,9 +23,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geom import EPS_EQ, CONSTANTS, PlaneSpan
+from .geom import (EPS_EQ, CENTROID_TOL, CONSTANTS, FIT_TOL, FIXED_ANGLE_TOL,
+                   ORTHOGONAL_TOL, POLYGON_TOL, RANK_RATIO, THETA_TOL,
+                   PlaneSpan)
 from .condense import TWO_PI, component_ids, is_regular_polygon, members_by_id
-from .iterprune import THETA_TOL, DirectedGraph, EdgeTransitive
+from .iterprune import DirectedGraph, EdgeTransitive
 
 
 @dataclass
@@ -63,16 +65,24 @@ class OrbitCycle:
 # reflection-group case
 
 
-def _trace_cycle(nbrs: list, start: int) -> list:
-    """Vertex order of the cycle through start, given the two neighbours of
-    every vertex (smaller first); steps to the smaller neighbour first."""
-    order = [start]
-    prev, cur = start, nbrs[start][0]
-    while cur != start:
-        order.append(cur)
-        a, b = nbrs[cur]
-        prev, cur = cur, b if a == prev else a
-    return order
+def _walk_cycles(step: np.ndarray, tails: np.ndarray) -> list:
+    """The vertex lists of the cycles of the permutation step of states,
+    each walked once from its least state and read off the tails of its
+    states; a cycle with the vertex set of an earlier one is dropped."""
+    step, tails = step.tolist(), tails.tolist()
+    walked = [False] * len(step)
+    cycles: dict = {}
+    for first in range(len(step)):
+        verts, p = [], first
+        while not walked[p]:
+            walked[p] = True
+            verts.append(tails[p])
+            p = step[p]
+        if len(set(verts)) != len(verts):
+            raise AssertionError("orbit cycle revisits a vertex")
+        if verts:
+            cycles.setdefault(frozenset(verts), verts)
+    return list(cycles.values())
 
 
 def _step_error(orbit: np.ndarray, rot: np.ndarray) -> float:
@@ -96,16 +106,16 @@ def cycle_circle(points, order, eps: float = EPS_EQ) -> PlaneSpan:
         u[:, -1] = -u[:, -1]
     rot = u @ vt
     err = _step_error(orbit, rot)
-    if err > 1e-7:
+    if err > FIT_TOL:
         raise AssertionError("fitted rotation does not advance the "
                              f"cycle (error {err:.2g})")
     vals, vecs = np.linalg.eig(rot)
     args = np.abs(np.angle(vals))
     # a concyclic cycle leaves the fit free off its circle (rank 2)
-    if args.max() - args.min() <= eps or s[2] <= 1e-7 * s[0]:
+    if args.max() - args.min() <= eps or s[2] <= RANK_RATIO * s[0]:
         raise AssertionError("orbit rotation is isoclinic, points "
                              "would be concyclic")
-    if args.min() <= 1e-9:
+    if args.min() <= FIXED_ANGLE_TOL:
         raise AssertionError("orbit rotation fixes a plane pointwise")
     v = vecs[:, np.argmin(args)]
     return PlaneSpan.from_vectors(v.real, v.imag)
@@ -118,7 +128,7 @@ def _grid_leg_pairs(legs: np.ndarray):
     unit = legs / np.linalg.norm(legs, axis=1, keepdims=True)
     dots = np.abs(unit @ unit.T)
     np.fill_diagonal(dots, 0.0)
-    mates = [[j for j in range(4) if dots[i, j] > 1e-7] for i in range(4)]
+    mates = [np.flatnonzero(row > ORTHOGONAL_TOL).tolist() for row in dots]
     counts = sorted(len(m) for m in mates)
     if counts == [1, 1, 1, 1]:
         return {tuple(sorted((i, mates[i][0]))) for i in range(4)}
@@ -154,43 +164,35 @@ def mirror_reduce(points, graph: DirectedGraph, eps: float = EPS_EQ):
     # only vertices on an edge belong to the graph
     comps = [g.tolist() for g in members_by_id(component_ids(n, sym.arc_rows))
              if len(g) > 1]
-    sizes = tuple(sorted(len(c) for c in comps))
-    keys.append(("R1", (len(comps), sizes)))
+    keys.append(("R1", (len(comps), tuple(sorted(map(len, comps))))))
 
     centers = np.array([pts[c].mean(axis=0) for c in comps])
-    if np.max(np.linalg.norm(centers, axis=1)) > 1e-7:
+    if np.max(np.linalg.norm(centers, axis=1)) > CENTROID_TOL:
         keys.append(("R2", "eccentric"))
         return CondensedPoints(centers), keys
     keys.append(("R2", "centered"))
 
     # every component is centered, so rank 3 needs four points and its
     # normal vt[3] exists; rank 2 reads only vt[0] and vt[1]
-    ranks = []
-    svds = []
-    for c in comps:
-        _, s, vt = np.linalg.svd(pts[c], full_matrices=False)
-        ranks.append(int(np.sum(s > 1e-7 * s[0])))
-        svds.append(vt)
-    if len(set(ranks)) != 1:
+    svds = [np.linalg.svd(pts[c], full_matrices=False)[1:] for c in comps]
+    ranks = {int(np.sum(s > RANK_RATIO * s[0])) for s, _ in svds}
+    if len(ranks) != 1:
         raise AssertionError("components of a mirror-symmetric graph must "
                              "be congruent, got mixed ranks")
-    rank = ranks[0]
+    rank = ranks.pop()
     keys.append(("R-rank", rank))
 
     if rank == 2:
-        circles = []
-        ks = set()
-        for c, vt in zip(comps, svds):
-            e1, e2 = vt[0], vt[1]
-            if not is_regular_polygon(np.arctan2(pts[c] @ e2, pts[c] @ e1), 1e-7):
+        for c, (_, vt) in zip(comps, svds):
+            theta = np.arctan2(pts[c] @ vt[1], pts[c] @ vt[0])
+            if not is_regular_polygon(theta, POLYGON_TOL):
                 raise AssertionError("planar component is not a regular polygon")
-            ks.add(len(c))
-            circles.append(PlaneSpan.from_vectors(e1, e2))
-        keys.append(("R3", tuple(sorted(ks))))
+        circles = [PlaneSpan.from_vectors(vt[0], vt[1]) for _, vt in svds]
+        keys.append(("R3", tuple(sorted({len(c) for c in comps}))))
         return GreatCircles(sorted(circles, key=lambda p: p.key())), keys
 
     if rank == 3:
-        normals = [x for vt in svds for x in (vt[3], -vt[3])]
+        normals = [x for _, vt in svds for x in (vt[3], -vt[3])]
         keys.append(("R4", len(normals)))
         return CondensedPoints(np.array(normals)), keys
 
@@ -200,15 +202,13 @@ def mirror_reduce(points, graph: DirectedGraph, eps: float = EPS_EQ):
     circles = []
     deg = np.bincount(sym.arc_rows[:, 0], minlength=n)
     if (deg[deg > 0] == 2).all():
-        nbrs = np.zeros((n, 2), dtype=int)
-        nbrs[deg > 0] = sym.arc_rows[:, 1].reshape(-1, 2)
-        nbrs = nbrs.tolist()
-        lens = []
-        for c in comps:
-            order = _trace_cycle(nbrs, min(c))
-            circles.append(cycle_circle(pts, order, eps))
-            lens.append(len(order))
-        keys.append(("R5", ("cycles", tuple(sorted(lens)))))
+        # arc u->v steps to v->w, w != u; walks leave each cycle's least
+        # vertex towards its smaller neighbour first, as arcs sort so
+        tail, head = sym.arc_rows.T
+        out = np.searchsorted(tail, head)
+        cycles = _walk_cycles(out + (head[out] == tail), tail)
+        circles = [cycle_circle(pts, c, eps) for c in cycles]
+        keys.append(("R5", ("cycles", tuple(sorted(map(len, cycles))))))
         return GreatCircles(sorted(circles, key=lambda p: p.key())), keys
     for c in comps:
         u = min(c)
@@ -264,22 +264,8 @@ def orbit_circles(ex: EdgeTransitive, eps: float = EPS_EQ):
     if len(np.unique(step)) != len(step):
         raise AssertionError("orbit trace crossed another cycle")
 
-    step, tails = step.tolist(), arcs[succ[:, 0], 0].tolist()
-    walked = [False] * len(step)
-    cycles: list = []
-    seen: set = set()
-    for first in range(len(step)):
-        verts, p = [], first
-        while not walked[p]:
-            walked[p] = True
-            verts.append(tails[p])
-            p = step[p]
-        if len(set(verts)) != len(verts):
-            raise AssertionError("orbit cycle revisits a vertex")
-        if not verts or frozenset(verts) in seen:
-            continue
-        seen.add(frozenset(verts))
-        cycles.append(OrbitCycle(tuple(verts), cycle_circle(pts, verts, eps)))
+    cycles = [OrbitCycle(tuple(v), cycle_circle(pts, v, eps))
+              for v in _walk_cycles(step, arcs[succ[:, 0], 0])]
     lengths = tuple(sorted(len(c.vertices) for c in cycles))
     keys = [("O", (len(cycles), lengths))]
     if ex.delta <= CONSTANTS.delta0 and \

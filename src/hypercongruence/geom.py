@@ -9,9 +9,7 @@ built here (:func:`block_rotation`) but not taken apart: the invariant
 planes of an orbit cycle's step rotation come from its complex
 eigenvectors in ``circles.cycle_circle``.  ``EPS_EQ`` is
 the default comparison tolerance for coordinates; callers may override it
-per operation.  It is not the only tolerance: several stages still
-compare angles, frames and fits against fixed literals (1e-7 and others)
-of their own.
+per operation.  Every fixed tolerance is named once, in the table below.
 """
 
 from __future__ import annotations
@@ -28,8 +26,58 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import maximum_bipartite_matching
 from scipy.spatial import cKDTree
 
-EPS_EQ = 1e-9
-VERIFY_EPS = 1e-6           # matching tolerance of the final rotation check
+# Every fixed tolerance, one name per role: what it bounds, in [in] input
+# units, [u] distances and cosines of unit vectors, [rad] radians or [sv]
+# singular-value ratios.  Known unit mismatches: angle_tol clusters angles
+# at the coordinate eps, and eps_eq > VERIFY_EPS / 2 rejects at "coincident".
+EPS_EQ = 1e-9               # default coordinate tolerance [in]
+VERIFY_EPS = 1e-6           # match distance of the final rotation check [in]
+ORACLE_EPS = 1e-7           # span and match tolerance of the oracle [in]
+FRAME_EPS = 1e-9            # frame residual of a dependent vector [u]
+SPAN_EPS = 1e-12            # the same, where only parallel vectors fail [u]
+ORTHONORMAL_TOL = 1e-7      # Gram entry error of a PlaneSpan basis [u]
+CENTROID_TOL = 1e-7         # centroid norm of eccentric unit points [u]
+FIT_TOL = 1e-7              # step error of an orbit cycle's rotation [u]
+MIRROR_TOL = 1e-7           # match distance of mirrored arc neighbours [u]
+MARK_EPS = 1e-7             # merge distance of circle marks [u]
+HOPF_EPS = 1e-7             # condensing tolerance of Hopf images [u]
+AXIS_TOL = 1e-9             # figure point's distance off its arc's plane [u]
+POINT_RADIUS = 1e-9         # radius of a mark circle that is a point [u]
+SV_RANK_TOL = 1e-7          # singular value of unit rows that adds rank [u]
+ORTHOGONAL_TOL = 1e-7       # |cos| of orthogonal grid legs [u]
+COPLANAR_TOL = 1e-9         # 1 - cos of coplanar hull face normals [u]
+POLE_TOL = 1e-15            # chord from a Hopf base point to the pole [u]
+THETA_TOL = 1e-7            # positions on mark circles [rad]
+POLYGON_TOL = 1e-7          # angles of a planar mirror component [rad]
+TORUS_EPS = 1e-7            # positions of a torus set [rad]
+ALPHA_POINT_TOL = 1e-7      # sin of a successor angle of a point circle [u]
+FIXED_ANGLE_TOL = 1e-9      # turn angle of a plane a rotation fixes [rad]
+RANK_RATIO = 1e-7           # rank of mirror components and cycle fits [sv]
+COLLINEAR_RATIO = 1e-6      # rank of Kabsch-fitted singleton points [sv]
+EPS_FLOOR = 1e-9            # least eps of match_tol and radius_tol [u]
+ANGLE_FLOOR = 1e-12         # least eps of angle_tol [rad]
+
+
+def match_tol(eps: float) -> float:
+    """How near a reduced test's rotation puts each point: 10 eps, >= 1e-8."""
+    return max(eps, EPS_FLOOR) * 10.0
+
+
+def radius_tol(eps: float) -> float:
+    """Plane radius up to which a point is the plane's origin: eps, >= 1e-9."""
+    return max(eps, EPS_FLOOR)
+
+
+def angle_tol(eps: float) -> float:
+    """Clustering tolerance of turn angles on a circle: eps, >= 1e-12."""
+    return max(eps, ANGLE_FLOOR)
+
+
+def key_tol(eps: float) -> float:
+    """Pluecker-key distance of two circles that are one: 10 eps."""
+    return 10 * eps
+
+
 _TINY = np.finfo(float).tiny  # smallest normal float64
 
 # Bound constants used by the pruning pipeline.  The icosahedral quantities
@@ -101,14 +149,14 @@ class PlaneSpan:
         if basis.shape != (2, 4):
             raise ValueError(f"expected a (2, 4) basis, got {basis.shape}")
         g = basis @ basis.T
-        if np.max(np.abs(g - np.eye(2))) > 1e-7:
+        if np.max(np.abs(g - np.eye(2))) > ORTHONORMAL_TOL:
             raise ValueError("basis is not orthonormal")
         self.basis = basis
 
     @classmethod
     def from_vectors(cls, u: np.ndarray, v: np.ndarray) -> "PlaneSpan":
         """Orthonormalize two independent vectors into a plane span."""
-        f = frame([u, v], 1e-12)
+        f = frame([u, v], SPAN_EPS)
         if f is None:
             raise ValueError("spanning vectors are dependent")
         return cls(f[:2])
@@ -191,7 +239,7 @@ def _unit(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return w / np.sqrt(np.maximum(s, _TINY)), s
 
 
-def frames(stack, eps: float = 1e-9) -> tuple[np.ndarray, np.ndarray]:
+def frames(stack, eps: float = FRAME_EPS) -> tuple[np.ndarray, np.ndarray]:
     """:func:`frame` of every k-vector row of an (m, k, d) stack, k < d.
 
     Returns (F, ok): F is (m, d, d) with F[i] the frame of stack[i], and
@@ -230,7 +278,7 @@ def frames(stack, eps: float = 1e-9) -> tuple[np.ndarray, np.ndarray]:
     return np.ascontiguousarray(f.transpose(2, 0, 1)), ok
 
 
-def frame(vectors, eps: float = 1e-9) -> Optional[np.ndarray]:
+def frame(vectors, eps: float = FRAME_EPS) -> Optional[np.ndarray]:
     """Positively oriented orthonormal basis (rows) of R^d adapted to k < d
     vectors: row i lies in the span of vectors 0..i, on the side of vector
     i.  None if some vector is within eps of the span of those before it.
@@ -250,14 +298,8 @@ def pluecker(p: PlaneSpan) -> np.ndarray:
     positive; a plane and any basis of it map to the same 6-vector.
     """
     u, v = p.basis
-    coords = np.array([
-        u[0] * v[1] - u[1] * v[0],
-        u[0] * v[2] - u[2] * v[0],
-        u[0] * v[3] - u[3] * v[0],
-        u[1] * v[2] - u[2] * v[1],
-        u[1] * v[3] - u[3] * v[1],
-        u[2] * v[3] - u[3] * v[2],
-    ])
+    coords = np.array([u[i] * v[j] - u[j] * v[i]
+                       for i, j in combinations(range(4), 2)])
     coords /= np.linalg.norm(coords)
     first = coords[np.argmax(np.abs(coords) > EPS_EQ)]
     return -coords if first < 0 else coords
@@ -313,7 +355,7 @@ def hopf_fiber(f: np.ndarray, s: np.ndarray) -> PlaneSpan:
     gamma = math.acos(min(1.0, max(-1.0, s[2]))) / 2.0
     cg, sg = math.cos(gamma), math.sin(gamma)
     v1, v2, v3, v4 = f
-    if sg * 2.0 < 1e-15:
+    if sg * 2.0 < POLE_TOL:
         return PlaneSpan(np.vstack([v1, v2]))
     delta = math.atan2(s[0], s[1])
     w1 = math.cos(delta) * v3 + math.sin(delta) * v4
@@ -335,11 +377,6 @@ def mark_pair(c: PlaneSpan, d: PlaneSpan, eps: float = EPS_EQ) -> tuple[np.ndarr
     on_c = u[:, 0] @ c.basis
     on_d = vt[0] @ d.basis
     return np.vstack([on_c, -on_c]), np.vstack([on_d, -on_d])
-
-
-def match_tol(eps: float) -> float:
-    """How near a reduced test's rotation puts each point: 10 eps, >= 1e-8."""
-    return max(eps, 1e-9) * 10.0
 
 
 def match_multisets(x: np.ndarray, y: np.ndarray, eps: float = EPS_EQ,

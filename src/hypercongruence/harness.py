@@ -17,7 +17,8 @@ from typing import Optional
 import numpy as np
 
 from .condense import TWO_PI
-from .geom import PlaneSpan, Verdict, frame, hopf_fiber, match_multisets
+from .geom import (ORACLE_EPS, PlaneSpan, Verdict, frame, hopf_fiber,
+                   match_multisets)
 
 ORACLE_MAX = 10
 
@@ -37,17 +38,14 @@ def _quat_matrices(q: np.ndarray, right: bool) -> np.ndarray:
 
 def random_rotation(rng) -> np.ndarray:
     """Uniform random element of SO(4) via two independent unit quaternions."""
-    q1 = rng.normal(size=4)
-    q2 = rng.normal(size=4)
-    q1 /= np.linalg.norm(q1)
-    q2 /= np.linalg.norm(q2)
+    q1, q2 = (q / np.linalg.norm(q)
+              for q in (rng.normal(size=4), rng.normal(size=4)))
     return _quat_matrices(q1, right=False) @ _quat_matrices(q2, right=True)
 
 
 def _spanning_tuple(pts: np.ndarray, eps: float) -> list:
     """Indices of a greedy maximal independent subset, in index order."""
-    idxs: list = []
-    basis: list = []
+    idxs, basis = [], []
     for i, p in enumerate(pts):
         w = p.copy()
         for r in basis:
@@ -62,7 +60,7 @@ def _spanning_tuple(pts: np.ndarray, eps: float) -> list:
 
 
 def oracle_congruent(a_raw, b_raw, allow_reflection: bool = False,
-                     eps: float = 1e-7) -> Verdict:
+                     eps: float = ORACLE_EPS) -> Verdict:
     """Exhaustive congruence decision for sets of at most 10 points.
 
     A spanning tuple of the first set is matched against every same-Gram
@@ -248,13 +246,3 @@ def gen_regular_polytope(name: str) -> np.ndarray:
     if key == "600-cell":
         return _cell600()
     raise ValueError(f"unknown polytope {name!r}")
-
-
-def gen_perturbed(a: np.ndarray, magnitude: float, seed: int) -> np.ndarray:
-    """Copy of the set with one random point moved by exactly magnitude."""
-    rng = np.random.default_rng(seed)
-    out = np.array(a, dtype=float)
-    i = int(rng.integers(len(out)))
-    d = rng.normal(size=out.shape[1])
-    out[i] += magnitude * d / np.linalg.norm(d)
-    return out

@@ -33,13 +33,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geom import EPS_EQ, CONSTANTS, frames, match_multisets
+from .geom import (EPS_EQ, ALPHA_POINT_TOL, AXIS_TOL, CONSTANTS, MIRROR_TOL,
+                   POINT_RADIUS, SPAN_EPS, THETA_TOL, frames, match_multisets)
 from .condense import (TWO_PI, canonical_axes, circular_cluster,
                        is_regular_polygon, joint_ranks, padded_rows,
                        prune_by_key, tolerance_cluster, wrap_angle)
 from .cpgraph import closest_pair_graph
-
-THETA_TOL = 1e-7            # angular tolerance for positions on mark circles
 
 
 @dataclass(frozen=True, eq=False)
@@ -205,7 +204,7 @@ def edge_figure_codes(points, graph: DirectedGraph,
     entry = joint_ranks(np.c_[ids12.reshape(-1, 2), ids_rho,
                               masks[row_fig[n3:]]])[1]
     owner = row_f[n3:] - len(var_arc)
-    on = rho > 1e-9
+    on = rho > AXIS_TOL
     axial = padded_rows(_sort_runs(entry[~on], owner[~on]),
                         np.bincount(owner[~on], minlength=len(plan_arc)))
     # the angular parts of all planar figures share one gap quantization
@@ -306,7 +305,7 @@ def mark_figures(points, arcs: np.ndarray, succ: np.ndarray, delta: float,
     own, at = np.unique(owner, return_inverse=True)
     pu, pv = pts[tail[own]], pts[head[own]]
     q = pu - pv
-    f, ok = frames(np.stack([pv, q], axis=1), 1e-12)
+    f, ok = frames(np.stack([pv, q], axis=1), SPAN_EPS)
     if not ok.all():
         raise ValueError("arc through the origin has no mark circle")
     r1, r2, f1, f2 = np.moveaxis(f, 1, 0)
@@ -316,7 +315,8 @@ def mark_figures(points, arcs: np.ndarray, succ: np.ndarray, delta: float,
     y = (_dot(q, pv) + delta * delta * math.cos(alpha) - x * _dot(q, r1)) \
         / _dot(q, r2)
     center = x * r1 + y[:, None] * r2
-    if (np.sqrt(np.maximum(1.0 - _dot(center, center), 0.0)) < 1e-9).any():
+    if (np.sqrt(np.maximum(1.0 - _dot(center, center), 0.0))
+            < POINT_RADIUS).any():
         raise ValueError("mark circle degenerates to a point")
     mark = np.where(is_succ[:, None], pts[head[other]],
                     _reflect_across_bisector(pts[tail[other]], pu[at], pv[at]))
@@ -414,7 +414,8 @@ class _Run:
         # unequal counts fail the shape test of match_multisets
         reflected = _reflect_across_bisector(points[graph.out_rows(v)[:, 1]],
                                              points[u], points[v])
-        return match_multisets(reflected, points[graph.in_rows(u)[:, 0]], 1e-7)
+        return match_multisets(reflected, points[graph.in_rows(u)[:, 0]],
+                               MIRROR_TOL)
 
     def _choose_alpha(self, points, arcs, pairs, ids, reps, delta):
         """Smallest successor angle at which the mark figure of arc 0 is not
@@ -423,7 +424,7 @@ class _Run:
         near = (pairs == 0).any(axis=1)
         for aid in np.unique(ids[pairs[:, 0] == 0]).tolist():
             alpha = float(reps[aid])
-            if math.sin(alpha) <= 1e-7:
+            if math.sin(alpha) <= ALPHA_POINT_TOL:
                 continue        # the circle at angle 0 or pi is a point
             figs = mark_figures(points, arcs, pairs[near & (ids == aid)],
                                 delta, alpha)

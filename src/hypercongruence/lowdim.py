@@ -31,8 +31,8 @@ from scipy.spatial import cKDTree
 from .condense import (TWO_PI, canonical_axes, circular_cluster,
                        component_ids, joint_cluster, joint_ranks,
                        prune_by_key, rank_labels, wrap_angle)
-from .geom import (EPS_EQ, PointSet4, Verdict, frame, match_multisets,
-                   match_tol, verify_rotation)
+from .geom import (EPS_EQ, COLLINEAR_RATIO, PointSet4, Verdict, angle_tol,
+                   frame, match_multisets, match_tol, verify_rotation)
 from .sphere import condense_sphere
 
 
@@ -144,7 +144,7 @@ def labeled_rotation(pa: np.ndarray, la: Sequence, pb: np.ndarray,
         at, bt = at[single], bt[single]
         u, sv, vt = np.linalg.svd(at.T @ bt)
         # collinear singletons in space leave the turn about their line free
-        if sv[d - 2] > 1e-6 * sv[0]:
+        if sv[d - 2] > COLLINEAR_RATIO * sv[0]:
             # Kabsch's least-squares fit, kept proper
             flip = 1.0 if np.linalg.det(vt.T @ u.T) >= 0 else -1.0
             s = vt.T @ np.diag([1.0] * (d - 1) + [flip]) @ u.T
@@ -161,7 +161,7 @@ def labeled_rotation(pa: np.ndarray, la: Sequence, pb: np.ndarray,
         if axes is None:
             return None
         t = float(np.mod(axes[1] - axes[0], TWO_PI))
-        ids = circular_cluster(np.concatenate([a + t, b]), max(eps, 1e-12)).ids
+        ids = circular_cluster(np.concatenate([a + t, b]), angle_tol(eps)).ids
         keys = ids * len(toks) + np.concatenate([ta, tb])
         if not np.array_equal(np.sort(keys[:len(a)]), np.sort(keys[len(a):])):
             return None

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geom import (EPS_EQ, CONSTANTS, Chirality, chirality, frame,
-                   hopf_fiber, hopf_image, mark_pair, pluecker)
+from .geom import (EPS_EQ, CONSTANTS, HOPF_EPS, MARK_EPS, Chirality, chirality,
+                   frame, hopf_fiber, hopf_image, mark_pair, pluecker)
 from .condense import (component_ids, members_by_id, merge_unit_points,
                        prune_by_key)
 from .cpgraph import closest_pair_graph
@@ -160,7 +160,7 @@ def mark_circles(circles, eps: float = EPS_EQ,
             images = np.array([hopf_image(f0, circles[i].basis[0])
                                for i in members])
             fibers.append([hopf_fiber(f0, s)
-                           for s in condense_sphere(images, eps=1e-7)])
+                           for s in condense_sphere(images, eps=HOPF_EPS)])
         if (len(groups), sum(map(len, fibers))) >= (n_classes, len(circles)):
             # stalled above few_cap: the 2+2 reduction tries every circle
             return _few(circles, keys)
@@ -181,12 +181,9 @@ def _few(circles, keys: list):
 
 def _mark(circles, pairs, family_size: int, eps: float, keys: list):
     """M12: four closest points for every non-parallel pair."""
-    marks = []
-    for i, j in sorted(tuple(sorted(p)) for p in pairs):
-        on_c, on_d = mark_pair(circles[i], circles[j], eps)
-        marks.append(on_c)
-        marks.append(on_d)
-    pts = merge_unit_points(np.vstack(marks), 1e-7)
+    marks = [m for i, j in sorted(tuple(sorted(p)) for p in pairs)
+             for m in mark_pair(circles[i], circles[j], eps)]
+    pts = merge_unit_points(np.vstack(marks), MARK_EPS)
     pts = pts[np.lexsort(pts.T[::-1])]
     if len(pts) > CONSTANTS.marks_per_pair * CONSTANTS.pair_fanout * family_size:
         raise AssertionError("marker count exceeds the fanout bound")

@@ -24,7 +24,8 @@ import numpy as np
 from .circles import Anchors, CondensedPoints, mirror_reduce, orbit_circles
 from .condense import (joint_cluster, joint_ranks, merge_points,
                        merge_unit_points, prune_by_key)
-from .geom import CONSTANTS, EPS_EQ, PointSet4, Verdict, verify_rotation
+from .geom import (CONSTANTS, EPS_EQ, PointSet4, Verdict, key_tol,
+                   verify_rotation)
 from .iterprune import (MirrorSymmetric, WellSeparated, next_step,
                         prune_steps)
 from .lowdim import one_plus_three_reduce
@@ -55,9 +56,9 @@ class PipelineOptions:
 
 def _unique_circles(circles: list, eps: float) -> list:
     """The circles sorted by key, keeping the first of every class of keys
-    at most 10 * eps apart."""
+    at most key_tol(eps) apart."""
     circles = sorted(circles, key=lambda p: p.key())
-    first = merge_points(np.array([c.key() for c in circles]), 10 * eps)[2]
+    first = merge_points(np.array([c.key() for c in circles]), key_tol(eps))[2]
     return [circles[i] for i in first.tolist()]
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.spatial import ConvexHull
 
-from .geom import EPS_EQ, frame
+from .geom import EPS_EQ, CENTROID_TOL, COPLANAR_TOL, SV_RANK_TOL, frame
 from .condense import (component_ids, members_by_id, merge_unit_points,
                        prune_by_key, tolerance_cluster)
 
@@ -24,7 +24,7 @@ def _merged_faces(hull: ConvexHull, points: np.ndarray) -> list:
     m = len(hull.simplices)
     eq = hull.equations
     coplanar = [(f, g) for f in range(m) for g in hull.neighbors[f]
-                if g >= 0 and eq[f, :3] @ eq[g, :3] >= 1.0 - 1e-9]
+                if g >= 0 and eq[f, :3] @ eq[g, :3] >= 1.0 - COPLANAR_TOL]
     faces = []
     for members in members_by_id(component_ids(m, coplanar)):
         verts = sorted(set(hull.simplices[members].ravel().tolist()))
@@ -38,12 +38,9 @@ def _merged_faces(hull: ConvexHull, points: np.ndarray) -> list:
     return faces
 
 
-def _face_edges(faces: list) -> set:
-    edges = set()
-    for cyc in faces:
-        for a, b in zip(cyc, cyc[1:] + cyc[:1]):
-            edges.add((a, b) if a < b else (b, a))
-    return edges
+def _cycle_edges(cyc: list) -> list:
+    """The edges of a face cycle as (smaller, larger) vertex pairs."""
+    return [(min(a, b), max(a, b)) for a, b in zip(cyc, cyc[1:] + cyc[:1])]
 
 
 def condense_sphere(points: np.ndarray, eps: float = EPS_EQ) -> np.ndarray:
@@ -66,14 +63,14 @@ def condense_sphere(points: np.ndarray, eps: float = EPS_EQ) -> np.ndarray:
         if n == 1:
             break
         center = f.mean(axis=0)
-        if np.linalg.norm(center) > 1e-7:
+        if np.linalg.norm(center) > CENTROID_TOL:
             # unbalanced (e.g. a small circle, which is only affinely flat
             # and would feed a degenerate hull to qhull): the mean direction
             # is a canonical single-point condensation
             f = center[None, :] / np.linalg.norm(center)
             break
         sv = np.linalg.svd(f, compute_uv=False)
-        rank = int(np.sum(sv > 1e-7))
+        rank = int(np.sum(sv > SV_RANK_TOL))
         if rank == 1:
             break  # antipodal pair (duplicates were merged already)
         if rank == 2:
@@ -86,7 +83,7 @@ def condense_sphere(points: np.ndarray, eps: float = EPS_EQ) -> np.ndarray:
             raise AssertionError("balanced spherical set with the origin "
                                  "outside its hull")
         faces = _merged_faces(hull, f)
-        edges = _face_edges(faces)
+        edges = {e for cyc in faces for e in _cycle_edges(cyc)}
         deg = np.bincount(np.ravel(list(edges)), minlength=n)
         res = prune_by_key(deg)
         if res.progressed:
@@ -114,12 +111,8 @@ def condense_sphere(points: np.ndarray, eps: float = EPS_EQ) -> np.ndarray:
                           for i in res.indices])
             continue
         edge_id = {e: int(i) for e, i in zip(edge_list, ids)}
-        face_keys = []
-        for cyc in faces:
-            ks = sorted(edge_id[(a, b) if a < b else (b, a)]
-                        for a, b in zip(cyc, cyc[1:] + cyc[:1]))
-            face_keys.append(tuple(ks))
-        res = prune_by_key(face_keys)
+        res = prune_by_key([tuple(sorted(edge_id[e] for e in _cycle_edges(c)))
+                            for c in faces])
         if not res.progressed:
             raise AssertionError("faces of a two-length solid cannot all be congruent")
         f = np.array([f[faces[i]].mean(axis=0) for i in res.indices])

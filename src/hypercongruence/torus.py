@@ -51,14 +51,12 @@ from scipy.spatial import Voronoi, cKDTree
 from .condense import (TWO_PI, circular_cluster, component_ids, joint_ranks,
                        least_rotations, padded_rows, prune_by_key,
                        rank_labels, tolerance_cluster, wrap_angle)
-from .geom import (EPS_EQ, PlaneSpan, PointSet4, Verdict, block_rotation,
-                   frames, match_multisets, match_tol, verify_rotation)
+from .geom import (EPS_EQ, TORUS_EPS, PlaneSpan, PointSet4, Verdict,
+                   block_rotation, frames, match_multisets, match_tol,
+                   radius_tol, verify_rotation)
 from .lowdim import circle_axes, labeled_rotation
 
-SWAP_PLANES = np.array([[0.0, 1.0, 0.0, 0.0],
-                        [1.0, 0.0, 0.0, 0.0],
-                        [0.0, 0.0, 0.0, 1.0],
-                        [0.0, 0.0, 1.0, 0.0]])
+SWAP_PLANES = np.eye(4)[[1, 0, 3, 2]]
 RING = np.array([(i, j) for i in (-1, 0, 1) for j in (-1, 0, 1)])
 
 
@@ -228,7 +226,7 @@ def _cell_shapes(vor: Voronoi, sites: np.ndarray, eps: float) -> tuple:
 
 
 def canonical_set_torus(positions: np.ndarray, labels: Sequence,
-                        eps: float = 1e-7) -> tuple:
+                        eps: float = TORUS_EPS) -> tuple:
     """Condense a labeled torus set to a coset of its translation symmetry.
 
     Returns (indices into the input, keys).  Every pruning decision is
@@ -323,7 +321,7 @@ def canonical_set_torus(positions: np.ndarray, labels: Sequence,
 
 def torus_translation_congruent(pos_a: np.ndarray, labels_a: Sequence,
                                 pos_b: np.ndarray, labels_b: Sequence,
-                                eps: float = 1e-7) -> Optional[np.ndarray]:
+                                eps: float = TORUS_EPS) -> Optional[np.ndarray]:
     """A translation t with (pos_a + t, labels_a) == (pos_b, labels_b) on the
     torus, or None.  Runs the canonical condensation on both sides; the
     difference of any two canonical representatives is the only candidate
@@ -362,7 +360,7 @@ def _block_match(ac: np.ndarray, la: np.ndarray, bc: np.ndarray,
     torus labels (label, r1 id, r2 id, offset 1, offset 2); a plane with no
     circle points gives offsets 0.
     """
-    tol = max(eps, 1e-9)
+    tol = radius_tol(eps)
     n, c = len(ac), np.r_[ac, bc]
     a, b = slice(None, n), slice(n, None)
     rad = np.hypot(c[:, 0::2], c[:, 1::2])

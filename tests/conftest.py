@@ -8,9 +8,9 @@ from hypercongruence import geom
 from hypercongruence.condense import (canonical_axes, circular_cluster,
                                       joint_ranks, tolerance_cluster,
                                       wrap_angle)
-from hypercongruence.geom import EPS_EQ, block_rotation, frame, pluecker
+from hypercongruence.geom import (EPS_EQ, THETA_TOL, block_rotation, frame,
+                                  pluecker)
 from hypercongruence.harness import gen_regular_polytope, random_rotation
-from hypercongruence.iterprune import THETA_TOL
 
 
 @pytest.fixture

@@ -39,6 +39,18 @@ def torus_grid(p, q, r1, r2):
                      for a in th for b in ph])
 
 
+def _trace_cycle(nbrs: list, start: int) -> list:
+    """Vertex order of the cycle through start, given the two neighbours of
+    every vertex (smaller first); steps to the smaller neighbour first."""
+    order = [start]
+    prev, cur = start, nbrs[start][0]
+    while cur != start:
+        order.append(cur)
+        a, b = nbrs[cur]
+        prev, cur = cur, b if a == prev else a
+    return order
+
+
 def projector(plane):
     return plane.basis.T @ plane.basis
 
@@ -229,6 +241,29 @@ class TestMirrorReduce:
         assert len(res.circles) == 1
         want = r4 @ SLOW_12 @ r4.T
         assert np.max(np.abs(projector(res.circles[0]) - want)) < 1e-9
+
+    def test_several_cycles_walk_as_traced(self, rng):
+        # three orbit cycles on interleaved vertex numbers: the arc walk
+        # gives each cycle the vertex order of the neighbour-table trace
+        orbits = [block_orbit(11, 1, 4, random_rotation(rng)),
+                  block_orbit(10, 1, 3, random_rotation(rng)),
+                  block_orbit(7, 2, 1, random_rotation(rng))]
+        n = sum(map(len, orbits))
+        perm = rng.permutation(n)
+        cycles = np.split(perm, np.cumsum([len(o) for o in orbits])[:-1])
+        pts = np.empty((n, 4))
+        for c, o in zip(cycles, orbits):
+            pts[c] = o
+        g = both_ways([(c[i - 1], c[i]) for c in cycles
+                       for i in range(len(c))], n)
+        res, keys = mirror_reduce(pts, g)
+        assert keys[-1] == ("R5", ("cycles", (7, 10, 11)))
+        nbrs = [g.out_rows(v)[:, 1].tolist() for v in range(n)]
+        want = sorted((cycle_circle(pts, _trace_cycle(nbrs, int(min(c))))
+                       for c in cycles), key=lambda p: p.key())
+        assert len(res.circles) == len(want)
+        for got, ref in zip(res.circles, want):
+            assert np.array_equal(projector(got), projector(ref))
 
     def test_keys_equal_under_rotation(self, rng):
         th = 2 * np.pi * np.arange(5) / 5

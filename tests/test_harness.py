@@ -11,7 +11,6 @@ from hypercongruence.harness import (
     gen_congruent_pair,
     gen_hopf_circles,
     gen_orbit_helix,
-    gen_perturbed,
     gen_regular_polytope,
     gen_torus_grid,
     oracle_congruent,
@@ -19,6 +18,16 @@ from hypercongruence.harness import (
 )
 from hypercongruence.geom import Chirality, chirality
 from hypercongruence.pipeline import congruence_test_4d
+
+
+def gen_perturbed(a: np.ndarray, magnitude: float, seed: int) -> np.ndarray:
+    """Copy of the set with one random point moved by exactly magnitude."""
+    rng = np.random.default_rng(seed)
+    out = np.array(a, dtype=float)
+    i = int(rng.integers(len(out)))
+    d = rng.normal(size=out.shape[1])
+    out[i] += magnitude * d / np.linalg.norm(d)
+    return out
 
 
 class TestRandomRotation:
