@@ -122,7 +122,7 @@ def _estimate_count(args) -> int:
         return int(p[0]) * int(p[1])
     if args.family == "hopf" and len(p) == 2:
         return int(p[0]) * int(p[1])
-    if args.family in ("random", "helix") and p:
+    if args.family in ("random", "helix", "pair") and p:
         return int(p[0])
     return 0
 
@@ -145,8 +145,6 @@ def cmd_generate(args) -> int:
         pts = _generate_points(args)
     except ValueError as e:
         return _fail(str(e))
-    if len(pts) > MAX_GENERATE:
-        return _fail(f"instance would exceed {MAX_GENERATE} points; refusing")
     write_points(args.out, pts,
                  comment=f"{args.family} {' '.join(args.params)} "
                          f"seed={args.seed}")

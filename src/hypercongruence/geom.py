@@ -95,7 +95,6 @@ class Constants:
 
     delta0: float = 5e-4        # closest-pair distance above which sets are well separated
     kissing_2: int = 5          # max successors of an arc (kissing number on the circle band)
-    kissing_3: int = 12         # max degree in a closest-pair graph on the 3-sphere
     kissing_5_upper: int = 44   # upper bound for max degree on the 5-sphere
     circle_factor: int = 200    # orbit-cycle count is at most n / circle_factor
     pair_fanout: int = 25       # marked-pair count is at most pair_fanout * |circles|

@@ -203,10 +203,7 @@ def _cell600() -> np.ndarray:
         for s1, s2, s3 in product((1, -1), repeat=3):
             base = [s1 * _PHI / 2, s2 * 0.5, s3 / (2 * _PHI), 0.0]
             verts.add(tuple(base[j] for j in perm))
-    out = np.array(sorted(verts))
-    if len(out) != 120:
-        raise AssertionError(f"600-cell construction yielded {len(out)} points")
-    return out
+    return np.array(sorted(verts))
 
 
 def _perm_parity(p) -> bool:

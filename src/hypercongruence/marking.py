@@ -77,7 +77,9 @@ def mark_circles(circles, eps: float = EPS_EQ,
     cls = np.arange(len(circles))
     chir = None
 
-    for _ in range(64):
+    # (class count, circle count) falls lexicographically on every pass:
+    # a condensing round that lowers neither returns the family below
+    while True:
         # M2: keep only the circles of classes of the least frequent size
         pruned = prune_by_key(np.bincount(cls))
         keys.append(("M2", pruned.histogram))
@@ -145,10 +147,9 @@ def mark_circles(circles, eps: float = EPS_EQ,
             return _mark(circles, pairs, len(circles), eps, keys)
 
         # M10/M11: merge classes along parallel edges, condense each class
-        # on the base sphere of its bundle
+        # on the base sphere of its bundle; e_n is empty, so every closest
+        # pair is in e_l or e_r
         side, edges = ("left", e_l) if e_l else ("right", e_r)
-        if not edges:
-            raise AssertionError("closest-pair graph has no usable edges")
         groups = members_by_id(component_ids(n_classes, cls[edges])[cls])
         fibers: list = []
         for members in groups:
@@ -169,7 +170,6 @@ def mark_circles(circles, eps: float = EPS_EQ,
         circles = [f for group in fibers for f in group]
         cls = np.repeat(np.arange(len(groups)), list(map(len, fibers)))
         chir = side
-    raise AssertionError("circle condensing failed to terminate")
 
 
 def _few(circles, keys: list):

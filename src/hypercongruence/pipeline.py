@@ -33,7 +33,6 @@ from .marking import FewCircles, mark_circles
 from .torus import two_plus_two_reduce
 
 MIRROR_X1 = np.diag([-1.0, 1.0, 1.0, 1.0])
-MAX_RESTARTS = 64           # condensing rounds before giving up
 
 
 @dataclass
@@ -52,6 +51,12 @@ class PipelineOptions:
     def __post_init__(self):
         if not 0 < self.eps_eq < np.inf:
             raise ValueError("eps_eq must be positive and finite")
+        # unit vectors are at most 2 apart, so delta0 >= 2 would make an
+        # antipodal pair a closest pair
+        if not -np.inf < self.delta0 < 2:
+            raise ValueError("delta0 must be finite and below 2")
+        if self.few_cap < 1:
+            raise ValueError("few_cap must be at least 1")
 
 
 def _unique_circles(circles: list, eps: float) -> list:
@@ -172,7 +177,8 @@ def _reduce(da: tuple, db: tuple, la, lb, label_names: Optional[list],
     wa, wb = ua, ub
     lab_a, lab_b = mult_a, mult_b
 
-    for _ in range(MAX_RESTARTS):
+    # every restart works on fewer points than the one before
+    while True:
         norm_a = np.linalg.norm(wa, axis=1)
         norm_b = np.linalg.norm(wb, axis=1)
         org_a, org_b = norm_a <= eps, norm_b <= eps
@@ -231,8 +237,8 @@ def _reduce(da: tuple, db: tuple, la, lb, label_names: Optional[list],
                 return one_plus_three_reduce(full_a, full_b, ex_a.points,
                                              ex_b.points, eps)
             if isinstance(res_a, CondensedPoints):
-                if len(res_a.points) >= len(wa):
-                    raise AssertionError("mirror condensing made no progress")
+                # at most half of the mirror points: a centroid per
+                # component, or two normals per component of >= 4 points
                 wa, wb = res_a.points, res_b.points
                 lab_a, lab_b, names = np.zeros(len(wa), int), np.zeros(len(wb), int), [0]
                 continue
@@ -268,5 +274,3 @@ def _reduce(da: tuple, db: tuple, la, lb, label_names: Optional[list],
             raise AssertionError("marking made no progress")
         wa, wb = mres_a.points, mres_b.points
         lab_a, lab_b, names = np.zeros(len(wa), int), np.zeros(len(wb), int), [0]
-
-    raise AssertionError("restart budget exhausted")

@@ -16,8 +16,6 @@ from .geom import EPS_EQ, CENTROID_TOL, COPLANAR_TOL, SV_RANK_TOL, frame
 from .condense import (component_ids, members_by_id, merge_unit_points,
                        prune_by_key, tolerance_cluster)
 
-_MAX_ROUNDS = 64
-
 
 def _merged_faces(hull: ConvexHull, points: np.ndarray) -> list:
     """Union coplanar hull simplices into true faces (vertex index lists)."""
@@ -57,7 +55,11 @@ def condense_sphere(points: np.ndarray, eps: float = EPS_EQ) -> np.ndarray:
         raise ValueError("empty set")
     f = f / np.linalg.norm(f, axis=1, keepdims=True)
 
-    for _ in range(_MAX_ROUNDS):
+    # every round that continues keeps fewer than n points: pruned classes
+    # are strict subsets; a hull on n vertices has F <= 2n - 4 faces, so a
+    # pruned face class has at most F / 2 <= n - 2 centroids; faces of four
+    # sides or more number F <= n - 2; edge midpoints are taken below n
+    while True:
         f = merge_unit_points(f, eps)
         n = len(f)
         if n == 1:
@@ -116,8 +118,6 @@ def condense_sphere(points: np.ndarray, eps: float = EPS_EQ) -> np.ndarray:
         if not res.progressed:
             raise AssertionError("faces of a two-length solid cannot all be congruent")
         f = np.array([f[faces[i]].mean(axis=0) for i in res.indices])
-    else:
-        raise AssertionError("sphere condensing failed to terminate")
 
     f = f / np.linalg.norm(f, axis=1, keepdims=True)
     return f[np.lexsort(f.T[::-1])]

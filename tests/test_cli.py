@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, output formats, generators."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -171,6 +172,22 @@ class TestGenerate:
         pts, _ = read_points(out)
         assert pts.shape == (30, 4)
 
+    def test_torus_grid_family_default_radius(self, tmp_path):
+        out = tmp_path / "g.txt"
+        rc = main(["generate", "torus-grid", "5", "6", "--out", str(out)])
+        assert rc == 0
+        pts, _ = read_points(out)
+        assert pts.shape == (30, 4)
+        assert np.allclose(np.linalg.norm(pts[:, :2], axis=1),
+                           1 / math.sqrt(2))
+
+    def test_helix_family_given_radius(self, tmp_path):
+        out = tmp_path / "h.txt"
+        rc = main(["generate", "helix", "24", "5", "0.7", "--out", str(out)])
+        assert rc == 0
+        pts, _ = read_points(out)
+        assert pts.shape == (24, 4)
+
     def test_helix_family_default_radius(self, tmp_path):
         out = tmp_path / "h.txt"
         rc = main(["generate", "helix", "24", "5", "--out", str(out)])
@@ -206,15 +223,32 @@ class TestGenerate:
         rc = main(["generate", "torus-grid", "9000", "9000", "0.5",
                    "--out", str(tmp_path / "x.txt")])
         assert rc == 2
-        assert str(MAX_GENERATE) in capsys.readouterr().err.replace(
-            "_", "") or True
+        assert f"exceed {MAX_GENERATE} points" in capsys.readouterr().err
+
+    def test_size_guard_counts_pairs(self, tmp_path, capsys):
+        out = tmp_path / "pp.txt"
+        rc = main(["generate", "pair", str(MAX_GENERATE + 1),
+                   "--out", str(out)])
+        assert rc == 2
+        assert f"exceed {MAX_GENERATE} points" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_bad_parameter_count(self, tmp_path, capsys):
         rc = main(["generate", "polytope", "--out", str(tmp_path / "x.txt")])
         assert rc == 2
 
+    def test_pair_takes_one_parameter(self, tmp_path):
+        rc = main(["generate", "pair", "3", "4",
+                   "--out", str(tmp_path / "x.txt")])
+        assert rc == 2
+
     def test_bad_parameter_value(self, tmp_path):
         rc = main(["generate", "helix", "40", "8", "--out",
+                   str(tmp_path / "x.txt")])
+        assert rc == 2
+
+    def test_random_needs_a_point(self, tmp_path):
+        rc = main(["generate", "random", "0", "--out",
                    str(tmp_path / "x.txt")])
         assert rc == 2
 

@@ -689,7 +689,7 @@ class TestMatchMultisets:
 
 def test_constants_sane():
     assert CONSTANTS.delta0 == 5e-4
-    assert CONSTANTS.kissing_3 == 12 and CONSTANTS.kissing_2 == 5
+    assert CONSTANTS.kissing_2 == 5
     # circle budget from the packing bound on the Grassmannian 5-sphere
     dmin = DELTA_MIN
     bound = (2 * math.pi ** 3) / ((8 / 15) * math.pi ** 2 * (dmin / 2) ** 5) / 2

@@ -5,7 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from hypercongruence.geom import PointSet4, match_multisets, verify_rotation
+from hypercongruence import harness
+from hypercongruence.geom import (PointSet4, frame, match_multisets,
+                                  verify_rotation)
 from hypercongruence.harness import (
     ORACLE_MAX,
     gen_congruent_pair,
@@ -99,6 +101,26 @@ class TestOracle:
         assert v and v.reflected
         assert np.linalg.det(v.rotation) == pytest.approx(-1.0)
 
+    def test_rank_zero_against_spread_points(self):
+        v = oracle_congruent(np.ones((3, 4)), np.eye(4)[:3])
+        assert not v and v.stage == "rank"
+
+    def test_dependent_image_tuple_is_skipped(self, monkeypatch):
+        # A's tuple (x, y) spans a plane by 3e-7 > ORACLE_EPS; B's image
+        # (x, x) matches its Gram within 100 eps but has no frame
+        x, y = np.eye(4)[0], np.array([1.0, 3e-7, 0, 0])
+        frames_seen = []
+
+        def spy(vectors, eps):
+            f = frame(vectors, eps)
+            frames_seen.append(f)
+            return f
+        monkeypatch.setattr(harness, "frame", spy)
+        v = oracle_congruent(np.array([x, -x, y, -y]),
+                             np.array([x, -x, x, -x]))
+        assert not v and v.stage == "exhausted"
+        assert any(f is None for f in frames_seen[1:])
+
     def test_agrees_with_pipeline(self, rng):
         for i in range(120):
             n = int(rng.integers(1, ORACLE_MAX + 1))
@@ -127,6 +149,10 @@ class TestGenerators:
         assert len(g) == 16
         assert congruence_test_4d(g, gen_regular_polytope("4-cube"))
 
+    def test_pair_rejects_empty(self):
+        with pytest.raises(ValueError):
+            gen_congruent_pair(0, 1)
+
     def test_torus_grid_rejects_small(self):
         with pytest.raises(ValueError):
             gen_torus_grid(2, 4, 0.5)
@@ -144,6 +170,8 @@ class TestGenerators:
             gen_orbit_helix(40, 8, 0.8)
         with pytest.raises(ValueError):
             gen_orbit_helix(6, 1, 0.5)
+        with pytest.raises(ValueError):
+            gen_orbit_helix(20, 3, 1.0)
 
     def test_helix_seed_rotates(self):
         h0 = gen_orbit_helix(24, 5, 0.55)
@@ -179,6 +207,11 @@ class TestGenerators:
             for j in range(i + 1, 4):
                 assert chirality(circles[i], circles[j]) in (
                     Chirality.RIGHT, Chirality.BOTH)
+
+    @pytest.mark.parametrize("m, samples", [(0, 3), (2, 2)])
+    def test_hopf_circles_rejects_small(self, m, samples):
+        with pytest.raises(ValueError):
+            gen_hopf_circles(m, samples, 0)
 
     def test_polytope_counts_and_transitivity(self):
         for name, cnt in [("simplex", 5), ("cross", 8), ("4-cube", 16),

@@ -8,7 +8,7 @@ import pytest
 from conftest import (arc_array, chiral_helix, dense_ranks, mark_circle,
                       reference_edge_figure_codes, reference_mark_figure,
                       reference_successor_angles, snub_24_cell, two_helices)
-from hypercongruence.geom import CONSTANTS, EPS_EQ
+from hypercongruence.geom import CONSTANTS, EPS_EQ, block_rotation
 from hypercongruence.harness import (
     gen_orbit_helix,
     gen_regular_polytope,
@@ -354,3 +354,36 @@ class TestIterativePrune:
     def test_single_point_rejected(self):
         with pytest.raises(ValueError):
             iterative_prune(np.array([[1.0, 0, 0, 0]]))
+
+    def test_vertex_pruning_restarts_on_fewer_points(self):
+        # three points 0.3 apart on a great circle and three axis points: the
+        # middle point is the rarest degree class, and alone it is separated
+        t = np.array([0.0, 0.3, 0.6])
+        pts = np.r_[np.c_[np.cos(t), np.sin(t), np.zeros((3, 2))],
+                    [[0, 0, 1, 0], [0, 0, 0, 1], [0, 0, -1, 0]]]
+        exit_, keys = iterative_prune(pts, 1e-9, 0.5)
+        assert isinstance(exit_, WellSeparated)
+        assert np.allclose(exit_.points, pts[1:2])
+        assert keys == [("C1", (6, "dense")), ("C2", 4),
+                        ("C3", (((0, 0), 3), ((1, 1), 2), ((2, 2), 1))),
+                        ("C1", (1, "separated"))]
+
+    def test_mark_figure_pruning(self):
+        # two 41-point helices about 1 apart, on tori of radius 0.8 and
+        # 0.8 + 1e-6: at eps 1e-5 their edge figures agree (C4), while the
+        # torsions on their mark circles differ by more than THETA_TOL (C9).
+        # The arc prune keeps the arcs of one helix; the vertex prune then
+        # keeps the isolated other helix (a tie goes to the least key).
+        pts = np.r_[gen_orbit_helix(41, 2, 0.8),
+                    gen_orbit_helix(41, 2, 0.8 + 1e-6)
+                    @ block_rotation(0.0, math.pi).T]
+        exit_, keys = iterative_prune(pts, 1e-5, 1.0)
+        assert isinstance(exit_, EdgeTransitive) and len(exit_.points) == 41
+        chiral = [("C5", "chiral"), ("C6", 0), ("C7", (1,))]
+        assert keys == [("C1", (82, "dense")), ("C2", 164),
+                        ("C3", (((2, 2), 82),)), ("C4", ((0, 164),)), *chiral,
+                        ("C9", ((0, 82), (1, 82))),
+                        ("C3", (((0, 0), 41), ((2, 2), 41))),
+                        ("C1", (41, "dense")), ("C2", 82),
+                        ("C3", (((2, 2), 41),)), ("C4", ((0, 82),)), *chiral,
+                        ("C9", ((0, 82),)), ("C10", ("transitive", 1))]

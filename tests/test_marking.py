@@ -16,7 +16,7 @@ from hypercongruence.geom import (
     mark_pair,
     pluecker,
 )
-from hypercongruence.harness import random_rotation
+from hypercongruence.harness import gen_hopf_circles, random_rotation
 from hypercongruence.iterprune import iterative_prune
 from hypercongruence.marking import (FewCircles, Markers, _closest_mates,
                                      mark_circles)
@@ -147,6 +147,15 @@ class TestFewCirclesPath:
                 # antipodal base points give fully orthogonal fibers (BOTH)
                 assert chirality(res.circles[i], res.circles[j]) in (
                     Chirality.RIGHT, Chirality.BOTH)
+
+    def test_one_merge_per_round_runs_to_few_cap(self):
+        # a random right Hopf bundle has one closest pair per round, so
+        # M11 merges one pair of classes at a time: 72 rounds from 80
+        # circles down to few_cap, past any fixed round cap below that
+        res, keys = mark_circles(gen_hopf_circles(80, 3, 0)[1], few_cap=8)
+        assert isinstance(res, FewCircles) and keys[-1] == ("M3", 8)
+        assert [k for s, k in keys if s == "M11"] == \
+            [(n, n - 1) for n in range(80, 8, -1)]
 
 
 class TestEquidistantBundles:

@@ -11,7 +11,7 @@ from scipy.spatial import cKDTree
 from hypercongruence import iterprune
 from hypercongruence.condense import (TWO_PI, members_by_id, merge_close,
                                       merge_points)
-from hypercongruence.geom import frame, hopf_fiber
+from hypercongruence.geom import block_rotation, frame, hopf_fiber
 from hypercongruence.harness import (
     gen_orbit_helix,
     gen_regular_polytope,
@@ -89,6 +89,33 @@ class TestSmallSets:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="finite"):
                 congruence_test_4d(a, b)
+
+
+class TestOptions:
+    @pytest.mark.parametrize("delta0", [2.0, 2.5, math.nan, math.inf,
+                                        -math.inf])
+    def test_delta0_below_the_antipodal_distance(self, delta0):
+        with pytest.raises(ValueError, match="delta0"):
+            PipelineOptions(delta0=delta0)
+
+    @pytest.mark.parametrize("few_cap", [0, -1])
+    def test_few_cap_at_least_one(self, few_cap):
+        with pytest.raises(ValueError, match="few_cap"):
+            PipelineOptions(few_cap=few_cap)
+
+    def test_antipodal_pairs_below_the_bound(self):
+        # at delta0 = 2 the antipodal pair ±e1 would be a closest pair
+        e = np.eye(4)
+        v = congruence_test_4d(np.r_[e[:1], -e[:1]], np.r_[e[1:2], -e[1:2]],
+                               PipelineOptions(delta0=1.99))
+        assert v.congruent
+
+    def test_polygon_at_the_least_few_cap(self, rng):
+        # at few_cap = 0 the 12-gon's one circle passed M3 and reached a
+        # closest-pair graph of one point
+        t = np.arange(12) * TWO_PI / 12
+        a = np.c_[np.cos(t), np.sin(t), np.zeros((12, 2))]
+        assert_roundtrip(a, rng, PipelineOptions(delta0=1.5, few_cap=1))
 
 
 class TestGenericClouds:
@@ -271,7 +298,8 @@ class TestStructuredFamilies:
         mirror_keys = [k for stage, k, _ in trace if stage == "mirror"]
         assert ("R5", ("cycles", (1203,))) in mirror_keys[-1][1]
 
-    @pytest.mark.parametrize("name, delta0", [("5-cell", 2.0), ("16-cell", 1.5),
+    # the 5-cell's edge is 1.58; delta0 stays below the antipodal distance 2
+    @pytest.mark.parametrize("name, delta0", [("5-cell", 1.6), ("16-cell", 1.5),
                                               ("24-cell", 1.5)])
     @pytest.mark.parametrize("mirrored", [False, True])
     def test_polytope_mirror_components_anchor(self, name, delta0, mirrored, rng):
@@ -325,6 +353,75 @@ class TestStructuredFamilies:
         assert stages["sphere"][0] == stages["sphere"][1]
         ra, rb = (dict(k[1])["R1"] for k in stages["mirror"])
         assert (ra, rb) == ((2, (8, 8)), (1, (16,)))
+
+    def test_orbit_structure_verdict(self, rng):
+        # a 20-point helix against two 10-point orbits of one rotation: the
+        # same closest-pair graphs and mark figures, one orbit cycle
+        # against two
+        a = gen_orbit_helix(20, 3, 0.8)
+        o = gen_orbit_helix(10, 3, 0.8)
+        b = np.r_[o, o @ block_rotation(0.0, math.pi).T]
+        trace = []
+        v = congruence_test_4d(a, b @ random_rotation(rng).T,
+                               PipelineOptions(delta0=1.0, few_cap=8),
+                               trace_sink=trace)
+        assert not v.congruent and v.stage == "orbit structure"
+        stages = dict((s, (ka, kb)) for s, ka, kb in trace)
+        assert stages["sphere"][0] == stages["sphere"][1]
+        assert trace[-1] == ("orbit", (("O", (1, (20,))),),
+                             (("O", (2, (10, 10))),))
+
+    def test_circle_count_verdict(self, rng):
+        # two 41-point helices of one rotation, about 1 apart against a
+        # step of 0.22, share their invariant circle; a tilt of the second
+        # keeps every key up to the orbit cycles but gives it its own circle
+        o = gen_orbit_helix(41, 2, 0.8)
+        oh = o @ block_rotation(0.0, math.pi).T
+        c, s = math.cos(0.05), math.sin(0.05)
+        tilt = np.array([[c, 0, -s, 0], [0, 1, 0, 0], [s, 0, c, 0],
+                         [0, 0, 0, 1]])
+        trace = []
+        v = congruence_test_4d(np.r_[o, oh],
+                               np.r_[o, oh @ tilt.T] @ random_rotation(rng).T,
+                               PipelineOptions(delta0=1.0), trace_sink=trace)
+        assert not v.congruent and v.stage == "circle count"
+        assert trace[-2] == ("orbit", (("O", (2, (41, 41))),),
+                             (("O", (2, (41, 41))),))
+        assert trace[-1] == ("circles", 1, 2)
+
+    def test_circle_structure_verdict(self, rng):
+        # three 12-gons on great circles at least 40 degrees apart, so only
+        # polygon edges are closest pairs: A's circles are fibers of one
+        # Hopf bundle and condense (M11), B's are not all parallel and mark
+        # (M7)
+        t = np.arange(12) * TWO_PI / 12
+
+        def polygon(u, v):
+            return np.cos(t)[:, None] * u + np.sin(t)[:, None] * v
+
+        f0 = frame(np.eye(4)[:2])
+        a = np.concatenate([
+            polygon(*hopf_fiber(f0, np.array([math.cos(g), math.sin(g), 0.0]))
+                    .basis) for g in (0.0, TWO_PI / 3, 2 * TWO_PI / 3)])
+        e = np.eye(4)
+        p, q = math.radians(50), math.radians(40)
+        b = np.concatenate([
+            polygon(e[0], e[1]), polygon(e[2], e[3]),
+            polygon(math.cos(p) * e[0] + math.sin(p) * e[2],
+                    math.cos(q) * e[1] + math.sin(q) * e[3])])
+        trace = []
+        v = congruence_test_4d(a, b @ random_rotation(rng).T,
+                               PipelineOptions(delta0=1.0, few_cap=2),
+                               trace_sink=trace)
+        assert not v.congruent and v.stage == "circle structure"
+        assert trace[-2] == ("circles", 3, 3)
+        assert trace[-1] == (
+            "marking",
+            ("FewCircles", (("M2", ((1, 3),)), ("M4", "None"), ("M5", 3),
+                            ("M6", (0, 3, 0)), ("M11", (3, 1)),
+                            ("M2", ((2, 1),)), ("M3", 2))),
+            ("Markers", (("M2", ((1, 3),)), ("M4", "None"), ("M5", 2),
+                         ("M6", (0, 0, 2)), ("M7", 2), ("M12", 8))))
 
     def test_hopf_fiber_samples(self, rng):
         f0 = frame(np.array([[1.0, 0, 0, 0], [0, 1.0, 0, 0]]))
