@@ -2,8 +2,8 @@
 
 The pruning loop ends in one of two structured situations besides plain
 separation.  A mirror-symmetric graph is an orbit of a reflection group;
-its components are either eccentric (condense to their centroids), regular
-polygons (their circumcircles), three-dimensional (two antipodal normal
+its components are either eccentric (condense to their centroids), planar
+(the great circles they span), three-dimensional (two antipodal normal
 points), toroidal grids (two orthogonal great circles each), orbit cycles
 sampled finer than the mirror tolerance, or other full-dimensional sets
 (the anchors of a 1+3 reduction).  An edge-transitive graph decomposes
@@ -23,10 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geom import (EPS_EQ, CENTROID_TOL, CONSTANTS, FIT_TOL, FIXED_ANGLE_TOL,
-                   ORTHOGONAL_TOL, POLYGON_TOL, RANK_RATIO, THETA_TOL,
-                   PlaneSpan)
-from .condense import TWO_PI, component_ids, is_regular_polygon, members_by_id
+from .geom import (EPS_EQ, CENTROID_TOL, FIT_TOL, FIXED_ANGLE_TOL,
+                   ORTHOGONAL_TOL, RANK_RATIO, THETA_TOL, PlaneSpan, Stalled)
+from .condense import TWO_PI, component_ids, members_by_id
 from .iterprune import DirectedGraph, EdgeTransitive
 
 
@@ -79,7 +78,7 @@ def _walk_cycles(step: np.ndarray, tails: np.ndarray) -> list:
             verts.append(tails[p])
             p = step[p]
         if len(set(verts)) != len(verts):
-            raise AssertionError("orbit cycle revisits a vertex")
+            raise Stalled("orbit cycle revisits a vertex")
         if verts:
             cycles.setdefault(frozenset(verts), verts)
     return list(cycles.values())
@@ -107,16 +106,15 @@ def cycle_circle(points, order, eps: float = EPS_EQ) -> PlaneSpan:
     rot = u @ vt
     err = _step_error(orbit, rot)
     if err > FIT_TOL:
-        raise AssertionError("fitted rotation does not advance the "
-                             f"cycle (error {err:.2g})")
+        raise Stalled("fitted rotation does not advance the "
+                      f"cycle (error {err:.2g})")
     vals, vecs = np.linalg.eig(rot)
     args = np.abs(np.angle(vals))
     # a concyclic cycle leaves the fit free off its circle (rank 2)
     if args.max() - args.min() <= eps or s[2] <= RANK_RATIO * s[0]:
-        raise AssertionError("orbit rotation is isoclinic, points "
-                             "would be concyclic")
+        raise Stalled("orbit rotation is isoclinic, points would be concyclic")
     if args.min() <= FIXED_ANGLE_TOL:
-        raise AssertionError("orbit rotation fixes a plane pointwise")
+        raise Stalled("orbit rotation fixes a plane pointwise")
     v = vecs[:, np.argmin(args)]
     return PlaneSpan.from_vectors(v.real, v.imag)
 
@@ -150,8 +148,8 @@ def mirror_reduce(points, graph: DirectedGraph, eps: float = EPS_EQ):
 
     The result is CondensedPoints (components had eccentric centroids, or
     were three-dimensional and got replaced by their antipodal hyperplane
-    normals), GreatCircles (regular polygons, toroidal grids or fine orbit
-    cycles) or Anchors (full-dimensional components of any other kind).
+    normals), GreatCircles (planar components, toroidal grids or fine
+    orbit cycles) or Anchors (full-dimensional components of any other kind).
     """
     pts = np.asarray(points, dtype=float)
     keys: list = []
@@ -177,16 +175,12 @@ def mirror_reduce(points, graph: DirectedGraph, eps: float = EPS_EQ):
     svds = [np.linalg.svd(pts[c], full_matrices=False)[1:] for c in comps]
     ranks = {int(np.sum(s > RANK_RATIO * s[0])) for s, _ in svds}
     if len(ranks) != 1:
-        raise AssertionError("components of a mirror-symmetric graph must "
-                             "be congruent, got mixed ranks")
+        raise Stalled("components of a mirror-symmetric graph must "
+                      "be congruent, got mixed ranks")
     rank = ranks.pop()
     keys.append(("R-rank", rank))
 
     if rank == 2:
-        for c, (_, vt) in zip(comps, svds):
-            theta = np.arctan2(pts[c] @ vt[1], pts[c] @ vt[0])
-            if not is_regular_polygon(theta, POLYGON_TOL):
-                raise AssertionError("planar component is not a regular polygon")
         circles = [PlaneSpan.from_vectors(vt[0], vt[1]) for _, vt in svds]
         keys.append(("R3", tuple(sorted({len(c) for c in comps}))))
         return GreatCircles(sorted(circles, key=lambda p: p.key())), keys
@@ -251,24 +245,20 @@ def orbit_circles(ex: EdgeTransitive, eps: float = EPS_EQ):
     pair, j = figs.join(succ[:, 1])
     is_pred = figs.pred[j] == succ[pair, 0]
     if (np.bincount(pair[is_pred], minlength=len(succ)) != 1).any():
-        raise AssertionError("traced arc lost its predecessor mark")
+        raise Stalled("traced arc lost its predecessor mark")
     tau = (figs.theta[j] - figs.theta[j[is_pred]][pair]) % TWO_PI
     d = np.abs(tau - ex.tau0)
     hit = (figs.succ[j] >= 0) & (np.minimum(d, TWO_PI - d) <= THETA_TOL)
     counts = np.bincount(pair[hit], minlength=len(succ))
     if (counts != 1).any():
-        raise AssertionError(f"torsion anchor hit {counts[counts != 1][0]} "
-                             "successors")
+        raise Stalled(f"torsion anchor hit {counts[counts != 1][0]} "
+                      "successors")
     step = np.searchsorted(succ[:, 0] * m + succ[:, 1],
                            succ[:, 1] * m + figs.succ[j[hit]])
     if len(np.unique(step)) != len(step):
-        raise AssertionError("orbit trace crossed another cycle")
+        raise Stalled("orbit trace crossed another cycle")
 
     cycles = [OrbitCycle(tuple(v), cycle_circle(pts, v, eps))
               for v in _walk_cycles(step, arcs[succ[:, 0], 0])]
     lengths = tuple(sorted(len(c.vertices) for c in cycles))
-    keys = [("O", (len(cycles), lengths))]
-    if ex.delta <= CONSTANTS.delta0 and \
-            len(cycles) > len(pts) / CONSTANTS.circle_factor:
-        raise AssertionError("more orbit cycles than the packing bound allows")
-    return cycles, keys
+    return cycles, [("O", (len(cycles), lengths))]

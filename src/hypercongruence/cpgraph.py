@@ -23,9 +23,6 @@ class ClosestPairGraph:
     delta: float
     edges: np.ndarray       # (m, 2) int rows (i, j), i < j, sorted
 
-    def max_degree(self) -> int:
-        return int(np.bincount(self.edges.ravel(), minlength=self.n).max())
-
 
 def closest_pair_graph(points: np.ndarray, antipodal: bool = False,
                        eps: float = EPS_EQ) -> ClosestPairGraph:

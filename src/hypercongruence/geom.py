@@ -48,7 +48,6 @@ ORTHOGONAL_TOL = 1e-7       # |cos| of orthogonal grid legs [u]
 COPLANAR_TOL = 1e-9         # 1 - cos of coplanar hull face normals [u]
 POLE_TOL = 1e-15            # chord from a Hopf base point to the pole [u]
 THETA_TOL = 1e-7            # positions on mark circles [rad]
-POLYGON_TOL = 1e-7          # angles of a planar mirror component [rad]
 TORUS_EPS = 1e-7            # positions of a torus set [rad]
 ALPHA_POINT_TOL = 1e-7      # sin of a successor angle of a point circle [u]
 FIXED_ANGLE_TOL = 1e-9      # turn angle of a plane a rotation fixes [rad]
@@ -94,11 +93,6 @@ class Constants:
     """Fixed numeric bounds shared by the whole pipeline."""
 
     delta0: float = 5e-4        # closest-pair distance above which sets are well separated
-    kissing_2: int = 5          # max successors of an arc (kissing number on the circle band)
-    kissing_5_upper: int = 44   # upper bound for max degree on the 5-sphere
-    circle_factor: int = 200    # orbit-cycle count is at most n / circle_factor
-    pair_fanout: int = 25       # marked-pair count is at most pair_fanout * |circles|
-    marks_per_pair: int = 4
     few_circles_cap: int = int(15.0 * math.pi / (8.0 * (DELTA_MIN / 2.0) ** 5))  # 829
 
 
@@ -111,6 +105,10 @@ class DuplicatePointsError(ValueError):
 
 class ParallelPlanesError(ValueError):
     """Planes are equal or Clifford parallel; closest points are not unique."""
+
+
+class Stalled(Exception):
+    """A condensing step stalled; the pipeline falls back to the 1+3 step."""
 
 
 class Chirality(Enum):

@@ -34,7 +34,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geom import (EPS_EQ, ALPHA_POINT_TOL, AXIS_TOL, CONSTANTS, MIRROR_TOL,
-                   POINT_RADIUS, SPAN_EPS, THETA_TOL, frames, match_multisets)
+                   POINT_RADIUS, SPAN_EPS, THETA_TOL, Stalled, frames,
+                   match_multisets)
 from .condense import (TWO_PI, canonical_axes, circular_cluster,
                        is_regular_polygon, joint_ranks, padded_rows,
                        prune_by_key, tolerance_cluster, wrap_angle)
@@ -177,7 +178,7 @@ def edge_figure_codes(points, graph: DirectedGraph,
     plan_arc = np.flatnonzero(planar)
     f2, ok = frames(stack(plan_arc, tail[plan_arc]))
     if not ok.all():
-        raise AssertionError("arc endpoints collapse onto one ray")
+        raise Stalled("arc endpoints collapse onto one ray")
     # one coordinate row per (frame, figure point): three-vector rows first
     row_f, row_fig = _blocks(fig_size, np.concatenate([var_arc, plan_arc]))
     rel = pts[fig_pt[row_fig]] - pts[head[fig_arc[row_fig]]]
@@ -427,8 +428,8 @@ class _Run:
                                 delta, alpha)
             if figs.free[figs.of(0)].any():
                 return aid, alpha
-        raise AssertionError("every successor angle is mirror symmetric "
-                             "although the mirror test failed")
+        raise Stalled("every successor angle is mirror symmetric "
+                      "although the mirror test failed")
 
     def _successor_rounds(self, points, graph: DirectedGraph, succ, delta,
                           alpha):
@@ -439,15 +440,18 @@ class _Run:
         # pairs, which _axes_prune checks
         while True:
             figs = mark_figures(points, arcs, succ, delta, alpha)
-            count, base, codes = canonical_axes(figs.theta, figs.roles,
-                                                np.diff(figs.starts), THETA_TOL)
+            sizes = np.diff(figs.starts)
+            if not sizes.all():
+                raise Stalled("an arc has no mark position")
+            count, base, codes = canonical_axes(figs.theta, figs.roles, sizes,
+                                                THETA_TOL)
             res = prune_by_key(joint_ranks(codes)[1])
             yield "C9", res.histogram
             if res.progressed:
                 return arcs[res.indices]
             at = figs.of(0)
             if not figs.free[at].any():
-                raise AssertionError("no free successor position on the mark circle")
+                raise Stalled("no free successor position on the mark circle")
             theta = figs.theta[at]
             is_s, is_p = figs.succ[at] >= 0, figs.pred[at] >= 0
             k_s, k_p = int(is_s.sum()), int(is_p.sum())
@@ -478,7 +482,7 @@ class _Run:
         kept = (figs.succ >= 0) & hit
         succ = np.c_[figs.owner[kept], figs.succ[kept]]
         if not 0 < len(succ) < before:
-            raise AssertionError("axes pruning must shrink the successor sets")
+            raise Stalled("axes pruning must shrink the successor sets")
         return succ[np.lexsort(succ.T[::-1])]
 
 

@@ -20,8 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geom import (EPS_EQ, CONSTANTS, HOPF_EPS, MARK_EPS, Chirality, chirality,
-                   frame, hopf_fiber, hopf_image, mark_pair, pluecker)
+from .geom import (EPS_EQ, CONSTANTS, HOPF_EPS, MARK_EPS, Chirality, Stalled,
+                   chirality, frame, hopf_fiber, hopf_image, mark_pair,
+                   pluecker)
 from .condense import (component_ids, members_by_id, merge_unit_points,
                        prune_by_key)
 from .cpgraph import closest_pair_graph
@@ -61,10 +62,9 @@ def mark_circles(circles, eps: float = EPS_EQ,
                  few_cap: int = CONSTANTS.few_circles_cap):
     """Mark points on a circle family, or condense it; returns (result, keys).
 
-    The result is Markers (at most ``CONSTANTS.marks_per_pair`` points for
-    each of at most ``CONSTANTS.pair_fanout`` times the family size many
-    pairs) or FewCircles (at most ``few_cap`` circles, or the family of a
-    condensing round that made no progress).  ``few_cap`` exists so small
+    The result is Markers (the marks of the non-parallel pairs) or
+    FewCircles (at most ``few_cap`` circles, or the family of a round that
+    found no pair to mark or made no progress).  ``few_cap`` exists so small
     instances can exercise the marking path; the default is the packing
     bound under which a stalled family must already have dropped.
     """
@@ -101,8 +101,6 @@ def mark_circles(circles, eps: float = EPS_EQ,
         plv = _plueckers(circles)
         h = closest_pair_graph(plv, antipodal=True, eps=eps)
         keys.append(("M5", len(h.edges)))
-        if h.max_degree() > CONSTANTS.kissing_5_upper:
-            raise AssertionError("circle kissing number exceeded on the 5-sphere")
 
         # M6: split edges by pair chirality
         ch = [chirality(circles[i], circles[j], eps) for i, j in h.edges.tolist()]
@@ -111,17 +109,11 @@ def mark_circles(circles, eps: float = EPS_EQ,
                   (Chirality.RIGHT, Chirality.BOTH), (Chirality.NOT_ISOCLINIC,))]
         e_l, e_r, e_n = (h.edges[m].tolist() for m in masks)
         keys.append(("M6", (len(e_l), len(e_r), len(e_n))))
-        for side, m in zip(("left", "right"), masks):
-            deg = np.bincount(h.edges[m].ravel(), minlength=len(circles))
-            if deg.max() > CONSTANTS.kissing_2:
-                raise AssertionError(f"a circle has more than "
-                                     f"{CONSTANTS.kissing_2} {side}-parallel "
-                                     "closest neighbors")
 
         # M7: non-parallel closest pairs mark directly
         if e_n:
             keys.append(("M7", len(e_n)))
-            return _mark(circles, e_n, len(circles), eps, keys)
+            return _mark(circles, e_n, eps, keys)
 
         # M8/M9: replace a parallel edge endpoint by its nearest class mates
         # of the opposite sense; the replacement cannot be parallel to the
@@ -136,15 +128,13 @@ def mark_circles(circles, eps: float = EPS_EQ,
                     pairs.update(frozenset((k, d))
                                  for k in _closest_mates(c, mates, plv, eps))
             pairs = sorted(tuple(sorted(p)) for p in pairs)
-            if not pairs:
-                raise AssertionError("no usable cross pairs from parallel edges")
-            if len(pairs) > CONSTANTS.pair_fanout * len(circles):
-                raise AssertionError("cross-pair fanout bound exceeded")
+            if not pairs:  # no mates off the edges: stalled, as at M10/M11
+                return _few(circles, keys)
             for i, j in pairs:
                 if chirality(circles[i], circles[j], eps) is not Chirality.NOT_ISOCLINIC:
-                    raise AssertionError("constructed pair is Clifford parallel")
+                    raise Stalled("constructed pair is Clifford parallel")
             keys.append(("M8" if chir == "right" else "M9", len(pairs)))
-            return _mark(circles, pairs, len(circles), eps, keys)
+            return _mark(circles, pairs, eps, keys)
 
         # M10/M11: merge classes along parallel edges, condense each class
         # on the base sphere of its bundle; e_n is empty, so every closest
@@ -179,13 +169,11 @@ def _few(circles, keys: list):
     return FewCircles([circles[i] for i in order]), keys
 
 
-def _mark(circles, pairs, family_size: int, eps: float, keys: list):
+def _mark(circles, pairs, eps: float, keys: list):
     """M12: four closest points for every non-parallel pair."""
     marks = [m for i, j in sorted(tuple(sorted(p)) for p in pairs)
              for m in mark_pair(circles[i], circles[j], eps)]
     pts = merge_unit_points(np.vstack(marks), MARK_EPS)
     pts = pts[np.lexsort(pts.T[::-1])]
-    if len(pts) > CONSTANTS.marks_per_pair * CONSTANTS.pair_fanout * family_size:
-        raise AssertionError("marker count exceeds the fanout bound")
     keys.append(("M12", len(pts)))
     return Markers(pts), keys

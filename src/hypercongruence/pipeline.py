@@ -11,7 +11,8 @@ first key divergence decides NotCongruent.  Iterative pruning is lockstep
 key by key: the two sides' key generators advance together and both stop
 at the first pair of keys that differ.  Positive verdicts always
 carry a rotation verified against the original (normalized) sets, so no
-amount of condensing of the working sets can make a false positive.
+amount of condensing of the working sets can make a false positive.  A
+stall (geom.Stalled) falls back to the 1+3 reduction on the restart's shell.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import numpy as np
 from .circles import Anchors, CondensedPoints, mirror_reduce, orbit_circles
 from .condense import (joint_cluster, joint_ranks, merge_points,
                        merge_unit_points, prune_by_key)
-from .geom import (CONSTANTS, EPS_EQ, PointSet4, Verdict, key_tol,
+from .geom import (CONSTANTS, EPS_EQ, PointSet4, Stalled, Verdict, key_tol,
                    verify_rotation)
 from .iterprune import (MirrorSymmetric, WellSeparated, next_step,
                         prune_steps)
@@ -216,61 +217,70 @@ def _reduce(da: tuple, db: tuple, la, lb, label_names: Optional[list],
         if len(sa) == 1 or len(sb) == 1:
             return one_plus_three_reduce(full_a, full_b, sa, sb, eps)
 
-        ex_a, ex_b, keys_a, keys_b = _lockstep(
-            prune_steps(sa, eps, opts.delta0), prune_steps(sb, eps, opts.delta0))
-        # streams that diverged have no exits, and their names are None
-        if not check("sphere", (ex_a and type(ex_a).__name__, tuple(keys_a)),
-                     (ex_b and type(ex_b).__name__, tuple(keys_b))):
-            return Verdict.no("sphere structure")
+        try:
+            ex_a, ex_b, keys_a, keys_b = _lockstep(
+                prune_steps(sa, eps, opts.delta0),
+                prune_steps(sb, eps, opts.delta0))
+            # streams that diverged have no exits, and their names are None
+            if not check("sphere",
+                         (ex_a and type(ex_a).__name__, tuple(keys_a)),
+                         (ex_b and type(ex_b).__name__, tuple(keys_b))):
+                return Verdict.no("sphere structure")
 
-        if isinstance(ex_a, WellSeparated):
-            return one_plus_three_reduce(full_a, full_b, ex_a.points,
-                                         ex_b.points, eps)
-
-        if isinstance(ex_a, MirrorSymmetric):
-            res_a, rk_a = mirror_reduce(ex_a.points, ex_a.graph, eps)
-            res_b, rk_b = mirror_reduce(ex_b.points, ex_b.graph, eps)
-            if not check("mirror", (type(res_a).__name__, tuple(rk_a)),
-                         (type(res_b).__name__, tuple(rk_b))):
-                return Verdict.no("mirror structure")
-            if isinstance(res_a, Anchors):
+            if isinstance(ex_a, WellSeparated):
                 return one_plus_three_reduce(full_a, full_b, ex_a.points,
                                              ex_b.points, eps)
-            if isinstance(res_a, CondensedPoints):
-                # at most half of the mirror points: a centroid per
-                # component, or two normals per component of >= 4 points
-                wa, wb = res_a.points, res_b.points
-                lab_a, lab_b, names = np.zeros(len(wa), int), np.zeros(len(wb), int), [0]
-                continue
-            circ_a, circ_b = res_a.circles, res_b.circles
-        else:
-            cyc_a, ok_a = orbit_circles(ex_a, eps)
-            cyc_b, ok_b = orbit_circles(ex_b, eps)
-            if not check("orbit", tuple(ok_a), tuple(ok_b)):
-                return Verdict.no("orbit structure")
-            circ_a = [c.circle for c in cyc_a]
-            circ_b = [c.circle for c in cyc_b]
 
-        circ_a = _unique_circles(circ_a, eps)
-        circ_b = _unique_circles(circ_b, eps)
-        if not check("circles", len(circ_a), len(circ_b)):
-            return Verdict.no("circle count")
+            if isinstance(ex_a, MirrorSymmetric):
+                res_a, rk_a = mirror_reduce(ex_a.points, ex_a.graph, eps)
+                res_b, rk_b = mirror_reduce(ex_b.points, ex_b.graph, eps)
+                if not check("mirror", (type(res_a).__name__, tuple(rk_a)),
+                             (type(res_b).__name__, tuple(rk_b))):
+                    return Verdict.no("mirror structure")
+                if isinstance(res_a, Anchors):
+                    return one_plus_three_reduce(full_a, full_b, ex_a.points,
+                                                 ex_b.points, eps)
+                if isinstance(res_a, CondensedPoints):
+                    # at most half of the mirror points: a centroid per
+                    # component, or two normals per component of >= 4 points
+                    wa, wb = res_a.points, res_b.points
+                    lab_a, lab_b, names = (np.zeros(len(wa), int),
+                                           np.zeros(len(wb), int), [0])
+                    continue
+                circ_a, circ_b = res_a.circles, res_b.circles
+            else:
+                cyc_a, ok_a = orbit_circles(ex_a, eps)
+                cyc_b, ok_b = orbit_circles(ex_b, eps)
+                if not check("orbit", tuple(ok_a), tuple(ok_b)):
+                    return Verdict.no("orbit structure")
+                circ_a = [c.circle for c in cyc_a]
+                circ_b = [c.circle for c in cyc_b]
 
-        mres_a, mk_a = mark_circles(circ_a, eps, opts.few_cap)
-        mres_b, mk_b = mark_circles(circ_b, eps, opts.few_cap)
-        if not check("marking", (type(mres_a).__name__, tuple(mk_a)),
-                     (type(mres_b).__name__, tuple(mk_b))):
-            return Verdict.no("circle structure")
+            circ_a = _unique_circles(circ_a, eps)
+            circ_b = _unique_circles(circ_b, eps)
+            if not check("circles", len(circ_a), len(circ_b)):
+                return Verdict.no("circle count")
 
-        if isinstance(mres_a, FewCircles):
-            p = mres_a.circles[0]
-            for q in mres_b.circles:
-                v = two_plus_two_reduce(full_a, full_b, p, q, eps)
-                if v.congruent:
-                    return v
-            return Verdict.no("plane pair alignment")
+            mres_a, mk_a = mark_circles(circ_a, eps, opts.few_cap)
+            mres_b, mk_b = mark_circles(circ_b, eps, opts.few_cap)
+            if not check("marking", (type(mres_a).__name__, tuple(mk_a)),
+                         (type(mres_b).__name__, tuple(mk_b))):
+                return Verdict.no("circle structure")
 
-        if len(mres_a.points) >= len(wa):
-            raise AssertionError("marking made no progress")
-        wa, wb = mres_a.points, mres_b.points
-        lab_a, lab_b, names = np.zeros(len(wa), int), np.zeros(len(wb), int), [0]
+            if isinstance(mres_a, FewCircles):
+                p = mres_a.circles[0]
+                for q in mres_b.circles:
+                    v = two_plus_two_reduce(full_a, full_b, p, q, eps)
+                    if v.congruent:
+                        return v
+                return Verdict.no("plane pair alignment")
+
+            if len(mres_a.points) >= len(wa):
+                raise Stalled("marking made no progress")
+            wa, wb = mres_a.points, mres_b.points
+            lab_a, lab_b, names = (np.zeros(len(wa), int),
+                                   np.zeros(len(wb), int), [0])
+        except Stalled as stall:
+            # any congruence maps the shell onto the other side's
+            check("stalled", str(stall), str(stall))
+            return one_plus_three_reduce(full_a, full_b, sa, sb, eps)

@@ -51,7 +51,7 @@ from scipy.spatial import Voronoi, cKDTree
 from .condense import (TWO_PI, circular_cluster, component_ids, joint_ranks,
                        least_rotations, padded_rows, prune_by_key,
                        rank_labels, tolerance_cluster, wrap_angle)
-from .geom import (EPS_EQ, TORUS_EPS, PlaneSpan, PointSet4, Verdict,
+from .geom import (EPS_EQ, TORUS_EPS, PlaneSpan, PointSet4, Stalled, Verdict,
                    block_rotation, frames, match_multisets, match_tol,
                    radius_tol, verify_rotation)
 from .lowdim import circle_axes, labeled_rotation
@@ -205,7 +205,7 @@ def _cell_shapes(vor: Voronoi, sites: np.ndarray, eps: float) -> tuple:
     sizes = np.fromiter(map(len, regions), int, m)
     verts = np.fromiter(chain.from_iterable(regions), int, int(sizes.sum()))
     if not sizes.all() or (verts < 0).any():
-        raise AssertionError("central torus cell is unbounded")
+        raise Stalled("central torus cell is unbounded")
     cell = np.repeat(np.arange(m), sizes)
     rel = vor.vertices[verts] - sites[cell]
     xids = tolerance_cluster(rel[:, 0], eps).ids

@@ -19,7 +19,7 @@ from hypercongruence.harness import (
     oracle_congruent,
     random_rotation,
 )
-from hypercongruence.pipeline import (PipelineOptions, _lockstep,
+from hypercongruence.pipeline import (MIRROR_X1, PipelineOptions, _lockstep,
                                       congruence_test_4d)
 
 
@@ -49,6 +49,17 @@ def quaternion_orbit(lefts, rights, p):
     conj = np.asarray(rights, float) * [1, -1, -1, -1]
     pts = mul(np.repeat(lp, len(conj), 0), np.tile(conj, (len(lp), 1)))
     return np.unique(np.round(pts, 12), axis=0)
+
+
+def hopf_12gons() -> np.ndarray:
+    """Three 12-gons on fibers of one Hopf bundle, at base angles 0, 120
+    and 240 degrees."""
+    t = np.arange(12) * TWO_PI / 12
+    f0 = frame(np.eye(4)[:2])
+    return np.concatenate([
+        np.cos(t)[:, None] * u + np.sin(t)[:, None] * v for u, v in
+        (hopf_fiber(f0, np.array([math.cos(g), math.sin(g), 0.0])).basis
+         for g in (0.0, TWO_PI / 3, 2 * TWO_PI / 3))])
 
 
 def binary_tetrahedral() -> np.ndarray:
@@ -399,10 +410,7 @@ class TestStructuredFamilies:
         def polygon(u, v):
             return np.cos(t)[:, None] * u + np.sin(t)[:, None] * v
 
-        f0 = frame(np.eye(4)[:2])
-        a = np.concatenate([
-            polygon(*hopf_fiber(f0, np.array([math.cos(g), math.sin(g), 0.0]))
-                    .basis) for g in (0.0, TWO_PI / 3, 2 * TWO_PI / 3)])
+        a = hopf_12gons()
         e = np.eye(4)
         p, q = math.radians(50), math.radians(40)
         b = np.concatenate([
@@ -745,3 +753,76 @@ class TestUntracedDecisions:
         v = self.decide_both(a, transformed(a, rng)[perm], labels_a=labs,
                              labels_b=[labs[i] for i in perm])
         assert v.congruent
+
+
+class TestStalls:
+    """A condensing step that stalls hands its shell to the 1+3 step, or
+    to the 2+2 step where marking finds no pair to mark."""
+
+    @staticmethod
+    def maps(v, a, b):
+        mapped = a @ v.rotation.T + v.translation
+        return cKDTree(b).query(mapped)[0].max() <= 1e-6
+
+    def test_marking_without_cross_pairs_keeps_few_circles(self):
+        # M11 condenses the three fibers to two that are parallel both
+        # ways; their class has no third circle to pair across
+        a = hopf_12gons()
+        b = a @ random_rotation(np.random.default_rng(0)).T
+        opts = PipelineOptions(delta0=1.0, few_cap=1)
+        trace = []
+        v = congruence_test_4d(a, b, opts, trace_sink=trace)
+        assert v.congruent and self.maps(v, a, b)
+        (_, mk_a, mk_b), = [e for e in trace if e[0] == "marking"]
+        for kind, keys in (mk_a, mk_b):
+            assert kind == "FewCircles"
+            assert keys[-4:] == (("M4", "right"), ("M5", 1),
+                                 ("M6", (1, 1, 0)), ("M3", 2))
+        v = congruence_test_4d(a, a @ MIRROR_X1, opts)
+        assert not v.congruent and v.stage == "circle structure"
+        opts.allow_reflection = True
+        v = congruence_test_4d(a, a @ MIRROR_X1, opts)
+        assert v.congruent and v.reflected and self.maps(v, a, a @ MIRROR_X1)
+
+    def test_arc_without_mark_position(self):
+        # one helix point moved by half the default eps: its arcs lose the
+        # successor angle that the other arcs share
+        stalls = 0
+        for s in range(12):
+            a = gen_orbit_helix(1000, 3, 0.8)
+            d = np.random.default_rng(s).normal(size=4)
+            d -= (d @ a[0]) * a[0]
+            a[0] += 5e-10 * d / np.linalg.norm(d)
+            b = a @ random_rotation(np.random.default_rng(100 + s)).T
+            trace = []
+            v = congruence_test_4d(a, b, PipelineOptions(delta0=0.05),
+                                   trace_sink=trace)
+            assert v.congruent and self.maps(v, a, b)
+            stalls += ("stalled", "an arc has no mark position",
+                       "an arc has no mark position") in trace
+        assert stalls >= 1
+
+    def test_arc_endpoints_on_one_ray(self):
+        # two shell directions 1e-10 apart, above eps_eq: the arc between
+        # them has no two-vector frame
+        rng = np.random.default_rng(0)
+        x = rng.normal(size=(6, 4))
+        x /= np.linalg.norm(x, axis=1, keepdims=True)
+        d = rng.normal(size=4)
+        d -= (d @ x[0]) * x[0]
+        a = np.vstack([x, x[0] + 1e-10 * d / np.linalg.norm(d)])
+        a = np.vstack([a, -a])
+        r = random_rotation(np.random.default_rng(1))
+        stall = ("stalled",) + ("arc endpoints collapse onto one ray",) * 2
+        opts = PipelineOptions(eps_eq=1e-12)
+        trace = []
+        v = congruence_test_4d(a, a @ r.T, opts, trace_sink=trace)
+        assert v.congruent and self.maps(v, a, a @ r.T)
+        assert stall in trace
+        b = a @ MIRROR_X1 @ r.T
+        trace = []
+        v = congruence_test_4d(a, b, opts, trace_sink=trace)
+        assert not v.congruent and stall in trace
+        opts.allow_reflection = True
+        v = congruence_test_4d(a, b, opts)
+        assert v.congruent and v.reflected and self.maps(v, a, b)

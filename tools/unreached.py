@@ -7,7 +7,7 @@ pair of ``perfbench/workloads.generate`` at seeds 0 and 1, and prints each
 source line that compiles to code but never ran, as ``path:line: text``,
 grouped into runs.  The last two lines count them, and separately those
 outside ``raise`` statements, and count the ``raise AssertionError`` sites
-of every module.  Run it from anywhere in a source checkout:
+and the ``raise Stalled`` sites of every module.  Run it from anywhere in a source checkout:
 
     python tools/unreached.py
 
@@ -46,13 +46,13 @@ def raise_lines(path: Path) -> set:
             for ln in range(node.lineno, node.end_lineno + 1)}
 
 
-def assertion_sites(path: Path) -> int:
-    """The number of ``raise AssertionError`` statements, called or not."""
+def raise_sites(path: Path, name: str) -> int:
+    """The number of ``raise name`` statements, called or not."""
     count = 0
     for node in ast.walk(ast.parse(path.read_text())):
         if isinstance(node, ast.Raise) and node.exc is not None:
             exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
-            count += isinstance(exc, ast.Name) and exc.id == "AssertionError"
+            count += isinstance(exc, ast.Name) and exc.id == name
     return count
 
 
@@ -131,9 +131,12 @@ def main() -> int:
     print(f"{total} unreached lines, {outside} outside raise statements; "
           f"tier-1 exit status {status}; "
           f"{pairs} benchmark pairs at seeds {SEEDS}")
-    sites = {p.stem: assertion_sites(p) for p in Path(PACKAGE).glob("*.py")}
+    paths = sorted(Path(PACKAGE).glob("*.py"))
+    asserts = sum(raise_sites(p, "AssertionError") for p in paths)
+    sites = {p.stem: raise_sites(p, "Stalled") for p in paths}
     ranked = sorted((m for m in sites if sites[m]), key=lambda m: (-sites[m], m))
-    print(f"{sum(sites.values())} raise AssertionError sites: " +
+    print(f"{asserts} raise AssertionError sites; "
+          f"{sum(sites.values())} raise Stalled sites: " +
           ", ".join(f"{m} {sites[m]}" for m in ranked))
     return 1 if status else 0
 
