@@ -6,18 +6,19 @@ for space, labeled_rotation.  It matches the origin's labels and tokens
 the other points by (label, jointly clustered radius id).  When tokens
 held by one point on each side span a hyperplane, those points fix the
 correspondence, and the rotation is their Kabsch least-squares fit (Acta
-Cryst. A32, 1976).  Otherwise the plane test matches canonical necklace
-codes of the circle (Alt, Mehlhorn, Wagener and Welzl, DCG 1988), and the
-space test pins a point of its condensed rarest shell and solves the
-plane about it.  Both reductions take one step, _about_axis: pin an axis
-of A onto each candidate axis of B, cluster the heights along the axes
-jointly, and solve the orthogonal slice with the height ids as labels.
-one_plus_three_reduce pins an anchor and solves the 3-slice with
-congruence_3d_labeled; the 2+2 step (torus) turns each plane with
-labeled_rotation when no point lies off the two plane circles.  The axis
-step, run from B onto itself, finds symmetries of B; the anchor loop
-tests one candidate per orbit of them, so a vertex-transitive set costs
-two 3D tests instead of one per anchor.
+Cryst. A32, 1976).  One helper, pinned_rotation, fits it in 2, 3 and 4
+dimensions: the 4D pipeline calls it on its radius classes before any 1+3
+step.  Otherwise the plane test matches canonical necklace codes of the
+circle (Alt, Mehlhorn, Wagener and Welzl, DCG 1988), and the space test
+pins a point of its condensed rarest shell and solves the plane about it.
+Both reductions take one step, _about_axis: pin an axis of A onto each
+candidate axis of B, cluster the heights along the axes jointly, and solve
+the orthogonal slice with the height ids as labels.  one_plus_three_reduce
+pins an anchor and solves the 3-slice with congruence_3d_labeled; the 2+2
+step (torus) turns each plane with labeled_rotation when no point lies off
+the two plane circles.  The axis step, run from B onto itself, finds
+symmetries of B; the anchor loop tests one candidate per orbit of them, so
+a vertex-transitive set costs two 3D tests instead of one per anchor.
 """
 
 from __future__ import annotations
@@ -95,6 +96,44 @@ def congruence_2d_labeled(angles_a: np.ndarray, labels_a: Sequence,
                                                               s[0, 0])))
 
 
+def pinned_rotation(pa: np.ndarray, ta: np.ndarray, pb: np.ndarray,
+                    tb: np.ndarray, counts: np.ndarray, vtol: float) -> tuple:
+    """(pinned, S) for d-dimensional points tokened by joint ranks ta, tb
+    with the common class sizes counts.
+
+    A token held by one point on each side forces that pair to match, so
+    when such singleton pairs span a (d - 1)-space they pin the proper
+    rotation: their Kabsch fit V diag(1, .., sign det(V U^T)) U^T from the
+    SVD U Σ V^T of Σ a_i b_i^T.  S is that fit if it puts every pair within
+    vtol and matches the other points as tokened multisets, else None.
+    pinned is False, and S None, when the singletons leave a turn free.
+    """
+    d = pa.shape[1]
+    single = counts == 1
+    if single.sum() < d - 1:
+        return False, None
+    # a point per token, the one point of each singleton token
+    at, bt = np.empty((len(counts), d)), np.empty((len(counts), d))
+    at[ta], bt[tb] = pa, pb
+    at, bt = at[single], bt[single]
+    u, sv, vt = np.linalg.svd(at.T @ bt)
+    # singletons in a (d - 2)-space leave a turn about it free: collinear
+    # ones in space, coplanar ones through the origin in 4-space
+    if sv[d - 2] <= COLLINEAR_RATIO * sv[0]:
+        return False, None
+    # Kabsch's least-squares fit, kept proper
+    flip = 1.0 if np.linalg.det(vt.T @ u.T) >= 0 else -1.0
+    s = vt.T @ np.diag([1.0] * (d - 1) + [flip]) @ u.T
+    rest_a, rest_b = ~single[ta], ~single[tb]
+    if ((np.linalg.norm(at @ s.T - bt, axis=1) <= vtol).all()
+            and match_multisets(np.compress(rest_a, pa, axis=0) @ s.T,
+                                np.compress(rest_b, pb, axis=0), vtol,
+                                ta[rest_a], tb[rest_b])):
+        return True, s
+    # no other correspondence exists, so a failed check is final
+    return True, None
+
+
 def labeled_rotation(pa: np.ndarray, la: Sequence, pb: np.ndarray,
                      lb: Sequence, eps: float) -> Optional[np.ndarray]:
     """A proper rotation S of the plane or of space (d = 2 or 3 columns)
@@ -102,19 +141,17 @@ def labeled_rotation(pa: np.ndarray, la: Sequence, pb: np.ndarray,
 
     Labels are ranked at entry and the origin's labels must agree; the
     other points are tokened by (label, jointly clustered radius id), and
-    the token counts must agree.  A token held by one point on each side
-    forces that pair to match, so when such singleton pairs span a
-    (d - 1)-space, S is their Kabsch fit V diag(1, .., sign det(V U^T)) U^T
-    from the SVD U Σ V^T of Σ a_i b_i^T, proper by construction.  The pairs
-    are checked one by one and the other points as labeled multisets; a
-    failed check is final, since no other correspondence exists.
-    Otherwise, in the plane, equal canonical necklace codes pin the turn
-    up to the common symmetry, and every merged angle position must hold
-    equal tokens from both sides.  In space, the rarest token's shell,
-    ties going to the largest radius (the best-conditioned axis), condenses
-    to a frame of 1, 2, 4, 6 or 12 points; S maps the first point of A's
-    frame onto some point of B's, nearest first, and this test in the
-    plane about that axis fixes the turn.
+    the token counts must agree.  When the tokens held by one point on each
+    side pin the rotation, S is their Kabsch fit (:func:`pinned_rotation`,
+    which the 4D pipeline runs on its radius classes too), and a failed
+    check of it is final.  Otherwise, in the plane, equal canonical
+    necklace codes pin the turn up to the common symmetry, and every merged
+    angle position must hold equal tokens from both sides.  In space, the
+    rarest token's shell, ties going to the largest radius (the
+    best-conditioned axis), condenses to a frame of 1, 2, 4, 6 or 12
+    points; S maps the first point of A's frame onto some point of B's,
+    nearest first, and this test in the plane about that axis fixes the
+    turn.
     """
     d = pa.shape[1]
     if len(pa) != len(pb):
@@ -136,25 +173,9 @@ def labeled_rotation(pa: np.ndarray, la: Sequence, pb: np.ndarray,
         return None
     # every candidate S must put each point within vtol of its match
     vtol = match_tol(eps)
-    single = counts == 1
-    if single.sum() >= d - 1:
-        # a point per token, the one point of each singleton token
-        at, bt = np.empty((len(toks), d)), np.empty((len(toks), d))
-        at[ta], bt[tb] = pa, pb
-        at, bt = at[single], bt[single]
-        u, sv, vt = np.linalg.svd(at.T @ bt)
-        # collinear singletons in space leave the turn about their line free
-        if sv[d - 2] > COLLINEAR_RATIO * sv[0]:
-            # Kabsch's least-squares fit, kept proper
-            flip = 1.0 if np.linalg.det(vt.T @ u.T) >= 0 else -1.0
-            s = vt.T @ np.diag([1.0] * (d - 1) + [flip]) @ u.T
-            rest_a, rest_b = ~single[ta], ~single[tb]
-            if ((np.linalg.norm(at @ s.T - bt, axis=1) <= vtol).all()
-                    and match_multisets(np.compress(rest_a, pa, axis=0) @ s.T,
-                                        np.compress(rest_b, pb, axis=0), vtol,
-                                        ta[rest_a], tb[rest_b])):
-                return s
-            return None
+    pinned, s = pinned_rotation(pa, ta, pb, tb, counts, vtol)
+    if pinned:
+        return s
     if d == 2:
         a, b = (wrap_angle(np.arctan2(p[:, 1], p[:, 0])) for p in (pa, pb))
         axes = circle_axes(a, ta, b, tb, eps)

@@ -1,18 +1,20 @@
 """Top-level congruence decision for finite point sets in 4-space.
 
-congruence_test_4d ties the stages together: centering both sets on
-their centroids, merging coincident points into multiplicities, radius
-pruning, merging the coincident directions of the chosen radius shell
-(both merges by condense.merge_points), iterative pruning on the 3-sphere,
-the mirror and orbit condensing steps, circle marking, and the two
-dimension reductions.  Both inputs are processed in lockstep; every stage
-emits comparison keys built from counts and cluster ranks only, and the
-first key divergence decides NotCongruent.  Iterative pruning is lockstep
-key by key: the two sides' key generators advance together and both stop
-at the first pair of keys that differ.  Positive verdicts always
-carry a rotation verified against the original (normalized) sets, so no
-amount of condensing of the working sets can make a false positive.  A
-stall (geom.Stalled) falls back to the 1+3 reduction on the restart's shell.
+congruence_test_4d ties the stages together: centering both sets on their
+centroids, merging coincident points into multiplicities, radius pruning,
+merging the coincident directions of the chosen radius shell (both merges
+by condense.merge_points), iterative pruning on the 3-sphere, the mirror
+and orbit condensing steps, circle marking, and the two dimension
+reductions.  When the radius classes of one point span a 3-space, they pin
+the rotation by a Kabsch fit, and no later stage runs.  Both inputs are
+processed in lockstep; every stage emits comparison keys built from counts
+and cluster ranks only, and the first key divergence decides NotCongruent.
+Iterative pruning is lockstep key by key: the two sides' key generators
+advance together and both stop at the first pair of keys that differ.
+Positive verdicts always carry a rotation verified against the original
+(normalized) sets, so no amount of condensing of the working sets can make
+a false positive.  A stall (geom.Stalled) falls back to the 1+3 reduction
+on the restart's shell.
 """
 
 from __future__ import annotations
@@ -26,10 +28,10 @@ from .circles import Anchors, CondensedPoints, mirror_reduce, orbit_circles
 from .condense import (joint_cluster, joint_ranks, merge_points,
                        merge_unit_points, prune_by_key)
 from .geom import (CONSTANTS, EPS_EQ, PointSet4, Stalled, Verdict, key_tol,
-                   verify_rotation)
+                   match_tol, verify_rotation)
 from .iterprune import (MirrorSymmetric, WellSeparated, next_step,
                         prune_steps)
-from .lowdim import one_plus_three_reduce
+from .lowdim import one_plus_three_reduce, pinned_rotation
 from .marking import FewCircles, mark_circles
 from .torus import two_plus_two_reduce
 
@@ -206,8 +208,16 @@ def _reduce(da: tuple, db: tuple, la, lb, label_names: Optional[list],
                                               int(keys[k, 1])), c)
                                             for k, c in h)):
             return Verdict.no("radius class")
-        # the rarest radius class, ties to the largest, best-conditioned one
         counts = np.bincount(rk_a, minlength=len(keys))
+        # any congruence maps each one-point class onto its partner, so when
+        # those points span a 3-space they pin the rotation, and a failed
+        # fit is final
+        pinned, s = pinned_rotation(wa, rk_a, wb, rk_b, counts, match_tol(eps))
+        if pinned:
+            if s is not None and verify_rotation(full_a, full_b, s):
+                return Verdict.yes(s, np.zeros(4))
+            return Verdict.no("anchor alignment")
+        # the rarest radius class, ties to the largest, best-conditioned one
         k = np.lexsort((-keys[:, 1], counts))[0]
         ka, kb = np.flatnonzero(rk_a == k), np.flatnonzero(rk_b == k)
         # distinct shell points can come within eps on the unit sphere

@@ -97,8 +97,6 @@ def condense_sphere(points: np.ndarray, eps: float = EPS_EQ) -> np.ndarray:
             # cube or dodecahedron: pass to the dual's vertex set
             f = np.array([f[cyc].mean(axis=0) for cyc in faces])
             continue
-        if deg[0] not in (3, 4, 5):
-            break
         edge_list = sorted(edges)
         lengths = [float(np.linalg.norm(f[a] - f[b])) for a, b in edge_list]
         ids = tolerance_cluster(lengths, eps).ids

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
-from hypercongruence import iterprune
+from hypercongruence import iterprune, pipeline
 from hypercongruence.condense import (TWO_PI, members_by_id, merge_close,
                                       merge_points)
 from hypercongruence.geom import block_rotation, frame, hopf_fiber
@@ -19,6 +19,7 @@ from hypercongruence.harness import (
     oracle_congruent,
     random_rotation,
 )
+from hypercongruence.lowdim import one_plus_three_reduce
 from hypercongruence.pipeline import (MIRROR_X1, PipelineOptions, _lockstep,
                                       congruence_test_4d)
 
@@ -211,12 +212,80 @@ class TestGaussNoise:
         assert self.false_negatives(1e-11) == 0
 
     def test_noise_3e11_never_rejected(self):
-        # the anchor is taken from the largest of the rarest radius classes:
-        # its direction carries noise over its norm
+        # every radius class holds one point, and those points pin the
+        # rotation by a least-squares fit over all of them
         assert self.false_negatives(3e-11) == 0
 
     def test_noise_1e10_never_rejected(self):
         assert self.false_negatives(1e-10) == 0
+
+    def test_noise_3e10_never_rejected_at_anchor_alignment(self):
+        # noise this large splits or joins radius classes on some pairs, but
+        # once the radius classes agree, the pinned fit over every singleton
+        # must not reject
+        stages = []
+        for seed in range(1000, 1060):
+            rng = np.random.default_rng(seed)
+            n = int(rng.integers(50, 1501))
+            a = rng.normal(size=(n, 4))
+            b = transformed(a, rng)[rng.permutation(n)]
+            b = b + 3e-10 * rng.normal(size=b.shape)
+            v = congruence_test_4d(a, b)
+            stages += [] if v.congruent else [v.stage]
+        assert "anchor alignment" not in stages
+
+
+class TestPinnedExit:
+    @pytest.fixture
+    def reductions(self, monkeypatch):
+        """The calls of the 1+3 step the pipeline makes."""
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return one_plus_three_reduce(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "one_plus_three_reduce", counted)
+        return calls
+
+    def test_gauss_cloud_skips_the_one_plus_three_step(self, rng, reductions):
+        a = rng.normal(size=(2000, 4))
+        b = transformed(a, rng)[rng.permutation(2000)]
+        v = congruence_test_4d(a, b)
+        assert v.congruent and not v.reflected
+        mapped = a @ v.rotation.T + v.translation
+        assert cKDTree(b).query(mapped)[0].max() <= 1e-6
+        mirrored = b @ MIRROR_X1
+        assert congruence_test_4d(a, mirrored).stage == "anchor alignment"
+        v = congruence_test_4d(a, mirrored,
+                               PipelineOptions(allow_reflection=True))
+        assert v.congruent and v.reflected
+        assert np.linalg.det(v.rotation) == pytest.approx(-1.0)
+        assert reductions == []
+
+    def test_singletons_on_a_line_leave_the_one_plus_three_step(
+            self, rng, reductions):
+        # 3u and the doubled -1.5u are the only one-point classes; they keep
+        # the centroid at 0 and span one line, which pins no rotation
+        u = rng.normal(size=4)
+        u /= np.linalg.norm(u)
+        a = np.vstack([gen_regular_polytope("24-cell"), 3 * u, -1.5 * u,
+                       -1.5 * u])
+        b = transformed(a, rng)[rng.permutation(len(a))]
+        assert congruence_test_4d(a, b).congruent
+        assert len(reductions) == 1
+
+    def test_flat_cloud_and_its_mirror_image(self, rng, reductions):
+        # singletons in the hyperplane x4 = 0 span exactly a 3-space, and
+        # the reflection in that hyperplane fixes them, so the mirror image
+        # is a proper rotation away
+        a = np.column_stack([rng.normal(size=(300, 3)), np.zeros(300)])
+        for c in (a, a @ MIRROR_X1):
+            b = transformed(c, rng)[rng.permutation(300)]
+            v = congruence_test_4d(a, b)
+            assert v.congruent and not v.reflected
+            assert np.linalg.det(v.rotation) == pytest.approx(1.0)
+        assert reductions == []
 
 
 class TestHelixNoise:
