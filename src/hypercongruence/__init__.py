@@ -18,9 +18,9 @@ from .geom import (
     Verdict,
     block_rotation,
     chirality,
+    circle_halves,
+    circle_of_halves,
     frame,
-    hopf_fiber,
-    hopf_image,
     mark_pair,
     pluecker,
     verify_rotation,

@@ -2,14 +2,15 @@
 
 Everything downstream works with plain float64 numpy arrays: points are rows
 of an (n, 4) array, planes through the origin are row-pairs of orthonormal
-basis vectors, and every adapted orthonormal frame (anchor axis, plane
-pair, Hopf bundle, edge figure) comes from :func:`frame`, or from
-:func:`frames` for a whole stack of them at once.  Rotations are
+basis vectors, and every adapted orthonormal frame (anchor axis, plane pair,
+edge figure) comes from :func:`frame`, or from :func:`frames` for a whole
+stack of them at once.  A great circle's parallelism and Hopf base points
+come from the halves of its bivector (:func:`circle_halves`).  Rotations are
 built here (:func:`block_rotation`) but not taken apart: the invariant
-planes of an orbit cycle's step rotation come from its complex
-eigenvectors in ``circles.cycle_circle``.  ``EPS_EQ`` is
-the default comparison tolerance for coordinates; callers may override it
-per operation.  Every fixed tolerance is named once, in the table below.
+planes of an orbit cycle's step rotation come from its complex eigenvectors
+in ``circles.cycle_circle``.  ``EPS_EQ`` is the default comparison tolerance
+for coordinates; callers may override it per operation.  Every fixed
+tolerance is named once, in the table below.
 """
 
 from __future__ import annotations
@@ -46,7 +47,6 @@ POINT_RADIUS = 1e-9         # radius of a mark circle that is a point [u]
 SV_RANK_TOL = 1e-7          # singular value of unit rows that adds rank [u]
 ORTHOGONAL_TOL = 1e-7       # |cos| of orthogonal grid legs [u]
 COPLANAR_TOL = 1e-9         # 1 - cos of coplanar hull face normals [u]
-POLE_TOL = 1e-15            # chord from a Hopf base point to the pole [u]
 THETA_TOL = 1e-7            # positions on mark circles [rad]
 TORUS_EPS = 1e-7            # positions of a torus set [rad]
 ALPHA_POINT_TOL = 1e-7      # sin of a successor angle of a point circle [u]
@@ -302,62 +302,50 @@ def pluecker(p: PlaneSpan) -> np.ndarray:
     return -coords if first < 0 else coords
 
 
+def circle_halves(circles) -> tuple[np.ndarray, np.ndarray]:
+    """The halves (sigma, tau) of the bivectors of an (m, 2, 4) stack of
+    circle bases, unit (m, 3) rows sigma = (p01 + p23, p02 - p13, p03 + p12)
+    and tau = (p01 - p23, p02 + p13, p03 - p12) of the Pluecker coordinates.
+    A circle is its pair up to a joint sign (Gluck and Warner, Duke Math. J.
+    1983).  Right Clifford parallel circles share sigma up to sign, left ones
+    tau; in a right bundle the tau, signed so that the sigma agree, are the
+    Hopf base points, 2a apart for circles at angle (a, a).  A reflection
+    swaps the halves."""
+    b = np.asarray(circles, dtype=float)
+    p = b[:, 0, :, None] * b[:, 1, None, :]
+    p = p - p.transpose(0, 2, 1)
+    s, h = p[:, 0, 1:], p[:, [2, 3, 1], [3, 1, 2]]    # (p01, p02, p03), its dual
+    return s + h, s - h
+
+
+def circle_of_halves(sigma: np.ndarray, tau: np.ndarray) -> PlaneSpan:
+    """The great circle with halves (sigma, tau), inverse of
+    :func:`circle_halves`: the plane of the rebuilt bivector, as its top
+    two right singular vectors."""
+    s, h = np.add(sigma, tau) / 2.0, np.subtract(sigma, tau) / 2.0
+    m = np.zeros((4, 4))
+    m[0, 1:], m[[2, 3, 1], [3, 1, 2]] = s, h
+    return PlaneSpan(np.linalg.svd(m - m.T)[2][:2])
+
+
+def parallel(halves: np.ndarray, pairs, eps: float) -> np.ndarray:
+    """Which pairs (i, j) of circles are Clifford parallel in the sense of
+    the halves given (sigma right, tau left): rows equal up to sign within eps."""
+    x, y = halves[np.asarray(pairs, dtype=int).reshape(-1, 2).T]
+    return np.minimum(np.linalg.norm(x - y, axis=1),
+                      np.linalg.norm(x + y, axis=1)) <= eps
+
+
 def chirality(p: PlaneSpan, q: PlaneSpan, eps: float = EPS_EQ) -> Chirality:
-    """Classify an isoclinic plane pair as left, right, or both.
-
-    Two planes are isoclinic when their principal angles agree; the test is
-    run on the singular values of the overlap matrix (perfectly conditioned)
-    rather than on the angles themselves.  Identical and completely
-    orthogonal pairs are isoclinic in both senses.
-    """
-    m = p.basis @ q.basis.T
-    s = np.clip(np.linalg.svd(m, compute_uv=False), 0.0, 1.0)
-    if s[0] - s[1] > eps:
-        return Chirality.NOT_ISOCLINIC
-    if s[1] >= 1.0 - eps or s[0] <= eps:
-        return Chirality.BOTH
-    v1, v2 = p.basis
-    # project P's basis into Q, then back onto the orthogonal complement of P
-    def shadow(x):
-        in_q = q.basis.T @ (q.basis @ x)
-        return in_q - p.basis.T @ (p.basis @ in_q)
-    d = np.linalg.det(np.vstack([v1, v2, shadow(v1), shadow(v2)]))
-    return Chirality.RIGHT if d > 0 else Chirality.LEFT
-
-
-def hopf_image(f: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """Map a unit 4-vector to the base 2-sphere of the circle bundle of the
-    frame f, whose rows 0 and 1 span the circle c0, as ``frame(c0.basis)``.
-
-    The base-sphere coordinates depend on the completion of c0 that f is.  A
-    positively oriented frame gives the right-parallel bundle; negating its
-    row 2 gives the left one.  Points of c0 itself map to (0, 0, 1); the
-    completely orthogonal circle maps to (0, 0, -1).  Two circles of the
-    bundle at angle pair (a, a) have image points at geodesic distance 2a.
-    """
-    x, y, z, w = f @ np.asarray(p, dtype=float)
-    return np.array([2.0 * (x * w - y * z), 2.0 * (y * w + x * z),
-                     1.0 - 2.0 * (z * z + w * w)])
-
-
-def hopf_fiber(f: np.ndarray, s: np.ndarray) -> PlaneSpan:
-    """The circle of the bundle of the frame f lying over base point s.
-
-    Inverse of :func:`hopf_image` for the same frame: the returned plane is
-    parallel (in the frame's sense) to the circle of rows 0 and 1 of f,
-    and its points map to s.
-    """
-    s = np.asarray(s, dtype=float)
-    s = s / np.linalg.norm(s)
-    gamma = math.acos(min(1.0, max(-1.0, s[2]))) / 2.0
-    cg, sg = math.cos(gamma), math.sin(gamma)
-    v1, v2, v3, v4 = f
-    if sg * 2.0 < POLE_TOL:
-        return PlaneSpan(np.vstack([v1, v2]))
-    delta = math.atan2(s[0], s[1])
-    w1 = math.cos(delta) * v3 + math.sin(delta) * v4
-    w2 = math.cos(delta) * v4 - math.sin(delta) * v3
-    return PlaneSpan(np.vstack([cg * v1 + sg * w1, cg * v2 + sg * w2]))
+    """Classify a plane pair as right or left Clifford parallel, both, or not
+    isoclinic, on their halves.  For principal angles a <= b their chords
+    are 2 sin((b - a) / 2) and 2 sin(min(a + b, pi - a - b) / 2), linear in
+    the angles.  Identical and completely orthogonal pairs are both."""
+    halves = circle_halves(np.stack([p.basis, q.basis]))
+    right, left = (bool(parallel(x, [(0, 1)], eps)[0]) for x in halves)
+    if right:
+        return Chirality.BOTH if left else Chirality.RIGHT
+    return Chirality.LEFT if left else Chirality.NOT_ISOCLINIC
 
 
 def mark_pair(c: PlaneSpan, d: PlaneSpan, eps: float = EPS_EQ) -> tuple[np.ndarray, np.ndarray]:

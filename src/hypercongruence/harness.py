@@ -17,8 +17,8 @@ from typing import Optional
 import numpy as np
 
 from .condense import TWO_PI
-from .geom import (ORACLE_EPS, PlaneSpan, Verdict, frame, hopf_fiber,
-                   match_multisets)
+from .geom import (ORACLE_EPS, Verdict, circle_halves, circle_of_halves,
+                   frame, match_multisets)
 
 ORACLE_MAX = 10
 
@@ -165,25 +165,22 @@ def gen_orbit_helix(ell: int, k: int, r1: float,
 def gen_hopf_circles(m: int, samples: int, seed: int) -> tuple:
     """Points sampled from m circles of one right Hopf bundle.
 
-    Returns (points, circles).  All the circles are pairwise Clifford
-    parallel, so their pairwise distance equals the spherical distance of
-    their images on the base sphere.
+    Returns (points, circles).  The circles share the half sigma of a
+    random circle and lie over random base points s, as
+    ``circle_of_halves(sigma, s)``; all are pairwise Clifford parallel, and
+    two at angle (a, a) lie over base points at geodesic distance 2a.
     """
     if m < 1 or samples < 3:
         raise ValueError("need m >= 1 and samples >= 3")
     rng = np.random.default_rng(seed)
-    c0 = PlaneSpan(random_rotation(rng)[:2])
-    f0 = frame(c0.basis)
+    sigma = circle_halves(random_rotation(rng)[None, :2])[0][0]
     base = rng.normal(size=(m, 3))
     base /= np.linalg.norm(base, axis=1, keepdims=True)
-    circles, pts = [], []
-    for s in base:
-        fib = hopf_fiber(f0, s)
-        circles.append(fib)
-        th = rng.uniform(0.0, TWO_PI) + np.arange(samples) * TWO_PI / samples
-        pts.append(np.cos(th)[:, None] * fib.basis[0]
-                   + np.sin(th)[:, None] * fib.basis[1])
-    return np.concatenate(pts), circles
+    circles = [circle_of_halves(sigma, s) for s in base]
+    th = (rng.uniform(0.0, TWO_PI, size=(m, 1))
+          + np.arange(samples) * TWO_PI / samples)
+    pts = np.stack([np.cos(th), np.sin(th)], -1) @ [c.basis for c in circles]
+    return pts.reshape(-1, 4), circles
 
 
 _PHI = (1.0 + math.sqrt(5.0)) / 2.0

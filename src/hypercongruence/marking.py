@@ -2,13 +2,13 @@
 
 A pair of circles that is not Clifford parallel has a unique closest
 antipodal point pair on each circle; those four marks are congruence
-invariants of the pair.  Clifford-parallel pairs have no such marks, but
-they live in a common Hopf bundle whose base-sphere image is rigid enough
-to condense.  The loop below interleaves the two: it marks across the
-closest-pair graph of the circles (as antipodal Pluecker points on the
-5-sphere) where possible, and merges plus condenses parallel classes
-through their bundle maps where not.  It returns either marker points on
-the original circles or a small family of representative circles.
+invariants of the pair.  Clifford-parallel pairs have no such marks, but a
+class of them is one Hopf bundle, whose base points (``circle_halves``)
+are rigid enough to condense.  The loop below interleaves the two: it
+marks across the closest-pair graph of the circles (as antipodal Pluecker
+points on the 5-sphere) where possible, and merges plus condenses parallel
+classes on their base points where not.  It returns either marker points
+on the original circles or a small family of representative circles.
 
 Classes always share one chirality; the class structure is pruned by the
 least frequent class size so congruent inputs stay in lockstep.
@@ -20,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geom import (EPS_EQ, CONSTANTS, HOPF_EPS, MARK_EPS, Chirality, Stalled,
-                   chirality, frame, hopf_fiber, hopf_image, mark_pair,
+from .geom import (EPS_EQ, CONSTANTS, HOPF_EPS, MARK_EPS, Stalled,
+                   circle_halves, circle_of_halves, mark_pair, parallel,
                    pluecker)
 from .condense import (component_ids, members_by_id, merge_unit_points,
                        prune_by_key)
@@ -102,12 +102,11 @@ def mark_circles(circles, eps: float = EPS_EQ,
         h = closest_pair_graph(plv, antipodal=True, eps=eps)
         keys.append(("M5", len(h.edges)))
 
-        # M6: split edges by pair chirality
-        ch = [chirality(circles[i], circles[j], eps) for i, j in h.edges.tolist()]
-        masks = [np.array([c in kinds for c in ch], bool) for kinds in
-                 ((Chirality.LEFT, Chirality.BOTH),
-                  (Chirality.RIGHT, Chirality.BOTH), (Chirality.NOT_ISOCLINIC,))]
-        e_l, e_r, e_n = (h.edges[m].tolist() for m in masks)
+        # M6: split edges by pair chirality; BOTH edges are in e_l and e_r
+        halves = circle_halves([c.basis for c in circles])
+        right, left = (parallel(x, h.edges, eps) for x in halves)
+        e_l, e_r, e_n = (h.edges[m].tolist()
+                         for m in (left, right, ~(left | right)))
         keys.append(("M6", (len(e_l), len(e_r), len(e_n))))
 
         # M7: non-parallel closest pairs mark directly
@@ -115,10 +114,10 @@ def mark_circles(circles, eps: float = EPS_EQ,
             keys.append(("M7", len(e_n)))
             return _mark(circles, e_n, eps, keys)
 
-        # M8/M9: replace a parallel edge endpoint by its nearest class mates
-        # of the opposite sense; the replacement cannot be parallel to the
-        # other endpoint, or parallelism of both senses would be transitive
-        # through it
+        # M8/M9: replace a parallel edge endpoint c by its nearest class
+        # mates k of the opposite sense.  k shares one half with c and the
+        # edge (c, d) the other, so (k, d) is parallel only where k or d is
+        # the circle completely orthogonal to c, which shares both: a stall
         cross = {"right": e_l, "left": e_r}[chir] if chir else None
         if cross:
             pairs = set()
@@ -130,28 +129,24 @@ def mark_circles(circles, eps: float = EPS_EQ,
             pairs = sorted(tuple(sorted(p)) for p in pairs)
             if not pairs:  # no mates off the edges: stalled, as at M10/M11
                 return _few(circles, keys)
-            for i, j in pairs:
-                if chirality(circles[i], circles[j], eps) is not Chirality.NOT_ISOCLINIC:
-                    raise Stalled("constructed pair is Clifford parallel")
+            if any(parallel(x, pairs, eps).any() for x in halves):
+                raise Stalled("constructed pair is Clifford parallel")
             keys.append(("M8" if chir == "right" else "M9", len(pairs)))
             return _mark(circles, pairs, eps, keys)
 
-        # M10/M11: merge classes along parallel edges, condense each class
-        # on the base sphere of its bundle; e_n is empty, so every closest
-        # pair is in e_l or e_r
+        # M10/M11: merge classes along parallel edges (e_n is empty), and
+        # condense each on its base points, the other halves signed by the
+        # shared half ref of any member (the joint sign cancels)
         side, edges = ("left", e_l) if e_l else ("right", e_r)
+        shared, base = halves[::-1] if side == "left" else halves
         groups = members_by_id(component_ids(n_classes, cls[edges])[cls])
         fibers: list = []
         for members in groups:
-            c0 = min((circles[i] for i in members),
-                     key=lambda c: tuple(pluecker(c)))
-            f0 = frame(c0.basis)
-            if side == "left":
-                f0[2] = -f0[2]
-            images = np.array([hopf_image(f0, circles[i].basis[0])
-                               for i in members])
-            fibers.append([hopf_fiber(f0, s)
-                           for s in condense_sphere(images, eps=HOPF_EPS)])
+            ref = shared[members[0]]
+            signed = base[members] * np.sign(shared[members] @ ref)[:, None]
+            fibers.append([circle_of_halves(*((s, ref) if side == "left"
+                                              else (ref, s)))
+                           for s in condense_sphere(signed, eps=HOPF_EPS)])
         if (len(groups), sum(map(len, fibers))) >= (n_classes, len(circles)):
             # stalled above few_cap: the 2+2 reduction tries every circle
             return _few(circles, keys)

@@ -65,14 +65,6 @@ def pluecker_distance(p, q) -> float:
     return min(float(np.linalg.norm(a - b)), float(np.linalg.norm(a + b)))
 
 
-def left_frame(f: np.ndarray) -> np.ndarray:
-    """A frame with row 2 negated: hopf_image and hopf_fiber on it map the
-    left-parallel bundle through the frame's first plane."""
-    f = np.array(f, dtype=float)
-    f[2] = -f[2]
-    return f
-
-
 def chiral_helix() -> np.ndarray:
     """The 40-point orbit helix of frequencies 1 and 2 at equal radii."""
     t = 2 * np.pi * np.arange(40) / 40
@@ -271,7 +263,7 @@ def reference_match_multisets(x, y, eps, lx, ly) -> bool:
                              for i, c in zip(rest.tolist(), cand)])
 
 
-__all__ = ["augmenting_match", "chiral_helix", "dense_ranks", "left_frame", "mark_circle", "pluecker_distance",
+__all__ = ["augmenting_match", "chiral_helix", "dense_ranks", "mark_circle", "pluecker_distance",
            "random_rotation", "rebuilt_step", "reference_edge_figure_codes",
            "reference_mark_figure", "reference_match_multisets",
            "reference_successor_angles", "rot3", "snub_24_cell", "step_angles",

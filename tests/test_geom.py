@@ -1,5 +1,5 @@
 """Core geometry: plane angles, Pluecker coordinates,
-chirality, Hopf maps, frames, rotation decomposition, marks,
+chirality, circle halves, frames, rotation decomposition, marks,
 verification."""
 
 import math
@@ -10,14 +10,15 @@ import pytest
 from scipy.sparse.csgraph import maximum_bipartite_matching
 from scipy.spatial import cKDTree
 
-from conftest import (augmenting_match, left_frame, pluecker_distance,
-                      rebuilt_step, reference_match_multisets, step_angles)
+from conftest import (augmenting_match, pluecker_distance, rebuilt_step,
+                      reference_match_multisets, step_angles)
 from hypercongruence.circles import cycle_circle
 from hypercongruence.geom import (CONSTANTS, DELTA_MIN, VERIFY_EPS, Chirality,
                                   ParallelPlanesError, PlaneSpan, PointSet4,
-                                  Stalled, block_rotation, chirality, frame,
-                                  frames, hopf_fiber, hopf_image, mark_pair,
-                                  match_multisets, pluecker, verify_rotation)
+                                  Stalled, block_rotation, chirality,
+                                  circle_halves, circle_of_halves, frame,
+                                  frames, mark_pair, match_multisets, pluecker,
+                                  verify_rotation)
 from hypercongruence.harness import (gen_orbit_helix, gen_regular_polytope,
                                      gen_torus_grid, random_rotation)
 
@@ -156,13 +157,19 @@ class TestChirality:
         q = PlaneSpan(random_rotation(rng)[:2])
         assert chirality(p, q) is Chirality.NOT_ISOCLINIC
 
+    @pytest.mark.parametrize("beta", [1e-5, 4e-5])
+    def test_near_coincident_not_isoclinic(self, beta):
+        # principal angles (0, beta): both chords of the halves are about
+        # beta, while the cosines of the angles differ by only beta^2 / 2
+        q = PlaneSpan(np.array([[1.0, 0, 0, 0],
+                                [0, math.cos(beta), 0, math.sin(beta)]]))
+        assert chirality(E12, q, 1e-9) is Chirality.NOT_ISOCLINIC
+
     def test_right_transitive_in_bundle(self, rng):
         # fibers of one bundle are pairwise right, in any combination
-        f = frame(random_rotation(rng)[:2])
-        fibs = []
-        for _ in range(4):
-            s = rng.normal(size=3)
-            fibs.append(hopf_fiber(f, s / np.linalg.norm(s)))
+        sigma = circle_halves(random_rotation(rng)[None, :2])[0][0]
+        fibs = [circle_of_halves(sigma, s / np.linalg.norm(s))
+                for s in rng.normal(size=(4, 3))]
         for i in range(4):
             for j in range(i + 1, 4):
                 assert chirality(fibs[i], fibs[j]) in (
@@ -324,57 +331,59 @@ class TestFrames:
         assert np.array_equal(f[0], e)
 
 
-class TestHopf:
-    def test_base_circle_to_north(self, rng):
-        f = frame(E12.basis)
-        for th in rng.uniform(0, 2 * math.pi, 5):
-            p = math.cos(th) * E12.basis[0] + math.sin(th) * E12.basis[1]
-            assert np.allclose(hopf_image(f, p), [0, 0, 1], atol=1e-12)
+class TestHalves:
+    def random_circles(self, rng, m):
+        return [PlaneSpan(random_rotation(rng)[:2]) for _ in range(m)]
 
-    def test_orthogonal_circle_to_south(self, rng):
-        f = frame(E12.basis)
-        for th in rng.uniform(0, 2 * math.pi, 5):
-            p = np.array([0, 0, math.cos(th), math.sin(th)])
-            assert np.allclose(hopf_image(f, p), [0, 0, -1], atol=1e-12)
+    def test_round_trip(self, rng):
+        circles = [E12, E34, E13] + self.random_circles(rng, 200)
+        sigma, tau = circle_halves([c.basis for c in circles])
+        assert np.allclose(np.linalg.norm(sigma, axis=1), 1.0, atol=1e-12)
+        assert np.allclose(np.linalg.norm(tau, axis=1), 1.0, atol=1e-12)
+        for c, s, t in zip(circles, sigma, tau):
+            assert pluecker_distance(circle_of_halves(s, t), c) <= 1e-12
 
     def test_right_pair_geodesic_is_twice_alpha(self, rng):
-        f = frame(random_rotation(rng)[:2])
+        sigma = circle_halves(random_rotation(rng)[None, :2])[0][0]
         for _ in range(50):
             s1, s2 = rng.normal(size=(2, 3))
             s1 /= np.linalg.norm(s1)
             s2 /= np.linalg.norm(s2)
-            c = hopf_fiber(f, s1)
-            d = hopf_fiber(f, s2)
+            c = circle_of_halves(sigma, s1)
+            d = circle_of_halves(sigma, s2)
             a = angle_between_planes(c, d)
             assert abs(a.alpha - a.beta) < 1e-9
             geo = math.acos(np.clip(s1 @ s2, -1, 1))
             assert abs(geo - 2 * a.alpha) <= 1e-9
 
-    def test_fiber_roundtrip(self, rng):
-        f = frame(random_rotation(rng)[:2])
-        s = rng.normal(size=3)
-        s /= np.linalg.norm(s)
-        f = left_frame(f)
-        fib = hopf_fiber(f, s)
-        assert np.allclose(hopf_image(f, fib.basis[0]), s, atol=1e-9)
-        assert np.allclose(hopf_image(f, fib.basis[1]), s, atol=1e-9)
+    def test_reflection_swaps_halves(self, rng):
+        mirror = np.diag([-1.0, 1.0, 1.0, 1.0])
+        circles = self.random_circles(rng, 20)
+        sigma, tau = circle_halves([c.basis for c in circles])
+        sigma_m, tau_m = circle_halves([c.basis @ mirror for c in circles])
+        assert np.allclose(sigma_m, -tau, atol=1e-12)
+        assert np.allclose(tau_m, -sigma, atol=1e-12)
+        swap = {Chirality.RIGHT: Chirality.LEFT, Chirality.LEFT: Chirality.RIGHT}
+        for kind in ("right", "left"):
+            v = random_rotation(rng)
+            p = PlaneSpan(v[:2].copy())
+            q = clifford_pair(v, 0.4, rng.uniform(0, 2 * math.pi), kind)
+            want = swap[chirality(p, q)]
+            assert chirality(PlaneSpan(p.basis @ mirror),
+                             PlaneSpan(q.basis @ mirror)) is want
 
-    def test_left_frame_maps_the_left_bundle(self, rng):
-        # the left-bundle formulas, (2(xw + yz), 2(yw - xz), 1 - 2(z^2 + w^2))
-        # in the unflipped frame, are the right ones in the flipped frame
-        f = frame(random_rotation(rng)[:2])
-        for p in rng.normal(size=(20, 4)):
-            x, y, z, w = f @ (p / np.linalg.norm(p))
-            want = [2 * (x * w + y * z), 2 * (y * w - x * z),
-                    1 - 2 * (z * z + w * w)]
-            assert np.allclose(hopf_image(left_frame(f), p / np.linalg.norm(p)),
-                               want, atol=1e-15)
-        fibs = [hopf_fiber(left_frame(f), s / np.linalg.norm(s))
-                for s in rng.normal(size=(4, 3))]
-        for i in range(4):
-            for j in range(i + 1, 4):
-                assert chirality(fibs[i], fibs[j]) in (
-                    Chirality.LEFT, Chirality.BOTH)
+    def test_rotation_keeps_chirality(self, rng):
+        for _ in range(20):
+            v = random_rotation(rng)
+            p = PlaneSpan(v[:2].copy())
+            d = rng.uniform(0, 2 * math.pi)
+            r = random_rotation(rng)
+            for q in (clifford_pair(v, 0.4, d, "right"),
+                      clifford_pair(v, 0.4, d, "left"),
+                      PlaneSpan(v[2:].copy()),
+                      PlaneSpan(random_rotation(rng)[:2])):
+                assert chirality(PlaneSpan(p.basis @ r.T),
+                                 PlaneSpan(q.basis @ r.T)) is chirality(p, q)
 
 
 class TestDecomposeRotation:

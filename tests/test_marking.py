@@ -5,14 +5,15 @@ import math
 import numpy as np
 import pytest
 
-from conftest import left_frame, pluecker_distance, snub_24_cell
+from conftest import pluecker_distance, snub_24_cell
 from hypercongruence.circles import orbit_circles
 from hypercongruence.geom import (
     Chirality,
     PlaneSpan,
+    Stalled,
     chirality,
-    frame,
-    hopf_fiber,
+    circle_halves,
+    circle_of_halves,
     mark_pair,
     pluecker,
 )
@@ -22,6 +23,7 @@ from hypercongruence.marking import (FewCircles, Markers, _closest_mates,
                                      mark_circles)
 
 E12 = PlaneSpan(np.array([[1.0, 0, 0, 0], [0, 1.0, 0, 0]]))
+SIGMA_E12 = circle_halves(E12.basis[None])[0][0]
 MIRROR_X0 = np.diag([-1.0, 1.0, 1.0, 1.0])
 
 
@@ -52,50 +54,22 @@ def tetrahedron():
                     float) / math.sqrt(3)
 
 
-# the complex structure x -> (x3, -x2, x1, -x0) of the fixture below
-J = np.array([[0, 0, 0, 1], [0, 0, -1, 0], [0, 1, 0, 0], [-1, 0, 0, 0]],
-             dtype=float)
-
-
-def bundle_frame(circle: PlaneSpan) -> np.ndarray:
-    """The frame (p, q, Jq, -Jp) of a circle with basis (p, q) and p.Jq = 0.
-
-    Fixing the completion rows fixes which fiber of a bundle lies over a
-    base point, so the fixture does not depend on the completion rule of
-    ``geom.frame``.
-    """
-    p, q = circle.basis
-    f = np.array([p, q, J @ q, -J @ p])
-    assert np.allclose(f @ f.T, np.eye(4), atol=1e-12)
-    assert np.linalg.det(f) > 0
-    return f
+def right_bundle(sigma, base) -> list:
+    """The fibers over the base points of the right Hopf bundle of sigma."""
+    return [circle_of_halves(sigma, s) for s in base]
 
 
 def two_tetra_bundles():
-    """Two left Hopf bundles of tetrahedral circles sharing the tie circle D.
-
-    D is a right fiber of the first bundle at twice the tetrahedral angle,
-    and simultaneously the image of the first tetrahedron vertex in the
-    second bundle; all 28 pairwise distances then agree.  Every bundle is
-    laid out in a :func:`bundle_frame`.
-    """
+    """Two left Hopf bundles of tetrahedral circles: the circles with halves
+    (s, t) for s a vertex of the tetrahedron and t one of its first two
+    vertices.  The first circle of the second bundle shares s with the
+    first circle, so it is also a right fiber of the first bundle; with
+    the tetrahedral cosine -1/3 on both halves, all 28 pairwise distances
+    agree."""
     t = tetrahedron()
-    f0 = left_frame(bundle_frame(E12))
-    b1 = [hopf_fiber(f0, v) for v in t]
-    beta2 = math.acos(-1 / 3)
-    d = hopf_fiber(bundle_frame(b1[0]),
-                   np.array([math.sin(beta2), 0, math.cos(beta2)]))
-    axis = np.cross(t[0], [0, 0, 1.0])
-    axis /= np.linalg.norm(axis)
-    ang = math.acos(t[0] @ [0, 0, 1.0])
-    k = np.array([[0, -axis[2], axis[1]],
-                  [axis[2], 0, -axis[0]],
-                  [-axis[1], axis[0], 0]])
-    rt = np.eye(3) + math.sin(ang) * k + (1 - math.cos(ang)) * (k @ k)
-    fd = left_frame(bundle_frame(d))
-    b2 = [hopf_fiber(fd, rt @ v) for v in t]
-    assert pluecker_distance(b2[0], d) < 1e-9
-    return b1 + [d] + b2[1:]
+    allc = [circle_of_halves(s, tau) for tau in t[:2] for s in t]
+    assert chirality(allc[0], allc[4]) is Chirality.RIGHT
+    return allc
 
 
 class TestTwoCircles:
@@ -127,8 +101,7 @@ class TestTwoCircles:
 
 class TestFewCirclesPath:
     def test_dodecahedral_bundle_condenses(self, rng):
-        f0 = frame(E12.basis)
-        circles = [hopf_fiber(f0, v) for v in dodecahedron()]
+        circles = right_bundle(SIGMA_E12, dodecahedron())
         r = random_rotation(rng)
         res, keys = mark_circles([rot_span(c, r) for c in circles],
                                  few_cap=12)
@@ -139,8 +112,7 @@ class TestFewCirclesPath:
         assert "M11" in stages and stages[-1] == "M3"
 
     def test_condensed_circles_form_one_bundle(self, rng):
-        f0 = frame(E12.basis)
-        circles = [hopf_fiber(f0, v) for v in dodecahedron()]
+        circles = right_bundle(SIGMA_E12, dodecahedron())
         res, _ = mark_circles(circles, few_cap=12)
         for i in range(len(res.circles)):
             for j in range(i + 1, len(res.circles)):
@@ -194,7 +166,7 @@ class TestClosestMates:
         # fibers over the octahedron: the four equatorial ones are equally
         # near the north fiber, under any rotation of the family
         octa = np.concatenate([np.eye(3), -np.eye(3)])[[2, 0, 1, 3, 4, 5]]
-        circles = [hopf_fiber(frame(E12.basis), v) for v in octa]
+        circles = right_bundle(SIGMA_E12, octa)
         for r in (np.eye(4), random_rotation(rng)):
             plv = np.array([pluecker(rot_span(c, r)) for c in circles])
             assert _closest_mates(0, [1, 2, 3, 4, 5], plv, 1e-9) == [1, 2, 3, 4]
@@ -248,3 +220,31 @@ class TestSnubOrbitCircles:
                             ("M3", 1)]
         assert isinstance(res, FewCircles)
         assert pluecker_distance(res.circles[0], far) < 1e-7
+
+
+class TestCrossPairStall:
+    """Two right bundles with orthogonal sigma over one regular hexagon on
+    a great circle of the base sphere.  Each condenses (M11) to the fibers
+    over the hexagon's poles, a circle c and its completely orthogonal c'
+    in one class, d and d' in the other, with d left parallel to c.  The
+    cross pairs then replace c by its mate c', which is left parallel to d
+    as well: the constructed pair is Clifford parallel, and marking stalls."""
+
+    def circles(self):
+        g = np.arange(6) * math.pi / 3
+        hexagon = np.c_[np.cos(g), np.sin(g), np.zeros(6)]
+        return [circle_of_halves(s, t) for s in np.eye(3)[:2] for t in hexagon]
+
+    def test_bundles_condense_to_antipodal_fiber_pairs(self):
+        res, keys = mark_circles(self.circles(), few_cap=4)
+        assert isinstance(res, FewCircles)
+        assert keys == [("M2", ((1, 12),)), ("M4", "None"), ("M5", 12),
+                        ("M6", (0, 12, 0)), ("M11", (12, 2)),
+                        ("M2", ((2, 2),)), ("M3", 4)]
+        kinds = sorted(chirality(c, d).value for i, c in enumerate(res.circles)
+                       for d in res.circles[i + 1:])
+        assert kinds == ["both"] * 2 + ["left"] * 4
+
+    def test_cross_pairs_stall(self):
+        with pytest.raises(Stalled, match="constructed pair is Clifford parallel"):
+            mark_circles(self.circles(), few_cap=3)

@@ -11,7 +11,7 @@ from scipy.spatial import cKDTree
 from hypercongruence import iterprune, pipeline
 from hypercongruence.condense import (TWO_PI, members_by_id, merge_close,
                                       merge_points)
-from hypercongruence.geom import block_rotation, frame, hopf_fiber
+from hypercongruence.geom import block_rotation, circle_of_halves
 from hypercongruence.harness import (
     gen_orbit_helix,
     gen_regular_polytope,
@@ -52,15 +52,25 @@ def quaternion_orbit(lefts, rights, p):
     return np.unique(np.round(pts, 12), axis=0)
 
 
+def fiber_polygon(tau, n: int) -> np.ndarray:
+    """A regular n-gon on the fiber over tau of the right Hopf bundle of
+    the circle e0 e1 (sigma = e0 of its halves).  It starts at the point of
+    the fiber nearest e0 and turns toward e1, so it does not depend on the
+    basis the fiber comes with; tau = -e0, the fiber e2 e3, has no such
+    point."""
+    basis = circle_of_halves([1.0, 0.0, 0.0], tau).basis
+    u, v = (w / np.linalg.norm(w) for w in basis[:, :2].T @ basis)
+    t = np.arange(n) * TWO_PI / n
+    return np.cos(t)[:, None] * u + np.sin(t)[:, None] * v
+
+
 def hopf_12gons() -> np.ndarray:
     """Three 12-gons on fibers of one Hopf bundle, at base angles 0, 120
-    and 240 degrees."""
-    t = np.arange(12) * TWO_PI / 12
-    f0 = frame(np.eye(4)[:2])
+    and 240 degrees on a great circle through the base points of e0 e1 and
+    e2 e3."""
     return np.concatenate([
-        np.cos(t)[:, None] * u + np.sin(t)[:, None] * v for u, v in
-        (hopf_fiber(f0, np.array([math.cos(g), math.sin(g), 0.0])).basis
-         for g in (0.0, TWO_PI / 3, 2 * TWO_PI / 3))])
+        fiber_polygon(np.array([0.0, -math.cos(g), math.sin(g)]), 12)
+        for g in (0.0, TWO_PI / 3, 2 * TWO_PI / 3)])
 
 
 def binary_tetrahedral() -> np.ndarray:
@@ -500,14 +510,9 @@ class TestStructuredFamilies:
             ("Markers", (("M2", ((1, 3),)), ("M4", "None"), ("M5", 2),
                          ("M6", (0, 0, 2)), ("M7", 2), ("M12", 8))))
 
-    def test_hopf_fiber_samples(self, rng):
-        f0 = frame(np.array([[1.0, 0, 0, 0], [0, 1.0, 0, 0]]))
-        pts = []
-        for s in ([0.0, 0, 1], [1.0, 0, 0], [0.6, 0.8, 0]):
-            fib = hopf_fiber(f0, np.array(s))
-            th = np.arange(12) * TWO_PI / 12
-            pts.append(np.cos(th)[:, None] * fib.basis[0]
-                       + np.sin(th)[:, None] * fib.basis[1])
+    def test_hopf_bundle_samples(self, rng):
+        pts = [fiber_polygon(np.array(tau), 12)
+               for tau in ([1.0, 0, 0], [0.0, -1, 0], [0.0, -0.6, 0.8])]
         assert_roundtrip(np.concatenate(pts), rng)
 
 

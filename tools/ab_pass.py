@@ -34,6 +34,17 @@ way: ``harness.gen_regular_polytope(NAME)`` and its placed copy, under
 
     python tools/ab_pass.py --base ../parent/src --polytope 600-cell 0.7
 
+With ``--hopf M SAMPLES`` a pass runs ``marking.mark_circles(circles,
+1e-9, 8)`` once on the circles of ``harness.gen_hopf_circles(M, SAMPLES,
+seed)``, generated untimed from each side's own package.  One right Hopf
+bundle merges one pair of classes per M11 round down to 8 circles, which
+is the condensing path the benchmark never reaches: of its pairs, the 32
+``dense`` ones that reach marking all stop at M3, and point sets sampled
+from Hopf circles decide at the "sphere" stage:
+
+    python tools/ab_pass.py --base ../parent/src --hopf 160 3 --rounds 4 \
+        --passes 3
+
 With ``--count NAME`` each side then runs one more interpreter that
 decides every pair once untimed and once under cProfile, and the script
 prints the calls in that profiled pass of every function whose qualified
@@ -75,10 +86,14 @@ def passes(src: str, args) -> list:
     """Seconds of each timed pass, after one untimed pass; with --count,
     the calls of each function it names in one more, profiled pass."""
     sys.path.insert(0, src)
-    from hypercongruence import harness, pipeline
+    from hypercongruence import harness, marking, pipeline
     workloads = load_workloads()
     one_pair = args.helix or args.gauss or args.polytope
-    if args.helix:
+    circles = []
+    if args.hopf:
+        circles = harness.gen_hopf_circles(*args.hopf, args.seed)[1]
+        cases = []
+    elif args.helix:
         ell, k, r1 = args.helix
         a = harness.gen_orbit_helix(int(ell), int(k), r1)
         cases = [(a, workloads.place(a, np.random.default_rng(args.seed)), None)]
@@ -98,6 +113,8 @@ def passes(src: str, args) -> list:
 
     def one_pass() -> float:
         t0 = perf_counter()
+        if circles:
+            marking.mark_circles(circles, 1e-9, 8)
         verdicts = [pipeline.congruence_test_4d(a, b, o) for a, b, o in cases]
         seconds = perf_counter() - t0
         if one_pair and not verdicts[0].congruent:
@@ -129,6 +146,7 @@ def run_side(src: str, args, count: bool = False):
     what = (["--helix", *map(str, args.helix)] if args.helix
             else ["--gauss", str(args.gauss)] if args.gauss
             else ["--polytope", *args.polytope] if args.polytope
+            else ["--hopf", *map(str, args.hopf)] if args.hopf
             else ["--workload", args.workload])
     for name in args.count if count else []:
         what += ["--count", name]
@@ -162,6 +180,8 @@ def main(argv=None) -> int:
                       help="time one congruent Gaussian cloud pair instead")
     pair.add_argument("--polytope", nargs=2, metavar=("NAME", "DELTA0"),
                       help="time one congruent regular polytope pair instead")
+    pair.add_argument("--hopf", nargs=2, type=int, metavar=("M", "SAMPLES"),
+                      help="time marking one right Hopf bundle instead")
     ap.add_argument("--seed", type=int, default=3)
     ap.add_argument("--rounds", type=int, default=10)
     ap.add_argument("--passes", type=int, default=5)
@@ -177,7 +197,8 @@ def main(argv=None) -> int:
         ap.error("--base is required")
     sides = {"base": str(Path(args.base).resolve()),
              "change": str(Path(args.src).resolve())}
-    if args.workload != "all" or args.helix or args.gauss or args.polytope:
+    if (args.workload != "all" or args.helix or args.gauss or args.polytope
+            or args.hopf):
         compare(sides, args)
         return 0
     summaries = []
@@ -196,6 +217,7 @@ def compare(sides: dict, args) -> str:
     what = ("helix " + " ".join(f"{x:g}" for x in args.helix) if args.helix
             else f"gauss {args.gauss}" if args.gauss
             else "polytope " + " ".join(args.polytope) if args.polytope
+            else "hopf " + " ".join(map(str, args.hopf)) if args.hopf
             else args.workload)
     print(f"{what} seed={args.seed}: median of {args.passes} passes "
           f"per interpreter, {args.rounds} rounds")
