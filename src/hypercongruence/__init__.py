@@ -12,8 +12,6 @@ from .geom import (
     Chirality,
     Constants,
     DuplicatePointsError,
-    ParallelPlanesError,
-    PlaneSpan,
     PointSet4,
     Verdict,
     block_rotation,
@@ -21,8 +19,6 @@ from .geom import (
     circle_halves,
     circle_of_halves,
     frame,
-    mark_pair,
-    pluecker,
     verify_rotation,
 )
 from .fileio import PointFileError, read_points, write_points

@@ -24,7 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geom import (EPS_EQ, CENTROID_TOL, FIT_TOL, FIXED_ANGLE_TOL,
-                   ORTHOGONAL_TOL, RANK_RATIO, THETA_TOL, PlaneSpan, Stalled)
+                   ORTHOGONAL_TOL, RANK_RATIO, SPAN_EPS, THETA_TOL, Stalled,
+                   frames, pluecker_sorted)
 from .condense import TWO_PI, component_ids, members_by_id
 from .iterprune import DirectedGraph, EdgeTransitive
 
@@ -43,21 +44,22 @@ class Anchors:
 
 @dataclass
 class GreatCircles:
-    """A family of great circles through the origin."""
+    """A family of great circles through the origin: an (m, 2, 4) stack of
+    orthonormal bases in Pluecker order."""
 
-    circles: list
+    circles: np.ndarray
 
 
 @dataclass
 class OrbitCycle:
     """A cyclic path that is the orbit of its first vertex under a rotation.
 
-    ``circle`` spans the invariant plane in which the rotation turns by the
-    smaller of its two angles.
+    ``circle``, an orthonormal (2, 4) basis, spans the invariant plane in
+    which the rotation turns by the smaller of its two angles.
     """
 
     vertices: tuple
-    circle: PlaneSpan
+    circle: np.ndarray
 
 
 # ---------------------------------------------------------------------------
@@ -89,7 +91,12 @@ def _step_error(orbit: np.ndarray, rot: np.ndarray) -> float:
     return float(np.max(np.abs(orbit @ rot.T - np.roll(orbit, -1, axis=0))))
 
 
-def cycle_circle(points, order, eps: float = EPS_EQ) -> PlaneSpan:
+def _spans(vectors) -> np.ndarray:
+    """Orthonormal bases of the planes of an (m, 2, 4) stack of vector pairs."""
+    return frames(np.reshape(vectors, (-1, 2, 4)), SPAN_EPS)[0][:, :2]
+
+
+def cycle_circle(points, order, eps: float = EPS_EQ) -> np.ndarray:
     """The invariant great circle of a closed orbit cycle.
 
     ``points[order]`` is the cycle; its step rotation maps every point to
@@ -97,7 +104,8 @@ def cycle_circle(points, order, eps: float = EPS_EQ) -> PlaneSpan:
     (point, next point) pairs of the cycle (Schoenemann 1966), unique
     unless the cycle lies on one great circle.  The circle is the plane in
     which it turns by the smaller angle, spanned by the real and imaginary
-    parts of the eigenvector whose eigenvalue has the smallest argument.
+    parts of the eigenvector whose eigenvalue has the smallest argument,
+    as a (2, 4) basis.
     """
     orbit = np.asarray(points, dtype=float)[list(order)]
     u, s, vt = np.linalg.svd(np.roll(orbit, -1, axis=0).T @ orbit)
@@ -116,7 +124,7 @@ def cycle_circle(points, order, eps: float = EPS_EQ) -> PlaneSpan:
     if args.min() <= FIXED_ANGLE_TOL:
         raise Stalled("orbit rotation fixes a plane pointwise")
     v = vecs[:, np.argmin(args)]
-    return PlaneSpan.from_vectors(v.real, v.imag)
+    return _spans([v.real, v.imag])[0]
 
 
 def _grid_leg_pairs(legs: np.ndarray):
@@ -181,9 +189,9 @@ def mirror_reduce(points, graph: DirectedGraph, eps: float = EPS_EQ):
     keys.append(("R-rank", rank))
 
     if rank == 2:
-        circles = [PlaneSpan.from_vectors(vt[0], vt[1]) for _, vt in svds]
+        circles = _spans([vt[:2] for _, vt in svds])
         keys.append(("R3", tuple(sorted({len(c) for c in comps}))))
-        return GreatCircles(sorted(circles, key=lambda p: p.key())), keys
+        return GreatCircles(pluecker_sorted(circles)), keys
 
     if rank == 3:
         normals = [x for _, vt in svds for x in (vt[3], -vt[3])]
@@ -203,7 +211,7 @@ def mirror_reduce(points, graph: DirectedGraph, eps: float = EPS_EQ):
         cycles = _walk_cycles(out + (head[out] == tail), tail)
         circles = [cycle_circle(pts, c, eps) for c in cycles]
         keys.append(("R5", ("cycles", tuple(sorted(map(len, cycles))))))
-        return GreatCircles(sorted(circles, key=lambda p: p.key())), keys
+        return GreatCircles(pluecker_sorted(circles)), keys
     for c in comps:
         u = min(c)
         nbrs = sym.out_rows(u)[:, 1]
@@ -215,10 +223,9 @@ def mirror_reduce(points, graph: DirectedGraph, eps: float = EPS_EQ):
             # so they serve as the anchors of a 1+3 reduction
             keys.append(("R5", ("anchors", len(pts))))
             return Anchors(), keys
-        circles.extend(PlaneSpan.from_vectors(legs[i], legs[j])
-                       for i, j in sorted(pairs))
+        circles.extend(legs[[i, j]] for i, j in sorted(pairs))
     keys.append(("R5", len(circles)))
-    return GreatCircles(sorted(circles, key=lambda p: p.key())), keys
+    return GreatCircles(pluecker_sorted(_spans(circles))), keys
 
 
 # ---------------------------------------------------------------------------

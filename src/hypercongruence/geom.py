@@ -1,10 +1,11 @@
 """Core types and primitives for congruence testing on the unit sphere in 4-space.
 
 Everything downstream works with plain float64 numpy arrays: points are rows
-of an (n, 4) array, planes through the origin are row-pairs of orthonormal
-basis vectors, and every adapted orthonormal frame (anchor axis, plane pair,
-edge figure) comes from :func:`frame`, or from :func:`frames` for a whole
-stack of them at once.  A great circle's parallelism and Hopf base points
+of an (n, 4) array, a great circle (a plane through the origin) is an
+orthonormal (2, 4) basis and a family of them an (m, 2, 4) stack, put in
+canonical order by its Pluecker rows (:func:`plueckers`), and every adapted
+orthonormal frame (anchor axis, plane pair, edge figure) comes from
+:func:`frame`, or from :func:`frames` for a whole stack of them at once.  A great circle's parallelism and Hopf base points
 come from the halves of its bivector (:func:`circle_halves`).  Rotations are
 built here (:func:`block_rotation`) but not taken apart: the invariant
 planes of an orbit cycle's step rotation come from its complex eigenvectors
@@ -36,7 +37,7 @@ VERIFY_EPS = 1e-6           # match distance of the final rotation check [in]
 ORACLE_EPS = 1e-7           # span and match tolerance of the oracle [in]
 FRAME_EPS = 1e-9            # frame residual of a dependent vector [u]
 SPAN_EPS = 1e-12            # the same, where only parallel vectors fail [u]
-ORTHONORMAL_TOL = 1e-7      # Gram entry error of a PlaneSpan basis [u]
+ORTHONORMAL_TOL = 1e-7      # Gram entry error of a chirality basis [u]
 CENTROID_TOL = 1e-7         # centroid norm of eccentric unit points [u]
 FIT_TOL = 1e-7              # step error of an orbit cycle's rotation [u]
 MIRROR_TOL = 1e-7           # match distance of mirrored arc neighbours [u]
@@ -103,10 +104,6 @@ class DuplicatePointsError(ValueError):
     """Input contains two points closer than the comparison tolerance."""
 
 
-class ParallelPlanesError(ValueError):
-    """Planes are equal or Clifford parallel; closest points are not unique."""
-
-
 class Stalled(Exception):
     """A condensing step stalled; the pipeline falls back to the 1+3 step."""
 
@@ -134,36 +131,6 @@ class PointSet4:
             object.__setattr__(self, "labels", np.zeros(len(pts), dtype=int))
         if len(self.labels) != len(pts):
             raise ValueError("label count does not match point count")
-
-
-class PlaneSpan:
-    """A 2-plane through the origin, stored as two orthonormal row vectors."""
-
-    __slots__ = ("basis",)
-
-    def __init__(self, basis: np.ndarray):
-        basis = np.asarray(basis, dtype=float)
-        if basis.shape != (2, 4):
-            raise ValueError(f"expected a (2, 4) basis, got {basis.shape}")
-        g = basis @ basis.T
-        if np.max(np.abs(g - np.eye(2))) > ORTHONORMAL_TOL:
-            raise ValueError("basis is not orthonormal")
-        self.basis = basis
-
-    @classmethod
-    def from_vectors(cls, u: np.ndarray, v: np.ndarray) -> "PlaneSpan":
-        """Orthonormalize two independent vectors into a plane span."""
-        f = frame([u, v], SPAN_EPS)
-        if f is None:
-            raise ValueError("spanning vectors are dependent")
-        return cls(f[:2])
-
-    def key(self) -> tuple:
-        """Deterministic ordering key: the canonical Pluecker coordinates."""
-        return tuple(pluecker(self))
-
-    def __repr__(self) -> str:
-        return f"PlaneSpan({self.basis.round(6).tolist()})"
 
 
 @dataclass(frozen=True)
@@ -287,19 +254,33 @@ def frame(vectors, eps: float = FRAME_EPS) -> Optional[np.ndarray]:
     return f[0] if ok[0] else None
 
 
-def pluecker(p: PlaneSpan) -> np.ndarray:
-    """Canonical unit Pluecker coordinates of a plane.
+def _bivectors(circles) -> np.ndarray:
+    """The bivectors u v^T - v u^T, (m, 4, 4), of m circle bases (u, v)."""
+    b = np.asarray(circles, dtype=float).reshape(-1, 2, 4)
+    p = b[:, 0, :, None] * b[:, 1, None, :]
+    return p - p.transpose(0, 2, 1)
 
-    Coordinate order is (01, 02, 03, 12, 13, 23).  The vector is normalized
-    and its sign fixed so the first coordinate of magnitude above EPS_EQ is
-    positive; a plane and any basis of it map to the same 6-vector.
+
+def plueckers(circles) -> np.ndarray:
+    """Canonical unit Pluecker coordinates of a stack of circles, (m, 6).
+
+    Coordinate order is (01, 02, 03, 12, 13, 23).  Each row is normalized
+    and its sign fixed so its first coordinate of magnitude above EPS_EQ is
+    positive; a plane and any basis of it map to the same row.
     """
-    u, v = p.basis
-    coords = np.array([u[i] * v[j] - u[j] * v[i]
-                       for i, j in combinations(range(4), 2)])
-    coords /= np.linalg.norm(coords)
-    first = coords[np.argmax(np.abs(coords) > EPS_EQ)]
-    return -coords if first < 0 else coords
+    i, j = np.triu_indices(4, 1)
+    p = np.ascontiguousarray(_bivectors(circles)[:, i, j])
+    # the norm np.linalg.norm gives one row, a BLAS dot on a contiguous
+    # row; a vectorized sum of squares rounds differently
+    p /= np.sqrt(np.fromiter(map(np.dot, p, p), float, len(p)))[:, None]
+    first = p[np.arange(len(p)), np.argmax(np.abs(p) > EPS_EQ, axis=1)]
+    return np.where(first[:, None] < 0, -p, p)
+
+
+def pluecker_sorted(circles) -> np.ndarray:
+    """The stack of circles in lexicographic order of :func:`plueckers`."""
+    circles = np.asarray(circles, dtype=float).reshape(-1, 2, 4)
+    return circles[np.lexsort(plueckers(circles).T[::-1])]
 
 
 def circle_halves(circles) -> tuple[np.ndarray, np.ndarray]:
@@ -311,21 +292,20 @@ def circle_halves(circles) -> tuple[np.ndarray, np.ndarray]:
     tau; in a right bundle the tau, signed so that the sigma agree, are the
     Hopf base points, 2a apart for circles at angle (a, a).  A reflection
     swaps the halves."""
-    b = np.asarray(circles, dtype=float)
-    p = b[:, 0, :, None] * b[:, 1, None, :]
-    p = p - p.transpose(0, 2, 1)
+    p = _bivectors(circles)
     s, h = p[:, 0, 1:], p[:, [2, 3, 1], [3, 1, 2]]    # (p01, p02, p03), its dual
     return s + h, s - h
 
 
-def circle_of_halves(sigma: np.ndarray, tau: np.ndarray) -> PlaneSpan:
-    """The great circle with halves (sigma, tau), inverse of
-    :func:`circle_halves`: the plane of the rebuilt bivector, as its top
-    two right singular vectors."""
+def circle_of_halves(sigma, tau) -> np.ndarray:
+    """The great circles with halves (sigma, tau), (m, 3) rows broadcast
+    against each other, as an (m, 2, 4) stack (one (2, 4) basis for two
+    single rows): inverse of :func:`circle_halves`, the planes of the
+    rebuilt bivectors as their top two right singular vectors."""
     s, h = np.add(sigma, tau) / 2.0, np.subtract(sigma, tau) / 2.0
-    m = np.zeros((4, 4))
-    m[0, 1:], m[[2, 3, 1], [3, 1, 2]] = s, h
-    return PlaneSpan(np.linalg.svd(m - m.T)[2][:2])
+    m = np.zeros(s.shape[:-1] + (4, 4))
+    m[..., 0, 1:], m[..., [2, 3, 1], [3, 1, 2]] = s, h
+    return np.linalg.svd(m - m.swapaxes(-1, -2))[2][..., :2, :]
 
 
 def parallel(halves: np.ndarray, pairs, eps: float) -> np.ndarray:
@@ -336,32 +316,35 @@ def parallel(halves: np.ndarray, pairs, eps: float) -> np.ndarray:
                       np.linalg.norm(x + y, axis=1)) <= eps
 
 
-def chirality(p: PlaneSpan, q: PlaneSpan, eps: float = EPS_EQ) -> Chirality:
-    """Classify a plane pair as right or left Clifford parallel, both, or not
-    isoclinic, on their halves.  For principal angles a <= b their chords
-    are 2 sin((b - a) / 2) and 2 sin(min(a + b, pi - a - b) / 2), linear in
-    the angles.  Identical and completely orthogonal pairs are both."""
-    halves = circle_halves(np.stack([p.basis, q.basis]))
+def chirality(p, q, eps: float = EPS_EQ) -> Chirality:
+    """Classify a pair of circles, two orthonormal (2, 4) bases, as right or
+    left Clifford parallel, both, or not isoclinic, on their halves.  For
+    principal angles a <= b their chords are 2 sin((b - a) / 2) and
+    2 sin(min(a + b, pi - a - b) / 2), linear in the angles.  Identical and
+    completely orthogonal pairs are both."""
+    pair = [np.asarray(x, dtype=float) for x in (p, q)]
+    if any(x.shape != (2, 4) or np.abs(x @ x.T - np.eye(2)).max()
+           > ORTHONORMAL_TOL for x in pair):
+        raise ValueError("expected two orthonormal (2, 4) bases")
+    halves = circle_halves(pair)
     right, left = (bool(parallel(x, [(0, 1)], eps)[0]) for x in halves)
     if right:
         return Chirality.BOTH if left else Chirality.RIGHT
     return Chirality.LEFT if left else Chirality.NOT_ISOCLINIC
 
 
-def mark_pair(c: PlaneSpan, d: PlaneSpan, eps: float = EPS_EQ) -> tuple[np.ndarray, np.ndarray]:
-    """Closest antipodal point pairs of two non-parallel great circles.
-
-    Returns (marks_on_c, marks_on_d), each a (2, 4) array of antipodal unit
-    points.  The marks are the endpoints of the principal axis realizing the
-    smaller principal angle; they exist iff the angles differ.
-    """
-    n = c.basis @ d.basis.T
-    u, s, vt = np.linalg.svd(n)
-    if s[0] - s[1] <= eps:
-        raise ParallelPlanesError("equal principal angles: no unique closest points")
-    on_c = u[:, 0] @ c.basis
-    on_d = vt[0] @ d.basis
-    return np.vstack([on_c, -on_c]), np.vstack([on_d, -on_d])
+def mark_pairs(c, d, eps: float = EPS_EQ) -> tuple[np.ndarray, np.ndarray]:
+    """Closest antipodal point pairs of the great circles c[i] and d[i] of
+    two (k, 2, 4) stacks, the endpoints of the principal axes realizing the
+    smaller principal angle.  Returns (marks, ok): marks is (4k, 4), c+,
+    c-, d+, d- of each pair in turn; ok[i] is False where the principal
+    cosines of pair i are within eps, so that its marks are not unique."""
+    c, d = (np.asarray(x, dtype=float).reshape(-1, 2, 4) for x in (c, d))
+    u, s, vt = np.linalg.svd(c @ d.transpose(0, 2, 1))
+    on_c = (u[:, None, :, 0] @ c)[:, 0]
+    on_d = (vt[:, :1] @ d)[:, 0]
+    return (np.stack([on_c, -on_c, on_d, -on_d], axis=1).reshape(-1, 4),
+            s[:, 0] - s[:, 1] > eps)
 
 
 def match_multisets(x: np.ndarray, y: np.ndarray, eps: float = EPS_EQ,

@@ -165,10 +165,11 @@ def gen_orbit_helix(ell: int, k: int, r1: float,
 def gen_hopf_circles(m: int, samples: int, seed: int) -> tuple:
     """Points sampled from m circles of one right Hopf bundle.
 
-    Returns (points, circles).  The circles share the half sigma of a
-    random circle and lie over random base points s, as
-    ``circle_of_halves(sigma, s)``; all are pairwise Clifford parallel, and
-    two at angle (a, a) lie over base points at geodesic distance 2a.
+    Returns (points, circles), circles an (m, 2, 4) stack of bases.  The
+    circles share the half sigma of a random circle and lie over random
+    base points s, as ``circle_of_halves(sigma, s)``; all are pairwise
+    Clifford parallel, and two at angle (a, a) lie over base points at
+    geodesic distance 2a.
     """
     if m < 1 or samples < 3:
         raise ValueError("need m >= 1 and samples >= 3")
@@ -176,10 +177,10 @@ def gen_hopf_circles(m: int, samples: int, seed: int) -> tuple:
     sigma = circle_halves(random_rotation(rng)[None, :2])[0][0]
     base = rng.normal(size=(m, 3))
     base /= np.linalg.norm(base, axis=1, keepdims=True)
-    circles = [circle_of_halves(sigma, s) for s in base]
+    circles = circle_of_halves(sigma, base)
     th = (rng.uniform(0.0, TWO_PI, size=(m, 1))
           + np.arange(samples) * TWO_PI / samples)
-    pts = np.stack([np.cos(th), np.sin(th)], -1) @ [c.basis for c in circles]
+    pts = np.stack([np.cos(th), np.sin(th)], -1) @ circles
     return pts.reshape(-1, 4), circles
 
 

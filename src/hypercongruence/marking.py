@@ -1,5 +1,7 @@
 """Marking points on families of great circles.
 
+A family is an (m, 2, 4) stack of orthonormal circle bases; a family
+returned is in the canonical order of its Pluecker rows (``plueckers``).
 A pair of circles that is not Clifford parallel has a unique closest
 antipodal point pair on each circle; those four marks are congruence
 invariants of the pair.  Clifford-parallel pairs have no such marks, but a
@@ -21,8 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geom import (EPS_EQ, CONSTANTS, HOPF_EPS, MARK_EPS, Stalled,
-                   circle_halves, circle_of_halves, mark_pair, parallel,
-                   pluecker)
+                   circle_halves, circle_of_halves, mark_pairs, parallel,
+                   pluecker_sorted, plueckers)
 from .condense import (component_ids, members_by_id, merge_unit_points,
                        prune_by_key)
 from .cpgraph import closest_pair_graph
@@ -38,13 +40,10 @@ class Markers:
 
 @dataclass
 class FewCircles:
-    """A circle family already small enough to anchor directly."""
+    """A circle family already small enough to anchor directly: an (m, 2, 4)
+    stack of bases in Pluecker order."""
 
-    circles: list
-
-
-def _plueckers(circles) -> np.ndarray:
-    return np.array([pluecker(c) for c in circles])
+    circles: np.ndarray
 
 
 def _closest_mates(idx: int, mates, plv: np.ndarray, eps: float) -> list:
@@ -68,8 +67,8 @@ def mark_circles(circles, eps: float = EPS_EQ,
     instances can exercise the marking path; the default is the packing
     bound under which a stalled family must already have dropped.
     """
-    circles = list(circles)
-    if not circles:
+    circles = np.asarray(circles, dtype=float)
+    if not len(circles):
         raise ValueError("empty circle family")
     keys: list = []
     # M1: singleton classes; cls holds the class id of every circle, dense
@@ -84,7 +83,7 @@ def mark_circles(circles, eps: float = EPS_EQ,
         pruned = prune_by_key(np.bincount(cls))
         keys.append(("M2", pruned.histogram))
         keep = np.isin(cls, pruned.indices)
-        circles = [c for c, k in zip(circles, keep) if k]
+        circles = circles[keep]
         cls = np.unique(cls[keep], return_inverse=True)[1]
         n_classes = len(pruned.indices)
 
@@ -98,12 +97,12 @@ def mark_circles(circles, eps: float = EPS_EQ,
         keys.append(("M4", str(chir)))
 
         # M5: closest pairs on the Pluecker sphere
-        plv = _plueckers(circles)
+        plv = plueckers(circles)
         h = closest_pair_graph(plv, antipodal=True, eps=eps)
         keys.append(("M5", len(h.edges)))
 
         # M6: split edges by pair chirality; BOTH edges are in e_l and e_r
-        halves = circle_halves([c.basis for c in circles])
+        halves = circle_halves(circles)
         right, left = (parallel(x, h.edges, eps) for x in halves)
         e_l, e_r, e_n = (h.edges[m].tolist()
                          for m in (left, right, ~(left | right)))
@@ -144,31 +143,33 @@ def mark_circles(circles, eps: float = EPS_EQ,
         for members in groups:
             ref = shared[members[0]]
             signed = base[members] * np.sign(shared[members] @ ref)[:, None]
-            fibers.append([circle_of_halves(*((s, ref) if side == "left"
-                                              else (ref, s)))
-                           for s in condense_sphere(signed, eps=HOPF_EPS)])
-        if (len(groups), sum(map(len, fibers))) >= (n_classes, len(circles)):
+            s = condense_sphere(signed, eps=HOPF_EPS)
+            fibers.append(circle_of_halves(*((s, ref) if side == "left"
+                                             else (ref, s))))
+        sizes = list(map(len, fibers))
+        if (len(groups), sum(sizes)) >= (n_classes, len(circles)):
             # stalled above few_cap: the 2+2 reduction tries every circle
             return _few(circles, keys)
         keys.append(("M10" if side == "left" else "M11",
                      (n_classes, len(groups))))
-        circles = [f for group in fibers for f in group]
-        cls = np.repeat(np.arange(len(groups)), list(map(len, fibers)))
+        circles = np.concatenate(fibers)
+        cls = np.repeat(np.arange(len(groups)), sizes)
         chir = side
 
 
 def _few(circles, keys: list):
     """M3: the family in Pluecker order, for the 2+2 reduction."""
     keys.append(("M3", len(circles)))
-    order = np.lexsort(_plueckers(circles).T[::-1])
-    return FewCircles([circles[i] for i in order]), keys
+    return FewCircles(pluecker_sorted(circles)), keys
 
 
 def _mark(circles, pairs, eps: float, keys: list):
-    """M12: four closest points for every non-parallel pair."""
-    marks = [m for i, j in sorted(tuple(sorted(p)) for p in pairs)
-             for m in mark_pair(circles[i], circles[j], eps)]
-    pts = merge_unit_points(np.vstack(marks), MARK_EPS)
+    """M12: four closest points for every pair; equal principal angles stall."""
+    i, j = np.unique(np.sort(pairs, axis=1), axis=0).T
+    marks, ok = mark_pairs(circles[i], circles[j], eps)
+    if not ok.all():
+        raise Stalled("marked pair has equal principal angles")
+    pts = merge_unit_points(marks, MARK_EPS)
     pts = pts[np.lexsort(pts.T[::-1])]
     keys.append(("M12", len(pts)))
     return Markers(pts), keys

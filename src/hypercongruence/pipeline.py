@@ -28,7 +28,7 @@ from .circles import Anchors, CondensedPoints, mirror_reduce, orbit_circles
 from .condense import (joint_cluster, joint_ranks, merge_points,
                        merge_unit_points, prune_by_key)
 from .geom import (CONSTANTS, EPS_EQ, PointSet4, Stalled, Verdict, key_tol,
-                   match_tol, verify_rotation)
+                   match_tol, pluecker_sorted, plueckers, verify_rotation)
 from .iterprune import (MirrorSymmetric, WellSeparated, next_step,
                         prune_steps)
 from .lowdim import one_plus_three_reduce, pinned_rotation
@@ -62,12 +62,11 @@ class PipelineOptions:
             raise ValueError("few_cap must be at least 1")
 
 
-def _unique_circles(circles: list, eps: float) -> list:
-    """The circles sorted by key, keeping the first of every class of keys
-    at most key_tol(eps) apart."""
-    circles = sorted(circles, key=lambda p: p.key())
-    first = merge_points(np.array([c.key() for c in circles]), key_tol(eps))[2]
-    return [circles[i] for i in first.tolist()]
+def _unique_circles(circles, eps: float) -> np.ndarray:
+    """The stack of circles in Pluecker order, keeping the first of every
+    class of Pluecker rows at most key_tol(eps) apart."""
+    circles = pluecker_sorted(circles)
+    return circles[merge_points(plueckers(circles), key_tol(eps))[2]]
 
 
 def _lockstep(steps_a, steps_b) -> tuple:

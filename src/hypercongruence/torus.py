@@ -51,7 +51,7 @@ from scipy.spatial import Voronoi, cKDTree
 from .condense import (TWO_PI, circular_cluster, component_ids, joint_ranks,
                        least_rotations, padded_rows, prune_by_key,
                        rank_labels, tolerance_cluster, wrap_angle)
-from .geom import (EPS_EQ, TORUS_EPS, PlaneSpan, PointSet4, Stalled, Verdict,
+from .geom import (EPS_EQ, TORUS_EPS, PointSet4, Stalled, Verdict,
                    block_rotation, frames, match_multisets, match_tol,
                    radius_tol, verify_rotation)
 from .lowdim import circle_axes, labeled_rotation
@@ -402,10 +402,11 @@ def _block_match(ac: np.ndarray, la: np.ndarray, bc: np.ndarray,
 
 
 def two_plus_two_reduce(set_a: PointSet4, set_b: PointSet4,
-                        plane_a: PlaneSpan, plane_b: PlaneSpan,
+                        plane_a: np.ndarray, plane_b: np.ndarray,
                         eps: float = EPS_EQ) -> Verdict:
     """Decide congruence of two normalized 4D sets given that any congruence
-    maps plane_a onto plane_b (and so the orthocomplements onto each other).
+    maps plane_a onto plane_b, orthonormal (2, 4) bases (and so the
+    orthocomplements onto each other).
 
     In adapted coordinates the unknown map is block 2x2 + 2x2 with both
     blocks orthogonal and determinant +1 overall: either two rotations, or
@@ -413,7 +414,7 @@ def two_plus_two_reduce(set_a: PointSet4, set_b: PointSet4,
     turns back into rotations.  For each case :func:`_block_match` gives
     the one candidate block rotation, which is verified on the input.
     """
-    fa, fb = frames(np.stack([plane_a.basis, plane_b.basis]))[0]
+    fa, fb = frames(np.stack([plane_a, plane_b]))[0]
     ac0 = set_a.points @ fa.T
     bc = set_b.points @ fb.T
     la, lb = rank_labels(set_a.labels, set_b.labels)

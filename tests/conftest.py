@@ -9,7 +9,7 @@ from hypercongruence.condense import (canonical_axes, circular_cluster,
                                       joint_ranks, tolerance_cluster,
                                       wrap_angle)
 from hypercongruence.geom import (EPS_EQ, THETA_TOL, block_rotation, frame,
-                                  pluecker)
+                                  plueckers)
 from hypercongruence.harness import gen_regular_polytope, random_rotation
 
 
@@ -44,14 +44,14 @@ def rot3(rng) -> np.ndarray:
 def step_angles(orbit, circle) -> np.ndarray:
     """The angles by which one step of a cycle turns its circle and the
     complementary plane, measured on the first two points."""
-    f = frame(circle.basis)
+    f = frame(circle)
     z = orbit[:2] @ f.T @ np.array([[1, 0], [1j, 0], [0, 1], [0, 1j]])
     return np.angle(z[1] / z[0])
 
 
 def rebuilt_step(orbit, circle) -> np.ndarray:
     """A cycle's step rotation rebuilt from its circle and step angles."""
-    f = frame(circle.basis)
+    f = frame(circle)
     return f.T @ block_rotation(*step_angles(orbit, circle)) @ f
 
 
@@ -61,7 +61,7 @@ def pluecker_distance(p, q) -> float:
     Equals sqrt(2 * (1 - cos(alpha) * cos(beta))) for principal angles
     (alpha, beta).
     """
-    a, b = pluecker(p), pluecker(q)
+    a, b = plueckers([p, q])
     return min(float(np.linalg.norm(a - b)), float(np.linalg.norm(a + b)))
 
 

@@ -16,7 +16,8 @@ from hypercongruence.circles import (
     orbit_circles,
 )
 from hypercongruence.cpgraph import closest_pair_graph
-from hypercongruence.geom import Stalled, block_rotation, frame
+from hypercongruence.geom import (Stalled, block_rotation, frame,
+                                  pluecker_sorted)
 from hypercongruence.harness import gen_orbit_helix, random_rotation
 from hypercongruence.iterprune import (
     DirectedGraph,
@@ -52,7 +53,7 @@ def _trace_cycle(nbrs: list, start: int) -> list:
 
 
 def projector(plane):
-    return plane.basis.T @ plane.basis
+    return plane.T @ plane
 
 
 SLOW_12 = np.diag([1.0, 1, 0, 0])
@@ -181,7 +182,7 @@ class TestMirrorReduce:
         res, keys = mirror_reduce(pent @ r4.T, g)
         assert isinstance(res, GreatCircles)
         assert len(res.circles) == 1
-        p = res.circles[0].basis.T @ res.circles[0].basis
+        p = projector(res.circles[0])
         pexp = r4 @ np.diag([1.0, 1, 0, 0]) @ r4.T
         assert np.max(np.abs(p - pexp)) < 1e-9
 
@@ -206,7 +207,7 @@ class TestMirrorReduce:
         res, _ = mirror_reduce(ex.points, ex.graph)
         assert isinstance(res, GreatCircles)
         assert len(res.circles) == 2
-        projs = [c.basis.T @ c.basis for c in res.circles]
+        projs = [projector(c) for c in res.circles]
         exp1 = r4 @ np.diag([0.0, 0, 1, 1]) @ r4.T
         exp2 = r4 @ np.diag([1.0, 1, 0, 0]) @ r4.T
         err = min(
@@ -259,8 +260,8 @@ class TestMirrorReduce:
         res, keys = mirror_reduce(pts, g)
         assert keys[-1] == ("R5", ("cycles", (7, 10, 11)))
         nbrs = [g.out_rows(v)[:, 1].tolist() for v in range(n)]
-        want = sorted((cycle_circle(pts, _trace_cycle(nbrs, int(min(c))))
-                       for c in cycles), key=lambda p: p.key())
+        want = pluecker_sorted([
+            cycle_circle(pts, _trace_cycle(nbrs, int(min(c)))) for c in cycles])
         assert len(res.circles) == len(want)
         for got, ref in zip(res.circles, want):
             assert np.array_equal(projector(got), projector(ref))
@@ -294,8 +295,8 @@ class TestOrbitCircles:
             assert len(c.vertices) == 40
             # the step turns the circle by 2pi/40, its complement by 4pi/40
             orbit = ex.points[list(c.vertices)]
-            for basis, want in ((c.circle.basis, 2 * np.pi / 40),
-                                (frame(c.circle.basis)[2:], 4 * np.pi / 40)):
+            for basis, want in ((c.circle, 2 * np.pi / 40),
+                                (frame(c.circle)[2:], 4 * np.pi / 40)):
                 z = orbit @ basis.T @ [1, 1j]
                 assert np.allclose(np.abs(np.angle(np.roll(z, -1) / z)),
                                    want, atol=1e-9)
@@ -306,7 +307,7 @@ class TestOrbitCircles:
         # the invariant circle tracks the plane of the smaller turning angle
         pexp = r4 @ np.diag([1.0, 1, 0, 0]) @ r4.T
         for c in cycles:
-            p = c.circle.basis.T @ c.circle.basis
+            p = projector(c.circle)
             assert np.max(np.abs(p - pexp)) < 1e-7
 
     def test_circle_budget(self):

@@ -8,8 +8,7 @@ import pytest
 from scipy.spatial.distance import pdist, squareform
 
 from hypercongruence.cpgraph import ClosestPairGraph, closest_pair_graph
-from hypercongruence.geom import (EPS_EQ, DuplicatePointsError, PlaneSpan,
-                                  pluecker)
+from hypercongruence.geom import EPS_EQ, DuplicatePointsError, plueckers
 from hypercongruence.harness import random_rotation
 
 
@@ -71,8 +70,7 @@ def test_three_on_circle_single_edge():
 
 def test_antipodal_mode_matches_brute(rng):
     for n in (10, 60):
-        planes = [PlaneSpan(random_rotation(rng)[:2]) for _ in range(n)]
-        plv = np.array([pluecker(p) for p in planes])
+        plv = plueckers([random_rotation(rng)[:2] for _ in range(n)])
         g = closest_pair_graph(plv, antipodal=True)
         b = brute_graph(plv, antipodal=True)
         assert np.array_equal(g.edges, b.edges)
@@ -80,8 +78,7 @@ def test_antipodal_mode_matches_brute(rng):
 
 
 def test_antipodal_duplicates_rejected():
-    p = PlaneSpan(np.array([[1.0, 0, 0, 0], [0, 1.0, 0, 0]]))
-    v = pluecker(p)
+    v = plueckers(np.array([[1.0, 0, 0, 0], [0, 1.0, 0, 0]]))[0]
     for make in (closest_pair_graph, brute_graph):
         with pytest.raises(DuplicatePointsError):
             make(np.vstack([v, -v, [0, 0, 0, 0, 0, 1.0]]), antipodal=True)

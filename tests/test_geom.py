@@ -14,17 +14,16 @@ from conftest import (augmenting_match, pluecker_distance, rebuilt_step,
                       reference_match_multisets, step_angles)
 from hypercongruence.circles import cycle_circle
 from hypercongruence.geom import (CONSTANTS, DELTA_MIN, VERIFY_EPS, Chirality,
-                                  ParallelPlanesError, PlaneSpan, PointSet4,
-                                  Stalled, block_rotation, chirality,
-                                  circle_halves, circle_of_halves, frame,
-                                  frames, mark_pair, match_multisets, pluecker,
-                                  verify_rotation)
+                                  PointSet4, Stalled, block_rotation,
+                                  chirality, circle_halves, circle_of_halves,
+                                  frame, frames, mark_pairs, match_multisets,
+                                  plueckers, verify_rotation)
 from hypercongruence.harness import (gen_orbit_helix, gen_regular_polytope,
                                      gen_torus_grid, random_rotation)
 
-E12 = PlaneSpan(np.array([[1.0, 0, 0, 0], [0, 1.0, 0, 0]]))
-E34 = PlaneSpan(np.array([[0, 0, 1.0, 0], [0, 0, 0, 1.0]]))
-E13 = PlaneSpan(np.array([[1.0, 0, 0, 0], [0, 0, 1.0, 0]]))
+E12 = np.array([[1.0, 0, 0, 0], [0, 1.0, 0, 0]])
+E34 = np.array([[0, 0, 1.0, 0], [0, 0, 0, 1.0]])
+E13 = np.array([[1.0, 0, 0, 0], [0, 0, 1.0, 0]])
 
 
 class AnglePair(NamedTuple):
@@ -34,9 +33,9 @@ class AnglePair(NamedTuple):
     beta: float
 
 
-def angle_between_planes(p: PlaneSpan, q: PlaneSpan) -> AnglePair:
+def angle_between_planes(p: np.ndarray, q: np.ndarray) -> AnglePair:
     """Principal angle pair of two planes via the SVD of the 2x2 overlap."""
-    s = np.clip(np.linalg.svd(p.basis @ q.basis.T, compute_uv=False), -1.0, 1.0)
+    s = np.clip(np.linalg.svd(p @ q.T, compute_uv=False), -1.0, 1.0)
     return AnglePair(math.acos(s[0]), math.acos(s[1]))
 
 
@@ -50,7 +49,7 @@ def clifford_pair(basis_rows, alpha, delta, kind):
         u2 = v2 * ca + (v4 * cd - v3 * sd) * sa
     else:
         u2 = v2 * ca + (v3 * sd - v4 * cd) * sa
-    return PlaneSpan(np.vstack([u1, u2]))
+    return np.vstack([u1, u2])
 
 
 class TestPlaneAngles:
@@ -64,37 +63,35 @@ class TestPlaneAngles:
 
     def test_clifford_construction_angle(self, rng):
         v = random_rotation(rng)
-        p = PlaneSpan(v[:2].copy())
+        p = v[:2]
         q = clifford_pair(v, 0.3, 1.1, "right")
         a = angle_between_planes(p, q)
         assert np.allclose(a, [0.3, 0.3], atol=1e-12)
 
     def test_sorted_invariant(self, rng):
         for _ in range(20):
-            p = PlaneSpan(random_rotation(rng)[:2])
-            q = PlaneSpan(random_rotation(rng)[:2])
+            p = random_rotation(rng)[:2]
+            q = random_rotation(rng)[:2]
             a = angle_between_planes(p, q)
             assert 0 <= a.alpha <= a.beta <= math.pi / 2 + 1e-12
 
 
 class TestPluecker:
     def test_axis_planes(self):
-        assert np.allclose(pluecker(E12), [1, 0, 0, 0, 0, 0])
-        assert np.allclose(pluecker(E34), [0, 0, 0, 0, 0, 1])
+        assert np.allclose(plueckers([E12, E34]), [[1, 0, 0, 0, 0, 0],
+                                                   [0, 0, 0, 0, 0, 1]])
 
     def test_basis_independent(self, rng):
         for _ in range(20):
-            p = PlaneSpan(random_rotation(rng)[:2])
+            p = random_rotation(rng)[:2]
             th = rng.uniform(0, 2 * math.pi)
             c, s = math.cos(th), math.sin(th)
-            rebased = PlaneSpan(np.vstack([
-                c * p.basis[0] + s * p.basis[1],
-                -s * p.basis[0] + c * p.basis[1]]))
-            assert np.allclose(pluecker(p), pluecker(rebased), atol=1e-12)
+            rebased = np.vstack([c * p[0] + s * p[1], -s * p[0] + c * p[1]])
+            assert np.allclose(*plueckers([p, rebased]), atol=1e-12)
 
     def test_quadric_and_norm(self, rng):
         for _ in range(50):
-            v = pluecker(PlaneSpan(random_rotation(rng)[:2]))
+            v = plueckers(random_rotation(rng)[:2])[0]
             assert abs(np.linalg.norm(v) - 1) < 1e-12
             quad = v[0] * v[5] - v[1] * v[4] + v[2] * v[3]
             assert abs(quad) < 1e-12
@@ -110,7 +107,7 @@ class TestPlueckerDistance:
     def test_isoclinic_closed_form(self, rng):
         for alpha in (0.2, 0.7, 1.2):
             v = random_rotation(rng)
-            p = PlaneSpan(v[:2].copy())
+            p = v[:2]
             q = clifford_pair(v, alpha, 0.9, "right")
             assert pluecker_distance(p, q) == pytest.approx(
                 math.sqrt(2) * math.sin(alpha), abs=1e-12)
@@ -118,19 +115,19 @@ class TestPlueckerDistance:
     def test_closed_form_general(self, rng):
         # coordinate distance == sqrt(2 (1 - cos a cos b)) on random pairs
         for _ in range(200):
-            p = PlaneSpan(random_rotation(rng)[:2])
-            q = PlaneSpan(random_rotation(rng)[:2])
+            p = random_rotation(rng)[:2]
+            q = random_rotation(rng)[:2]
             a = angle_between_planes(p, q)
             want = math.sqrt(2 * (1 - math.cos(a.alpha) * math.cos(a.beta)))
             assert abs(pluecker_distance(p, q) - want) <= 1e-9
 
     def test_rotation_invariant(self, rng):
         for _ in range(100):
-            p = PlaneSpan(random_rotation(rng)[:2])
-            q = PlaneSpan(random_rotation(rng)[:2])
+            p = random_rotation(rng)[:2]
+            q = random_rotation(rng)[:2]
             r = random_rotation(rng)
-            pr = PlaneSpan(p.basis @ r.T)
-            qr = PlaneSpan(q.basis @ r.T)
+            pr = p @ r.T
+            qr = q @ r.T
             assert abs(pluecker_distance(p, q)
                        - pluecker_distance(pr, qr)) <= 1e-9
 
@@ -145,7 +142,7 @@ class TestChirality:
     def test_right_and_left_constructions(self, rng):
         for _ in range(10):
             v = random_rotation(rng)
-            p = PlaneSpan(v[:2].copy())
+            p = v[:2]
             d = rng.uniform(0, 2 * math.pi)
             assert chirality(p, clifford_pair(v, 0.4, d, "right")) \
                 is Chirality.RIGHT
@@ -153,17 +150,22 @@ class TestChirality:
                 is Chirality.LEFT
 
     def test_generic_not_isoclinic(self, rng):
-        p = PlaneSpan(random_rotation(rng)[:2])
-        q = PlaneSpan(random_rotation(rng)[:2])
+        p = random_rotation(rng)[:2]
+        q = random_rotation(rng)[:2]
         assert chirality(p, q) is Chirality.NOT_ISOCLINIC
 
     @pytest.mark.parametrize("beta", [1e-5, 4e-5])
     def test_near_coincident_not_isoclinic(self, beta):
         # principal angles (0, beta): both chords of the halves are about
         # beta, while the cosines of the angles differ by only beta^2 / 2
-        q = PlaneSpan(np.array([[1.0, 0, 0, 0],
-                                [0, math.cos(beta), 0, math.sin(beta)]]))
+        q = np.array([[1.0, 0, 0, 0], [0, math.cos(beta), 0, math.sin(beta)]])
         assert chirality(E12, q, 1e-9) is Chirality.NOT_ISOCLINIC
+
+    def test_bases_checked(self):
+        with pytest.raises(ValueError, match=r"orthonormal \(2, 4\) bases"):
+            chirality(np.eye(4)[:3], E12)
+        with pytest.raises(ValueError, match=r"orthonormal \(2, 4\) bases"):
+            chirality(E12, np.array([[1.0, 0, 0, 0], [0.6, 0.8, 0, 0]]))
 
     def test_right_transitive_in_bundle(self, rng):
         # fibers of one bundle are pairwise right, in any combination
@@ -333,11 +335,11 @@ class TestFrames:
 
 class TestHalves:
     def random_circles(self, rng, m):
-        return [PlaneSpan(random_rotation(rng)[:2]) for _ in range(m)]
+        return [random_rotation(rng)[:2] for _ in range(m)]
 
     def test_round_trip(self, rng):
         circles = [E12, E34, E13] + self.random_circles(rng, 200)
-        sigma, tau = circle_halves([c.basis for c in circles])
+        sigma, tau = circle_halves(circles)
         assert np.allclose(np.linalg.norm(sigma, axis=1), 1.0, atol=1e-12)
         assert np.allclose(np.linalg.norm(tau, axis=1), 1.0, atol=1e-12)
         for c, s, t in zip(circles, sigma, tau):
@@ -359,31 +361,28 @@ class TestHalves:
     def test_reflection_swaps_halves(self, rng):
         mirror = np.diag([-1.0, 1.0, 1.0, 1.0])
         circles = self.random_circles(rng, 20)
-        sigma, tau = circle_halves([c.basis for c in circles])
-        sigma_m, tau_m = circle_halves([c.basis @ mirror for c in circles])
+        sigma, tau = circle_halves(circles)
+        sigma_m, tau_m = circle_halves([c @ mirror for c in circles])
         assert np.allclose(sigma_m, -tau, atol=1e-12)
         assert np.allclose(tau_m, -sigma, atol=1e-12)
         swap = {Chirality.RIGHT: Chirality.LEFT, Chirality.LEFT: Chirality.RIGHT}
         for kind in ("right", "left"):
             v = random_rotation(rng)
-            p = PlaneSpan(v[:2].copy())
+            p = v[:2]
             q = clifford_pair(v, 0.4, rng.uniform(0, 2 * math.pi), kind)
             want = swap[chirality(p, q)]
-            assert chirality(PlaneSpan(p.basis @ mirror),
-                             PlaneSpan(q.basis @ mirror)) is want
+            assert chirality(p @ mirror, q @ mirror) is want
 
     def test_rotation_keeps_chirality(self, rng):
         for _ in range(20):
             v = random_rotation(rng)
-            p = PlaneSpan(v[:2].copy())
+            p = v[:2]
             d = rng.uniform(0, 2 * math.pi)
             r = random_rotation(rng)
             for q in (clifford_pair(v, 0.4, d, "right"),
                       clifford_pair(v, 0.4, d, "left"),
-                      PlaneSpan(v[2:].copy()),
-                      PlaneSpan(random_rotation(rng)[:2])):
-                assert chirality(PlaneSpan(p.basis @ r.T),
-                                 PlaneSpan(q.basis @ r.T)) is chirality(p, q)
+                      v[2:], random_rotation(rng)[:2]):
+                assert chirality(p @ r.T, q @ r.T) is chirality(p, q)
 
 
 class TestDecomposeRotation:
@@ -408,7 +407,7 @@ class TestDecomposeRotation:
                                atol=1e-9)
             # the circle is the conjugated slow coordinate plane
             want = s @ np.diag([1.0, 1, 0, 0]) @ s.T
-            assert np.allclose(c.basis.T @ c.basis, want, atol=1e-9)
+            assert np.allclose(c.T @ c, want, atol=1e-9)
 
     def test_reconstruct_roundtrip(self, rng):
         for _ in range(20):
@@ -431,9 +430,16 @@ class TestDecomposeRotation:
                 cycle_circle(np.array(cycle), range(len(cycle)))
 
 
+def marks_of(c, d):
+    """The marks (on c, on d) of one non-parallel pair, each (2, 4)."""
+    marks, ok = mark_pairs(c, d)
+    assert ok.tolist() == [True]
+    return marks[:2], marks[2:]
+
+
 class TestMarkPair:
     def test_shared_direction(self):
-        mc, md = mark_pair(E12, E13)
+        mc, md = marks_of(E12, E13)
         for marks in (mc, md):
             assert np.allclose(np.abs(marks[:, 0]), 1, atol=1e-9)
             assert np.allclose(marks[0], -marks[1])
@@ -441,18 +447,17 @@ class TestMarkPair:
     def test_tilted_plane_marks(self):
         u = math.cos(0.2) * np.eye(4)[0] + math.sin(0.2) * np.eye(4)[2]
         v = math.cos(0.5) * np.eye(4)[1] + math.sin(0.5) * np.eye(4)[3]
-        mc, md = mark_pair(E12, PlaneSpan(np.vstack([u, v])))
+        mc, md = marks_of(E12, np.vstack([u, v]))
         assert np.allclose(np.abs(mc[:, 0]), 1, atol=1e-9)  # +-e1 on E12
         assert min(np.linalg.norm(md[0] - u), np.linalg.norm(md[0] + u)) < 1e-9
 
     def test_equivariance(self, rng):
         u = math.cos(0.2) * np.eye(4)[0] + math.sin(0.2) * np.eye(4)[2]
         v = math.cos(0.5) * np.eye(4)[1] + math.sin(0.5) * np.eye(4)[3]
-        d = PlaneSpan(np.vstack([u, v]))
-        mc, md = mark_pair(E12, d)
+        d = np.vstack([u, v])
+        mc, md = marks_of(E12, d)
         r = random_rotation(rng)
-        mcr, mdr = mark_pair(PlaneSpan(E12.basis @ r.T),
-                             PlaneSpan(d.basis @ r.T))
+        mcr, mdr = marks_of(E12 @ r.T, d @ r.T)
         for orig, rot in ((mc, mcr), (md, mdr)):
             got = {tuple(np.round(p, 9)) for p in rot}
             want = {tuple(np.round(p, 9)) for p in orig @ r.T}
@@ -460,10 +465,22 @@ class TestMarkPair:
 
     def test_clifford_parallel_rejected(self, rng):
         v = random_rotation(rng)
-        p = PlaneSpan(v[:2].copy())
+        p = v[:2]
         q = clifford_pair(v, 0.4, 0.7, "right")
-        with pytest.raises(ParallelPlanesError):
-            mark_pair(p, q)
+        assert mark_pairs(p, q)[1].tolist() == [False]
+
+    def test_stack_is_pairs_in_turn(self, rng):
+        # one call over k pairs: the marks c+, c-, d+, d- of each pair in
+        # turn, as one call per pair gives them, and ok per pair
+        v = random_rotation(rng)
+        c = np.array([random_rotation(rng)[:2] for _ in range(5)] + [v[:2]])
+        d = np.array([random_rotation(rng)[:2] for _ in range(5)]
+                     + [clifford_pair(v, 0.4, 0.7, "left")])
+        marks, ok = mark_pairs(c, d)
+        assert ok.tolist() == [True] * 5 + [False]
+        for i in range(5):
+            assert np.array_equal(marks[4 * i:4 * i + 4],
+                                  np.vstack(marks_of(c[i], d[i])))
 
 
 class TestVerifyRotation:

@@ -58,7 +58,7 @@ def fiber_polygon(tau, n: int) -> np.ndarray:
     the fiber nearest e0 and turns toward e1, so it does not depend on the
     basis the fiber comes with; tau = -e0, the fiber e2 e3, has no such
     point."""
-    basis = circle_of_halves([1.0, 0.0, 0.0], tau).basis
+    basis = circle_of_halves([1.0, 0.0, 0.0], tau)
     u, v = (w / np.linalg.norm(w) for w in basis[:, :2].T @ basis)
     t = np.arange(n) * TWO_PI / n
     return np.cos(t)[:, None] * u + np.sin(t)[:, None] * v

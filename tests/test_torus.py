@@ -10,7 +10,6 @@ from hypercongruence.condense import (TWO_PI, circular_cluster, joint_ranks,
                                       prune_by_key, tolerance_cluster,
                                       wrap_angle)
 from hypercongruence.geom import (
-    PlaneSpan,
     PointSet4,
     block_rotation,
     match_multisets,
@@ -28,7 +27,7 @@ from hypercongruence.torus import (
     two_plus_two_reduce,
 )
 
-E12 = PlaneSpan(np.array([[1.0, 0, 0, 0], [0, 1.0, 0, 0]]))
+E12 = np.array([[1.0, 0, 0, 0], [0, 1.0, 0, 0]])
 
 
 def wrap_dist(a, b, period=TWO_PI):
@@ -607,8 +606,8 @@ class TestTwoPlusTwo:
         a = self.mixed(rng)
         b = a @ block_rotation(0.7, 1.3).T
         ra, rb = random_rotation(rng), random_rotation(rng)
-        pa = PlaneSpan(E12.basis @ ra.T)
-        pb = PlaneSpan(E12.basis @ rb.T)
+        pa = E12 @ ra.T
+        pb = E12 @ rb.T
         v = two_plus_two_reduce(PointSet4(a @ ra.T), PointSet4(b @ rb.T),
                                 pa, pb)
         assert v.congruent

@@ -113,7 +113,7 @@ def passes(src: str, args) -> list:
 
     def one_pass() -> float:
         t0 = perf_counter()
-        if circles:
+        if len(circles):
             marking.mark_circles(circles, 1e-9, 8)
         verdicts = [pipeline.congruence_test_4d(a, b, o) for a, b, o in cases]
         seconds = perf_counter() - t0
