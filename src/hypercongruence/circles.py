@@ -13,8 +13,8 @@ by the smaller angle; :func:`cycle_circle` fits that rotation over the
 whole cycle by orthogonal Procrustes and reads the circle off its complex
 eigenvectors.
 
-Both paths emit stage keys for the lockstep comparison and are equivariant:
-a rotation of the input rotates the output.
+:func:`mirror_reduce` yields its stage keys, :func:`orbit_circles` returns
+its one; both are equivariant: a rotation of the input rotates the output.
 """
 
 from __future__ import annotations
@@ -152,15 +152,14 @@ def _grid_leg_pairs(legs: np.ndarray):
 
 
 def mirror_reduce(points, graph: DirectedGraph, eps: float = EPS_EQ):
-    """Condense a mirror-symmetric graph; returns (result, stage_keys).
+    """Condense a mirror-symmetric graph, yielding (stage, key) pairs.
 
-    The result is CondensedPoints (components had eccentric centroids, or
+    It returns CondensedPoints (components had eccentric centroids, or
     were three-dimensional and got replaced by their antipodal hyperplane
     normals), GreatCircles (planar components, toroidal grids or fine
     orbit cycles) or Anchors (full-dimensional components of any other kind).
     """
     pts = np.asarray(points, dtype=float)
-    keys: list = []
     # one graph over both directions of every arc serves the components,
     # the degree test, the cycle walk and the grid legs
     n = len(pts)
@@ -170,13 +169,13 @@ def mirror_reduce(points, graph: DirectedGraph, eps: float = EPS_EQ):
     # only vertices on an edge belong to the graph
     comps = [g.tolist() for g in members_by_id(component_ids(n, sym.arc_rows))
              if len(g) > 1]
-    keys.append(("R1", (len(comps), tuple(sorted(map(len, comps))))))
+    yield "R1", (len(comps), tuple(sorted(map(len, comps))))
 
     centers = np.array([pts[c].mean(axis=0) for c in comps])
     if np.max(np.linalg.norm(centers, axis=1)) > CENTROID_TOL:
-        keys.append(("R2", "eccentric"))
-        return CondensedPoints(centers), keys
-    keys.append(("R2", "centered"))
+        yield "R2", "eccentric"
+        return CondensedPoints(centers)
+    yield "R2", "centered"
 
     # every component is centered, so rank 3 needs four points and its
     # normal vt[3] exists; rank 2 reads only vt[0] and vt[1]
@@ -186,17 +185,16 @@ def mirror_reduce(points, graph: DirectedGraph, eps: float = EPS_EQ):
         raise Stalled("components of a mirror-symmetric graph must "
                       "be congruent, got mixed ranks")
     rank = ranks.pop()
-    keys.append(("R-rank", rank))
+    yield "R-rank", rank
 
     if rank == 2:
-        circles = _spans([vt[:2] for _, vt in svds])
-        keys.append(("R3", tuple(sorted({len(c) for c in comps}))))
-        return GreatCircles(pluecker_sorted(circles)), keys
+        yield "R3", tuple(sorted({len(c) for c in comps}))
+        return GreatCircles(pluecker_sorted(_spans([v[:2] for _, v in svds])))
 
     if rank == 3:
         normals = [x for _, vt in svds for x in (vt[3], -vt[3])]
-        keys.append(("R4", len(normals)))
-        return CondensedPoints(np.array(normals)), keys
+        yield "R4", len(normals)
+        return CondensedPoints(np.array(normals))
 
     # rank 4: toroidal grids (two orthogonal edge classes each), or closed
     # orbit cycles sampled so finely that their chirality defect fell below
@@ -210,8 +208,8 @@ def mirror_reduce(points, graph: DirectedGraph, eps: float = EPS_EQ):
         out = np.searchsorted(tail, head)
         cycles = _walk_cycles(out + (head[out] == tail), tail)
         circles = [cycle_circle(pts, c, eps) for c in cycles]
-        keys.append(("R5", ("cycles", tuple(sorted(map(len, cycles))))))
-        return GreatCircles(pluecker_sorted(circles)), keys
+        yield "R5", ("cycles", tuple(sorted(map(len, cycles))))
+        return GreatCircles(pluecker_sorted(circles))
     for c in comps:
         u = min(c)
         nbrs = sym.out_rows(u)[:, 1]
@@ -221,11 +219,11 @@ def mirror_reduce(points, graph: DirectedGraph, eps: float = EPS_EQ):
             # not a toroidal grid (the vertex figure of a regular polytope,
             # say): any congruence maps these points onto the other side's,
             # so they serve as the anchors of a 1+3 reduction
-            keys.append(("R5", ("anchors", len(pts))))
-            return Anchors(), keys
+            yield "R5", ("anchors", len(pts))
+            return Anchors()
         circles.extend(legs[[i, j]] for i, j in sorted(pairs))
-    keys.append(("R5", len(circles)))
-    return GreatCircles(pluecker_sorted(_spans(circles))), keys
+    yield "R5", len(circles)
+    return GreatCircles(pluecker_sorted(_spans(circles)))
 
 
 # ---------------------------------------------------------------------------

@@ -15,15 +15,16 @@ Decisions are made on quantized invariants (tolerance-clustered angles and
 frame coordinates), so congruent inputs run through identical stages.  The
 loop is a generator of stage keys (:func:`prune_steps`): it yields one
 (stage, key) pair per decision and returns the exit, so a caller can run
-two sets in lockstep and stop both at the first key that differs;
-:func:`iterative_prune` runs one set to its exit.  Arcs travel as one
-sorted int array, and everything else about them as int arrays indexed by
-arc row: successor pairs are (arc, successor arc) rows, and the mark
-figures of all arcs are one table of circle positions.  The circle parts
-of all figures of a round go to :mod:`condense` laid end to end, with a
-length per arc, and their codes come back as int rows.  Codes are ranked
-among those of the round's graph, so ranks compare within one graph only;
-the C4 and C9 keys are their histograms, which congruent inputs share.
+two sets in lockstep and stop both at the first key that differs (the
+mirror reduction and the marking have the same shape); :func:`run_steps`
+runs one to its end.  Arcs travel as one sorted int array, and everything
+else about them as int arrays indexed by arc row: successor pairs are
+(arc, successor arc) rows, and the mark figures of all arcs are one table
+of circle positions.  The circle parts of all figures of a round go to
+:mod:`condense` laid end to end, with a length per arc, and their codes
+come back as int rows.  Codes are ranked among those of the round's graph,
+so ranks compare within one graph only; the C4 and C9 keys are their
+histograms, which congruent inputs share.
 """
 
 from __future__ import annotations
@@ -499,24 +500,23 @@ def prune_steps(points, eps: float = EPS_EQ, delta0: float = CONSTANTS.delta0):
 
 
 def next_step(steps) -> tuple:
-    """(key, None) for the next (stage, key) pair of a :func:`prune_steps`
-    generator, or (None, exit) when it has returned its exit."""
+    """(key, None) for the next (stage, key) pair of a stage-key generator,
+    or (None, exit) when it has returned its exit."""
     try:
         return next(steps), None
     except StopIteration as stop:
         return None, stop.value
 
 
+def run_steps(steps) -> tuple:
+    """(exit, keys): a stage-key generator run to its end."""
+    keys: list = []
+    while (step := next_step(steps))[0] is not None:
+        keys.append(step[0])
+    return step[1], keys
+
+
 def iterative_prune(points, eps: float = EPS_EQ,
                     delta0: float = CONSTANTS.delta0):
-    """Prune a set on the unit sphere down to one of the three exits.
-
-    Returns (exit, stage_keys): :func:`prune_steps` run to its end.
-    """
-    steps = prune_steps(points, eps, delta0)
-    keys: list = []
-    while True:
-        key, exit_ = next_step(steps)
-        if key is None:
-            return exit_, keys
-        keys.append(key)
+    """(exit, stage_keys): :func:`prune_steps` run to its end."""
+    return run_steps(prune_steps(points, eps, delta0))

@@ -9,8 +9,8 @@ class of them is one Hopf bundle, whose base points (``circle_halves``)
 are rigid enough to condense.  The loop below interleaves the two: it
 marks across the closest-pair graph of the circles (as antipodal Pluecker
 points on the 5-sphere) where possible, and merges plus condenses parallel
-classes on their base points where not.  It returns either marker points
-on the original circles or a small family of representative circles.
+classes on their base points where not.  It yields its stage keys and
+returns marker points on the original circles or a few representatives.
 
 Classes always share one chirality; the class structure is pruned by the
 least frequent class size so congruent inputs stay in lockstep.
@@ -59,9 +59,10 @@ def _closest_mates(idx: int, mates, plv: np.ndarray, eps: float) -> list:
 
 def mark_circles(circles, eps: float = EPS_EQ,
                  few_cap: int = CONSTANTS.few_circles_cap):
-    """Mark points on a circle family, or condense it; returns (result, keys).
+    """Mark points on a circle family, or condense it, yielding (stage, key)
+    pairs; an empty family raises ValueError at the call.
 
-    The result is Markers (the marks of the non-parallel pairs) or
+    It returns Markers (the marks of the non-parallel pairs) or
     FewCircles (at most ``few_cap`` circles, or the family of a round that
     found no pair to mark or made no progress).  ``few_cap`` exists so small
     instances can exercise the marking path; the default is the packing
@@ -70,18 +71,22 @@ def mark_circles(circles, eps: float = EPS_EQ,
     circles = np.asarray(circles, dtype=float)
     if not len(circles):
         raise ValueError("empty circle family")
-    keys: list = []
+    return _mark_steps(circles, eps, few_cap)
+
+
+def _mark_steps(circles: np.ndarray, eps: float, few_cap: int):
+    """The marking loop of :func:`mark_circles`."""
     # M1: singleton classes; cls holds the class id of every circle, dense
     # and in order of each class's first circle
     cls = np.arange(len(circles))
     chir = None
 
     # (class count, circle count) falls lexicographically on every pass:
-    # a condensing round that lowers neither returns the family below
+    # a condensing round that lowers neither leaves the loop for M3
     while True:
         # M2: keep only the circles of classes of the least frequent size
         pruned = prune_by_key(np.bincount(cls))
-        keys.append(("M2", pruned.histogram))
+        yield "M2", pruned.histogram
         keep = np.isin(cls, pruned.indices)
         circles = circles[keep]
         cls = np.unique(cls[keep], return_inverse=True)[1]
@@ -89,34 +94,34 @@ def mark_circles(circles, eps: float = EPS_EQ,
 
         # M3: few circles left
         if len(circles) <= few_cap:
-            return _few(circles, keys)
+            break
 
         # M4: a trivial partition carries no chirality
         if n_classes == len(circles):
             chir = None
-        keys.append(("M4", str(chir)))
+        yield "M4", str(chir)
 
         # M5: closest pairs on the Pluecker sphere
         plv = plueckers(circles)
         h = closest_pair_graph(plv, antipodal=True, eps=eps)
-        keys.append(("M5", len(h.edges)))
+        yield "M5", len(h.edges)
 
         # M6: split edges by pair chirality; BOTH edges are in e_l and e_r
         halves = circle_halves(circles)
         right, left = (parallel(x, h.edges, eps) for x in halves)
         e_l, e_r, e_n = (h.edges[m].tolist()
                          for m in (left, right, ~(left | right)))
-        keys.append(("M6", (len(e_l), len(e_r), len(e_n))))
+        yield "M6", (len(e_l), len(e_r), len(e_n))
 
         # M7: non-parallel closest pairs mark directly
         if e_n:
-            keys.append(("M7", len(e_n)))
-            return _mark(circles, e_n, eps, keys)
+            yield "M7", len(e_n)
+            return (yield from _mark(circles, e_n, eps))
 
         # M8/M9: replace a parallel edge endpoint c by its nearest class
         # mates k of the opposite sense.  k shares one half with c and the
         # edge (c, d) the other, so (k, d) is parallel only where k or d is
-        # the circle completely orthogonal to c, which shares both: a stall
+        # the circle completely orthogonal to c, which shares both: M12 stalls
         cross = {"right": e_l, "left": e_r}[chir] if chir else None
         if cross:
             pairs = set()
@@ -127,11 +132,9 @@ def mark_circles(circles, eps: float = EPS_EQ,
                                  for k in _closest_mates(c, mates, plv, eps))
             pairs = sorted(tuple(sorted(p)) for p in pairs)
             if not pairs:  # no mates off the edges: stalled, as at M10/M11
-                return _few(circles, keys)
-            if any(parallel(x, pairs, eps).any() for x in halves):
-                raise Stalled("constructed pair is Clifford parallel")
-            keys.append(("M8" if chir == "right" else "M9", len(pairs)))
-            return _mark(circles, pairs, eps, keys)
+                break
+            yield "M8" if chir == "right" else "M9", len(pairs)
+            return (yield from _mark(circles, pairs, eps))
 
         # M10/M11: merge classes along parallel edges (e_n is empty), and
         # condense each on its base points, the other halves signed by the
@@ -149,21 +152,17 @@ def mark_circles(circles, eps: float = EPS_EQ,
         sizes = list(map(len, fibers))
         if (len(groups), sum(sizes)) >= (n_classes, len(circles)):
             # stalled above few_cap: the 2+2 reduction tries every circle
-            return _few(circles, keys)
-        keys.append(("M10" if side == "left" else "M11",
-                     (n_classes, len(groups))))
+            break
+        yield "M10" if side == "left" else "M11", (n_classes, len(groups))
         circles = np.concatenate(fibers)
         cls = np.repeat(np.arange(len(groups)), sizes)
         chir = side
+    # M3: the family in Pluecker order, for the 2+2 reduction
+    yield "M3", len(circles)
+    return FewCircles(pluecker_sorted(circles))
 
 
-def _few(circles, keys: list):
-    """M3: the family in Pluecker order, for the 2+2 reduction."""
-    keys.append(("M3", len(circles)))
-    return FewCircles(pluecker_sorted(circles)), keys
-
-
-def _mark(circles, pairs, eps: float, keys: list):
+def _mark(circles, pairs, eps: float):
     """M12: four closest points for every pair; equal principal angles stall."""
     i, j = np.unique(np.sort(pairs, axis=1), axis=0).T
     marks, ok = mark_pairs(circles[i], circles[j], eps)
@@ -171,5 +170,5 @@ def _mark(circles, pairs, eps: float, keys: list):
         raise Stalled("marked pair has equal principal angles")
     pts = merge_unit_points(marks, MARK_EPS)
     pts = pts[np.lexsort(pts.T[::-1])]
-    keys.append(("M12", len(pts)))
-    return Markers(pts), keys
+    yield "M12", len(pts)
+    return Markers(pts)

@@ -9,8 +9,9 @@ reductions.  When the radius classes of one point span a 3-space, they pin
 the rotation by a Kabsch fit, and no later stage runs.  Both inputs are
 processed in lockstep; every stage emits comparison keys built from counts
 and cluster ranks only, and the first key divergence decides NotCongruent.
-Iterative pruning is lockstep key by key: the two sides' key generators
-advance together and both stop at the first pair of keys that differ.
+Iterative pruning, the mirror reduction and marking are lockstep key by
+key: the two sides' key generators advance together and both stop at the
+first pair of keys that differ.
 Positive verdicts always carry a rotation verified against the original
 (normalized) sets, so no amount of condensing of the working sets can make
 a false positive.  A stall (geom.Stalled) falls back to the 1+3 reduction
@@ -29,8 +30,7 @@ from .condense import (joint_cluster, joint_ranks, merge_points,
                        merge_unit_points, prune_by_key)
 from .geom import (CONSTANTS, EPS_EQ, PointSet4, Stalled, Verdict, key_tol,
                    match_tol, pluecker_sorted, plueckers, verify_rotation)
-from .iterprune import (MirrorSymmetric, WellSeparated, next_step,
-                        prune_steps)
+from .iterprune import MirrorSymmetric, WellSeparated, next_step, prune_steps
 from .lowdim import one_plus_three_reduce, pinned_rotation
 from .marking import FewCircles, mark_circles
 from .torus import two_plus_two_reduce
@@ -156,6 +156,13 @@ def _reduce(da: tuple, db: tuple, la, lb, label_names: Optional[list],
                         (stage, key_a, key_b))
         return key_a == key_b
 
+    def lockstep(stage: str, steps_a, steps_b) -> list:
+        """Record and return _lockstep's exits, None once keys differ."""
+        *exits, keys_a, keys_b = _lockstep(steps_a, steps_b)
+        check(stage, *((ex and type(ex).__name__, tuple(keys))
+                       for ex, keys in zip(exits, (keys_a, keys_b))))
+        return exits
+
     def check_counts(stage: str, ranks_a, ranks_b, bound: int, name) -> bool:
         """True when two sides' joint ranks below bound have equal class
         sizes; the histograms, named by name, are built only for a trace."""
@@ -227,13 +234,9 @@ def _reduce(da: tuple, db: tuple, la, lb, label_names: Optional[list],
             return one_plus_three_reduce(full_a, full_b, sa, sb, eps)
 
         try:
-            ex_a, ex_b, keys_a, keys_b = _lockstep(
-                prune_steps(sa, eps, opts.delta0),
-                prune_steps(sb, eps, opts.delta0))
-            # streams that diverged have no exits, and their names are None
-            if not check("sphere",
-                         (ex_a and type(ex_a).__name__, tuple(keys_a)),
-                         (ex_b and type(ex_b).__name__, tuple(keys_b))):
+            ex_a, ex_b = lockstep("sphere", prune_steps(sa, eps, opts.delta0),
+                                  prune_steps(sb, eps, opts.delta0))
+            if ex_a is None:
                 return Verdict.no("sphere structure")
 
             if isinstance(ex_a, WellSeparated):
@@ -241,10 +244,10 @@ def _reduce(da: tuple, db: tuple, la, lb, label_names: Optional[list],
                                              ex_b.points, eps)
 
             if isinstance(ex_a, MirrorSymmetric):
-                res_a, rk_a = mirror_reduce(ex_a.points, ex_a.graph, eps)
-                res_b, rk_b = mirror_reduce(ex_b.points, ex_b.graph, eps)
-                if not check("mirror", (type(res_a).__name__, tuple(rk_a)),
-                             (type(res_b).__name__, tuple(rk_b))):
+                res_a, res_b = lockstep(
+                    "mirror", mirror_reduce(ex_a.points, ex_a.graph, eps),
+                    mirror_reduce(ex_b.points, ex_b.graph, eps))
+                if res_a is None:
                     return Verdict.no("mirror structure")
                 if isinstance(res_a, Anchors):
                     return one_plus_three_reduce(full_a, full_b, ex_a.points,
@@ -270,10 +273,10 @@ def _reduce(da: tuple, db: tuple, la, lb, label_names: Optional[list],
             if not check("circles", len(circ_a), len(circ_b)):
                 return Verdict.no("circle count")
 
-            mres_a, mk_a = mark_circles(circ_a, eps, opts.few_cap)
-            mres_b, mk_b = mark_circles(circ_b, eps, opts.few_cap)
-            if not check("marking", (type(mres_a).__name__, tuple(mk_a)),
-                         (type(mres_b).__name__, tuple(mk_b))):
+            mres_a, mres_b = lockstep(
+                "marking", mark_circles(circ_a, eps, opts.few_cap),
+                mark_circles(circ_b, eps, opts.few_cap))
+            if mres_a is None:
                 return Verdict.no("circle structure")
 
             if isinstance(mres_a, FewCircles):

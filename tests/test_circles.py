@@ -24,6 +24,7 @@ from hypercongruence.iterprune import (
     EdgeTransitive,
     MirrorSymmetric,
     iterative_prune,
+    run_steps,
 )
 
 
@@ -166,7 +167,7 @@ class TestMirrorReduce:
                                  phase=0.3),
         ])
         g = both_ways([(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)], 6)
-        res, keys = mirror_reduce(pts, g)
+        res, keys = run_steps(mirror_reduce(pts, g))
         assert isinstance(res, CondensedPoints)
         assert keys
         got = sorted(map(tuple, np.round(res.points, 9)))
@@ -179,7 +180,7 @@ class TestMirrorReduce:
                          np.zeros(5), np.zeros(5)], axis=1)
         r4 = random_rotation(rng)
         g = both_ways([(i, (i + 1) % 5) for i in range(5)], 5)
-        res, keys = mirror_reduce(pent @ r4.T, g)
+        res, keys = run_steps(mirror_reduce(pent @ r4.T, g))
         assert isinstance(res, GreatCircles)
         assert len(res.circles) == 1
         p = projector(res.circles[0])
@@ -191,7 +192,7 @@ class TestMirrorReduce:
         r4 = random_rotation(rng)
         ex, _ = iterative_prune(octa @ r4.T, delta0=1.5)
         assert isinstance(ex, MirrorSymmetric)
-        res, keys = mirror_reduce(ex.points, ex.graph)
+        res, keys = run_steps(mirror_reduce(ex.points, ex.graph))
         assert isinstance(res, CondensedPoints)
         norm_exp = r4 @ np.array([0, 0, 0, 1.0])
         errs = [min(np.max(np.abs(p - norm_exp)), np.max(np.abs(p + norm_exp)))
@@ -204,7 +205,7 @@ class TestMirrorReduce:
         r4 = random_rotation(rng)
         ex, _ = iterative_prune(g88 @ r4.T, delta0=2.0)
         assert isinstance(ex, MirrorSymmetric)
-        res, _ = mirror_reduce(ex.points, ex.graph)
+        res, _ = run_steps(mirror_reduce(ex.points, ex.graph))
         assert isinstance(res, GreatCircles)
         assert len(res.circles) == 2
         projs = [projector(c) for c in res.circles]
@@ -226,7 +227,7 @@ class TestMirrorReduce:
         r4 = random_rotation(rng)
         arcs = set(map(tuple, cp.edges.tolist()))
         g = DirectedGraph(32, arc_array(arcs | {(b, a) for a, b in arcs}))
-        res, _ = mirror_reduce(g48 @ r4.T, g)
+        res, _ = run_steps(mirror_reduce(g48 @ r4.T, g))
         assert isinstance(res, GreatCircles)
         assert len(res.circles) == 2
 
@@ -236,7 +237,8 @@ class TestMirrorReduce:
         # ell/3 is isoclinic: every triple ell/3 apart lies on one circle
         r4 = random_rotation(rng)
         g = both_ways([(i, (i + 1) % ell) for i in range(ell)], ell)
-        res, keys = mirror_reduce(gen_orbit_helix(ell, k, 0.6) @ r4.T, g)
+        res, keys = run_steps(
+            mirror_reduce(gen_orbit_helix(ell, k, 0.6) @ r4.T, g))
         assert isinstance(res, GreatCircles)
         assert keys[-1] == ("R5", ("cycles", (ell,)))
         assert len(res.circles) == 1
@@ -257,7 +259,7 @@ class TestMirrorReduce:
             pts[c] = o
         g = both_ways([(c[i - 1], c[i]) for c in cycles
                        for i in range(len(c))], n)
-        res, keys = mirror_reduce(pts, g)
+        res, keys = run_steps(mirror_reduce(pts, g))
         assert keys[-1] == ("R5", ("cycles", (7, 10, 11)))
         nbrs = [g.out_rows(v)[:, 1].tolist() for v in range(n)]
         want = pluecker_sorted([
@@ -271,8 +273,8 @@ class TestMirrorReduce:
         pent = np.stack([np.cos(th), np.sin(th),
                          np.zeros(5), np.zeros(5)], axis=1)
         g = both_ways([(i, (i + 1) % 5) for i in range(5)], 5)
-        _, k0 = mirror_reduce(pent, g)
-        _, k1 = mirror_reduce(pent @ random_rotation(rng).T, g)
+        _, k0 = run_steps(mirror_reduce(pent, g))
+        _, k1 = run_steps(mirror_reduce(pent @ random_rotation(rng).T, g))
         assert k0 == k1
 
 

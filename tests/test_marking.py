@@ -18,7 +18,7 @@ from hypercongruence.geom import (
     plueckers,
 )
 from hypercongruence.harness import gen_hopf_circles, random_rotation
-from hypercongruence.iterprune import iterative_prune
+from hypercongruence.iterprune import iterative_prune, run_steps
 from hypercongruence.marking import (FewCircles, Markers, _closest_mates,
                                      mark_circles)
 
@@ -76,7 +76,7 @@ class TestTwoCircles:
     def test_non_parallel_pair_marks(self):
         c1, c2 = self.circles()
         assert chirality(c1, c2) == Chirality.NOT_ISOCLINIC
-        res, keys = mark_circles([c1, c2], few_cap=1)
+        res, keys = run_steps(mark_circles([c1, c2], few_cap=1))
         assert isinstance(res, Markers)
         # one unordered pair contributes two antipodal marks per circle
         assert len(res.points) == 4
@@ -86,12 +86,18 @@ class TestTwoCircles:
 
     def test_marks_lie_on_their_circles(self):
         c1, c2 = self.circles()
-        res, _ = mark_circles([c1, c2], few_cap=1)
+        res, _ = run_steps(mark_circles([c1, c2], few_cap=1))
         marks, ok = mark_pairs(c1, c2)
         assert ok.all()
         got = sorted(map(tuple, np.round(res.points, 9)))
         want = sorted(map(tuple, np.round(marks, 9)))
         assert got == want
+
+
+def test_empty_family_raises_at_the_call():
+    # checked before the stage-key generator is returned, as prune_steps is
+    with pytest.raises(ValueError, match="empty circle family"):
+        mark_circles(np.zeros((0, 2, 4)))
 
 
 class TestEqualAnglesStall:
@@ -106,11 +112,11 @@ class TestEqualAnglesStall:
     @pytest.mark.parametrize("beta", [1e-5, 4e-5])
     def test_near_coincident_pair_stalls(self, beta):
         with pytest.raises(Stalled, match="equal principal angles"):
-            mark_circles(self.circles(beta), few_cap=1)
+            run_steps(mark_circles(self.circles(beta), few_cap=1))
 
     def test_wider_pair_marks(self):
         # both circles hold +-e0, the marks of either one
-        res, keys = mark_circles(self.circles(1e-4), few_cap=1)
+        res, keys = run_steps(mark_circles(self.circles(1e-4), few_cap=1))
         assert isinstance(res, Markers) and keys[-1] == ("M12", 2)
         assert np.allclose(np.abs(res.points), np.eye(4)[[0, 0]])
 
@@ -119,7 +125,7 @@ class TestFewCirclesPath:
     def test_dodecahedral_bundle_condenses(self, rng):
         circles = right_bundle(SIGMA_E12, dodecahedron())
         r = random_rotation(rng)
-        res, keys = mark_circles(circles @ r.T, few_cap=12)
+        res, keys = run_steps(mark_circles(circles @ r.T, few_cap=12))
         assert isinstance(res, FewCircles)
         # dodecahedral fibers condense to the icosahedral dual bundle
         assert len(res.circles) == 12
@@ -128,7 +134,7 @@ class TestFewCirclesPath:
 
     def test_condensed_circles_form_one_bundle(self, rng):
         circles = right_bundle(SIGMA_E12, dodecahedron())
-        res, _ = mark_circles(circles, few_cap=12)
+        res, _ = run_steps(mark_circles(circles, few_cap=12))
         for i in range(len(res.circles)):
             for j in range(i + 1, len(res.circles)):
                 # antipodal base points give fully orthogonal fibers (BOTH)
@@ -139,7 +145,8 @@ class TestFewCirclesPath:
         # a random right Hopf bundle has one closest pair per round, so
         # M11 merges one pair of classes at a time: 72 rounds from 80
         # circles down to few_cap, past any fixed round cap below that
-        res, keys = mark_circles(gen_hopf_circles(80, 3, 0)[1], few_cap=8)
+        res, keys = run_steps(
+            mark_circles(gen_hopf_circles(80, 3, 0)[1], few_cap=8))
         assert isinstance(res, FewCircles) and keys[-1] == ("M3", 8)
         assert [k for s, k in keys if s == "M11"] == \
             [(n, n - 1) for n in range(80, 8, -1)]
@@ -151,7 +158,7 @@ class TestEquidistantBundles:
         d = [pluecker_distance(allc[i], allc[j])
              for i in range(8) for j in range(i + 1, 8)]
         assert np.allclose(d, math.sqrt(4 / 3), atol=1e-9)
-        res, keys = mark_circles(allc, few_cap=2)
+        res, keys = run_steps(mark_circles(allc, few_cap=2))
         assert isinstance(res, Markers)
         assert len(res.points) == 24
         stages = [k[0] for k in keys]
@@ -163,15 +170,15 @@ class TestEquidistantBundles:
     def test_lockstep_keys_rotation_invariant(self, rng):
         allc = two_tetra_bundles()
         r = random_rotation(rng)
-        res, keys = mark_circles(allc, few_cap=2)
-        res_r, keys_r = mark_circles(allc @ r.T, few_cap=2)
+        res, keys = run_steps(mark_circles(allc, few_cap=2))
+        res_r, keys_r = run_steps(mark_circles(allc @ r.T, few_cap=2))
         assert keys == keys_r
         assert type(res) is type(res_r)
 
     def test_mark_count_keys_differ_for_different_families(self):
         c1, c2 = TestTwoCircles().circles()
-        _, k2 = mark_circles([c1, c2], few_cap=1)
-        _, k8 = mark_circles(two_tetra_bundles(), few_cap=2)
+        _, k2 = run_steps(mark_circles([c1, c2], few_cap=1))
+        _, k8 = run_steps(mark_circles(two_tetra_bundles(), few_cap=2))
         assert k2 != k8
 
 
@@ -212,7 +219,7 @@ class TestSnubOrbitCircles:
         if mirrored:
             circles = [c @ MIRROR_X0 for c in circles]
             m6, merge, side, cross = (36, 0, 0), "M10", "left", "M9"
-        res, keys = mark_circles(circles, few_cap=8)
+        res, keys = run_steps(mark_circles(circles, few_cap=8))
         assert isinstance(res, Markers)
         assert keys == [("M2", ((1, 24),)), ("M4", "None"), ("M5", 36),
                         ("M6", m6), (merge, (24, 3)), ("M2", ((6, 3),)),
@@ -228,7 +235,7 @@ class TestSnubOrbitCircles:
                       for d in circles if c is not d)
         assert closest == pytest.approx(math.sqrt(2 / 3))
         assert min(pluecker_distance(far, c) for c in circles) > 0.86
-        res, keys = mark_circles(circles + [far], few_cap=8)
+        res, keys = run_steps(mark_circles(circles + [far], few_cap=8))
         assert keys[4:] == [("M11", (25, 4)), ("M2", ((1, 1), (6, 3))),
                             ("M3", 1)]
         assert isinstance(res, FewCircles)
@@ -241,7 +248,8 @@ class TestCrossPairStall:
     over the hexagon's poles, a circle c and its completely orthogonal c'
     in one class, d and d' in the other, with d left parallel to c.  The
     cross pairs then replace c by its mate c', which is left parallel to d
-    as well: the constructed pair is Clifford parallel, and marking stalls."""
+    as well: the constructed pair is Clifford parallel, so its principal
+    angles are equal and marking stalls at M12."""
 
     def circles(self):
         g = np.arange(6) * math.pi / 3
@@ -249,7 +257,7 @@ class TestCrossPairStall:
         return [circle_of_halves(s, t) for s in np.eye(3)[:2] for t in hexagon]
 
     def test_bundles_condense_to_antipodal_fiber_pairs(self):
-        res, keys = mark_circles(self.circles(), few_cap=4)
+        res, keys = run_steps(mark_circles(self.circles(), few_cap=4))
         assert isinstance(res, FewCircles)
         assert keys == [("M2", ((1, 12),)), ("M4", "None"), ("M5", 12),
                         ("M6", (0, 12, 0)), ("M11", (12, 2)),
@@ -259,5 +267,6 @@ class TestCrossPairStall:
         assert kinds == ["both"] * 2 + ["left"] * 4
 
     def test_cross_pairs_stall(self):
-        with pytest.raises(Stalled, match="constructed pair is Clifford parallel"):
-            mark_circles(self.circles(), few_cap=3)
+        with pytest.raises(Stalled,
+                           match="marked pair has equal principal angles"):
+            run_steps(mark_circles(self.circles(), few_cap=3))

@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
+from conftest import arc_array
 from hypercongruence import iterprune, pipeline
+from hypercongruence.circles import mirror_reduce
 from hypercongruence.condense import (TWO_PI, members_by_id, merge_close,
                                       merge_points)
 from hypercongruence.geom import block_rotation, circle_of_halves
@@ -502,13 +504,11 @@ class TestStructuredFamilies:
                                trace_sink=trace)
         assert not v.congruent and v.stage == "circle structure"
         assert trace[-2] == ("circles", 3, 3)
+        # both sides stop at the first differing key, M5
         assert trace[-1] == (
             "marking",
-            ("FewCircles", (("M2", ((1, 3),)), ("M4", "None"), ("M5", 3),
-                            ("M6", (0, 3, 0)), ("M11", (3, 1)),
-                            ("M2", ((2, 1),)), ("M3", 2))),
-            ("Markers", (("M2", ((1, 3),)), ("M4", "None"), ("M5", 2),
-                         ("M6", (0, 0, 2)), ("M7", 2), ("M12", 8))))
+            (None, (("M2", ((1, 3),)), ("M4", "None"), ("M5", 3))),
+            (None, (("M2", ((1, 3),)), ("M4", "None"), ("M5", 2))))
 
     def test_hopf_bundle_samples(self, rng):
         pts = [fiber_polygon(np.array(tau), 12)
@@ -754,6 +754,32 @@ class TestLockstep:
         assert keys_a == (("C1", (n, "dense")), ("C2", 2 * n))
         assert keys_b == (("C1", (n, "dense")), ("C2", 4))
         assert calls == []
+
+    def test_mirror_stops_at_the_first_differing_r_key(self, rng):
+        # a square on a great circle against a regular tetrahedron on a
+        # great 2-sphere: one centered component of 4 points each, of rank
+        # 2 and 3, so the two streams first differ at R-rank
+        square = np.concatenate([np.eye(4)[:2], -np.eye(4)[:2]])
+        tetra = np.array([[1.0, 1, 1, 0], [1, -1, -1, 0], [-1, 1, -1, 0],
+                          [-1, -1, 1, 0]]) / math.sqrt(3)
+        cycle = [(0, 1), (1, 2), (2, 3), (0, 3)]
+        complete = itertools.combinations(range(4), 2)
+        sides = [(pts @ random_rotation(rng).T,
+                  iterprune.DirectedGraph(4, arc_array(edges)))
+                 for pts, edges in ((square, cycle), (tetra, complete))]
+        steps = [mirror_reduce(pts, g) for pts, g in sides]
+        ex_a, ex_b, keys_a, keys_b = _lockstep(*steps)
+        head = [("R1", (1, (4,))), ("R2", "centered")]
+        assert ex_a is ex_b is None
+        assert keys_a == head + [("R-rank", 2)]
+        assert keys_b == head + [("R-rank", 3)]
+        # each side resumes right after the differing key: its R3 or R4
+        # key is still to come
+        for s, keys, (pts, g) in zip(steps, (keys_a, keys_b), sides):
+            rest = iterprune.run_steps(s)[1]
+            assert len(rest) == 1
+            assert keys + rest == \
+                iterprune.run_steps(mirror_reduce(pts, g))[1]
 
 
 class TestUntracedDecisions:

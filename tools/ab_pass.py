@@ -35,12 +35,14 @@ way: ``harness.gen_regular_polytope(NAME)`` and its placed copy, under
     python tools/ab_pass.py --base ../parent/src --polytope 600-cell 0.7
 
 With ``--hopf M SAMPLES`` a pass runs ``marking.mark_circles(circles,
-1e-9, 8)`` once on the circles of ``harness.gen_hopf_circles(M, SAMPLES,
-seed)``, generated untimed from each side's own package.  One right Hopf
-bundle merges one pair of classes per M11 round down to 8 circles, which
-is the condensing path the benchmark never reaches: of its pairs, the 32
-``dense`` ones that reach marking all stop at M3, and point sets sampled
-from Hopf circles decide at the "sphere" stage:
+1e-9, 8)`` once to its end, through ``iterprune.run_steps``, on the
+circles of ``harness.gen_hopf_circles(M, SAMPLES, seed)``, generated
+untimed from each side's own package.  A side whose ``mark_circles``
+returns its (result, keys) tuple has run to its end at the call.  One
+right Hopf bundle merges one pair of classes per M11 round down to 8
+circles, which is the condensing path the benchmark never reaches: of its
+pairs, the 32 ``dense`` ones that reach marking all stop at M3, and point
+sets sampled from Hopf circles decide at the "sphere" stage:
 
     python tools/ab_pass.py --base ../parent/src --hopf 160 3 --rounds 4 \
         --passes 3
@@ -86,7 +88,7 @@ def passes(src: str, args) -> list:
     """Seconds of each timed pass, after one untimed pass; with --count,
     the calls of each function it names in one more, profiled pass."""
     sys.path.insert(0, src)
-    from hypercongruence import harness, marking, pipeline
+    from hypercongruence import harness, iterprune, marking, pipeline
     workloads = load_workloads()
     one_pair = args.helix or args.gauss or args.polytope
     circles = []
@@ -114,7 +116,9 @@ def passes(src: str, args) -> list:
     def one_pass() -> float:
         t0 = perf_counter()
         if len(circles):
-            marking.mark_circles(circles, 1e-9, 8)
+            steps = marking.mark_circles(circles, 1e-9, 8)
+            if not isinstance(steps, tuple):
+                iterprune.run_steps(steps)
         verdicts = [pipeline.congruence_test_4d(a, b, o) for a, b, o in cases]
         seconds = perf_counter() - t0
         if one_pair and not verdicts[0].congruent:
