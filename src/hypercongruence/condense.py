@@ -32,7 +32,7 @@ from itertools import accumulate, chain
 from typing import Hashable, Sequence
 
 import numpy as np
-from scipy.sparse import coo_matrix
+from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 from scipy.spatial import cKDTree
 
@@ -156,7 +156,11 @@ def component_ids(n: int, edges) -> np.ndarray:
     e = np.asarray(edges, dtype=int).reshape(-1, 2)
     if len(e) == 0:
         return np.arange(n)
-    graph = coo_matrix((np.ones(len(e)), (e[:, 0], e[:, 1])), shape=(n, n))
+    # the CSR arrays straight from the edges: heads grouped by tail
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(np.bincount(e[:, 0], minlength=n), out=indptr[1:])
+    heads = e[np.argsort(e[:, 0], kind="stable"), 1].astype(np.int32)
+    graph = csr_matrix((np.ones(len(e)), heads, indptr), shape=(n, n))
     _, labels = connected_components(graph, directed=False)
     _, first = np.unique(labels, return_index=True)
     return np.argsort(np.argsort(first))[labels]

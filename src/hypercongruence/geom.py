@@ -209,17 +209,19 @@ def frames(stack, eps: float = FRAME_EPS) -> tuple[np.ndarray, np.ndarray]:
     Returns (F, ok): F is (m, d, d) with F[i] the frame of stack[i], and
     ok[i] is False where some vector is within eps of the span of those
     before it (F[i] is then still a finite, positively oriented orthonormal
-    frame, but not adapted to the vectors).
+    frame, adapted to the vectors before the first such one).
 
     The frames are built in closed form, each step one vectorized pass
     over the whole stack.  Given row i is vector i after two classical
     Gram-Schmidt steps against the rows before it (Giraud, Langou,
     Rozloznik and van den Eshof, Numer. Math. 2005), which keeps it on the
     side of vector i; ok compares its length after the first step, |R_ii|,
-    with eps.  A free middle row, and a given row whose residual vanishes,
-    is the coordinate axis of least weight on the rows before it after the
-    same two steps.  The last row is the generalized cross product of the
-    rows before it, which orients the frame positively.
+    with eps.  A free middle row, and the row of a dependent vector (its
+    first-step residual below eps), is the coordinate axis of least weight
+    on the rows before it after the same two steps: two steps leave a
+    residual orthogonal to working precision only when it is not itself
+    at the level of rounding.  The last row is the generalized cross
+    product of the rows before it, which orients the frame positively.
     """
     a = np.ascontiguousarray(np.asarray(stack, dtype=float).transpose(1, 2, 0))
     k, d, m = a.shape
@@ -229,14 +231,16 @@ def frames(stack, eps: float = FRAME_EPS) -> tuple[np.ndarray, np.ndarray]:
         q = f[:i]
         if i < k:
             w = _gs_step(q, a[i])
-            ok &= (w * w).sum(0) >= eps * eps
+            given = (w * w).sum(0) >= eps * eps
+            ok &= given
             u, s = _unit(_gs_step(q, w))
-            if (s >= _TINY).all():
+            given &= s >= _TINY
+            if given.all():
                 f[i] = u
                 continue
         axis = np.eye(d)[:, (q * q).sum(0).argmin(0)]
         e = _unit(_gs_step(q, _gs_step(q, axis)))[0]
-        f[i] = e if i >= k else np.where(s >= _TINY, u, e)
+        f[i] = e if i >= k else np.where(given, u, e)
     flat, sign = _cross_terms(d)
     f[-1] = _unit((f.reshape(d * d, m)[flat].prod(2) * sign).sum(1))[0]
     return np.ascontiguousarray(f.transpose(2, 0, 1)), ok

@@ -34,9 +34,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geom import (EPS_EQ, ALPHA_POINT_TOL, AXIS_TOL, CONSTANTS, MIRROR_TOL,
-                   POINT_RADIUS, SPAN_EPS, THETA_TOL, Stalled, frames,
-                   match_multisets)
+from .geom import (EPS_EQ, ALPHA_POINT_TOL, AXIS_TOL, CONSTANTS, FRAME_EPS,
+                   MIRROR_TOL, POINT_RADIUS, SPAN_EPS, THETA_TOL, Stalled,
+                   frames, match_multisets)
 from .condense import (TWO_PI, canonical_axes, circular_cluster,
                        is_regular_polygon, joint_ranks, padded_rows,
                        prune_by_key, tolerance_cluster, wrap_angle)
@@ -139,8 +139,12 @@ def edge_figure_codes(points, graph: DirectedGraph,
     two-vector frame(-v, u - v): the axial coordinates and the distance
     from the axial plane are clustered, and the angular part around it
     gets one canonical cyclic code.  These planar codes rank above all
-    three-vector codes.  All frames of the graph come from two stacked
-    :func:`frames` calls, and all figure coordinates from one einsum.
+    three-vector codes.  All frames of the graph come from one stacked
+    :func:`frames` call with a row per variant, b = u for a head with no
+    other out-neighbor; a planar arc takes the frame of its first variant,
+    whose rows 0-1 are frame(-v, u - v) and whose rows 2-3 its code reads
+    only through the distance rho and the rotation-invariant axes code.
+    All figure coordinates come from one einsum.
     A code is an int string with one token per figure point, the rank of
     its row of ids and mask, followed for a planar figure by its axes code;
     each is ranked as one row padded with -1 (:func:`padded_rows`), so
@@ -156,34 +160,42 @@ def edge_figure_codes(points, graph: DirectedGraph,
     in_arc, in_at = _blocks(np.bincount(head, minlength=n), tail)
     in_pt = tail[np.lexsort((tail, head))[in_at]]
     from_v = in_pt != head[in_arc]
-    # figure points sorted by (arc, point), with their or-ed masks
-    key, inv = np.unique(np.concatenate([
-        np.arange(n_arcs) * n + tail, out_arc * n + out_pt,
-        in_arc[from_v] * n + in_pt[from_v]]), return_inverse=True)
-    masks = np.zeros(len(key), dtype=int)
-    np.bitwise_or.at(masks, inv, np.repeat(
-        [1, 2, 4], [n_arcs, len(out_arc), int(from_v.sum())]))
-    fig_arc, fig_pt = np.divmod(key, n)
+    # figure points sorted by (arc, point), with their or-ed masks; the
+    # three parts are sorted runs, which a stable sort merges
+    key = np.concatenate([np.arange(n_arcs) * n + tail, out_arc * n + out_pt,
+                          in_arc[from_v] * n + in_pt[from_v]])
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    first = np.flatnonzero(np.diff(key, prepend=-1))
+    masks = np.bitwise_or.reduceat(np.repeat(
+        [1, 2, 4], [n_arcs, len(out_arc), int(from_v.sum())])[order], first)
+    fig_arc, fig_pt = np.divmod(key[first], n)
     fig_size = np.bincount(fig_arc, minlength=n_arcs)
 
-    def stack(owner, *ends):
-        pv = pts[head[owner]]
-        return np.stack([-pv] + [pts[e] - pv for e in ends], axis=1)
-
+    # variants: the out-neighbors b != u of the head, or b = u alone
     base = out_pt != tail[out_arc]
-    var_arc, var_pt = out_arc[base], out_pt[base]
-    f3, ok = frames(stack(var_arc, tail[var_arc], var_pt))
-    var_arc, f3 = var_arc[ok], f3[ok]
-    planar = np.ones(n_arcs, dtype=bool)
-    planar[var_arc] = False
-    plan_arc = np.flatnonzero(planar)
-    f2, ok = frames(stack(plan_arc, tail[plan_arc]))
-    if not ok.all():
+    lone = np.flatnonzero(np.bincount(out_arc[base], minlength=n_arcs) == 0)
+    var_arc = np.concatenate([out_arc[base], lone])
+    order = np.argsort(var_arc, kind="stable")
+    var_arc = var_arc[order]
+    var_pt = np.concatenate([out_pt[base], tail[lone]])[order]
+    pv = pts[head[var_arc]]
+    f, ok = frames(np.stack([-pv, pts[tail[var_arc]] - pv, pts[var_pt] - pv],
+                            axis=1))
+    lead = np.flatnonzero(np.diff(var_arc, prepend=-1))
+    plan_arc = np.flatnonzero(np.logical_or.reduceat(ok, lead) == 0)
+    # a planar arc takes its first variant's frame, whose row 1 is off the
+    # ray of v unless u - v is on it
+    if (_dot(pts[tail[plan_arc]] - pts[head[plan_arc]],
+             f[lead[plan_arc], 1]) < FRAME_EPS).any():
         raise Stalled("arc endpoints collapse onto one ray")
+    var_at = np.flatnonzero(ok)
+    var_arc = var_arc[var_at]
     # one coordinate row per (frame, figure point): three-vector rows first
     row_f, row_fig = _blocks(fig_size, np.concatenate([var_arc, plan_arc]))
     rel = pts[fig_pt[row_fig]] - pts[head[fig_arc[row_fig]]]
-    coords = np.einsum("nk,nik->ni", rel, np.concatenate([f3, f2])[row_f])
+    coords = np.einsum("nk,nik->ni", rel,
+                       f[np.concatenate([var_at, lead[plan_arc]])[row_f]])
     n3 = int(fig_size[var_arc].sum())
     c3, c12, c34 = coords[:n3], coords[n3:, :2], coords[n3:, 2:]
     rho = np.hypot(c34[:, 0], c34[:, 1])
@@ -191,31 +203,36 @@ def edge_figure_codes(points, graph: DirectedGraph,
         np.concatenate([c3.ravel(), c12.ravel(), rho]), eps).ids,
         [c3.size, c3.size + c12.size])
     ranks = np.zeros(n_arcs, dtype=int)
+    n_least = 0
 
-    # three-vector figures: each variant's entries sorted, least variant
-    # wins; an entry is the rank of its (4 coordinate ids, mask) row
-    entry = joint_ranks(np.c_[ids3.reshape(-1, 4), masks[row_fig[:n3]]])[1]
-    var_rank = joint_ranks(padded_rows(_sort_runs(entry, row_f[:n3]),
-                                       fig_size[var_arc]))[1]
-    first = np.flatnonzero(np.diff(var_arc, prepend=-1))
-    least, ranks[var_arc[first]] = joint_ranks(
-        np.minimum.reduceat(var_rank, first))
+    if len(var_arc):
+        # three-vector figures: each variant's entries sorted, least variant
+        # wins; an entry is the rank of its (4 coordinate ids, mask) row
+        entry = joint_ranks(np.c_[ids3.reshape(-1, 4),
+                                  masks[row_fig[:n3]]])[1]
+        var_rank = joint_ranks(padded_rows(_sort_runs(entry, row_f[:n3]),
+                                           fig_size[var_arc]))[1]
+        first = np.flatnonzero(np.diff(var_arc, prepend=-1))
+        least, ranks[var_arc[first]] = joint_ranks(
+            np.minimum.reduceat(var_rank, first))
+        n_least = len(least)
 
-    # planar figures: the axial part sorted, the angular part on the circle;
-    # an entry is the rank of its (x id, y id, rho id, mask) row
-    entry = joint_ranks(np.c_[ids12.reshape(-1, 2), ids_rho,
-                              masks[row_fig[n3:]]])[1]
-    owner = row_f[n3:] - len(var_arc)
-    on = rho > AXIS_TOL
-    axial = padded_rows(_sort_runs(entry[~on], owner[~on]),
-                        np.bincount(owner[~on], minlength=len(plan_arc)))
-    # the angular parts of all planar figures share one gap quantization
-    size = np.bincount(owner[on], minlength=len(plan_arc))
-    codes = canonical_axes(np.arctan2(c34[on, 1], c34[on, 0]), entry[on],
-                           size[size > 0], THETA_TOL)[2]
-    angular = np.full((len(plan_arc), codes.shape[1]), -1)
-    angular[size > 0] = codes
-    ranks[plan_arc] = len(least) + joint_ranks(np.c_[axial, angular])[1]
+    if len(plan_arc):
+        # planar figures: the axial part sorted, the angular part on the
+        # circle; an entry is the rank of its (x id, y id, rho id, mask) row
+        entry = joint_ranks(np.c_[ids12.reshape(-1, 2), ids_rho,
+                                  masks[row_fig[n3:]]])[1]
+        owner = row_f[n3:] - len(var_arc)
+        on = rho > AXIS_TOL
+        axial = padded_rows(_sort_runs(entry[~on], owner[~on]),
+                            np.bincount(owner[~on], minlength=len(plan_arc)))
+        # the angular parts of all planar figures share one gap quantization
+        size = np.bincount(owner[on], minlength=len(plan_arc))
+        codes = canonical_axes(np.arctan2(c34[on, 1], c34[on, 0]), entry[on],
+                               size[size > 0], THETA_TOL)[2]
+        angular = np.full((len(plan_arc), codes.shape[1]), -1)
+        angular[size > 0] = codes
+        ranks[plan_arc] = n_least + joint_ranks(np.c_[axial, angular])[1]
     return ranks
 
 

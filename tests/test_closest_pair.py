@@ -9,7 +9,7 @@ from scipy.spatial.distance import pdist, squareform
 
 from hypercongruence.cpgraph import ClosestPairGraph, closest_pair_graph
 from hypercongruence.geom import EPS_EQ, DuplicatePointsError, plueckers
-from hypercongruence.harness import random_rotation
+from hypercongruence.harness import gen_regular_polytope, random_rotation
 
 
 def brute_graph(points: np.ndarray, antipodal: bool = False,
@@ -75,6 +75,30 @@ def test_antipodal_mode_matches_brute(rng):
         b = brute_graph(plv, antipodal=True)
         assert np.array_equal(g.edges, b.edges)
         assert g.delta == pytest.approx(b.delta)
+
+
+@pytest.mark.parametrize("name, degree", [("24-cell", 8), ("600-cell", 12)])
+def test_polytopes_match_brute(rng, name, degree):
+    # more neighbours than the first query asks for, so the query runs
+    # again with k doubled
+    pts = gen_regular_polytope(name) @ random_rotation(rng).T
+    g, b = closest_pair_graph(pts), brute_graph(pts)
+    assert np.array_equal(g.edges, b.edges)
+    assert g.delta == pytest.approx(b.delta)
+    assert (np.bincount(g.edges.ravel()) == degree).all()
+
+
+def test_antipodal_ties_match_brute(rng):
+    # the six coordinate planes, rotated: every two Pluecker rows are
+    # sqrt(2) apart under both signs, so the graph is K6 and each sign
+    # class reaches both signs of every other
+    planes = np.eye(4)[list(itertools.combinations(range(4), 2))]
+    plv = plueckers(planes @ random_rotation(rng).T)
+    g = closest_pair_graph(plv, antipodal=True)
+    b = brute_graph(plv, antipodal=True)
+    assert np.array_equal(g.edges, b.edges)
+    assert len(g.edges) == 15
+    assert g.delta == pytest.approx(np.sqrt(2))
 
 
 def test_antipodal_duplicates_rejected():

@@ -9,6 +9,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
 
 from conftest import dense_ranks
 from hypercongruence.condense import (canonical_axes, circle_gaps,
@@ -317,6 +319,19 @@ class TestComponentIds:
         # though its edge is listed last
         ids = component_ids(6, [(5, 2), (3, 1), (4, 0)])
         assert ids.tolist() == [0, 1, 2, 1, 0, 2]
+
+    def test_edge_lists_equal_coo_route(self, rng):
+        # unsorted, repeated, reversed and self-loop edges over 60
+        # vertices, 10 of them isolated, against a COO matrix
+        for _ in range(20):
+            e = rng.integers(0, 50, size=(int(rng.integers(1, 60)), 2))
+            e = rng.permutation(np.concatenate([e, e[::-1, ::-1], e[:5]]))
+            graph = coo_matrix((np.ones(len(e)), (e[:, 0], e[:, 1])),
+                               shape=(60, 60))
+            labels = connected_components(graph, directed=False)[1]
+            _, first = np.unique(labels, return_index=True)
+            assert component_ids(60, e).tolist() == \
+                np.argsort(np.argsort(first))[labels].tolist()
 
     def test_means_equal_loop_reference(self, rng):
         # 300 points near 100 centers, so merge_close classes have one to

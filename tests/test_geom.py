@@ -2,6 +2,7 @@
 chirality, circle halves, frames, rotation decomposition, marks,
 verification."""
 
+import itertools
 import math
 from typing import NamedTuple
 
@@ -206,6 +207,28 @@ class TestFrame:
     def test_dependent_vectors(self):
         assert frame([(1.0, 0, 0, 0), (2.0, 1e-10, 0, 0)]) is None
         assert frame([(1.0, 0, 0, 0), (2.0, 2e-9, 0, 0)]) is not None
+
+    def test_dependent_vector_with_a_rounding_residual(self):
+        # the third vector lies in the plane of the first two, but its
+        # residual is rounding noise, not zero: the row still falls back
+        # to an axis instead of the noise's direction
+        f, ok = frames([[(-0.846, -0.534, 0, 0), (0.013, -0.021, 0, 0),
+                         (-0.016, 0.021, 0, 0)]])
+        assert not ok[0]
+        assert np.max(np.abs(f[0] @ f[0].T - np.eye(4))) <= 1e-15
+        assert abs(np.linalg.det(f[0]) - 1.0) <= 1e-15
+
+    @pytest.mark.parametrize("plane", list(itertools.combinations(range(4), 2)))
+    def test_three_rows_in_a_coordinate_plane(self, rng, plane):
+        # a dependent third vector leaves the frame of the first two,
+        # orthonormal and positively oriented
+        stack = np.zeros((500, 3, 4))
+        stack[:, :, plane] = rng.normal(size=(500, 3, 2))
+        f, ok = frames(stack)
+        assert not ok.any()
+        assert np.abs(np.einsum("mij,mkj->mik", f, f) - np.eye(4)).max() <= 1e-15
+        assert np.abs(np.linalg.det(f) - 1.0).max() <= 1e-15
+        assert np.array_equal(f, frames(stack[:, :2])[0])
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_stack_equals_rows(self, rng, k):

@@ -164,6 +164,53 @@ class TestBatchedFigureCodes:
         assert labeled >= 60
 
 
+class TestFigureCodeVariants:
+    """One frames call per graph: every arc gets a variant row (b = u when
+    the head has no other out-neighbour), and a planar arc reads the frame
+    of its first variant.  The codes equal the per-arc reference, and arc
+    by arc they survive a rotation and a relabelling of the points."""
+
+    @staticmethod
+    def check(points, graph, rng, kinds):
+        codes = TestBatchedFigureCodes.check(points, graph)
+        assert {c[0] for c in codes.values()} == kinds
+        ranks = code_of(graph, edge_figure_codes(points, graph))
+        perm = rng.permutation(len(points))
+        moved = np.empty_like(points)
+        moved[perm] = points @ random_rotation(rng).T
+        image = DirectedGraph(len(points), arc_array(
+            map(tuple, perm[graph.arc_rows].tolist())))
+        moved_ranks = code_of(image, edge_figure_codes(moved, image))
+        assert {a: moved_ranks[tuple(perm[list(a)].tolist())]
+                for a in ranks} == ranks
+        assert sorted(moved_ranks.values()) == sorted(ranks.values())
+
+    def test_head_of_out_degree_one(self, rng):
+        # three points on an arc of a great circle: the heads of the arcs
+        # 10 and 12 have the tail as their only out-neighbour
+        t = np.array([0.0, 0.3, 0.7])
+        pts = np.c_[np.cos(t), np.sin(t), np.zeros(3), np.zeros(3)]
+        pts = pts @ random_rotation(rng).T
+        g = DirectedGraph(3, arc_array({(0, 1), (1, 0), (1, 2), (2, 1)}))
+        assert g.degrees()[[0, 2], 0].tolist() == [1, 1]
+        self.check(pts, g, rng, {"p"})
+
+    def test_great_circle(self, rng):
+        # every arc planar
+        t = np.sort(rng.uniform(0, 2 * np.pi, 40))
+        pts = np.c_[np.cos(t), np.sin(t), np.zeros(40), np.zeros(40)]
+        ring = [(i, (i + 1) % 40) for i in range(40)]
+        g = DirectedGraph(40, arc_array(ring + [(j, i) for i, j in ring]))
+        self.check(pts @ random_rotation(rng).T, g, rng, {"p"})
+
+    def test_helix(self, rng):
+        # no planar arc
+        pts = unit_rows(gen_orbit_helix(40, 3, 0.8))
+        g = graph_of(pts)
+        assert (g.degrees() == 2).all()
+        self.check(pts, g, rng, {"f"})
+
+
 class TestDirectedGraph:
     def test_rows_match_brute_force(self, rng):
         # vertex 9 has no arcs
