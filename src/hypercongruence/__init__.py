@@ -4,18 +4,16 @@ The package decides whether two n-point sets are related by an
 orientation-preserving isometry (rotation plus translation) and, if so,
 produces a witnessing rotation.  The test runs in near-linearithmic time by
 condensing both sets in lockstep until a dimension reduction applies.
+Each name below is the one way the package does its job.
 """
 
 from .geom import (
     CONSTANTS,
     EPS_EQ,
-    Chirality,
     Constants,
-    DuplicatePointsError,
     PointSet4,
     Verdict,
     block_rotation,
-    chirality,
     circle_halves,
     circle_of_halves,
     frame,
@@ -31,7 +29,7 @@ from .harness import (
     oracle_congruent,
     random_rotation,
 )
-from .lowdim import congruence_2d_labeled, congruence_3d_labeled
+from .lowdim import congruence_3d_labeled
 from .pipeline import PipelineOptions, congruence_test_4d
 from .torus import canonical_set_torus, torus_translation_congruent
 

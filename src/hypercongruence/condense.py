@@ -36,7 +36,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 from scipy.spatial import cKDTree
 
-from .geom import EPS_EQ
+from .geom import CENTROID_TOL, EPS_EQ
 
 TWO_PI = 2.0 * math.pi
 # int keys spanning at most _COUNT_SPAN values per key are counted instead
@@ -225,11 +225,18 @@ def merge_points(points: np.ndarray, eps: float, labels=None) -> tuple:
 def merge_unit_points(points: np.ndarray, eps: float) -> np.ndarray:
     """Unit points with every class of :func:`merge_close` at eps replaced
     by its mean scaled back to unit length, in class order; the input
-    itself when nothing merges."""
+    itself when nothing merges.  A class whose mean is shorter than
+    CENTROID_TOL has no direction (single linkage at a large eps can chain
+    directions that cancel): its members stay unmerged, after the means."""
     means = merge_points(points, eps)[0]
     if means is points:
         return points
-    return means / np.linalg.norm(means, axis=1, keepdims=True)
+    norm = np.linalg.norm(means, axis=1, keepdims=True)
+    flat = norm[:, 0] < CENTROID_TOL
+    if not flat.any():
+        return means / norm
+    kept = flat[merge_close(points, eps)]
+    return np.concatenate([means[~flat] / norm[~flat], points[kept]])
 
 
 def joint_cluster(a: Sequence[float], b: Sequence[float],

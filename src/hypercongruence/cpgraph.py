@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .geom import EPS_EQ, DuplicatePointsError
+from .geom import EPS_EQ, Stalled
 
 
 @dataclass(frozen=True, eq=False)
@@ -37,8 +37,8 @@ def closest_pair_graph(points: np.ndarray, antipodal: bool = False,
     serves every graph on the 3-sphere; circles end at k = 4 and grids at
     k = 8.
 
-    Raises DuplicatePointsError when two items are closer than eps; the
-    callers all require simple sets.
+    Raises Stalled when two items are within eps: the callers all
+    require simple sets, and the pipeline falls back to the 1+3 step.
     """
     pts = np.asarray(points, dtype=float)
     n = len(pts)
@@ -54,7 +54,7 @@ def closest_pair_graph(points: np.ndarray, antipodal: bool = False,
     delta = float(dists[other].min())
     if delta <= eps:
         what = "sign classes" if antipodal else "points"
-        raise DuplicatePointsError(f"two {what} at distance {delta:.3e}")
+        raise Stalled(f"two {what} at distance {delta:.3e}")
     bound = delta + eps
     rows, i, j = np.arange(n), [], []
     while True:

@@ -5,20 +5,21 @@ of an (n, 4) array, a great circle (a plane through the origin) is an
 orthonormal (2, 4) basis and a family of them an (m, 2, 4) stack, put in
 canonical order by its Pluecker rows (:func:`plueckers`), and every adapted
 orthonormal frame (anchor axis, plane pair, edge figure) comes from
-:func:`frame`, or from :func:`frames` for a whole stack of them at once.  A great circle's parallelism and Hopf base points
-come from the halves of its bivector (:func:`circle_halves`).  Rotations are
-built here (:func:`block_rotation`) but not taken apart: the invariant
-planes of an orbit cycle's step rotation come from its complex eigenvectors
-in ``circles.cycle_circle``.  ``EPS_EQ`` is the default comparison tolerance
-for coordinates; callers may override it per operation.  Every fixed
-tolerance is named once, in the table below.
+:func:`frame`, or from :func:`frames` for a whole stack of them at once.
+A great circle's Hopf base points come from the halves of its bivector
+(:func:`circle_halves`), and Clifford parallelism is one test on them
+(:func:`parallel`).  Rotations are built here (:func:`block_rotation`) but
+not taken apart: the invariant planes of an orbit cycle's step rotation
+come from its complex eigenvectors in ``circles.cycle_circle``.
+``EPS_EQ`` is the default comparison tolerance for coordinates; callers
+may override it per operation.  Every fixed tolerance is named once, in
+the table below, and :class:`Stalled` is the one internal error.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from functools import lru_cache
 from itertools import chain, combinations, permutations
 from typing import Optional, Sequence
@@ -37,8 +38,7 @@ VERIFY_EPS = 1e-6           # match distance of the final rotation check [in]
 ORACLE_EPS = 1e-7           # span and match tolerance of the oracle [in]
 FRAME_EPS = 1e-9            # frame residual of a dependent vector [u]
 SPAN_EPS = 1e-12            # the same, where only parallel vectors fail [u]
-ORTHONORMAL_TOL = 1e-7      # Gram entry error of a chirality basis [u]
-CENTROID_TOL = 1e-7         # centroid norm of eccentric unit points [u]
+CENTROID_TOL = 1e-7         # norm of a unit-point mean with a direction [u]
 FIT_TOL = 1e-7              # step error of an orbit cycle's rotation [u]
 MIRROR_TOL = 1e-7           # match distance of mirrored arc neighbours [u]
 MARK_EPS = 1e-7             # merge distance of circle marks [u]
@@ -100,19 +100,10 @@ class Constants:
 CONSTANTS = Constants()
 
 
-class DuplicatePointsError(ValueError):
-    """Input contains two points closer than the comparison tolerance."""
-
-
 class Stalled(Exception):
-    """A condensing step stalled; the pipeline falls back to the 1+3 step."""
-
-
-class Chirality(Enum):
-    LEFT = "left"
-    RIGHT = "right"
-    BOTH = "both"
-    NOT_ISOCLINIC = "not-isoclinic"
+    """A condensing step stalled, or met two items within eps where it needs
+    a simple set; the pipeline falls back to the 1+3 step.  The package's
+    only internal error."""
 
 
 @dataclass(frozen=True)
@@ -314,27 +305,13 @@ def circle_of_halves(sigma, tau) -> np.ndarray:
 
 def parallel(halves: np.ndarray, pairs, eps: float) -> np.ndarray:
     """Which pairs (i, j) of circles are Clifford parallel in the sense of
-    the halves given (sigma right, tau left): rows equal up to sign within eps."""
+    the halves given (sigma right, tau left): rows equal up to sign within
+    eps.  For principal angles a <= b the chords of the two halves are
+    2 sin((b - a) / 2) and 2 sin(min(a + b, pi - a - b) / 2), linear in the
+    angles; identical and completely orthogonal pairs are both."""
     x, y = halves[np.asarray(pairs, dtype=int).reshape(-1, 2).T]
     return np.minimum(np.linalg.norm(x - y, axis=1),
                       np.linalg.norm(x + y, axis=1)) <= eps
-
-
-def chirality(p, q, eps: float = EPS_EQ) -> Chirality:
-    """Classify a pair of circles, two orthonormal (2, 4) bases, as right or
-    left Clifford parallel, both, or not isoclinic, on their halves.  For
-    principal angles a <= b their chords are 2 sin((b - a) / 2) and
-    2 sin(min(a + b, pi - a - b) / 2), linear in the angles.  Identical and
-    completely orthogonal pairs are both."""
-    pair = [np.asarray(x, dtype=float) for x in (p, q)]
-    if any(x.shape != (2, 4) or np.abs(x @ x.T - np.eye(2)).max()
-           > ORTHONORMAL_TOL for x in pair):
-        raise ValueError("expected two orthonormal (2, 4) bases")
-    halves = circle_halves(pair)
-    right, left = (bool(parallel(x, [(0, 1)], eps)[0]) for x in halves)
-    if right:
-        return Chirality.BOTH if left else Chirality.RIGHT
-    return Chirality.LEFT if left else Chirality.NOT_ISOCLINIC
 
 
 def mark_pairs(c, d, eps: float = EPS_EQ) -> tuple[np.ndarray, np.ndarray]:

@@ -81,21 +81,6 @@ def circle_axes(a: np.ndarray, la: Sequence, b: np.ndarray, lb: Sequence,
     return base[0], base[1], TWO_PI / count[0]
 
 
-def congruence_2d_labeled(angles_a: np.ndarray, labels_a: Sequence,
-                          angles_b: np.ndarray, labels_b: Sequence,
-                          eps: float = EPS_EQ) -> Optional[float]:
-    """Rotation angle t with (angles_a + t, labels_a) == (angles_b, labels_b)
-    as labeled multisets on the circle, or None: the turn that
-    :func:`labeled_rotation` finds for the unit points (cos, sin).  Labels
-    are hashable and comparable across the sets, or rows of int tables.
-    """
-    pa, pb = (np.column_stack((np.cos(x), np.sin(x)))
-              for x in (np.atleast_1d(angles_a), np.atleast_1d(angles_b)))
-    s = labeled_rotation(pa, labels_a, pb, labels_b, eps)
-    return None if s is None else float(wrap_angle(math.atan2(s[1, 0],
-                                                              s[0, 0])))
-
-
 def pinned_rotation(pa: np.ndarray, ta: np.ndarray, pb: np.ndarray,
                     tb: np.ndarray, counts: np.ndarray, vtol: float) -> tuple:
     """(pinned, S) for d-dimensional points tokened by joint ranks ta, tb

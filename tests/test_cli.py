@@ -10,7 +10,8 @@ from hypercongruence import cli
 from hypercongruence.cli import MAX_GENERATE, main
 from hypercongruence.fileio import read_points, write_points
 from hypercongruence.geom import EPS_EQ
-from hypercongruence.harness import gen_congruent_pair
+from hypercongruence.harness import (gen_congruent_pair, gen_regular_polytope,
+                                     random_rotation)
 
 
 @pytest.fixture
@@ -153,6 +154,24 @@ class TestTest:
         swapped[0], swapped[3] = swapped[3], swapped[0]
         write_points(pb, pts, labels=swapped)
         assert main(["test", str(pa), str(pb)]) == 1
+
+
+    @pytest.mark.parametrize("name", ["8-cell", "24-cell"])
+    def test_tolerance_at_the_points_scale_decides(self, name, tmp_path,
+                                                   capsys):
+        # at --tolerance 1 and coordinates near 1e6, single linkage chains
+        # shell directions that cancel (8-cell), and two shell points come
+        # within the tolerance in a closest-pair graph (24-cell)
+        a = 1e6 * gen_regular_polytope(name)
+        rng = np.random.default_rng(0)
+        b = a @ random_rotation(rng).T + 1e6 * rng.normal(size=4)
+        pa, pb = tmp_path / "a.txt", tmp_path / "b.txt"
+        write_points(pa, a)
+        write_points(pb, b)
+        rc = main(["test", str(pa), str(pb), "--tolerance", "1"])
+        out, err = capsys.readouterr()
+        assert rc in (0, 1) and err == ""
+        assert out.startswith("congruent" if rc == 0 else "not congruent")
 
 
 class TestGenerate:

@@ -376,6 +376,20 @@ class TestMergePoints:
         assert got.shape == (2, 4) and np.allclose(got[1], want)
         assert got[0].tolist() == [1.0, 0, 0, 0]
 
+    def test_cancelling_class_keeps_its_members(self):
+        # a 12-gon chains into one class at 0.6 whose mean is 0: it has no
+        # direction, so its points stay; the pair near e3 still merges
+        t = np.arange(12) * TWO_PI / 12
+        gon = np.c_[np.cos(t), np.sin(t), np.zeros((12, 2))]
+        pair = np.array([[0, 0, 1.0, 0], [0, 0, math.cos(0.1), math.sin(0.1)]])
+        x = np.r_[gon, pair]
+        got = merge_unit_points(x, 0.6)
+        mean = merge_points(x, 0.6)[0][1:]
+        assert got.shape == (13, 4)
+        assert got[:1].tobytes() == (mean / np.linalg.norm(
+            mean, axis=1, keepdims=True)).tobytes()
+        assert got[1:].tobytes() == gon.tobytes()
+
 
 UNIT = 2.0 ** -30        # a dyadic grid step near the pipeline's tolerance
 

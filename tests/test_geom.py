@@ -1,5 +1,5 @@
 """Core geometry: plane angles, Pluecker coordinates,
-chirality, circle halves, frames, rotation decomposition, marks,
+Clifford parallelism, circle halves, frames, rotation decomposition, marks,
 verification."""
 
 import itertools
@@ -14,11 +14,11 @@ from scipy.spatial import cKDTree
 from conftest import (augmenting_match, pluecker_distance, rebuilt_step,
                       reference_match_multisets, step_angles)
 from hypercongruence.circles import cycle_circle
-from hypercongruence.geom import (CONSTANTS, DELTA_MIN, VERIFY_EPS, Chirality,
+from hypercongruence.geom import (CONSTANTS, DELTA_MIN, EPS_EQ, VERIFY_EPS,
                                   PointSet4, Stalled, block_rotation,
-                                  chirality, circle_halves, circle_of_halves,
-                                  frame, frames, mark_pairs, match_multisets,
-                                  plueckers, verify_rotation)
+                                  circle_halves, circle_of_halves, frame,
+                                  frames, mark_pairs, match_multisets,
+                                  parallel, plueckers, verify_rotation)
 from hypercongruence.harness import (gen_orbit_helix, gen_regular_polytope,
                                      gen_torus_grid, random_rotation)
 
@@ -134,49 +134,47 @@ class TestPlueckerDistance:
 
 
 class TestChirality:
+    """Right and left Clifford parallelism: parallel on the halves (sigma
+    right, tau left) of circle stacks."""
+
     def test_orthogonal_both(self):
-        assert chirality(E12, E34) is Chirality.BOTH
+        for h in circle_halves([E12, E34]):
+            assert parallel(h, [(0, 1)], EPS_EQ)[0]
 
     def test_identical_both(self):
-        assert chirality(E12, E12) is Chirality.BOTH
+        for h in circle_halves([E12, E12]):
+            assert parallel(h, [(0, 1)], EPS_EQ)[0]
 
     def test_right_and_left_constructions(self, rng):
         for _ in range(10):
             v = random_rotation(rng)
-            p = v[:2]
             d = rng.uniform(0, 2 * math.pi)
-            assert chirality(p, clifford_pair(v, 0.4, d, "right")) \
-                is Chirality.RIGHT
-            assert chirality(p, clifford_pair(v, 0.4, d, "left")) \
-                is Chirality.LEFT
+            sigma, tau = circle_halves([
+                v[:2], clifford_pair(v, 0.4, d, "right"),
+                clifford_pair(v, 0.4, d, "left")])
+            pairs = [(0, 1), (0, 2)]
+            assert parallel(sigma, pairs, EPS_EQ).tolist() == [True, False]
+            assert parallel(tau, pairs, EPS_EQ).tolist() == [False, True]
 
     def test_generic_not_isoclinic(self, rng):
-        p = random_rotation(rng)[:2]
-        q = random_rotation(rng)[:2]
-        assert chirality(p, q) is Chirality.NOT_ISOCLINIC
+        halves = circle_halves([random_rotation(rng)[:2] for _ in range(2)])
+        assert not any(parallel(h, [(0, 1)], EPS_EQ)[0] for h in halves)
 
     @pytest.mark.parametrize("beta", [1e-5, 4e-5])
     def test_near_coincident_not_isoclinic(self, beta):
         # principal angles (0, beta): both chords of the halves are about
         # beta, while the cosines of the angles differ by only beta^2 / 2
         q = np.array([[1.0, 0, 0, 0], [0, math.cos(beta), 0, math.sin(beta)]])
-        assert chirality(E12, q, 1e-9) is Chirality.NOT_ISOCLINIC
-
-    def test_bases_checked(self):
-        with pytest.raises(ValueError, match=r"orthonormal \(2, 4\) bases"):
-            chirality(np.eye(4)[:3], E12)
-        with pytest.raises(ValueError, match=r"orthonormal \(2, 4\) bases"):
-            chirality(E12, np.array([[1.0, 0, 0, 0], [0.6, 0.8, 0, 0]]))
+        halves = circle_halves([E12, q])
+        assert not any(parallel(h, [(0, 1)], 1e-9)[0] for h in halves)
 
     def test_right_transitive_in_bundle(self, rng):
         # fibers of one bundle are pairwise right, in any combination
         sigma = circle_halves(random_rotation(rng)[None, :2])[0][0]
-        fibs = [circle_of_halves(sigma, s / np.linalg.norm(s))
-                for s in rng.normal(size=(4, 3))]
-        for i in range(4):
-            for j in range(i + 1, 4):
-                assert chirality(fibs[i], fibs[j]) in (
-                    Chirality.RIGHT, Chirality.BOTH)
+        fibs = np.stack([circle_of_halves(sigma, s / np.linalg.norm(s))
+                         for s in rng.normal(size=(4, 3))])
+        pairs = np.column_stack(np.triu_indices(4, 1))
+        assert parallel(circle_halves(fibs)[0], pairs, EPS_EQ).all()
 
 
 class TestFrame:
@@ -388,24 +386,32 @@ class TestHalves:
         sigma_m, tau_m = circle_halves([c @ mirror for c in circles])
         assert np.allclose(sigma_m, -tau, atol=1e-12)
         assert np.allclose(tau_m, -sigma, atol=1e-12)
-        swap = {Chirality.RIGHT: Chirality.LEFT, Chirality.LEFT: Chirality.RIGHT}
+        # so a right pair turns left in the mirror, and a left one right
         for kind in ("right", "left"):
             v = random_rotation(rng)
-            p = v[:2]
-            q = clifford_pair(v, 0.4, rng.uniform(0, 2 * math.pi), kind)
-            want = swap[chirality(p, q)]
-            assert chirality(p @ mirror, q @ mirror) is want
+            pair = np.stack([v[:2], clifford_pair(
+                v, 0.4, rng.uniform(0, 2 * math.pi), kind)])
+            sigma, tau = circle_halves(pair)
+            sigma_m, tau_m = circle_halves(pair @ mirror)
+            for h, h_m in ((sigma, tau_m), (tau, sigma_m)):
+                assert parallel(h_m, [(0, 1)], EPS_EQ)[0] \
+                    == parallel(h, [(0, 1)], EPS_EQ)[0]
+            assert parallel(sigma, [(0, 1)], EPS_EQ)[0] == (kind == "right")
+            assert parallel(tau, [(0, 1)], EPS_EQ)[0] == (kind == "left")
 
     def test_rotation_keeps_chirality(self, rng):
         for _ in range(20):
             v = random_rotation(rng)
-            p = v[:2]
             d = rng.uniform(0, 2 * math.pi)
             r = random_rotation(rng)
-            for q in (clifford_pair(v, 0.4, d, "right"),
-                      clifford_pair(v, 0.4, d, "left"),
-                      v[2:], random_rotation(rng)[:2]):
-                assert chirality(p @ r.T, q @ r.T) is chirality(p, q)
+            circles = np.stack([v[:2], clifford_pair(v, 0.4, d, "right"),
+                                clifford_pair(v, 0.4, d, "left"),
+                                v[2:], random_rotation(rng)[:2]])
+            pairs = [(0, j) for j in range(1, 5)]
+            for h, h_r in zip(circle_halves(circles),
+                              circle_halves(circles @ r.T)):
+                assert parallel(h_r, pairs, EPS_EQ).tolist() \
+                    == parallel(h, pairs, EPS_EQ).tolist()
 
 
 class TestDecomposeRotation:

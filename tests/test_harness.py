@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from hypercongruence import harness
-from hypercongruence.geom import (PointSet4, frame, match_multisets,
-                                  verify_rotation)
+from hypercongruence.geom import (EPS_EQ, PointSet4, circle_halves, frame,
+                                  match_multisets, parallel, verify_rotation)
 from hypercongruence.harness import (
     ORACLE_MAX,
     gen_congruent_pair,
@@ -18,7 +18,6 @@ from hypercongruence.harness import (
     oracle_congruent,
     random_rotation,
 )
-from hypercongruence.geom import Chirality, chirality
 from hypercongruence.pipeline import congruence_test_4d
 
 
@@ -203,10 +202,9 @@ class TestGenerators:
         assert pts.shape == (40, 4)
         assert np.allclose(np.linalg.norm(pts, axis=1), 1.0)
         assert len(circles) == 4
-        for i in range(4):
-            for j in range(i + 1, 4):
-                assert chirality(circles[i], circles[j]) in (
-                    Chirality.RIGHT, Chirality.BOTH)
+        # the fibers of one right bundle
+        pairs = np.column_stack(np.triu_indices(4, 1))
+        assert parallel(circle_halves(circles)[0], pairs, EPS_EQ).all()
 
     @pytest.mark.parametrize("m, samples", [(0, 3), (2, 2)])
     def test_hopf_circles_rejects_small(self, m, samples):

@@ -15,11 +15,23 @@ from hypercongruence.harness import gen_orbit_helix, random_rotation
 from hypercongruence.lowdim import (
     circle_axes,
     collapse_circle,
-    congruence_2d_labeled,
     congruence_3d_labeled,
+    labeled_rotation,
     one_plus_three_reduce,
 )
 from hypercongruence.sphere import condense_sphere
+
+
+def unit(angles) -> np.ndarray:
+    """The unit points (cos, sin) of angles on the circle."""
+    a = np.asarray(angles, dtype=float)
+    return np.column_stack((np.cos(a), np.sin(a)))
+
+
+def turn(t: float) -> np.ndarray:
+    """The 2x2 rotation by the angle t."""
+    c, s = math.cos(t), math.sin(t)
+    return np.array([[c, -s], [s, c]])
 
 
 class TestCircle:
@@ -39,73 +51,74 @@ class TestCircle:
             return circle_axes(*args)
         monkeypatch.setattr(lowdim, "circle_axes", counted)
         ang = np.arange(7) * TWO_PI / 7
-        t = congruence_2d_labeled(ang, [0] * 7, np.mod(ang + 1.3, TWO_PI),
-                                  [0] * 7, 1e-9)
-        assert t is not None and len(calls) == 1
-        assert np.allclose(np.sort(np.mod(ang + t, TWO_PI)),
-                           np.sort(np.mod(ang + 1.3, TWO_PI)), atol=1e-9)
+        s = labeled_rotation(unit(ang), [0] * 7, unit(ang + 1.3), [0] * 7,
+                             1e-9)
+        assert s is not None and len(calls) == 1
+        assert np.allclose(s @ s.T, np.eye(2), atol=1e-12)
+        assert match_multisets(unit(ang) @ s.T, unit(ang + 1.3), 1e-9)
 
     def test_identical_sequences_zero_shift(self):
         ang = np.array([0.3, 1.1, 4.0])
-        t = congruence_2d_labeled(ang, "xyz", ang, "xyz", 1e-9)
-        assert t is not None
-        assert np.allclose(np.sort(np.mod(ang + t, TWO_PI)),
-                           np.sort(ang), atol=1e-9)
+        s = labeled_rotation(unit(ang), list("xyz"), unit(ang), list("xyz"),
+                             1e-9)
+        assert s is not None
+        assert np.allclose(s, np.eye(2), atol=1e-9)
 
     def test_distinct_labels_pin_exact_shift(self, rng, no_axes):
         ang = np.arange(7) * TWO_PI / 7
         labs = list(range(7))
-        b = np.mod(ang + 1.3 + 1e-12 * rng.normal(size=7), TWO_PI)
-        t = congruence_2d_labeled(ang, labs, b, labs, 1e-9)
-        assert t is not None
-        assert abs(t - 1.3) < 1e-11
+        b = ang + 1.3 + 1e-12 * rng.normal(size=7)
+        s = labeled_rotation(unit(ang), labs, unit(b), labs, 1e-9)
+        assert s is not None
+        assert np.abs(s - turn(1.3)).max() < 1e-11
 
     def test_permuted_labels_rejected(self):
         ang = np.arange(7) * TWO_PI / 7
         labs = list(range(7))
         swapped = [labs[i] for i in [1, 0, 2, 3, 4, 5, 6]]
-        assert congruence_2d_labeled(ang, labs, np.mod(ang + 1.3, TWO_PI),
-                                     swapped, 1e-9) is None
+        assert labeled_rotation(unit(ang), labs, unit(ang + 1.3), swapped,
+                                1e-9) is None
 
     def test_wrap_seam_within_tolerance(self):
-        t = congruence_2d_labeled([0.0], ["x"], [6.28318], ["x"], 1e-4)
-        assert t is not None
+        s = labeled_rotation(unit([0.0]), ["x"], unit([6.28318]), ["x"], 1e-4)
+        assert s is not None
+        assert np.abs(s - turn(6.28318)).max() < 1e-12
 
     def test_size_mismatch(self):
-        assert congruence_2d_labeled([0.0, 1.0], [0, 0], [0.0], [0],
-                                     1e-9) is None
+        assert labeled_rotation(unit([0.0, 1.0]), [0, 0], unit([0.0]), [0],
+                                1e-9) is None
 
     def test_gap_pattern_mismatch(self):
-        assert congruence_2d_labeled([0.0, 1.0, 2.0], [0] * 3,
-                                     [0.0, 1.0, 3.0], [0] * 3, 1e-9) is None
+        assert labeled_rotation(unit([0.0, 1.0, 2.0]), [0] * 3,
+                                unit([0.0, 1.0, 3.0]), [0] * 3, 1e-9) is None
 
     def test_position_count_mismatch(self):
         # two of A's points share one position
-        assert congruence_2d_labeled([0.0, 0.0, 1.0], [0] * 3,
-                                     [0.0, 1.0, 2.0], [0] * 3, 1e-9) is None
+        assert labeled_rotation(unit([0.0, 0.0, 1.0]), [0] * 3,
+                                unit([0.0, 1.0, 2.0]), [0] * 3, 1e-9) is None
 
     def test_empty(self):
-        assert congruence_2d_labeled([], [], [], [], 1e-9) == 0.0
+        s = labeled_rotation(unit([]), [], unit([]), [], 1e-9)
+        assert np.array_equal(s, np.eye(2))
 
     def test_single_position_any_shift(self):
         # every point at one angle merges into a single position
-        t = congruence_2d_labeled([6.0] * 3, [0, 1, 1], [0.5] * 3, [1, 0, 1],
-                                  1e-9)
-        assert t is not None
-        assert abs(t - np.mod(0.5 - 6.0, TWO_PI)) < 1e-12
+        s = labeled_rotation(unit([6.0] * 3), [0, 1, 1], unit([0.5] * 3),
+                             [1, 0, 1], 1e-9)
+        assert s is not None
+        assert np.abs(s - turn(0.5 - 6.0)).max() < 1e-12
 
     def test_single_position_label_mismatch(self):
-        assert congruence_2d_labeled([6.0] * 3, [0, 1, 1], [0.5] * 3,
-                                     [0, 0, 1], 1e-9) is None
+        assert labeled_rotation(unit([6.0] * 3), [0, 1, 1], unit([0.5] * 3),
+                                [0, 0, 1], 1e-9) is None
 
     def test_irregular_gaps(self):
         ang = np.array([0.0, 0.5, 1.7, 3.0, 4.9])
         lab = ["a", "b", "a", "c", "b"]
-        t = congruence_2d_labeled(ang, lab, np.mod(ang + 2.2, TWO_PI), lab,
-                                  1e-9)
-        assert t is not None and abs(t - 2.2) < 1e-9
-        assert congruence_2d_labeled(ang, lab, np.mod(ang + 2.2, TWO_PI),
-                                     ["a", "b", "a", "c", "c"], 1e-9) is None
+        s = labeled_rotation(unit(ang), lab, unit(ang + 2.2), lab, 1e-9)
+        assert s is not None and np.abs(s - turn(2.2)).max() < 1e-9
+        assert labeled_rotation(unit(ang), lab, unit(ang + 2.2),
+                                ["a", "b", "a", "c", "c"], 1e-9) is None
 
     def test_gap_chain_drift_rejected(self):
         # gaps ramp by 0.9 eps around a 9-gon: one chained gap class, so the
@@ -113,25 +126,27 @@ class TestCircle:
         h = TWO_PI / 9
         ramp = 0.9e-9 * (np.arange(9) - 4)
         drifted = np.concatenate([[0.0], np.cumsum(h + ramp)[:-1]])
-        assert congruence_2d_labeled(np.arange(9) * h, [0] * 9, drifted,
-                                     [0] * 9, 1e-9) is None
+        assert labeled_rotation(unit(np.arange(9) * h), [0] * 9, unit(drifted),
+                                [0] * 9, 1e-9) is None
 
     def test_singleton_across_the_seam(self, no_axes):
         shift = 1e-7 - 6.2831853 + TWO_PI
         a = np.array([6.2831853, 2.0, 4.0])
-        t = congruence_2d_labeled(a, [0, 1, 1], np.mod(a + shift, TWO_PI),
-                                  [0, 1, 1], 1e-9)
-        assert t is not None and abs(t - shift) < 1e-12
+        s = labeled_rotation(unit(a), [0, 1, 1], unit(a + shift), [0, 1, 1],
+                             1e-9)
+        assert s is not None and np.abs(s - turn(shift)).max() < 1e-12
 
     def test_other_class_displaced_rejected(self, no_axes):
         a = np.array([0.5, 2.0, 4.0])
         b = a + 1.0
         b[2] += 1e-3
-        assert congruence_2d_labeled(a, [0, 1, 1], b, [0, 1, 1], 1e-9) is None
+        assert labeled_rotation(unit(a), [0, 1, 1], unit(b), [0, 1, 1],
+                                1e-9) is None
 
     def test_histograms_differ_rejected(self, no_axes):
         a = np.array([0.5, 2.0, 4.0])
-        assert congruence_2d_labeled(a, [0, 0, 1], a, [0, 1, 1], 1e-9) is None
+        assert labeled_rotation(unit(a), [0, 0, 1], unit(a), [0, 1, 1],
+                                1e-9) is None
 
 
 class TestLabeledRotation:

@@ -8,13 +8,13 @@ import pytest
 from conftest import pluecker_distance, snub_24_cell
 from hypercongruence.circles import orbit_circles
 from hypercongruence.geom import (
-    Chirality,
+    EPS_EQ,
     Stalled,
-    chirality,
     circle_halves,
     circle_of_halves,
     frame,
     mark_pairs,
+    parallel,
     plueckers,
 )
 from hypercongruence.harness import gen_hopf_circles, random_rotation
@@ -64,7 +64,9 @@ def two_tetra_bundles():
     agree."""
     t = tetrahedron()
     allc = np.concatenate([circle_of_halves(t, tau) for tau in t[:2]])
-    assert chirality(allc[0], allc[4]) is Chirality.RIGHT
+    sigma, tau = circle_halves(allc[[0, 4]])
+    assert parallel(sigma, [(0, 1)], EPS_EQ)[0]
+    assert not parallel(tau, [(0, 1)], EPS_EQ)[0]
     return allc
 
 
@@ -75,7 +77,8 @@ class TestTwoCircles:
 
     def test_non_parallel_pair_marks(self):
         c1, c2 = self.circles()
-        assert chirality(c1, c2) == Chirality.NOT_ISOCLINIC
+        assert not any(parallel(h, [(0, 1)], EPS_EQ)[0]
+                       for h in circle_halves([c1, c2]))
         res, keys = run_steps(mark_circles([c1, c2], few_cap=1))
         assert isinstance(res, Markers)
         # one unordered pair contributes two antipodal marks per circle
@@ -135,11 +138,10 @@ class TestFewCirclesPath:
     def test_condensed_circles_form_one_bundle(self, rng):
         circles = right_bundle(SIGMA_E12, dodecahedron())
         res, _ = run_steps(mark_circles(circles, few_cap=12))
-        for i in range(len(res.circles)):
-            for j in range(i + 1, len(res.circles)):
-                # antipodal base points give fully orthogonal fibers (BOTH)
-                assert chirality(res.circles[i], res.circles[j]) in (
-                    Chirality.RIGHT, Chirality.BOTH)
+        # every pair right parallel; antipodal base points give fully
+        # orthogonal fibers, which are left parallel too
+        pairs = np.column_stack(np.triu_indices(len(res.circles), 1))
+        assert parallel(circle_halves(res.circles)[0], pairs, EPS_EQ).all()
 
     def test_one_merge_per_round_runs_to_few_cap(self):
         # a random right Hopf bundle has one closest pair per round, so
@@ -262,9 +264,11 @@ class TestCrossPairStall:
         assert keys == [("M2", ((1, 12),)), ("M4", "None"), ("M5", 12),
                         ("M6", (0, 12, 0)), ("M11", (12, 2)),
                         ("M2", ((2, 2),)), ("M3", 4)]
-        kinds = sorted(chirality(c, d).value for i, c in enumerate(res.circles)
-                       for d in res.circles[i + 1:])
-        assert kinds == ["both"] * 2 + ["left"] * 4
+        pairs = np.column_stack(np.triu_indices(len(res.circles), 1))
+        right, left = (parallel(h, pairs, EPS_EQ)
+                       for h in circle_halves(res.circles))
+        # two fully orthogonal (both) pairs and four left ones
+        assert left.all() and right.sum() == 2
 
     def test_cross_pairs_stall(self):
         with pytest.raises(Stalled,

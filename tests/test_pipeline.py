@@ -626,6 +626,68 @@ class TestMultiplicities:
             assert not v.congruent
 
 
+def placed(a: np.ndarray, scale: float) -> np.ndarray:
+    """a rotated and moved by scale * a normal vector, from default_rng(0)."""
+    rng = np.random.default_rng(0)
+    return a @ random_rotation(rng).T + scale * rng.normal(size=4)
+
+
+def finite_inputs():
+    """(name, unit-scale points) of every input kind the sweep scales."""
+    rng = np.random.default_rng(7)
+    g = rng.normal(size=(6, 4))
+    yield from ((name, gen_regular_polytope(name))
+                for name in ("5-cell", "16-cell", "8-cell", "24-cell"))
+    yield "grid", gen_torus_grid(4, 5, 0.6)
+    yield "helix", gen_orbit_helix(16, 3, 0.7)
+    yield "gauss", rng.normal(size=(10, 4))
+    yield "duplicated", np.r_[g, g[:3], g[:1]]
+    yield "origin", np.zeros((3, 4))
+    for rank in (1, 2, 3):
+        yield f"rank {rank}", rng.normal(size=(8, rank)) @ rng.normal(
+            size=(rank, 4))
+
+
+class TestFiniteInputs:
+    """No exception leaves congruence_test_4d on finite input, at any
+    scale and at tolerances up to the scale itself, and a positive
+    verdict's rotation is orthogonal."""
+
+    @staticmethod
+    def decide(a, b, eps, reflect):
+        v = congruence_test_4d(a, b, PipelineOptions(eps_eq=eps,
+                                                     allow_reflection=reflect))
+        if v.congruent:
+            r = v.rotation
+            assert np.abs(r @ r.T - np.eye(4)).max() <= 1e-9
+            assert np.linalg.det(r) == pytest.approx(-1.0 if v.reflected
+                                                     else 1.0)
+        return v
+
+    @pytest.mark.parametrize("name, scale, eps, want", [
+        # single linkage chains shell directions that cancel
+        ("8-cell", 1e6, 1.0, True),
+        ("600-cell", 1.0, 0.5, False),
+        # two shell points within eps in the closest-pair graph of C1
+        ("24-cell", 1e6, 1.0, False),
+    ])
+    def test_repro(self, name, scale, eps, want):
+        a = scale * gen_regular_polytope(name)
+        for reflect in (False, True):
+            assert self.decide(a, placed(a, scale), eps, reflect).congruent \
+                == want
+
+    @pytest.mark.parametrize("name, a", list(finite_inputs()),
+                             ids=[name for name, _ in finite_inputs()])
+    def test_sweep(self, name, a):
+        for scale in (1e-6, 1.0, 1e6):
+            b = placed(scale * a, scale)
+            for rel in (1e-9, 0.1, 1.0):
+                # a mirror image decides with and without reflection
+                self.decide(scale * a, b, rel * scale, False)
+                self.decide(scale * a, b @ MIRROR_X1, rel * scale, True)
+
+
 class TestForcedPairing:
     # the final check pairs the points in order of their norms, which is
     # the right pairing for distinct radii, and builds no k-d tree for it
